@@ -8,6 +8,9 @@ tests (`ruledgeom`), the striction sheet and singular locus
 JSON (`scene`), results go out through `analysis` and the `ruledkit` CLI.
 """
 
+#: the package version; it must match `version` in pyproject.toml
+__version__ = "0.1.0"
+
 from .classify import (ClassificationReport, ConverseResult, Region,
                        RegionEvidence, classify_patch, converse_check)
 from .distribution import (DegreeProfile, RhoSample, constant_degree_segments,

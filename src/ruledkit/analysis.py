@@ -10,21 +10,17 @@ the normalized scene.
 from __future__ import annotations
 
 import os
-from importlib.metadata import version
 
 import numpy as np
 
-from .classify import classify_patch
-from .distribution import constant_degree_segments, degree_profile, pivot_frame
+from . import __version__
+from .classify import classify_patch, segment_analyses
 from .errors import NumericError
 from .exports import write_json, write_mesh_obj
 from .multilinear import TolerancePolicy
-from .ruledgeom import RuledPatch, first_normal_bounds_check, rank_one_check
+from .ruledgeom import RuledPatch, first_normal_bounds_check
 from .scene import IngestResult, normalized_scene_bytes
-from .striction import (StrictionSheet, directrix_invariance,
-                        equivalent_condition_check, singular_locus,
-                        solve_striction, striction_jacobian_rank,
-                        write_striction_csv)
+from .striction import StrictionSheet, directrix_invariance, write_striction_csv
 
 DEFAULT_INVARIANCE_SCALES = (0.5, 1.0, -0.7)
 
@@ -32,33 +28,6 @@ DEFAULT_INVARIANCE_SCALES = (0.5, 1.0, -0.7)
 def _tol_dict(tol: TolerancePolicy) -> dict:
     return {"rank_rel_tol": tol.rank_rel_tol, "zero_abs_tol": tol.zero_abs_tol,
             "derivative_check_tol": tol.derivative_check_tol}
-
-
-def _analyze_segment_striction(patch: RuledPatch, d: int, seed: int):
-    """Pivot + solve + scan one constant-degree segment; returns
-    (sheet, pivoted patch, report section)."""
-    pivoted = pivot_frame(patch.fc, patch.grid, d, patch.tol)
-    pp = RuledPatch(pivoted, patch.grid, patch.tol)
-    sheet = solve_striction(pp, d)
-    locus = singular_locus(pp, sheet, seed=seed)
-    eq = equivalent_condition_check(pp, sheet)
-    ranks = set()
-    for t in patch.grid.t_samples:
-        for u in patch.grid.u_points(sheet.free_count):
-            ranks.add(striction_jacobian_rank(sheet, t, u, patch.tol))
-    section = {
-        "t_range": [float(patch.grid.t_samples[0]), float(patch.grid.t_samples[-1])],
-        "degree": d,
-        "sheet_dimension": sheet.free_count + 1,
-        "max_defining_residual": sheet.max_defining_residual,
-        "solve_fallback_t": [float(t) for t in sheet.fallback_ts],
-        "singular_fraction": locus.singular_fraction,
-        "offsheet": {"total": locus.offsheet_total, "regular": locus.offsheet_regular},
-        "equivalent_condition": {"all_agree": eq.all_agree,
-                                 "skipped_t": list(eq.skipped)},
-        "jacobian_rank_range": [min(ranks), max(ranks)],
-    }
-    return sheet, pp, locus, section
 
 
 def analyze(result: IngestResult, out_dir, seed: int = 0,
@@ -72,25 +41,27 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
     os.makedirs(out_dir, exist_ok=True)
     notes = list(result.notes)
 
-    profile = degree_profile(fc, grid, tol)
-    classification = classify_patch(patch, seed=seed)
-    r1 = rank_one_check(patch)
+    profile = patch.profile
+    segments = segment_analyses(patch, seed)
+    classification = classify_patch(patch, seed=seed, segments=segments)
+    r1 = patch.rank_one
 
     bounds_sections = []
     striction_sections = []
     csv_names = []
     full_sheet: StrictionSheet | None = None
     full_pivoted: RuledPatch | None = None
-    segments = constant_degree_segments(profile)
-    for k, (i0, i1, d) in enumerate(segments):
-        if i1 - i0 < 3:
+    for k, seg in enumerate(segments):
+        d = seg.d
+        if seg.narrow:
             notes.append(f"segment {k} too narrow to analyze "
-                         f"({i1 - i0} samples at degree {d})")
+                         f"({seg.i1 - seg.i0} samples at degree {d})")
             continue
-        sub = RuledPatch(fc, grid.restrict(i0, i1), tol)
+        sub = seg.patch
+        t_range = [float(sub.grid.t_samples[0]), float(sub.grid.t_samples[-1])]
         bounds = first_normal_bounds_check(sub, d)
         bounds_sections.append({
-            "t_range": [float(sub.grid.t_samples[0]), float(sub.grid.t_samples[-1])],
+            "t_range": t_range,
             "degree": d,
             "checked": len(bounds.entries),
             "skipped_singular": bounds.skipped_singular,
@@ -99,18 +70,32 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
         if d == 0:
             continue
         try:
-            sheet, pp, locus, section = _analyze_segment_striction(sub, d, seed)
+            sheet, locus = seg.sheet, seg.locus
+            eq = seg.equivalent_condition
+            ranks = seg.jacobian_ranks
         except NumericError as exc:
             notes.append(f"striction unavailable on segment {k}: {exc}")
             continue
         name = "striction.csv" if len(segments) == 1 else f"striction_seg{k}.csv"
         write_striction_csv(sheet, locus, os.path.join(out_dir, name))
         csv_names.append(name)
-        section["csv"] = name
-        striction_sections.append(section)
+        striction_sections.append({
+            "t_range": t_range,
+            "degree": d,
+            "sheet_dimension": sheet.free_count + 1,
+            "max_defining_residual": sheet.max_defining_residual,
+            "solve_fallback_t": [float(t) for t in sheet.fallback_ts],
+            "singular_fraction": locus.singular_fraction,
+            "offsheet": {"total": locus.offsheet_total,
+                         "regular": locus.offsheet_regular},
+            "equivalent_condition": {"all_agree": eq.all_agree,
+                                     "skipped_t": list(eq.skipped)},
+            "jacobian_rank_range": [int(ranks.min()), int(ranks.max())],
+            "csv": name,
+        })
         if len(segments) == 1:
             full_sheet = sheet
-            full_pivoted = pp
+            full_pivoted = seg.pivoted
 
     invariance_section = None
     if invariance and full_sheet is not None:
@@ -130,7 +115,7 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
 
     report = {
         "schema": "ruledkit.report/v1",
-        "generator": f"ruledkit {version('ruledkit')}",
+        "generator": f"ruledkit {__version__}",
         "scene": result.normalized,
         "notes": notes,
         "ambient_dim": fc.dim,

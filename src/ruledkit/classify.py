@@ -11,14 +11,17 @@ undetermined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .distribution import constant_degree_segments, degree_profile, pivot_frame
-from .errors import DegeneracyError, PivotError, ValidationError
+from .distribution import constant_degree_segments, pivot_frame
+from .errors import DegeneracyError, NumericError, PivotError, ValidationError
 from .multilinear import TolerancePolicy
-from .ruledgeom import RuledPatch, rank_one_check, second_form_scan
-from .striction import singular_locus, solve_striction, striction_jacobian_rank
+from .ruledgeom import RuledPatch
+from .striction import (EquivalentConditionResult, SingularLocus, StrictionSheet,
+                        equivalent_condition_check, sheet_jacobian_ranks,
+                        singular_locus, solve_striction)
 
 CYLINDRICAL = "cylindrical"
 CONICAL = "conical"
@@ -110,11 +113,55 @@ class ClassificationReport:
         }
 
 
-def _planar_scan(p: RuledPatch) -> tuple[bool, list]:
-    """(all regular samples planar, list of planar samples)."""
-    scan, _ = second_form_scan(p)
-    planar = [(t, u) for t, u, dim in scan if dim == 0]
-    return (bool(scan) and len(planar) == len(scan)), planar
+class SegmentAnalysis:
+    """One constant-degree segment of a patch, samples i0..i1-1 at degree d.
+
+    Each artifact (pivoted patch, striction sheet, singular locus,
+    equivalent-condition check, sheet Jacobian ranks) is computed on
+    first use and kept, so the classifier and the report read the same
+    objects. A stage that raises is not kept and raises again when read.
+    """
+
+    def __init__(self, parent: RuledPatch, i0: int, i1: int, d: int, seed: int = 0):
+        self.parent, self.i0, self.i1, self.d, self.seed = parent, i0, i1, d, seed
+
+    @property
+    def narrow(self) -> bool:
+        """Too few samples for a grid of its own."""
+        return self.i1 - self.i0 < 3
+
+    @cached_property
+    def patch(self) -> RuledPatch:
+        return self.parent.restrict(self.i0, self.i1)
+
+    @cached_property
+    def pivoted(self) -> RuledPatch:
+        p = self.patch
+        fc = pivot_frame(p.fc, p.grid, self.d, p.tol, profile=p.profile)
+        return p if fc is p.fc else RuledPatch(fc, p.grid, p.tol)
+
+    @cached_property
+    def sheet(self) -> StrictionSheet:
+        return solve_striction(self.pivoted, self.d)
+
+    @cached_property
+    def locus(self) -> SingularLocus:
+        return singular_locus(self.pivoted, self.sheet, seed=self.seed)
+
+    @cached_property
+    def equivalent_condition(self) -> EquivalentConditionResult:
+        return equivalent_condition_check(self.pivoted, self.sheet)
+
+    @cached_property
+    def jacobian_ranks(self) -> np.ndarray:
+        """(N, P) sheet Jacobian rank at every sample and free grid position."""
+        return sheet_jacobian_ranks(self.pivoted, self.sheet)
+
+
+def segment_analyses(p: RuledPatch, seed: int = 0) -> list[SegmentAnalysis]:
+    """One holder per maximal constant-degree run of the patch's profile."""
+    return [SegmentAnalysis(p, i0, i1, d, seed)
+            for i0, i1, d in constant_degree_segments(p.profile)]
 
 
 def _rank_runs(verdicts: list[str | None], ts: np.ndarray):
@@ -132,13 +179,16 @@ def _rank_runs(verdicts: list[str | None], ts: np.ndarray):
     return runs, boundaries
 
 
-def _classify_segment(p: RuledPatch, d: int, seed: int):
+def _classify_segment(seg: SegmentAnalysis):
     """Regions and boundary samples for one constant-degree segment."""
+    p, d = seg.patch, seg.d
     ts = p.grid.t_samples
     t_range = (float(ts[0]), float(ts[-1]))
     m = p.m
 
-    planar_all, planar = _planar_scan(p)
+    scan = p.scan
+    planar = scan.planar()
+    planar_all = bool(scan.regular.any()) and len(planar) == int(scan.regular.sum())
     if d == 0:
         notes = ("planar region",) if planar_all else ()
         return [Region(t_range, CYLINDRICAL,
@@ -150,7 +200,7 @@ def _classify_segment(p: RuledPatch, d: int, seed: int):
                                       notes=("planar region swept by a moving "
                                              "frame; treated as cylindrical",)))], []
 
-    r1 = rank_one_check(p, planar=planar)
+    r1 = p.rank_one
     if d >= 2 or not r1.verdict:
         notes = ()
         if r1.planar:
@@ -161,17 +211,14 @@ def _classify_segment(p: RuledPatch, d: int, seed: int):
                                       notes=notes))], []
 
     try:
-        pivoted = pivot_frame(p.fc, p.grid, d, p.tol)
-        pp = RuledPatch(pivoted, p.grid, p.tol)
-        sheet = solve_striction(pp, d)
+        sheet = seg.sheet
     except (PivotError, DegeneracyError) as exc:
         return [Region(t_range, UNDETERMINED,
                        RegionEvidence(degree=d,
                                       max_rank_one_residual=r1.max_residual,
                                       notes=(f"striction unavailable: {exc}",)))], []
 
-    locus = singular_locus(pp, sheet, seed=seed)
-    coverage = locus.singular_fraction
+    coverage = seg.locus.singular_fraction
     if coverage < SINGULAR_COVERAGE:
         return [Region(t_range, UNDETERMINED,
                        RegionEvidence(degree=d,
@@ -180,23 +227,22 @@ def _classify_segment(p: RuledPatch, d: int, seed: int):
                                       notes=("developable segment whose sheet is not "
                                              "singular at the required coverage",)))], []
 
-    u_pts = p.grid.u_points(sheet.free_count)
-    verdicts: list[str | None] = []
     try:
-        for t in ts:
-            ranks = {striction_jacobian_rank(sheet, t, u, p.tol) for u in u_pts}
-            if ranks == {m - 1}:
-                verdicts.append(TANGENT)
-            elif ranks == {m - 2}:
-                verdicts.append(CONICAL)
-            else:
-                verdicts.append(None)
+        ranks = seg.jacobian_ranks
     except NumericError as exc:
         return [Region(t_range, UNDETERMINED,
                        RegionEvidence(degree=d,
                                       max_rank_one_residual=r1.max_residual,
                                       singular_fraction=coverage,
                                       notes=(f"sheet rank profile unavailable: {exc}",)))], []
+    verdicts: list[str | None] = []
+    for row in ranks:
+        if (row == m - 1).all():
+            verdicts.append(TANGENT)
+        elif (row == m - 2).all():
+            verdicts.append(CONICAL)
+        else:
+            verdicts.append(None)
 
     runs, boundary = _rank_runs(verdicts, ts)
     regions = []
@@ -226,31 +272,35 @@ def _classify_segment(p: RuledPatch, d: int, seed: int):
     return regions, boundary
 
 
-def classify_patch(p: RuledPatch, seed: int = 0) -> ClassificationReport:
-    """Label the sampled patch region by region. Deterministic given seed."""
-    profile = degree_profile(p.fc, p.grid, p.tol)
-    segments = constant_degree_segments(profile)
+def classify_patch(p: RuledPatch, seed: int = 0,
+                   segments: list[SegmentAnalysis] | None = None) -> ClassificationReport:
+    """Label the sampled patch region by region. Deterministic given seed.
+
+    `segments` are the patch's segment holders when the caller keeps them
+    (see `segment_analyses`), so that their artifacts are computed once.
+    """
+    if segments is None:
+        segments = segment_analyses(p, seed)
+    profile = p.profile
     ts = p.grid.t_samples
 
     regions: list[Region] = []
     boundary: list[float] = []
-    for i0, i1, d in segments:
-        if i1 - i0 < 3:
+    for seg in segments:
+        if seg.narrow:
             # too narrow even to sample; its points are boundary material
-            boundary.extend(float(t) for t in ts[i0:i1])
+            boundary.extend(float(t) for t in ts[seg.i0:seg.i1])
             continue
-        sub = RuledPatch(p.fc, p.grid.restrict(i0, i1), p.tol)
-        segment_regions, segment_boundary = _classify_segment(sub, d, seed)
+        segment_regions, segment_boundary = _classify_segment(seg)
         regions.extend(segment_regions)
         boundary.extend(segment_boundary)
-        if i1 < ts.size:
-            boundary.append(float(0.5 * (ts[i1 - 1] + ts[i1])))
+        if seg.i1 < ts.size:
+            boundary.append(float(0.5 * (ts[seg.i1 - 1] + ts[seg.i1])))
 
-    full = rank_one_check(p)
     report = ClassificationReport(
         regions=tuple(regions),
         boundary_points=tuple(sorted(boundary)),
-        is_rank_one=full.verdict,
+        is_rank_one=p.rank_one.verdict,
         is_cylinder=profile.cylindrical,
         degrees=tuple(int(v) for v in profile.degrees),
         borderline_t=tuple(profile.borderline_t),
@@ -270,15 +320,11 @@ class ConverseResult:
 def converse_check(p: RuledPatch, seed: int = 0) -> ConverseResult:
     """On a degree-one patch, developability and a fully singular sheet
     must come together; returns whether the two verdicts agree."""
-    profile = degree_profile(p.fc, p.grid, p.tol)
-    if profile.constant_degree != 1:
+    if p.profile.constant_degree != 1:
         raise ValidationError("converse check requires degree 1 on the whole grid")
-    pivoted = pivot_frame(p.fc, p.grid, 1, p.tol)
-    pp = RuledPatch(pivoted, p.grid, p.tol)
-    sheet = solve_striction(pp, 1)
-    locus = singular_locus(pp, sheet, seed=seed)
-    r1 = rank_one_check(p)
-    covered = locus.singular_fraction >= SINGULAR_COVERAGE
+    coverage = SegmentAnalysis(p, 0, p.grid.t_samples.size, 1, seed).locus.singular_fraction
+    r1 = p.rank_one
+    covered = coverage >= SINGULAR_COVERAGE
     return ConverseResult(agree=(covered == r1.verdict),
                           rank_one=r1.verdict,
-                          singular_coverage=locus.singular_fraction)
+                          singular_coverage=coverage)

@@ -4,8 +4,9 @@ Subcommands: `analyze <scene> -o <dir>` runs the full pipeline on a scene
 file, `selftest` runs the builtin verification corpus, `list-builtins`
 prints the available curve and patch families.
 
-Exit codes: 0 success, 2 validation error, 3 numeric/degeneracy error,
-4 self-test failure.
+Exit codes: 0 success, 2 validation error, 3 numeric/degeneracy error
+(and, for `analyze`, any failure the pipeline did not anticipate), 4
+self-test failure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 import click
 
 from .analysis import analyze as run_analysis
-from .errors import RuledKitError
+from .errors import NumericError, RuledKitError
 from .multilinear import TolerancePolicy
 from .parametric import builtin_families
 from .scene import ingest
@@ -48,11 +49,16 @@ def analyze(scene, out_dir, t_samples, u_extent, rank_tol, zero_tol, seed, no_in
     """Ingest SCENE, run the analysis pipeline, write outputs to OUT-DIR."""
     overrides = {"t_samples": t_samples, "u_extent": u_extent,
                  "rank_rel_tol": rank_tol, "zero_abs_tol": zero_tol}
+    stage = "ingest"
     try:
         result = ingest(scene, overrides)
+        stage = "analyze"
         report = run_analysis(result, out_dir, seed=seed, invariance=not no_invariance)
     except RuledKitError as exc:
         _fail(exc)
+    except Exception as exc:  # e.g. a LinAlgError: one line and exit 3, no traceback
+        click.echo(f"error: {stage} failed: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(NumericError.exit_code)
     for note in report["notes"]:
         click.echo(f"note: {note}")
     kinds = [r["kind"] for r in report["classification"]["regions"]]

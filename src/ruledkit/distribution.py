@@ -1,10 +1,12 @@
 """Degree of the ruling distribution and frame pivoting.
 
 For each parameter t the frame derivatives are projected off the ruling
-span; the rank of those projections is the degree at t. Pivoting reorders
-(or, if no constant reordering works, smoothly rotates) the frame so the
-trailing d fields alone carry the full degree, which the striction solver
-assumes.
+span; the rank of those projections is the degree at t. The projection
+and the rank run on stacked arrays, once over the whole grid; the
+single-parameter `rho_at` is the same computation on a stack of one.
+Pivoting reorders (or, if no constant reordering works, smoothly
+rotates) the frame so the trailing d fields alone carry the full degree,
+which the striction solver assumes.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 
 from .errors import FrameError, NumericError, PivotError, ValidationError
 from .fields import FrameCombinationField, SplineCoefficients
-from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, gram_matrix,
-                          project_orthogonal)
-from .parametric import FramedCurve, SampleGrid
+from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, project_off_spans,
+                          rank_mask)
+from .parametric import FramedCurve, GridValues, SampleGrid
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,32 +35,88 @@ class RhoSample:
 
 @dataclass(frozen=True, eq=False)
 class DegreeProfile:
-    """Degree of the ruling distribution at every grid sample."""
+    """Projected frame derivatives and the degree at every grid sample."""
 
-    samples: tuple[RhoSample, ...]
-    constant_degree: int | None
-    cylindrical: bool
-    noncylindrical: bool
+    t: np.ndarray           # (N,)
+    rho: np.ndarray         # (N, m-1, dim), rho[i, j] orthogonal to the ruling span at t[i]
+    degrees: np.ndarray     # (N,) int
+    borderline: np.ndarray  # (N,) bool: a singular value sits near the rank cutoff
 
     @property
-    def degrees(self) -> np.ndarray:
-        return np.array([s.degree for s in self.samples], dtype=int)
+    def constant_degree(self) -> int | None:
+        degs = set(self.degrees.tolist())
+        return degs.pop() if len(degs) == 1 else None
+
+    @property
+    def cylindrical(self) -> bool:
+        return bool(np.all(self.degrees == 0))
+
+    @property
+    def noncylindrical(self) -> bool:
+        return bool(np.all(self.degrees > 0))
 
     @property
     def borderline_t(self) -> list[float]:
-        return [s.t for s in self.samples if s.borderline]
+        return [float(t) for t in self.t[self.borderline]]
+
+    def restrict(self, lo: int, hi: int) -> "DegreeProfile":
+        """The profile over samples lo..hi-1."""
+        return DegreeProfile(self.t[lo:hi], self.rho[lo:hi], self.degrees[lo:hi],
+                             self.borderline[lo:hi])
 
 
-def _degree_and_borderline(rho: np.ndarray, tol: TolerancePolicy) -> tuple[int, bool]:
-    if rho.shape[0] == 0:
-        return 0, False
+def _degrees(rho: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical rank of each (m-1, dim) rho block and whether a singular
+    value sits within a factor 10 of the rank cutoff."""
     s = np.linalg.svd(rho, compute_uv=False)
-    if s[0] < tol.zero_abs_tol:
-        return 0, bool(s[0] > 0.1 * tol.zero_abs_tol)
-    cutoff = tol.rank_rel_tol * s[0]
-    degree = int(np.sum(s > cutoff))
-    borderline = bool(np.any((s >= 0.1 * cutoff) & (s <= 10.0 * cutoff)))
-    return degree, borderline
+    lead = s[:, 0]
+    cutoff = (tol.rank_rel_tol * lead)[:, None]
+    degrees = np.count_nonzero(rank_mask(s, tol), axis=1)
+    borderline = np.where(lead < tol.zero_abs_tol, lead > 0.1 * tol.zero_abs_tol,
+                          np.any((s >= 0.1 * cutoff) & (s <= 10.0 * cutoff), axis=1))
+    return degrees, borderline
+
+
+def profile_from_values(values: GridValues,
+                        tol: TolerancePolicy = DEFAULT_TOLERANCES) -> DegreeProfile:
+    """Degree profile from stacked frame values, with one stacked SVD per step.
+
+    Raises, at the first offending parameter, a validation error when it
+    lies outside the curve interval or the frame values there are not
+    finite, a frame error when the frame fails its orthonormality
+    tolerance, and a numeric error when the degree exceeds min(m-1, n+1).
+    """
+    fc, ts = values.fc, values.ts
+    lo, hi = fc.interval
+    outside = np.flatnonzero(~((lo - 1e-9 <= ts) & (ts <= hi + 1e-9)))
+    if outside.size:
+        first = int(outside[0])
+        if first:  # an earlier sample may fail first
+            profile_from_values(fc.grid_values(ts[:first]), tol)
+        raise ValidationError(f"t={ts[first]} outside curve interval [{lo}, {hi}]")
+    x, xdot = values.frame(0), values.frame(1)
+    finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(xdot).all(axis=(1, 2))
+    if not finite.all():
+        first = int(np.argmin(finite))
+        if first:
+            profile_from_values(fc.grid_values(ts[:first]), tol)
+        raise ValidationError(f"frame values are not finite at t={ts[first]}")
+    g = x @ x.swapaxes(1, 2)
+    dev = np.abs(0.5 * (g + g.swapaxes(1, 2)) - np.eye(fc.m - 1)).max(axis=(1, 2))
+    rho = project_off_spans(x, xdot, tol)
+    degrees, borderline = _degrees(rho, tol)
+    bound = min(fc.m - 1, fc.codim + 1)
+    bad_frame = dev > tol.derivative_check_tol
+    offenders = np.flatnonzero(bad_frame | (degrees > bound))
+    if offenders.size:
+        i = int(offenders[0])
+        if bad_frame[i]:
+            raise FrameError(
+                f"frame is not orthonormal at t={ts[i]} (deviation {dev[i]:.3e})")
+        raise NumericError(
+            f"degree {degrees[i]} at t={ts[i]} exceeds the bound min(m-1, n+1)={bound}; "
+            "tolerances are likely misconfigured")
+    return DegreeProfile(t=ts, rho=rho, degrees=degrees, borderline=borderline)
 
 
 def rho_at(fc: FramedCurve, t: float, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> RhoSample:
@@ -67,37 +125,16 @@ def rho_at(fc: FramedCurve, t: float, tol: TolerancePolicy = DEFAULT_TOLERANCES)
     The degree at t is the rank of the projected vectors. Raises a frame
     error when the frame fails its orthonormality tolerance at t.
     """
-    lo, hi = fc.interval
-    if not (lo - 1e-9 <= t <= hi + 1e-9):
-        raise ValidationError(f"t={t} outside curve interval [{lo}, {hi}]")
-    x = fc.frame_values(t)
-    dev = np.abs(gram_matrix(x) - np.eye(fc.m - 1)).max()
-    if dev > tol.derivative_check_tol:
-        raise FrameError(f"frame is not orthonormal at t={t} (deviation {dev:.3e})")
-    xdot = fc.frame_values(t, 1)
-    rho = np.array([project_orthogonal(xdot[j], x, tol) for j in range(fc.m - 1)])
-    degree, borderline = _degree_and_borderline(rho, tol)
-    bound = min(fc.m - 1, fc.codim + 1)
-    if degree > bound:
-        raise NumericError(
-            f"degree {degree} at t={t} exceeds the bound min(m-1, n+1)={bound}; "
-            "tolerances are likely misconfigured")
-    return RhoSample(t=float(t), rho_vectors=rho, degree=degree, borderline=borderline)
+    profile = profile_from_values(fc.grid_values(np.array([float(t)])), tol)
+    return RhoSample(t=float(t), rho_vectors=profile.rho[0],
+                     degree=int(profile.degrees[0]),
+                     borderline=bool(profile.borderline[0]))
 
 
 def degree_profile(fc: FramedCurve, grid: SampleGrid,
                    tol: TolerancePolicy = DEFAULT_TOLERANCES) -> DegreeProfile:
     """Degree of the ruling distribution at every grid sample."""
-    samples = tuple(rho_at(fc, t, tol) for t in grid.t_samples)
-    degs = {s.degree for s in samples}
-    constant = degs.pop() if len(degs) == 1 else None
-    degrees = [s.degree for s in samples]
-    return DegreeProfile(
-        samples=samples,
-        constant_degree=constant,
-        cylindrical=all(d == 0 for d in degrees),
-        noncylindrical=all(d > 0 for d in degrees),
-    )
+    return profile_from_values(fc.grid_values(grid.t_samples), tol)
 
 
 def constant_degree_segments(profile: DegreeProfile) -> list[tuple[int, int, int]]:
@@ -113,38 +150,36 @@ def constant_degree_segments(profile: DegreeProfile) -> list[tuple[int, int, int
     return runs
 
 
-def _smallest_sv(mat: np.ndarray) -> float:
-    s = np.linalg.svd(mat, compute_uv=False)
-    return float(s[-1]) if s.size else 0.0
-
-
 def pivot_frame(fc: FramedCurve, grid: SampleGrid, d: int,
-                tol: TolerancePolicy = DEFAULT_TOLERANCES) -> FramedCurve:
+                tol: TolerancePolicy = DEFAULT_TOLERANCES,
+                profile: DegreeProfile | None = None) -> FramedCurve:
     """Rearrange the frame so its last d fields carry the full degree.
 
     Prefers the constant permutation whose trailing rho block is best
     conditioned over the whole grid; if none works, rotates the frame by
     the eigenvector matrix of the rho Gram (dominant directions last,
     signs smoothed along t). Fails with the offending samples when
-    neither achieves the condition.
+    neither achieves the condition. `profile` is fc's degree profile on
+    grid when the caller already has it.
     """
     if d < 1:
         raise ValidationError("pivot requires degree >= 1")
     k = fc.m - 1
     ts = grid.t_samples
-    samples = [rho_at(fc, t, tol) for t in ts]
-    bad = [s.t for s in samples if s.degree != d]
+    if profile is None:
+        profile = degree_profile(fc, grid, tol)
+    bad = [float(t) for t in profile.t[profile.degrees != d]]
     if bad:
         raise ValidationError(
             f"degree is not constantly {d} on the grid (first offenders: {bad[:3]})")
-    rhos = [s.rho_vectors for s in samples]
+    rho = profile.rho
 
     if d == k:
         return fc
 
     best_subset, best_score = None, -1.0
     for subset in combinations(range(k), d):
-        score = min(_smallest_sv(r[list(subset)]) for r in rhos)
+        score = float(np.linalg.svd(rho[:, list(subset)], compute_uv=False)[:, -1].min())
         if score > best_score:
             best_subset, best_score = subset, score
     if best_score > tol.zero_abs_tol:
@@ -155,27 +190,20 @@ def pivot_frame(fc: FramedCurve, grid: SampleGrid, d: int,
 
     # No constant permutation works: rotate by the eigenvectors of the
     # rho Gram matrix, ascending eigenvalue so dominant directions land last.
-    coeff_nodes = np.empty((ts.size, k, k))
-    prev = None
-    for i, r in enumerate(rhos):
-        g = r @ r.T
-        _, q = np.linalg.eigh(0.5 * (g + g.T))
-        if prev is not None:
-            flip = np.sign(np.einsum("ij,ij->j", prev, q))
-            flip[flip == 0] = 1.0
-            q = q * flip
-        prev = q
-        coeff_nodes[i] = q
+    g = rho @ rho.swapaxes(1, 2)
+    _, coeff_nodes = np.linalg.eigh(0.5 * (g + g.swapaxes(1, 2)))
+    for i in range(1, ts.size):
+        flip = np.sign(np.einsum("ij,ij->j", coeff_nodes[i - 1], coeff_nodes[i]))
+        flip[flip == 0] = 1.0
+        coeff_nodes[i] *= flip
     coeffs = SplineCoefficients(ts, coeff_nodes)
     frame = [FrameCombinationField(list(fc.frame), coeffs, j, domain=fc.interval)
              for j in range(k)]
     rotated = fc.with_frame(frame)
 
-    failing = []
-    for t in ts:
-        sample = rho_at(rotated, t, tol)
-        if _smallest_sv(sample.rho_vectors[k - d:]) <= tol.zero_abs_tol:
-            failing.append(float(t))
+    trailing = degree_profile(rotated, grid, tol).rho[:, k - d:]
+    smallest = np.linalg.svd(trailing, compute_uv=False)[:, -1]
+    failing = [float(t) for t in ts[smallest <= tol.zero_abs_tol]]
     if failing:
         raise PivotError(
             "no frame permutation or rotation makes the trailing "

@@ -421,6 +421,28 @@ class SplineCoefficients:
         return self._spline(t, nu=2)
 
 
+def connection_skew(bases: Sequence[VectorField], t: float, order: int = 1):
+    """Connection matrix W[l, j] = <Xdot_j, X_l> of a frame at t.
+
+    With order=2 also returns its t-derivative, as the pair (W, Wdot).
+    """
+    k = len(bases)
+    vals = [b.eval(t, 0) for b in bases]
+    d1 = [b.eval(t, 1) for b in bases]
+    w = np.empty((k, k))
+    for l in range(k):
+        for j in range(k):
+            w[l, j] = d1[j] @ vals[l]
+    if order == 1:
+        return w
+    d2 = [b.eval(t, 2) for b in bases]
+    wdot = np.empty((k, k))
+    for l in range(k):
+        for j in range(k):
+            wdot[l, j] = d2[j] @ vals[l] + d1[j] @ d1[l]
+    return w, wdot
+
+
 class TransportCoefficients(SplineCoefficients):
     """Coefficients of a frame field transported to kill tangential drift.
 
@@ -434,28 +456,11 @@ class TransportCoefficients(SplineCoefficients):
         super().__init__(t_nodes, values)
         self._bases = list(bases)
 
-    def _skew(self, t, order=1):
-        k = len(self._bases)
-        vals = [b.eval(t, 0) for b in self._bases]
-        d1 = [b.eval(t, 1) for b in self._bases]
-        w = np.empty((k, k))
-        for l in range(k):
-            for j in range(k):
-                w[l, j] = d1[j] @ vals[l]
-        if order == 1:
-            return w
-        d2 = [b.eval(t, 2) for b in self._bases]
-        wdot = np.empty((k, k))
-        for l in range(k):
-            for j in range(k):
-                wdot[l, j] = d2[j] @ vals[l] + d1[j] @ d1[l]
-        return w, wdot
-
     def d1(self, t):
-        return -self._skew(t) @ self.value(t)
+        return -connection_skew(self._bases, t) @ self.value(t)
 
     def d2(self, t):
-        w, wdot = self._skew(t, order=2)
+        w, wdot = connection_skew(self._bases, t, order=2)
         c = self.value(t)
         return -wdot @ c + w @ (w @ c)
 

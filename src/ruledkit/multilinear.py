@@ -1,8 +1,9 @@
 """Dense linear/exterior-algebra kernels for small ambient dimensions.
 
 Vectors are plain 1-D numpy arrays; ordered collections of vectors are
-stacked into (k, dim) matrices. Wedge products are never materialized:
-every use in this package is a dependence test or a volume, so the Gram
+stacked into (k, dim) matrices, and many collections of one shape into
+(..., k, dim) stacks. Wedge products are never materialized: every use
+in this package is a dependence test or a volume, so the Gram
 determinant (equivalently the product of singular values) is enough.
 """
 
@@ -112,8 +113,12 @@ def wedge_norm(vectors: Sequence, dim: int | None = None) -> float:
         )
     if mat.shape[0] == 0:
         return 1.0
-    s = np.linalg.svd(mat, compute_uv=False)
-    return float(np.prod(s))
+    return float(wedge_norms(mat[None])[0])
+
+
+def wedge_norms(stack: np.ndarray) -> np.ndarray:
+    """Wedge norm of each (k, dim) matrix of a (..., k, dim) stack, k <= dim."""
+    return np.prod(np.linalg.svd(stack, compute_uv=False), axis=-1)
 
 
 def numerical_rank(vectors: Sequence, tol: TolerancePolicy = DEFAULT_TOLERANCES,
@@ -126,10 +131,26 @@ def numerical_rank(vectors: Sequence, tol: TolerancePolicy = DEFAULT_TOLERANCES,
     mat = as_vector_list(vectors, dim)
     if mat.shape[0] == 0:
         return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] < tol.zero_abs_tol:
-        return 0
-    return int(np.sum(s > tol.rank_rel_tol * s[0]))
+    return int(numerical_ranks(mat[None], tol)[0])
+
+
+def rank_mask(s: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Which singular values of (..., r) descending stacks count toward the rank.
+
+    A value counts when it exceeds rank_rel_tol times the largest one,
+    and none counts when the largest is below zero_abs_tol. This is the
+    one rank rule of the package: numerical ranks, truncated spans,
+    degrees and regularity all apply it.
+    """
+    lead = s[..., :1]
+    return (s > tol.rank_rel_tol * lead) & (lead >= tol.zero_abs_tol)
+
+
+def numerical_ranks(stack: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES
+                    ) -> np.ndarray:
+    """`numerical_rank` of each matrix of a (..., k, dim) stack, as ints."""
+    return np.count_nonzero(rank_mask(np.linalg.svd(stack, compute_uv=False), tol),
+                            axis=-1)
 
 
 def orthonormal_span(vectors: Sequence, tol: TolerancePolicy = DEFAULT_TOLERANCES,
@@ -138,11 +159,8 @@ def orthonormal_span(vectors: Sequence, tol: TolerancePolicy = DEFAULT_TOLERANCE
     mat = as_vector_list(vectors, dim)
     if mat.shape[0] == 0:
         return mat
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] < tol.zero_abs_tol:
-        return np.zeros((0, mat.shape[1]))
-    keep = s > tol.rank_rel_tol * s[0]
-    return vt[keep]
+    _, s, vt = np.linalg.svd(mat, full_matrices=False)
+    return vt[rank_mask(s, tol)]
 
 
 def project_orthogonal(v, basis: Sequence, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Vector:
@@ -152,10 +170,20 @@ def project_orthogonal(v, basis: Sequence, tol: TolerancePolicy = DEFAULT_TOLERA
     returns `v` unchanged. Idempotent.
     """
     vec = as_vector(v)
-    q = orthonormal_span(basis, tol, dim=vec.shape[0])
-    if q.shape[0] == 0:
+    mat = as_vector_list(basis, dim=vec.shape[0])
+    if mat.shape[0] == 0:
         return vec.copy()
-    return vec - q.T @ (q @ vec)
+    return project_off_spans(mat[None], vec[None, None], tol)[0, 0]
+
+
+def project_off_spans(basis: np.ndarray, v: np.ndarray,
+                      tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Rows of each (..., j, dim) matrix of `v` minus their projection onto
+    the row span of the matching (..., k, dim) matrix of `basis`, the
+    span rank-truncated as in `orthonormal_span`."""
+    _, s, vt = np.linalg.svd(basis, full_matrices=False)
+    q = vt * rank_mask(s, tol)[..., None]
+    return v - (v @ q.swapaxes(-1, -2)) @ q
 
 
 def spans_equal(a: Sequence, b: Sequence, tol: TolerancePolicy = DEFAULT_TOLERANCES,

@@ -1,7 +1,8 @@
 """Framed curves: a unit-speed directrix with an orthonormal ruling frame.
 
-Provides the curve/frame container and grid types, frame orthonormalization
-and parallel transport, and the registry of builtin patch families used by
+Provides the curve/frame container and grid types, the stacked
+evaluation of a framed curve over a grid, frame orthonormalization and
+parallel transport, and the registry of builtin patch families used by
 the scene loader, the self-test corpus, and the docs.
 """
 
@@ -20,7 +21,7 @@ from .errors import (ConfigError, DegeneracyError, FrameError, NumericError,
 from .fields import (BUILTIN_CURVES, ConstantField, DerivativeField,
                      EmbeddedField, FourierField, FrameCombinationField,
                      HelixCurve, PolynomialField, SplineCoefficients,
-                     TransportCoefficients, VectorField)
+                     TransportCoefficients, VectorField, connection_skew)
 from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, gram_matrix
 
 TWO_PI = 2.0 * math.pi
@@ -82,6 +83,10 @@ class FramedCurve:
             self._directrix_cache[key] = cached
         return cached
 
+    def grid_values(self, ts: np.ndarray) -> "GridValues":
+        """Stacked frame and directrix derivatives at the parameters `ts`."""
+        return GridValues(self, np.asarray(ts, dtype=float))
+
     def with_frame(self, frame: Sequence[VectorField]) -> "FramedCurve":
         return FramedCurve(self.dim, self.m, self.directrix, tuple(frame), self.interval)
 
@@ -98,6 +103,40 @@ class FramedCurve:
             if dev > tol.derivative_check_tol:
                 raise FrameError(
                     f"frame is not orthonormal at t={t}: max Gram deviation {dev:.3e}")
+
+
+class GridValues:
+    """Derivatives of a framed curve at every parameter of a grid, stacked.
+
+    `frame(order)` is the (N, m-1, dim) array of frame derivatives and
+    `directrix(order)` the (N, dim) array of directrix derivatives; each
+    order is evaluated on first use and kept. The arrays are shared:
+    callers must not mutate them.
+    """
+
+    def __init__(self, fc: FramedCurve, ts: np.ndarray):
+        self.fc = fc
+        self.ts = ts
+        self._frame: dict[int, np.ndarray] = {}
+        self._directrix: dict[int, np.ndarray] = {}
+
+    def frame(self, order: int) -> np.ndarray:
+        out = self._frame.get(order)
+        if out is None:
+            out = np.empty((self.ts.size, self.fc.m - 1, self.fc.dim))
+            for i, t in enumerate(self.ts):
+                out[i] = self.fc.frame_values(t, order)
+            self._frame[order] = out
+        return out
+
+    def directrix(self, order: int) -> np.ndarray:
+        out = self._directrix.get(order)
+        if out is None:
+            out = np.empty((self.ts.size, self.fc.dim))
+            for i, t in enumerate(self.ts):
+                out[i] = self.fc.directrix_values(t, order)
+            self._directrix[order] = out
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,17 +214,6 @@ def gram_schmidt_frame(fields: Sequence[VectorField], grid: SampleGrid,
             for j in range(k)]
 
 
-def _frame_skew(frame: Sequence[VectorField], t: float) -> np.ndarray:
-    vals = [f.eval(t, 0) for f in frame]
-    d1 = [f.eval(t, 1) for f in frame]
-    k = len(frame)
-    w = np.empty((k, k))
-    for l in range(k):
-        for j in range(k):
-            w[l, j] = d1[j] @ vals[l]
-    return w
-
-
 def _polar_orthonormalize(a: np.ndarray) -> np.ndarray:
     u, _, vt = np.linalg.svd(a)
     return u @ vt
@@ -211,7 +239,7 @@ def parallel_transport_frame(fc: FramedCurve, grid: SampleGrid,
     nodes = np.asarray(nodes)
 
     def rhs(t, c):
-        return -_frame_skew(fc.frame, t) @ c
+        return -connection_skew(fc.frame, t) @ c
 
     values = np.empty((nodes.size, k, k))
     c = np.eye(k)

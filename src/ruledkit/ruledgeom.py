@@ -4,27 +4,44 @@ Evaluation, Jacobian and regularity, the second fundamental form along
 the t-direction, first normal space dimensions, planar points, the
 rank-one (developability) wedge test, tangent-space stability along
 rulings, and sectional curvature from the Gauss equation.
+
+Grid stages run on stacked arrays: the Jacobians and second-form vectors
+at all N x P grid points (t samples times ruling samples) form one
+(N, P, m, dim) stack and go through one stacked SVD. A patch computes
+its frame values, degree profile and second-form scan once, on first
+use; a patch cut from it by `restrict` slices them. The single-point
+functions run the same kernels on a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .distribution import DegreeProfile, profile_from_values
 from .errors import RegularityError, ValidationError
 from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, numerical_rank,
-                          spans_equal, wedge_norm)
-from .parametric import FramedCurve, SampleGrid
+                          numerical_ranks, rank_mask, spans_equal, wedge_norms)
+from .parametric import FramedCurve, GridValues, SampleGrid
 
 
 @dataclass(frozen=True, eq=False)
 class RuledPatch:
-    """A framed curve with its sampling grid and tolerance policy."""
+    """A framed curve with its sampling grid and tolerance policy.
+
+    The grid stages (`values`, `profile`, `scan`, `rank_one`) are
+    computed on first use and kept; they are shared, so callers must not
+    mutate them.
+    """
 
     fc: FramedCurve
     grid: SampleGrid
     tol: TolerancePolicy = DEFAULT_TOLERANCES
+    #: (parent patch, index of this grid's first sample in the parent's)
+    #: for a patch made by `restrict`; its profile and scan are slices
+    origin: tuple["RuledPatch", int] | None = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
@@ -33,6 +50,36 @@ class RuledPatch:
     @property
     def dim(self) -> int:
         return self.fc.dim
+
+    def restrict(self, lo: int, hi: int) -> "RuledPatch":
+        """The patch over grid samples lo..hi-1 (end exclusive)."""
+        if lo == 0 and hi == self.grid.t_samples.size:
+            return self
+        return RuledPatch(self.fc, self.grid.restrict(lo, hi), self.tol, origin=(self, lo))
+
+    def _slice(self, stage: str):
+        parent, lo = self.origin
+        return getattr(parent, stage).restrict(lo, lo + self.grid.t_samples.size)
+
+    @cached_property
+    def values(self) -> GridValues:
+        return self.fc.grid_values(self.grid.t_samples)
+
+    @cached_property
+    def profile(self) -> DegreeProfile:
+        if self.origin is not None:
+            return self._slice("profile")
+        return profile_from_values(self.values, self.tol)
+
+    @cached_property
+    def scan(self) -> "SecondFormScan":
+        if self.origin is not None:
+            return self._slice("scan")
+        return second_form_scan(self)
+
+    @cached_property
+    def rank_one(self) -> "RankOneResult":
+        return rank_one_check(self)
 
 
 def _as_u(p: RuledPatch, u) -> np.ndarray:
@@ -48,11 +95,25 @@ def eval_sigma(p: RuledPatch, t: float, u) -> np.ndarray:
     return p.fc.directrix_values(t, 0) + u @ p.fc.frame_values(t)
 
 
+def _jacobians(x0: np.ndarray, x1: np.ndarray, g1: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(N, P, m, dim) Jacobians at N parameters times P ruling positions.
+
+    x0, x1: (N, m-1, dim) frame values and derivatives; g1: (N, dim)
+    directrix derivatives; u: (P, m-1) ruling coordinates.
+    """
+    n, k, dim = x0.shape
+    jac = np.empty((n, u.shape[0], k + 1, dim))
+    jac[:, :, 0] = g1[:, None, :] + u @ x1
+    jac[:, :, 1:] = x0[:, None]
+    return jac
+
+
 def jacobian_sigma(p: RuledPatch, t: float, u) -> np.ndarray:
     """(m, dim) matrix of partials: d/dt first, then the ruling directions."""
     u = _as_u(p, u)
-    dt = p.fc.directrix_values(t, 1) + u @ p.fc.frame_values(t, 1)
-    return np.vstack([dt, p.fc.frame_values(t)])
+    fc = p.fc
+    return _jacobians(fc.frame_values(t)[None], fc.frame_values(t, 1)[None],
+                      fc.directrix_values(t, 1)[None], u[None])[0, 0]
 
 
 def is_regular(p: RuledPatch, t: float, u) -> bool:
@@ -69,39 +130,103 @@ class PointwiseSecondForm:
     first_normal_dim: int
 
 
-def _second_form_vectors(p: RuledPatch, t: float, u: np.ndarray):
-    """Jacobian, normal projector residuals of sigma_tt and Xdot_j.
+def _second_form_vectors(x0, x1, x2, g1, g2, u, tol: TolerancePolicy):
+    """Jacobians, normal parts of sigma_tt and Xdot_j, and regularity,
+    stacked over N parameters times P ruling positions.
 
-    All mixed second partials d2(sigma)/du_i du_j vanish, so these m
-    vectors span the image of the second fundamental form.
+    Returns (jac, vecs, regular) of shapes (N, P, m, dim), (N, P, m, dim)
+    and (N, P). All mixed second partials d2(sigma)/du_i du_j vanish, so
+    the m vectors of vecs span the image of the second fundamental form;
+    they are meaningful only where `regular` holds.
     """
-    jac = jacobian_sigma(p, t, u)
-    s, vt = np.linalg.svd(jac, full_matrices=False)[1:]
-    if s[0] < p.tol.zero_abs_tol or s[-1] <= p.tol.rank_rel_tol * s[0]:
+    jac = _jacobians(x0, x1, g1, u)
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    regular = rank_mask(s, tol).all(axis=-1)
+    raw = np.empty_like(jac)
+    raw[:, :, 0] = g2[:, None, :] + u @ x2
+    raw[:, :, 1:] = x1[:, None]
+    vecs = raw - (raw @ vt.swapaxes(-1, -2)) @ vt
+    return jac, vecs, regular
+
+
+def _second_form_at(p: RuledPatch, t: float, u: np.ndarray):
+    """(jac, vecs) at one point; raises at a singular point."""
+    fc = p.fc
+    jac, vecs, regular = _second_form_vectors(
+        fc.frame_values(t)[None], fc.frame_values(t, 1)[None], fc.frame_values(t, 2)[None],
+        fc.directrix_values(t, 1)[None], fc.directrix_values(t, 2)[None], u[None], p.tol)
+    if not regular[0, 0]:
         raise RegularityError(f"patch is singular at (t={t}, u={u.tolist()})")
-    tangent = vt
+    return jac[0, 0], vecs[0, 0]
 
-    def normal_part(v):
-        return v - tangent.T @ (tangent @ v)
 
-    sigma_tt = p.fc.directrix_values(t, 2) + u @ p.fc.frame_values(t, 2)
-    vecs = np.empty((p.m, p.dim))
-    vecs[0] = normal_part(sigma_tt)
-    xdot = p.fc.frame_values(t, 1)
-    for j in range(p.m - 1):
-        vecs[j + 1] = normal_part(xdot[j])
-    return jac, vecs
+#: grid points per block of the second-form scan; keeps the stacked
+#: kernel's temporary arrays near 100 kB on any grid, small enough that
+#: repeated scans do not grow the process heap
+SCAN_BLOCK_POINTS = 1024
+
+
+def _grid_second_form(p: RuledPatch, rows: slice = slice(None)):
+    """Stacked second-form vectors at the grid points of the t samples
+    `rows` (see _second_form_vectors)."""
+    v = p.values
+    return _second_form_vectors(v.frame(0)[rows], v.frame(1)[rows], v.frame(2)[rows],
+                                v.directrix(1)[rows], v.directrix(2)[rows],
+                                p.grid.u_points(p.m - 1), p.tol)
 
 
 def second_form_along_directrix(p: RuledPatch, t: float, u) -> PointwiseSecondForm:
     """Second form vectors II(x0, .) at a regular point, in ambient coordinates."""
     u = _as_u(p, u)
-    _, vecs = _second_form_vectors(p, t, u)
+    _, vecs = _second_form_at(p, t, u)
     return PointwiseSecondForm(
         t=float(t), u=u,
         II_vectors=vecs,
         first_normal_dim=numerical_rank(vecs, p.tol),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class SecondFormScan:
+    """First normal space dimension at every grid point (t sample x ruling sample)."""
+
+    t: np.ndarray        # (N,)
+    u: np.ndarray        # (P, m-1)
+    regular: np.ndarray  # (N, P) bool
+    dims: np.ndarray     # (N, P) first_normal_dim; -1 where the patch is singular
+
+    @property
+    def skipped(self) -> int:
+        return int(np.count_nonzero(~self.regular))
+
+    def entries(self, mask: np.ndarray | None = None) -> list[tuple[float, list[float], int]]:
+        """(t, u, first_normal_dim) at regular points (and `mask`), t-major."""
+        keep = self.regular if mask is None else self.regular & mask
+        return [(float(self.t[i]), self.u[j].tolist(), int(self.dims[i, j]))
+                for i, j in zip(*np.nonzero(keep))]
+
+    def planar(self) -> list[tuple[float, list[float]]]:
+        """Regular grid points where the second fundamental form vanishes."""
+        return [(t, u) for t, u, _ in self.entries(self.dims == 0)]
+
+    def restrict(self, lo: int, hi: int) -> "SecondFormScan":
+        return SecondFormScan(self.t[lo:hi], self.u, self.regular[lo:hi], self.dims[lo:hi])
+
+
+def second_form_scan(p: RuledPatch) -> SecondFormScan:
+    """first_normal_dim at every regular grid point, plus where it is singular.
+
+    Pipeline stages read the patch's cached `p.scan` instead.
+    """
+    ts, u = p.grid.t_samples, p.grid.u_points(p.m - 1)
+    regular = np.empty((ts.size, u.shape[0]), dtype=bool)
+    dims = np.empty((ts.size, u.shape[0]), dtype=int)
+    step = max(1, SCAN_BLOCK_POINTS // u.shape[0])
+    for lo in range(0, ts.size, step):
+        rows = slice(lo, lo + step)
+        _, vecs, regular[rows] = _grid_second_form(p, rows)
+        dims[rows] = np.where(regular[rows], numerical_ranks(vecs, p.tol), -1)
+    return SecondFormScan(t=ts, u=u, regular=regular, dims=dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,42 +243,18 @@ class BoundsReport:
         return not self.violations
 
 
-def first_normal_bounds_check(p: RuledPatch, d: int, scan=None) -> BoundsReport:
+def first_normal_bounds_check(p: RuledPatch, d: int) -> BoundsReport:
     """Check d-1 <= first_normal_dim <= d+1 at every regular grid sample."""
-    if scan is None:
-        scan = second_form_scan(p)
-    raw, skipped = scan
-    entries, violations = [], []
-    for t, u, dim in raw:
-        ok = (d - 1) <= dim <= (d + 1)
-        entries.append((t, u, dim, ok))
-        if not ok:
-            violations.append(entries[-1])
+    scan = p.scan
+    entries = [(t, u, dim, (d - 1) <= dim <= (d + 1)) for t, u, dim in scan.entries()]
+    violations = [e for e in entries if not e[3]]
     return BoundsReport(d=d, entries=entries, violations=violations,
-                        skipped_singular=skipped)
+                        skipped_singular=scan.skipped)
 
 
-def second_form_scan(p: RuledPatch) -> tuple[list[tuple[float, list[float], int]], int]:
-    """first_normal_dim at every regular grid sample, plus the singular count."""
-    entries = []
-    skipped = 0
-    u_pts = p.grid.u_points(p.m - 1)
-    for t in p.grid.t_samples:
-        for u in u_pts:
-            try:
-                form = second_form_along_directrix(p, t, u)
-            except RegularityError:
-                skipped += 1
-                continue
-            entries.append((float(t), u.tolist(), form.first_normal_dim))
-    return entries, skipped
-
-
-def planar_points(p: RuledPatch, scan=None) -> list[tuple[float, list[float]]]:
+def planar_points(p: RuledPatch) -> list[tuple[float, list[float]]]:
     """Regular grid samples where the second fundamental form vanishes."""
-    if scan is None:
-        scan = second_form_scan(p)[0]
-    return [(t, u) for t, u, dim in scan if dim == 0]
+    return p.scan.planar()
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,33 +267,32 @@ class RankOneResult:
     planar: list = field(default_factory=list)
 
 
-def rank_one_check(p: RuledPatch, planar: list | None = None) -> RankOneResult:
+def rank_one_check(p: RuledPatch) -> RankOneResult:
     """Developability test: every frame derivative must be wedged away by
     the tangent configuration, and no sampled point may be planar.
 
     When the wedge would involve more vectors than the ambient dimension
-    it vanishes identically and only the planar scan decides. A
-    precomputed planar-point list may be passed to avoid re-scanning.
+    it vanishes identically and only the planar scan decides. The wedge
+    norms of all samples and frame derivatives come from one stacked SVD;
+    the planar points come from the patch's second-form scan.
     """
-    fc = p.fc
-    table = []
-    worst = 0.0
-    vacuous = fc.m + 1 > fc.dim
-    for t in p.grid.t_samples:
-        if vacuous:
-            table.append((float(t), 0.0))
-            continue
-        x = fc.frame_values(t)
-        gdot = fc.directrix_values(t, 1)
-        xdot = fc.frame_values(t, 1)
-        res = max(wedge_norm(np.vstack([xdot[j], gdot, x])) for j in range(fc.m - 1))
-        table.append((float(t), res))
-        worst = max(worst, res)
-    if planar is None:
-        planar = planar_points(p)
+    fc, ts = p.fc, p.grid.t_samples
+    if fc.m + 1 > fc.dim:
+        residuals = np.zeros(ts.size)
+    else:
+        x0, x1, g1 = p.values.frame(0), p.values.frame(1), p.values.directrix(1)
+        n, k, dim = x0.shape
+        wedges = np.empty((n, k, k + 2, dim))  # [Xdot_j, gamma', X_1..X_{m-1}] per (t, j)
+        wedges[:, :, 0] = x1
+        wedges[:, :, 1] = g1[:, None]
+        wedges[:, :, 2:] = x0[:, None]
+        residuals = wedge_norms(wedges).max(axis=1)
+    worst = float(residuals.max())
+    planar = p.scan.planar()
     verdict = worst < p.tol.zero_abs_tol and not planar
     return RankOneResult(verdict=verdict, max_residual=worst,
-                         residual_table=table, planar=planar)
+                         residual_table=[(float(t), float(r)) for t, r in zip(ts, residuals)],
+                         planar=planar)
 
 
 def tangent_space_stability(p: RuledPatch, t: float, u_pairs) -> bool:
@@ -210,29 +310,51 @@ def tangent_space_stability(p: RuledPatch, t: float, u_pairs) -> bool:
     return True
 
 
-def _orthonormal_tangent_with_coeffs(jac: np.ndarray, tol: TolerancePolicy):
-    """Gram-Schmidt on the Jacobian rows, tracking the change of basis.
+def _orthonormal_tangent_coeffs(jac: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Gram-Schmidt on the Jacobian rows of a (..., m, dim) stack.
 
-    Returns (E, S) with E orthonormal (m, dim) and S lower triangular so
-    that E = S @ jac.
+    Returns the lower triangular change of basis S with S @ jac
+    orthonormal, per stack entry.
     """
-    m = jac.shape[0]
+    m = jac.shape[-2]
     basis = np.empty_like(jac)
-    coeff = np.zeros((m, m))
+    coeff = np.zeros(jac.shape[:-2] + (m, m))
     for i in range(m):
-        w = jac[i].copy()
-        c = np.zeros(m)
-        c[i] = 1.0
+        w = jac[..., i, :].copy()
+        c = np.zeros(jac.shape[:-2] + (m,))
+        c[..., i] = 1.0
         for a in range(i):
-            proj = basis[a] @ jac[i]
-            w -= proj * basis[a]
-            c -= proj * coeff[a]
-        norm = np.linalg.norm(w)
-        if norm < tol.zero_abs_tol:
+            proj = np.sum(basis[..., a, :] * jac[..., i, :], axis=-1)[..., None]
+            w -= proj * basis[..., a, :]
+            c -= proj * coeff[..., a, :]
+        norm = np.linalg.norm(w, axis=-1)
+        if np.any(norm < tol.zero_abs_tol):
             raise RegularityError("tangent basis is degenerate")
-        basis[i] = w / norm
-        coeff[i] = c / norm
-    return basis, coeff
+        basis[..., i, :] = w / norm[..., None]
+        coeff[..., i, :] = c / norm[..., None]
+    return coeff
+
+
+def _coordinate_plane_curvatures(jac: np.ndarray, vecs: np.ndarray,
+                                 tol: TolerancePolicy) -> np.ndarray:
+    """Sectional curvature of every coordinate 2-plane (a, b), a < b, of the
+    orthonormalized tangent basis, from the Gauss equation; (..., pairs)
+    in (0, 1), (0, 2), ..., (m-2, m-1) order."""
+    s = _orthonormal_tangent_coeffs(jac, tol)
+    m = jac.shape[-2]
+    # II in the orthonormal basis; only row/column 0 of the coordinate
+    # form is nonzero.
+    ii = np.zeros(jac.shape[:-2] + (m, m, jac.shape[-1]))
+    for a in range(m):
+        for b in range(a, m):
+            v = (s[..., a, 0] * s[..., b, 0])[..., None] * vecs[..., 0, :]
+            for j in range(1, m):
+                v = v + (s[..., a, 0] * s[..., b, j]
+                         + s[..., a, j] * s[..., b, 0])[..., None] * vecs[..., j, :]
+            ii[..., a, b, :] = ii[..., b, a, :] = v
+    return np.stack([np.sum(ii[..., a, a, :] * ii[..., b, b, :], axis=-1)
+                     - np.sum(ii[..., a, b, :] * ii[..., a, b, :], axis=-1)
+                     for a in range(m) for b in range(a + 1, m)], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,35 +378,22 @@ def flatness_check(p: RuledPatch) -> FlatnessResult:
     enough to witness non-flatness for ruled patches (the form vanishes on
     ruling pairs).
     """
+    jac, vecs, regular = _grid_second_form(p)
+    where = np.nonzero(regular)
+    curv = _coordinate_plane_curvatures(jac[where], vecs[where], p.tol)
+    checked = int(curv.shape[0])
     max_abs, worst = 0.0, None
-    checked = skipped = 0
-    u_pts = p.grid.u_points(p.m - 1)
-    for t in p.grid.t_samples:
-        for u in u_pts:
-            try:
-                jac, vecs = _second_form_vectors(p, t, u)
-            except RegularityError:
-                skipped += 1
-                continue
-            _, s = _orthonormal_tangent_with_coeffs(jac, p.tol)
-            # II in the orthonormal basis; only row/column 0 of the
-            # coordinate form is nonzero.
-            m = p.m
-            ii = np.zeros((m, m, p.dim))
-            for a in range(m):
-                for b in range(a, m):
-                    v = s[a, 0] * s[b, 0] * vecs[0]
-                    for j in range(1, m):
-                        v = v + (s[a, 0] * s[b, j] + s[a, j] * s[b, 0]) * vecs[j]
-                    ii[a, b] = ii[b, a] = v
-            checked += 1
-            for a in range(m):
-                for b in range(a + 1, m):
-                    k_ab = float(ii[a, a] @ ii[b, b] - ii[a, b] @ ii[a, b])
-                    if abs(k_ab) > max_abs:
-                        max_abs, worst = abs(k_ab), (float(t), u.tolist(), (a, b), k_ab)
+    if curv.size and np.abs(curv).max() > 0.0:
+        flat = int(np.argmax(np.abs(curv)))
+        r, pair = divmod(flat, curv.shape[1])
+        pairs = [(a, b) for a in range(p.m) for b in range(a + 1, p.m)]
+        k_ab = float(curv[r, pair])
+        i, j = where[0][r], where[1][r]
+        max_abs = abs(k_ab)
+        worst = (float(p.grid.t_samples[i]), p.grid.u_points(p.m - 1)[j].tolist(),
+                 pairs[pair], k_ab)
     return FlatnessResult(max_abs=max_abs, worst=worst, checked=checked,
-                          skipped_singular=skipped)
+                          skipped_singular=regular.size - checked)
 
 
 def sectional_curvature(p: RuledPatch, t: float, u) -> float:
@@ -292,14 +401,5 @@ def sectional_curvature(p: RuledPatch, t: float, u) -> float:
 
     Only meaningful for m=2, where it is the full intrinsic curvature.
     """
-    u = _as_u(p, u)
-    jac, vecs = _second_form_vectors(p, t, u)
-    _, s = _orthonormal_tangent_with_coeffs(jac, p.tol)
-    ii = {}
-    for a in (0, 1):
-        for b in (0, 1):
-            v = s[a, 0] * s[b, 0] * vecs[0]
-            for j in range(1, p.m):
-                v = v + (s[a, 0] * s[b, j] + s[a, j] * s[b, 0]) * vecs[j]
-            ii[a, b] = v
-    return float(ii[0, 0] @ ii[1, 1] - ii[0, 1] @ ii[0, 1])
+    jac, vecs = _second_form_at(p, t, _as_u(p, u))
+    return float(_coordinate_plane_curvatures(jac, vecs, p.tol)[0])

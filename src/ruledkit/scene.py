@@ -30,6 +30,10 @@ SCENE_SCHEMA_ID = "ruledkit.scene/v1"
 
 DEFAULT_GRID = {"t_samples": 200, "u_extent": 2.0, "u_samples_per_axis": 5}
 
+#: most grid points (t samples times ruling samples) a scene may ask for;
+#: the analysis allocates stacked arrays over the whole grid
+MAX_GRID_POINTS = 200_000
+
 
 def _load_schema(name: str) -> dict:
     with resources.files("ruledkit.schemas").joinpath(name).open("rb") as fh:
@@ -165,6 +169,12 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
     tol = TolerancePolicy(**tol_cfg)
 
     fc = _build_framed_curve(doc)
+    points = grid_cfg["t_samples"] * grid_cfg["u_samples_per_axis"] ** (fc.m - 1)
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid of {grid_cfg['t_samples']} t samples x "
+            f"{grid_cfg['u_samples_per_axis']}^{fc.m - 1} ruling samples has {points} "
+            f"points, more than the {MAX_GRID_POINTS} the analysis allows")
     notes: list[str] = []
 
     def make_grid(interval):

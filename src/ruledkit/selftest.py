@@ -14,17 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (CONICAL, CYLINDRICAL, NON_RANK_ONE, TANGENT,
-                       classify_patch, converse_check)
+                       SegmentAnalysis, classify_patch, converse_check)
 from .distribution import degree_profile, pivot_frame, rho_at
 from .errors import RuledKitError
 from .multilinear import TolerancePolicy
 from .oracles import max_derivative_error
 from .parametric import SampleGrid, make_builtin_patch
 from .ruledgeom import (RuledPatch, first_normal_bounds_check, flatness_check,
-                        rank_one_check, jacobian_sigma, sectional_curvature,
+                        jacobian_sigma, sectional_curvature,
                         tangent_space_stability)
-from .striction import (assemble_system, directrix_invariance, singular_locus,
-                        solve_striction)
+from .striction import assemble_system, directrix_invariance
 
 CORPUS_DEGREES = {
     "cylinder_helix": 0,
@@ -109,11 +108,8 @@ def _stability_sweep(p: RuledPatch, pairs_per_t: int, seed: int) -> bool:
 
 
 def _solved_sheet(p: RuledPatch, d: int, seed: int):
-    pivoted = pivot_frame(p.fc, p.grid, d, p.tol)
-    pp = RuledPatch(pivoted, p.grid, p.tol)
-    sheet = solve_striction(pp, d)
-    locus = singular_locus(pp, sheet, seed=seed)
-    return pp, sheet, locus
+    seg = SegmentAnalysis(p, 0, p.grid.t_samples.size, d, seed)
+    return seg.pivoted, seg.sheet, seg.locus
 
 
 def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
@@ -217,7 +213,7 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
     def c5():
         for name in EQUIVALENCE_PATCHES:
             p = patches[name]
-            wedge_verdict = rank_one_check(p).verdict
+            wedge_verdict = p.rank_one.verdict
             flat_verdict = flatness_check(p).is_flat(FLATNESS_TOL)
             stable_verdict = _stability_sweep(p, pairs_per_t=10, seed=seed)
             ok = wedge_verdict == flat_verdict == stable_verdict

@@ -7,6 +7,12 @@ linear system whose matrix depends on t only and whose right-hand side is
 affine in the free ruling coordinates. One factorization per t therefore
 solves the sheet for all ruling positions at once. All singular points of
 the patch sit on this sheet, which the locus scan verifies sample-wise.
+
+The grid stages run on stacked arrays, once per patch: the systems of all
+samples are assembled, checked and Cholesky-solved as (N, d, d) stacks,
+and the sheet wedge tests of the locus scan and the equivalent-condition
+check form one stacked SVD each. Only samples whose system sits near the
+eigenvalue floor fall back to a per-sample pivoted QR solve.
 """
 
 from __future__ import annotations
@@ -16,14 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
+from scipy.linalg import qr, solve_triangular
 from scipy.optimize import least_squares
 
-from .distribution import rho_at
+from .distribution import profile_from_values, rho_at
 from .errors import DegeneracyError, NumericError, RegularityError, ValidationError
 from .fields import AffineCombinationField, ComposedField, ParameterMap
-from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, numerical_rank, wedge_norm
-from .parametric import FramedCurve, SampleGrid
+from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, numerical_rank,
+                          numerical_ranks, wedge_norms)
+from .parametric import FramedCurve, GridValues, SampleGrid
 from .ruledgeom import RuledPatch, jacobian_sigma
 
 
@@ -41,36 +48,44 @@ class StrictionSystem:
     b_affine: np.ndarray  # (d, m-d): column 0 constant, then free-u coefficients
 
 
-def assemble_system(fc: FramedCurve, t: float, d: int,
-                    tol: TolerancePolicy = DEFAULT_TOLERANCES) -> StrictionSystem:
-    """Build the striction system at t from the pivoted frame.
+def _check_degree(fc: FramedCurve, d: int):
+    k = fc.m - 1
+    if not (1 <= d <= k):
+        raise ValidationError(f"degree d={d} out of range 1..{k}")
+
+
+def _assemble(values: GridValues, rho: np.ndarray, d: int, tol: TolerancePolicy):
+    """Striction systems at every parameter of `values`, as (N, d, d) and
+    (N, d, m-d) stacks; raises at the first degenerate one.
 
     Entry (h, c) of A pairs the derivative of trailing field c with the
     projected derivative of trailing field h; the affine right-hand side
     collects the directrix and leading-field terms with a sign flip.
     """
-    k = fc.m - 1
-    if not (1 <= d <= k):
-        raise ValidationError(f"degree d={d} out of range 1..{k}")
-    sample = rho_at(fc, t, tol)
-    rho = sample.rho_vectors
-    xdot = fc.frame_values(t, 1)
-    gdot = fc.directrix_values(t, 1)
+    k = values.fc.m - 1
     lo = k - d
-    a = np.empty((d, d))
-    for h in range(d):
-        for c in range(d):
-            a[h, c] = xdot[lo + c] @ rho[lo + h]
-    b = np.empty((d, k - d + 1))
-    for h in range(d):
-        b[h, 0] = -(gdot @ rho[lo + h])
-        for j in range(k - d):
-            b[h, 1 + j] = -(xdot[j] @ rho[lo + h])
-    eigmin = float(np.linalg.eigvalsh(0.5 * (a + a.T)).min())
-    if eigmin < tol.zero_abs_tol:
+    xdot = values.frame(1)
+    rho_tail = rho[:, lo:]
+    a = rho_tail @ xdot[:, lo:].swapaxes(1, 2)
+    rhs = np.concatenate([values.directrix(1)[:, None, :], xdot[:, :lo]], axis=1)
+    b = -(rho_tail @ rhs.swapaxes(1, 2))
+    eigmin = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(1, 2))).min(axis=1)
+    degenerate = np.flatnonzero(eigmin < tol.zero_abs_tol)
+    if degenerate.size:
+        i = int(degenerate[0])
         raise DegeneracyError(
-            f"striction system degenerate at t={t}: smallest eigenvalue {eigmin:.3e}")
-    return StrictionSystem(t=float(t), A=a, b_affine=b)
+            f"striction system degenerate at t={values.ts[i]}: "
+            f"smallest eigenvalue {eigmin[i]:.3e}")
+    return a, b
+
+
+def assemble_system(fc: FramedCurve, t: float, d: int,
+                    tol: TolerancePolicy = DEFAULT_TOLERANCES) -> StrictionSystem:
+    """Build the striction system at t from the pivoted frame."""
+    _check_degree(fc, d)
+    values = fc.grid_values(np.array([float(t)]))
+    a, b = _assemble(values, profile_from_values(values, tol).rho, d, tol)
+    return StrictionSystem(t=float(t), A=a[0], b_affine=b[0])
 
 
 @dataclass(eq=False)
@@ -123,42 +138,54 @@ class StrictionSheet:
         u = self.full_u(t, u_free)
         return out + u @ x
 
+    def _partials(self, ts: np.ndarray, x0: np.ndarray, x1: np.ndarray,
+                  g1: np.ndarray, u_free: np.ndarray) -> np.ndarray:
+        """(N, P, m-d, dim) sheet Jacobians at N parameters times P free
+        positions: the t-partial at fixed free coordinates, then the free
+        partials. x0, x1: (N, m-1, dim) frame values and derivatives; g1:
+        (N, dim) directrix derivatives; u_free: (P, m-1-d)."""
+        lo = self.free_count
+        affine = np.concatenate([np.ones((u_free.shape[0], 1)), u_free], axis=1)
+        coeff = self._spline(ts)
+        s = affine @ coeff.swapaxes(1, 2)                       # (N, P, d)
+        sdot = affine @ self._spline(ts, nu=1).swapaxes(1, 2)   # (N, P, d)
+        out = np.empty((ts.size, u_free.shape[0], lo + 1, x0.shape[2]))
+        out[:, :, 0] = g1[:, None, :] + u_free @ x1[:, :lo] + sdot @ x0[:, lo:] + s @ x1[:, lo:]
+        out[:, :, 1:] = (x0[:, :lo] + coeff[:, :, 1:].swapaxes(1, 2) @ x0[:, lo:])[:, None]
+        return out
+
+    def _partials_at(self, t: float, u_free) -> np.ndarray:
+        fc = self.fc
+        u_free = self._affine(u_free)[1:]
+        return self._partials(np.array([float(t)]), fc.frame_values(t)[None],
+                              fc.frame_values(t, 1)[None],
+                              fc.directrix_values(t, 1)[None], u_free[None])[0, 0]
+
     def beta_dot(self, t: float, u_free=()) -> np.ndarray:
         """t-derivative of the sheet map at fixed free coordinates."""
-        fc = self.fc
-        u_free = np.atleast_1d(np.asarray(u_free, dtype=float))
-        x = fc.frame_values(t)
-        xdot = fc.frame_values(t, 1)
-        out = fc.directrix_values(t, 1)
-        for j in range(self.free_count):
-            out = out + u_free[j] * xdot[j]
-        s = self.solved(t, u_free)
-        sdot = self.solved_dot(t, u_free)
-        lo = self.free_count
-        for h in range(self.d):
-            out = out + sdot[h] * x[lo + h] + s[h] * xdot[lo + h]
-        return out
+        return self._partials_at(t, u_free)[0]
 
     def beta_partials(self, t: float, u_free=()) -> np.ndarray:
         """(m-d, dim) Jacobian of the sheet map: t-partial, then free partials."""
-        fc = self.fc
-        x = fc.frame_values(t)
-        coeff = self._spline(t)  # (d, m-d); columns 1.. are free-u weights
-        rows = [self.beta_dot(t, u_free)]
-        lo = self.free_count
-        for j in range(self.free_count):
-            row = x[j].copy()
-            for h in range(self.d):
-                row = row + coeff[h, 1 + j] * x[lo + h]
-            rows.append(row)
-        return np.vstack(rows)
+        return self._partials_at(t, u_free)
+
+    def grid_partials(self, values: GridValues) -> np.ndarray:
+        """Sheet Jacobians at every grid parameter and free grid position,
+        (N, P, m-d, dim); `values` are the frame values on the sheet's grid."""
+        return self._partials(self.grid.t_samples, values.frame(0), values.frame(1),
+                              values.directrix(1), self.grid.u_points(self.free_count))
 
     def defining_residual(self, t: float, u_free=()) -> float:
         """max_h |<beta_dot, rho X_h>| over the trailing fields."""
-        rho = rho_at(self.fc, t).rho_vectors
-        bd = self.beta_dot(t, u_free)
-        lo = self.free_count
-        return max(abs(float(bd @ rho[lo + h])) for h in range(self.d))
+        return float(_defining_residuals(rho_at(self.fc, t).rho_vectors[None],
+                                         self.beta_dot(t, u_free)[None], self.d)[0])
+
+
+def _defining_residuals(rho: np.ndarray, beta_dot: np.ndarray, d: int) -> np.ndarray:
+    """max_h |<beta_dot, rho X_h>| over the d trailing fields, per sample;
+    rho is (N, m-1, dim) and beta_dot (N, dim)."""
+    trailing = rho[:, rho.shape[1] - d:]
+    return np.abs(np.einsum("nhd,nd->nh", trailing, beta_dot)).max(axis=1)
 
 
 def solve_striction(p: RuledPatch, d: int) -> StrictionSheet:
@@ -169,44 +196,60 @@ def solve_striction(p: RuledPatch, d: int) -> StrictionSheet:
     falls back to column-pivoted QR and the sample is reported.
     """
     fc, grid, tol = p.fc, p.grid, p.tol
+    _check_degree(fc, d)
     ts = grid.t_samples
-    k = fc.m - 1
-    nodes = np.empty((ts.size, d, k - d + 1))
-    fallback = []
-    max_solve = 0.0
-    for i, t in enumerate(ts):
-        sys = assemble_system(fc, t, d, tol)
-        eigmin = float(np.linalg.eigvalsh(sys.A).min())
-        if eigmin < 10.0 * tol.zero_abs_tol:
-            q, r, piv = qr(sys.A, pivoting=True)
-            sol = np.empty_like(sys.b_affine)
-            sol[piv] = solve_triangular(r, q.T @ sys.b_affine)
-            fallback.append(float(t))
-        else:
-            sol = cho_solve(cho_factor(sys.A), sys.b_affine)
-        nodes[i] = sol
-        max_solve = max(max_solve, float(np.abs(sys.A @ sol - sys.b_affine).max()))
+    rho = p.profile.rho
+    a, b = _assemble(p.values, rho, d, tol)
+    nodes = np.empty_like(b)
+    fallback = np.linalg.eigvalsh(a).min(axis=1) < 10.0 * tol.zero_abs_tol
+    spd = ~fallback
+    if spd.any():
+        chol = np.linalg.cholesky(a[spd])
+        nodes[spd] = np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, b[spd]))
+    for i in np.flatnonzero(fallback):
+        q, r, piv = qr(a[i], pivoting=True)
+        nodes[i][piv] = solve_triangular(r, q.T @ b[i])
+    max_solve = float(np.abs(a @ nodes - b).max())
     sheet = StrictionSheet(d=d, fc=fc, grid=grid, solution_nodes=nodes,
-                           max_solve_residual=max_solve,
-                           max_defining_residual=0.0, fallback_ts=fallback)
-    max_def = max(sheet.defining_residual(t, np.zeros(sheet.free_count)) for t in ts)
+                           max_solve_residual=max_solve, max_defining_residual=0.0,
+                           fallback_ts=[float(t) for t in ts[fallback]])
+    v = p.values
+    beta_dot = sheet._partials(ts, v.frame(0), v.frame(1), v.directrix(1),
+                               np.zeros((1, sheet.free_count)))[:, 0, 0]
+    max_def = float(_defining_residuals(rho, beta_dot, d).max())
     sheet.max_defining_residual = max_def
-    if max_def > tol.zero_abs_tol:
+    if not max_def <= tol.zero_abs_tol:  # NaN included
         raise NumericError(
             f"striction sheet violates its defining property: residual {max_def:.3e}")
     return sheet
 
 
+def _ranks_above_floor(sheet: StrictionSheet, partials: np.ndarray, ts,
+                       tol: TolerancePolicy) -> np.ndarray:
+    """Ranks of (N, P, m-d, dim) sheet Jacobians at the parameters ts;
+    raises at the first (t-major) one below the floor m-d-1."""
+    ranks = numerical_ranks(partials, tol)
+    floor = sheet.fc.m - sheet.d - 1
+    low = np.argwhere(ranks < floor)
+    if low.size:
+        i, j = low[0]
+        raise NumericError(
+            f"sheet Jacobian rank {ranks[i, j]} below the floor {floor} at t={ts[i]}; "
+            "tolerances are likely misconfigured")
+    return ranks
+
+
 def striction_jacobian_rank(sheet: StrictionSheet, t: float, u_free=(),
                             tol: TolerancePolicy = DEFAULT_TOLERANCES) -> int:
     """Rank of the sheet Jacobian; never below m-d-1 for a valid sheet."""
-    rank = numerical_rank(sheet.beta_partials(t, u_free), tol)
-    floor = sheet.fc.m - sheet.d - 1
-    if rank < floor:
-        raise NumericError(
-            f"sheet Jacobian rank {rank} below the floor {floor} at t={t}; "
-            "tolerances are likely misconfigured")
-    return rank
+    partials = sheet.beta_partials(t, u_free)[None, None]
+    return int(_ranks_above_floor(sheet, partials, [t], tol)[0, 0])
+
+
+def sheet_jacobian_ranks(p: RuledPatch, sheet: StrictionSheet) -> np.ndarray:
+    """`striction_jacobian_rank` at every grid parameter and free grid
+    position, (N, P), from one stacked SVD."""
+    return _ranks_above_floor(sheet, sheet.grid_partials(p.values), p.grid.t_samples, p.tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,6 +281,16 @@ class SingularLocus:
         return self.offsheet_regular == self.offsheet_total
 
 
+def _sheet_wedges(p: RuledPatch, sheet: StrictionSheet) -> np.ndarray:
+    """(N, P, m, dim) stack of [beta_dot, X_1, ..., X_{m-1}] at every grid
+    parameter and free grid position."""
+    beta_dot = sheet.grid_partials(p.values)[:, :, 0]
+    wedges = np.empty(beta_dot.shape[:2] + (p.m, p.dim))
+    wedges[:, :, 0] = beta_dot
+    wedges[:, :, 1:] = p.values.frame(0)[:, None]
+    return wedges
+
+
 def singular_locus(p: RuledPatch, sheet: StrictionSheet,
                    offsheet_checks: int = 32, seed: int = 0) -> SingularLocus:
     """Wedge test along the sheet and regularity just off it.
@@ -248,15 +301,12 @@ def singular_locus(p: RuledPatch, sheet: StrictionSheet,
     be regular there.
     """
     fc, grid, tol = p.fc, p.grid, p.tol
-    entries = []
     u_pts = grid.u_points(sheet.free_count)
-    for t in grid.t_samples:
-        x = fc.frame_values(t)
-        for u_free in u_pts:
-            res = wedge_norm(np.vstack([sheet.beta_dot(t, u_free), x]))
-            entries.append(SingularSample(
-                t=float(t), u_free=u_free, wedge_residual=float(res),
-                singular=bool(res < tol.zero_abs_tol)))
+    residuals = wedge_norms(_sheet_wedges(p, sheet))
+    entries = [SingularSample(t=float(t), u_free=u_free, wedge_residual=float(res),
+                              singular=bool(res < tol.zero_abs_tol))
+               for t, row in zip(grid.t_samples, residuals)
+               for u_free, res in zip(u_pts, row)]
     rng = np.random.default_rng(seed)
     axis = grid.u_axis
     spacing = float(axis[1] - axis[0]) if axis.size > 1 else grid.u_extent / 5.0
@@ -287,33 +337,30 @@ def equivalent_condition_check(p: RuledPatch, sheet: StrictionSheet) -> Equivale
     """Cross-check the sheet wedge test against its frame-derivative-augmented
     variant; the two must agree wherever some projected derivative is nonzero."""
     fc, grid, tol = p.fc, p.grid, p.tol
-    rows, skipped = [], []
-    vacuous = fc.m + 1 > fc.dim
     u_pts = grid.u_points(sheet.free_count)
-    for t in grid.t_samples:
-        rho = rho_at(fc, t, tol).rho_vectors
-        js = [j for j in range(fc.m - 1) if np.linalg.norm(rho[j]) >= tol.zero_abs_tol]
-        if not js:
-            skipped.append(float(t))
-            continue
-        x = fc.frame_values(t)
-        xdot = fc.frame_values(t, 1)
-        for u_free in u_pts:
-            bd = sheet.beta_dot(t, u_free)
-            plain = bool(wedge_norm(np.vstack([bd, x])) < tol.zero_abs_tol)
-            if vacuous:
-                # the augmented wedge involves more vectors than the ambient
-                # dimension, hence vanishes identically
-                augmented = [True for _ in js]
-            else:
-                augmented = [
-                    bool(wedge_norm(np.vstack([xdot[j], bd, x])) < tol.zero_abs_tol)
-                    for j in js]
-            agree = all(a == plain for a in augmented)
-            rows.append((float(t), u_free.tolist(), plain, all(augmented), agree))
-    all_agree = all(r[4] for r in rows)
-    return EquivalentConditionResult(rows=tuple(rows), skipped=tuple(skipped),
-                                     all_agree=all_agree)
+    carriers = np.linalg.norm(p.profile.rho, axis=2) >= tol.zero_abs_tol  # (N, m-1)
+    wedges = _sheet_wedges(p, sheet)
+    plain = wedge_norms(wedges) < tol.zero_abs_tol  # (N, P)
+    if fc.m + 1 > fc.dim:
+        # the augmented wedge involves more vectors than the ambient
+        # dimension, hence vanishes identically
+        augmented = np.ones(plain.shape + (fc.m - 1,), dtype=bool)
+    else:
+        # [Xdot_j, beta_dot, X_1..X_{m-1}] per (t, u_free, j)
+        stack = np.empty(plain.shape + (fc.m - 1, fc.m + 1, fc.dim))
+        stack[:, :, :, 0] = p.values.frame(1)[:, None]
+        stack[:, :, :, 1:] = wedges[:, :, None]
+        augmented = wedge_norms(stack) < tol.zero_abs_tol  # (N, P, m-1)
+    # only the carrying frame derivatives take part
+    augmented = augmented | ~carriers[:, None, :]
+    disagree = (augmented != plain[..., None]) & carriers[:, None, :]
+    rows = tuple((float(t), u_free.tolist(), bool(plain[i, j]),
+                  bool(augmented[i, j].all()), not bool(disagree[i, j].any()))
+                 for i, t in enumerate(grid.t_samples) if carriers[i].any()
+                 for j, u_free in enumerate(u_pts))
+    skipped = tuple(float(t) for t in grid.t_samples[~carriers.any(axis=1)])
+    return EquivalentConditionResult(rows=rows, skipped=skipped,
+                                     all_agree=all(r[4] for r in rows))
 
 
 @dataclass(frozen=True, eq=False)

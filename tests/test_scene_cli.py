@@ -150,6 +150,46 @@ def test_cli_overrides_apply(tmp_path):
     assert result.normalized["grid"]["t_samples"] == 48
 
 
+class _GridBuilt(Exception):
+    pass
+
+
+@pytest.fixture
+def grid_sentinel(monkeypatch):
+    """Make building the sample grid raise _GridBuilt: a scene that gets
+    that far has passed the work budget, and no grid array is allocated."""
+    from ruledkit import scene
+
+    def no_grid(*args, **kwargs):
+        raise _GridBuilt
+
+    monkeypatch.setattr(scene.SampleGrid, "uniform", no_grid)
+
+
+def test_ingest_rejects_grid_over_the_work_budget(grid_sentinel):
+    from ruledkit.scene import MAX_GRID_POINTS
+    u, m = 5, 3
+    at_cap = MAX_GRID_POINTS // u ** (m - 1)
+    doc = {"builtin_patch": "two_rotation_r5", "grid": {"u_samples_per_axis": u}}
+    with pytest.raises(ValidationError, match="points"):
+        ingest(doc, overrides={"t_samples": at_cap + 1})
+    with pytest.raises(ValidationError, match="points"):
+        ingest(doc, overrides={"t_samples": 10 ** 12})
+    with pytest.raises(_GridBuilt):
+        ingest(doc, overrides={"t_samples": at_cap})
+
+
+def test_work_budget_admits_shipped_scenes_and_benchmark_grids(pytestconfig, grid_sentinel):
+    import pathlib
+    scene_dir = pathlib.Path(pytestconfig.rootpath) / "scenes"
+    for path in sorted(scene_dir.glob("*.json")):
+        with pytest.raises(_GridBuilt):
+            ingest(str(path))
+    for name in ("circular_cone", "two_rotation_r5"):
+        with pytest.raises(_GridBuilt):
+            ingest({"builtin_patch": name}, overrides={"t_samples": 800})
+
+
 def test_scene_interval_override_for_builtin(tmp_path):
     doc = dict(CONE_SCENE, interval=[0.0, 3.0])
     result = ingest(write_scene(tmp_path, doc))
@@ -239,6 +279,36 @@ def test_cli_analyze_numeric_error_exits_3(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["analyze", scene, "-o", str(tmp_path / "out")])
     assert result.exit_code == 3
+
+
+def test_cli_analyze_unexpected_error_exits_3_without_traceback(tmp_path, monkeypatch):
+    import ruledkit.analysis
+
+    def failing_stage(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(ruledkit.analysis, "classify_patch", failing_stage)
+    scene = write_scene(tmp_path, CONE_SCENE)
+    result = CliRunner().invoke(main, ["analyze", scene, "-o", str(tmp_path / "out"),
+                                       "--no-invariance"])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.stderr.splitlines() == [
+        "error: analyze failed: LinAlgError: SVD did not converge"]
+
+
+def test_version_constant_matches_pyproject(pytestconfig):
+    import re
+    import ruledkit
+    text = (pytestconfig.rootpath / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.+)"$', text, re.M).group(1) == ruledkit.__version__
+
+
+def test_report_generator_is_the_package_version(tmp_path):
+    import ruledkit
+    report = analyze(ingest(CYLINDER_SCENE), tmp_path / "out", invariance=False)
+    assert report["generator"] == f"ruledkit {ruledkit.__version__}"
 
 
 def test_cli_list_builtins():

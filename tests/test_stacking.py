@@ -1,0 +1,119 @@
+"""Stacked grid stages against point-by-point reference loops, and the
+number of times one analysis runs each stage.
+
+The references below redo each grid stage one sample at a time with
+plain per-matrix numpy calls, the way the stages were written before
+they ran on stacks, so a mistake in the stacks' axis or broadcast
+bookkeeping shows up as a mismatch.
+"""
+
+import importlib
+import sys
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from conftest import small_patch
+from ruledkit import degree_profile, ingest, rank_one_check
+from ruledkit.analysis import analyze
+from ruledkit.parametric import BUILTIN_PATCHES
+from ruledkit.ruledgeom import second_form_scan
+
+#: stacked and per-sample arithmetic may sum in another order; float64
+#: results of unit-scale inputs agree far inside this
+FLOAT_TOL = 1e-12
+
+
+def _close(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool(np.all(np.abs(a - b) <= FLOAT_TOL * np.maximum(1.0, np.abs(a))))
+
+
+def _rank(mat, tol):
+    s = np.linalg.svd(mat, compute_uv=False)
+    if s[0] < tol.zero_abs_tol:
+        return 0
+    return int(np.sum(s > tol.rank_rel_tol * s[0]))
+
+
+def _reference_rho(fc, t, tol):
+    x, xdot = fc.frame_values(t), fc.frame_values(t, 1)
+    _, s, vt = np.linalg.svd(x, full_matrices=False)
+    q = vt[s > tol.rank_rel_tol * s[0]]
+    return np.array([v - q.T @ (q @ v) for v in xdot])
+
+
+def _reference_first_normal_dim(p, t, u):
+    """first_normal_dim at (t, u), or None where the patch is singular."""
+    fc, tol = p.fc, p.tol
+    jac = np.vstack([fc.directrix_values(t, 1) + u @ fc.frame_values(t, 1),
+                     fc.frame_values(t)])
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    if s[0] < tol.zero_abs_tol or s[-1] <= tol.rank_rel_tol * s[0]:
+        return None
+    raw = np.vstack([fc.directrix_values(t, 2) + u @ fc.frame_values(t, 2),
+                     fc.frame_values(t, 1)])
+    return _rank(np.array([v - vt.T @ (vt @ v) for v in raw]), tol)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PATCHES))
+def test_stacked_stages_equal_point_by_point(name):
+    p = small_patch(name, 40)
+    fc, tol, ts = p.fc, p.tol, p.grid.t_samples
+
+    profile = degree_profile(fc, p.grid, tol)
+    rhos = [_reference_rho(fc, t, tol) for t in ts]
+    assert _close(profile.rho, rhos)
+    assert profile.degrees.tolist() == [_rank(r, tol) for r in rhos]
+
+    scan = second_form_scan(p)
+    u_pts = p.grid.u_points(p.m - 1)
+    expected = [[_reference_first_normal_dim(p, t, u) for u in u_pts] for t in ts]
+    got = [[int(d) if r else None for d, r in zip(drow, rrow)]
+           for drow, rrow in zip(scan.dims, scan.regular)]
+    assert got == expected
+    assert scan.skipped == sum(row.count(None) for row in expected)
+
+    result = rank_one_check(p)
+    if fc.m + 1 > fc.dim:
+        table = [0.0] * ts.size
+    else:
+        table = [max(float(np.prod(np.linalg.svd(
+                    np.vstack([fc.frame_values(t, 1)[j], fc.directrix_values(t, 1),
+                               fc.frame_values(t)]), compute_uv=False)))
+                     for j in range(fc.m - 1)) for t in ts]
+    assert [t for t, _ in result.residual_table] == [float(t) for t in ts]
+    assert _close([r for _, r in result.residual_table], table)
+    planar = [(float(t), u.tolist()) for t, row in zip(ts, expected)
+              for u, dim in zip(u_pts, row) if dim == 0]
+    assert result.planar == planar
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of ruledkit functions, under every name that holds them."""
+    counts = Counter()
+    modules = [m for n, m in sys.modules.items()
+               if m is not None and (n == "ruledkit" or n.startswith("ruledkit."))]
+    for modname, attr in names:
+        original = getattr(importlib.import_module(f"ruledkit.{modname}"), attr)
+
+        def wrapper(*args, _original=original, _attr=attr, **kwargs):
+            counts[_attr] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    return counts
+
+
+def test_analyze_runs_each_stage_once(tmp_path, monkeypatch):
+    counts = _count_calls(monkeypatch, [
+        ("ruledgeom", "second_form_scan"), ("distribution", "pivot_frame"),
+        ("striction", "solve_striction"), ("striction", "singular_locus")])
+    result = ingest({"builtin_patch": "circular_cone", "grid": {"t_samples": 40}})
+    analyze(result, tmp_path / "out", invariance=False)
+    assert counts == {"second_form_scan": 1, "pivot_frame": 1,
+                      "solve_striction": 1, "singular_locus": 1}
