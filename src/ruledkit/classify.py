@@ -260,7 +260,7 @@ def _classify_segment(seg: SegmentAnalysis):
             continue
         apex = None
         if kind == CONICAL and sheet.free_count == 0:
-            pts = np.array([sheet.beta(t) for t in ts[i0:i1]])
+            pts = sheet.beta(ts[i0:i1])
             if np.linalg.norm(pts - pts.mean(axis=0), axis=1).max() < 1e-6:
                 apex = tuple(float(v) for v in pts.mean(axis=0))
         regions.append(Region(rng, kind,
@@ -317,12 +317,19 @@ class ConverseResult:
     singular_coverage: float
 
 
-def converse_check(p: RuledPatch, seed: int = 0) -> ConverseResult:
+def converse_check(p: RuledPatch, seed: int = 0,
+                   segments: list[SegmentAnalysis] | None = None) -> ConverseResult:
     """On a degree-one patch, developability and a fully singular sheet
-    must come together; returns whether the two verdicts agree."""
+    must come together; returns whether the two verdicts agree.
+
+    `segments` are the patch's segment holders when the caller keeps them
+    (see `segment_analyses`); the patch has one, at degree one.
+    """
     if p.profile.constant_degree != 1:
         raise ValidationError("converse check requires degree 1 on the whole grid")
-    coverage = SegmentAnalysis(p, 0, p.grid.t_samples.size, 1, seed).locus.singular_fraction
+    if segments is None:
+        segments = segment_analyses(p, seed)
+    coverage = segments[0].locus.singular_fraction
     r1 = p.rank_one
     covered = coverage >= SINGULAR_COVERAGE
     return ConverseResult(agree=(covered == r1.verdict),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .ruledgeom import RuledPatch, eval_sigma
+from .ruledgeom import RuledPatch
 from .striction import StrictionSheet
 
 
@@ -25,11 +25,12 @@ def write_mesh_obj(path, patch: RuledPatch, sheet: StrictionSheet | None = None)
         raise ValueError("OBJ export is defined for ambient dimension 3 with m=2")
     ts = patch.grid.t_samples
     us = patch.grid.u_axis
+    # sigma(t, u) = directrix(t) + u X(t) at every grid point, t-major
+    v = patch.values
+    points = v.directrix(0)[:, None, :] + us[:, None] * v.frame(0)
     lines = ["o patch"]
-    for t in ts:
-        for u in us:
-            x, y, z = (float(v) for v in eval_sigma(patch, t, [u]))
-            lines.append(f"v {x!r} {y!r} {z!r}")
+    for x, y, z in points.reshape(-1, 3).tolist():
+        lines.append(f"v {x!r} {y!r} {z!r}")
     nu = us.size
     for i in range(ts.size - 1):
         for j in range(nu - 1):
@@ -39,8 +40,7 @@ def write_mesh_obj(path, patch: RuledPatch, sheet: StrictionSheet | None = None)
     if sheet is not None:
         base = ts.size * nu
         lines.append("o striction")
-        for t in ts:
-            x, y, z = (float(v) for v in sheet.beta(t))
+        for x, y, z in sheet.beta(ts).tolist():
             lines.append(f"v {x!r} {y!r} {z!r}")
         idx = " ".join(str(base + i + 1) for i in range(ts.size))
         lines.append(f"l {idx}")

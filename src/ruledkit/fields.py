@@ -6,13 +6,19 @@ a monotone parameter map, linear combinations of frame fields with
 interpolated coefficients) implement derivatives up to order 2, which
 is all downstream geometry needs. Finite differences never appear here;
 they are reserved for test oracles.
+
+Evaluation is array-based: `eval(t, order)` takes a scalar t, giving a
+(dim,) vector, or a 1-D array of parameters, giving an (N, dim) stack.
+Each kind computes on the array; a scalar is the N=1 case of the same
+code. The parameter map behind arclength reparametrization builds its
+quadrature table and inverts arclength values the same way, on arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,31 +31,95 @@ from .multilinear import as_vector
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
 
 
+def _check_order(order: int):
+    if not isinstance(order, (int, np.integer)) or order < 0:
+        raise ValidationError(f"derivative order must be a nonnegative integer, got {order!r}")
+
+
+def _parameters(t) -> tuple[np.ndarray, bool]:
+    """A scalar or 1-D parameter argument as a 1-D float array, and
+    whether it was a scalar."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim == 0:
+        return ts[None], True
+    if ts.ndim > 1:
+        raise ValidationError(f"parameters must be a scalar or a 1-D array, got shape {ts.shape}")
+    return ts, False
+
+
+def _rows(vector: np.ndarray, n: int) -> np.ndarray:
+    """An (n, dim) array whose rows are copies of `vector`."""
+    out = np.empty((n, vector.shape[0]))
+    out[:] = vector
+    return out
+
+
+def _first_outside(ts: np.ndarray, lo: float, hi: float, pad: float) -> float | None:
+    """The first entry of ts outside [lo - pad, hi + pad] (NaN included), or None."""
+    outside = np.flatnonzero(~((lo - pad <= ts) & (ts <= hi + pad)))
+    return float(ts[outside[0]]) if outside.size else None
+
+
+def array_eval(fn):
+    """Make an `eval` written for a 1-D parameter array, returning an
+    (N, dim) stack, also take a scalar t, returning a (dim,) vector.
+
+    The order is checked and the field's domain enforced first; a domain
+    error names the first offending t.
+    """
+    @functools.wraps(fn)
+    def eval(self, t, order=0):
+        _check_order(order)
+        ts, scalar = _parameters(t)
+        if self.domain is not None:
+            lo, hi = self.domain
+            bad = _first_outside(ts, lo, hi, 1e-9 * max(1.0, abs(lo), abs(hi)))
+            if bad is not None:
+                raise DomainError(f"t={bad} outside field domain [{lo}, {hi}]")
+        out = fn(self, ts, order)
+        return out[0] if scalar else out
+    eval.takes_arrays = True
+    return eval
+
+
+def _per_parameter(fn):
+    """Adapt an `eval` written for one scalar t to the array contract by
+    evaluating an array one entry at a time."""
+    @functools.wraps(fn)
+    def eval(self, t, order=0):
+        if np.ndim(t) == 0:
+            return fn(self, t, order)
+        ts, _ = _parameters(t)
+        return np.array([fn(self, x, order) for x in ts.tolist()]).reshape(ts.size, self.dim)
+    eval.takes_arrays = True
+    return eval
+
+
 class VectorField(ABC):
-    """A map t -> R^dim with derivatives available through `eval`."""
+    """A map t -> R^dim with derivatives available through `eval`.
+
+    The package's field kinds compute on parameter arrays (`array_eval`).
+    A subclass whose `eval` handles one scalar t is adapted on
+    definition, so it can be evaluated on arrays too, one t at a time.
+    """
 
     dim: int
     #: closed parameter interval, or None when defined for all t
     domain: tuple[float, float] | None = None
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fn = cls.__dict__.get("eval")
+        if fn is not None and not getattr(fn, "takes_arrays", False):
+            cls.eval = _per_parameter(fn)
+
     @abstractmethod
-    def eval(self, t: float, order: int = 0) -> np.ndarray:
-        """order-th derivative at t (order 0 is the value)."""
+    def eval(self, t, order: int = 0) -> np.ndarray:
+        """order-th derivative at t (order 0 is the value): (dim,) for a
+        scalar t, (N, dim) for a 1-D array of N parameters."""
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
         return self.eval(t, 0)
-
-    def _check_domain(self, t: float):
-        if self.domain is not None:
-            lo, hi = self.domain
-            pad = 1e-9 * max(1.0, abs(lo), abs(hi))
-            if not (lo - pad <= t <= hi + pad):
-                raise DomainError(f"t={t} outside field domain [{lo}, {hi}]")
-
-
-def _check_order(order: int):
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise ValidationError(f"derivative order must be a nonnegative integer, got {order!r}")
 
 
 class ConstantField(VectorField):
@@ -59,11 +129,11 @@ class ConstantField(VectorField):
         self.value = as_vector(value)
         self.dim = self.value.shape[0]
 
-    def eval(self, t, order=0):
-        _check_order(order)
+    @array_eval
+    def eval(self, ts, order=0):
         if order == 0:
-            return self.value.copy()
-        return np.zeros(self.dim)
+            return _rows(self.value, ts.size)
+        return np.zeros((ts.size, self.dim))
 
 
 class PolynomialField(VectorField):
@@ -77,22 +147,33 @@ class PolynomialField(VectorField):
             if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
                 raise ValidationError("polynomial coefficients must be finite 1-D lists")
         self.dim = len(self.coefficients)
-        self._derived = {0: self.coefficients}
+        self._derived = {0: self._table(self.coefficients)}
 
-    def _coeffs(self, order: int) -> list[np.ndarray]:
-        # derivative coefficient lists are memoized per order
+    @staticmethod
+    def _table(coefficients: list[np.ndarray]) -> np.ndarray:
+        """(degree+1, dim) table, row j holding every coordinate's t^j
+        coefficient; shorter coordinates are padded with zeros."""
+        table = np.zeros((max(c.size for c in coefficients), len(coefficients)))
+        for i, c in enumerate(coefficients):
+            table[:c.size, i] = c
+        return table
+
+    def _coeffs(self, order: int) -> np.ndarray:
+        # derivative coefficient tables are memoized per order
         if order not in self._derived:
             prev = self._coeffs(order - 1)
-            self._derived[order] = [
-                npoly.polyder(c) if c.size > 1 else np.zeros(1) for c in prev]
+            self._derived[order] = (npoly.polyder(prev, axis=0) if prev.shape[0] > 1
+                                    else np.zeros_like(prev))
         return self._derived[order]
 
-    def eval(self, t, order=0):
-        _check_order(order)
-        coeffs = self._coeffs(order)
-        out = np.empty(self.dim)
-        for i, c in enumerate(coeffs):
-            out[i] = npoly.polyval(t, c)
+    @array_eval
+    def eval(self, ts, order=0):
+        # Horner's rule on every coordinate at once
+        table = self._coeffs(order)
+        out = _rows(table[-1], ts.size)
+        t_col = ts[:, None]
+        for row in table[-2::-1]:
+            out = out * t_col + row
         return out
 
 
@@ -116,34 +197,40 @@ class FourierField(VectorField):
         if not self.coordinates:
             raise ValidationError("fourier field needs at least one coordinate")
         self.dim = len(self.coordinates)
-        # flattened (coordinate index, amplitude, frequency, phase) terms
-        idx, amp, freq, phase = [], [], [], []
-        for i, (const, cos_c, sin_c, omega) in enumerate(self.coordinates):
+        # flattened (amplitude, frequency, phase) terms, grouped by
+        # coordinate; each group starts with a zero term, so no group is
+        # empty and its sum starts from zero
+        amp, freq, phase, starts = [], [], [], []
+        for const, cos_c, sin_c, omega in self.coordinates:
+            starts.append(len(amp))
+            amp.append(0.0)
+            freq.append(0.0)
+            phase.append(0.0)
             for k, a in enumerate(cos_c, start=1):
-                idx.append(i)
                 amp.append(a)
                 freq.append(k * omega)
                 phase.append(math.pi / 2.0)
             for k, b in enumerate(sin_c, start=1):
-                idx.append(i)
                 amp.append(b)
                 freq.append(k * omega)
                 phase.append(0.0)
-        self._idx = np.asarray(idx, dtype=int)
-        self._amp = np.asarray(amp)
+        self._starts = np.asarray(starts)
         self._freq = np.asarray(freq)
         self._phase = np.asarray(phase)
         self._const = np.asarray([c[0] for c in self.coordinates])
+        #: amplitude times frequency^order of each term, memoized per order
+        self._scaled = {0: np.asarray(amp)}
 
-    def eval(self, t, order=0):
-        _check_order(order)
-        out = self._const.copy() if order == 0 else np.zeros(self.dim)
-        if self._idx.size:
-            # sin(x + pi/2) = cos(x); each derivative advances the phase
-            terms = (self._amp * self._freq ** order
-                     * np.sin(self._freq * t + self._phase + order * math.pi / 2.0))
-            out += np.bincount(self._idx, weights=terms, minlength=self.dim)
-        return out
+    @array_eval
+    def eval(self, ts, order=0):
+        if order not in self._scaled:
+            self._scaled[order] = self._scaled[0] * self._freq ** order
+        # sin(x + pi/2) = cos(x); each derivative advances the phase
+        arg = ts[:, None] * self._freq + self._phase
+        if order:
+            arg += order * math.pi / 2.0
+        sums = np.add.reduceat(self._scaled[order] * np.sin(arg), self._starts, axis=1)
+        return (self._const if order == 0 else 0.0) + sums
 
 
 class HelixCurve(VectorField):
@@ -158,20 +245,19 @@ class HelixCurve(VectorField):
         self.b = float(b)
         self.c = math.hypot(a, b)
 
-    def eval(self, t, order=0):
-        _check_order(order)
+    @array_eval
+    def eval(self, ts, order=0):
         w = 1.0 / self.c
-        phase = w * t + order * math.pi / 2.0
+        phase = w * ts + order * math.pi / 2.0
         amp = self.a * w ** order
-        x = amp * math.cos(phase)
-        y = amp * math.sin(phase)
+        out = np.empty((ts.size, 3))
+        out[:, 0] = amp * np.cos(phase)
+        out[:, 1] = amp * np.sin(phase)
         if order == 0:
-            z = self.b * w * t
-        elif order == 1:
-            z = self.b * w
+            out[:, 2] = self.b * w * ts
         else:
-            z = 0.0
-        return np.array([x, y, z])
+            out[:, 2] = self.b * w if order == 1 else 0.0
+        return out
 
 
 class CircleCurve(VectorField):
@@ -184,12 +270,15 @@ class CircleCurve(VectorField):
             raise ConfigError("circle radius must be positive")
         self.r = float(r)
 
-    def eval(self, t, order=0):
-        _check_order(order)
+    @array_eval
+    def eval(self, ts, order=0):
         w = 1.0 / self.r
-        phase = w * t + order * math.pi / 2.0
+        phase = w * ts + order * math.pi / 2.0
         amp = self.r * w ** order
-        return np.array([amp * math.cos(phase), amp * math.sin(phase), 0.0])
+        out = np.zeros((ts.size, 3))
+        out[:, 0] = amp * np.cos(phase)
+        out[:, 1] = amp * np.sin(phase)
+        return out
 
 
 class LineCurve(VectorField):
@@ -204,13 +293,13 @@ class LineCurve(VectorField):
         self.direction = d / norm
         self.dim = self.point.shape[0]
 
-    def eval(self, t, order=0):
-        _check_order(order)
+    @array_eval
+    def eval(self, ts, order=0):
         if order == 0:
-            return self.point + t * self.direction
+            return self.point + ts[:, None] * self.direction
         if order == 1:
-            return self.direction.copy()
-        return np.zeros(self.dim)
+            return _rows(self.direction, ts.size)
+        return np.zeros((ts.size, self.dim))
 
 
 #: named closed-form curve families usable in scene files
@@ -243,9 +332,10 @@ class EmbeddedField(VectorField):
         self.dim = dim
         self.domain = base.domain
 
-    def eval(self, t, order=0):
-        out = np.zeros(self.dim)
-        out[self.offset:self.offset + self.base.dim] = self.base.eval(t, order)
+    @array_eval
+    def eval(self, ts, order=0):
+        out = np.zeros((ts.size, self.dim))
+        out[:, self.offset:self.offset + self.base.dim] = self.base.eval(ts, order)
         return out
 
 
@@ -260,20 +350,21 @@ class DerivativeField(VectorField):
         self.dim = base.dim
         self.domain = base.domain
 
-    def eval(self, t, order=0):
-        _check_order(order)
-        self._check_domain(t)
-        return self.base.eval(t, order + self.shift)
+    @array_eval
+    def eval(self, ts, order=0):
+        return self.base.eval(ts, order + self.shift)
 
 
 class ParameterMap:
     """Monotone map s -> t(s) inverting the arclength of a regular curve.
 
     Built from cumulative Gauss-Legendre quadrature of the speed on a
-    dense node set; evaluation uses a monotone cubic (PCHIP) initial
-    guess polished by Newton iterations against the quadrature, so the
-    inverse is accurate to near machine precision. dt/ds and d2t/ds2
-    come from the exact inverse-function formulas.
+    dense node set, with all quadrature nodes evaluated in one call;
+    evaluation uses a monotone cubic (PCHIP) initial guess polished by
+    Newton iterations against the quadrature, run on the whole array of
+    arclength values at once, so the inverse is accurate to near machine
+    precision. dt/ds and d2t/ds2 come from the exact inverse-function
+    formulas. `s`, `t`, `dt` and `d2t` take a scalar or a 1-D array.
     """
 
     def __init__(self, curve: VectorField, interval: tuple[float, float],
@@ -284,61 +375,63 @@ class ParameterMap:
         self.curve = curve
         self.t_interval = (t0, t1)
         self._t_nodes = np.linspace(t0, t1, nodes)
-        for t in self._t_nodes:
-            if self._speed(t) <= min_speed:
-                raise RegularityError(f"curve speed vanishes near t={t}")
+        slow = np.flatnonzero(self._speed(self._t_nodes) <= min_speed)
+        if slow.size:
+            raise RegularityError(f"curve speed vanishes near t={self._t_nodes[slow[0]]}")
         cum = np.zeros(nodes)
-        for i in range(nodes - 1):
-            cum[i + 1] = cum[i] + self._quad_speed(self._t_nodes[i], self._t_nodes[i + 1])
+        np.cumsum(self._quad_speed(self._t_nodes[:-1], self._t_nodes[1:]), out=cum[1:])
         self._s_nodes = cum
         self.length = float(cum[-1])
         self.s_interval = (0.0, self.length)
         self._guess = PchipInterpolator(cum, self._t_nodes)
-        # grid sweeps re-invert the same arclength values for every
-        # companion field; memoize the Newton result per exact s
-        self._inverse_cache: dict[float, float] = {}
 
-    def _speed(self, t: float) -> float:
-        return float(np.linalg.norm(self.curve.eval(t, 1)))
+    def _speed(self, t: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(self.curve.eval(t, 1), axis=-1)
 
-    def _quad_speed(self, a: float, b: float) -> float:
+    def _quad_speed(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Integral of the speed over each [a_i, b_i], one 21-point rule each."""
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ts = mid + half * _GL_NODES
-        return half * float(sum(w * self._speed(t) for t, w in zip(ts, _GL_WEIGHTS)))
+        ts = mid[:, None] + half[:, None] * _GL_NODES
+        # a row-wise sum, not a matrix product, so that an entry's value
+        # does not depend on how many intervals are integrated with it
+        return half * (self._speed(ts.ravel()).reshape(ts.shape) * _GL_WEIGHTS).sum(axis=1)
 
-    def _arclength(self, t: float) -> float:
-        idx = min(bisect_right(self._t_nodes, t) - 1, len(self._t_nodes) - 2)
-        idx = max(idx, 0)
-        return self._s_nodes[idx] + self._quad_speed(self._t_nodes[idx], t)
+    def s(self, t):
+        """Arclength from the start of the interval to t (scalar or 1-D array)."""
+        ts, scalar = _parameters(t)
+        idx = np.clip(np.searchsorted(self._t_nodes, ts, side="right") - 1,
+                      0, len(self._t_nodes) - 2)
+        out = self._s_nodes[idx] + self._quad_speed(self._t_nodes[idx], ts)
+        return float(out[0]) if scalar else out
 
-    def t(self, s: float) -> float:
-        s = float(s)
-        cached = self._inverse_cache.get(s)
-        if cached is not None:
-            return cached
+    def t(self, s):
+        ss, scalar = _parameters(s)
         lo, hi = self.t_interval
-        pad = 1e-9 * max(1.0, self.length)
-        if not (-pad <= s <= self.length + pad):
-            raise DomainError(f"s={s} outside [0, {self.length}]")
-        t = float(np.clip(self._guess(np.clip(s, 0.0, self.length)), lo, hi))
+        bad = _first_outside(ss, 0.0, self.length, 1e-9 * max(1.0, self.length))
+        if bad is not None:
+            raise DomainError(f"s={bad} outside [0, {self.length}]")
+        t = np.clip(self._guess(np.clip(ss, 0.0, self.length)), lo, hi)
         scale = max(1.0, abs(lo), abs(hi))
+        # Newton on every entry until its own step is negligible
+        active = np.arange(ss.size)
         for _ in range(12):
-            step = (self._arclength(t) - s) / self._speed(t)
-            t = float(np.clip(t - step, lo, hi))
-            if abs(step) < 1e-14 * scale:
+            ta = t[active]
+            step = (self.s(ta) - ss[active]) / self._speed(ta)
+            t[active] = np.clip(ta - step, lo, hi)
+            active = active[~(np.abs(step) < 1e-14 * scale)]
+            if not active.size:
                 break
-        self._inverse_cache[s] = t
-        return t
+        return float(t[0]) if scalar else t
 
-    def dt(self, t: float) -> float:
+    def dt(self, t):
         return 1.0 / self._speed(t)
 
-    def d2t(self, t: float) -> float:
+    def d2t(self, t):
         # d2t/ds2 = -v'(t)/v(t)^3 with v' = <f', f''>/v
         d1 = self.curve.eval(t, 1)
         d2 = self.curve.eval(t, 2)
-        v = np.linalg.norm(d1)
-        return -float(d1 @ d2) / v ** 4
+        v2 = np.linalg.norm(d1, axis=-1) ** 2
+        return -np.sum(d1 * d2, axis=-1) / (v2 * v2)
 
 
 class ComposedField(VectorField):
@@ -353,19 +446,18 @@ class ComposedField(VectorField):
         self.dim = base.dim
         self.domain = pmap.s_interval
 
-    def eval(self, s, order=0):
-        _check_order(order)
-        self._check_domain(s)
+    @array_eval
+    def eval(self, ss, order=0):
+        if order > 2:
+            raise ValidationError("composed fields support derivative orders 0..2 only")
         pm = self.parameter_map
-        t = pm.t(float(np.clip(s, *pm.s_interval)))
+        t = pm.t(np.clip(ss, *pm.s_interval))
         if order == 0:
             return self.base.eval(t, 0)
-        dt = pm.dt(t)
+        dt = pm.dt(t)[:, None]
         if order == 1:
             return self.base.eval(t, 1) * dt
-        if order == 2:
-            return self.base.eval(t, 2) * dt ** 2 + self.base.eval(t, 1) * pm.d2t(t)
-        raise ValidationError("composed fields support derivative orders 0..2 only")
+        return self.base.eval(t, 2) * dt ** 2 + self.base.eval(t, 1) * pm.d2t(t)[:, None]
 
 
 def arclength_reparametrize(curve: VectorField, interval: tuple[float, float],
@@ -396,11 +488,12 @@ class AffineCombinationField(VectorField):
         self.dim = base.dim
         self.domain = base.domain
 
-    def eval(self, t, order=0):
-        out = self.base.eval(t, order)
+    @array_eval
+    def eval(self, ts, order=0):
+        out = self.base.eval(ts, order)
         for w, f in zip(self.weights, self.extras):
             if w != 0.0:
-                out = out + w * f.eval(t, order)
+                out = out + w * f.eval(ts, order)
         return out
 
 
@@ -421,25 +514,26 @@ class SplineCoefficients:
         return self._spline(t, nu=2)
 
 
-def connection_skew(bases: Sequence[VectorField], t: float, order: int = 1):
+def stack_fields(fields: Sequence[VectorField], t, order: int = 0) -> np.ndarray:
+    """order-th derivatives of the fields at t, stacked as (k, dim) for a
+    scalar t and (N, k, dim) for an array; one `eval` per field."""
+    vals = [f.eval(t, order) for f in fields]
+    return np.concatenate(vals, axis=-1).reshape(vals[0].shape[:-1] + (len(vals), -1))
+
+
+def connection_skew(bases: Sequence[VectorField], t, order: int = 1):
     """Connection matrix W[l, j] = <Xdot_j, X_l> of a frame at t.
 
-    With order=2 also returns its t-derivative, as the pair (W, Wdot).
+    (k, k) for a scalar t, an (N, k, k) stack for an array. With order=2
+    also returns its t-derivative, as the pair (W, Wdot).
     """
-    k = len(bases)
-    vals = [b.eval(t, 0) for b in bases]
-    d1 = [b.eval(t, 1) for b in bases]
-    w = np.empty((k, k))
-    for l in range(k):
-        for j in range(k):
-            w[l, j] = d1[j] @ vals[l]
+    vals = stack_fields(bases, t, 0)
+    d1 = stack_fields(bases, t, 1)
+    w = vals @ np.swapaxes(d1, -1, -2)
     if order == 1:
         return w
-    d2 = [b.eval(t, 2) for b in bases]
-    wdot = np.empty((k, k))
-    for l in range(k):
-        for j in range(k):
-            wdot[l, j] = d2[j] @ vals[l] + d1[j] @ d1[l]
+    d2 = stack_fields(bases, t, 2)
+    wdot = vals @ np.swapaxes(d2, -1, -2) + d1 @ np.swapaxes(d1, -1, -2)
     return w, wdot
 
 
@@ -481,19 +575,23 @@ class FrameCombinationField(VectorField):
         self.dim = self.bases[0].dim
         self.domain = domain
 
-    def eval(self, t, order=0):
-        _check_order(order)
-        self._check_domain(t)
-        c0 = self.coeffs.value(t)[:, self.index]
-        vals = np.array([b.eval(t, 0) for b in self.bases])
+    @array_eval
+    def eval(self, ts, order=0):
+        if order > 2:
+            raise ValidationError("combination fields support derivative orders 0..2 only")
+
+        def combine(c, vals):
+            # sum_k c[n, k] vals[n, k] for each n
+            return (c[:, None, :] @ vals)[:, 0]
+
+        c0 = self.coeffs.value(ts)[:, :, self.index]
+        vals = stack_fields(self.bases, ts, 0)
         if order == 0:
-            return c0 @ vals
-        c1 = self.coeffs.d1(t)[:, self.index]
-        d1 = np.array([b.eval(t, 1) for b in self.bases])
+            return combine(c0, vals)
+        c1 = self.coeffs.d1(ts)[:, :, self.index]
+        d1 = stack_fields(self.bases, ts, 1)
         if order == 1:
-            return c1 @ vals + c0 @ d1
-        if order == 2:
-            c2 = self.coeffs.d2(t)[:, self.index]
-            d2 = np.array([b.eval(t, 2) for b in self.bases])
-            return c2 @ vals + 2.0 * (c1 @ d1) + c0 @ d2
-        raise ValidationError("combination fields support derivative orders 0..2 only")
+            return combine(c1, vals) + combine(c0, d1)
+        c2 = self.coeffs.d2(ts)[:, :, self.index]
+        d2 = stack_fields(self.bases, ts, 2)
+        return combine(c2, vals) + 2.0 * combine(c1, d1) + combine(c0, d2)

@@ -14,15 +14,15 @@ from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (ConfigError, DegeneracyError, FrameError, NumericError,
                      ValidationError)
 from .fields import (BUILTIN_CURVES, ConstantField, DerivativeField,
                      EmbeddedField, FourierField, FrameCombinationField,
                      HelixCurve, PolynomialField, SplineCoefficients,
-                     TransportCoefficients, VectorField, connection_skew)
-from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, gram_matrix
+                     TransportCoefficients, VectorField, connection_skew,
+                     stack_fields)
+from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,32 +56,19 @@ class FramedCurve:
         lo, hi = self.interval
         if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
             raise ValidationError(f"bad interval [{lo}, {hi}]")
-        # memoized evaluations; grid sweeps revisit the same parameters
-        # constantly. Cached arrays are shared: callers must not mutate.
-        object.__setattr__(self, "_frame_cache", {})
-        object.__setattr__(self, "_directrix_cache", {})
 
     @property
     def codim(self) -> int:
         return self.dim - self.m
 
-    def frame_values(self, t: float, order: int = 0) -> np.ndarray:
-        """(m-1, dim) matrix of frame fields' order-th derivatives at t."""
-        key = (t, order)
-        cached = self._frame_cache.get(key)
-        if cached is None:
-            cached = np.array([f.eval(t, order) for f in self.frame])
-            self._frame_cache[key] = cached
-        return cached
+    def frame_values(self, t, order: int = 0) -> np.ndarray:
+        """Frame fields' order-th derivatives at t: (m-1, dim) for a scalar
+        t, (N, m-1, dim) for an array."""
+        return stack_fields(self.frame, t, order)
 
-    def directrix_values(self, t: float, order: int = 0) -> np.ndarray:
-        """Memoized directrix derivative at t."""
-        key = (t, order)
-        cached = self._directrix_cache.get(key)
-        if cached is None:
-            cached = self.directrix.eval(t, order)
-            self._directrix_cache[key] = cached
-        return cached
+    def directrix_values(self, t, order: int = 0) -> np.ndarray:
+        """Directrix derivative at t: (dim,) for a scalar t, (N, dim) for an array."""
+        return self.directrix.eval(t, order)
 
     def grid_values(self, ts: np.ndarray) -> "GridValues":
         """Stacked frame and directrix derivatives at the parameters `ts`."""
@@ -91,18 +78,26 @@ class FramedCurve:
         return FramedCurve(self.dim, self.m, self.directrix, tuple(frame), self.interval)
 
     def validate_on(self, grid: "SampleGrid", tol: TolerancePolicy = DEFAULT_TOLERANCES):
-        """Check unit speed and frame orthonormality at every grid sample."""
-        eye = np.eye(self.m - 1)
-        for t in grid.t_samples:
-            speed = np.linalg.norm(self.directrix.eval(t, 1))
-            if abs(speed - 1.0) > tol.derivative_check_tol:
-                raise ValidationError(
-                    f"directrix is not unit-speed at t={t}: |speed-1|={abs(speed - 1.0):.3e}")
-            g = gram_matrix(self.frame_values(t))
-            dev = np.abs(g - eye).max()
-            if dev > tol.derivative_check_tol:
-                raise FrameError(
-                    f"frame is not orthonormal at t={t}: max Gram deviation {dev:.3e}")
+        """Check unit speed and frame orthonormality at every grid sample;
+        raises at the first failing sample, the speed checked first."""
+        ts = grid.t_samples
+        speed_dev = np.abs(np.linalg.norm(self.directrix.eval(ts, 1), axis=1) - 1.0)
+        x = self.frame_values(ts)
+        finite = np.isfinite(x).all(axis=(1, 2))
+        gram_dev = np.abs(x @ x.swapaxes(1, 2) - np.eye(self.m - 1)).max(axis=(1, 2))
+        bad_speed = speed_dev > tol.derivative_check_tol
+        failing = np.flatnonzero(bad_speed | ~finite | (gram_dev > tol.derivative_check_tol))
+        if not failing.size:
+            return
+        i = int(failing[0])
+        t = float(ts[i])
+        if bad_speed[i]:
+            raise ValidationError(
+                f"directrix is not unit-speed at t={t}: |speed-1|={speed_dev[i]:.3e}")
+        if not finite[i]:
+            raise ValidationError(f"frame values are not finite at t={t}")
+        raise FrameError(
+            f"frame is not orthonormal at t={t}: max Gram deviation {gram_dev[i]:.3e}")
 
 
 class GridValues:
@@ -110,8 +105,8 @@ class GridValues:
 
     `frame(order)` is the (N, m-1, dim) array of frame derivatives and
     `directrix(order)` the (N, dim) array of directrix derivatives; each
-    order is evaluated on first use and kept. The arrays are shared:
-    callers must not mutate them.
+    order is evaluated on first use, one array evaluation per field, and
+    kept. The arrays are shared: callers must not mutate them.
     """
 
     def __init__(self, fc: FramedCurve, ts: np.ndarray):
@@ -121,22 +116,14 @@ class GridValues:
         self._directrix: dict[int, np.ndarray] = {}
 
     def frame(self, order: int) -> np.ndarray:
-        out = self._frame.get(order)
-        if out is None:
-            out = np.empty((self.ts.size, self.fc.m - 1, self.fc.dim))
-            for i, t in enumerate(self.ts):
-                out[i] = self.fc.frame_values(t, order)
-            self._frame[order] = out
-        return out
+        if order not in self._frame:
+            self._frame[order] = self.fc.frame_values(self.ts, order)
+        return self._frame[order]
 
     def directrix(self, order: int) -> np.ndarray:
-        out = self._directrix.get(order)
-        if out is None:
-            out = np.empty((self.ts.size, self.fc.dim))
-            for i, t in enumerate(self.ts):
-                out[i] = self.fc.directrix_values(t, order)
-            self._directrix[order] = out
-        return out
+        if order not in self._directrix:
+            self._directrix[order] = self.fc.directrix_values(self.ts, order)
+        return self._directrix[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,18 +185,16 @@ def gram_schmidt_frame(fields: Sequence[VectorField], grid: SampleGrid,
     if k == 0:
         return []
     ts = grid.t_samples
-    coeff_nodes = np.empty((ts.size, k, k))
-    for i, t in enumerate(ts):
-        v = np.column_stack([f.eval(t, 0) for f in fields])
-        q, r = np.linalg.qr(v)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        r = r * signs[:, None]
-        scale = max(1.0, float(np.linalg.norm(v)))
-        if np.abs(np.diag(r)).min() < tol.zero_abs_tol * scale:
-            raise DegeneracyError(f"frame fields are dependent at t={t}")
-        coeff_nodes[i] = solve_triangular(r, np.eye(k))
-    coeffs = SplineCoefficients(ts, coeff_nodes)
+    v = stack_fields(fields, ts).swapaxes(1, 2)  # (N, dim, k): one column per field
+    r = np.linalg.qr(v, mode="r")
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    signs = np.where(diag == 0, 1.0, np.sign(diag))
+    r = r * signs[:, :, None]
+    scale = np.maximum(1.0, np.linalg.norm(v, axis=(1, 2)))
+    dependent = np.flatnonzero(np.abs(diag).min(axis=1) < tol.zero_abs_tol * scale)
+    if dependent.size:
+        raise DegeneracyError(f"frame fields are dependent at t={ts[dependent[0]]}")
+    coeffs = SplineCoefficients(ts, np.linalg.inv(r))
     return [FrameCombinationField(list(fields), coeffs, j, domain=interval)
             for j in range(k)]
 
@@ -238,19 +223,20 @@ def parallel_transport_frame(fc: FramedCurve, grid: SampleGrid,
         nodes.extend(np.linspace(a, b, sub + 1)[1:].tolist())
     nodes = np.asarray(nodes)
 
-    def rhs(t, c):
-        return -connection_skew(fc.frame, t) @ c
+    # -W at every node and every step midpoint, from two array evaluations
+    steps = np.diff(nodes)
+    w_node = -connection_skew(fc.frame, nodes)
+    w_mid = -connection_skew(fc.frame, nodes[:-1] + 0.5 * steps)
 
     values = np.empty((nodes.size, k, k))
     c = np.eye(k)
     values[0] = c
     try:
-        for i in range(nodes.size - 1):
-            t, h = nodes[i], nodes[i + 1] - nodes[i]
-            k1 = rhs(t, c)
-            k2 = rhs(t + 0.5 * h, c + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, c + 0.5 * h * k2)
-            k4 = rhs(t + h, c + h * k3)
+        for i, h in enumerate(steps):
+            k1 = w_node[i] @ c
+            k2 = w_mid[i] @ (c + 0.5 * h * k1)
+            k3 = w_mid[i] @ (c + 0.5 * h * k2)
+            k4 = w_node[i + 1] @ (c + h * k3)
             c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             c = _polar_orthonormalize(c)
             values[i + 1] = c

@@ -23,7 +23,7 @@ import numpy as np
 from .distribution import DegreeProfile, profile_from_values
 from .errors import RegularityError, ValidationError
 from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, numerical_rank,
-                          numerical_ranks, rank_mask, spans_equal, wedge_norms)
+                          numerical_ranks, rank_mask, wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid
 
 
@@ -110,10 +110,15 @@ def _jacobians(x0: np.ndarray, x1: np.ndarray, g1: np.ndarray, u: np.ndarray) ->
 
 def jacobian_sigma(p: RuledPatch, t: float, u) -> np.ndarray:
     """(m, dim) matrix of partials: d/dt first, then the ruling directions."""
-    u = _as_u(p, u)
+    return jacobians_at(p, t, _as_u(p, u)[None])[0]
+
+
+def jacobians_at(p: RuledPatch, t: float, u: np.ndarray) -> np.ndarray:
+    """(P, m, dim) Jacobians at one parameter t and P ruling positions
+    u (P, m-1), from one evaluation of the frame at t."""
     fc = p.fc
     return _jacobians(fc.frame_values(t)[None], fc.frame_values(t, 1)[None],
-                      fc.directrix_values(t, 1)[None], u[None])[0, 0]
+                      fc.directrix_values(t, 1)[None], u)[0]
 
 
 def is_regular(p: RuledPatch, t: float, u) -> bool:
@@ -297,15 +302,31 @@ def rank_one_check(p: RuledPatch) -> RankOneResult:
 
 def tangent_space_stability(p: RuledPatch, t: float, u_pairs) -> bool:
     """True when the tangent space is the same subspace at each pair of
-    ruling positions (t fixed). Both points must be regular."""
-    for u_a, u_b in u_pairs:
-        ja = jacobian_sigma(p, t, u_a)
-        jb = jacobian_sigma(p, t, u_b)
-        for name, j in (("first", ja), ("second", jb)):
-            if numerical_rank(j, p.tol) < p.m:
-                raise RegularityError(
-                    f"{name} comparison point is singular at t={t}")
-        if not spans_equal(ja, jb, p.tol):
+    ruling positions (t fixed). Both points must be regular.
+
+    The pairs are checked in order: a singular point raises unless an
+    earlier pair already differed. All Jacobians, ranks and span
+    comparisons come from one stacked SVD.
+    """
+    u = np.asarray(u_pairs, dtype=float)
+    if u.size == 0:
+        return True
+    if u.shape[1:] != (2, p.m - 1):
+        raise ValidationError(f"expected pairs of {p.m - 1} ruling coordinates, "
+                              f"got shape {u.shape}")
+    _, s, vt = np.linalg.svd(jacobians_at(p, t, u.reshape(-1, p.m - 1)),
+                             full_matrices=False)
+    regular = rank_mask(s, p.tol).all(axis=-1).reshape(-1, 2)
+    # regular Jacobians have m independent rows: vt is a basis of their span
+    qa, qb = vt[0::2], vt[1::2]
+    cross = qa @ qb.swapaxes(1, 2)
+    worst = np.maximum(np.linalg.norm(qa - cross @ qb, axis=-1).max(axis=-1),
+                       np.linalg.norm(qb - cross.swapaxes(1, 2) @ qa, axis=-1).max(axis=-1))
+    for (first, second), same in zip(regular, worst < p.tol.zero_abs_tol):
+        for name, ok in (("first", first), ("second", second)):
+            if not ok:
+                raise RegularityError(f"{name} comparison point is singular at t={t}")
+        if not same:
             return False
     return True
 

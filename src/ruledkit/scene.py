@@ -183,8 +183,8 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
 
     grid = make_grid(fc.interval)
 
-    speed_dev = max(abs(float(np.linalg.norm(fc.directrix.eval(t, 1))) - 1.0)
-                    for t in grid.t_samples)
+    speed_dev = float(np.abs(np.linalg.norm(fc.directrix.eval(grid.t_samples, 1), axis=1)
+                             - 1.0).max())
     reparametrized = speed_dev > tol.derivative_check_tol
     if reparametrized:
         new_directrix = arclength_reparametrize(fc.directrix, fc.interval)
@@ -195,11 +195,8 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
         notes.append(f"directrix reparametrized to unit speed "
                      f"(speed deviation was {speed_dev:.3e}; new length {pmap.length!r})")
 
-    gram_dev = 0.0
-    eye = np.eye(fc.m - 1)
-    for t in grid.t_samples:
-        g = fc.frame_values(t) @ fc.frame_values(t).T
-        gram_dev = max(gram_dev, float(np.abs(g - eye).max()))
+    x = fc.frame_values(grid.t_samples)
+    gram_dev = float(np.abs(x @ x.swapaxes(1, 2) - np.eye(fc.m - 1)).max())
     orthonormalized = gram_dev > tol.derivative_check_tol
     if orthonormalized:
         frame = gram_schmidt_frame(fc.frame, grid, tol, interval=fc.interval)

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (CONICAL, CYLINDRICAL, NON_RANK_ONE, TANGENT,
-                       SegmentAnalysis, classify_patch, converse_check)
+                       SegmentAnalysis, classify_patch, converse_check,
+                       segment_analyses)
 from .distribution import degree_profile, pivot_frame, rho_at
 from .errors import RuledKitError
 from .multilinear import TolerancePolicy
 from .oracles import max_derivative_error
 from .parametric import SampleGrid, make_builtin_patch
 from .ruledgeom import (RuledPatch, first_normal_bounds_check, flatness_check,
-                        jacobian_sigma, sectional_curvature,
+                        jacobians_at, sectional_curvature,
                         tangent_space_stability)
 from .striction import assemble_system, directrix_invariance
 
@@ -83,33 +84,45 @@ def build_corpus(tol: TolerancePolicy, t_samples: int = 200) -> dict[str, RuledP
     return patches
 
 
-def _regularity_margin(p: RuledPatch, t: float, u) -> float:
-    s = np.linalg.svd(jacobian_sigma(p, t, u), compute_uv=False)
-    return float(s[-1] / s[0]) if s[0] > 0 else 0.0
+def _regularity_margins(jac: np.ndarray) -> np.ndarray:
+    """Smallest over largest singular value of each Jacobian of a
+    (P, m, dim) stack; 0 where the largest vanishes."""
+    s = np.linalg.svd(jac, compute_uv=False)
+    lead = s[:, 0]
+    return np.divide(s[:, -1], lead, out=np.zeros_like(lead), where=lead > 0)
 
 
 def _stability_sweep(p: RuledPatch, pairs_per_t: int, seed: int) -> bool:
-    """Tangent-space stability over random regular ruling pairs at each t."""
+    """Tangent-space stability over random regular ruling pairs at each t.
+
+    Candidate pairs are drawn in batches no larger than the number of
+    pairs still missing, so the draws are those of a one-pair-at-a-time
+    loop; each batch is tested with one stacked Jacobian at t.
+    """
     rng = np.random.default_rng(seed)
     ext = p.grid.u_extent
+    max_attempts = 50 * pairs_per_t
     for t in p.grid.t_samples:
         pairs = []
         attempts = 0
-        while len(pairs) < pairs_per_t and attempts < 50 * pairs_per_t:
-            attempts += 1
-            ua = rng.uniform(-ext, ext, p.m - 1)
-            ub = rng.uniform(-ext, ext, p.m - 1)
-            if min(_regularity_margin(p, t, ua), _regularity_margin(p, t, ub)) < 1e-3:
-                continue
-            pairs.append((ua, ub))
+        while len(pairs) < pairs_per_t and attempts < max_attempts:
+            batch = min(pairs_per_t - len(pairs), max_attempts - attempts)
+            attempts += batch
+            candidates = rng.uniform(-ext, ext, (batch, 2, p.m - 1))
+            margins = _regularity_margins(jacobians_at(p, t, candidates.reshape(-1, p.m - 1)))
+            pairs.extend(candidates[~(margins.reshape(batch, 2).min(axis=1) < 1e-3)])
         if not tangent_space_stability(p, t, pairs):
             return False
     return True
 
 
-def _solved_sheet(p: RuledPatch, d: int, seed: int):
-    seg = SegmentAnalysis(p, 0, p.grid.t_samples.size, d, seed)
-    return seg.pivoted, seg.sheet, seg.locus
+def _whole_patch_segment(p: RuledPatch, segments: list[SegmentAnalysis], d: int,
+                         seed: int) -> SegmentAnalysis:
+    """The holder of the whole patch at degree d: the patch's own single
+    segment when its degree is constantly d, so its sheet is solved once."""
+    if len(segments) == 1 and segments[0].d == d:
+        return segments[0]
+    return SegmentAnalysis(p, 0, p.grid.t_samples.size, d, seed)
 
 
 def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
@@ -130,7 +143,18 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
             record(criterion, name, False, f"unexpected {type(exc).__name__}: {exc}")
 
     patches = build_corpus(tol, t_samples)
-    sheets: dict[str, tuple] = {}
+    holders: dict[str, list[SegmentAnalysis]] = {}
+
+    def segments(name):
+        """The patch's segment holders, built once and shared by all criteria."""
+        if name not in holders:
+            holders[name] = segment_analyses(patches[name], seed)
+        return holders[name]
+
+    def solved_sheet(name):
+        """(pivoted patch, sheet, singular locus) of a degree-one patch."""
+        seg = _whole_patch_segment(patches[name], segments(name), 1, seed)
+        return seg.pivoted, seg.sheet, seg.locus
 
     # -- criterion 1: degree profiles and the degree bound -----------------
     def c1():
@@ -147,26 +171,23 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
     # -- criterion 2: striction recovery ------------------------------------
     def c2():
         sqrt2 = math.sqrt(2.0)
-        pp, sheet, locus = _solved_sheet(patches["circular_cone"], 1, seed)
-        sheets["circular_cone"] = (pp, sheet, locus)
+        pp, sheet, _ = solved_sheet("circular_cone")
         ts = pp.grid.t_samples
-        u_err = max(abs(float(sheet.solved(t)[0]) + sqrt2) for t in ts)
-        apex_err = max(float(np.linalg.norm(sheet.beta(t))) for t in ts)
+        u_err = float(np.abs(sheet.solved(ts)[:, 0] + sqrt2).max())
+        apex_err = float(np.linalg.norm(sheet.beta(ts), axis=1).max())
         record(2, "cone solved coordinate -sqrt(2)", u_err < 1e-8, f"max err {u_err:.2e}")
         record(2, "cone apex at origin", apex_err < 1e-6, f"max |beta| {apex_err:.2e}")
 
-        pp, sheet, locus = _solved_sheet(patches["helicoid_frame"], 1, seed)
-        sheets["helicoid_frame"] = (pp, sheet, locus)
-        axis_err = max(float(np.linalg.norm(sheet.beta(t)[:2])) for t in pp.grid.t_samples)
+        pp, sheet, _ = solved_sheet("helicoid_frame")
+        axis_err = float(np.linalg.norm(sheet.beta(pp.grid.t_samples)[:, :2], axis=1).max())
         record(2, "helicoid striction line is the axis", axis_err < 1e-8,
                f"max off-axis {axis_err:.2e}")
 
-        pp, sheet, locus = _solved_sheet(patches["tangent_developable_helix"], 1, seed)
-        sheets["tangent_developable_helix"] = (pp, sheet, locus)
+        pp, sheet, _ = solved_sheet("tangent_developable_helix")
         ts = pp.grid.t_samples
-        u_err = max(abs(float(sheet.solved(t)[0])) for t in ts)
-        curve_err = max(float(np.linalg.norm(sheet.beta(t) - pp.fc.directrix.eval(t, 0)))
-                        for t in ts)
+        u_err = float(np.abs(sheet.solved(ts)[:, 0]).max())
+        curve_err = float(np.linalg.norm(sheet.beta(ts) - pp.fc.directrix.eval(ts, 0),
+                                         axis=1).max())
         record(2, "tangent developable sheet is the directrix",
                u_err < 1e-8 and curve_err < 1e-6,
                f"max |u| {u_err:.2e}, max |beta-curve| {curve_err:.2e}")
@@ -196,14 +217,12 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
     def c4():
         for name in ["circular_cone", "tangent_developable_helix",
                      "tangent_developable_product"]:
-            if name not in sheets:
-                sheets[name] = _solved_sheet(patches[name], 1, seed)
-            _, _, locus = sheets[name]
+            _, _, locus = solved_sheet(name)
             ok = locus.singular_fraction >= 0.99 and locus.offsheet_all_regular
             record(4, f"singularities confined to the sheet: {name}", ok,
                    f"coverage {locus.singular_fraction:.3f}, "
                    f"off-sheet regular {locus.offsheet_regular}/{locus.offsheet_total}")
-        _, _, locus = sheets["helicoid_frame"]
+        _, _, locus = solved_sheet("helicoid_frame")
         record(4, "helicoid sheet has no singular samples",
                locus.singular_fraction == 0.0,
                f"fraction {locus.singular_fraction:.3f}")
@@ -234,7 +253,7 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
     # -- criterion 7: directrix invariance ----------------------------------
     def c7():
         for name in ["circular_cone", "tangent_developable_helix"]:
-            pp, sheet, _ = sheets[name]
+            pp, sheet, _ = solved_sheet(name)
             offsets = [np.full(pp.m - 1, s) for s in INVARIANCE_OFFSET_SCALES]
             inv = directrix_invariance(pp, sheet, offsets)
             ok = inv.max_deviation < 1e-6 and not inv.skipped
@@ -245,19 +264,17 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
     # -- criterion 8: classification ----------------------------------------
     def c8():
         for name, expected in EXPECTED_KINDS.items():
-            rep = classify_patch(patches[name], seed=seed)
+            rep = classify_patch(patches[name], seed=seed, segments=segments(name))
             kinds = rep.kinds()
             ok = kinds == [expected]
             detail = f"kinds={kinds} expected=[{expected}]"
             if name == "tangent_developable_product" and ok:
-                if name not in sheets:
-                    sheets[name] = _solved_sheet(patches[name], 1, seed)
-                _, sheet, _ = sheets[name]
+                _, sheet, _ = solved_sheet(name)
                 ok = sheet.free_count + 1 == 2
                 detail += f", sheet dimension {sheet.free_count + 1}"
             record(8, f"classification {name}", ok, detail)
         for name in DEGREE_ONE_PATCHES:
-            cv = converse_check(patches[name], seed=seed)
+            cv = converse_check(patches[name], seed=seed, segments=segments(name))
             record(8, f"singularity/developability converse {name}", cv.agree,
                    f"rank_one={cv.rank_one} coverage={cv.singular_coverage:.3f}")
     guarded(8, "classification", c8)
@@ -273,7 +290,8 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
                         f, p.fc.interval, order, n=50, seed=seed))
             record(9, f"analytic vs finite-difference derivatives {name}",
                    worst < 1e-7, f"max err {worst:.2e}")
-        rep = classify_patch(patches["rotating_cylinder"], seed=seed)
+        rep = classify_patch(patches["rotating_cylinder"], seed=seed,
+                             segments=segments("rotating_cylinder"))
         record(9, "rotating-frame cylinder classified cylindrical",
                rep.kinds() == [CYLINDRICAL], f"kinds={rep.kinds()}")
     guarded(9, "numerical hygiene", c9)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -113,30 +114,41 @@ class StrictionSheet:
         return self.fc.m - 1 - self.d
 
     def _affine(self, u_free) -> np.ndarray:
-        u_free = np.atleast_1d(np.asarray(u_free, dtype=float))
-        if u_free.shape != (self.free_count,):
+        """(1, u_free) for one free position (free,), or one row per
+        position of an (M, free) array."""
+        u_free = np.asarray(u_free, dtype=float)
+        if u_free.ndim == 0:
+            u_free = u_free[None]
+        if u_free.ndim > 2 or u_free.shape[-1] != self.free_count:
             raise ValidationError(
                 f"expected {self.free_count} free coordinates, got {u_free.shape}")
-        return np.concatenate([[1.0], u_free])
+        return np.concatenate([np.ones(u_free.shape[:-1] + (1,)), u_free], axis=-1)
 
-    def solved(self, t: float, u_free=()) -> np.ndarray:
-        """Trailing ruling coordinates of the sheet at (t, u_free)."""
-        return self._spline(t) @ self._affine(u_free)
+    def full_u(self, t, u_free=()) -> np.ndarray:
+        """All ruling coordinates of the sheet at (t, u_free), free ones
+        first: (m-1,) for a scalar t, (N, m-1) for an array of N
+        parameters, with u_free one free position (free,) or one per
+        parameter (N, free)."""
+        affine = self._affine(u_free)
+        solved = (self._spline(t) @ affine[..., None])[..., 0]
+        if affine.ndim < solved.ndim:  # one free position for every parameter
+            affine = np.broadcast_to(affine, solved.shape[:-1] + affine.shape)
+        return np.concatenate([affine[..., 1:], solved], axis=-1)
+
+    def solved(self, t, u_free=()) -> np.ndarray:
+        """Trailing (solved) ruling coordinates of the sheet at (t, u_free),
+        shaped as in `full_u`."""
+        return self.full_u(t, u_free)[..., self.free_count:]
 
     def solved_dot(self, t: float, u_free=()) -> np.ndarray:
         return self._spline(t, nu=1) @ self._affine(u_free)
 
-    def full_u(self, t: float, u_free=()) -> np.ndarray:
-        u_free = np.atleast_1d(np.asarray(u_free, dtype=float))
-        return np.concatenate([u_free, self.solved(t, u_free)])
-
-    def beta(self, t: float, u_free=()) -> np.ndarray:
-        """Point of the sheet in ambient coordinates."""
+    def beta(self, t, u_free=()) -> np.ndarray:
+        """Point of the sheet in ambient coordinates: (dim,) for a scalar t,
+        (N, dim) for an array (u_free as in `full_u`)."""
         fc = self.fc
-        out = fc.directrix_values(t, 0)
-        x = fc.frame_values(t)
         u = self.full_u(t, u_free)
-        return out + u @ x
+        return fc.directrix_values(t, 0) + (u[..., None, :] @ fc.frame_values(t))[..., 0, :]
 
     def _partials(self, ts: np.ndarray, x0: np.ndarray, x1: np.ndarray,
                   g1: np.ndarray, u_free: np.ndarray) -> np.ndarray:
@@ -406,12 +418,15 @@ def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets,
     fc, grid, tol = p.fc, p.grid, p.tol
     if sheet.d < 1:
         raise ValidationError("invariance requires a solved sheet (degree >= 1)")
-    # sample cloud of the original sheet for seeding: rows (t, u_free..., beta...)
-    seeds = []
-    for t in grid.t_samples:
-        for u_free in grid.u_points(sheet.free_count):
-            seeds.append(np.concatenate([[t], u_free, sheet.beta(t, u_free)]))
-    seeds = np.vstack(seeds)
+    # sample cloud of the original sheet for seeding: rows (t, u_free..., beta...), t-major
+    ts = grid.t_samples
+    u_pts = grid.u_points(sheet.free_count)
+    seeds = np.empty((ts.size, u_pts.shape[0], 1 + sheet.free_count + fc.dim))
+    seeds[:, :, 0] = ts[:, None]
+    seeds[:, :, 1:sheet.free_count + 1] = u_pts
+    for j, u_free in enumerate(u_pts):
+        seeds[:, j, sheet.free_count + 1:] = sheet.beta(ts, u_free)
+    seeds = seeds.reshape(-1, seeds.shape[2])
 
     per_offset, skipped = [], []
     worst = 0.0
@@ -432,16 +447,14 @@ def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets,
         new_grid = SampleGrid.uniform((0.0, pmap.length), grid.t_samples.size,
                                       grid.u_extent, grid.u_samples_per_axis)
         new_sheet = solve_striction(RuledPatch(new_fc, new_grid, tol), sheet.d)
-        axis = (np.linspace(-grid.u_extent, grid.u_extent, samples_per_axis)
-                if sheet.free_count else np.zeros(1))
+        axis = np.linspace(-grid.u_extent, grid.u_extent, samples_per_axis)
+        free_pts = np.array(list(product(axis, repeat=sheet.free_count)))
+        ss = new_grid.t_samples[:: max(1, new_grid.t_samples.size // 64)]
+        # re-solved sheet points, t-major
+        points = np.stack([new_sheet.beta(ss, u_free) for u_free in free_pts], axis=1)
         dev = 0.0
-        from itertools import product as _product
-        free_pts = (list(_product(axis, repeat=sheet.free_count))
-                    if sheet.free_count else [()])
-        for s in new_grid.t_samples[:: max(1, new_grid.t_samples.size // 64)]:
-            for u_free in free_pts:
-                q = new_sheet.beta(s, np.asarray(u_free))
-                dev = max(dev, _distance_to_sheet(sheet, q, seeds))
+        for q in points.reshape(-1, fc.dim):
+            dev = max(dev, _distance_to_sheet(sheet, q, seeds))
         per_offset.append((c.tolist(), dev))
         worst = max(worst, dev)
     return InvarianceResult(per_offset=tuple(per_offset), skipped=tuple(skipped),
@@ -460,9 +473,10 @@ def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for e in locus.entries:
-            solved = sheet.solved(e.t, e.u_free)
-            beta = sheet.beta(e.t, e.u_free)
+        ts = np.array([e.t for e in locus.entries])
+        u_free = np.array([e.u_free for e in locus.entries]).reshape(ts.size, sheet.free_count)
+        for e, solved, beta in zip(locus.entries, sheet.solved(ts, u_free),
+                                   sheet.beta(ts, u_free)):
             row = ([repr(e.t)]
                    + [repr(float(v)) for v in e.u_free]
                    + [repr(float(v)) for v in solved]

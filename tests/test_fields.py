@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from ruledkit import (AffineCombinationField, ComposedField, ConstantField,
                       RegularityError, ValidationError,
                       arclength_reparametrize, make_builtin_curve)
 from ruledkit.errors import ConfigError
-from ruledkit.fields import CircleCurve, LineCurve
+from ruledkit.fields import (CircleCurve, FrameCombinationField, LineCurve,
+                             ParameterMap, SplineCoefficients,
+                             TransportCoefficients, VectorField)
 from ruledkit.oracles import central_difference, max_derivative_error
 
 TWO_PI = 2.0 * math.pi
@@ -128,6 +131,10 @@ def test_composed_field_domain_checked():
     g = arclength_reparametrize(HelixCurve(), (0.0, TWO_PI))
     with pytest.raises(DomainError):
         g.eval(g.parameter_map.length + 1.0, 0)
+    # in an array, the first entry outside the domain is named
+    ss = np.array([0.0, 1.0, g.parameter_map.length + 1.0, -3.0])
+    with pytest.raises(DomainError, match=re.escape(f"t={float(ss[2])} ")):
+        g.eval(ss, 0)
 
 
 def test_composed_field_composes_companions():
@@ -150,3 +157,103 @@ def test_polynomial_rejects_bad_coefficients():
 def test_fourier_rejects_bad_coefficients():
     with pytest.raises(ValidationError):
         FourierField([(0.0, [np.inf], [], 1.0)])
+
+
+# --- array evaluation ----------------------------------------------------------
+
+def _frame_pair():
+    helix = HelixCurve()
+    return [DerivativeField(helix, 1), FourierField([(0.0, [0.6], [], 1.0),
+                                                     (0.8, [], [0.6], 1.0),
+                                                     (0.0, [0.3], [0.2], 2.0)])]
+
+
+def _coefficient_nodes():
+    nodes = np.linspace(0.0, TWO_PI, 9)
+    angle = 0.3 * np.sin(nodes)
+    values = np.empty((nodes.size, 2, 2))
+    values[:, 0, 0] = values[:, 1, 1] = np.cos(angle)
+    values[:, 0, 1] = -np.sin(angle)
+    values[:, 1, 0] = np.sin(angle)
+    return nodes, values
+
+
+def _array_cases():
+    """(id, field, parameters inside its domain) for every field kind."""
+    ts = np.linspace(0.0, TWO_PI, 13)
+    helix = HelixCurve(0.4, 0.9)
+    fourier = FourierField([(0.5, [1.0, 0.25], [0.5], 1.0), (0.0, [], [1.0], 2.0),
+                            (-1.0, [], [], 1.0)])
+    composed = arclength_reparametrize(
+        FourierField([(0.0, [2.0], [], 1.0), (0.0, [], [2.0], 1.0), (0.5, [], [0.3], 2.0)]),
+        (0.0, TWO_PI))
+    length = composed.parameter_map.length
+    bases = _frame_pair()
+    nodes, values = _coefficient_nodes()
+    return [
+        ("constant", ConstantField([1.0, -2.0, 0.5]), ts),
+        ("polynomial", PolynomialField([[1.0, -2.0, 0.5, 0.25], [0.0, 3.0], [2.0]]), ts),
+        ("fourier", fourier, ts),
+        ("helix", helix, ts),
+        ("circle", CircleCurve(2.0), ts),
+        ("line", LineCurve([1.0, 0.0, 0.0], [1.0, 1.0, 0.0]), ts),
+        ("embedded", EmbeddedField(helix, 5, offset=1), ts),
+        ("derivative", DerivativeField(helix, 1), ts),
+        ("composed", composed, np.linspace(0.0, length, 13)),
+        ("composed-companion", ComposedField(fourier, composed.parameter_map),
+         np.linspace(0.0, length, 13)),
+        ("affine", AffineCombinationField(helix, [DerivativeField(helix, 1)], [0.7]), ts),
+        ("frame-spline", FrameCombinationField(bases, SplineCoefficients(nodes, values), 1,
+                                               domain=(0.0, TWO_PI)), ts),
+        ("frame-transport", FrameCombinationField(bases, TransportCoefficients(
+            bases, nodes, values), 0, domain=(0.0, TWO_PI)), ts),
+    ]
+
+
+@pytest.mark.parametrize("case", _array_cases(), ids=lambda c: c[0])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_array_eval_equals_stacked_scalar_evals(case, order):
+    _, field, ts = case
+    stacked = field.eval(ts, order)
+    per_t = np.array([field.eval(t, order) for t in ts])
+    assert stacked.shape == (ts.size, field.dim)
+    assert per_t.shape == (ts.size, field.dim)
+    assert np.abs(stacked - per_t).max() <= 1e-14 * max(1.0, np.abs(per_t).max())
+
+
+def test_array_eval_rejects_matrices_of_parameters():
+    with pytest.raises(ValidationError):
+        HelixCurve().eval(np.zeros((2, 2)), 0)
+
+
+def test_parameter_map_inverts_arrays_entry_by_entry():
+    pmap = ParameterMap(FourierField([(0.0, [2.0], [], 1.0), (0.0, [], [1.0], 1.0),
+                                      (0.3, [0.2], [], 3.0)]), (0.0, TWO_PI))
+    ss = np.concatenate([np.linspace(0.0, pmap.length, 23), [0.5 * pmap.length]])
+    ts = pmap.t(ss)
+    assert isinstance(pmap.t(1.0), float)
+    assert np.array_equal(ts, [pmap.t(s) for s in ss])
+    assert np.array_equal(pmap.dt(ts), [pmap.dt(t) for t in ts])
+    assert np.array_equal(pmap.d2t(ts), [pmap.d2t(t) for t in ts])
+    # round trip through the arclength, at the quadrature nodes and between them
+    t_nodes = np.linspace(0.0, TWO_PI, 257)
+    for t in (t_nodes, 0.5 * (t_nodes[1:] + t_nodes[:-1])):
+        assert np.abs(pmap.t(pmap.s(t)) - t).max() < 1e-12
+    with pytest.raises(DomainError, match=re.escape(f"s={pmap.length + 1.0}")):
+        pmap.t(np.array([0.0, pmap.length + 1.0]))
+
+
+class _ScalarOnlyField(VectorField):
+    """A user field written for one scalar t at a time."""
+
+    dim = 2
+
+    def eval(self, t, order=0):
+        return np.array([math.cos(t + order * math.pi / 2.0), float(order == 0) * t])
+
+
+def test_scalar_only_subclass_evaluates_arrays():
+    f = _ScalarOnlyField()
+    ts = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(f.eval(ts, 1), np.array([f.eval(t, 1) for t in ts]))
+    assert f.eval(0.5, 0).shape == (2,)

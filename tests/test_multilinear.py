@@ -120,13 +120,27 @@ def test_wedge_squared_equals_gram_det(rows):
 @settings(max_examples=150, deadline=None)
 @given(vector_lists(), st.randoms(use_true_random=False))
 def test_rank_invariant_under_permutation_and_scaling(rows, rnd):
+    # the rank rule compares singular values with a fixed fraction of the
+    # largest one, so it is invariant under a row permutation and under one
+    # uniform factor; scaling rows independently is not covered (below)
     mat = np.asarray(rows, dtype=float)
     base = numerical_rank(mat)
     perm = list(range(mat.shape[0]))
     rnd.shuffle(perm)
-    scales = np.array([2.0 ** rnd.randint(-10, 10) for _ in perm])
-    scaled = mat[perm] * scales[:, None]
-    assert numerical_rank(scaled) == base
+    factor = 2.0 ** rnd.randint(-10, 10)
+    assert numerical_rank(mat[perm] * factor) == base
+
+
+def test_row_scaling_can_change_numerical_rank():
+    # full-rank integer matrix (determinant 6) whose smallest singular value
+    # falls under the relative cutoff once its rows are scaled independently
+    mat = np.array([[0, -4, 1, -5, 5, 1], [1, 3, -2, -3, 3, -5],
+                    [-2, 1, 0, 2, -1, -4], [-2, 3, -5, 2, 3, -1],
+                    [-4, 2, -3, -1, 3, -5], [-5, -3, -2, -3, 4, 4]], dtype=float)
+    scales = 2.0 ** np.array([7, 3, 0, -5, -4, -10])
+    assert round(np.linalg.det(mat)) == 6
+    assert numerical_rank(mat) == 6
+    assert numerical_rank(mat * scales[:, None]) == 5
 
 
 @settings(max_examples=150, deadline=None)

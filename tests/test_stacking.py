@@ -15,10 +15,13 @@ import numpy as np
 import pytest
 
 from conftest import small_patch
-from ruledkit import degree_profile, ingest, rank_one_check
+from ruledkit import (RuledPatch, SampleGrid, degree_profile, ingest, jacobian_sigma,
+                      make_builtin_patch, rank_one_check, selftest)
 from ruledkit.analysis import analyze
+from ruledkit.classify import SegmentAnalysis
+from ruledkit.multilinear import numerical_rank, spans_equal
 from ruledkit.parametric import BUILTIN_PATCHES
-from ruledkit.ruledgeom import second_form_scan
+from ruledkit.ruledgeom import second_form_scan, tangent_space_stability
 
 #: stacked and per-sample arithmetic may sum in another order; float64
 #: results of unit-scale inputs agree far inside this
@@ -117,3 +120,76 @@ def test_analyze_runs_each_stage_once(tmp_path, monkeypatch):
     analyze(result, tmp_path / "out", invariance=False)
     assert counts == {"second_form_scan": 1, "pivot_frame": 1,
                       "solve_striction": 1, "singular_locus": 1}
+
+
+@pytest.mark.parametrize("name", ["circular_cone", "tangent_developable_product"])
+def test_sheet_arrays_equal_per_parameter(name):
+    p = small_patch(name, 30)
+    sheet = SegmentAnalysis(p, 0, 30, 1).sheet
+    ts = p.grid.t_samples
+    for u_free in p.grid.u_points(sheet.free_count)[:3]:
+        assert _close(sheet.solved(ts, u_free), [sheet.solved(t, u_free) for t in ts])
+        assert _close(sheet.beta(ts, u_free), [sheet.beta(t, u_free) for t in ts])
+    # one free position per parameter
+    u_rows = np.linspace(-1.0, 1.0, ts.size * sheet.free_count).reshape(ts.size, -1)
+    assert _close(sheet.beta(ts, u_rows), [sheet.beta(t, u) for t, u in zip(ts, u_rows)])
+
+
+@pytest.mark.parametrize("name", ["cylinder_helix", "helicoid_frame", "circular_cone",
+                                  "tangent_developable_product", "two_rotation_r5"])
+def test_stacked_stability_equals_pair_by_pair(name):
+    p = small_patch(name, 9)
+    rng = np.random.default_rng(5)
+    for t in p.grid.t_samples:
+        pairs = rng.uniform(-2.0, 2.0, (6, 2, p.m - 1))
+        expected = True
+        for ua, ub in pairs:
+            ja, jb = jacobian_sigma(p, t, ua), jacobian_sigma(p, t, ub)
+            assert numerical_rank(ja, p.tol) == numerical_rank(jb, p.tol) == p.m
+            if not spans_equal(ja, jb, p.tol):
+                expected = False
+                break
+        assert tangent_space_stability(p, t, pairs) == expected
+
+
+def test_stability_sweep_draws_the_pairs_of_a_one_pair_loop(monkeypatch):
+    # a thin ruling box around the tangent developable's edge of regression,
+    # where about half the candidate pairs are rejected as too close to it;
+    # a sweep that draws more candidates than the one-pair loop then ends
+    # up accepting other pairs at the next t
+    fc = make_builtin_patch("tangent_developable_helix")
+    p = RuledPatch(fc, SampleGrid.uniform(fc.interval, 7, u_extent=0.01))
+    pairs_per_t, seed = 4, 11
+
+    rng = np.random.default_rng(seed)
+    expected, rejected = [], 0
+    for t in p.grid.t_samples:
+        pairs, attempts = [], 0
+        while len(pairs) < pairs_per_t and attempts < 50 * pairs_per_t:
+            attempts += 1
+            ua, ub = (rng.uniform(-0.01, 0.01, p.m - 1) for _ in range(2))
+            margins = [s[-1] / s[0] for s in (np.linalg.svd(jacobian_sigma(p, t, u),
+                                                             compute_uv=False)
+                                              for u in (ua, ub))]
+            if min(margins) < 1e-3:
+                rejected += 1
+                continue
+            pairs.append((ua, ub))
+        expected.append(np.array(pairs))
+    assert rejected > 0
+
+    seen = []
+    monkeypatch.setattr(selftest, "tangent_space_stability",
+                        lambda p, t, pairs: seen.append(np.array(pairs)) or True)
+    assert selftest._stability_sweep(p, pairs_per_t, seed)
+    assert len(seen) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+
+
+def test_selftest_solves_each_sheet_once(monkeypatch):
+    counts = _count_calls(monkeypatch, [("striction", "solve_striction")])
+    results = selftest.run_selftest(t_samples=30)
+    assert all(r.passed for r in results)
+    # four degree-one corpus sheets, plus 2 patches x 3 offsets re-solved
+    # by the directrix invariance check
+    assert counts["solve_striction"] == 4 + 2 * len(selftest.INVARIANCE_OFFSET_SCALES)
