@@ -101,6 +101,10 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
     if invariance and full_sheet is not None:
         offsets = [np.full(fc.m - 1, s) for s in DEFAULT_INVARIANCE_SCALES]
         inv = directrix_invariance(full_pivoted, full_sheet, offsets)
+        if inv.skipped:
+            notes.append("directrix invariance skipped offsets "
+                         + ", ".join(str(c) for c, _ in inv.skipped)
+                         + " (reasons under directrix_invariance.skipped)")
         invariance_section = {
             "offsets": [o.tolist() for o in offsets],
             "per_offset": [[c, dev] for c, dev in inv.per_offset],

@@ -518,7 +518,7 @@ def stack_fields(fields: Sequence[VectorField], t, order: int = 0) -> np.ndarray
     """order-th derivatives of the fields at t, stacked as (k, dim) for a
     scalar t and (N, k, dim) for an array; one `eval` per field."""
     vals = [f.eval(t, order) for f in fields]
-    return np.concatenate(vals, axis=-1).reshape(vals[0].shape[:-1] + (len(vals), -1))
+    return np.stack(vals, axis=-2)
 
 
 def connection_skew(bases: Sequence[VectorField], t, order: int = 1):

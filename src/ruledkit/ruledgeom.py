@@ -99,10 +99,11 @@ def _jacobians(x0: np.ndarray, x1: np.ndarray, g1: np.ndarray, u: np.ndarray) ->
     """(N, P, m, dim) Jacobians at N parameters times P ruling positions.
 
     x0, x1: (N, m-1, dim) frame values and derivatives; g1: (N, dim)
-    directrix derivatives; u: (P, m-1) ruling coordinates.
+    directrix derivatives; u: (P, m-1) ruling coordinates shared by every
+    parameter, or (N, P, m-1) coordinates of their own.
     """
     n, k, dim = x0.shape
-    jac = np.empty((n, u.shape[0], k + 1, dim))
+    jac = np.empty((n, u.shape[-2], k + 1, dim))
     jac[:, :, 0] = g1[:, None, :] + u @ x1
     jac[:, :, 1:] = x0[:, None]
     return jac
@@ -119,6 +120,14 @@ def jacobians_at(p: RuledPatch, t: float, u: np.ndarray) -> np.ndarray:
     fc = p.fc
     return _jacobians(fc.frame_values(t)[None], fc.frame_values(t, 1)[None],
                       fc.directrix_values(t, 1)[None], u)[0]
+
+
+def jacobians_at_points(p: RuledPatch, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(N, m, dim) Jacobians at N points (ts[i], u[i]) with u (N, m-1),
+    from one evaluation of the frame at all of ts."""
+    fc = p.fc
+    return _jacobians(fc.frame_values(ts), fc.frame_values(ts, 1),
+                      fc.directrix_values(ts, 1), u[:, None])[:, 0]
 
 
 def is_regular(p: RuledPatch, t: float, u) -> bool:

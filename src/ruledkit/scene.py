@@ -41,6 +41,8 @@ def _load_schema(name: str) -> dict:
 
 
 _SCENE_SCHEMA = _load_schema("scene.schema.json")
+#: built once: `jsonschema.validate` would re-check the schema itself on every call
+_SCENE_VALIDATOR = jsonschema.validators.validator_for(_SCENE_SCHEMA)(_SCENE_SCHEMA)
 
 
 def parse_field(spec: dict) -> VectorField:
@@ -82,9 +84,8 @@ def load_scene(path) -> dict:
 
 
 def validate_scene(doc: dict):
-    try:
-        jsonschema.validate(doc, _SCENE_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_SCENE_VALIDATOR.iter_errors(doc))
+    if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ValidationError(f"scene validation error at {where}: {exc.message}") from exc
     if "builtin_patch" in doc and doc["builtin_patch"] not in BUILTIN_PATCHES:

@@ -27,12 +27,12 @@ from scipy.linalg import qr, solve_triangular
 from scipy.optimize import least_squares
 
 from .distribution import profile_from_values, rho_at
-from .errors import DegeneracyError, NumericError, RegularityError, ValidationError
+from .errors import DegeneracyError, NumericError, ValidationError
 from .fields import AffineCombinationField, ComposedField, ParameterMap
-from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, numerical_rank,
-                          numerical_ranks, wedge_norms)
+from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, numerical_ranks,
+                          wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid
-from .ruledgeom import RuledPatch, jacobian_sigma
+from .ruledgeom import RuledPatch, jacobians_at_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,31 +155,33 @@ class StrictionSheet:
         """(N, P, m-d, dim) sheet Jacobians at N parameters times P free
         positions: the t-partial at fixed free coordinates, then the free
         partials. x0, x1: (N, m-1, dim) frame values and derivatives; g1:
-        (N, dim) directrix derivatives; u_free: (P, m-1-d)."""
+        (N, dim) directrix derivatives; u_free: (P, m-1-d) positions shared
+        by every parameter, or (N, P, m-1-d) positions of their own."""
         lo = self.free_count
-        affine = np.concatenate([np.ones((u_free.shape[0], 1)), u_free], axis=1)
+        affine = np.concatenate([np.ones(u_free.shape[:-1] + (1,)), u_free], axis=-1)
         coeff = self._spline(ts)
         s = affine @ coeff.swapaxes(1, 2)                       # (N, P, d)
         sdot = affine @ self._spline(ts, nu=1).swapaxes(1, 2)   # (N, P, d)
-        out = np.empty((ts.size, u_free.shape[0], lo + 1, x0.shape[2]))
+        out = np.empty((ts.size, u_free.shape[-2], lo + 1, x0.shape[2]))
         out[:, :, 0] = g1[:, None, :] + u_free @ x1[:, :lo] + sdot @ x0[:, lo:] + s @ x1[:, lo:]
         out[:, :, 1:] = (x0[:, :lo] + coeff[:, :, 1:].swapaxes(1, 2) @ x0[:, lo:])[:, None]
         return out
 
-    def _partials_at(self, t: float, u_free) -> np.ndarray:
+    def beta_partials(self, t, u_free=()) -> np.ndarray:
+        """Jacobian of the sheet map, the t-partial at fixed free coordinates
+        first, then the free partials: (m-d, dim) for a scalar t,
+        (N, m-d, dim) for an array (u_free as in `full_u`)."""
         fc = self.fc
-        u_free = self._affine(u_free)[1:]
-        return self._partials(np.array([float(t)]), fc.frame_values(t)[None],
-                              fc.frame_values(t, 1)[None],
-                              fc.directrix_values(t, 1)[None], u_free[None])[0, 0]
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        u_free = self._affine(u_free)[..., None, 1:]  # (1, free) or (N, 1, free)
+        out = self._partials(ts, fc.frame_values(ts), fc.frame_values(ts, 1),
+                             fc.directrix_values(ts, 1), u_free)[:, 0]
+        return out if np.ndim(t) else out[0]
 
-    def beta_dot(self, t: float, u_free=()) -> np.ndarray:
-        """t-derivative of the sheet map at fixed free coordinates."""
-        return self._partials_at(t, u_free)[0]
-
-    def beta_partials(self, t: float, u_free=()) -> np.ndarray:
-        """(m-d, dim) Jacobian of the sheet map: t-partial, then free partials."""
-        return self._partials_at(t, u_free)
+    def beta_dot(self, t, u_free=()) -> np.ndarray:
+        """t-derivative of the sheet map at fixed free coordinates, shaped
+        as `beta`."""
+        return self.beta_partials(t, u_free)[..., 0, :]
 
     def grid_partials(self, values: GridValues) -> np.ndarray:
         """Sheet Jacobians at every grid parameter and free grid position,
@@ -324,14 +326,17 @@ def singular_locus(p: RuledPatch, sheet: StrictionSheet,
     spacing = float(axis[1] - axis[0]) if axis.size > 1 else grid.u_extent / 5.0
     delta = 10.0 * spacing
     lo, hi = fc.interval
-    failures = []
-    for _ in range(offsheet_checks):
-        t = float(rng.uniform(lo, hi))
-        u_free = rng.uniform(-grid.u_extent, grid.u_extent, size=sheet.free_count)
-        signs = rng.choice([-1.0, 1.0], size=sheet.d)
-        u = np.concatenate([u_free, sheet.solved(t, u_free) + delta * signs])
-        if numerical_rank(jacobian_sigma(p, t, u), tol) != fc.m:
-            failures.append((t, u.tolist()))
+    ts = np.empty(offsheet_checks)
+    u = np.empty((offsheet_checks, fc.m - 1))
+    signs = np.empty((offsheet_checks, sheet.d))
+    for i in range(offsheet_checks):  # the seed's stream: t, u_free, signs per check
+        ts[i] = rng.uniform(lo, hi)
+        u[i, :sheet.free_count] = rng.uniform(-grid.u_extent, grid.u_extent,
+                                              size=sheet.free_count)
+        signs[i] = rng.choice([-1.0, 1.0], size=sheet.d)
+    u[:, sheet.free_count:] = sheet.solved(ts, u[:, :sheet.free_count]) + delta * signs
+    irregular = np.flatnonzero(numerical_ranks(jacobians_at_points(p, ts, u), tol) != fc.m)
+    failures = [(float(ts[i]), u[i].tolist()) for i in irregular]
     return SingularLocus(entries=tuple(entries),
                          offsheet_total=offsheet_checks,
                          offsheet_regular=offsheet_checks - len(failures),
@@ -382,27 +387,76 @@ class InvarianceResult:
     max_deviation: float
 
 
-def _distance_to_sheet(sheet: StrictionSheet, point: np.ndarray,
-                       seeds: np.ndarray) -> float:
-    """Distance from a point to the sheet as a continuous object.
-
-    Seeded at the nearest sampled sheet point, then refined by bounded
-    least squares over (t, free coordinates).
-    """
-    lo, hi = sheet.fc.interval
-    ext = sheet.grid.u_extent
-    free = sheet.free_count
-    cloud = seeds
-    d2 = np.sum((cloud[:, free + 1:] - point) ** 2, axis=1)
-    best = cloud[int(np.argmin(d2))]
+def _stacked_fit(sheet: StrictionSheet, points: np.ndarray):
+    """Residual and exact Jacobian of the nearest-sheet-point problem of N
+    points at once: theta holds one (t, free coordinates) row per point,
+    flattened. Point i's residual depends on row i only, so the Jacobian
+    is block diagonal, with the sheet partials of each row as its block."""
+    n, dim = points.shape
+    width = 1 + sheet.free_count
+    rows = np.arange(n)
 
     def residual(theta):
-        return sheet.beta(theta[0], theta[1:]) - point
+        theta = theta.reshape(n, width)
+        return (sheet.beta(theta[:, 0], theta[:, 1:]) - points).ravel()
 
-    bounds = ([lo] + [-4.0 * ext] * free, [hi] + [4.0 * ext] * free)
-    x0 = np.clip(best[:free + 1], bounds[0], bounds[1])
-    fit = least_squares(residual, x0, bounds=bounds, xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    return float(np.linalg.norm(fit.fun))
+    def jacobian(theta):
+        theta = theta.reshape(n, width)
+        jac = np.zeros((n, dim, n, width))
+        jac[rows, :, rows] = sheet.beta_partials(theta[:, 0], theta[:, 1:]).swapaxes(1, 2)
+        return jac.reshape(n * dim, n * width)
+
+    return residual, jacobian
+
+
+def _distances_to_sheet(sheet: StrictionSheet, points: np.ndarray,
+                        seeds: np.ndarray) -> np.ndarray:
+    """Distance from each of N points to the sheet as a continuous object,
+    (N,), from its seed parameters (N, 1 + free).
+
+    All points are refined together by one bounded least squares over
+    their (t, free coordinates). A point's distance is the smaller of its
+    distances to the seed's and to the refined sheet point; both are sheet
+    points, so each value bounds the true distance from above.
+    """
+    lo, hi = sheet.fc.interval
+    ext = 4.0 * sheet.grid.u_extent
+    n = points.shape[0]
+    lower = np.tile([lo] + [-ext] * sheet.free_count, n)
+    upper = np.tile([hi] + [ext] * sheet.free_count, n)
+    residual, jacobian = _stacked_fit(sheet, points)
+    x0 = np.clip(seeds.ravel(), lower, upper)
+    at_seed = residual(x0).reshape(points.shape)
+    fit = least_squares(residual, x0, jac=jacobian, bounds=(lower, upper),
+                        xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    return np.minimum(np.linalg.norm(at_seed, axis=1),
+                      np.linalg.norm(fit.fun.reshape(points.shape), axis=1))
+
+
+def _offset_deviation(p: RuledPatch, sheet: StrictionSheet, c: np.ndarray,
+                      free_pts: np.ndarray) -> float:
+    """Largest distance to `sheet` from the sheet re-solved off the
+    directrix shifted by c, over about 64 of the new grid nodes times
+    `free_pts`."""
+    fc, grid = p.fc, p.grid
+    shifted = AffineCombinationField(fc.directrix, list(fc.frame), c)
+    pmap = ParameterMap(shifted, fc.interval)
+    new_fc = FramedCurve(fc.dim, fc.m, ComposedField(shifted, pmap),
+                         tuple(ComposedField(f, pmap) for f in fc.frame),
+                         (0.0, pmap.length))
+    new_grid = SampleGrid.uniform((0.0, pmap.length), grid.t_samples.size,
+                                  grid.u_extent, grid.u_samples_per_axis)
+    new_sheet = solve_striction(RuledPatch(new_fc, new_grid, p.tol), sheet.d)
+    ss = new_grid.t_samples[:: max(1, new_grid.t_samples.size // 64)]
+    seeds = np.empty((ss.size, 1 + sheet.free_count))
+    seeds[:, 0] = pmap.t(ss)
+    dev = 0.0
+    for u_free in free_pts:
+        # sigma'(s, u) = sigma(t(s), u + c): the matched original parameters
+        seeds[:, 1:] = u_free + c[:sheet.free_count]
+        dists = _distances_to_sheet(sheet, new_sheet.beta(ss, u_free), seeds)
+        dev = max(dev, float(dists.max()))
+    return dev
 
 
 def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets,
@@ -410,51 +464,32 @@ def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets,
     """Re-solve the sheet from shifted directrices and compare images.
 
     Each offset is a constant ruling coordinate vector c; the shifted
-    directrix t -> sigma(t, c) is reparametrized to unit speed, the frame
-    is composed with the same parameter map, and the sheet is re-solved.
-    The deviation is the largest distance from a re-solved sheet sample to
-    the original sheet (continuous nearest-point refinement).
+    directrix t -> sigma(t, c) is reparametrized to unit speed by a
+    parameter map t(s), the frame is composed with the same map, and the
+    sheet is re-solved. Since sigma'(s, u) = sigma(t(s), u + c), the
+    re-solved point at (s, u_free) is matched to the original sheet at
+    (t(s), u_free + c_free); from there one least-squares refinement per
+    free sample position moves all of an offset's points to their nearest
+    sheet points. The deviation is the largest distance from a re-solved
+    sheet sample to the original sheet. An offset whose re-solve fails
+    numerically is skipped with its reason.
     """
-    fc, grid, tol = p.fc, p.grid, p.tol
+    fc, grid = p.fc, p.grid
     if sheet.d < 1:
         raise ValidationError("invariance requires a solved sheet (degree >= 1)")
-    # sample cloud of the original sheet for seeding: rows (t, u_free..., beta...), t-major
-    ts = grid.t_samples
-    u_pts = grid.u_points(sheet.free_count)
-    seeds = np.empty((ts.size, u_pts.shape[0], 1 + sheet.free_count + fc.dim))
-    seeds[:, :, 0] = ts[:, None]
-    seeds[:, :, 1:sheet.free_count + 1] = u_pts
-    for j, u_free in enumerate(u_pts):
-        seeds[:, j, sheet.free_count + 1:] = sheet.beta(ts, u_free)
-    seeds = seeds.reshape(-1, seeds.shape[2])
-
+    axis = np.linspace(-grid.u_extent, grid.u_extent, samples_per_axis)
+    free_pts = np.array(list(product(axis, repeat=sheet.free_count)))
     per_offset, skipped = [], []
     worst = 0.0
     for c in offsets:
         c = np.atleast_1d(np.asarray(c, dtype=float))
         if c.shape != (fc.m - 1,):
             raise ValidationError(f"offset must have {fc.m - 1} coordinates")
-        shifted = AffineCombinationField(fc.directrix, list(fc.frame), c)
         try:
-            pmap = ParameterMap(shifted, fc.interval)
-        except RegularityError as exc:
-            skipped.append((c.tolist(), str(exc)))
+            dev = _offset_deviation(p, sheet, c, free_pts)
+        except NumericError as exc:
+            skipped.append((c.tolist(), f"{type(exc).__name__}: {exc}"))
             continue
-        new_directrix = ComposedField(shifted, pmap)
-        new_frame = [ComposedField(f, pmap) for f in fc.frame]
-        new_fc = FramedCurve(fc.dim, fc.m, new_directrix, tuple(new_frame),
-                             (0.0, pmap.length))
-        new_grid = SampleGrid.uniform((0.0, pmap.length), grid.t_samples.size,
-                                      grid.u_extent, grid.u_samples_per_axis)
-        new_sheet = solve_striction(RuledPatch(new_fc, new_grid, tol), sheet.d)
-        axis = np.linspace(-grid.u_extent, grid.u_extent, samples_per_axis)
-        free_pts = np.array(list(product(axis, repeat=sheet.free_count)))
-        ss = new_grid.t_samples[:: max(1, new_grid.t_samples.size // 64)]
-        # re-solved sheet points, t-major
-        points = np.stack([new_sheet.beta(ss, u_free) for u_free in free_pts], axis=1)
-        dev = 0.0
-        for q in points.reshape(-1, fc.dim):
-            dev = max(dev, _distance_to_sheet(sheet, q, seeds))
         per_offset.append((c.tolist(), dev))
         worst = max(worst, dev)
     return InvarianceResult(per_offset=tuple(per_offset), skipped=tuple(skipped),

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from ruledkit import DegeneracyError, ValidationError, ingest
 from ruledkit.analysis import analyze
 from ruledkit.cli import main
-from ruledkit.scene import _load_schema, normalized_scene_bytes
+from ruledkit.scene import _load_schema, normalized_scene_bytes, validate_scene
 from ruledkit.selftest import run_selftest, all_passed
 from ruledkit.multilinear import TolerancePolicy
 
@@ -125,6 +125,30 @@ def test_ingest_rejects_schema_violations(tmp_path):
                                       "grid": {"t_samples": 1}}))
 
 
+def test_shipped_schemas_pass_the_metaschema():
+    for name in ("scene.schema.json", "report.schema.json"):
+        schema = _load_schema(name)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    {"ambient_dim": 3},
+    {"builtin_patch": 5},
+    {"builtin_patch": "circular_cone", "grid": {"t_samples": 1}},
+    {"builtin_patch": "circular_cone", "grid": {"t_samples": 40, "u_extent": "wide"}},
+    dict(EXPLICIT_HELICOID, frame=[{"coordinates": []}]),
+    dict(EXPLICIT_HELICOID, interval=[0.0]),
+])
+def test_scene_validation_error_is_the_best_match(doc):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, _load_schema("scene.schema.json"))
+    where = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
+    with pytest.raises(ValidationError) as got:
+        validate_scene(doc)
+    assert str(got.value) == f"scene validation error at {where}: {want.value.message}"
+
+
 def test_ingest_rejects_dimension_mismatch(tmp_path):
     doc = dict(EXPLICIT_HELICOID, ambient_dim=4)
     with pytest.raises(ValidationError, match="dimension"):
@@ -223,6 +247,21 @@ def test_analyze_cone_outputs(tmp_path):
     # vertex lines are plain numbers, parseable by standard OBJ readers
     first = np.array([float(v) for v in vertices[0].split()[1:]])
     assert first.shape == (3,) and np.all(np.isfinite(first))
+
+
+def test_analyze_skips_invariance_offsets_whose_resolve_fails(tmp_path):
+    # the orthonormalized frame of this scene is orthonormal only at grid
+    # nodes; the invariance re-solve evaluates it between them at 40 samples
+    # and fails there, which skips each offset instead of aborting
+    from perfbench.scenegen import explicit_scene
+    report = analyze(ingest(explicit_scene(0), {"t_samples": 40}), tmp_path, seed=0)
+    loaded = json.loads((tmp_path / "report.json").read_text())
+    jsonschema.validate(loaded, _load_schema("report.schema.json"))
+    inv = report["directrix_invariance"]
+    assert not inv["per_offset"]
+    assert [c for c, _ in inv["skipped"]] == inv["offsets"]
+    assert all(reason.startswith("FrameError: ") for _, reason in inv["skipped"])
+    assert sum("directrix invariance skipped offsets" in n for n in report["notes"]) == 1
 
 
 def test_analyze_helicoid_striction_line(tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from ruledkit import (DegeneracyError, FourierField, FramedCurve,
                       PolynomialField, RuledPatch, SampleGrid,
@@ -10,7 +11,12 @@ from ruledkit import (DegeneracyError, FourierField, FramedCurve,
                       directrix_invariance, equivalent_condition_check,
                       pivot_frame, rho_at, singular_locus, solve_striction,
                       striction_jacobian_rank, write_striction_csv)
-from ruledkit.multilinear import numerical_rank
+from ruledkit import striction
+from ruledkit.analysis import DEFAULT_INVARIANCE_SCALES, analyze
+from ruledkit.fields import VectorField
+from ruledkit.multilinear import TolerancePolicy, numerical_rank
+from ruledkit.ruledgeom import jacobian_sigma
+from ruledkit.scene import ingest
 
 SQ2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
@@ -161,6 +167,57 @@ def test_singular_locus_cone(cone_sheet):
     assert locus.offsheet_all_regular
 
 
+class _VaryingRateRuling(VectorField):
+    """X(t) = (cos phi, sin phi, 0) with phi = t + 0.8 sin t: a unit ruling
+    turning at a rate that varies between 0.2 and 1.8."""
+
+    dim = 3
+
+    def eval(self, t, order=0):
+        phi, d1, d2 = t + 0.8 * math.sin(t), 1.0 + 0.8 * math.cos(t), -0.8 * math.sin(t)
+        c, s = math.cos(phi), math.sin(phi)
+        if order == 0:
+            return np.array([c, s, 0.0])
+        if order == 1:
+            return np.array([-s * d1, c * d1, 0.0])
+        return np.array([-c * d1 ** 2 - s * d2, -s * d1 ** 2 + c * d2, 0.0])
+
+
+def _offsheet_failures_one_by_one(p, sheet, checks, seed):
+    rng = np.random.default_rng(seed)
+    axis = p.grid.u_axis
+    delta = 10.0 * float(axis[1] - axis[0])
+    lo, hi = p.fc.interval
+    failures = []
+    for _ in range(checks):
+        t = float(rng.uniform(lo, hi))
+        u_free = rng.uniform(-p.grid.u_extent, p.grid.u_extent, size=sheet.free_count)
+        signs = rng.choice([-1.0, 1.0], size=sheet.d)
+        u = np.concatenate([u_free, sheet.solved(t, u_free) + delta * signs])
+        if numerical_rank(jacobian_sigma(p, t, u), p.tol) != p.m:
+            failures.append((t, u.tolist()))
+    return tuple(failures)
+
+
+def test_stacked_offsheet_checks_equal_the_per_point_loop(product_sheet):
+    # a 0.1 rank cutoff makes the off-sheet points irregular where the
+    # ruling turns fast, so some checks fail and some pass
+    fc = FramedCurve(3, 2, PolynomialField([[0.0], [0.0], [0.0, 1.0]]),
+                     (_VaryingRateRuling(),), (0.0, TWO_PI))
+    wobble = RuledPatch(fc, SampleGrid.uniform(fc.interval, 41),
+                        TolerancePolicy(rank_rel_tol=0.1))
+    for p, sheet in ((wobble, solve_striction(wobble, 1)), product_sheet):
+        for seed in (1, 3):
+            locus = singular_locus(p, sheet, seed=seed)
+            expected = _offsheet_failures_one_by_one(p, sheet, 32, seed)
+            assert locus.offsheet_failures == expected
+            assert locus.offsheet_regular == 32 - len(expected)
+    assert 0 < len(singular_locus(wobble, solve_striction(wobble, 1), seed=3)
+                   .offsheet_failures) < 32
+    assert singular_locus(wobble, solve_striction(wobble, 1),
+                          offsheet_checks=0).offsheet_total == 0
+
+
 def test_dense_random_box_sample_has_no_offsheet_singularities(td_sheet):
     # singular points exist only on the sheet (u = 0 for this patch)
     p, sheet = td_sheet
@@ -216,6 +273,119 @@ def test_invariance_skips_irregular_offset(cone_sheet):
 def test_invariance_rejected_for_cylinder(cylinder_patch):
     with pytest.raises(ValidationError):
         solve_striction(cylinder_patch, 0)
+
+
+def _oracle_distance(sheet, point, seed):
+    """Per-point nearest-sheet-point search: bounded least squares from the
+    seed with a finite-difference Jacobian."""
+    lo, hi = sheet.fc.interval
+    ext = sheet.grid.u_extent
+    free = sheet.free_count
+    bounds = ([lo] + [-4.0 * ext] * free, [hi] + [4.0 * ext] * free)
+
+    def residual(theta):
+        return sheet.beta(theta[0], theta[1:]) - point
+
+    x0 = np.clip(seed, bounds[0], bounds[1])
+    fit = least_squares(residual, x0, bounds=bounds, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    return float(np.linalg.norm(fit.fun))
+
+
+def _off_sheet_points(sheet, n, rng):
+    """Points near the sheet, and seeds near their foot parameters."""
+    lo, hi = sheet.fc.interval
+    feet = np.column_stack([rng.uniform(lo + 0.3, hi - 0.3, n),
+                            rng.uniform(-1.0, 1.0, (n, sheet.free_count))])
+    points = (sheet.beta(feet[:, 0], feet[:, 1:])
+              + 0.05 * rng.standard_normal((n, sheet.fc.dim)))
+    return points, feet + 0.02 * rng.standard_normal(feet.shape)
+
+
+def _curved_sheet(patch, d):
+    """A sheet over the patch's frame whose solved coordinates vary with t
+    and depend on the free ones, so that every term of the sheet partials
+    is nonzero (the solved sheets of the builtins have constant ones)."""
+    ts = patch.grid.t_samples
+    cols = patch.m - d
+    k = np.arange(1, d * cols + 1).reshape(d, cols)
+    nodes = 0.3 * np.sin(k * ts[:, None, None] + 0.5 * k)
+    return striction.StrictionSheet(d=d, fc=patch.fc, grid=patch.grid, solution_nodes=nodes,
+                                    max_solve_residual=0.0, max_defining_residual=0.0)
+
+
+@pytest.fixture
+def fit_sheets(td_sheet, product_sheet, two_rotation_patch, product_patch):
+    p5 = pivoted(two_rotation_patch, 2)
+    return [td_sheet[1], product_sheet[1], solve_striction(p5, 2),
+            _curved_sheet(td_sheet[0], 1), _curved_sheet(product_patch, 1),
+            _curved_sheet(two_rotation_patch, 1)]
+
+
+def test_batched_distances_match_per_point_oracle(fit_sheets):
+    rng = np.random.default_rng(11)
+    for sheet in fit_sheets:
+        points, seeds = _off_sheet_points(sheet, 20, rng)
+        dists = striction._distances_to_sheet(sheet, points, seeds)
+        oracle = np.array([_oracle_distance(sheet, q, x) for q, x in zip(points, seeds)])
+        matched = np.linalg.norm(points - sheet.beta(seeds[:, 0], seeds[:, 1:]), axis=1)
+        assert dists.shape == (20,)
+        assert np.all(dists >= oracle - 1e-12)
+        assert np.all(dists <= matched)
+
+
+def test_stacked_fit_jacobian_matches_central_differences(fit_sheets):
+    rng = np.random.default_rng(12)
+    for sheet in fit_sheets:
+        points, seeds = _off_sheet_points(sheet, 7, rng)
+        residual, jacobian = striction._stacked_fit(sheet, points)
+        theta = seeds.ravel()
+        jac = jacobian(theta)
+        h = 1e-6
+        numeric = np.column_stack([
+            (residual(theta + h * e) - residual(theta - h * e)) / (2.0 * h)
+            for e in np.eye(theta.size)])
+        assert jac.shape == (points.size, theta.size)
+        assert np.abs(jac - numeric).max() <= 1e-7 * np.abs(jac).max()
+
+
+@pytest.mark.parametrize("fixture, d", [("helicoid_patch", 1), ("two_rotation_patch", 2)])
+def test_invariance_deviation_free_of_bound_step(request, fixture, d):
+    # least_squares moves a seed on the t bound inside by its rstep (1e-10
+    # relative); the distance to the seed's own sheet point is not moved
+    p = pivoted(request.getfixturevalue(fixture), d)
+    offsets = [np.full(p.m - 1, s) for s in DEFAULT_INVARIANCE_SCALES]
+    result = directrix_invariance(p, solve_striction(p, d), offsets)
+    assert len(result.per_offset) == 3
+    assert result.max_deviation < 1e-14
+
+
+def test_invariance_matched_seed_avoids_wrong_local_minimum():
+    # seeded at the nearest sampled sheet point in ambient space, the
+    # search ends in a local minimum 1.6e-3 away on this scene
+    from perfbench.scenegen import explicit_scene
+    p = ingest(explicit_scene(1), {"t_samples": 200}).patch
+    sheet_patch = pivoted(p)
+    result = directrix_invariance(sheet_patch, solve_striction(sheet_patch, 1), [[0.5]])
+    assert not result.skipped
+    assert result.max_deviation < 1e-6
+
+
+def test_invariance_one_least_squares_per_offset_and_free_position(monkeypatch, tmp_path,
+                                                                   product_sheet):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return least_squares(*args, **kwargs)
+
+    monkeypatch.setattr(striction, "least_squares", counting)
+    analyze(ingest({"builtin_patch": "circular_cone", "grid": {"t_samples": 40}}),
+            tmp_path, seed=0)
+    assert len(calls) == len(DEFAULT_INVARIANCE_SCALES)
+    calls.clear()
+    p, sheet = product_sheet
+    directrix_invariance(p, sheet, [[0.5, 0.5], [1.0, 1.0]], samples_per_axis=3)
+    assert len(calls) == 2 * 3 ** sheet.free_count
 
 
 # --- CSV export -------------------------------------------------------------------
