@@ -10,12 +10,12 @@ undetermined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .distribution import constant_degree_segments, pivot_frame
+from .distribution import constant_degree_segments, equal_runs, pivot_frame
 from .errors import DegeneracyError, NumericError, PivotError, ValidationError
 from .multilinear import TolerancePolicy
 from .ruledgeom import RuledPatch
@@ -166,75 +166,58 @@ def segment_analyses(p: RuledPatch, seed: int = 0) -> list[SegmentAnalysis]:
 
 def _rank_runs(verdicts: list[str | None], ts: np.ndarray):
     """Maximal runs of identical non-None verdicts; None samples are boundaries."""
-    runs = []
-    start = None
-    for i, v in enumerate(verdicts + [None]):
-        if start is None:
-            if v is not None:
-                start = i
-        elif v != verdicts[start]:
-            runs.append((start, i, verdicts[start]))
-            start = i if v is not None else None
+    runs = [(i0, i1, verdicts[i0]) for i0, i1 in equal_runs(verdicts)
+            if verdicts[i0] is not None]
     boundaries = [float(ts[i]) for i, v in enumerate(verdicts) if v is None]
     return runs, boundaries
 
 
 def _classify_segment(seg: SegmentAnalysis):
-    """Regions and boundary samples for one constant-degree segment."""
+    """Regions and boundary samples for one constant-degree segment.
+
+    The segment's evidence record gains fields as the stages run; a stage
+    that decides the whole segment returns it as one region.
+    """
     p, d = seg.patch, seg.d
     ts = p.grid.t_samples
     t_range = (float(ts[0]), float(ts[-1]))
     m = p.m
+    ev = RegionEvidence(degree=d)
+
+    def whole(kind: str, **fields):
+        return [Region(t_range, kind, replace(ev, **fields))], []
 
     scan = p.scan
     planar = scan.planar()
     planar_all = bool(scan.regular.any()) and len(planar) == int(scan.regular.sum())
     if d == 0:
-        notes = ("planar region",) if planar_all else ()
-        return [Region(t_range, CYLINDRICAL,
-                       RegionEvidence(degree=0, planar=planar_all, notes=notes))], []
+        return whole(CYLINDRICAL, planar=planar_all,
+                     notes=("planar region",) if planar_all else ())
 
     if planar_all:
-        return [Region(t_range, CYLINDRICAL,
-                       RegionEvidence(degree=d, planar=True,
-                                      notes=("planar region swept by a moving "
-                                             "frame; treated as cylindrical",)))], []
+        return whole(CYLINDRICAL, planar=True,
+                     notes=("planar region swept by a moving frame; treated as cylindrical",))
 
     r1 = p.rank_one
+    ev = replace(ev, max_rank_one_residual=r1.max_residual)
     if d >= 2 or not r1.verdict:
-        notes = ()
-        if r1.planar:
-            notes = (f"{len(r1.planar)} isolated planar samples",)
-        return [Region(t_range, NON_RANK_ONE,
-                       RegionEvidence(degree=d,
-                                      max_rank_one_residual=r1.max_residual,
-                                      notes=notes))], []
+        return whole(NON_RANK_ONE, notes=(f"{len(r1.planar)} isolated planar samples",)
+                     if r1.planar else ())
 
     try:
         sheet = seg.sheet
     except (PivotError, DegeneracyError) as exc:
-        return [Region(t_range, UNDETERMINED,
-                       RegionEvidence(degree=d,
-                                      max_rank_one_residual=r1.max_residual,
-                                      notes=(f"striction unavailable: {exc}",)))], []
+        return whole(UNDETERMINED, notes=(f"striction unavailable: {exc}",))
 
-    coverage = seg.locus.singular_fraction
-    if coverage < SINGULAR_COVERAGE:
-        return [Region(t_range, UNDETERMINED,
-                       RegionEvidence(degree=d,
-                                      max_rank_one_residual=r1.max_residual,
-                                      singular_fraction=coverage,
-                                      notes=("developable segment whose sheet is not "
-                                             "singular at the required coverage",)))], []
+    ev = replace(ev, singular_fraction=seg.locus.singular_fraction)
+    if ev.singular_fraction < SINGULAR_COVERAGE:
+        return whole(UNDETERMINED, notes=("developable segment whose sheet is not "
+                                          "singular at the required coverage",))
 
     try:
         ranks = seg.jacobian_ranks
     except NumericError as exc:
-        return [Region(t_range, UNDETERMINED,
-                       RegionEvidence(degree=d,
-                                      max_rank_one_residual=r1.max_residual,
-                                      singular_fraction=coverage,
-                                      notes=(f"sheet rank profile unavailable: {exc}",)))], []
+        return whole(UNDETERMINED, notes=(f"sheet rank profile unavailable: {exc}",))
     verdicts: list[str | None] = []
     for row in ranks:
         if (row == m - 1).all():
@@ -248,27 +231,17 @@ def _classify_segment(seg: SegmentAnalysis):
     regions = []
     for i0, i1, kind in runs:
         rng = (float(ts[i0]), float(ts[i1 - 1]))
-        rank = m - 1 if kind == TANGENT else m - 2
+        run_ev = replace(ev, striction_rank_profile=(m - 1 if kind == TANGENT else m - 2,))
         if (i1 - 1) - i0 < MIN_RUN_STEPS:
-            regions.append(Region(rng, UNDETERMINED,
-                                  RegionEvidence(degree=d,
-                                                 max_rank_one_residual=r1.max_residual,
-                                                 striction_rank_profile=(rank,),
-                                                 singular_fraction=coverage,
-                                                 notes=("run narrower than the minimum "
-                                                        "region width",))))
+            regions.append(Region(rng, UNDETERMINED, replace(
+                run_ev, notes=("run narrower than the minimum region width",))))
             continue
         apex = None
         if kind == CONICAL and sheet.free_count == 0:
-            pts = sheet.beta(ts[i0:i1])
+            pts = sheet.grid_points(())[i0:i1]
             if np.linalg.norm(pts - pts.mean(axis=0), axis=1).max() < 1e-6:
                 apex = tuple(float(v) for v in pts.mean(axis=0))
-        regions.append(Region(rng, kind,
-                              RegionEvidence(degree=d,
-                                             max_rank_one_residual=r1.max_residual,
-                                             striction_rank_profile=(rank,),
-                                             singular_fraction=coverage,
-                                             apex=apex)))
+        regions.append(Region(rng, kind, replace(run_ev, apex=apex)))
     return regions, boundary
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -137,17 +138,18 @@ def degree_profile(fc: FramedCurve, grid: SampleGrid,
     return profile_from_values(fc.grid_values(grid.t_samples), tol)
 
 
+def equal_runs(values: Sequence) -> list[tuple[int, int]]:
+    """Maximal runs of equal consecutive entries, as (start, end_exclusive)."""
+    n = len(values)
+    if not n:
+        return []
+    edges = [0] + [i for i in range(1, n) if values[i] != values[i - 1]] + [n]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def constant_degree_segments(profile: DegreeProfile) -> list[tuple[int, int, int]]:
     """Maximal runs of equal degree, as (start, end_exclusive, degree)."""
-    degrees = profile.degrees
-    runs = []
-    start = 0
-    for i in range(1, degrees.size):
-        if degrees[i] != degrees[start]:
-            runs.append((start, i, int(degrees[start])))
-            start = i
-    runs.append((start, degrees.size, int(degrees[start])))
-    return runs
+    return [(i0, i1, int(profile.degrees[i0])) for i0, i1 in equal_runs(profile.degrees)]
 
 
 def pivot_frame(fc: FramedCurve, grid: SampleGrid, d: int,

@@ -40,7 +40,7 @@ def write_mesh_obj(path, patch: RuledPatch, sheet: StrictionSheet | None = None)
     if sheet is not None:
         base = ts.size * nu
         lines.append("o striction")
-        for x, y, z in sheet.beta(ts).tolist():
+        for x, y, z in sheet.grid_points(()).tolist():
             lines.append(f"v {x!r} {y!r} {z!r}")
         idx = " ".join(str(base + i + 1) for i in range(ts.size))
         lines.append(f"l {idx}")

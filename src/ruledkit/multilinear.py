@@ -153,6 +153,20 @@ def numerical_ranks(stack: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES
                             axis=-1)
 
 
+def gram_schmidt_r(stack: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt of the rows of each (k, dim) matrix of a (..., k, dim)
+    stack, k <= dim, as the (..., k, k) upper triangular R of the QR
+    factorization of its transpose, with nonnegative diagonal.
+
+    Row i is sum_a R[a, i] q_a over the orthonormalized rows q_a, a <= i,
+    so R^-T @ stack is orthonormal; R[i, i] is the length of row i off
+    the span of the rows before it, 0 when they are dependent.
+    """
+    r = np.linalg.qr(stack.swapaxes(-1, -2), mode="r")
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return r * np.where(diag == 0, 1.0, np.sign(diag))[..., None]
+
+
 def orthonormal_span(vectors: Sequence, tol: TolerancePolicy = DEFAULT_TOLERANCES,
                      dim: int | None = None) -> np.ndarray:
     """Orthonormal basis (rows) of the span, rank-truncated by `tol`."""

@@ -9,6 +9,7 @@ the scene loader, the self-test corpus, and the docs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
@@ -17,12 +18,12 @@ import numpy as np
 
 from .errors import (ConfigError, DegeneracyError, FrameError, NumericError,
                      ValidationError)
-from .fields import (BUILTIN_CURVES, ConstantField, DerivativeField,
-                     EmbeddedField, FourierField, FrameCombinationField,
-                     HelixCurve, PolynomialField, SplineCoefficients,
-                     TransportCoefficients, VectorField, connection_skew,
-                     stack_fields)
-from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy
+from .fields import (BUILTIN_CURVES, ComposedField, ConstantField,
+                     DerivativeField, EmbeddedField, FourierField,
+                     FrameCombinationField, HelixCurve, PolynomialField,
+                     SplineCoefficients, TransportCoefficients, VectorField,
+                     arclength_reparametrize, connection_skew, stack_fields)
+from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, gram_schmidt_r
 
 TWO_PI = 2.0 * math.pi
 
@@ -143,12 +144,16 @@ class SampleGrid:
             raise ValidationError("t_samples must be strictly increasing")
         if not (self.u_extent > 0):
             raise ValidationError("u_extent must be positive")
+        if not np.isfinite(self.u_extent):
+            raise ValidationError("u_extent must be finite")
         if self.u_samples_per_axis < 1:
             raise ValidationError("u_samples_per_axis must be >= 1")
 
     @classmethod
     def uniform(cls, interval: tuple[float, float], t_samples: int = 200,
                 u_extent: float = 2.0, u_samples_per_axis: int = 5) -> "SampleGrid":
+        if not (isinstance(t_samples, numbers.Integral) and t_samples >= 3):
+            raise ValidationError("grid needs at least 3 parameter samples")
         ts = np.linspace(interval[0], interval[1], t_samples)
         return cls(ts, u_extent, u_samples_per_axis)
 
@@ -185,18 +190,29 @@ def gram_schmidt_frame(fields: Sequence[VectorField], grid: SampleGrid,
     if k == 0:
         return []
     ts = grid.t_samples
-    v = stack_fields(fields, ts).swapaxes(1, 2)  # (N, dim, k): one column per field
-    r = np.linalg.qr(v, mode="r")
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    signs = np.where(diag == 0, 1.0, np.sign(diag))
-    r = r * signs[:, :, None]
+    v = stack_fields(fields, ts)
+    r = gram_schmidt_r(v)
     scale = np.maximum(1.0, np.linalg.norm(v, axis=(1, 2)))
-    dependent = np.flatnonzero(np.abs(diag).min(axis=1) < tol.zero_abs_tol * scale)
+    dependent = np.flatnonzero(np.diagonal(r, axis1=1, axis2=2).min(axis=1)
+                               < tol.zero_abs_tol * scale)
     if dependent.size:
         raise DegeneracyError(f"frame fields are dependent at t={ts[dependent[0]]}")
     coeffs = SplineCoefficients(ts, np.linalg.inv(r))
     return [FrameCombinationField(list(fields), coeffs, j, domain=interval)
             for j in range(k)]
+
+
+def arclength_framed_curve(fc: FramedCurve) -> FramedCurve:
+    """The framed curve reparametrized by the arclength of its directrix.
+
+    The directrix and every frame field are composed with one parameter
+    map, so the new curve runs over (0, L); the map is the directrix's
+    `parameter_map`.
+    """
+    directrix = arclength_reparametrize(fc.directrix, fc.interval)
+    pmap = directrix.parameter_map
+    return FramedCurve(fc.dim, fc.m, directrix,
+                       tuple(ComposedField(f, pmap) for f in fc.frame), (0.0, pmap.length))
 
 
 def _polar_orthonormalize(a: np.ndarray) -> np.ndarray:

@@ -22,8 +22,9 @@ import numpy as np
 
 from .distribution import DegreeProfile, profile_from_values
 from .errors import RegularityError, ValidationError
-from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, numerical_rank,
-                          numerical_ranks, rank_mask, wedge_norms)
+from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, gram_schmidt_r,
+                          numerical_rank, numerical_ranks, rank_mask,
+                          wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid
 
 
@@ -114,24 +115,14 @@ def jacobian_sigma(p: RuledPatch, t: float, u) -> np.ndarray:
     return jacobians_at(p, t, _as_u(p, u)[None])[0]
 
 
-def jacobians_at(p: RuledPatch, t: float, u: np.ndarray) -> np.ndarray:
-    """(P, m, dim) Jacobians at one parameter t and P ruling positions
-    u (P, m-1), from one evaluation of the frame at t."""
-    fc = p.fc
-    return _jacobians(fc.frame_values(t)[None], fc.frame_values(t, 1)[None],
-                      fc.directrix_values(t, 1)[None], u)[0]
-
-
-def jacobians_at_points(p: RuledPatch, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(N, m, dim) Jacobians at N points (ts[i], u[i]) with u (N, m-1),
-    from one evaluation of the frame at all of ts."""
-    fc = p.fc
-    return _jacobians(fc.frame_values(ts), fc.frame_values(ts, 1),
-                      fc.directrix_values(ts, 1), u[:, None])[:, 0]
-
-
-def is_regular(p: RuledPatch, t: float, u) -> bool:
-    return numerical_rank(jacobian_sigma(p, t, u), p.tol) == p.m
+def jacobians_at(p: RuledPatch, t, u: np.ndarray) -> np.ndarray:
+    """(P, m, dim) Jacobians at P ruling positions u (P, m-1) and t, one
+    parameter shared by all of them or an array of P, one per position;
+    from one evaluation of the frame at t."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    v = p.fc.grid_values(ts)
+    u = u if np.ndim(t) == 0 else u[:, None]
+    return _jacobians(v.frame(0), v.frame(1), v.directrix(1), u).reshape(-1, p.m, p.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,20 +135,22 @@ class PointwiseSecondForm:
     first_normal_dim: int
 
 
-def _second_form_vectors(x0, x1, x2, g1, g2, u, tol: TolerancePolicy):
+def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: TolerancePolicy):
     """Jacobians, normal parts of sigma_tt and Xdot_j, and regularity,
-    stacked over N parameters times P ruling positions.
+    stacked over the N parameters `rows` of `v` times P ruling positions
+    u (P, m-1).
 
     Returns (jac, vecs, regular) of shapes (N, P, m, dim), (N, P, m, dim)
     and (N, P). All mixed second partials d2(sigma)/du_i du_j vanish, so
     the m vectors of vecs span the image of the second fundamental form;
     they are meaningful only where `regular` holds.
     """
-    jac = _jacobians(x0, x1, g1, u)
+    x1, x2 = v.frame(1)[rows], v.frame(2)[rows]
+    jac = _jacobians(v.frame(0)[rows], x1, v.directrix(1)[rows], u)
     _, s, vt = np.linalg.svd(jac, full_matrices=False)
     regular = rank_mask(s, tol).all(axis=-1)
     raw = np.empty_like(jac)
-    raw[:, :, 0] = g2[:, None, :] + u @ x2
+    raw[:, :, 0] = v.directrix(2)[rows][:, None, :] + u @ x2
     raw[:, :, 1:] = x1[:, None]
     vecs = raw - (raw @ vt.swapaxes(-1, -2)) @ vt
     return jac, vecs, regular
@@ -165,10 +158,8 @@ def _second_form_vectors(x0, x1, x2, g1, g2, u, tol: TolerancePolicy):
 
 def _second_form_at(p: RuledPatch, t: float, u: np.ndarray):
     """(jac, vecs) at one point; raises at a singular point."""
-    fc = p.fc
-    jac, vecs, regular = _second_form_vectors(
-        fc.frame_values(t)[None], fc.frame_values(t, 1)[None], fc.frame_values(t, 2)[None],
-        fc.directrix_values(t, 1)[None], fc.directrix_values(t, 2)[None], u[None], p.tol)
+    jac, vecs, regular = _second_form_vectors(p.fc.grid_values(np.array([float(t)])),
+                                              slice(None), u[None], p.tol)
     if not regular[0, 0]:
         raise RegularityError(f"patch is singular at (t={t}, u={u.tolist()})")
     return jac[0, 0], vecs[0, 0]
@@ -178,15 +169,6 @@ def _second_form_at(p: RuledPatch, t: float, u: np.ndarray):
 #: kernel's temporary arrays near 100 kB on any grid, small enough that
 #: repeated scans do not grow the process heap
 SCAN_BLOCK_POINTS = 1024
-
-
-def _grid_second_form(p: RuledPatch, rows: slice = slice(None)):
-    """Stacked second-form vectors at the grid points of the t samples
-    `rows` (see _second_form_vectors)."""
-    v = p.values
-    return _second_form_vectors(v.frame(0)[rows], v.frame(1)[rows], v.frame(2)[rows],
-                                v.directrix(1)[rows], v.directrix(2)[rows],
-                                p.grid.u_points(p.m - 1), p.tol)
 
 
 def second_form_along_directrix(p: RuledPatch, t: float, u) -> PointwiseSecondForm:
@@ -238,7 +220,7 @@ def second_form_scan(p: RuledPatch) -> SecondFormScan:
     step = max(1, SCAN_BLOCK_POINTS // u.shape[0])
     for lo in range(0, ts.size, step):
         rows = slice(lo, lo + step)
-        _, vecs, regular[rows] = _grid_second_form(p, rows)
+        _, vecs, regular[rows] = _second_form_vectors(p.values, rows, u, p.tol)
         dims[rows] = np.where(regular[rows], numerical_ranks(vecs, p.tol), -1)
     return SecondFormScan(t=ts, u=u, regular=regular, dims=dims)
 
@@ -346,23 +328,10 @@ def _orthonormal_tangent_coeffs(jac: np.ndarray, tol: TolerancePolicy) -> np.nda
     Returns the lower triangular change of basis S with S @ jac
     orthonormal, per stack entry.
     """
-    m = jac.shape[-2]
-    basis = np.empty_like(jac)
-    coeff = np.zeros(jac.shape[:-2] + (m, m))
-    for i in range(m):
-        w = jac[..., i, :].copy()
-        c = np.zeros(jac.shape[:-2] + (m,))
-        c[..., i] = 1.0
-        for a in range(i):
-            proj = np.sum(basis[..., a, :] * jac[..., i, :], axis=-1)[..., None]
-            w -= proj * basis[..., a, :]
-            c -= proj * coeff[..., a, :]
-        norm = np.linalg.norm(w, axis=-1)
-        if np.any(norm < tol.zero_abs_tol):
-            raise RegularityError("tangent basis is degenerate")
-        basis[..., i, :] = w / norm[..., None]
-        coeff[..., i, :] = c / norm[..., None]
-    return coeff
+    r = gram_schmidt_r(jac)
+    if np.any(np.diagonal(r, axis1=-2, axis2=-1) < tol.zero_abs_tol):
+        raise RegularityError("tangent basis is degenerate")
+    return np.linalg.inv(r).swapaxes(-1, -2)
 
 
 def _coordinate_plane_curvatures(jac: np.ndarray, vecs: np.ndarray,
@@ -372,19 +341,19 @@ def _coordinate_plane_curvatures(jac: np.ndarray, vecs: np.ndarray,
     in (0, 1), (0, 2), ..., (m-2, m-1) order."""
     s = _orthonormal_tangent_coeffs(jac, tol)
     m = jac.shape[-2]
-    # II in the orthonormal basis; only row/column 0 of the coordinate
-    # form is nonzero.
-    ii = np.zeros(jac.shape[:-2] + (m, m, jac.shape[-1]))
-    for a in range(m):
-        for b in range(a, m):
-            v = (s[..., a, 0] * s[..., b, 0])[..., None] * vecs[..., 0, :]
-            for j in range(1, m):
-                v = v + (s[..., a, 0] * s[..., b, j]
-                         + s[..., a, j] * s[..., b, 0])[..., None] * vecs[..., j, :]
-            ii[..., a, b, :] = ii[..., b, a, :] = v
-    return np.stack([np.sum(ii[..., a, a, :] * ii[..., b, b, :], axis=-1)
-                     - np.sum(ii[..., a, b, :] * ii[..., a, b, :], axis=-1)
-                     for a in range(m) for b in range(a + 1, m)], axis=-1)
+    w = s @ vecs
+    s0 = s[..., :, :1]
+
+    def ii(a, b):
+        # II in the orthonormal basis: only row/column 0 of the coordinate
+        # form is nonzero, so II_ab = s_a0 W_b + s_b0 W_a - s_a0 s_b0 vecs_0
+        # with W = s @ vecs
+        return (s0[..., a, :] * w[..., b, :] + s0[..., b, :] * w[..., a, :]
+                - s0[..., a, :] * s0[..., b, :] * vecs[..., :1, :])
+
+    a, b = np.triu_indices(m, 1)
+    diag = ii(np.arange(m), np.arange(m))
+    return np.sum(diag[..., a, :] * diag[..., b, :], axis=-1) - np.sum(ii(a, b) ** 2, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,7 +377,8 @@ def flatness_check(p: RuledPatch) -> FlatnessResult:
     enough to witness non-flatness for ruled patches (the form vanishes on
     ruling pairs).
     """
-    jac, vecs, regular = _grid_second_form(p)
+    jac, vecs, regular = _second_form_vectors(p.values, slice(None),
+                                              p.grid.u_points(p.m - 1), p.tol)
     where = np.nonzero(regular)
     curv = _coordinate_plane_curvatures(jac[where], vecs[where], p.tol)
     checked = int(curv.shape[0])

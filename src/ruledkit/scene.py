@@ -18,12 +18,12 @@ import jsonschema
 import numpy as np
 
 from .errors import ValidationError
-from .fields import (ComposedField, ConstantField, FourierField,
-                     PolynomialField, VectorField, arclength_reparametrize,
-                     make_builtin_curve)
+from .fields import (ConstantField, FourierField, PolynomialField,
+                     VectorField, make_builtin_curve)
 from .multilinear import TolerancePolicy
 from .parametric import (BUILTIN_PATCHES, FramedCurve, SampleGrid,
-                         gram_schmidt_frame, make_builtin_patch)
+                         arclength_framed_curve, gram_schmidt_frame,
+                         make_builtin_patch)
 from .ruledgeom import RuledPatch
 
 SCENE_SCHEMA_ID = "ruledkit.scene/v1"
@@ -188,13 +188,10 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
                              - 1.0).max())
     reparametrized = speed_dev > tol.derivative_check_tol
     if reparametrized:
-        new_directrix = arclength_reparametrize(fc.directrix, fc.interval)
-        pmap = new_directrix.parameter_map
-        frame = tuple(ComposedField(f, pmap) for f in fc.frame)
-        fc = FramedCurve(fc.dim, fc.m, new_directrix, frame, (0.0, pmap.length))
+        fc = arclength_framed_curve(fc)
         grid = make_grid(fc.interval)
         notes.append(f"directrix reparametrized to unit speed "
-                     f"(speed deviation was {speed_dev:.3e}; new length {pmap.length!r})")
+                     f"(speed deviation was {speed_dev:.3e}; new length {fc.interval[1]!r})")
 
     x = fc.frame_values(grid.t_samples)
     gram_dev = float(np.abs(x @ x.swapaxes(1, 2) - np.eye(fc.m - 1)).max())

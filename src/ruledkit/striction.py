@@ -18,7 +18,8 @@ eigenvalue floor fall back to a per-sample pivoted QR solve.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -28,11 +29,11 @@ from scipy.optimize import least_squares
 
 from .distribution import profile_from_values, rho_at
 from .errors import DegeneracyError, NumericError, ValidationError
-from .fields import AffineCombinationField, ComposedField, ParameterMap
+from .fields import AffineCombinationField
 from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, numerical_ranks,
                           wedge_norms)
-from .parametric import FramedCurve, GridValues, SampleGrid
-from .ruledgeom import RuledPatch, jacobians_at_points
+from .parametric import FramedCurve, GridValues, SampleGrid, arclength_framed_curve
+from .ruledgeom import RuledPatch, jacobians_at
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +97,9 @@ class StrictionSheet:
     The solved trailing coordinates are affine in the free ruling
     coordinates with t-dependent weights, so a single vector spline per
     t-node captures the whole sheet exactly up to interpolation in t.
+    The grid stages (`values`, `grid_partials`) are computed on first
+    use and kept; a sheet from `solve_striction` shares the frame values
+    it was solved from.
     """
 
     d: int
@@ -140,24 +144,35 @@ class StrictionSheet:
         shaped as in `full_u`."""
         return self.full_u(t, u_free)[..., self.free_count:]
 
-    def solved_dot(self, t: float, u_free=()) -> np.ndarray:
-        return self._spline(t, nu=1) @ self._affine(u_free)
+    @cached_property
+    def values(self) -> GridValues:
+        """Frame and directrix derivatives on the sheet's grid."""
+        return self.fc.grid_values(self.grid.t_samples)
+
+    def _points(self, t, x0: np.ndarray, g0: np.ndarray, u_free) -> np.ndarray:
+        """Sheet points at t (u_free as in `full_u`) from the frame values
+        x0 and directrix values g0 at t."""
+        u = self.full_u(t, u_free)
+        return g0 + (u[..., None, :] @ x0)[..., 0, :]
 
     def beta(self, t, u_free=()) -> np.ndarray:
         """Point of the sheet in ambient coordinates: (dim,) for a scalar t,
         (N, dim) for an array (u_free as in `full_u`)."""
-        fc = self.fc
-        u = self.full_u(t, u_free)
-        return fc.directrix_values(t, 0) + (u[..., None, :] @ fc.frame_values(t))[..., 0, :]
+        return self._points(t, self.fc.frame_values(t), self.fc.directrix_values(t, 0), u_free)
 
-    def _partials(self, ts: np.ndarray, x0: np.ndarray, x1: np.ndarray,
-                  g1: np.ndarray, u_free: np.ndarray) -> np.ndarray:
-        """(N, P, m-d, dim) sheet Jacobians at N parameters times P free
-        positions: the t-partial at fixed free coordinates, then the free
-        partials. x0, x1: (N, m-1, dim) frame values and derivatives; g1:
-        (N, dim) directrix derivatives; u_free: (P, m-1-d) positions shared
-        by every parameter, or (N, P, m-1-d) positions of their own."""
+    def grid_points(self, u_free) -> np.ndarray:
+        """`beta` at every grid parameter, (N, dim), from the grid values;
+        u_free is one free position or one per grid parameter."""
+        v = self.values
+        return self._points(self.grid.t_samples, v.frame(0), v.directrix(0), u_free)
+
+    def _partials(self, values: GridValues, u_free: np.ndarray) -> np.ndarray:
+        """(N, P, m-d, dim) sheet Jacobians at the N parameters of `values`
+        times P free positions: the t-partial at fixed free coordinates,
+        then the free partials. u_free: (P, m-1-d) positions shared by
+        every parameter, or (N, P, m-1-d) positions of their own."""
         lo = self.free_count
+        ts, x0, x1, g1 = values.ts, values.frame(0), values.frame(1), values.directrix(1)
         affine = np.concatenate([np.ones(u_free.shape[:-1] + (1,)), u_free], axis=-1)
         coeff = self._spline(ts)
         s = affine @ coeff.swapaxes(1, 2)                       # (N, P, d)
@@ -171,11 +186,9 @@ class StrictionSheet:
         """Jacobian of the sheet map, the t-partial at fixed free coordinates
         first, then the free partials: (m-d, dim) for a scalar t,
         (N, m-d, dim) for an array (u_free as in `full_u`)."""
-        fc = self.fc
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         u_free = self._affine(u_free)[..., None, 1:]  # (1, free) or (N, 1, free)
-        out = self._partials(ts, fc.frame_values(ts), fc.frame_values(ts, 1),
-                             fc.directrix_values(ts, 1), u_free)[:, 0]
+        out = self._partials(self.fc.grid_values(ts), u_free)[:, 0]
         return out if np.ndim(t) else out[0]
 
     def beta_dot(self, t, u_free=()) -> np.ndarray:
@@ -183,11 +196,11 @@ class StrictionSheet:
         as `beta`."""
         return self.beta_partials(t, u_free)[..., 0, :]
 
-    def grid_partials(self, values: GridValues) -> np.ndarray:
+    @cached_property
+    def grid_partials(self) -> np.ndarray:
         """Sheet Jacobians at every grid parameter and free grid position,
-        (N, P, m-d, dim); `values` are the frame values on the sheet's grid."""
-        return self._partials(self.grid.t_samples, values.frame(0), values.frame(1),
-                              values.directrix(1), self.grid.u_points(self.free_count))
+        (N, P, m-d, dim)."""
+        return self._partials(self.values, self.grid.u_points(self.free_count))
 
     def defining_residual(self, t: float, u_free=()) -> float:
         """max_h |<beta_dot, rho X_h>| over the trailing fields."""
@@ -227,9 +240,8 @@ def solve_striction(p: RuledPatch, d: int) -> StrictionSheet:
     sheet = StrictionSheet(d=d, fc=fc, grid=grid, solution_nodes=nodes,
                            max_solve_residual=max_solve, max_defining_residual=0.0,
                            fallback_ts=[float(t) for t in ts[fallback]])
-    v = p.values
-    beta_dot = sheet._partials(ts, v.frame(0), v.frame(1), v.directrix(1),
-                               np.zeros((1, sheet.free_count)))[:, 0, 0]
+    sheet.values = p.values
+    beta_dot = sheet._partials(p.values, np.zeros((1, sheet.free_count)))[:, 0, 0]
     max_def = float(_defining_residuals(rho, beta_dot, d).max())
     sheet.max_defining_residual = max_def
     if not max_def <= tol.zero_abs_tol:  # NaN included
@@ -263,7 +275,7 @@ def striction_jacobian_rank(sheet: StrictionSheet, t: float, u_free=(),
 def sheet_jacobian_ranks(p: RuledPatch, sheet: StrictionSheet) -> np.ndarray:
     """`striction_jacobian_rank` at every grid parameter and free grid
     position, (N, P), from one stacked SVD."""
-    return _ranks_above_floor(sheet, sheet.grid_partials(p.values), p.grid.t_samples, p.tol)
+    return _ranks_above_floor(sheet, sheet.grid_partials, p.grid.t_samples, p.tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,13 +307,13 @@ class SingularLocus:
         return self.offsheet_regular == self.offsheet_total
 
 
-def _sheet_wedges(p: RuledPatch, sheet: StrictionSheet) -> np.ndarray:
+def _sheet_wedges(sheet: StrictionSheet) -> np.ndarray:
     """(N, P, m, dim) stack of [beta_dot, X_1, ..., X_{m-1}] at every grid
     parameter and free grid position."""
-    beta_dot = sheet.grid_partials(p.values)[:, :, 0]
-    wedges = np.empty(beta_dot.shape[:2] + (p.m, p.dim))
+    beta_dot = sheet.grid_partials[:, :, 0]
+    wedges = np.empty(beta_dot.shape[:2] + (sheet.fc.m, sheet.fc.dim))
     wedges[:, :, 0] = beta_dot
-    wedges[:, :, 1:] = p.values.frame(0)[:, None]
+    wedges[:, :, 1:] = sheet.values.frame(0)[:, None]
     return wedges
 
 
@@ -316,7 +328,7 @@ def singular_locus(p: RuledPatch, sheet: StrictionSheet,
     """
     fc, grid, tol = p.fc, p.grid, p.tol
     u_pts = grid.u_points(sheet.free_count)
-    residuals = wedge_norms(_sheet_wedges(p, sheet))
+    residuals = wedge_norms(_sheet_wedges(sheet))
     entries = [SingularSample(t=float(t), u_free=u_free, wedge_residual=float(res),
                               singular=bool(res < tol.zero_abs_tol))
                for t, row in zip(grid.t_samples, residuals)
@@ -335,7 +347,7 @@ def singular_locus(p: RuledPatch, sheet: StrictionSheet,
                                               size=sheet.free_count)
         signs[i] = rng.choice([-1.0, 1.0], size=sheet.d)
     u[:, sheet.free_count:] = sheet.solved(ts, u[:, :sheet.free_count]) + delta * signs
-    irregular = np.flatnonzero(numerical_ranks(jacobians_at_points(p, ts, u), tol) != fc.m)
+    irregular = np.flatnonzero(numerical_ranks(jacobians_at(p, ts, u), tol) != fc.m)
     failures = [(float(ts[i]), u[i].tolist()) for i in irregular]
     return SingularLocus(entries=tuple(entries),
                          offsheet_total=offsheet_checks,
@@ -356,7 +368,7 @@ def equivalent_condition_check(p: RuledPatch, sheet: StrictionSheet) -> Equivale
     fc, grid, tol = p.fc, p.grid, p.tol
     u_pts = grid.u_points(sheet.free_count)
     carriers = np.linalg.norm(p.profile.rho, axis=2) >= tol.zero_abs_tol  # (N, m-1)
-    wedges = _sheet_wedges(p, sheet)
+    wedges = _sheet_wedges(sheet)
     plain = wedge_norms(wedges) < tol.zero_abs_tol  # (N, P)
     if fc.m + 1 > fc.dim:
         # the augmented wedge involves more vectors than the ambient
@@ -439,22 +451,20 @@ def _offset_deviation(p: RuledPatch, sheet: StrictionSheet, c: np.ndarray,
     directrix shifted by c, over about 64 of the new grid nodes times
     `free_pts`."""
     fc, grid = p.fc, p.grid
-    shifted = AffineCombinationField(fc.directrix, list(fc.frame), c)
-    pmap = ParameterMap(shifted, fc.interval)
-    new_fc = FramedCurve(fc.dim, fc.m, ComposedField(shifted, pmap),
-                         tuple(ComposedField(f, pmap) for f in fc.frame),
-                         (0.0, pmap.length))
-    new_grid = SampleGrid.uniform((0.0, pmap.length), grid.t_samples.size,
+    new_fc = arclength_framed_curve(
+        replace(fc, directrix=AffineCombinationField(fc.directrix, list(fc.frame), c)))
+    new_grid = SampleGrid.uniform(new_fc.interval, grid.t_samples.size,
                                   grid.u_extent, grid.u_samples_per_axis)
     new_sheet = solve_striction(RuledPatch(new_fc, new_grid, p.tol), sheet.d)
-    ss = new_grid.t_samples[:: max(1, new_grid.t_samples.size // 64)]
+    step = max(1, new_grid.t_samples.size // 64)
+    ss = new_grid.t_samples[::step]
     seeds = np.empty((ss.size, 1 + sheet.free_count))
-    seeds[:, 0] = pmap.t(ss)
+    seeds[:, 0] = new_fc.directrix.parameter_map.t(ss)
     dev = 0.0
     for u_free in free_pts:
         # sigma'(s, u) = sigma(t(s), u + c): the matched original parameters
         seeds[:, 1:] = u_free + c[:sheet.free_count]
-        dists = _distances_to_sheet(sheet, new_sheet.beta(ss, u_free), seeds)
+        dists = _distances_to_sheet(sheet, new_sheet.grid_points(u_free)[::step], seeds)
         dev = max(dev, float(dists.max()))
     return dev
 
@@ -508,13 +518,14 @@ def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        ts = np.array([e.t for e in locus.entries])
-        u_free = np.array([e.u_free for e in locus.entries]).reshape(ts.size, sheet.free_count)
-        for e, solved, beta in zip(locus.entries, sheet.solved(ts, u_free),
-                                   sheet.beta(ts, u_free)):
+        ts, u_pts = sheet.grid.t_samples, sheet.grid.u_points(sheet.free_count)
+        # one column per free grid position: the t-major order of the locus
+        solved = np.stack([sheet.solved(ts, u) for u in u_pts], axis=1).reshape(-1, d)
+        points = np.stack([sheet.grid_points(u) for u in u_pts], axis=1).reshape(-1, dim)
+        for e, s, b in zip(locus.entries, solved, points):
             row = ([repr(e.t)]
                    + [repr(float(v)) for v in e.u_free]
-                   + [repr(float(v)) for v in solved]
-                   + [repr(float(v)) for v in beta]
+                   + [repr(float(v)) for v in s]
+                   + [repr(float(v)) for v in b]
                    + [repr(e.wedge_residual), "true" if e.singular else "false"])
             writer.writerow(row)

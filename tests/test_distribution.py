@@ -6,6 +6,7 @@ import pytest
 from ruledkit import (FourierField, FramedCurve, PolynomialField, SampleGrid,
                       TolerancePolicy, ValidationError, constant_degree_segments,
                       degree_profile, make_builtin_patch, pivot_frame, rho_at)
+from ruledkit.distribution import equal_runs
 from ruledkit.fields import VectorField
 from ruledkit.multilinear import spans_equal
 
@@ -183,3 +184,10 @@ def test_borderline_samples_are_flagged():
     grid = SampleGrid.uniform(fc.interval, 9)
     prof = degree_profile(fc, grid, TolerancePolicy())
     assert prof.borderline_t
+
+
+def test_equal_runs_split_at_every_change():
+    assert equal_runs([]) == []
+    assert equal_runs([1]) == [(0, 1)]
+    assert equal_runs(np.array([0, 0, 1, 1, 1, 0])) == [(0, 2), (2, 5), (5, 6)]
+    assert equal_runs([None, "a", "a", None, None]) == [(0, 1), (1, 3), (3, 5)]

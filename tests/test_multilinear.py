@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruledkit import TolerancePolicy, ValidationError
-from ruledkit.multilinear import (as_vector_list, gram_matrix, numerical_rank,
+from ruledkit.multilinear import (as_vector_list, gram_matrix, gram_schmidt_r, numerical_rank,
                                   project_orthogonal, spans_equal, wedge_norm)
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -185,3 +185,19 @@ def test_tolerance_policy_validation():
         TolerancePolicy(zero_abs_tol=0.0)
     with pytest.raises(ValidationError):
         TolerancePolicy(derivative_check_tol=-1e-9)
+
+
+@pytest.mark.parametrize("k, dim", [(1, 3), (2, 3), (3, 5)])
+def test_gram_schmidt_r_factors_the_rows(k, dim):
+    stack = np.random.default_rng(k).normal(size=(6, k, dim))
+    stack[0, -1] = -2.0 * stack[0, 0]  # the last row depends on the first
+    r = gram_schmidt_r(stack)
+    assert np.array_equal(r, np.triu(r))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    assert (diag >= 0.0).all()
+    # R^T R is the Gram matrix of the rows, and R^-T @ stack is orthonormal
+    assert np.abs(r.swapaxes(1, 2) @ r - stack @ stack.swapaxes(1, 2)).max() < 1e-12
+    q = np.linalg.solve(r[1:].swapaxes(1, 2), stack[1:])
+    assert np.abs(q @ q.swapaxes(1, 2) - np.eye(k)).max() < 1e-12
+    if k > 1:
+        assert diag[0, -1] < 1e-12

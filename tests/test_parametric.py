@@ -9,7 +9,7 @@ from ruledkit import (ConfigError, ConstantField, DegeneracyError, FourierField,
                       gram_schmidt_frame, make_builtin_patch,
                       parallel_transport_frame, rho_at)
 from ruledkit.multilinear import gram_matrix, numerical_rank, project_orthogonal
-from ruledkit.parametric import BUILTIN_PATCHES
+from ruledkit.parametric import BUILTIN_PATCHES, arclength_framed_curve
 
 TWO_PI = 2.0 * math.pi
 SQ2 = math.sqrt(2.0)
@@ -89,6 +89,22 @@ def test_sample_grid_validation():
     assert SampleGrid(np.linspace(0, 1, 5), 2.0, 3).u_points(2).shape == (9, 2)
 
 
+@pytest.mark.parametrize("t_samples", [2, 0, -5, 4.0, 3.5, "9"])
+def test_uniform_grid_rejects_bad_sample_counts(t_samples):
+    with pytest.raises(ValidationError, match="at least 3 parameter samples"):
+        SampleGrid.uniform((0.0, 1.0), t_samples)
+
+
+@pytest.mark.parametrize("u_extent", [math.inf, -math.inf, math.nan, 0.0])
+def test_grid_rejects_bad_u_extent(u_extent):
+    with pytest.raises(ValidationError, match="u_extent"):
+        SampleGrid.uniform((0.0, 1.0), 5, u_extent)
+
+
+def test_uniform_grid_takes_numpy_integers():
+    assert SampleGrid.uniform((0.0, 1.0), np.int64(3)).t_samples.tolist() == [0.0, 0.5, 1.0]
+
+
 # --- Gram-Schmidt -----------------------------------------------------------
 
 def test_gram_schmidt_keeps_orthonormal_input():
@@ -122,6 +138,20 @@ def test_gram_schmidt_smooth_pair_r4():
         # span preserved, and order preserved: first output stays in span of f1
         assert numerical_rank(np.vstack([vals, f1.eval(t, 0), f2.eval(t, 0)])) == 2
         assert numerical_rank(np.vstack([vals[0], f1.eval(t, 0)])) == 1
+
+
+def test_arclength_framed_curve_composes_every_field_with_one_map():
+    fast = FourierField([(0.0, [2.0], [0.0], 1.0), (0.0, [0.0], [2.0], 1.0),
+                         (0.0, [], [], 1.0)])
+    fc = FramedCurve(3, 2, fast, (ConstantField([0.0, 0.0, 1.0]),), (0.0, TWO_PI))
+    out = arclength_framed_curve(fc)
+    pmap = out.directrix.parameter_map
+    assert out.interval == (0.0, pmap.length)
+    assert pmap.length == pytest.approx(2.0 * TWO_PI, rel=1e-12)
+    assert all(f.parameter_map is pmap and f.base is g for f, g in zip(out.frame, fc.frame))
+    out.validate_on(SampleGrid.uniform(out.interval, 33))
+    ss = np.linspace(0.0, pmap.length, 7)
+    assert np.abs(out.directrix_values(ss) - fc.directrix_values(pmap.t(ss))).max() < 1e-14
 
 
 def test_gram_schmidt_reports_degenerate_parameter():

@@ -11,6 +11,9 @@ from ruledkit import (ConstantField, FramedCurve, PolynomialField,
                       second_form_along_directrix, sectional_curvature,
                       tangent_space_stability)
 from ruledkit.multilinear import numerical_rank
+from ruledkit.parametric import BUILTIN_PATCHES
+from ruledkit.ruledgeom import (_coordinate_plane_curvatures, _orthonormal_tangent_coeffs,
+                                _second_form_vectors)
 
 SQ2 = math.sqrt(2.0)
 
@@ -212,3 +215,78 @@ def test_rank_one_equivalence_on_planar_free_patches():
         wedge = rank_one_check(p).verdict
         flat = flatness_check(p).is_flat(1e-6)
         assert wedge == flat == expected, name
+
+
+# --- orthonormal tangent basis and second form, against the loops they replaced ----
+
+def _loop_tangent_coeffs(jac, tol):
+    """Gram-Schmidt on the Jacobian rows, one row at a time: the lower
+    triangular S with S @ jac orthonormal."""
+    m = jac.shape[-2]
+    basis = np.empty_like(jac)
+    coeff = np.zeros(jac.shape[:-2] + (m, m))
+    for i in range(m):
+        w = jac[..., i, :].copy()
+        c = np.zeros(jac.shape[:-2] + (m,))
+        c[..., i] = 1.0
+        for a in range(i):
+            proj = np.sum(basis[..., a, :] * jac[..., i, :], axis=-1)[..., None]
+            w -= proj * basis[..., a, :]
+            c -= proj * coeff[..., a, :]
+        norm = np.linalg.norm(w, axis=-1)
+        if np.any(norm < tol.zero_abs_tol):
+            raise RegularityError("tangent basis is degenerate")
+        basis[..., i, :] = w / norm[..., None]
+        coeff[..., i, :] = c / norm[..., None]
+    return coeff
+
+
+def _loop_plane_curvatures(jac, vecs, tol):
+    """II in the orthonormal basis entry by entry, then the Gauss equation
+    on every coordinate plane (a, b), a < b."""
+    s = _loop_tangent_coeffs(jac, tol)
+    m = jac.shape[-2]
+    ii = np.zeros(jac.shape[:-2] + (m, m, jac.shape[-1]))
+    for a in range(m):
+        for b in range(a, m):
+            v = (s[..., a, 0] * s[..., b, 0])[..., None] * vecs[..., 0, :]
+            for j in range(1, m):
+                v = v + (s[..., a, 0] * s[..., b, j]
+                         + s[..., a, j] * s[..., b, 0])[..., None] * vecs[..., j, :]
+            ii[..., a, b, :] = ii[..., b, a, :] = v
+    return np.stack([np.sum(ii[..., a, a, :] * ii[..., b, b, :], axis=-1)
+                     - np.sum(ii[..., a, b, :] * ii[..., a, b, :], axis=-1)
+                     for a in range(m) for b in range(a + 1, m)], axis=-1)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PATCHES))
+def test_tangent_basis_and_curvatures_equal_the_loops(name):
+    p = small_patch(name, 20)
+    jac, vecs, regular = _second_form_vectors(p.values, slice(None),
+                                              p.grid.u_points(p.m - 1), p.tol)
+    jac, vecs = jac[regular], vecs[regular]
+    assert jac.shape[0] > 0
+    s = _orthonormal_tangent_coeffs(jac, p.tol)
+    assert np.abs(s - _loop_tangent_coeffs(jac, p.tol)).max() < 1e-12
+    assert np.abs(s @ jac @ (s @ jac).swapaxes(1, 2) - np.eye(p.m)).max() < 1e-12
+    assert np.abs(_coordinate_plane_curvatures(jac, vecs, p.tol)
+                  - _loop_plane_curvatures(jac, vecs, p.tol)).max() < 1e-12
+
+
+@pytest.mark.parametrize("m, dim", [(2, 3), (3, 4), (4, 6)])
+def test_plane_curvatures_equal_the_loops_on_generic_input(m, dim, tol):
+    # the builtins' second forms are sparse and their curvatures mostly 0;
+    # generic input exercises every entry of II
+    rng = np.random.default_rng(m)
+    jac, vecs = rng.normal(size=(2, 50, m, dim))
+    got = _coordinate_plane_curvatures(jac, vecs, tol)
+    want = _loop_plane_curvatures(jac, vecs, tol)
+    assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_tangent_basis_raises_on_a_dependent_stack(tol):
+    jac = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                    [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]])
+    for coeffs in (_orthonormal_tangent_coeffs, _loop_tangent_coeffs):
+        with pytest.raises(RegularityError):
+            coeffs(jac, tol)

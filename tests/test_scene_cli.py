@@ -1,9 +1,13 @@
 import json
+import os
+import tempfile
 
 import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruledkit import DegeneracyError, ValidationError, ingest
 from ruledkit.analysis import analyze
@@ -11,6 +15,8 @@ from ruledkit.cli import main
 from ruledkit.scene import _load_schema, normalized_scene_bytes, validate_scene
 from ruledkit.selftest import run_selftest, all_passed
 from ruledkit.multilinear import TolerancePolicy
+
+REPORT_SCHEMA = _load_schema("report.schema.json")
 
 CONE_SCENE = {"builtin_patch": "circular_cone", "grid": {"t_samples": 32}}
 HELICOID_SCENE = {"builtin_patch": "helicoid_frame", "grid": {"t_samples": 32}}
@@ -335,6 +341,87 @@ def test_cli_analyze_unexpected_error_exits_3_without_traceback(tmp_path, monkey
     assert "Traceback" not in result.output
     assert result.stderr.splitlines() == [
         "error: analyze failed: LinAlgError: SVD did not converge"]
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "{scene}", "-o", "{out}", "--t-samples", "-5"],
+    ["analyze", "{scene}", "-o", "{out}", "--u-extent", "inf", "--no-invariance"],
+    ["selftest", "--t-samples", "-5"],
+])
+def test_cli_grid_overrides_follow_the_grid_rules(tmp_path, args):
+    scene = write_scene(tmp_path, CONE_SCENE)
+    args = [a.format(scene=scene, out=tmp_path / "out") for a in args]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# --- scene fuzzing -----------------------------------------------------------
+
+COEFFICIENT = st.floats(-2.0, 2.0, allow_subnormal=False)
+NONZERO = st.floats(0.25, 2.0) | st.floats(-2.0, -0.25)
+
+
+def fourier_fields(dim, moving=False):
+    coordinate = st.fixed_dictionaries({
+        "constant": COEFFICIENT, "cos": st.lists(COEFFICIENT, max_size=2),
+        "sin": st.lists(COEFFICIENT, max_size=2), "omega": st.floats(0.5, 2.0)})
+    coords = st.lists(coordinate, min_size=dim, max_size=dim)
+    if moving:  # a nonzero first cosine in one coordinate
+        coords = st.tuples(coords, st.integers(0, dim - 1), NONZERO).map(
+            lambda a: [dict(c, cos=[a[2]] + c["cos"][1:]) if i == a[1] else c
+                       for i, c in enumerate(a[0])])
+    return coords.map(lambda c: {"kind": "fourier", "coordinates": c})
+
+
+def polynomial_fields(dim, moving=False):
+    coeffs = st.lists(st.lists(COEFFICIENT, min_size=1, max_size=3), min_size=dim, max_size=dim)
+    if moving:  # a nonzero linear term in one coordinate
+        coeffs = st.tuples(coeffs, st.integers(0, dim - 1), NONZERO).map(
+            lambda a: [c[:1] + [a[2]] + c[2:] if i == a[1] else c
+                       for i, c in enumerate(a[0])])
+    return coeffs.map(lambda c: {"kind": "polynomial", "coefficients": c})
+
+
+def constant_fields(dim):
+    return st.lists(COEFFICIENT, min_size=dim, max_size=dim).map(
+        lambda v: {"kind": "constant", "value": v})
+
+
+@st.composite
+def explicit_scenes(draw):
+    """Schema-valid explicit scenes with a directrix that is not constant."""
+    dim, m = draw(st.integers(3, 4)), draw(st.integers(2, 3))
+    directrix = draw(fourier_fields(dim, moving=True) | polynomial_fields(dim, moving=True))
+    frame = [draw(fourier_fields(dim) | polynomial_fields(dim) | constant_fields(dim))
+             for _ in range(m - 1)]
+    lo = draw(st.floats(-1.0, 1.0))
+    return {"ambient_dim": dim, "m": m, "directrix": directrix, "frame": frame,
+            "interval": [lo, lo + draw(st.floats(0.5, 6.5))],
+            "grid": {"t_samples": draw(st.integers(3, 30)),
+                     "u_samples_per_axis": draw(st.integers(1, 3))}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(explicit_scenes())
+def test_cli_analyze_survives_schema_valid_scenes(doc):
+    validate_scene(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        scene = os.path.join(tmp, "scene.json")
+        with open(scene, "w") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp, "out")
+        result = CliRunner().invoke(main, ["analyze", scene, "-o", out, "--no-invariance"])
+        assert result.exit_code in (0, 2, 3), result.exception
+        assert "Traceback" not in result.output
+        if result.exit_code == 0:
+            with open(os.path.join(out, "report.json")) as fh:
+                report = json.load(fh)
+            jsonschema.validate(report, REPORT_SCHEMA)
+            bound = min(doc["m"] - 1, doc["ambient_dim"] - doc["m"] + 1)
+            assert max(report["degree_profile"]["degree"]) <= bound
 
 
 def test_version_constant_matches_pyproject(pytestconfig):

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import small_patch
 from ruledkit import (RuledPatch, SampleGrid, degree_profile, ingest, jacobian_sigma,
-                      make_builtin_patch, rank_one_check, selftest)
+                      make_builtin_patch, rank_one_check, selftest, striction)
 from ruledkit.analysis import analyze
 from ruledkit.classify import SegmentAnalysis
 from ruledkit.multilinear import numerical_rank, spans_equal
@@ -193,3 +193,19 @@ def test_selftest_solves_each_sheet_once(monkeypatch):
     # four degree-one corpus sheets, plus 2 patches x 3 offsets re-solved
     # by the directrix invariance check
     assert counts["solve_striction"] == 4 + 2 * len(selftest.INVARIANCE_OFFSET_SCALES)
+
+
+def test_analyze_builds_the_sheet_partials_once(tmp_path, monkeypatch):
+    calls = []
+    original = striction.StrictionSheet._partials
+
+    def counting(sheet, values, u_free):
+        calls.append(u_free.shape)
+        return original(sheet, values, u_free)
+
+    monkeypatch.setattr(striction.StrictionSheet, "_partials", counting)
+    result = ingest({"builtin_patch": "circular_cone", "grid": {"t_samples": 40}})
+    analyze(result, tmp_path / "out", invariance=False)
+    # one for the defining residual of the solve, one for the grid partials
+    # that the locus, the equivalent-condition check and the rank table share
+    assert len(calls) == 2

@@ -1,5 +1,6 @@
 import csv
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from ruledkit import (DegeneracyError, FourierField, FramedCurve,
                       directrix_invariance, equivalent_condition_check,
                       pivot_frame, rho_at, singular_locus, solve_striction,
                       striction_jacobian_rank, write_striction_csv)
-from ruledkit import striction
+from conftest import small_patch
+from ruledkit import ParameterMap, striction
 from ruledkit.analysis import DEFAULT_INVARIANCE_SCALES, analyze
+from ruledkit.classify import segment_analyses
+from ruledkit.exports import write_mesh_obj
 from ruledkit.fields import VectorField
 from ruledkit.multilinear import TolerancePolicy, numerical_rank
 from ruledkit.ruledgeom import jacobian_sigma
@@ -414,3 +418,62 @@ def test_striction_csv_layout_with_free_coordinates(tmp_path, product_sheet):
         header = fh.readline().strip().split(",")
     assert header == ["t", "u1", "s2", "b1", "b2", "b3", "b4",
                       "wedge_residual", "singular"]
+
+
+# --- grid values shared by the sheet ---------------------------------------------
+
+#: a cone whose directrix runs at speed 2 and whose frame is not unit length,
+#: so ingest composes every field with an arclength map and orthonormalizes
+SLOW_CONE_SCENE = {
+    "ambient_dim": 3,
+    "m": 2,
+    "directrix": {"kind": "fourier", "coordinates": [
+        {"cos": [2.0]}, {"sin": [2.0]}, {"constant": 1.0}]},
+    "frame": [{"kind": "fourier", "coordinates": [
+        {"cos": [2.0]}, {"sin": [2.0]}, {"constant": 1.0}]}],
+    "interval": [0.0, TWO_PI],
+    "grid": {"t_samples": 40},
+}
+
+
+@pytest.mark.parametrize("name", ["circular_cone", "tangent_developable_product"])
+def test_grid_points_are_beta_at_the_grid(name):
+    p = pivoted(small_patch(name, 30))
+    sheet = solve_striction(p, 1)
+    assert sheet.values is p.values
+    ts = p.grid.t_samples
+    rows = np.linspace(-1.0, 1.0, ts.size * sheet.free_count).reshape(ts.size, -1)
+    for u_free in [*p.grid.u_points(sheet.free_count)[:3], rows]:
+        assert np.array_equal(sheet.grid_points(u_free), sheet.beta(ts, u_free))
+    # a sheet built directly evaluates its own grid values
+    direct = striction.StrictionSheet(d=1, fc=p.fc, grid=p.grid,
+                                      solution_nodes=sheet.solution_nodes,
+                                      max_solve_residual=0.0, max_defining_residual=0.0)
+    assert direct.values is not p.values
+    assert np.array_equal(direct.grid_points(rows), sheet.grid_points(rows))
+    assert np.array_equal(direct.grid_partials, sheet.grid_partials)
+
+
+def test_sheet_exports_evaluate_no_field(tmp_path, monkeypatch):
+    result = ingest(SLOW_CONE_SCENE)
+    assert [n.split(" (")[0] for n in result.notes] == [
+        "directrix reparametrized to unit speed", "frame orthonormalized"]
+    patch = result.patch
+    seg = segment_analyses(patch)[0]
+    sheet, locus = seg.sheet, seg.locus
+    assert seg.pivoted is patch
+    patch.values.frame(0), patch.values.directrix(0)
+    calls = Counter()
+    for cls, name in ((FramedCurve, "frame_values"), (FramedCurve, "directrix_values"),
+                      (ParameterMap, "t")):
+        def counting(*args, _original=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counting)
+    write_striction_csv(sheet, locus, tmp_path / "striction.csv")
+    write_mesh_obj(tmp_path / "mesh.obj", patch, sheet)
+    assert calls == Counter()
+    with open(tmp_path / "striction.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    apex = np.array([[float(v) for v in row[2:5]] for row in rows])
+    assert np.abs(apex).max() < 1e-6
