@@ -135,7 +135,7 @@ def rho_at(fc: FramedCurve, t: float, tol: TolerancePolicy = DEFAULT_TOLERANCES)
 def degree_profile(fc: FramedCurve, grid: SampleGrid,
                    tol: TolerancePolicy = DEFAULT_TOLERANCES) -> DegreeProfile:
     """Degree of the ruling distribution at every grid sample."""
-    return profile_from_values(fc.grid_values(grid.t_samples), tol)
+    return profile_from_values(fc.grid_values(grid.parameters), tol)
 
 
 def equal_runs(values: Sequence) -> list[tuple[int, int]]:

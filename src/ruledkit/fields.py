@@ -12,6 +12,17 @@ Evaluation is array-based: `eval(t, order)` takes a scalar t, giving a
 Each kind computes on the array; a scalar is the N=1 case of the same
 code. The parameter map behind arclength reparametrization builds its
 quadrature table and inverts arclength values the same way, on arrays.
+
+Arclength is inverted once per parameter array and map. `eval` also
+takes a `ParameterArray`, a 1-D array that keeps, per parameter map,
+the inverse t(s) of its values and dt/ds, d2t/ds2 there. A
+`ComposedField` reads its map's inversion from it, and the kinds built
+on other fields (embedded, derivative, composed, affine-combination,
+frame-combination) hand it on to those fields, so every field and
+derivative order evaluated on one such array, maps nested inside maps
+included, shares one `ParameterMap.t` call per map. A plain array is
+wrapped in a fresh `ParameterArray` for the one call. Leaf kinds and
+user subclasses always receive a plain float or array.
 """
 
 from __future__ import annotations
@@ -60,26 +71,84 @@ def _first_outside(ts: np.ndarray, lo: float, hi: float, pad: float) -> float | 
     return float(ts[outside[0]]) if outside.size else None
 
 
-def array_eval(fn):
-    """Make an `eval` written for a 1-D parameter array, returning an
-    (N, dim) stack, also take a scalar t, returning a (dim,) vector.
+class ParameterArray:
+    """A 1-D parameter array that the fields evaluated on it share, with
+    the arclength inversions made on it.
 
-    The order is checked and the field's domain enforced first; a domain
-    error names the first offending t.
+    `inverse(pmap)` runs `pmap.t` on the values on first use and keeps
+    the result for as long as this object lives; the inversions are
+    keyed by the map object, never by parameter values.
     """
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        if self.values.ndim != 1:
+            raise ValidationError(
+                f"a parameter array must be 1-D, got shape {self.values.shape}")
+        self._inverses: dict = {}
+
+    def inverse(self, pmap: "ParameterMap") -> "_Inverse":
+        inv = self._inverses.get(pmap)
+        if inv is None:
+            inv = self._inverses[pmap] = _Inverse(pmap, self.values)
+        return inv
+
+
+class _Inverse:
+    """t(s) of one parameter map at the arclength values s, as a
+    `ParameterArray` of its own (so the maps nested in the composed base
+    share their inversions too), and dt/ds, d2t/ds2 there as (N, 1)
+    columns, each computed on first use."""
+
+    def __init__(self, pmap: "ParameterMap", s: np.ndarray):
+        self.pmap = pmap
+        self.t = ParameterArray(pmap.t(np.clip(s, *pmap.s_interval)))
+
+    @functools.cached_property
+    def dt(self) -> np.ndarray:
+        return self.pmap.dt(self.t)[:, None]
+
+    @functools.cached_property
+    def d2t(self) -> np.ndarray:
+        return self.pmap.d2t(self.t)[:, None]
+
+
+def _vectorized(fn, shared: bool):
     @functools.wraps(fn)
     def eval(self, t, order=0):
         _check_order(order)
-        ts, scalar = _parameters(t)
+        if isinstance(t, ParameterArray):
+            params, ts, scalar = t, t.values, False
+        else:
+            ts, scalar = _parameters(t)
+            params = ParameterArray(ts) if shared else None
         if self.domain is not None:
             lo, hi = self.domain
             bad = _first_outside(ts, lo, hi, 1e-9 * max(1.0, abs(lo), abs(hi)))
             if bad is not None:
                 raise DomainError(f"t={bad} outside field domain [{lo}, {hi}]")
-        out = fn(self, ts, order)
+        out = fn(self, params if shared else ts, order)
         return out[0] if scalar else out
     eval.takes_arrays = True
     return eval
+
+
+def array_eval(fn):
+    """Make an `eval` written for a 1-D parameter array, returning an
+    (N, dim) stack, also take a scalar t, returning a (dim,) vector, or
+    a `ParameterArray`, whose values it receives.
+
+    The order is checked and the field's domain enforced first; a domain
+    error names the first offending t.
+    """
+    return _vectorized(fn, shared=False)
+
+
+def shared_eval(fn):
+    """`array_eval` for a kind built on other fields: its `eval` receives
+    a `ParameterArray` (a plain argument is wrapped in a fresh one) and
+    hands it on, so the fields it is built on share its inversions."""
+    return _vectorized(fn, shared=True)
 
 
 def _per_parameter(fn):
@@ -87,6 +156,8 @@ def _per_parameter(fn):
     evaluating an array one entry at a time."""
     @functools.wraps(fn)
     def eval(self, t, order=0):
+        if isinstance(t, ParameterArray):
+            t = t.values
         if np.ndim(t) == 0:
             return fn(self, t, order)
         ts, _ = _parameters(t)
@@ -332,10 +403,10 @@ class EmbeddedField(VectorField):
         self.dim = dim
         self.domain = base.domain
 
-    @array_eval
-    def eval(self, ts, order=0):
-        out = np.zeros((ts.size, self.dim))
-        out[:, self.offset:self.offset + self.base.dim] = self.base.eval(ts, order)
+    @shared_eval
+    def eval(self, params, order=0):
+        out = np.zeros((params.values.size, self.dim))
+        out[:, self.offset:self.offset + self.base.dim] = self.base.eval(params, order)
         return out
 
 
@@ -350,9 +421,9 @@ class DerivativeField(VectorField):
         self.dim = base.dim
         self.domain = base.domain
 
-    @array_eval
-    def eval(self, ts, order=0):
-        return self.base.eval(ts, order + self.shift)
+    @shared_eval
+    def eval(self, params, order=0):
+        return self.base.eval(params, order + self.shift)
 
 
 class ParameterMap:
@@ -364,7 +435,14 @@ class ParameterMap:
     Newton iterations against the quadrature, run on the whole array of
     arclength values at once, so the inverse is accurate to near machine
     precision. dt/ds and d2t/ds2 come from the exact inverse-function
-    formulas. `s`, `t`, `dt` and `d2t` take a scalar or a 1-D array.
+    formulas. `s`, `t`, `dt` and `d2t` take a scalar or a 1-D array;
+    `dt` and `d2t` also take a `ParameterArray` of t values, so maps
+    nested in the curve share its inversions.
+
+    `t` is where arclength is inverted. The fields composed with a map
+    do not call it themselves: each `ParameterArray` they are evaluated
+    on calls it once per map (`ParameterArray.inverse`) and keeps t, dt
+    and d2t for every field and derivative order evaluated on it.
     """
 
     def __init__(self, curve: VectorField, interval: tuple[float, float],
@@ -437,7 +515,9 @@ class ParameterMap:
 class ComposedField(VectorField):
     """A field composed with a parameter map, with chain-rule derivatives.
 
-    Supports derivative orders 0..2.
+    Supports derivative orders 0..2. It reads t(s), dt/ds and d2t/ds2
+    from the `ParameterArray` it is evaluated on, which inverts each map
+    once, and evaluates its base on the inverted `ParameterArray`.
     """
 
     def __init__(self, base: VectorField, pmap: ParameterMap):
@@ -446,18 +526,16 @@ class ComposedField(VectorField):
         self.dim = base.dim
         self.domain = pmap.s_interval
 
-    @array_eval
-    def eval(self, ss, order=0):
+    @shared_eval
+    def eval(self, params, order=0):
         if order > 2:
             raise ValidationError("composed fields support derivative orders 0..2 only")
-        pm = self.parameter_map
-        t = pm.t(np.clip(ss, *pm.s_interval))
+        inv = params.inverse(self.parameter_map)
         if order == 0:
-            return self.base.eval(t, 0)
-        dt = pm.dt(t)[:, None]
+            return self.base.eval(inv.t, 0)
         if order == 1:
-            return self.base.eval(t, 1) * dt
-        return self.base.eval(t, 2) * dt ** 2 + self.base.eval(t, 1) * pm.d2t(t)[:, None]
+            return self.base.eval(inv.t, 1) * inv.dt
+        return self.base.eval(inv.t, 2) * inv.dt ** 2 + self.base.eval(inv.t, 1) * inv.d2t
 
 
 def arclength_reparametrize(curve: VectorField, interval: tuple[float, float],
@@ -488,12 +566,12 @@ class AffineCombinationField(VectorField):
         self.dim = base.dim
         self.domain = base.domain
 
-    @array_eval
-    def eval(self, ts, order=0):
-        out = self.base.eval(ts, order)
+    @shared_eval
+    def eval(self, params, order=0):
+        out = self.base.eval(params, order)
         for w, f in zip(self.weights, self.extras):
             if w != 0.0:
-                out = out + w * f.eval(ts, order)
+                out = out + w * f.eval(params, order)
         return out
 
 
@@ -514,9 +592,20 @@ class SplineCoefficients:
         return self._spline(t, nu=2)
 
 
+def as_parameter_array(t):
+    """A 1-D parameter argument as one `ParameterArray`, so that the
+    fields evaluated on it share its inversions; a scalar or a
+    `ParameterArray` passes unchanged."""
+    if isinstance(t, ParameterArray) or np.ndim(t) == 0:
+        return t
+    return ParameterArray(t)
+
+
 def stack_fields(fields: Sequence[VectorField], t, order: int = 0) -> np.ndarray:
     """order-th derivatives of the fields at t, stacked as (k, dim) for a
-    scalar t and (N, k, dim) for an array; one `eval` per field."""
+    scalar t and (N, k, dim) for an array or `ParameterArray`; one `eval`
+    per field, all on one `ParameterArray`."""
+    t = as_parameter_array(t)
     vals = [f.eval(t, order) for f in fields]
     return np.stack(vals, axis=-2)
 
@@ -527,6 +616,7 @@ def connection_skew(bases: Sequence[VectorField], t, order: int = 1):
     (k, k) for a scalar t, an (N, k, k) stack for an array. With order=2
     also returns its t-derivative, as the pair (W, Wdot).
     """
+    t = as_parameter_array(t)
     vals = stack_fields(bases, t, 0)
     d1 = stack_fields(bases, t, 1)
     w = vals @ np.swapaxes(d1, -1, -2)
@@ -575,8 +665,8 @@ class FrameCombinationField(VectorField):
         self.dim = self.bases[0].dim
         self.domain = domain
 
-    @array_eval
-    def eval(self, ts, order=0):
+    @shared_eval
+    def eval(self, params, order=0):
         if order > 2:
             raise ValidationError("combination fields support derivative orders 0..2 only")
 
@@ -584,14 +674,15 @@ class FrameCombinationField(VectorField):
             # sum_k c[n, k] vals[n, k] for each n
             return (c[:, None, :] @ vals)[:, 0]
 
+        ts = params.values
         c0 = self.coeffs.value(ts)[:, :, self.index]
-        vals = stack_fields(self.bases, ts, 0)
+        vals = stack_fields(self.bases, params, 0)
         if order == 0:
             return combine(c0, vals)
         c1 = self.coeffs.d1(ts)[:, :, self.index]
-        d1 = stack_fields(self.bases, ts, 1)
+        d1 = stack_fields(self.bases, params, 1)
         if order == 1:
             return combine(c1, vals) + combine(c0, d1)
         c2 = self.coeffs.d2(ts)[:, :, self.index]
-        d2 = stack_fields(self.bases, ts, 2)
+        d2 = stack_fields(self.bases, params, 2)
         return combine(c2, vals) + 2.0 * combine(c1, d1) + combine(c0, d2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable, Sequence
 
@@ -20,8 +21,9 @@ from .errors import (ConfigError, DegeneracyError, FrameError, NumericError,
                      ValidationError)
 from .fields import (BUILTIN_CURVES, ComposedField, ConstantField,
                      DerivativeField, EmbeddedField, FourierField,
-                     FrameCombinationField, HelixCurve, PolynomialField,
-                     SplineCoefficients, TransportCoefficients, VectorField,
+                     FrameCombinationField, HelixCurve, ParameterArray,
+                     PolynomialField, SplineCoefficients,
+                     TransportCoefficients, VectorField,
                      arclength_reparametrize, connection_skew, stack_fields)
 from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, gram_schmidt_r
 
@@ -71,9 +73,10 @@ class FramedCurve:
         """Directrix derivative at t: (dim,) for a scalar t, (N, dim) for an array."""
         return self.directrix.eval(t, order)
 
-    def grid_values(self, ts: np.ndarray) -> "GridValues":
-        """Stacked frame and directrix derivatives at the parameters `ts`."""
-        return GridValues(self, np.asarray(ts, dtype=float))
+    def grid_values(self, ts) -> "GridValues":
+        """Stacked frame and directrix derivatives at the parameters `ts`,
+        a 1-D array or a `ParameterArray` whose inversions they share."""
+        return GridValues(self, ts if isinstance(ts, ParameterArray) else ParameterArray(ts))
 
     def with_frame(self, frame: Sequence[VectorField]) -> "FramedCurve":
         return FramedCurve(self.dim, self.m, self.directrix, tuple(frame), self.interval)
@@ -81,9 +84,9 @@ class FramedCurve:
     def validate_on(self, grid: "SampleGrid", tol: TolerancePolicy = DEFAULT_TOLERANCES):
         """Check unit speed and frame orthonormality at every grid sample;
         raises at the first failing sample, the speed checked first."""
-        ts = grid.t_samples
-        speed_dev = np.abs(np.linalg.norm(self.directrix.eval(ts, 1), axis=1) - 1.0)
-        x = self.frame_values(ts)
+        ts, params = grid.t_samples, grid.parameters
+        speed_dev = np.abs(np.linalg.norm(self.directrix.eval(params, 1), axis=1) - 1.0)
+        x = self.frame_values(params)
         finite = np.isfinite(x).all(axis=(1, 2))
         gram_dev = np.abs(x @ x.swapaxes(1, 2) - np.eye(self.m - 1)).max(axis=(1, 2))
         bad_speed = speed_dev > tol.derivative_check_tol
@@ -108,22 +111,29 @@ class GridValues:
     `directrix(order)` the (N, dim) array of directrix derivatives; each
     order is evaluated on first use, one array evaluation per field, and
     kept. The arrays are shared: callers must not mutate them.
+
+    Every field and order is evaluated on one `ParameterArray`, so a
+    framed curve composed with a parameter map inverts arclength once
+    per parameter array and map, not once per field and order. Built
+    from a grid's `SampleGrid.parameters`, the values share that
+    inversion with every other evaluation on the grid.
     """
 
-    def __init__(self, fc: FramedCurve, ts: np.ndarray):
+    def __init__(self, fc: FramedCurve, params: ParameterArray):
         self.fc = fc
-        self.ts = ts
+        self.parameters = params
+        self.ts = params.values
         self._frame: dict[int, np.ndarray] = {}
         self._directrix: dict[int, np.ndarray] = {}
 
     def frame(self, order: int) -> np.ndarray:
         if order not in self._frame:
-            self._frame[order] = self.fc.frame_values(self.ts, order)
+            self._frame[order] = self.fc.frame_values(self.parameters, order)
         return self._frame[order]
 
     def directrix(self, order: int) -> np.ndarray:
         if order not in self._directrix:
-            self._directrix[order] = self.fc.directrix_values(self.ts, order)
+            self._directrix[order] = self.fc.directrix_values(self.parameters, order)
         return self._directrix[order]
 
 
@@ -156,6 +166,12 @@ class SampleGrid:
             raise ValidationError("grid needs at least 3 parameter samples")
         ts = np.linspace(interval[0], interval[1], t_samples)
         return cls(ts, u_extent, u_samples_per_axis)
+
+    @cached_property
+    def parameters(self) -> ParameterArray:
+        """`t_samples` as the `ParameterArray` that every evaluation on
+        this grid shares: each parameter map is inverted on it once."""
+        return ParameterArray(self.t_samples)
 
     @property
     def u_axis(self) -> np.ndarray:
@@ -190,7 +206,7 @@ def gram_schmidt_frame(fields: Sequence[VectorField], grid: SampleGrid,
     if k == 0:
         return []
     ts = grid.t_samples
-    v = stack_fields(fields, ts)
+    v = stack_fields(fields, grid.parameters)
     r = gram_schmidt_r(v)
     scale = np.maximum(1.0, np.linalg.norm(v, axis=(1, 2)))
     dependent = np.flatnonzero(np.diagonal(r, axis1=1, axis2=2).min(axis=1)

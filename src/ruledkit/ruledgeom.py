@@ -64,7 +64,7 @@ class RuledPatch:
 
     @cached_property
     def values(self) -> GridValues:
-        return self.fc.grid_values(self.grid.t_samples)
+        return self.fc.grid_values(self.grid.parameters)
 
     @cached_property
     def profile(self) -> DegreeProfile:

@@ -184,7 +184,7 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
 
     grid = make_grid(fc.interval)
 
-    speed_dev = float(np.abs(np.linalg.norm(fc.directrix.eval(grid.t_samples, 1), axis=1)
+    speed_dev = float(np.abs(np.linalg.norm(fc.directrix.eval(grid.parameters, 1), axis=1)
                              - 1.0).max())
     reparametrized = speed_dev > tol.derivative_check_tol
     if reparametrized:
@@ -193,7 +193,7 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
         notes.append(f"directrix reparametrized to unit speed "
                      f"(speed deviation was {speed_dev:.3e}; new length {fc.interval[1]!r})")
 
-    x = fc.frame_values(grid.t_samples)
+    x = fc.frame_values(grid.parameters)
     gram_dev = float(np.abs(x @ x.swapaxes(1, 2) - np.eye(fc.m - 1)).max())
     orthonormalized = gram_dev > tol.derivative_check_tol
     if orthonormalized:

@@ -29,7 +29,7 @@ from scipy.optimize import least_squares
 
 from .distribution import profile_from_values, rho_at
 from .errors import DegeneracyError, NumericError, ValidationError
-from .fields import AffineCombinationField
+from .fields import AffineCombinationField, as_parameter_array
 from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, numerical_ranks,
                           wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid, arclength_framed_curve
@@ -147,7 +147,7 @@ class StrictionSheet:
     @cached_property
     def values(self) -> GridValues:
         """Frame and directrix derivatives on the sheet's grid."""
-        return self.fc.grid_values(self.grid.t_samples)
+        return self.fc.grid_values(self.grid.parameters)
 
     def _points(self, t, x0: np.ndarray, g0: np.ndarray, u_free) -> np.ndarray:
         """Sheet points at t (u_free as in `full_u`) from the frame values
@@ -158,7 +158,9 @@ class StrictionSheet:
     def beta(self, t, u_free=()) -> np.ndarray:
         """Point of the sheet in ambient coordinates: (dim,) for a scalar t,
         (N, dim) for an array (u_free as in `full_u`)."""
-        return self._points(t, self.fc.frame_values(t), self.fc.directrix_values(t, 0), u_free)
+        # the frame and the directrix share one inversion of any parameter map
+        at = as_parameter_array(t)
+        return self._points(t, self.fc.frame_values(at), self.fc.directrix_values(at, 0), u_free)
 
     def grid_points(self, u_free) -> np.ndarray:
         """`beta` at every grid parameter, (N, dim), from the grid values;
@@ -457,9 +459,10 @@ def _offset_deviation(p: RuledPatch, sheet: StrictionSheet, c: np.ndarray,
                                   grid.u_extent, grid.u_samples_per_axis)
     new_sheet = solve_striction(RuledPatch(new_fc, new_grid, p.tol), sheet.d)
     step = max(1, new_grid.t_samples.size // 64)
-    ss = new_grid.t_samples[::step]
-    seeds = np.empty((ss.size, 1 + sheet.free_count))
-    seeds[:, 0] = new_fc.directrix.parameter_map.t(ss)
+    # t(s) at the sampled nodes, from the inversion the re-solve made on its grid
+    matched = new_grid.parameters.inverse(new_fc.directrix.parameter_map).t.values[::step]
+    seeds = np.empty((matched.size, 1 + sheet.free_count))
+    seeds[:, 0] = matched
     dev = 0.0
     for u_free in free_pts:
         # sigma'(s, u) = sigma(t(s), u + c): the matched original parameters
