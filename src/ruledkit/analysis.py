@@ -14,13 +14,13 @@ import os
 import numpy as np
 
 from . import __version__
-from .classify import classify_patch, segment_analyses
+from .classify import SegmentAnalysis, classify_patch, segment_analyses
 from .errors import NumericError
 from .exports import write_json, write_mesh_obj
 from .multilinear import TolerancePolicy
-from .ruledgeom import RuledPatch, first_normal_bounds_check
-from .scene import IngestResult, normalized_scene_bytes
-from .striction import StrictionSheet, directrix_invariance, write_striction_csv
+from .ruledgeom import first_normal_bounds_check
+from .scene import IngestResult, check_seed, normalized_scene_bytes
+from .striction import directrix_invariance, offsheet_check, write_striction_csv
 
 DEFAULT_INVARIANCE_SCALES = (0.5, 1.0, -0.7)
 
@@ -34,23 +34,25 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
             invariance: bool = True) -> dict:
     """Run the full pipeline and write all outputs into `out_dir`.
 
-    Returns the report dictionary (the same content as report.json).
+    Returns the report dictionary (the same content as report.json). The
+    seed drives only the off-sheet spot check of each striction sheet
+    (`striction.offsheet_check`); every verdict is independent of it.
     """
+    check_seed(seed)
     patch = result.patch
     fc, grid, tol = patch.fc, patch.grid, patch.tol
     os.makedirs(out_dir, exist_ok=True)
     notes = list(result.notes)
 
     profile = patch.profile
-    segments = segment_analyses(patch, seed)
-    classification = classify_patch(patch, seed=seed, segments=segments)
+    segments = segment_analyses(patch)
+    classification = classify_patch(patch, segments=segments)
     r1 = patch.rank_one
 
     bounds_sections = []
     striction_sections = []
     csv_names = []
-    full_sheet: StrictionSheet | None = None
-    full_pivoted: RuledPatch | None = None
+    full: SegmentAnalysis | None = None  # the one segment, when it has a sheet
     for k, seg in enumerate(segments):
         d = seg.d
         if seg.narrow:
@@ -71,6 +73,7 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
             continue
         try:
             sheet, locus = seg.sheet, seg.locus
+            offsheet = offsheet_check(seg.pivoted, sheet, seed)
             eq = seg.equivalent_condition
             ranks = seg.jacobian_ranks
         except NumericError as exc:
@@ -86,21 +89,19 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
             "max_defining_residual": sheet.max_defining_residual,
             "solve_fallback_t": [float(t) for t in sheet.fallback_ts],
             "singular_fraction": locus.singular_fraction,
-            "offsheet": {"total": locus.offsheet_total,
-                         "regular": locus.offsheet_regular},
+            "offsheet": {"total": offsheet.total, "regular": offsheet.regular},
             "equivalent_condition": {"all_agree": eq.all_agree,
                                      "skipped_t": list(eq.skipped)},
             "jacobian_rank_range": [int(ranks.min()), int(ranks.max())],
             "csv": name,
         })
         if len(segments) == 1:
-            full_sheet = sheet
-            full_pivoted = seg.pivoted
+            full = seg
 
     invariance_section = None
-    if invariance and full_sheet is not None:
+    if invariance and full is not None:
         offsets = [np.full(fc.m - 1, s) for s in DEFAULT_INVARIANCE_SCALES]
-        inv = directrix_invariance(full_pivoted, full_sheet, offsets)
+        inv = directrix_invariance(full.pivoted, full.sheet, offsets)
         if inv.skipped:
             notes.append("directrix invariance skipped offsets "
                          + ", ".join(str(c) for c, _ in inv.skipped)
@@ -115,7 +116,8 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
     mesh_name = None
     if fc.dim == 3 and fc.m == 2:
         mesh_name = "mesh.obj"
-        write_mesh_obj(os.path.join(out_dir, mesh_name), patch, full_sheet)
+        write_mesh_obj(os.path.join(out_dir, mesh_name), patch,
+                       full.sheet if full else None)
 
     report = {
         "schema": "ruledkit.report/v1",

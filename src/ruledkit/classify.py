@@ -6,6 +6,11 @@ segment, decide cylindrical (degree 0 or fully planar), tangent/conical
 Jacobian rank), or non-rank-one. Samples at verdict changes are excluded
 as boundary points; runs narrower than the minimum width stay
 undetermined.
+
+Every verdict is a deterministic function of the degree profile and the
+striction sheet; nothing here draws random numbers. The randomized
+off-sheet regularity check (`striction.offsheet_check`) is a separate
+call that only `analysis` and the selftest make.
 """
 
 from __future__ import annotations
@@ -122,8 +127,8 @@ class SegmentAnalysis:
     objects. A stage that raises is not kept and raises again when read.
     """
 
-    def __init__(self, parent: RuledPatch, i0: int, i1: int, d: int, seed: int = 0):
-        self.parent, self.i0, self.i1, self.d, self.seed = parent, i0, i1, d, seed
+    def __init__(self, parent: RuledPatch, i0: int, i1: int, d: int):
+        self.parent, self.i0, self.i1, self.d = parent, i0, i1, d
 
     @property
     def narrow(self) -> bool:
@@ -136,9 +141,7 @@ class SegmentAnalysis:
 
     @cached_property
     def pivoted(self) -> RuledPatch:
-        p = self.patch
-        fc = pivot_frame(p.fc, p.grid, self.d, p.tol, profile=p.profile)
-        return p if fc is p.fc else RuledPatch(fc, p.grid, p.tol)
+        return pivot_frame(self.patch, self.d)
 
     @cached_property
     def sheet(self) -> StrictionSheet:
@@ -146,7 +149,7 @@ class SegmentAnalysis:
 
     @cached_property
     def locus(self) -> SingularLocus:
-        return singular_locus(self.pivoted, self.sheet, seed=self.seed)
+        return singular_locus(self.pivoted, self.sheet)
 
     @cached_property
     def equivalent_condition(self) -> EquivalentConditionResult:
@@ -158,9 +161,9 @@ class SegmentAnalysis:
         return sheet_jacobian_ranks(self.pivoted, self.sheet)
 
 
-def segment_analyses(p: RuledPatch, seed: int = 0) -> list[SegmentAnalysis]:
+def segment_analyses(p: RuledPatch) -> list[SegmentAnalysis]:
     """One holder per maximal constant-degree run of the patch's profile."""
-    return [SegmentAnalysis(p, i0, i1, d, seed)
+    return [SegmentAnalysis(p, i0, i1, d)
             for i0, i1, d in constant_degree_segments(p.profile)]
 
 
@@ -245,15 +248,15 @@ def _classify_segment(seg: SegmentAnalysis):
     return regions, boundary
 
 
-def classify_patch(p: RuledPatch, seed: int = 0,
+def classify_patch(p: RuledPatch,
                    segments: list[SegmentAnalysis] | None = None) -> ClassificationReport:
-    """Label the sampled patch region by region. Deterministic given seed.
+    """Label the sampled patch region by region.
 
     `segments` are the patch's segment holders when the caller keeps them
     (see `segment_analyses`), so that their artifacts are computed once.
     """
     if segments is None:
-        segments = segment_analyses(p, seed)
+        segments = segment_analyses(p)
     profile = p.profile
     ts = p.grid.t_samples
 
@@ -290,7 +293,7 @@ class ConverseResult:
     singular_coverage: float
 
 
-def converse_check(p: RuledPatch, seed: int = 0,
+def converse_check(p: RuledPatch,
                    segments: list[SegmentAnalysis] | None = None) -> ConverseResult:
     """On a degree-one patch, developability and a fully singular sheet
     must come together; returns whether the two verdicts agree.
@@ -301,7 +304,7 @@ def converse_check(p: RuledPatch, seed: int = 0,
     if p.profile.constant_degree != 1:
         raise ValidationError("converse check requires degree 1 on the whole grid")
     if segments is None:
-        segments = segment_analyses(p, seed)
+        segments = segment_analyses(p)
     coverage = segments[0].locus.singular_fraction
     r1 = p.rank_one
     covered = coverage >= SINGULAR_COVERAGE

@@ -42,7 +42,8 @@ def _fail(exc: RuledKitError):
 @click.option("--rank-tol", type=float, default=None, help="Override rank_rel_tol.")
 @click.option("--zero-tol", type=float, default=None, help="Override zero_abs_tol.")
 @click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for randomized spot checks.")
+              help="Non-negative seed of the 32 random off-sheet regularity spot "
+                   "checks per striction sheet; every verdict is independent of it.")
 @click.option("--no-invariance", is_flag=True, default=False,
               help="Skip the shifted-directrix invariance check.")
 def analyze(scene, out_dir, t_samples, u_extent, rank_tol, zero_tol, seed, no_invariance):
@@ -72,7 +73,9 @@ def analyze(scene, out_dir, t_samples, u_extent, rank_tol, zero_tol, seed, no_in
 @click.option("--t-samples", type=int, default=200, show_default=True)
 @click.option("--rank-tol", type=float, default=None, help="Override rank_rel_tol.")
 @click.option("--zero-tol", type=float, default=None, help="Override zero_abs_tol.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Non-negative seed of the off-sheet spot checks, the stability "
+                   "sweep's ruling pairs and the derivative oracle's sample points.")
 def selftest(t_samples, rank_tol, zero_tol, seed):
     """Run the builtin acceptance corpus and print one line per check."""
     defaults = TolerancePolicy()

@@ -11,9 +11,9 @@ which the striction solver assumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .fields import FrameCombinationField, SplineCoefficients
 from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, project_off_spans,
                           rank_mask)
 from .parametric import FramedCurve, GridValues, SampleGrid
+
+if TYPE_CHECKING:
+    from .ruledgeom import RuledPatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,24 +155,21 @@ def constant_degree_segments(profile: DegreeProfile) -> list[tuple[int, int, int
     return [(i0, i1, int(profile.degrees[i0])) for i0, i1 in equal_runs(profile.degrees)]
 
 
-def pivot_frame(fc: FramedCurve, grid: SampleGrid, d: int,
-                tol: TolerancePolicy = DEFAULT_TOLERANCES,
-                profile: DegreeProfile | None = None) -> FramedCurve:
-    """Rearrange the frame so its last d fields carry the full degree.
+def pivot_frame(p: RuledPatch, d: int) -> RuledPatch:
+    """The patch with its frame rearranged so the last d fields carry the
+    full degree; `p` itself when the frame already does.
 
-    Prefers the constant permutation whose trailing rho block is best
-    conditioned over the whole grid; if none works, rotates the frame by
-    the eigenvector matrix of the rho Gram (dominant directions last,
-    signs smoothed along t). Fails with the offending samples when
-    neither achieves the condition. `profile` is fc's degree profile on
-    grid when the caller already has it.
+    Reads the patch's cached degree profile. Prefers the constant
+    permutation whose trailing rho block is best conditioned over the
+    whole grid; if none works, rotates the frame by the eigenvector
+    matrix of the rho Gram (dominant directions last, signs smoothed
+    along t). Fails with the offending samples when neither achieves the
+    condition.
     """
     if d < 1:
         raise ValidationError("pivot requires degree >= 1")
+    fc, profile, tol = p.fc, p.profile, p.tol
     k = fc.m - 1
-    ts = grid.t_samples
-    if profile is None:
-        profile = degree_profile(fc, grid, tol)
     bad = [float(t) for t in profile.t[profile.degrees != d]]
     if bad:
         raise ValidationError(
@@ -177,7 +177,7 @@ def pivot_frame(fc: FramedCurve, grid: SampleGrid, d: int,
     rho = profile.rho
 
     if d == k:
-        return fc
+        return p
 
     best_subset, best_score = None, -1.0
     for subset in combinations(range(k), d):
@@ -187,11 +187,12 @@ def pivot_frame(fc: FramedCurve, grid: SampleGrid, d: int,
     if best_score > tol.zero_abs_tol:
         order = [j for j in range(k) if j not in best_subset] + list(best_subset)
         if order == list(range(k)):
-            return fc
-        return fc.with_frame([fc.frame[j] for j in order])
+            return p
+        return replace(p, fc=fc.with_frame([fc.frame[j] for j in order]), origin=None)
 
     # No constant permutation works: rotate by the eigenvectors of the
     # rho Gram matrix, ascending eigenvalue so dominant directions land last.
+    ts = profile.t
     g = rho @ rho.swapaxes(1, 2)
     _, coeff_nodes = np.linalg.eigh(0.5 * (g + g.swapaxes(1, 2)))
     for i in range(1, ts.size):
@@ -201,9 +202,9 @@ def pivot_frame(fc: FramedCurve, grid: SampleGrid, d: int,
     coeffs = SplineCoefficients(ts, coeff_nodes)
     frame = [FrameCombinationField(list(fc.frame), coeffs, j, domain=fc.interval)
              for j in range(k)]
-    rotated = fc.with_frame(frame)
+    rotated = replace(p, fc=fc.with_frame(frame), origin=None)
 
-    trailing = degree_profile(rotated, grid, tol).rho[:, k - d:]
+    trailing = rotated.profile.rho[:, k - d:]
     smallest = np.linalg.svd(trailing, compute_uv=False)[:, -1]
     failing = [float(t) for t in ts[smallest <= tol.zero_abs_tol]]
     if failing:

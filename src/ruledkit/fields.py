@@ -576,20 +576,21 @@ class AffineCombinationField(VectorField):
 
 
 class SplineCoefficients:
-    """Coefficient curve c(t) in R^K interpolated by a cubic spline."""
+    """Coefficient curve c(t) in R^K interpolated by a cubic spline, read
+    on the `ParameterArray` its `FrameCombinationField` is evaluated on."""
 
     def __init__(self, t_nodes, values):
         self._spline = CubicSpline(np.asarray(t_nodes, dtype=float),
                                    np.asarray(values, dtype=float), axis=0)
 
-    def value(self, t):
-        return self._spline(t)
+    def value(self, params: ParameterArray):
+        return self._spline(params.values)
 
-    def d1(self, t):
-        return self._spline(t, nu=1)
+    def d1(self, params: ParameterArray):
+        return self._spline(params.values, nu=1)
 
-    def d2(self, t):
-        return self._spline(t, nu=2)
+    def d2(self, params: ParameterArray):
+        return self._spline(params.values, nu=2)
 
 
 def as_parameter_array(t):
@@ -633,19 +634,20 @@ class TransportCoefficients(SplineCoefficients):
     Values are spline-interpolated, but derivatives use the transport
     equation c' = -W(t) c with W[l,k] = <Xdot_k, X_l>, so the combined
     field's derivative has, by construction, no component along the
-    frame span.
+    frame span. W is evaluated on the combined field's `ParameterArray`,
+    so it shares that field's inversions.
     """
 
     def __init__(self, bases: Sequence[VectorField], t_nodes, values):
         super().__init__(t_nodes, values)
         self._bases = list(bases)
 
-    def d1(self, t):
-        return -connection_skew(self._bases, t) @ self.value(t)
+    def d1(self, params: ParameterArray):
+        return -connection_skew(self._bases, params) @ self.value(params)
 
-    def d2(self, t):
-        w, wdot = connection_skew(self._bases, t, order=2)
-        c = self.value(t)
+    def d2(self, params: ParameterArray):
+        w, wdot = connection_skew(self._bases, params, order=2)
+        c = self.value(params)
         return -wdot @ c + w @ (w @ c)
 
 
@@ -674,15 +676,14 @@ class FrameCombinationField(VectorField):
             # sum_k c[n, k] vals[n, k] for each n
             return (c[:, None, :] @ vals)[:, 0]
 
-        ts = params.values
-        c0 = self.coeffs.value(ts)[:, :, self.index]
+        c0 = self.coeffs.value(params)[:, :, self.index]
         vals = stack_fields(self.bases, params, 0)
         if order == 0:
             return combine(c0, vals)
-        c1 = self.coeffs.d1(ts)[:, :, self.index]
+        c1 = self.coeffs.d1(params)[:, :, self.index]
         d1 = stack_fields(self.bases, params, 1)
         if order == 1:
             return combine(c1, vals) + combine(c0, d1)
-        c2 = self.coeffs.d2(ts)[:, :, self.index]
+        c2 = self.coeffs.d2(params)[:, :, self.index]
         d2 = stack_fields(self.bases, params, 2)
         return combine(c2, vals) + 2.0 * combine(c1, d1) + combine(c0, d2)

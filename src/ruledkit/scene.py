@@ -11,6 +11,7 @@ that re-ingests to the byte-identical document.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -33,6 +34,22 @@ DEFAULT_GRID = {"t_samples": 200, "u_extent": 2.0, "u_samples_per_axis": 5}
 #: most grid points (t samples times ruling samples) a scene may ask for;
 #: the analysis allocates stacked arrays over the whole grid
 MAX_GRID_POINTS = 200_000
+
+
+def check_grid_budget(t_samples: int, u_samples_per_axis: int, m: int):
+    """Refuse, before it is built, a grid of more than MAX_GRID_POINTS points."""
+    points = t_samples * u_samples_per_axis ** (m - 1)
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid of {t_samples} t samples x {u_samples_per_axis}^{m - 1} ruling "
+            f"samples has {points} points, more than the {MAX_GRID_POINTS} the "
+            "analysis allows")
+
+
+def check_seed(seed):
+    """Raise a validation error unless seed is a non-negative integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _load_schema(name: str) -> dict:
@@ -170,12 +187,7 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
     tol = TolerancePolicy(**tol_cfg)
 
     fc = _build_framed_curve(doc)
-    points = grid_cfg["t_samples"] * grid_cfg["u_samples_per_axis"] ** (fc.m - 1)
-    if points > MAX_GRID_POINTS:
-        raise ValidationError(
-            f"grid of {grid_cfg['t_samples']} t samples x "
-            f"{grid_cfg['u_samples_per_axis']}^{fc.m - 1} ruling samples has {points} "
-            f"points, more than the {MAX_GRID_POINTS} the analysis allows")
+    check_grid_budget(grid_cfg["t_samples"], grid_cfg["u_samples_per_axis"], fc.m)
     notes: list[str] = []
 
     def make_grid(interval):

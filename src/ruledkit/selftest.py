@@ -8,6 +8,7 @@ selftest` reproduces the test gate from the shell.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 from .classify import (CONICAL, CYLINDRICAL, NON_RANK_ONE, TANGENT,
                        SegmentAnalysis, classify_patch, converse_check,
                        segment_analyses)
-from .distribution import degree_profile, pivot_frame, rho_at
+from .distribution import rho_at
 from .errors import RuledKitError
 from .multilinear import TolerancePolicy
 from .oracles import max_derivative_error
@@ -24,7 +25,8 @@ from .parametric import SampleGrid, make_builtin_patch
 from .ruledgeom import (RuledPatch, first_normal_bounds_check, flatness_check,
                         jacobians_at, sectional_curvature,
                         tangent_space_stability)
-from .striction import assemble_system, directrix_invariance
+from .scene import DEFAULT_GRID, check_grid_budget, check_seed
+from .striction import assemble_system, directrix_invariance, offsheet_check
 
 CORPUS_DEGREES = {
     "cylinder_helix": 0,
@@ -76,12 +78,15 @@ class CheckResult:
 
 
 def build_corpus(tol: TolerancePolicy, t_samples: int = 200) -> dict[str, RuledPatch]:
-    patches = {}
-    for name in CORPUS_DEGREES:
-        fc = make_builtin_patch(name)
-        grid = SampleGrid.uniform(fc.interval, t_samples)
-        patches[name] = RuledPatch(fc, grid, tol)
-    return patches
+    """The corpus patches on `t_samples`-point grids with the default ruling
+    axes; the work budget of `scene.ingest` is checked before any grid is built."""
+    curves = {name: make_builtin_patch(name) for name in CORPUS_DEGREES}
+    u = DEFAULT_GRID["u_samples_per_axis"]
+    for fc in curves.values():
+        check_grid_budget(t_samples, u, fc.m)
+    return {name: RuledPatch(fc, SampleGrid.uniform(fc.interval, t_samples,
+                                                    u_samples_per_axis=u), tol)
+            for name, fc in curves.items()}
 
 
 def _regularity_margins(jac: np.ndarray) -> np.ndarray:
@@ -116,18 +121,14 @@ def _stability_sweep(p: RuledPatch, pairs_per_t: int, seed: int) -> bool:
     return True
 
 
-def _whole_patch_segment(p: RuledPatch, segments: list[SegmentAnalysis], d: int,
-                         seed: int) -> SegmentAnalysis:
-    """The holder of the whole patch at degree d: the patch's own single
-    segment when its degree is constantly d, so its sheet is solved once."""
-    if len(segments) == 1 and segments[0].d == d:
-        return segments[0]
-    return SegmentAnalysis(p, 0, p.grid.t_samples.size, d, seed)
-
-
 def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
                  t_samples: int = 200) -> list[CheckResult]:
-    """Run every acceptance criterion; one result per named check."""
+    """Run every acceptance criterion; one result per named check.
+
+    The seed drives the off-sheet spot checks of criterion 4, the ruling
+    pairs of the stability sweep and the derivative oracle's sample points.
+    """
+    check_seed(seed)
     tol = tol or TolerancePolicy()
     results: list[CheckResult] = []
 
@@ -143,24 +144,25 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
             record(criterion, name, False, f"unexpected {type(exc).__name__}: {exc}")
 
     patches = build_corpus(tol, t_samples)
-    holders: dict[str, list[SegmentAnalysis]] = {}
 
+    @functools.cache
     def segments(name):
         """The patch's segment holders, built once and shared by all criteria."""
-        if name not in holders:
-            holders[name] = segment_analyses(patches[name], seed)
-        return holders[name]
+        return segment_analyses(patches[name])
 
-    def solved_sheet(name):
-        """(pivoted patch, sheet, singular locus) of a degree-one patch."""
-        seg = _whole_patch_segment(patches[name], segments(name), 1, seed)
-        return seg.pivoted, seg.sheet, seg.locus
+    def whole(name) -> SegmentAnalysis:
+        """The holder of the whole patch at its corpus degree: the patch's own
+        single segment when its degree is constant, so its sheet is solved once."""
+        segs, d = segments(name), CORPUS_DEGREES[name]
+        if len(segs) == 1 and segs[0].d == d:
+            return segs[0]
+        return SegmentAnalysis(patches[name], 0, t_samples, d)
 
     # -- criterion 1: degree profiles and the degree bound -----------------
     def c1():
         for name, expected in CORPUS_DEGREES.items():
             p = patches[name]
-            prof = degree_profile(p.fc, p.grid, tol)
+            prof = p.profile
             bound = min(p.m - 1, p.fc.codim + 1)
             ok = (prof.constant_degree == expected
                   and all(d <= bound for d in prof.degrees))
@@ -171,22 +173,22 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
     # -- criterion 2: striction recovery ------------------------------------
     def c2():
         sqrt2 = math.sqrt(2.0)
-        pp, sheet, _ = solved_sheet("circular_cone")
-        ts = pp.grid.t_samples
+        sheet = whole("circular_cone").sheet
+        ts = sheet.grid.t_samples
         u_err = float(np.abs(sheet.solved(ts)[:, 0] + sqrt2).max())
         apex_err = float(np.linalg.norm(sheet.beta(ts), axis=1).max())
         record(2, "cone solved coordinate -sqrt(2)", u_err < 1e-8, f"max err {u_err:.2e}")
         record(2, "cone apex at origin", apex_err < 1e-6, f"max |beta| {apex_err:.2e}")
 
-        pp, sheet, _ = solved_sheet("helicoid_frame")
-        axis_err = float(np.linalg.norm(sheet.beta(pp.grid.t_samples)[:, :2], axis=1).max())
+        sheet = whole("helicoid_frame").sheet
+        axis_err = float(np.linalg.norm(sheet.beta(sheet.grid.t_samples)[:, :2], axis=1).max())
         record(2, "helicoid striction line is the axis", axis_err < 1e-8,
                f"max off-axis {axis_err:.2e}")
 
-        pp, sheet, _ = solved_sheet("tangent_developable_helix")
-        ts = pp.grid.t_samples
+        sheet = whole("tangent_developable_helix").sheet
+        ts = sheet.grid.t_samples
         u_err = float(np.abs(sheet.solved(ts)[:, 0]).max())
-        curve_err = float(np.linalg.norm(sheet.beta(ts) - pp.fc.directrix.eval(ts, 0),
+        curve_err = float(np.linalg.norm(sheet.beta(ts) - sheet.fc.directrix.eval(ts, 0),
                                          axis=1).max())
         record(2, "tangent developable sheet is the directrix",
                u_err < 1e-8 and curve_err < 1e-6,
@@ -197,12 +199,11 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
     def c3():
         for name in ["helicoid_frame", "circular_cone", "tangent_developable_helix",
                      "tangent_developable_product", "two_rotation_r5"]:
-            p = patches[name]
             d = CORPUS_DEGREES[name]
-            pivoted = pivot_frame(p.fc, p.grid, d, tol)
+            pivoted = whole(name).pivoted.fc
             worst_sym = worst_gram = 0.0
             pd_ok = True
-            for t in p.grid.t_samples:
+            for t in patches[name].grid.t_samples:
                 sys = assemble_system(pivoted, t, d, tol)
                 worst_sym = max(worst_sym, float(np.abs(sys.A - sys.A.T).max()))
                 pd_ok = pd_ok and float(np.linalg.eigvalsh(sys.A).min()) > 0.0
@@ -217,12 +218,13 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
     def c4():
         for name in ["circular_cone", "tangent_developable_helix",
                      "tangent_developable_product"]:
-            _, _, locus = solved_sheet(name)
-            ok = locus.singular_fraction >= 0.99 and locus.offsheet_all_regular
+            seg = whole(name)
+            locus, offsheet = seg.locus, offsheet_check(seg.pivoted, seg.sheet, seed)
+            ok = locus.singular_fraction >= 0.99 and not offsheet.failures
             record(4, f"singularities confined to the sheet: {name}", ok,
                    f"coverage {locus.singular_fraction:.3f}, "
-                   f"off-sheet regular {locus.offsheet_regular}/{locus.offsheet_total}")
-        _, _, locus = solved_sheet("helicoid_frame")
+                   f"off-sheet regular {offsheet.regular}/{offsheet.total}")
+        locus = whole("helicoid_frame").locus
         record(4, "helicoid sheet has no singular samples",
                locus.singular_fraction == 0.0,
                f"fraction {locus.singular_fraction:.3f}")
@@ -253,9 +255,9 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
     # -- criterion 7: directrix invariance ----------------------------------
     def c7():
         for name in ["circular_cone", "tangent_developable_helix"]:
-            pp, sheet, _ = solved_sheet(name)
-            offsets = [np.full(pp.m - 1, s) for s in INVARIANCE_OFFSET_SCALES]
-            inv = directrix_invariance(pp, sheet, offsets)
+            seg = whole(name)
+            offsets = [np.full(seg.patch.m - 1, s) for s in INVARIANCE_OFFSET_SCALES]
+            inv = directrix_invariance(seg.pivoted, seg.sheet, offsets)
             ok = inv.max_deviation < 1e-6 and not inv.skipped
             record(7, f"directrix invariance {name}", ok,
                    f"max deviation {inv.max_deviation:.2e}")
@@ -264,17 +266,17 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
     # -- criterion 8: classification ----------------------------------------
     def c8():
         for name, expected in EXPECTED_KINDS.items():
-            rep = classify_patch(patches[name], seed=seed, segments=segments(name))
+            rep = classify_patch(patches[name], segments=segments(name))
             kinds = rep.kinds()
             ok = kinds == [expected]
             detail = f"kinds={kinds} expected=[{expected}]"
             if name == "tangent_developable_product" and ok:
-                _, sheet, _ = solved_sheet(name)
+                sheet = whole(name).sheet
                 ok = sheet.free_count + 1 == 2
                 detail += f", sheet dimension {sheet.free_count + 1}"
             record(8, f"classification {name}", ok, detail)
         for name in DEGREE_ONE_PATCHES:
-            cv = converse_check(patches[name], seed=seed, segments=segments(name))
+            cv = converse_check(patches[name], segments=segments(name))
             record(8, f"singularity/developability converse {name}", cv.agree,
                    f"rank_one={cv.rank_one} coverage={cv.singular_coverage:.3f}")
     guarded(8, "classification", c8)
@@ -290,7 +292,7 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
                         f, p.fc.interval, order, n=50, seed=seed))
             record(9, f"analytic vs finite-difference derivatives {name}",
                    worst < 1e-7, f"max err {worst:.2e}")
-        rep = classify_patch(patches["rotating_cylinder"], seed=seed,
+        rep = classify_patch(patches["rotating_cylinder"],
                              segments=segments("rotating_cylinder"))
         record(9, "rotating-frame cylinder classified cylindrical",
                rep.kinds() == [CYLINDRICAL], f"kinds={rep.kinds()}")

@@ -13,6 +13,9 @@ samples are assembled, checked and Cholesky-solved as (N, d, d) stacks,
 and the sheet wedge tests of the locus scan and the equivalent-condition
 check form one stacked SVD each. Only samples whose system sits near the
 eigenvalue floor fall back to a per-sample pivoted QR solve.
+
+Every stage is deterministic except `offsheet_check`, the randomized
+regularity spot check just off the sheet; it alone takes a seed.
 """
 
 from __future__ import annotations
@@ -193,11 +196,6 @@ class StrictionSheet:
         out = self._partials(self.fc.grid_values(ts), u_free)[:, 0]
         return out if np.ndim(t) else out[0]
 
-    def beta_dot(self, t, u_free=()) -> np.ndarray:
-        """t-derivative of the sheet map at fixed free coordinates, shaped
-        as `beta`."""
-        return self.beta_partials(t, u_free)[..., 0, :]
-
     @cached_property
     def grid_partials(self) -> np.ndarray:
         """Sheet Jacobians at every grid parameter and free grid position,
@@ -206,8 +204,9 @@ class StrictionSheet:
 
     def defining_residual(self, t: float, u_free=()) -> float:
         """max_h |<beta_dot, rho X_h>| over the trailing fields."""
+        beta_dot = self.beta_partials(t, u_free)[0]
         return float(_defining_residuals(rho_at(self.fc, t).rho_vectors[None],
-                                         self.beta_dot(t, u_free)[None], self.d)[0])
+                                         beta_dot[None], self.d)[0])
 
 
 def _defining_residuals(rho: np.ndarray, beta_dot: np.ndarray, d: int) -> np.ndarray:
@@ -290,13 +289,10 @@ class SingularSample:
 
 @dataclass(frozen=True, eq=False)
 class SingularLocus:
-    """Where the patch degenerates: wedge residuals along the sheet, plus
-    a randomized regularity spot-check just off the sheet."""
+    """Where the patch degenerates: the wedge residual at every grid
+    parameter and free grid position of the sheet."""
 
     entries: tuple[SingularSample, ...]
-    offsheet_total: int
-    offsheet_regular: int
-    offsheet_failures: tuple
 
     @property
     def singular_fraction(self) -> float:
@@ -304,9 +300,17 @@ class SingularLocus:
             return 0.0
         return sum(1 for e in self.entries if e.singular) / len(self.entries)
 
+
+@dataclass(frozen=True, eq=False)
+class OffsheetCheck:
+    """The randomized regularity spot check just off the sheet."""
+
+    total: int
+    failures: tuple  # (t, full ruling coordinates) of each irregular point
+
     @property
-    def offsheet_all_regular(self) -> bool:
-        return self.offsheet_regular == self.offsheet_total
+    def regular(self) -> int:
+        return self.total - len(self.failures)
 
 
 def _sheet_wedges(sheet: StrictionSheet) -> np.ndarray:
@@ -319,42 +323,44 @@ def _sheet_wedges(sheet: StrictionSheet) -> np.ndarray:
     return wedges
 
 
-def singular_locus(p: RuledPatch, sheet: StrictionSheet,
-                   offsheet_checks: int = 32, seed: int = 0) -> SingularLocus:
-    """Wedge test along the sheet and regularity just off it.
-
-    A sheet sample is singular when the t-derivative of the sheet map is
-    wedged to zero by the frame. Off-sheet points perturb every solved
-    coordinate by +-delta with delta = 10 grid u-spacings; the patch must
-    be regular there.
-    """
-    fc, grid, tol = p.fc, p.grid, p.tol
-    u_pts = grid.u_points(sheet.free_count)
+def singular_locus(p: RuledPatch, sheet: StrictionSheet) -> SingularLocus:
+    """Wedge test along the sheet: a sheet sample is singular when the
+    t-derivative of the sheet map is wedged to zero by the frame."""
+    u_pts = p.grid.u_points(sheet.free_count)
     residuals = wedge_norms(_sheet_wedges(sheet))
-    entries = [SingularSample(t=float(t), u_free=u_free, wedge_residual=float(res),
-                              singular=bool(res < tol.zero_abs_tol))
-               for t, row in zip(grid.t_samples, residuals)
-               for u_free, res in zip(u_pts, row)]
+    return SingularLocus(entries=tuple(
+        SingularSample(t=float(t), u_free=u_free, wedge_residual=float(res),
+                       singular=bool(res < p.tol.zero_abs_tol))
+        for t, row in zip(p.grid.t_samples, residuals)
+        for u_free, res in zip(u_pts, row)))
+
+
+def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
+                   checks: int = 32) -> OffsheetCheck:
+    """Regularity of the patch just off the sheet, at `checks` random points.
+
+    Each point takes a uniform t and free coordinates, and perturbs every
+    solved coordinate by +-delta with delta = 10 grid u-spacings; the
+    patch must be regular there. This is the only seeded stage.
+    """
+    fc, grid = p.fc, p.grid
     rng = np.random.default_rng(seed)
     axis = grid.u_axis
     spacing = float(axis[1] - axis[0]) if axis.size > 1 else grid.u_extent / 5.0
     delta = 10.0 * spacing
     lo, hi = fc.interval
-    ts = np.empty(offsheet_checks)
-    u = np.empty((offsheet_checks, fc.m - 1))
-    signs = np.empty((offsheet_checks, sheet.d))
-    for i in range(offsheet_checks):  # the seed's stream: t, u_free, signs per check
+    ts = np.empty(checks)
+    u = np.empty((checks, fc.m - 1))
+    signs = np.empty((checks, sheet.d))
+    for i in range(checks):  # the seed's stream: t, u_free, signs per check
         ts[i] = rng.uniform(lo, hi)
         u[i, :sheet.free_count] = rng.uniform(-grid.u_extent, grid.u_extent,
                                               size=sheet.free_count)
         signs[i] = rng.choice([-1.0, 1.0], size=sheet.d)
     u[:, sheet.free_count:] = sheet.solved(ts, u[:, :sheet.free_count]) + delta * signs
-    irregular = np.flatnonzero(numerical_ranks(jacobians_at(p, ts, u), tol) != fc.m)
-    failures = [(float(ts[i]), u[i].tolist()) for i in irregular]
-    return SingularLocus(entries=tuple(entries),
-                         offsheet_total=offsheet_checks,
-                         offsheet_regular=offsheet_checks - len(failures),
-                         offsheet_failures=tuple(failures))
+    irregular = np.flatnonzero(numerical_ranks(jacobians_at(p, ts, u), p.tol) != fc.m)
+    return OffsheetCheck(total=checks,
+                         failures=tuple((float(ts[i]), u[i].tolist()) for i in irregular))
 
 
 @dataclass(frozen=True, eq=False)

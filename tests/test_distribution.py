@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ruledkit import (FourierField, FramedCurve, PolynomialField, SampleGrid,
-                      TolerancePolicy, ValidationError, constant_degree_segments,
-                      degree_profile, make_builtin_patch, pivot_frame, rho_at)
-from ruledkit.distribution import equal_runs
-from ruledkit.fields import VectorField
+from conftest import small_patch
+from ruledkit import (RuledPatch, SampleGrid, TolerancePolicy, ValidationError,
+                      make_builtin_patch, pivot_frame, rho_at)
+from ruledkit.distribution import constant_degree_segments, degree_profile, equal_runs
+from ruledkit.fields import FourierField, PolynomialField, VectorField
+from ruledkit.parametric import FramedCurve
 from ruledkit.multilinear import spans_equal
 
 TWO_PI = 2.0 * math.pi
@@ -106,33 +107,40 @@ def test_spliced_field_splits_into_two_segments(tol):
 
 # --- pivoting ----------------------------------------------------------------
 
-def test_pivot_swaps_product_frame(tol):
-    fc = make_builtin_patch("tangent_developable_product")
-    grid = SampleGrid.uniform(fc.interval, 21)
-    pivoted = pivot_frame(fc, grid, 1, tol)
-    assert pivoted.frame == (fc.frame[1], fc.frame[0])
+def test_pivot_swaps_product_frame():
+    p = small_patch("tangent_developable_product", 21)
+    pivoted = pivot_frame(p, 1)
+    assert pivoted.fc.frame == (p.fc.frame[1], p.fc.frame[0])
+    assert (pivoted.grid, pivoted.tol, pivoted.origin) == (p.grid, p.tol, None)
 
 
-def test_pivot_keeps_satisfying_frame(tol):
-    fc = make_builtin_patch("two_rotation_r5")
-    grid = SampleGrid.uniform(fc.interval, 21)
-    assert pivot_frame(fc, grid, 2, tol) is fc
+def test_pivot_keeps_satisfying_frame():
+    p = small_patch("two_rotation_r5", 21)
+    assert pivot_frame(p, 2) is p
 
 
 def test_pivot_preserves_degree(tol):
-    fc = make_builtin_patch("tangent_developable_product")
-    grid = SampleGrid.uniform(fc.interval, 21)
-    pivoted = pivot_frame(fc, grid, 1, tol)
-    before = degree_profile(fc, grid, tol).degrees
-    after = degree_profile(pivoted, grid, tol).degrees
-    assert np.array_equal(before, after)
+    p = small_patch("tangent_developable_product", 21)
+    pivoted = pivot_frame(p, 1)
+    after = degree_profile(pivoted.fc, p.grid, tol).degrees
+    assert np.array_equal(p.profile.degrees, after)
 
 
-def test_pivot_rejects_wrong_degree(tol):
-    fc = make_builtin_patch("cylinder_helix")
-    grid = SampleGrid.uniform(fc.interval, 21)
+def test_pivot_reads_the_patch_profile(monkeypatch):
+    from ruledkit import distribution
+    p = small_patch("tangent_developable_product", 21)
+    p.profile
+    monkeypatch.setattr(distribution, "profile_from_values", None)
+    monkeypatch.setattr(distribution, "degree_profile", None)
+    assert pivot_frame(p, 1).fc.frame == (p.fc.frame[1], p.fc.frame[0])
+    # a restricted patch pivots on the slice of its parent's profile
+    sub = p.restrict(3, 15)
+    assert pivot_frame(sub, 1).grid is sub.grid
+
+
+def test_pivot_rejects_wrong_degree():
     with pytest.raises(ValidationError):
-        pivot_frame(fc, grid, 1, tol)
+        pivot_frame(small_patch("cylinder_helix", 21), 1)
 
 
 def _migrating_frame():
@@ -160,9 +168,12 @@ def test_pivot_rotation_fallback(tol):
     fc = _migrating_frame()
     grid = SampleGrid.uniform(fc.interval, 41)
     fc.validate_on(grid, tol)
-    prof = degree_profile(fc, grid, tol)
-    assert prof.constant_degree == 1
-    pivoted = pivot_frame(fc, grid, 1, tol)
+    patch = RuledPatch(fc, grid, tol)
+    assert patch.profile.constant_degree == 1
+    rotated = pivot_frame(patch, 1)
+    # the rotated patch keeps the profile the pivot checked it with
+    assert rotated.profile.constant_degree == 1
+    pivoted = rotated.fc
     assert pivoted is not fc
     assert pivoted.frame != fc.frame and pivoted.frame != (fc.frame[1], fc.frame[0])
     for t in grid.t_samples:

@@ -4,15 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from ruledkit import (AffineCombinationField, ComposedField, ConstantField,
-                      DerivativeField, DomainError, EmbeddedField,
-                      FourierField, HelixCurve, PolynomialField,
-                      RegularityError, ValidationError,
-                      arclength_reparametrize, make_builtin_curve)
+from ruledkit import DomainError, HelixCurve, RegularityError, ValidationError
 from ruledkit.errors import ConfigError
-from ruledkit.fields import (CircleCurve, FrameCombinationField, LineCurve,
-                             ParameterMap, SplineCoefficients,
-                             TransportCoefficients, VectorField)
+from ruledkit.fields import (AffineCombinationField, CircleCurve, ComposedField,
+                             ConstantField, DerivativeField, EmbeddedField, FourierField,
+                             FrameCombinationField, LineCurve, ParameterMap,
+                             PolynomialField, SplineCoefficients, TransportCoefficients,
+                             VectorField, arclength_reparametrize, make_builtin_curve)
 from ruledkit.oracles import central_difference, max_derivative_error
 
 TWO_PI = 2.0 * math.pi

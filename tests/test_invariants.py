@@ -11,11 +11,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruledkit import (ComposedField, FourierField, FramedCurve, ParameterMap,
-                      RuledPatch, SampleGrid, TolerancePolicy,
-                      gram_schmidt_frame, jacobian_sigma,
-                      parallel_transport_frame, rho_at)
+from ruledkit import RuledPatch, SampleGrid, TolerancePolicy, rho_at
+from ruledkit.fields import ComposedField, FourierField, ParameterMap
 from ruledkit.multilinear import numerical_rank
+from ruledkit.parametric import FramedCurve, gram_schmidt_frame, parallel_transport_frame
+from ruledkit.ruledgeom import jacobian_sigma
 
 TOL = TolerancePolicy()
 

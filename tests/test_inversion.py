@@ -18,7 +18,8 @@ from ruledkit.analysis import analyze
 from ruledkit.fields import (AffineCombinationField, ComposedField,
                              FourierField, ParameterArray, ParameterMap,
                              VectorField)
-from ruledkit.parametric import FramedCurve, arclength_framed_curve
+from ruledkit.parametric import (FramedCurve, arclength_framed_curve,
+                                 parallel_transport_frame)
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,6 +116,25 @@ def test_nested_map_values_equal_per_field_evals_and_invert_once_per_map(monkeyp
     inner = p.fc.directrix.parameter_map
     assert [(m, n) for m, n, depth in calls if depth == 0] == [(outer, ts.size),
                                                               (inner, ts.size)]
+
+
+def test_transported_frame_shares_the_inversion_of_its_grid(monkeypatch):
+    # the transport coefficients' connection skew is evaluated on the
+    # combined field's ParameterArray, so frame orders 0-2 on one grid
+    # invert the map once, as a Gram-Schmidt frame does
+    p = ingest(explicit_scene(0)).patch
+    transported = p.fc.with_frame(parallel_transport_frame(p.fc, p.grid))
+    for fc in (p.fc, transported):
+        calls = _counting_inversions(monkeypatch)
+        values = fc.grid_values(p.grid.t_samples)
+        for order in range(3):
+            values.frame(order)
+        assert [n for _, n, depth in calls if depth == 0] == [p.grid.t_samples.size]
+    # and the shared inversion changes no value
+    ts = p.grid.t_samples
+    for order in range(3):
+        assert np.array_equal(transported.grid_values(ts).frame(order),
+                              np.stack([f.eval(ts, order) for f in transported.frame], axis=1))
 
 
 class _ScalarOnlyFrame(VectorField):

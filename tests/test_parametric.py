@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ruledkit import (ConfigError, ConstantField, DegeneracyError, FourierField,
-                      FramedCurve, HelixCurve, PolynomialField, SampleGrid,
-                      ValidationError, builtin_families,
-                      gram_schmidt_frame, make_builtin_patch,
-                      parallel_transport_frame, rho_at)
+from ruledkit import (ConfigError, DegeneracyError, HelixCurve, SampleGrid,
+                      ValidationError, make_builtin_patch, rho_at)
+from ruledkit.fields import ConstantField, FourierField, PolynomialField
 from ruledkit.multilinear import gram_matrix, numerical_rank, project_orthogonal
-from ruledkit.parametric import BUILTIN_PATCHES, arclength_framed_curve
+from ruledkit.parametric import (BUILTIN_PATCHES, FramedCurve, arclength_framed_curve,
+                                 builtin_families, gram_schmidt_frame,
+                                 parallel_transport_frame)
 
 TWO_PI = 2.0 * math.pi
 SQ2 = math.sqrt(2.0)

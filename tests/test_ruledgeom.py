@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import small_patch
-from ruledkit import (ConstantField, FramedCurve, PolynomialField,
-                      RegularityError, RuledPatch, SampleGrid, eval_sigma,
-                      first_normal_bounds_check, flatness_check,
-                      jacobian_sigma, planar_points, rank_one_check,
-                      second_form_along_directrix, sectional_curvature,
-                      tangent_space_stability)
+from ruledkit import RegularityError, RuledPatch, SampleGrid
+from ruledkit.fields import ConstantField, PolynomialField
 from ruledkit.multilinear import numerical_rank
-from ruledkit.parametric import BUILTIN_PATCHES
+from ruledkit.parametric import BUILTIN_PATCHES, FramedCurve
 from ruledkit.ruledgeom import (_coordinate_plane_curvatures, _orthonormal_tangent_coeffs,
-                                _second_form_vectors)
+                                _second_form_vectors, eval_sigma, first_normal_bounds_check,
+                                flatness_check, jacobian_sigma, planar_points,
+                                rank_one_check, second_form_along_directrix,
+                                sectional_curvature, tangent_space_stability)
 
 SQ2 = math.sqrt(2.0)
 
@@ -60,7 +59,7 @@ def test_jacobian_helicoid_always_regular(helicoid_patch):
 
 
 def test_jacobian_rank_m_iff_partials_wedge_nonzero(tangent_dev_patch):
-    from ruledkit import wedge_norm
+    from ruledkit.multilinear import wedge_norm
     p = tangent_dev_patch
     for t, u in ((0.4, [0.0]), (0.4, [0.8]), (2.2, [-1.3])):
         jac = jacobian_sigma(p, t, u)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from ruledkit import DegeneracyError, ValidationError, ingest
 from ruledkit.analysis import analyze
 from ruledkit.cli import main
-from ruledkit.scene import _load_schema, normalized_scene_bytes, validate_scene
+from ruledkit.scene import (IngestResult, _load_schema, normalized_scene_bytes,
+                            validate_scene)
 from ruledkit.selftest import run_selftest, all_passed
 from ruledkit.multilinear import TolerancePolicy
 
@@ -220,6 +221,44 @@ def test_work_budget_admits_shipped_scenes_and_benchmark_grids(pytestconfig, gri
             ingest({"builtin_patch": name}, overrides={"t_samples": 800})
 
 
+def test_selftest_rejects_a_corpus_over_the_work_budget(grid_sentinel):
+    from ruledkit.scene import MAX_GRID_POINTS
+    at_cap = MAX_GRID_POINTS // 5 ** 2  # the m = 3 corpus patches, 5 ruling samples
+    with pytest.raises(ValidationError, match="points"):
+        run_selftest(t_samples=at_cap + 1)
+    with pytest.raises(_GridBuilt):
+        run_selftest(t_samples=at_cap)
+    result = CliRunner().invoke(main, ["selftest", "--t-samples", str(at_cap + 1)])
+    assert result.exit_code == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "points" in lines[0]
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_negative_or_non_integer_seed_is_refused_before_any_stage(tmp_path, grid_sentinel,
+                                                                   seed):
+    with pytest.raises(ValidationError, match="seed"):
+        run_selftest(seed=seed)
+    result = IngestResult(patch=None, normalized={}, notes=[])
+    with pytest.raises(ValidationError, match="seed"):
+        analyze(result, tmp_path / "out", seed=seed)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "{scene}", "-o", "{out}", "--seed", "-1"],
+    ["selftest", "--seed", "-1"],
+])
+def test_cli_negative_seed_exits_2(tmp_path, args):
+    scene = write_scene(tmp_path, CONE_SCENE)
+    args = [a.format(scene=scene, out=tmp_path / "out") for a in args]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert result.stderr.splitlines() == [
+        "error: seed must be a non-negative integer, got -1"]
+
+
 def test_scene_interval_override_for_builtin(tmp_path):
     doc = dict(CONE_SCENE, interval=[0.0, 3.0])
     result = ingest(write_scene(tmp_path, doc))
@@ -297,6 +336,25 @@ def test_report_deterministic(tmp_path):
     b = analyze(ingest(CONE_SCENE), tmp_path / "b", seed=7)
     assert (tmp_path / "a" / "report.json").read_bytes() == \
         (tmp_path / "b" / "report.json").read_bytes()
+
+
+def test_seed_reaches_only_the_offsheet_spot_check(pytestconfig, tmp_path):
+    # every verdict and every other output of the shipped scenes is the
+    # same at two seeds; only the seed itself and the off-sheet counts may move
+    for path in sorted((pytestconfig.rootpath / "scenes").glob("*.json")):
+        outs = [tmp_path / f"{path.stem}-{seed}" for seed in (0, 7)]
+        reports = [analyze(ingest(str(path)), out, seed=seed)
+                   for out, seed in zip(outs, (0, 7))]
+        for report, seed in zip(reports, (0, 7)):
+            assert report.pop("seed") == seed
+            for section in report["striction"]:
+                assert section.pop("offsheet")["total"] == 32
+        assert reports[0] == reports[1]
+        names = sorted(f.name for f in outs[0].iterdir())
+        assert names == sorted(f.name for f in outs[1].iterdir())
+        for name in names:
+            if name != "report.json":
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -424,6 +482,25 @@ def test_cli_analyze_survives_schema_valid_scenes(doc):
             assert max(report["degree_profile"]["degree"]) <= bound
 
 
+def test_package_exports_exactly_the_names_readme_lists(pytestconfig):
+    import importlib
+    import re
+    import ruledkit
+    from perfbench import tracer
+    readme = (pytestconfig.rootpath / "README.md").read_text()
+    section = readme.split("### Public names", 1)[1].split("\n## ", 1)[0]
+    bullets = section[section.index("\n- "):]
+    listed = re.findall(r"`(\w+)`", bullets)
+    assert sorted(listed) == sorted(ruledkit.__all__)
+    assert len(set(listed)) == len(listed)
+    assert all(hasattr(ruledkit, name) for name in ruledkit.__all__)
+    # what the benchmark reads from the package and binds in its modules
+    assert ruledkit.ingest is ruledkit.scene.ingest
+    assert ruledkit.rho_at is ruledkit.distribution.rho_at
+    for modname, attr, _ in tracer.FUNCTIONS:
+        assert hasattr(importlib.import_module(f"ruledkit.{modname}"), attr)
+
+
 def test_version_constant_matches_pyproject(pytestconfig):
     import re
     import ruledkit
@@ -470,7 +547,10 @@ def test_shipped_scenes_ingest(pytestconfig):
 def test_degree_detection_breaks_with_bad_rank_tolerance():
     # unequal rotation rates: the slow direction falls below a 0.5 relative
     # cutoff, so the degree check fails loudly under that override
-    from ruledkit import FramedCurve, FourierField, PolynomialField, SampleGrid, degree_profile
+    from ruledkit import SampleGrid
+    from ruledkit.distribution import degree_profile
+    from ruledkit.fields import FourierField, PolynomialField
+    from ruledkit.parametric import FramedCurve
     directrix = PolynomialField([[0.0, 1.0], [0.0], [0.0], [0.0], [0.0]])
     x1 = FourierField([(0.0, [], [], 1.0), (0.0, [1.0], [], 1.0),
                        (0.0, [], [1.0], 1.0), (0.0, [], [], 1.0), (0.0, [], [], 1.0)])

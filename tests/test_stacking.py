@@ -15,13 +15,15 @@ import numpy as np
 import pytest
 
 from conftest import small_patch
-from ruledkit import (RuledPatch, SampleGrid, degree_profile, ingest, jacobian_sigma,
-                      make_builtin_patch, rank_one_check, selftest, striction)
+from ruledkit import (RuledPatch, SampleGrid, ingest, make_builtin_patch, selftest,
+                      striction)
 from ruledkit.analysis import analyze
 from ruledkit.classify import SegmentAnalysis
+from ruledkit.distribution import degree_profile
 from ruledkit.multilinear import numerical_rank, spans_equal
 from ruledkit.parametric import BUILTIN_PATCHES
-from ruledkit.ruledgeom import second_form_scan, tangent_space_stability
+from ruledkit.ruledgeom import (jacobian_sigma, rank_one_check, second_form_scan,
+                                tangent_space_stability)
 
 #: stacked and per-sample arithmetic may sum in another order; float64
 #: results of unit-scale inputs agree far inside this
@@ -187,12 +189,18 @@ def test_stability_sweep_draws_the_pairs_of_a_one_pair_loop(monkeypatch):
 
 
 def test_selftest_solves_each_sheet_once(monkeypatch):
-    counts = _count_calls(monkeypatch, [("striction", "solve_striction")])
+    counts = _count_calls(monkeypatch, [("striction", "solve_striction"),
+                                        ("distribution", "pivot_frame"),
+                                        ("distribution", "degree_profile")])
     results = selftest.run_selftest(t_samples=30)
     assert all(r.passed for r in results)
     # four degree-one corpus sheets, plus 2 patches x 3 offsets re-solved
     # by the directrix invariance check
     assert counts["solve_striction"] == 4 + 2 * len(selftest.INVARIANCE_OFFSET_SCALES)
+    # one pivot per patch of criterion 3, shared with the sheets; the
+    # profiles are the patches' own
+    assert counts["pivot_frame"] == 5
+    assert counts["degree_profile"] == 0
 
 
 def test_analyze_builds_the_sheet_partials_once(tmp_path, monkeypatch):

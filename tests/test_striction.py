@@ -6,29 +6,29 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from ruledkit import (DegeneracyError, FourierField, FramedCurve,
-                      PolynomialField, RuledPatch, SampleGrid,
-                      ValidationError, assemble_system,
-                      directrix_invariance, equivalent_condition_check,
-                      pivot_frame, rho_at, singular_locus, solve_striction,
-                      striction_jacobian_rank, write_striction_csv)
+from ruledkit import (DegeneracyError, RuledPatch, SampleGrid, ValidationError,
+                      offsheet_check, pivot_frame, rho_at, singular_locus,
+                      solve_striction)
 from conftest import small_patch
-from ruledkit import ParameterMap, striction
+from ruledkit import striction
 from ruledkit.analysis import DEFAULT_INVARIANCE_SCALES, analyze
 from ruledkit.classify import segment_analyses
 from ruledkit.exports import write_mesh_obj
-from ruledkit.fields import VectorField
+from ruledkit.fields import FourierField, ParameterMap, PolynomialField, VectorField
 from ruledkit.multilinear import TolerancePolicy, numerical_rank
+from ruledkit.parametric import FramedCurve
 from ruledkit.ruledgeom import jacobian_sigma
 from ruledkit.scene import ingest
+from ruledkit.striction import (assemble_system, directrix_invariance,
+                                equivalent_condition_check, striction_jacobian_rank,
+                                write_striction_csv)
 
 SQ2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
 
 
 def pivoted(patch, d=1):
-    fc = pivot_frame(patch.fc, patch.grid, d, patch.tol)
-    return RuledPatch(fc, patch.grid, patch.tol)
+    return pivot_frame(patch, d)
 
 
 @pytest.fixture
@@ -149,16 +149,16 @@ def test_solve_fallback_near_degenerate_system():
 
 def test_singular_locus_tangent_developable(td_sheet):
     p, sheet = td_sheet
-    locus = singular_locus(p, sheet, seed=1)
+    locus = singular_locus(p, sheet)
     assert locus.singular_fraction == 1.0
     assert all(e.wedge_residual < 1e-10 for e in locus.entries)
-    assert locus.offsheet_all_regular
+    assert offsheet_check(p, sheet, seed=1).failures == ()
 
 
 def test_singular_locus_helicoid(helicoid_patch):
     p = pivoted(helicoid_patch)
     sheet = solve_striction(p, 1)
-    locus = singular_locus(p, sheet, seed=1)
+    locus = singular_locus(p, sheet)
     assert locus.singular_fraction == 0.0
     for e in locus.entries:
         assert e.wedge_residual == pytest.approx(1.0, abs=1e-9)
@@ -166,9 +166,9 @@ def test_singular_locus_helicoid(helicoid_patch):
 
 def test_singular_locus_cone(cone_sheet):
     p, sheet = cone_sheet
-    locus = singular_locus(p, sheet, seed=1)
+    locus = singular_locus(p, sheet)
     assert locus.singular_fraction == 1.0
-    assert locus.offsheet_all_regular
+    assert offsheet_check(p, sheet, seed=1).failures == ()
 
 
 class _VaryingRateRuling(VectorField):
@@ -212,14 +212,13 @@ def test_stacked_offsheet_checks_equal_the_per_point_loop(product_sheet):
                         TolerancePolicy(rank_rel_tol=0.1))
     for p, sheet in ((wobble, solve_striction(wobble, 1)), product_sheet):
         for seed in (1, 3):
-            locus = singular_locus(p, sheet, seed=seed)
+            check = offsheet_check(p, sheet, seed=seed)
             expected = _offsheet_failures_one_by_one(p, sheet, 32, seed)
-            assert locus.offsheet_failures == expected
-            assert locus.offsheet_regular == 32 - len(expected)
-    assert 0 < len(singular_locus(wobble, solve_striction(wobble, 1), seed=3)
-                   .offsheet_failures) < 32
-    assert singular_locus(wobble, solve_striction(wobble, 1),
-                          offsheet_checks=0).offsheet_total == 0
+            assert check.failures == expected
+            assert check.regular == 32 - len(expected)
+    assert 0 < len(offsheet_check(wobble, solve_striction(wobble, 1), seed=3)
+                   .failures) < 32
+    assert offsheet_check(wobble, solve_striction(wobble, 1), checks=0).total == 0
 
 
 def test_dense_random_box_sample_has_no_offsheet_singularities(td_sheet):
@@ -396,7 +395,7 @@ def test_invariance_one_least_squares_per_offset_and_free_position(monkeypatch, 
 
 def test_striction_csv_layout(tmp_path, td_sheet):
     p, sheet = td_sheet
-    locus = singular_locus(p, sheet, seed=1)
+    locus = singular_locus(p, sheet)
     path = tmp_path / "striction.csv"
     write_striction_csv(sheet, locus, path)
     with open(path) as fh:
@@ -411,7 +410,7 @@ def test_striction_csv_layout(tmp_path, td_sheet):
 
 def test_striction_csv_layout_with_free_coordinates(tmp_path, product_sheet):
     p, sheet = product_sheet
-    locus = singular_locus(p, sheet, seed=1)
+    locus = singular_locus(p, sheet)
     path = tmp_path / "striction.csv"
     write_striction_csv(sheet, locus, path)
     with open(path) as fh:
