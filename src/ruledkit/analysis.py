@@ -65,9 +65,9 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
         bounds_sections.append({
             "t_range": t_range,
             "degree": d,
-            "checked": len(bounds.entries),
+            "checked": bounds.checked,
             "skipped_singular": bounds.skipped_singular,
-            "violations": [[t, u, dim] for t, u, dim, _ in bounds.violations],
+            "violations": [list(v) for v in bounds.violations],
         })
         if d == 0:
             continue

@@ -227,11 +227,11 @@ def second_form_scan(p: RuledPatch) -> SecondFormScan:
 
 @dataclass(frozen=True, eq=False)
 class BoundsReport:
-    """First-normal-space dimension versus the degree bounds, per sample."""
+    """First-normal-space dimension versus the degree bounds over the grid."""
 
     d: int
-    entries: list  # (t, u, first_normal_dim, ok)
-    violations: list
+    checked: int     # regular grid points
+    violations: list  # (t, u, first_normal_dim) outside the bounds, t-major
     skipped_singular: int
 
     @property
@@ -242,10 +242,9 @@ class BoundsReport:
 def first_normal_bounds_check(p: RuledPatch, d: int) -> BoundsReport:
     """Check d-1 <= first_normal_dim <= d+1 at every regular grid sample."""
     scan = p.scan
-    entries = [(t, u, dim, (d - 1) <= dim <= (d + 1)) for t, u, dim in scan.entries()]
-    violations = [e for e in entries if not e[3]]
-    return BoundsReport(d=d, entries=entries, violations=violations,
-                        skipped_singular=scan.skipped)
+    outside = (scan.dims < d - 1) | (scan.dims > d + 1)
+    return BoundsReport(d=d, checked=int(np.count_nonzero(scan.regular)),
+                        violations=scan.entries(outside), skipped_singular=scan.skipped)
 
 
 def planar_points(p: RuledPatch) -> list[tuple[float, list[float]]]:
@@ -291,13 +290,16 @@ def rank_one_check(p: RuledPatch) -> RankOneResult:
                          planar=planar)
 
 
-def tangent_space_stability(p: RuledPatch, t: float, u_pairs) -> bool:
-    """True when the tangent space is the same subspace at each pair of
-    ruling positions (t fixed). Both points must be regular.
+def tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
+    """True when the tangent space is the same subspace at the two ruling
+    positions of each pair, both taken at the pair's parameter. Both
+    points must be regular.
 
-    The pairs are checked in order: a singular point raises unless an
-    earlier pair already differed. All Jacobians, ranks and span
-    comparisons come from one stacked SVD.
+    t is one parameter shared by every pair or an array of P, one per
+    pair of the (P, 2, m-1) `u_pairs`. The pairs are checked in order: a
+    singular point raises, naming its own pair's t, unless an earlier
+    pair already differed. All Jacobians, ranks and span comparisons
+    come from one stacked SVD.
     """
     u = np.asarray(u_pairs, dtype=float)
     if u.size == 0:
@@ -305,7 +307,12 @@ def tangent_space_stability(p: RuledPatch, t: float, u_pairs) -> bool:
     if u.shape[1:] != (2, p.m - 1):
         raise ValidationError(f"expected pairs of {p.m - 1} ruling coordinates, "
                               f"got shape {u.shape}")
-    _, s, vt = np.linalg.svd(jacobians_at(p, t, u.reshape(-1, p.m - 1)),
+    if np.ndim(t) and np.shape(t) != u.shape[:1]:
+        raise ValidationError(f"expected one t or one per pair ({u.shape[0]}), "
+                              f"got shape {np.shape(t)}")
+    pair_t = np.broadcast_to(np.asarray(t, dtype=float), u.shape[:1])
+    point_t = t if np.ndim(t) == 0 else np.repeat(pair_t, 2)
+    _, s, vt = np.linalg.svd(jacobians_at(p, point_t, u.reshape(-1, p.m - 1)),
                              full_matrices=False)
     regular = rank_mask(s, p.tol).all(axis=-1).reshape(-1, 2)
     # regular Jacobians have m independent rows: vt is a basis of their span
@@ -313,13 +320,14 @@ def tangent_space_stability(p: RuledPatch, t: float, u_pairs) -> bool:
     cross = qa @ qb.swapaxes(1, 2)
     worst = np.maximum(np.linalg.norm(qa - cross @ qb, axis=-1).max(axis=-1),
                        np.linalg.norm(qb - cross.swapaxes(1, 2) @ qa, axis=-1).max(axis=-1))
-    for (first, second), same in zip(regular, worst < p.tol.zero_abs_tol):
-        for name, ok in (("first", first), ("second", second)):
-            if not ok:
-                raise RegularityError(f"{name} comparison point is singular at t={t}")
-        if not same:
-            return False
-    return True
+    stop = ~regular.all(axis=1) | ~(worst < p.tol.zero_abs_tol)
+    if not stop.any():
+        return True
+    i = int(np.argmax(stop))
+    for name, ok in zip(("first", "second"), regular[i]):
+        if not ok:
+            raise RegularityError(f"{name} comparison point is singular at t={float(pair_t[i])}")
+    return False
 
 
 def _orthonormal_tangent_coeffs(jac: np.ndarray, tol: TolerancePolicy) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 from .classify import (CONICAL, CYLINDRICAL, NON_RANK_ONE, TANGENT,
                        SegmentAnalysis, classify_patch, converse_check,
                        segment_analyses)
-from .distribution import rho_at
 from .errors import RuledKitError
 from .multilinear import TolerancePolicy
 from .oracles import max_derivative_error
@@ -26,7 +25,7 @@ from .ruledgeom import (RuledPatch, first_normal_bounds_check, flatness_check,
                         jacobians_at, sectional_curvature,
                         tangent_space_stability)
 from .scene import DEFAULT_GRID, check_grid_budget, check_seed
-from .striction import assemble_system, directrix_invariance, offsheet_check
+from .striction import directrix_invariance, offsheet_check, striction_systems
 
 CORPUS_DEGREES = {
     "cylinder_helix": 0,
@@ -60,6 +59,12 @@ DEGREE_ONE_PATCHES = [
     "tangent_developable_product",
 ]
 
+#: patches of constant positive degree whose striction systems are checked
+SYSTEM_PATCHES = [
+    "helicoid_frame", "circular_cone", "tangent_developable_helix",
+    "tangent_developable_product", "two_rotation_r5",
+]
+
 FLATNESS_TOL = 1e-6
 INVARIANCE_OFFSET_SCALES = (0.5, 1.0, -0.7)
 
@@ -89,36 +94,62 @@ def build_corpus(tol: TolerancePolicy, t_samples: int = 200) -> dict[str, RuledP
             for name, fc in curves.items()}
 
 
-def _regularity_margins(jac: np.ndarray) -> np.ndarray:
-    """Smallest over largest singular value of each Jacobian of a
-    (P, m, dim) stack; 0 where the largest vanishes."""
-    s = np.linalg.svd(jac, compute_uv=False)
+def _regular_pairs(p: RuledPatch, t, candidates: np.ndarray) -> np.ndarray:
+    """Mask of the (P, 2, m-1) candidate pairs whose two Jacobians at t
+    (one shared parameter or one per pair) both have a smallest over
+    largest singular value of at least 1e-3, from one stacked SVD."""
+    t = t if np.ndim(t) == 0 else np.repeat(t, 2)
+    s = np.linalg.svd(jacobians_at(p, t, candidates.reshape(-1, p.m - 1)), compute_uv=False)
     lead = s[:, 0]
-    return np.divide(s[:, -1], lead, out=np.zeros_like(lead), where=lead > 0)
+    margins = np.divide(s[:, -1], lead, out=np.zeros_like(lead), where=lead > 0)
+    return ~(margins.reshape(-1, 2).min(axis=1) < 1e-3)
 
 
 def _stability_sweep(p: RuledPatch, pairs_per_t: int, seed: int) -> bool:
-    """Tangent-space stability over random regular ruling pairs at each t.
+    """Tangent-space stability over random regular ruling pairs at each grid t.
 
-    Candidate pairs are drawn in batches no larger than the number of
-    pairs still missing, so the draws are those of a one-pair-at-a-time
-    loop; each batch is tested with one stacked Jacobian at t.
+    Draw contract: the pairs are those of a one-pair-at-a-time loop over
+    t with one generator seeded by `seed`, which draws a candidate pair
+    until `pairs_per_t` were regular or `50 * pairs_per_t` were drawn at
+    that t. Each round draws the first `pairs_per_t` candidates of every
+    remaining t at once and tests them in one stack. At the first t with
+    a rejected candidate the generator is rewound to the round's start
+    and advanced past the draws up to that t's first candidates; that t
+    is finished with per-t redraws, then the next round starts at the
+    following t. All accepted pairs, each with its own t, go to one
+    `tangent_space_stability` call, which checks them in t order.
     """
     rng = np.random.default_rng(seed)
-    ext = p.grid.u_extent
+    ext, k, ts = p.grid.u_extent, p.m - 1, p.grid.t_samples
     max_attempts = 50 * pairs_per_t
-    for t in p.grid.t_samples:
-        pairs = []
-        attempts = 0
-        while len(pairs) < pairs_per_t and attempts < max_attempts:
-            batch = min(pairs_per_t - len(pairs), max_attempts - attempts)
+    pair_t, pairs = [], []
+    i = 0
+    while i < ts.size:
+        state = rng.bit_generator.state
+        rest = ts[i:]
+        candidates = rng.uniform(-ext, ext, (rest.size, pairs_per_t, 2, k))
+        ok = _regular_pairs(p, np.repeat(rest, pairs_per_t),
+                            candidates.reshape(-1, 2, k)).reshape(rest.size, pairs_per_t)
+        full = ok.all(axis=1)
+        n_full = rest.size if full.all() else int(np.argmin(full))
+        pair_t.append(np.repeat(rest[:n_full], pairs_per_t))
+        pairs.append(candidates[:n_full].reshape(-1, 2, k))
+        i += n_full
+        if i == ts.size:
+            break
+        # rewind, then skip the draws up to this t's first candidates
+        rng.bit_generator.state = state
+        rng.uniform(-ext, ext, (n_full + 1, pairs_per_t, 2, k))
+        t, found, attempts = ts[i], list(candidates[n_full][ok[n_full]]), pairs_per_t
+        while len(found) < pairs_per_t and attempts < max_attempts:
+            batch = min(pairs_per_t - len(found), max_attempts - attempts)
             attempts += batch
-            candidates = rng.uniform(-ext, ext, (batch, 2, p.m - 1))
-            margins = _regularity_margins(jacobians_at(p, t, candidates.reshape(-1, p.m - 1)))
-            pairs.extend(candidates[~(margins.reshape(batch, 2).min(axis=1) < 1e-3)])
-        if not tangent_space_stability(p, t, pairs):
-            return False
-    return True
+            more = rng.uniform(-ext, ext, (batch, 2, k))
+            found.extend(more[_regular_pairs(p, t, more)])
+        pair_t.append(np.full(len(found), t))
+        pairs.append(np.reshape(found, (-1, 2, k)))
+        i += 1
+    return tangent_space_stability(p, np.concatenate(pair_t), np.concatenate(pairs))
 
 
 def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
@@ -197,18 +228,14 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
 
     # -- criterion 3: striction system structure ----------------------------
     def c3():
-        for name in ["helicoid_frame", "circular_cone", "tangent_developable_helix",
-                     "tangent_developable_product", "two_rotation_r5"]:
+        for name in SYSTEM_PATCHES:
             d = CORPUS_DEGREES[name]
-            pivoted = whole(name).pivoted.fc
-            worst_sym = worst_gram = 0.0
-            pd_ok = True
-            for t in patches[name].grid.t_samples:
-                sys = assemble_system(pivoted, t, d, tol)
-                worst_sym = max(worst_sym, float(np.abs(sys.A - sys.A.T).max()))
-                pd_ok = pd_ok and float(np.linalg.eigvalsh(sys.A).min()) > 0.0
-                rho = rho_at(pivoted, t, tol).rho_vectors[pivoted.m - 1 - d:]
-                worst_gram = max(worst_gram, float(np.abs(sys.A - rho @ rho.T).max()))
+            pivoted = whole(name).pivoted
+            a, _ = striction_systems(pivoted, d)
+            rho = pivoted.profile.rho[:, pivoted.m - 1 - d:]
+            worst_sym = float(np.abs(a - a.swapaxes(1, 2)).max())
+            worst_gram = float(np.abs(a - rho @ rho.swapaxes(1, 2)).max())
+            pd_ok = bool((np.linalg.eigvalsh(a).min(axis=1) > 0.0).all())
             ok = worst_sym <= 1e-10 and worst_gram <= 1e-10 and pd_ok
             record(3, f"striction system structure {name}", ok,
                    f"sym {worst_sym:.2e}, gram {worst_gram:.2e}, pd {pd_ok}")
@@ -249,7 +276,7 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
         for name, d in CORPUS_DEGREES.items():
             report = first_normal_bounds_check(patches[name], d)
             record(6, f"first normal bounds {name}", report.ok,
-                   f"checked {len(report.entries)}, violations {len(report.violations)}")
+                   f"checked {report.checked}, violations {len(report.violations)}")
     guarded(6, "first normal bounds", c6)
 
     # -- criterion 7: directrix invariance ----------------------------------

@@ -84,6 +84,14 @@ def _assemble(values: GridValues, rho: np.ndarray, d: int, tol: TolerancePolicy)
     return a, b
 
 
+def striction_systems(p: RuledPatch, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The striction systems at every grid sample of the pivoted patch `p`,
+    as (N, d, d) matrices and (N, d, m-d) affine right-hand sides, from
+    its cached frame values and degree profile."""
+    _check_degree(p.fc, d)
+    return _assemble(p.values, p.profile.rho, d, p.tol)
+
+
 def assemble_system(fc: FramedCurve, t: float, d: int,
                     tol: TolerancePolicy = DEFAULT_TOLERANCES) -> StrictionSystem:
     """Build the striction system at t from the pivoted frame."""
@@ -224,10 +232,8 @@ def solve_striction(p: RuledPatch, d: int) -> StrictionSheet:
     falls back to column-pivoted QR and the sample is reported.
     """
     fc, grid, tol = p.fc, p.grid, p.tol
-    _check_degree(fc, d)
     ts = grid.t_samples
-    rho = p.profile.rho
-    a, b = _assemble(p.values, rho, d, tol)
+    a, b = striction_systems(p, d)
     nodes = np.empty_like(b)
     fallback = np.linalg.eigvalsh(a).min(axis=1) < 10.0 * tol.zero_abs_tol
     spd = ~fallback
@@ -243,7 +249,7 @@ def solve_striction(p: RuledPatch, d: int) -> StrictionSheet:
                            fallback_ts=[float(t) for t in ts[fallback]])
     sheet.values = p.values
     beta_dot = sheet._partials(p.values, np.zeros((1, sheet.free_count)))[:, 0, 0]
-    max_def = float(_defining_residuals(rho, beta_dot, d).max())
+    max_def = float(_defining_residuals(p.profile.rho, beta_dot, d).max())
     sheet.max_defining_residual = max_def
     if not max_def <= tol.zero_abs_tol:  # NaN included
         raise NumericError(

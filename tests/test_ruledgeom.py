@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import small_patch
-from ruledkit import RegularityError, RuledPatch, SampleGrid
+from ruledkit import (RegularityError, RuledPatch, SampleGrid, ValidationError,
+                      make_builtin_patch)
 from ruledkit.fields import ConstantField, PolynomialField
 from ruledkit.multilinear import numerical_rank
 from ruledkit.parametric import BUILTIN_PATCHES, FramedCurve
@@ -126,14 +127,16 @@ def test_first_normal_bounds_examples(name, d, expected_dims):
     p = small_patch(name, 15)
     report = first_normal_bounds_check(p, d)
     assert report.ok
-    dims = {dim for _, _, dim, _ in report.entries}
+    assert report.checked == len(p.scan.entries())
+    dims = {dim for _, _, dim in p.scan.entries()}
     assert dims == expected_dims
 
 
 def test_first_normal_bounds_plane_lower_bound_vacuous():
-    report = first_normal_bounds_check(plane_patch(), 0)
+    p = plane_patch()
+    report = first_normal_bounds_check(p, 0)
     assert report.ok
-    assert {dim for _, _, dim, _ in report.entries} == {0}
+    assert {dim for _, _, dim in p.scan.entries()} == {0}
 
 
 def test_planar_points_empty_for_curved_patches(helicoid_patch, tangent_dev_patch):
@@ -185,6 +188,32 @@ def test_stability_helicoid_fails(helicoid_patch):
 def test_stability_rejects_singular_point(tangent_dev_patch):
     with pytest.raises(RegularityError):
         tangent_space_stability(tangent_dev_patch, 0.8, [([0.0], [1.0])])
+
+
+def slowed_helicoid_patch():
+    """Helicoid whose axis directrix (0, 0, t^2) stops at t=0: not
+    developable, and singular at (t=0, u=0) only."""
+    frame = make_builtin_patch("helicoid_frame").frame
+    fc = FramedCurve(3, 2, PolynomialField([[0.0], [0.0], [0.0, 0.0, 1.0]]), frame, (-1.0, 1.0))
+    return RuledPatch(fc, SampleGrid.uniform(fc.interval, 21))
+
+
+def test_stability_checks_pairs_in_order_each_at_its_own_t():
+    p = slowed_helicoid_patch()
+    differ, singular, same = ([0.0], [1.0]), ([1.0], [0.0]), ([0.3], [0.3])
+    # an earlier differing pair decides before a later singular point
+    assert not tangent_space_stability(p, [0.5, 0.0], [differ, singular])
+    # a singular pair raises, naming its own t, when no earlier pair differed
+    with pytest.raises(RegularityError, match=r"second comparison point is singular at t=0\.0$"):
+        tangent_space_stability(p, [0.5, 0.0, 0.5], [same, singular, differ])
+    with pytest.raises(RegularityError, match=r"first comparison point is singular at t=0\.0$"):
+        tangent_space_stability(p, 0.0, [differ])
+    # off the axis, the tangent plane at t=0 is the same at every u, not at t=0.5
+    off_axis = ([1.0], [2.0])
+    assert tangent_space_stability(p, [0.5, 0.0], [same, off_axis])
+    assert not tangent_space_stability(p, [0.0, 0.5], [same, off_axis])
+    with pytest.raises(ValidationError):
+        tangent_space_stability(p, [0.5, 0.0, 0.5], [same, differ])
 
 
 # --- curvature -------------------------------------------------------------------

@@ -19,7 +19,7 @@ from ruledkit import (RuledPatch, SampleGrid, ingest, make_builtin_patch, selfte
                       striction)
 from ruledkit.analysis import analyze
 from ruledkit.classify import SegmentAnalysis
-from ruledkit.distribution import degree_profile
+from ruledkit.distribution import degree_profile, rho_at
 from ruledkit.multilinear import numerical_rank, spans_equal
 from ruledkit.parametric import BUILTIN_PATCHES
 from ruledkit.ruledgeom import (jacobian_sigma, rank_one_check, second_form_scan,
@@ -142,8 +142,9 @@ def test_sheet_arrays_equal_per_parameter(name):
 def test_stacked_stability_equals_pair_by_pair(name):
     p = small_patch(name, 9)
     rng = np.random.default_rng(5)
-    for t in p.grid.t_samples:
-        pairs = rng.uniform(-2.0, 2.0, (6, 2, p.m - 1))
+    per_t = []
+    all_pairs = rng.uniform(-2.0, 2.0, (p.grid.t_samples.size, 6, 2, p.m - 1))
+    for t, pairs in zip(p.grid.t_samples, all_pairs):
         expected = True
         for ua, ub in pairs:
             ja, jb = jacobian_sigma(p, t, ua), jacobian_sigma(p, t, ub)
@@ -152,24 +153,25 @@ def test_stacked_stability_equals_pair_by_pair(name):
                 expected = False
                 break
         assert tangent_space_stability(p, t, pairs) == expected
+        per_t.append(expected)
+    # one t per pair: the pairs of the first n samples in one call
+    pair_t = np.repeat(p.grid.t_samples, 6)
+    for n in range(1, len(per_t) + 1):
+        assert tangent_space_stability(p, pair_t[:6 * n],
+                                       all_pairs[:n].reshape(-1, 2, p.m - 1)) == all(per_t[:n])
 
 
-def test_stability_sweep_draws_the_pairs_of_a_one_pair_loop(monkeypatch):
-    # a thin ruling box around the tangent developable's edge of regression,
-    # where about half the candidate pairs are rejected as too close to it;
-    # a sweep that draws more candidates than the one-pair loop then ends
-    # up accepting other pairs at the next t
-    fc = make_builtin_patch("tangent_developable_helix")
-    p = RuledPatch(fc, SampleGrid.uniform(fc.interval, 7, u_extent=0.01))
-    pairs_per_t, seed = 4, 11
-
+def _one_pair_loop(p, pairs_per_t, seed):
+    """The pairs a one-pair-at-a-time loop accepts at each grid t, and how
+    many candidates it rejects."""
+    ext = p.grid.u_extent
     rng = np.random.default_rng(seed)
     expected, rejected = [], 0
     for t in p.grid.t_samples:
         pairs, attempts = [], 0
         while len(pairs) < pairs_per_t and attempts < 50 * pairs_per_t:
             attempts += 1
-            ua, ub = (rng.uniform(-0.01, 0.01, p.m - 1) for _ in range(2))
+            ua, ub = (rng.uniform(-ext, ext, p.m - 1) for _ in range(2))
             margins = [s[-1] / s[0] for s in (np.linalg.svd(jacobian_sigma(p, t, u),
                                                              compute_uv=False)
                                               for u in (ua, ub))]
@@ -177,15 +179,64 @@ def test_stability_sweep_draws_the_pairs_of_a_one_pair_loop(monkeypatch):
                 rejected += 1
                 continue
             pairs.append((ua, ub))
-        expected.append(np.array(pairs))
-    assert rejected > 0
+        expected.append(np.array(pairs).reshape(-1, 2, p.m - 1))
+    return expected, rejected
 
+
+def _sweep_pairs(monkeypatch, p, pairs_per_t, seed):
+    """The (t per pair, pairs) that `_stability_sweep` hands to its one
+    stability call."""
     seen = []
     monkeypatch.setattr(selftest, "tangent_space_stability",
-                        lambda p, t, pairs: seen.append(np.array(pairs)) or True)
+                        lambda p, t, pairs: seen.append((np.asarray(t), np.asarray(pairs))) or True)
     assert selftest._stability_sweep(p, pairs_per_t, seed)
-    assert len(seen) == len(expected)
-    assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+    assert len(seen) == 1
+    return seen[0]
+
+
+def _thin_box_patch(extent):
+    """The tangent developable in a ruling box of half-width `extent`
+    around its edge of regression, where the regularity margin is small."""
+    fc = make_builtin_patch("tangent_developable_helix")
+    return RuledPatch(fc, SampleGrid.uniform(fc.interval, 7, u_extent=extent))
+
+
+def test_stability_sweep_draws_the_pairs_of_a_one_pair_loop(monkeypatch):
+    # about half the candidate pairs are rejected as too close to the
+    # edge; a sweep that draws more candidates than the one-pair loop
+    # then ends up accepting other pairs at the next t
+    p, pairs_per_t, seed = _thin_box_patch(0.01), 4, 11
+    expected, rejected = _one_pair_loop(p, pairs_per_t, seed)
+    assert rejected > 0
+    pair_t, pairs = _sweep_pairs(monkeypatch, p, pairs_per_t, seed)
+    assert np.array_equal(pair_t, np.repeat(p.grid.t_samples, pairs_per_t))
+    assert np.array_equal(pairs, np.concatenate(expected))
+
+
+@pytest.mark.parametrize("extent", [0.003, 0.001])
+def test_stability_sweep_follows_the_one_pair_loop_when_t_run_out_of_attempts(
+        monkeypatch, extent):
+    # every t exhausts its attempts, with one pair or none (0.003) or with
+    # none at all (0.001)
+    p, pairs_per_t, seed = _thin_box_patch(extent), 4, 11
+    expected, _ = _one_pair_loop(p, pairs_per_t, seed)
+    assert all(len(e) < pairs_per_t for e in expected)
+    pair_t, pairs = _sweep_pairs(monkeypatch, p, pairs_per_t, seed)
+    assert np.array_equal(pair_t, np.repeat(p.grid.t_samples, [len(e) for e in expected]))
+    assert np.array_equal(pairs, np.concatenate(expected))
+
+
+def test_system_stacks_equal_per_parameter_systems():
+    for name in selftest.SYSTEM_PATCHES:
+        d = selftest.CORPUS_DEGREES[name]
+        pivoted = SegmentAnalysis(small_patch(name, 30), 0, 30, d).pivoted
+        a, b = striction.striction_systems(pivoted, d)
+        rho = pivoted.profile.rho[:, pivoted.m - 1 - d:]
+        for i, t in enumerate(pivoted.grid.t_samples):
+            system = striction.assemble_system(pivoted.fc, t, d, pivoted.tol)
+            assert np.array_equal(a[i], system.A) and np.array_equal(b[i], system.b_affine)
+            rho_t = rho_at(pivoted.fc, t, pivoted.tol).rho_vectors[pivoted.m - 1 - d:]
+            assert np.array_equal(rho[i], rho_t)
 
 
 def test_selftest_solves_each_sheet_once(monkeypatch):
@@ -201,6 +252,18 @@ def test_selftest_solves_each_sheet_once(monkeypatch):
     # profiles are the patches' own
     assert counts["pivot_frame"] == 5
     assert counts["degree_profile"] == 0
+
+
+def test_selftest_checks_systems_and_stability_in_stacks(monkeypatch):
+    counts = _count_calls(monkeypatch, [("striction", "assemble_system"),
+                                        ("distribution", "rho_at"),
+                                        ("ruledgeom", "tangent_space_stability")])
+    results = selftest.run_selftest(t_samples=30)
+    assert all(r.passed for r in results)
+    # the systems and rho blocks are read from the pivoted patches' caches
+    assert counts["assemble_system"] == counts["rho_at"] == 0
+    # one stability call per patch, over the pairs of every t
+    assert counts["tangent_space_stability"] == len(selftest.EQUIVALENCE_PATCHES)
 
 
 def test_analyze_builds_the_sheet_partials_once(tmp_path, monkeypatch):
