@@ -19,7 +19,7 @@ from .errors import NumericError
 from .exports import write_json, write_mesh_obj
 from .multilinear import TolerancePolicy
 from .ruledgeom import first_normal_bounds_check
-from .scene import IngestResult, check_seed, normalized_scene_bytes
+from .scene import IngestResult, check_seed
 from .striction import directrix_invariance, offsheet_check, write_striction_csv
 
 DEFAULT_INVARIANCE_SCALES = (0.5, 1.0, -0.7)
@@ -153,6 +153,5 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
         "outputs": {"mesh": mesh_name, "striction_csv": csv_names},
     }
     write_json(os.path.join(out_dir, "report.json"), report)
-    with open(os.path.join(out_dir, "normalized_scene.json"), "wb") as fh:
-        fh.write(normalized_scene_bytes(result.normalized))
+    write_json(os.path.join(out_dir, "normalized_scene.json"), result.normalized)
     return report

@@ -136,6 +136,15 @@ class GridValues:
             self._directrix[order] = self.fc.directrix_values(self.parameters, order)
         return self._directrix[order]
 
+    def with_directrix(self, fc: FramedCurve) -> "GridValues":
+        """The values of `fc`, a framed curve with this one's frame and a
+        directrix of its own, on the same parameters: the frame
+        derivatives are shared both ways, so only the directrix is
+        evaluated anew."""
+        out = GridValues(fc, self.parameters)
+        out._frame = self._frame
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class SampleGrid:

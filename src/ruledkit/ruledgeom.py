@@ -15,13 +15,14 @@ functions run the same kernels on a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .distribution import DegreeProfile, profile_from_values
 from .errors import RegularityError, ValidationError
+from .fields import AffineCombinationField
 from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, gram_schmidt_r,
                           numerical_rank, numerical_ranks, rank_mask,
                           wedge_norms)
@@ -57,6 +58,22 @@ class RuledPatch:
         if lo == 0 and hi == self.grid.t_samples.size:
             return self
         return RuledPatch(self.fc, self.grid.restrict(lo, hi), self.tol, origin=(self, lo))
+
+    def shift_directrix(self, c) -> "RuledPatch":
+        """The patch swept from the shifted directrix t -> sigma(t, c) over
+        the same grid, so that sigma'(t, u) = sigma(t, u + c).
+
+        The frame is this patch's, so the new patch shares the grid's
+        parameters, the frame values and the degree profile, which
+        depend on the frame only; the shifted directrix is the one new
+        field it evaluates.
+        """
+        fc = replace(self.fc, directrix=AffineCombinationField(
+            self.fc.directrix, list(self.fc.frame), c))
+        shifted = RuledPatch(fc, self.grid, self.tol)
+        # prime the cached stages the shift leaves unchanged
+        vars(shifted).update(values=self.values.with_directrix(fc), profile=self.profile)
+        return shifted
 
     def _slice(self, stage: str):
         parent, lo = self.origin

@@ -153,11 +153,6 @@ def _normalized_doc(doc: dict, grid_cfg: dict, tol_cfg: dict,
     return out
 
 
-def normalized_scene_bytes(normalized: dict) -> bytes:
-    """Canonical byte encoding of a normalized scene (stable across runs)."""
-    return (json.dumps(normalized, sort_keys=True, indent=2) + "\n").encode()
-
-
 def ingest(source, overrides: dict | None = None) -> IngestResult:
     """Build a validated patch from a scene file path or an in-memory dict.
 

@@ -14,6 +14,11 @@ and the sheet wedge tests of the locus scan and the equivalent-condition
 check form one stacked SVD each. Only samples whose system sits near the
 eigenvalue floor fall back to a per-sample pivoted QR solve.
 
+The directrix-invariance check re-solves the sheet of each shifted
+directrix on the patch's own grid, since the solved coordinates do not
+change under reparametrization; the shifted patch shares the frame
+values and degree profile, so no arclength map is built.
+
 Every stage is deterministic except `offsheet_check`, the randomized
 regularity spot check just off the sheet; it alone takes a seed.
 """
@@ -21,7 +26,7 @@ regularity spot check just off the sheet; it alone takes a seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -32,10 +37,10 @@ from scipy.optimize import least_squares
 
 from .distribution import profile_from_values, rho_at
 from .errors import DegeneracyError, NumericError, ValidationError
-from .fields import AffineCombinationField, as_parameter_array
+from .fields import as_parameter_array
 from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, numerical_ranks,
                           wedge_norms)
-from .parametric import FramedCurve, GridValues, SampleGrid, arclength_framed_curve
+from .parametric import FramedCurve, GridValues, SampleGrid
 from .ruledgeom import RuledPatch, jacobians_at
 
 
@@ -462,22 +467,16 @@ def _distances_to_sheet(sheet: StrictionSheet, points: np.ndarray,
 def _offset_deviation(p: RuledPatch, sheet: StrictionSheet, c: np.ndarray,
                       free_pts: np.ndarray) -> float:
     """Largest distance to `sheet` from the sheet re-solved off the
-    directrix shifted by c, over about 64 of the new grid nodes times
-    `free_pts`."""
-    fc, grid = p.fc, p.grid
-    new_fc = arclength_framed_curve(
-        replace(fc, directrix=AffineCombinationField(fc.directrix, list(fc.frame), c)))
-    new_grid = SampleGrid.uniform(new_fc.interval, grid.t_samples.size,
-                                  grid.u_extent, grid.u_samples_per_axis)
-    new_sheet = solve_striction(RuledPatch(new_fc, new_grid, p.tol), sheet.d)
-    step = max(1, new_grid.t_samples.size // 64)
-    # t(s) at the sampled nodes, from the inversion the re-solve made on its grid
-    matched = new_grid.parameters.inverse(new_fc.directrix.parameter_map).t.values[::step]
-    seeds = np.empty((matched.size, 1 + sheet.free_count))
-    seeds[:, 0] = matched
+    directrix shifted by c on the same grid, over about 64 of the grid
+    nodes times `free_pts`."""
+    new_sheet = solve_striction(p.shift_directrix(c), sheet.d)
+    step = max(1, p.grid.t_samples.size // 64)
+    ts = p.grid.t_samples[::step]
+    seeds = np.empty((ts.size, 1 + sheet.free_count))
+    seeds[:, 0] = ts
     dev = 0.0
     for u_free in free_pts:
-        # sigma'(s, u) = sigma(t(s), u + c): the matched original parameters
+        # sigma'(t, u) = sigma(t, u + c): the matched original parameters
         seeds[:, 1:] = u_free + c[:sheet.free_count]
         dists = _distances_to_sheet(sheet, new_sheet.grid_points(u_free)[::step], seeds)
         dev = max(dev, float(dists.max()))
@@ -488,15 +487,16 @@ def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets,
                          samples_per_axis: int = 3) -> InvarianceResult:
     """Re-solve the sheet from shifted directrices and compare images.
 
-    Each offset is a constant ruling coordinate vector c; the shifted
-    directrix t -> sigma(t, c) is reparametrized to unit speed by a
-    parameter map t(s), the frame is composed with the same map, and the
-    sheet is re-solved. Since sigma'(s, u) = sigma(t(s), u + c), the
-    re-solved point at (s, u_free) is matched to the original sheet at
-    (t(s), u_free + c_free); from there one least-squares refinement per
+    Each offset is a constant ruling coordinate vector c. The patch swept
+    from the shifted directrix t -> sigma(t, c) along the same frame is
+    re-solved on the same grid (`RuledPatch.shift_directrix`): the solved
+    coordinates do not change under reparametrization, so no arclength
+    map is needed. Since sigma'(t, u) = sigma(t, u + c), the re-solved
+    point at (t, u_free) is matched to the original sheet at
+    (t, u_free + c_free); from there one least-squares refinement per
     free sample position moves all of an offset's points to their nearest
     sheet points. The deviation is the largest distance from a re-solved
-    sheet sample to the original sheet. An offset whose re-solve fails
+    grid node to the original sheet. An offset whose re-solve fails
     numerically is skipped with its reason.
     """
     fc, grid = p.fc, p.grid

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ruledkit import RuledPatch, SampleGrid, TolerancePolicy, make_builtin_patch
+from ruledkit import (NumericError, RuledPatch, SampleGrid, TolerancePolicy,
+                      make_builtin_patch)
+from ruledkit import striction
 
 
 @pytest.fixture
@@ -14,6 +16,21 @@ def small_patch(name: str, t_samples: int = 41, **grid_kw) -> RuledPatch:
     fc = make_builtin_patch(name)
     grid = SampleGrid.uniform(fc.interval, t_samples, **grid_kw)
     return RuledPatch(fc, grid)
+
+
+def fail_invariance_resolve(monkeypatch, fail_at: int):
+    """Make the `fail_at`-th re-solve (counted from 1) of the invariance
+    stage raise a numeric error; the other solves run unchanged."""
+    solve = striction.solve_striction
+    calls = []
+
+    def failing(p, d):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise NumericError("injected re-solve failure")
+        return solve(p, d)
+
+    monkeypatch.setattr(striction, "solve_striction", failing)
 
 
 @pytest.fixture

@@ -179,12 +179,13 @@ def test_explicit_scene_inverts_each_grid_once(tmp_path, monkeypatch):
     assert len(calls) <= 3
 
 
-def test_invariance_inverts_once_per_offset(tmp_path, monkeypatch, pytestconfig):
+def test_invariance_makes_no_inversion(tmp_path, monkeypatch, pytestconfig):
     scene = pathlib.Path(pytestconfig.rootpath) / "scenes" / "helicoid_explicit.json"
     calls = _counting_inversions(monkeypatch)
     report = analyze(ingest(scene), tmp_path, seed=0)
     offsets = report["directrix_invariance"]["offsets"]
     assert offsets and not report["directrix_invariance"]["skipped"]
-    # the re-solve's grid, whose inversion also seeds the matched points
-    # (15 calls for 3 offsets when every field and order inverted on its own)
-    assert len(calls) <= len(offsets)
+    # the re-solves run on the patch's own grid and build no arclength map
+    # (one map and grid per offset made 3 calls, 15 when every field and
+    # order inverted on its own)
+    assert not calls

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from ruledkit import DegeneracyError, ValidationError, ingest
 from ruledkit.analysis import analyze
 from ruledkit.cli import main
-from ruledkit.scene import (IngestResult, _load_schema, normalized_scene_bytes,
-                            validate_scene)
+from ruledkit.exports import canonical_json_bytes
+from ruledkit.scene import IngestResult, _load_schema, validate_scene
 from ruledkit.selftest import run_selftest, all_passed
 from ruledkit.multilinear import TolerancePolicy
+from conftest import fail_invariance_resolve
 
 REPORT_SCHEMA = _load_schema("report.schema.json")
 
@@ -166,9 +167,9 @@ def test_normalization_idempotent(tmp_path):
     for doc in (CONE_SCENE, NON_UNIT_SPEED):
         first = ingest(write_scene(tmp_path, doc, "a.json"))
         emitted = tmp_path / "normalized.json"
-        emitted.write_bytes(normalized_scene_bytes(first.normalized))
+        emitted.write_bytes(canonical_json_bytes(first.normalized))
         second = ingest(str(emitted))
-        assert normalized_scene_bytes(second.normalized) == emitted.read_bytes()
+        assert canonical_json_bytes(second.normalized) == emitted.read_bytes()
 
 
 def test_cli_overrides_apply(tmp_path):
@@ -294,19 +295,31 @@ def test_analyze_cone_outputs(tmp_path):
     assert first.shape == (3,) and np.all(np.isfinite(first))
 
 
-def test_analyze_skips_invariance_offsets_whose_resolve_fails(tmp_path):
-    # the orthonormalized frame of this scene is orthonormal only at grid
-    # nodes; the invariance re-solve evaluates it between them at 40 samples
-    # and fails there, which skips each offset instead of aborting
+def test_analyze_skips_invariance_offsets_whose_resolve_fails(tmp_path, monkeypatch):
+    # a numeric failure in one offset's re-solve skips that offset with a
+    # note instead of aborting the analysis
     from perfbench.scenegen import explicit_scene
+    fail_invariance_resolve(monkeypatch, 2)
     report = analyze(ingest(explicit_scene(0), {"t_samples": 40}), tmp_path, seed=0)
     loaded = json.loads((tmp_path / "report.json").read_text())
     jsonschema.validate(loaded, _load_schema("report.schema.json"))
     inv = report["directrix_invariance"]
-    assert not inv["per_offset"]
-    assert [c for c, _ in inv["skipped"]] == inv["offsets"]
-    assert all(reason.startswith("FrameError: ") for _, reason in inv["skipped"])
+    offsets = inv["offsets"]
+    assert [c for c, _ in inv["per_offset"]] == [offsets[0], offsets[2]]
+    assert inv["skipped"] == [[offsets[1], "NumericError: injected re-solve failure"]]
+    assert inv["max_deviation"] <= 1e-14
     assert sum("directrix invariance skipped offsets" in n for n in report["notes"]) == 1
+
+
+@pytest.mark.xfail(strict=True, reason="the orthonormalized frame interpolates its "
+                   "QR coefficients in t, so it is orthonormal only at grid nodes")
+def test_orthonormalized_frame_is_orthonormal_between_grid_nodes():
+    from perfbench.scenegen import explicit_scene
+    patch = ingest(explicit_scene(0), {"t_samples": 40}).patch
+    ts = patch.grid.t_samples
+    x = patch.fc.frame_values(0.5 * (ts[1:] + ts[:-1]))
+    gram = x @ x.swapaxes(1, 2)
+    assert np.abs(gram - np.eye(patch.m - 1)).max() <= 1e-14
 
 
 def test_analyze_helicoid_striction_line(tmp_path):
@@ -471,7 +484,7 @@ def test_cli_analyze_survives_schema_valid_scenes(doc):
         with open(scene, "w") as fh:
             json.dump(doc, fh)
         out = os.path.join(tmp, "out")
-        result = CliRunner().invoke(main, ["analyze", scene, "-o", out, "--no-invariance"])
+        result = CliRunner().invoke(main, ["analyze", scene, "-o", out])
         assert result.exit_code in (0, 2, 3), result.exception
         assert "Traceback" not in result.output
         if result.exit_code == 0:

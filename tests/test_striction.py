@@ -9,14 +9,14 @@ from scipy.optimize import least_squares
 from ruledkit import (DegeneracyError, RuledPatch, SampleGrid, ValidationError,
                       offsheet_check, pivot_frame, rho_at, singular_locus,
                       solve_striction)
-from conftest import small_patch
+from conftest import fail_invariance_resolve, small_patch
 from ruledkit import striction
 from ruledkit.analysis import DEFAULT_INVARIANCE_SCALES, analyze
 from ruledkit.classify import segment_analyses
 from ruledkit.exports import write_mesh_obj
 from ruledkit.fields import FourierField, ParameterMap, PolynomialField, VectorField
 from ruledkit.multilinear import TolerancePolicy, numerical_rank
-from ruledkit.parametric import FramedCurve
+from ruledkit.parametric import FramedCurve, arclength_framed_curve
 from ruledkit.ruledgeom import jacobian_sigma
 from ruledkit.scene import ingest
 from ruledkit.striction import (assemble_system, directrix_invariance,
@@ -266,11 +266,63 @@ def test_invariance_cone_three_offsets(cone_sheet):
     assert result.max_deviation < 1e-6
 
 
-def test_invariance_skips_irregular_offset(cone_sheet):
-    # the apex offset collapses the shifted directrix to a point
+def test_invariance_apex_offset_is_not_skipped(cone_sheet):
+    # the apex offset collapses the shifted directrix to a point, which has
+    # no arclength parametrization; the same-grid re-solve needs none
     p, sheet = cone_sheet
     result = directrix_invariance(p, sheet, [[-SQ2]])
-    assert result.skipped and not result.per_offset
+    assert not result.skipped and len(result.per_offset) == 1
+    assert result.max_deviation <= 1e-14
+
+
+def test_shifted_patch_shares_frame_values_and_profile(product_patch):
+    p = pivoted(product_patch)
+    c = np.array([0.5, -0.7])
+    shifted = p.shift_directrix(c)
+    assert shifted.grid is p.grid and shifted.profile is p.profile
+    assert shifted.values.parameters is p.grid.parameters
+    for order in range(3):
+        assert shifted.values.frame(order) is p.values.frame(order)
+        want = p.values.directrix(order) + c @ p.values.frame(order)
+        assert np.abs(shifted.values.directrix(order) - want).max() <= 1e-14
+
+
+def test_invariance_skips_offset_whose_resolve_fails(monkeypatch, cone_sheet):
+    p, sheet = cone_sheet
+    fail_invariance_resolve(monkeypatch, 2)
+    result = directrix_invariance(p, sheet, [[0.5], [1.0], [-0.7]])
+    assert [c for c, _ in result.per_offset] == [[0.5], [-0.7]]
+    assert result.skipped == (([1.0], "NumericError: injected re-solve failure"),)
+    assert result.max_deviation <= 1e-14
+
+
+def _invariance_patch(name):
+    if name.startswith("explicit_scene"):
+        from perfbench.scenegen import explicit_scene
+        return pivoted(ingest(explicit_scene(int(name[-1])), {"t_samples": 200}).patch), 1
+    d = 2 if name == "two_rotation_r5" else 1
+    return pivoted(small_patch(name, 200), d), d
+
+
+@pytest.mark.parametrize("name", ["circular_cone", "tangent_developable_helix",
+                                  "two_rotation_r5", "explicit_scene0", "explicit_scene1"])
+def test_solved_coordinates_invariant_under_reparametrization(name):
+    # why the invariance stage may re-solve on the patch's own grid: the
+    # shifted curve re-solved by arclength s must give, plus c_tail, the
+    # coordinates of the unshifted patch solved exactly at (t(s), u + c_free)
+    p, d = _invariance_patch(name)
+    free = p.m - 1 - d
+    for scale in DEFAULT_INVARIANCE_SCALES:
+        c = np.full(p.m - 1, scale)
+        fc = arclength_framed_curve(p.shift_directrix(c).fc)
+        grid = SampleGrid.uniform(fc.interval, 200, p.grid.u_extent, p.grid.u_samples_per_axis)
+        by_arclength = solve_striction(RuledPatch(fc, grid, p.tol), d)
+        ts = grid.parameters.inverse(fc.directrix.parameter_map).t.values
+        exact = solve_striction(RuledPatch(p.fc, SampleGrid(ts), p.tol), d)
+        for u_free in grid.u_points(free):
+            got = by_arclength.solved(grid.t_samples, u_free) + c[free:]
+            want = exact.solved(ts, u_free + c[:free])
+            assert np.abs(got - want).max() <= 1e-13
 
 
 def test_invariance_rejected_for_cylinder(cylinder_patch):
