@@ -133,8 +133,8 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
         "tolerances": _tol_dict(tol),
         "seed": seed,
         "degree_profile": {
-            "t": [float(t) for t in grid.t_samples],
-            "degree": [int(d) for d in profile.degrees],
+            "t": grid.t_samples.tolist(),
+            "degree": profile.degrees.tolist(),
             "constant_degree": profile.constant_degree,
             "cylindrical": profile.cylindrical,
             "noncylindrical": profile.noncylindrical,

@@ -153,7 +153,7 @@ class SegmentAnalysis:
 
     @cached_property
     def equivalent_condition(self) -> EquivalentConditionResult:
-        return equivalent_condition_check(self.pivoted, self.sheet)
+        return equivalent_condition_check(self.pivoted, self.sheet, self.locus)
 
     @cached_property
     def jacobian_ranks(self) -> np.ndarray:
@@ -191,8 +191,9 @@ def _classify_segment(seg: SegmentAnalysis):
         return [Region(t_range, kind, replace(ev, **fields))], []
 
     scan = p.scan
-    planar = scan.planar()
-    planar_all = bool(scan.regular.any()) and len(planar) == int(scan.regular.sum())
+    regular = int(np.count_nonzero(scan.regular))
+    planar = int(np.count_nonzero(scan.regular & (scan.dims == 0)))
+    planar_all = regular > 0 and planar == regular
     if d == 0:
         return whole(CYLINDRICAL, planar=planar_all,
                      notes=("planar region",) if planar_all else ())
@@ -221,16 +222,13 @@ def _classify_segment(seg: SegmentAnalysis):
         ranks = seg.jacobian_ranks
     except NumericError as exc:
         return whole(UNDETERMINED, notes=(f"sheet rank profile unavailable: {exc}",))
-    verdicts: list[str | None] = []
-    for row in ranks:
-        if (row == m - 1).all():
-            verdicts.append(TANGENT)
-        elif (row == m - 2).all():
-            verdicts.append(CONICAL)
-        else:
-            verdicts.append(None)
 
-    runs, boundary = _rank_runs(verdicts, ts)
+    # a sample is tangent (conical) when the sheet rank is m-1 (m-2) at
+    # every free position
+    tangent = (ranks == m - 1).all(axis=1).tolist()
+    conical = (ranks == m - 2).all(axis=1).tolist()
+    runs, boundary = _rank_runs([TANGENT if tan else CONICAL if con else None
+                                 for tan, con in zip(tangent, conical)], ts)
     regions = []
     for i0, i1, kind in runs:
         rng = (float(ts[i0]), float(ts[i1 - 1]))
@@ -278,7 +276,7 @@ def classify_patch(p: RuledPatch,
         boundary_points=tuple(sorted(boundary)),
         is_rank_one=p.rank_one.verdict,
         is_cylinder=profile.cylindrical,
-        degrees=tuple(int(v) for v in profile.degrees),
+        degrees=tuple(profile.degrees.tolist()),
         borderline_t=tuple(profile.borderline_t),
     )
     for region in report.regions:

@@ -152,7 +152,8 @@ def equal_runs(values: Sequence) -> list[tuple[int, int]]:
 
 def constant_degree_segments(profile: DegreeProfile) -> list[tuple[int, int, int]]:
     """Maximal runs of equal degree, as (start, end_exclusive, degree)."""
-    return [(i0, i1, int(profile.degrees[i0])) for i0, i1 in equal_runs(profile.degrees)]
+    degrees = profile.degrees.tolist()
+    return [(i0, i1, degrees[i0]) for i0, i1 in equal_runs(degrees)]
 
 
 def pivot_frame(p: RuledPatch, d: int) -> RuledPatch:

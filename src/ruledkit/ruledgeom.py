@@ -161,15 +161,28 @@ def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: Toleran
     and (N, P). All mixed second partials d2(sigma)/du_i du_j vanish, so
     the m vectors of vecs span the image of the second fundamental form;
     they are meaningful only where `regular` holds.
+
+    The tangent space at a regular point is the frame span plus the unit
+    part of sigma_t off that span. The frame span takes one orthonormal
+    basis per parameter, and the part of sigma_t off it is affine in u,
+    g1_perp + u . Xdot_perp, so only the last normalization runs per point.
     """
-    x1, x2 = v.frame(1)[rows], v.frame(2)[rows]
-    jac = _jacobians(v.frame(0)[rows], x1, v.directrix(1)[rows], u)
-    _, s, vt = np.linalg.svd(jac, full_matrices=False)
-    regular = rank_mask(s, tol).all(axis=-1)
+    x0, x1, g1 = v.frame(0)[rows], v.frame(1)[rows], v.directrix(1)[rows]
+    jac = _jacobians(x0, x1, g1, u)
+    regular = rank_mask(np.linalg.svd(jac, compute_uv=False), tol).all(axis=-1)
+    q = np.linalg.qr(x0.swapaxes(1, 2))[0]  # (N, dim, m-1): orthonormal frame basis
+
+    def off_frame(w):
+        return w - (w @ q) @ q.swapaxes(1, 2)
+
+    normal = off_frame(g1[:, None]) + u @ off_frame(x1)  # (N, P, dim)
+    length = np.linalg.norm(normal, axis=-1, keepdims=True)
+    normal /= np.where(length > 0.0, length, 1.0)
     raw = np.empty_like(jac)
-    raw[:, :, 0] = v.directrix(2)[rows][:, None, :] + u @ x2
+    raw[:, :, 0] = v.directrix(2)[rows][:, None, :] + u @ v.frame(2)[rows]
     raw[:, :, 1:] = x1[:, None]
-    vecs = raw - (raw @ vt.swapaxes(-1, -2)) @ vt
+    vecs = (raw - (raw @ q[:, None]) @ q[:, None].swapaxes(-1, -2)
+            - (raw @ normal[..., None]) * normal[..., None, :])
     return jac, vecs, regular
 
 
@@ -215,8 +228,8 @@ class SecondFormScan:
     def entries(self, mask: np.ndarray | None = None) -> list[tuple[float, list[float], int]]:
         """(t, u, first_normal_dim) at regular points (and `mask`), t-major."""
         keep = self.regular if mask is None else self.regular & mask
-        return [(float(self.t[i]), self.u[j].tolist(), int(self.dims[i, j]))
-                for i, j in zip(*np.nonzero(keep))]
+        i, j = np.nonzero(keep)
+        return list(zip(self.t[i].tolist(), self.u[j].tolist(), self.dims[i, j].tolist()))
 
     def planar(self) -> list[tuple[float, list[float]]]:
         """Regular grid points where the second fundamental form vanishes."""
@@ -303,7 +316,7 @@ def rank_one_check(p: RuledPatch) -> RankOneResult:
     planar = p.scan.planar()
     verdict = worst < p.tol.zero_abs_tol and not planar
     return RankOneResult(verdict=verdict, max_residual=worst,
-                         residual_table=[(float(t), float(r)) for t, r in zip(ts, residuals)],
+                         residual_table=list(zip(ts.tolist(), residuals.tolist())),
                          planar=planar)
 
 

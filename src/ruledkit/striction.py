@@ -10,9 +10,11 @@ the patch sit on this sheet, which the locus scan verifies sample-wise.
 
 The grid stages run on stacked arrays, once per patch: the systems of all
 samples are assembled, checked and Cholesky-solved as (N, d, d) stacks,
-and the sheet wedge tests of the locus scan and the equivalent-condition
-check form one stacked SVD each. Only samples whose system sits near the
-eigenvalue floor fall back to a per-sample pivoted QR solve.
+and the sheet wedge test of the locus scan forms one stacked SVD, whose
+verdicts the equivalent-condition check reads beside its augmented
+wedges. Only samples whose system sits near the eigenvalue floor fall
+back to a per-sample pivoted QR solve. The stage results stay arrays
+until a report or file converts them, once, with `tolist()`.
 
 The directrix-invariance check re-solves the sheet of each shifted
 directrix on the patch's own grid, since the solved coordinates do not
@@ -291,25 +293,24 @@ def sheet_jacobian_ranks(p: RuledPatch, sheet: StrictionSheet) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SingularSample:
-    t: float
-    u_free: np.ndarray
-    wedge_residual: float
-    singular: bool
-
-
-@dataclass(frozen=True, eq=False)
 class SingularLocus:
-    """Where the patch degenerates: the wedge residual at every grid
-    parameter and free grid position of the sheet."""
+    """Where the patch degenerates, at every grid parameter `t` (N,) and
+    free grid position `u_free` (P, m-1-d) of the sheet, t-major.
 
-    entries: tuple[SingularSample, ...]
+    `residuals` (N, P) is the wedge residual |beta_dot ^ X_1 ^ ... ^ X_{m-1}|
+    there, and `singular` (N, P) whether it is below `zero_abs_tol`.
+    """
+
+    t: np.ndarray
+    u_free: np.ndarray
+    residuals: np.ndarray
+    singular: np.ndarray
 
     @property
     def singular_fraction(self) -> float:
-        if not self.entries:
+        if not self.singular.size:
             return 0.0
-        return sum(1 for e in self.entries if e.singular) / len(self.entries)
+        return int(np.count_nonzero(self.singular)) / self.singular.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,13 +338,9 @@ def _sheet_wedges(sheet: StrictionSheet) -> np.ndarray:
 def singular_locus(p: RuledPatch, sheet: StrictionSheet) -> SingularLocus:
     """Wedge test along the sheet: a sheet sample is singular when the
     t-derivative of the sheet map is wedged to zero by the frame."""
-    u_pts = p.grid.u_points(sheet.free_count)
     residuals = wedge_norms(_sheet_wedges(sheet))
-    return SingularLocus(entries=tuple(
-        SingularSample(t=float(t), u_free=u_free, wedge_residual=float(res),
-                       singular=bool(res < p.tol.zero_abs_tol))
-        for t, row in zip(p.grid.t_samples, residuals)
-        for u_free, res in zip(u_pts, row)))
+    return SingularLocus(t=p.grid.t_samples, u_free=p.grid.u_points(sheet.free_count),
+                         residuals=residuals, singular=residuals < p.tol.zero_abs_tol)
 
 
 def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
@@ -376,19 +373,33 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
 
 @dataclass(frozen=True, eq=False)
 class EquivalentConditionResult:
-    rows: tuple  # (t, u_free, sheet_wedge_vanishes, augmented_all_vanish, agree)
+    """The plain and the augmented sheet wedge tests, side by side.
+
+    The verdict arrays are (N, P) over the locus' grid parameters and
+    free grid positions: `plain` is the locus' singular verdict,
+    `augmented` whether every augmented wedge of a carrying frame
+    derivative vanishes, and `agree` whether the two tests agree on every
+    carrying derivative. `checked` (N,) marks the parameters with some
+    carrying derivative; the others are `skipped`, and there `augmented`
+    and `agree` hold vacuously.
+    """
+
+    checked: np.ndarray    # (N,) bool
+    plain: np.ndarray      # (N, P) bool
+    augmented: np.ndarray  # (N, P) bool
+    agree: np.ndarray      # (N, P) bool
     skipped: tuple  # t where every projected derivative is below tolerance
     all_agree: bool
 
 
-def equivalent_condition_check(p: RuledPatch, sheet: StrictionSheet) -> EquivalentConditionResult:
-    """Cross-check the sheet wedge test against its frame-derivative-augmented
-    variant; the two must agree wherever some projected derivative is nonzero."""
-    fc, grid, tol = p.fc, p.grid, p.tol
-    u_pts = grid.u_points(sheet.free_count)
+def equivalent_condition_check(p: RuledPatch, sheet: StrictionSheet,
+                               locus: SingularLocus) -> EquivalentConditionResult:
+    """Cross-check the sheet wedge test (`locus.singular`) against its
+    frame-derivative-augmented variant; the two must agree wherever some
+    projected derivative is nonzero."""
+    fc, tol = p.fc, p.tol
     carriers = np.linalg.norm(p.profile.rho, axis=2) >= tol.zero_abs_tol  # (N, m-1)
-    wedges = _sheet_wedges(sheet)
-    plain = wedge_norms(wedges) < tol.zero_abs_tol  # (N, P)
+    plain = locus.singular
     if fc.m + 1 > fc.dim:
         # the augmented wedge involves more vectors than the ambient
         # dimension, hence vanishes identically
@@ -397,18 +408,15 @@ def equivalent_condition_check(p: RuledPatch, sheet: StrictionSheet) -> Equivale
         # [Xdot_j, beta_dot, X_1..X_{m-1}] per (t, u_free, j)
         stack = np.empty(plain.shape + (fc.m - 1, fc.m + 1, fc.dim))
         stack[:, :, :, 0] = p.values.frame(1)[:, None]
-        stack[:, :, :, 1:] = wedges[:, :, None]
+        stack[:, :, :, 1:] = _sheet_wedges(sheet)[:, :, None]
         augmented = wedge_norms(stack) < tol.zero_abs_tol  # (N, P, m-1)
     # only the carrying frame derivatives take part
     augmented = augmented | ~carriers[:, None, :]
-    disagree = (augmented != plain[..., None]) & carriers[:, None, :]
-    rows = tuple((float(t), u_free.tolist(), bool(plain[i, j]),
-                  bool(augmented[i, j].all()), not bool(disagree[i, j].any()))
-                 for i, t in enumerate(grid.t_samples) if carriers[i].any()
-                 for j, u_free in enumerate(u_pts))
-    skipped = tuple(float(t) for t in grid.t_samples[~carriers.any(axis=1)])
-    return EquivalentConditionResult(rows=rows, skipped=skipped,
-                                     all_agree=all(r[4] for r in rows))
+    agree = ~((augmented != plain[..., None]) & carriers[:, None, :]).any(axis=-1)
+    checked = carriers.any(axis=1)
+    return EquivalentConditionResult(
+        checked=checked, plain=plain, augmented=augmented.all(axis=-1), agree=agree,
+        skipped=tuple(locus.t[~checked].tolist()), all_agree=bool(agree.all()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,24 +531,23 @@ def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets,
 
 def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):
     """Sheet export with the fixed header
-    t, u1..u{m-d-1}, s{m-d}..s{m-1}, b1..b{m+n}, wedge_residual, singular."""
+    t, u1..u{m-d-1}, s{m-d}..s{m-1}, b1..b{m+n}, wedge_residual, singular,
+    one row per locus sample, t-major."""
     m, d, dim = sheet.fc.m, sheet.d, sheet.fc.dim
     header = (["t"]
               + [f"u{j}" for j in range(1, m - d)]
               + [f"s{j}" for j in range(m - d, m)]
               + [f"b{i}" for i in range(1, dim + 1)]
               + ["wedge_residual", "singular"])
+    ts, u_pts = locus.t, locus.u_free
+    n, n_pos = locus.residuals.shape
+    # one column per free grid position: the t-major order of the locus
+    solved = np.stack([sheet.solved(ts, u) for u in u_pts], axis=1).reshape(-1, d)
+    points = np.stack([sheet.grid_points(u) for u in u_pts], axis=1).reshape(-1, dim)
+    table = np.concatenate([np.repeat(ts, n_pos)[:, None], np.tile(u_pts, (n, 1)),
+                            solved, points, locus.residuals.reshape(-1, 1)], axis=1)
+    flags = np.where(locus.singular.ravel(), "true", "false").tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        ts, u_pts = sheet.grid.t_samples, sheet.grid.u_points(sheet.free_count)
-        # one column per free grid position: the t-major order of the locus
-        solved = np.stack([sheet.solved(ts, u) for u in u_pts], axis=1).reshape(-1, d)
-        points = np.stack([sheet.grid_points(u) for u in u_pts], axis=1).reshape(-1, dim)
-        for e, s, b in zip(locus.entries, solved, points):
-            row = ([repr(e.t)]
-                   + [repr(float(v)) for v in e.u_free]
-                   + [repr(float(v)) for v in s]
-                   + [repr(float(v)) for v in b]
-                   + [repr(e.wedge_residual), "true" if e.singular else "false"])
-            writer.writerow(row)
+        writer.writerows([*map(repr, row), flag] for row, flag in zip(table.tolist(), flags))

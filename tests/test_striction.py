@@ -1,6 +1,7 @@
 import csv
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from ruledkit.analysis import DEFAULT_INVARIANCE_SCALES, analyze
 from ruledkit.classify import segment_analyses
 from ruledkit.exports import write_mesh_obj
 from ruledkit.fields import FourierField, ParameterMap, PolynomialField, VectorField
-from ruledkit.multilinear import TolerancePolicy, numerical_rank
+from ruledkit.multilinear import TolerancePolicy, numerical_rank, wedge_norm
 from ruledkit.parametric import FramedCurve, arclength_framed_curve
 from ruledkit.ruledgeom import jacobian_sigma
 from ruledkit.scene import ingest
@@ -151,7 +152,7 @@ def test_singular_locus_tangent_developable(td_sheet):
     p, sheet = td_sheet
     locus = singular_locus(p, sheet)
     assert locus.singular_fraction == 1.0
-    assert all(e.wedge_residual < 1e-10 for e in locus.entries)
+    assert np.all(locus.residuals < 1e-10)
     assert offsheet_check(p, sheet, seed=1).failures == ()
 
 
@@ -160,8 +161,7 @@ def test_singular_locus_helicoid(helicoid_patch):
     sheet = solve_striction(p, 1)
     locus = singular_locus(p, sheet)
     assert locus.singular_fraction == 0.0
-    for e in locus.entries:
-        assert e.wedge_residual == pytest.approx(1.0, abs=1e-9)
+    assert locus.residuals == pytest.approx(1.0, abs=1e-9)
 
 
 def test_singular_locus_cone(cone_sheet):
@@ -240,14 +240,141 @@ def test_dense_random_box_sample_has_no_offsheet_singularities(td_sheet):
 
 def test_equivalent_condition_agrees_everywhere(td_sheet, cone_sheet, helicoid_patch):
     for p, sheet in (td_sheet, cone_sheet):
-        result = equivalent_condition_check(p, sheet)
+        result = equivalent_condition_check(p, sheet, singular_locus(p, sheet))
         assert result.all_agree
-        assert all(row[2] for row in result.rows)  # all sheet samples singular
+        assert result.plain[result.checked].all()  # all sheet samples singular
     p = pivoted(helicoid_patch)
     sheet = solve_striction(p, 1)
-    result = equivalent_condition_check(p, sheet)
+    result = equivalent_condition_check(p, sheet, singular_locus(p, sheet))
     assert result.all_agree
-    assert not any(row[2] for row in result.rows)  # nowhere singular
+    assert not result.plain[result.checked].any()  # nowhere singular
+
+
+# --- array-backed stages against their per-sample definitions ---------------------
+
+def _locus_entries(p, sheet):
+    """(t, u_free, wedge residual, singular) of every sheet sample, t-major,
+    one wedge norm at a time."""
+    wedges = striction._sheet_wedges(sheet)
+    u_pts = p.grid.u_points(sheet.free_count)
+    entries = []
+    for i, t in enumerate(p.grid.t_samples):
+        for j, u_free in enumerate(u_pts):
+            res = wedge_norm(wedges[i, j])
+            entries.append((float(t), u_free.tolist(), res, res < p.tol.zero_abs_tol))
+    return entries
+
+
+def _equivalent_rows(p, sheet, entries):
+    """(rows, skipped, all_agree) of the equivalent-condition check, one
+    (t, u_free, plain, augmented, agree) row per sample at a parameter
+    with a carrying frame derivative, one wedge norm at a time; the plain
+    verdicts are those of the locus `entries`."""
+    tol = p.tol
+    wedges = striction._sheet_wedges(sheet)
+    xdot = p.values.frame(1)
+    n_pos = wedges.shape[1]
+    rows, skipped = [], []
+    for i, t in enumerate(p.grid.t_samples):
+        carriers = [j for j in range(p.m - 1)
+                    if np.linalg.norm(p.profile.rho[i, j]) >= tol.zero_abs_tol]
+        if not carriers:
+            skipped.append(float(t))
+            continue
+        for k in range(n_pos):
+            _, u_free, _, plain = entries[i * n_pos + k]
+            if p.m + 1 > p.dim:
+                augmented = [True] * len(carriers)
+            else:
+                augmented = [wedge_norm(np.vstack([xdot[i, j], wedges[i, k]]))
+                             < tol.zero_abs_tol for j in carriers]
+            rows.append((float(t), u_free, plain, all(augmented),
+                         all(a == plain for a in augmented)))
+    return rows, tuple(skipped), all(r[4] for r in rows)
+
+
+def _write_csv_per_row(sheet, entries, path):
+    """The striction CSV written one locus entry at a time."""
+    m, d, dim = sheet.fc.m, sheet.d, sheet.fc.dim
+    header = (["t"] + [f"u{j}" for j in range(1, m - d)]
+              + [f"s{j}" for j in range(m - d, m)]
+              + [f"b{i}" for i in range(1, dim + 1)] + ["wedge_residual", "singular"])
+    ts, u_pts = sheet.grid.t_samples, sheet.grid.u_points(sheet.free_count)
+    solved = np.stack([sheet.solved(ts, u) for u in u_pts], axis=1).reshape(-1, d)
+    points = np.stack([sheet.grid_points(u) for u in u_pts], axis=1).reshape(-1, dim)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for (t, u_free, res, singular), s, b in zip(entries, solved, points):
+            writer.writerow([repr(t)] + [repr(float(v)) for v in u_free]
+                            + [repr(float(v)) for v in s] + [repr(float(v)) for v in b]
+                            + [repr(res), "true" if singular else "false"])
+
+
+@pytest.fixture
+def helicoid_sheet(helicoid_patch):
+    p = pivoted(helicoid_patch)
+    return p, solve_striction(p, 1)
+
+
+@pytest.fixture
+def two_rotation_sheet(two_rotation_patch):
+    p = pivoted(two_rotation_patch, 2)
+    return p, solve_striction(p, 2)
+
+
+@pytest.mark.parametrize("sheet_fixture", ["td_sheet", "product_sheet", "cone_sheet",
+                                           "helicoid_sheet", "two_rotation_sheet"])
+def test_array_stages_equal_their_per_sample_definitions(sheet_fixture, request, tmp_path):
+    p, sheet = request.getfixturevalue(sheet_fixture)
+    locus = singular_locus(p, sheet)
+    entries = _locus_entries(p, sheet)
+    n, n_pos = locus.residuals.shape
+    assert (n, n_pos) == (p.grid.t_samples.size, p.grid.u_points(sheet.free_count).shape[0])
+    assert list(zip(np.repeat(locus.t, n_pos).tolist(), np.tile(locus.u_free, (n, 1)).tolist(),
+                    locus.residuals.ravel().tolist(), locus.singular.ravel().tolist())) == entries
+    assert locus.singular_fraction == sum(e[3] for e in entries) / len(entries)
+
+    # the check reads its plain verdicts from the locus; flipping them
+    # makes every checked sample disagree
+    flipped = replace(locus, singular=~locus.singular)
+    for loc, ents in ((locus, entries), (flipped, [e[:3] + (not e[3],) for e in entries])):
+        result = equivalent_condition_check(p, sheet, loc)
+        rows, skipped, all_agree = _equivalent_rows(p, sheet, ents)
+        checked = result.checked
+        assert list(zip(np.repeat(locus.t[checked], n_pos).tolist(),
+                        np.tile(locus.u_free, (int(checked.sum()), 1)).tolist(),
+                        result.plain[checked].ravel().tolist(),
+                        result.augmented[checked].ravel().tolist(),
+                        result.agree[checked].ravel().tolist())) == rows
+        assert result.skipped == skipped
+        assert result.all_agree is all_agree
+        assert all_agree is (loc is locus)
+
+    write_striction_csv(sheet, locus, tmp_path / "stacked.csv")
+    _write_csv_per_row(sheet, entries, tmp_path / "per_row.csv")
+    stacked = (tmp_path / "stacked.csv").read_bytes()
+    assert stacked == (tmp_path / "per_row.csv").read_bytes()
+    assert stacked.count(b"\n") == 1 + n * n_pos
+
+
+def test_analyze_factorizes_the_sheet_wedges_once_per_segment(tmp_path, monkeypatch,
+                                                             pytestconfig):
+    shapes = []
+    original = striction.wedge_norms
+
+    def counting(stack):
+        shapes.append(stack.shape)
+        return original(stack)
+
+    monkeypatch.setattr(striction, "wedge_norms", counting)
+    result = ingest(pytestconfig.rootpath / "scenes" / "circular_cone.json")
+    report = analyze(result, tmp_path)
+    m, dim = result.patch.m, result.patch.dim
+    assert len(report["striction"]) == 1
+    assert report["striction"][0]["equivalent_condition"]["all_agree"]
+    # the sheet wedges [beta_dot, X_1..X_{m-1}] once, then the augmented ones
+    assert [shape[-2:] for shape in shapes] == [(m, dim), (m + 1, dim)]
 
 
 # --- directrix invariance --------------------------------------------------------
@@ -453,7 +580,7 @@ def test_striction_csv_layout(tmp_path, td_sheet):
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "s1", "b1", "b2", "b3", "wedge_residual", "singular"]
-    assert len(rows) == 1 + len(locus.entries)
+    assert len(rows) == 1 + locus.residuals.size
     assert {r[-1] for r in rows[1:]} == {"true"}
     t0 = float(rows[1][0])
     beta = np.array([float(v) for v in rows[1][2:5]])
