@@ -5,12 +5,17 @@ the t-direction, first normal space dimensions, planar points, the
 rank-one (developability) wedge test, tangent-space stability along
 rulings, and sectional curvature from the Gauss equation.
 
-Grid stages run on stacked arrays: the Jacobians and second-form vectors
-at all N x P grid points (t samples times ruling samples) form one
-(N, P, m, dim) stack and go through one stacked SVD. A patch computes
-its frame values, degree profile and second-form scan once, on first
-use; a patch cut from it by `restrict` slices them. The single-point
-functions run the same kernels on a stack of one.
+Grid stages run on stacked arrays over all N x P grid points (t samples
+times ruling samples). The second-form scan works in coordinates adapted
+to the ruled structure: one orthonormal basis of the frame span and its
+complement per t, an (N, P, m, m) stack of reduced Jacobians and an
+(N, P, m, dim-m+1) stack of second-form vectors in complement
+coordinates. Surfaces (m = 2) take their singular values in closed form,
+and a normal space of dimension 1 its ranks; other shapes go through one
+stacked SVD each. A patch computes its frame values, degree profile and
+second-form scan once, on first use; a patch cut from it by `restrict`
+slices them. The single-point functions run the same kernels on a stack
+of one.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from .distribution import DegreeProfile, profile_from_values
 from .errors import RegularityError, ValidationError
 from .fields import AffineCombinationField
 from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, gram_schmidt_r,
-                          numerical_rank, numerical_ranks, rank_mask,
-                          wedge_norms)
+                          numerical_ranks, rank_mask, wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid
 
 
@@ -142,48 +146,81 @@ def jacobians_at(p: RuledPatch, t, u: np.ndarray) -> np.ndarray:
     return _jacobians(v.frame(0), v.frame(1), v.directrix(1), u).reshape(-1, p.m, p.dim)
 
 
-@dataclass(frozen=True, eq=False)
-class PointwiseSecondForm:
-    """Second fundamental form vectors II(x0, x_i) at one patch point."""
+def _reduced_singular_values(jac: np.ndarray) -> np.ndarray:
+    """Descending singular values of a (..., m, m) stack of reduced
+    Jacobians (see `_second_form_vectors`).
 
-    t: float
-    u: np.ndarray
-    II_vectors: np.ndarray  # (m, dim): entries for x0 paired with x0, x1, ..., x_{m-1}
-    first_normal_dim: int
+    For m = 2 the matrix is [[a, b], [r, 0]] with b >= 0. Its singular
+    values follow from the determinant and the Frobenius norm F:
+    s1 s2 = |det| = b |r|, and s1 +- s2 = sqrt(F^2 +- 2 |det|), where
+    F^2 +- 2 |det| = a^2 + (b +- |r|)^2 is a sum of squares. So
+    s1 = (hypot(a, b + |r|) + hypot(a, b - |r|)) / 2 has no cancellation,
+    even where s1 and s2 are close, and s2 = |det| / s1, a product and a
+    quotient, keeps its relative accuracy however small it is. Larger m
+    goes through the batched SVD.
+    """
+    if jac.shape[-1] != 2:
+        return np.linalg.svd(jac, compute_uv=False)
+    a, b, r = jac[..., 0, 0], jac[..., 0, 1], np.abs(jac[..., 1, 0])
+    s1 = 0.5 * (np.hypot(a, b + r) + np.hypot(a, b - r))
+    return np.stack([s1, b * r / np.where(s1 > 0.0, s1, 1.0)], axis=-1)
 
 
 def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: TolerancePolicy):
-    """Jacobians, normal parts of sigma_tt and Xdot_j, and regularity,
-    stacked over the N parameters `rows` of `v` times P ruling positions
-    u (P, m-1).
+    """Reduced Jacobians, second-form vectors and regularity, stacked over
+    the N parameters `rows` of `v` times P ruling positions u (P, m-1), in
+    coordinates adapted to the ruled structure.
 
-    Returns (jac, vecs, regular) of shapes (N, P, m, dim), (N, P, m, dim)
-    and (N, P). All mixed second partials d2(sigma)/du_i du_j vanish, so
-    the m vectors of vecs span the image of the second fundamental form;
-    they are meaningful only where `regular` holds.
+    Returns (jac, vecs, regular) of shapes (N, P, m, m),
+    (N, P, m, dim-m+1) and (N, P). One complete QR of the frame per
+    parameter gives orthonormal bases q of the frame span (m-1 columns, in
+    which the frame rows are R^T) and comp of its complement. sigma_t =
+    g1 + u . Xdot has coordinates sigma_t . q and c = sigma_t . comp, so in
+    the orthonormal basis (q, n) of the tangent space, n = c / |c|, the
+    Jacobian is the m x m matrix [[sigma_t . q, |c|], [R^T, 0]], with the
+    singular values of the m x dim one. The rows of vecs are sigma_tt and
+    Xdot_j in comp coordinates less their component along n. All mixed
+    partials d2(sigma)/du_i du_j vanish, so these rows span the image of
+    the second fundamental form; they are meaningful only where `regular`
+    holds. The Gauss equation reads only inner products of the rows of jac
+    and of vecs, which the change of basis keeps.
 
-    The tangent space at a regular point is the frame span plus the unit
-    part of sigma_t off that span. The frame span takes one orthonormal
-    basis per parameter, and the part of sigma_t off it is affine in u,
-    g1_perp + u . Xdot_perp, so only the last normalization runs per point.
+    Regularity applies the one rank rule (`rank_mask`) to singular
+    values, never to eigenvalues of a Gram matrix J J^T: those resolve
+    singular values only down to about sqrt(eps) s1 = 1.5e-8 s1, coarser
+    than the `rank_rel_tol` cutoff of 1e-8 that decides.
     """
     x0, x1, g1 = v.frame(0)[rows], v.frame(1)[rows], v.directrix(1)[rows]
-    jac = _jacobians(x0, x1, g1, u)
-    regular = rank_mask(np.linalg.svd(jac, compute_uv=False), tol).all(axis=-1)
-    q = np.linalg.qr(x0.swapaxes(1, 2))[0]  # (N, dim, m-1): orthonormal frame basis
-
-    def off_frame(w):
-        return w - (w @ q) @ q.swapaxes(1, 2)
-
-    normal = off_frame(g1[:, None]) + u @ off_frame(x1)  # (N, P, dim)
-    length = np.linalg.norm(normal, axis=-1, keepdims=True)
-    normal /= np.where(length > 0.0, length, 1.0)
-    raw = np.empty_like(jac)
-    raw[:, :, 0] = v.directrix(2)[rows][:, None, :] + u @ v.frame(2)[rows]
-    raw[:, :, 1:] = x1[:, None]
-    vecs = (raw - (raw @ q[:, None]) @ q[:, None].swapaxes(-1, -2)
-            - (raw @ normal[..., None]) * normal[..., None, :])
+    k = x0.shape[1]
+    basis, r = np.linalg.qr(x0.swapaxes(1, 2), mode="complete")
+    q, comp = basis[..., :k], basis[..., k:]  # (N, dim, m-1), (N, dim, dim-m+1)
+    c = g1[:, None] @ comp + u @ (x1 @ comp)  # (N, P, dim-m+1)
+    length = np.linalg.norm(c, axis=-1)
+    jac = np.zeros(c.shape[:2] + (k + 1, k + 1))
+    jac[..., 0, :k] = g1[:, None] @ q + u @ (x1 @ q)
+    jac[..., 0, k] = length
+    jac[..., 1:, :k] = r[:, None, :k].swapaxes(-1, -2)
+    regular = rank_mask(_reduced_singular_values(jac), tol).all(axis=-1)
+    normal = c / np.where(length > 0.0, length, 1.0)[..., None]
+    vecs = np.empty(c.shape[:2] + (k + 1, c.shape[-1]))
+    vecs[:, :, 0] = v.directrix(2)[rows][:, None] @ comp + u @ (v.frame(2)[rows] @ comp)
+    vecs[:, :, 1:] = (x1 @ comp)[:, None]
+    vecs -= (vecs @ normal[..., None]) * normal[..., None, :]
     return jac, vecs, regular
+
+
+def _normal_ranks(vecs: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """First normal space dimension from (..., m, dim-m+1) second-form
+    vectors of `_second_form_vectors`: the numerical rank of each matrix.
+
+    The rows lie in the dim-m dimensional space orthogonal to n. When that
+    is a line (or a point), the rank is 0 or 1 and the largest singular
+    value is the Frobenius norm, so the rank rule reduces to that norm
+    against zero_abs_tol; wider normal spaces go through the batched SVD.
+    """
+    if vecs.shape[-1] <= 2:
+        return (np.linalg.norm(vecs, axis=(-2, -1)) >= tol.zero_abs_tol).astype(int)
+    return numerical_ranks(vecs, tol)
 
 
 def _second_form_at(p: RuledPatch, t: float, u: np.ndarray):
@@ -199,17 +236,6 @@ def _second_form_at(p: RuledPatch, t: float, u: np.ndarray):
 #: kernel's temporary arrays near 100 kB on any grid, small enough that
 #: repeated scans do not grow the process heap
 SCAN_BLOCK_POINTS = 1024
-
-
-def second_form_along_directrix(p: RuledPatch, t: float, u) -> PointwiseSecondForm:
-    """Second form vectors II(x0, .) at a regular point, in ambient coordinates."""
-    u = _as_u(p, u)
-    _, vecs = _second_form_at(p, t, u)
-    return PointwiseSecondForm(
-        t=float(t), u=u,
-        II_vectors=vecs,
-        first_normal_dim=numerical_rank(vecs, p.tol),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +277,7 @@ def second_form_scan(p: RuledPatch) -> SecondFormScan:
     for lo in range(0, ts.size, step):
         rows = slice(lo, lo + step)
         _, vecs, regular[rows] = _second_form_vectors(p.values, rows, u, p.tol)
-        dims[rows] = np.where(regular[rows], numerical_ranks(vecs, p.tol), -1)
+        dims[rows] = np.where(regular[rows], _normal_ranks(vecs, p.tol), -1)
     return SecondFormScan(t=ts, u=u, regular=regular, dims=dims)
 
 

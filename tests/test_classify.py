@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import small_patch
-from ruledkit import RuledPatch, SampleGrid, ValidationError, classify_patch
+from ruledkit import RuledPatch, SampleGrid, ValidationError, classify_patch, ingest
 from ruledkit.classify import (CONICAL, CYLINDRICAL, NON_RANK_ONE, TANGENT, Region,
                                RegionEvidence, converse_check)
 from ruledkit.fields import FourierField, PolynomialField, VectorField
@@ -27,6 +27,20 @@ def test_corpus_classification(name, expected):
     report = classify_patch(small_patch(name, 41))
     assert report.kinds() == [expected]
     assert report.boundary_points == ()
+
+
+@pytest.mark.xfail(strict=True, reason="the striction sheet's t-partial is the cubic "
+                   "spline's derivative of the solved coordinates, which is off on a cone "
+                   "whose solved coordinate moves with t")
+@pytest.mark.parametrize("t_samples", [40, 100, 200, 800])
+def test_elliptic_cone_is_conical(pytestconfig, t_samples):
+    # the cone over the ellipse (2 cos t, sin t, 0) with apex (0, 0, 1) and a
+    # directrix that is not unit speed; reads tangent at 40 and 100 samples,
+    # alternating tangent/undetermined regions at 200 and
+    # undetermined/conical/undetermined at 800
+    scene = pytestconfig.rootpath / "scenes" / "elliptic_cone_explicit.json"
+    p = ingest(str(scene), overrides={"t_samples": t_samples}).patch
+    assert classify_patch(p).kinds() == [CONICAL]
 
 
 def test_cone_region_reports_apex():

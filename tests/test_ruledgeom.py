@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ambient_second_form import second_form_along_directrix
 from conftest import small_patch
 from ruledkit import (RegularityError, RuledPatch, SampleGrid, ValidationError,
                       make_builtin_patch)
@@ -12,8 +13,8 @@ from ruledkit.parametric import BUILTIN_PATCHES, FramedCurve
 from ruledkit.ruledgeom import (_coordinate_plane_curvatures, _orthonormal_tangent_coeffs,
                                 _second_form_vectors, eval_sigma, first_normal_bounds_check,
                                 flatness_check, jacobian_sigma, planar_points,
-                                rank_one_check, second_form_along_directrix,
-                                sectional_curvature, tangent_space_stability)
+                                rank_one_check, sectional_curvature,
+                                tangent_space_stability)
 
 SQ2 = math.sqrt(2.0)
 
@@ -274,7 +275,7 @@ def _loop_plane_curvatures(jac, vecs, tol):
     on every coordinate plane (a, b), a < b."""
     s = _loop_tangent_coeffs(jac, tol)
     m = jac.shape[-2]
-    ii = np.zeros(jac.shape[:-2] + (m, m, jac.shape[-1]))
+    ii = np.zeros(jac.shape[:-2] + (m, m, vecs.shape[-1]))
     for a in range(m):
         for b in range(a, m):
             v = (s[..., a, 0] * s[..., b, 0])[..., None] * vecs[..., 0, :]
