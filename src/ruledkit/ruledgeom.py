@@ -10,9 +10,12 @@ times ruling samples). The second-form scan works in coordinates adapted
 to the ruled structure: one orthonormal basis of the frame span and its
 complement per t, an (N, P, m, m) stack of reduced Jacobians and an
 (N, P, m, dim-m+1) stack of second-form vectors in complement
-coordinates. Surfaces (m = 2) take their singular values in closed form,
-and a normal space of dimension 1 its ranks; other shapes go through one
-stacked SVD each. A patch computes its frame values, degree profile and
+coordinates. Its rank verdicts come from closed forms: the singular
+values for surfaces (m = 2), the Frobenius norm for a normal space of
+dimension 1, and for m >= 3 and a normal space of dimension 2 bounds
+that settle all but the points next to the rank cutoff, which alone go
+through a stacked SVD. Wider normal spaces go through one stacked SVD. A
+patch computes its frame values, degree profile and
 second-form scan once, on first use; a patch cut from it by `restrict`
 slices them. The single-point functions run the same kernels on a stack
 of one.
@@ -146,6 +149,20 @@ def jacobians_at(p: RuledPatch, t, u: np.ndarray) -> np.ndarray:
     return _jacobians(v.frame(0), v.frame(1), v.directrix(1), u).reshape(-1, p.m, p.dim)
 
 
+#: relative rounding margin of the closed-form rank verdicts: a bound
+#: settles a verdict only when it clears the cutoff by this factor. LAPACK's
+#: singular values are exact for a matrix within a few eps * s1 of the
+#: input, so at the cutoff s_m = rank_rel_tol * s1 their relative error is
+#: a few eps / rank_rel_tol, about 1e-7 at the default 1e-8; the closed
+#: forms' rounding is smaller. `_rank_margin` raises the margin to
+#: 32 eps / rank_rel_tol for tighter cutoffs.
+RANK_BOUND_MARGIN = 1e-6
+
+
+def _rank_margin(tol: TolerancePolicy) -> float:
+    return max(RANK_BOUND_MARGIN, 32.0 * np.finfo(float).eps / tol.rank_rel_tol)
+
+
 def _reduced_singular_values(jac: np.ndarray) -> np.ndarray:
     """Descending singular values of a (..., m, m) stack of reduced
     Jacobians (see `_second_form_vectors`).
@@ -157,13 +174,52 @@ def _reduced_singular_values(jac: np.ndarray) -> np.ndarray:
     s1 = (hypot(a, b + |r|) + hypot(a, b - |r|)) / 2 has no cancellation,
     even where s1 and s2 are close, and s2 = |det| / s1, a product and a
     quotient, keeps its relative accuracy however small it is. Larger m
-    goes through the batched SVD.
+    goes through the batched SVD, which `_regularity` calls only on the
+    points its bounds leave undecided.
     """
     if jac.shape[-1] != 2:
         return np.linalg.svd(jac, compute_uv=False)
     a, b, r = jac[..., 0, 0], jac[..., 0, 1], np.abs(jac[..., 1, 0])
     s1 = 0.5 * (np.hypot(a, b + r) + np.hypot(a, b - r))
     return np.stack([s1, b * r / np.where(s1 > 0.0, s1, 1.0)], axis=-1)
+
+
+def _regularity(jac: np.ndarray, r: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """The rank rule's full-rank verdict (`rank_mask` of all m singular
+    values) on a (..., m, m) stack of reduced Jacobians
+    J = [[a, b], [R^T, 0]], b >= 0, with the frame's triangular factors R
+    in `r`, broadcastable to (..., m-1, m-1).
+
+    For m = 2 the singular values have a closed form. For m >= 3,
+    J^-1 = [[0, R^-T], [1 / b, -a R^-T / b]], so the Frobenius condition
+    number kappa_F = |J|_F |J^-1|_F follows from one R^-1 per entry of r,
+    and it brackets the 2-norm one: kappa_2 <= kappa_F <= m kappa_2; also
+    |J|_F / sqrt(m) <= s1 <= |J|_F. A point is regular when
+    kappa_F < (1 - delta) / rank_rel_tol and
+    |J|_F >= (1 + delta) sqrt(m) zero_abs_tol, and singular when
+    kappa_F > (1 + delta) m / rank_rel_tol (b = 0 among them) or
+    |J|_F < (1 - delta) zero_abs_tol, delta the rounding margin
+    (`RANK_BOUND_MARGIN`). Only the points in between, near the cutoff,
+    and those whose R is singular, go through the batched SVD.
+    """
+    k = jac.shape[-1] - 1
+    if k == 1:
+        return rank_mask(_reduced_singular_values(jac), tol).all(axis=-1)
+    invertible = np.all(np.diagonal(r, axis1=-2, axis2=-1) != 0.0, axis=-1)[..., None, None]
+    r_inv = np.where(invertible, np.linalg.inv(np.where(invertible, r, np.eye(k))), np.nan)
+    a, b = jac[..., 0, :k], jac[..., 0, k]
+    a_r = (a[..., None, :] @ r_inv.swapaxes(-1, -2))[..., 0, :]
+    norm = np.sqrt(np.sum(jac * jac, axis=(-2, -1)))
+    # kappa_F b = |J|_F sqrt(b^2 |R^-1|_F^2 + 1 + |a R^-T|^2), which needs no 1 / b
+    kappa_b = norm * np.sqrt(b * b * np.sum(r_inv * r_inv, axis=(-2, -1))
+                             + 1.0 + np.sum(a_r * a_r, axis=-1))
+    delta, rel, zero = _rank_margin(tol), tol.rank_rel_tol, tol.zero_abs_tol
+    regular = (kappa_b < (1.0 - delta) / rel * b) & (norm >= (1.0 + delta) * np.sqrt(k + 1) * zero)
+    singular = (kappa_b > (1.0 + delta) * (k + 1) / rel * b) | (norm < (1.0 - delta) * zero)
+    undecided = ~(regular | singular)
+    if undecided.any():
+        regular[undecided] = rank_mask(_reduced_singular_values(jac[undecided]), tol).all(axis=-1)
+    return regular
 
 
 def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: TolerancePolicy):
@@ -185,10 +241,11 @@ def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: Toleran
     holds. The Gauss equation reads only inner products of the rows of jac
     and of vecs, which the change of basis keeps.
 
-    Regularity applies the one rank rule (`rank_mask`) to singular
-    values, never to eigenvalues of a Gram matrix J J^T: those resolve
-    singular values only down to about sqrt(eps) s1 = 1.5e-8 s1, coarser
-    than the `rank_rel_tol` cutoff of 1e-8 that decides.
+    Regularity (`_regularity`) applies the one rank rule (`rank_mask`) to
+    singular values, or to bounds that provably give its verdict, never
+    to eigenvalues of a Gram matrix J J^T: those resolve singular values
+    only down to about sqrt(eps) s1 = 1.5e-8 s1, coarser than the
+    `rank_rel_tol` cutoff of 1e-8 that decides.
     """
     x0, x1, g1 = v.frame(0)[rows], v.frame(1)[rows], v.directrix(1)[rows]
     k = x0.shape[1]
@@ -200,7 +257,7 @@ def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: Toleran
     jac[..., 0, :k] = g1[:, None] @ q + u @ (x1 @ q)
     jac[..., 0, k] = length
     jac[..., 1:, :k] = r[:, None, :k].swapaxes(-1, -2)
-    regular = rank_mask(_reduced_singular_values(jac), tol).all(axis=-1)
+    regular = _regularity(jac, r[:, None, :k], tol)
     normal = c / np.where(length > 0.0, length, 1.0)[..., None]
     vecs = np.empty(c.shape[:2] + (k + 1, c.shape[-1]))
     vecs[:, :, 0] = v.directrix(2)[rows][:, None] @ comp + u @ (v.frame(2)[rows] @ comp)
@@ -215,12 +272,34 @@ def _normal_ranks(vecs: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
 
     The rows lie in the dim-m dimensional space orthogonal to n. When that
     is a line (or a point), the rank is 0 or 1 and the largest singular
-    value is the Frobenius norm, so the rank rule reduces to that norm
-    against zero_abs_tol; wider normal spaces go through the batched SVD.
+    value is the Frobenius norm F, so the rank rule reduces to that norm
+    against zero_abs_tol. When it is a plane (dim - m = 2), s3 = 0 and
+    s1 s2 is the norm of all 2 x 2 minors of the rows, the cross products
+    v_i x v_j (Lagrange's identity), each a difference of products with
+    absolute error of order eps s1^2, so s2 = s1 s2 / s1 keeps its accuracy
+    down to the cutoff; s1 = (sqrt(F^2 + 2 s1 s2) + sqrt(F^2 - 2 s1 s2)) / 2
+    loses at most sqrt(eps) where s1 and s2 are close, far from it. The
+    rank rule then reads these values wherever they clear the cutoffs by
+    the rounding margin `RANK_BOUND_MARGIN`, and the batched SVD decides
+    the rest. Wider normal spaces go through the batched SVD.
     """
     if vecs.shape[-1] <= 2:
         return (np.linalg.norm(vecs, axis=(-2, -1)) >= tol.zero_abs_tol).astype(int)
-    return numerical_ranks(vecs, tol)
+    if vecs.shape[-1] > 3:
+        return numerical_ranks(vecs, tol)
+    i, j = np.triu_indices(vecs.shape[-2], 1)
+    minors = np.cross(vecs[..., i, :], vecs[..., j, :])
+    f2 = np.sum(vecs * vecs, axis=(-2, -1))
+    det = np.sqrt(np.sum(minors * minors, axis=(-2, -1)))  # s1 s2
+    s1 = 0.5 * (np.sqrt(f2 + 2.0 * det) + np.sqrt(np.maximum(f2 - 2.0 * det, 0.0)))
+    s2 = det / np.where(s1 > 0.0, s1, 1.0)
+    delta, rel, zero = _rank_margin(tol), tol.rank_rel_tol, tol.zero_abs_tol
+    lead, second = s1 >= (1.0 + delta) * zero, s2 > (1.0 + delta) * rel * s1
+    ranks = np.where(lead, 1 + second, 0)
+    decided = (s1 < (1.0 - delta) * zero) | (lead & (second | (s2 < (1.0 - delta) * rel * s1)))
+    if not decided.all():
+        ranks[~decided] = numerical_ranks(vecs[~decided], tol)
+    return ranks
 
 
 def _second_form_at(p: RuledPatch, t: float, u: np.ndarray):

@@ -8,6 +8,11 @@ with its batched SVD, and the second-form vectors projected off the
 tangent space. Tests compare the two, and the pointwise II vectors of
 `second_form_along_directrix` are checked against the ambient tangent
 space.
+
+`svd_regularity` and `svd_normal_ranks` keep the scan's rank verdicts as
+it took them before its closed-form bounds: `rank_mask` of the batched
+SVD of every reduced Jacobian (m >= 3) and of every matrix of
+second-form vectors with more than two columns.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import numpy as np
 from ruledkit.errors import RegularityError
 from ruledkit.multilinear import TolerancePolicy, numerical_rank, numerical_ranks, rank_mask
 from ruledkit.parametric import GridValues
-from ruledkit.ruledgeom import RuledPatch, _as_u, _jacobians
+from ruledkit.ruledgeom import (RuledPatch, _as_u, _jacobians, _reduced_singular_values,
+                                _second_form_vectors)
 
 
 def ambient_second_form_vectors(v: GridValues, rows: slice, u: np.ndarray,
@@ -57,6 +63,31 @@ def ambient_scan(p: RuledPatch):
     jac, vecs, regular = ambient_second_form_vectors(p.values, slice(None),
                                                      p.grid.u_points(p.m - 1), p.tol)
     return jac, vecs, regular, np.where(regular, numerical_ranks(vecs, p.tol), -1)
+
+
+def svd_regularity(jac: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Regularity of a (..., m, m) stack of reduced Jacobians: `rank_mask`
+    of their singular values, in closed form for m = 2 and from the
+    batched SVD for larger m."""
+    return rank_mask(_reduced_singular_values(jac), tol).all(axis=-1)
+
+
+def svd_normal_ranks(vecs: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Numerical rank of each (m, dim-m+1) matrix of second-form vectors:
+    the Frobenius norm against zero_abs_tol for a normal space of
+    dimension 1 or 0 (at most two columns), the batched SVD otherwise."""
+    if vecs.shape[-1] <= 2:
+        return (np.linalg.norm(vecs, axis=(-2, -1)) >= tol.zero_abs_tol).astype(int)
+    return numerical_ranks(vecs, tol)
+
+
+def svd_scan_verdicts(p: RuledPatch):
+    """(regular, dims) over the whole grid of `p` from the SVD verdicts
+    on the reduced kernel's Jacobians and second-form vectors, dims -1
+    where the patch is singular."""
+    jac, vecs, _ = _second_form_vectors(p.values, slice(None), p.grid.u_points(p.m - 1), p.tol)
+    regular = svd_regularity(jac, p.tol)
+    return regular, np.where(regular, svd_normal_ranks(vecs, p.tol), -1)
 
 
 @dataclass(frozen=True, eq=False)
