@@ -14,7 +14,10 @@ coordinates. Its rank verdicts come from closed forms: the singular
 values for surfaces (m = 2), the Frobenius norm for a normal space of
 dimension 1, and for m >= 3 and a normal space of dimension 2 bounds
 that settle all but the points next to the rank cutoff, which alone go
-through a stacked SVD. Wider normal spaces go through one stacked SVD. A
+through a stacked SVD. Wider normal spaces go through one stacked SVD.
+The tangent-space stability check reads the same reduced Jacobians, one
+frame factorization per distinct t, and compares two tangent spaces by
+the angle between their normal directions off the frame span. A
 patch computes its frame values, degree profile and
 second-form scan once, on first use; a patch cut from it by `restrict`
 slices them. The single-point functions run the same kernels on a stack
@@ -184,18 +187,46 @@ def _reduced_singular_values(jac: np.ndarray) -> np.ndarray:
     return np.stack([s1, b * r / np.where(s1 > 0.0, s1, 1.0)], axis=-1)
 
 
-def _regularity(jac: np.ndarray, r: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+def _inverse_factors(r: np.ndarray) -> np.ndarray:
+    """R^-1 of each triangular frame factor of a (..., m-1, m-1) stack, NaN
+    where R has a zero on its diagonal (the frame is singular there)."""
+    k = r.shape[-1]
+    invertible = np.all(np.diagonal(r, axis1=-2, axis2=-1) != 0.0, axis=-1)[..., None, None]
+    safe = np.where(invertible, r, np.eye(k))
+    return np.where(invertible, 1.0 / safe if k == 1 else np.linalg.inv(safe), np.nan)
+
+
+def _frobenius_conditions(jac: np.ndarray, r_inv: np.ndarray):
+    """(|J|_F, kappa_F b) of a (..., m, m) stack of reduced Jacobians
+    J = [[a, b], [R^T, 0]], b >= 0, with R^-1 (`_inverse_factors`) in
+    `r_inv`, broadcastable to (..., m-1, m-1).
+
+    J^-1 = [[0, R^-T], [1 / b, -a R^-T / b]], so the Frobenius condition
+    number kappa_F = |J|_F |J^-1|_F needs no SVD, and it brackets the
+    2-norm one: kappa_2 <= kappa_F <= m kappa_2. It is returned times b,
+    kappa_F b = |J|_F sqrt(b^2 |R^-1|_F^2 + 1 + |a R^-T|^2), which needs
+    no 1 / b: 0 < kappa_F b at b = 0 marks a singular J, and NaN a
+    singular R.
+    """
+    k = jac.shape[-1] - 1
+    a, b = jac[..., 0, :k], jac[..., 0, k]
+    a_r = (a[..., None, :] @ r_inv.swapaxes(-1, -2))[..., 0, :]
+    norm = np.sqrt(np.sum(jac * jac, axis=(-2, -1)))
+    return norm, norm * np.sqrt(b * b * np.sum(r_inv * r_inv, axis=(-2, -1))
+                                + 1.0 + np.sum(a_r * a_r, axis=-1))
+
+
+def _regularity(jac: np.ndarray, r_inv: np.ndarray | None, tol: TolerancePolicy) -> np.ndarray:
     """The rank rule's full-rank verdict (`rank_mask` of all m singular
     values) on a (..., m, m) stack of reduced Jacobians
-    J = [[a, b], [R^T, 0]], b >= 0, with the frame's triangular factors R
-    in `r`, broadcastable to (..., m-1, m-1).
+    J = [[a, b], [R^T, 0]], b >= 0, with the inverses R^-1 of the frame's
+    triangular factors in `r_inv`, broadcastable to (..., m-1, m-1).
 
-    For m = 2 the singular values have a closed form. For m >= 3,
-    J^-1 = [[0, R^-T], [1 / b, -a R^-T / b]], so the Frobenius condition
-    number kappa_F = |J|_F |J^-1|_F follows from one R^-1 per entry of r,
-    and it brackets the 2-norm one: kappa_2 <= kappa_F <= m kappa_2; also
-    |J|_F / sqrt(m) <= s1 <= |J|_F. A point is regular when
-    kappa_F < (1 - delta) / rank_rel_tol and
+    For m = 2 the singular values have a closed form, and `r_inv` is not
+    read. For m >= 3 the Frobenius condition number kappa_F
+    (`_frobenius_conditions`) brackets the 2-norm one,
+    kappa_2 <= kappa_F <= m kappa_2, and |J|_F / sqrt(m) <= s1 <= |J|_F.
+    A point is regular when kappa_F < (1 - delta) / rank_rel_tol and
     |J|_F >= (1 + delta) sqrt(m) zero_abs_tol, and singular when
     kappa_F > (1 + delta) m / rank_rel_tol (b = 0 among them) or
     |J|_F < (1 - delta) zero_abs_tol, delta the rounding margin
@@ -205,14 +236,8 @@ def _regularity(jac: np.ndarray, r: np.ndarray, tol: TolerancePolicy) -> np.ndar
     k = jac.shape[-1] - 1
     if k == 1:
         return rank_mask(_reduced_singular_values(jac), tol).all(axis=-1)
-    invertible = np.all(np.diagonal(r, axis1=-2, axis2=-1) != 0.0, axis=-1)[..., None, None]
-    r_inv = np.where(invertible, np.linalg.inv(np.where(invertible, r, np.eye(k))), np.nan)
-    a, b = jac[..., 0, :k], jac[..., 0, k]
-    a_r = (a[..., None, :] @ r_inv.swapaxes(-1, -2))[..., 0, :]
-    norm = np.sqrt(np.sum(jac * jac, axis=(-2, -1)))
-    # kappa_F b = |J|_F sqrt(b^2 |R^-1|_F^2 + 1 + |a R^-T|^2), which needs no 1 / b
-    kappa_b = norm * np.sqrt(b * b * np.sum(r_inv * r_inv, axis=(-2, -1))
-                             + 1.0 + np.sum(a_r * a_r, axis=-1))
+    norm, kappa_b = _frobenius_conditions(jac, r_inv)
+    b = jac[..., 0, k]
     delta, rel, zero = _rank_margin(tol), tol.rank_rel_tol, tol.zero_abs_tol
     regular = (kappa_b < (1.0 - delta) / rel * b) & (norm >= (1.0 + delta) * np.sqrt(k + 1) * zero)
     singular = (kappa_b > (1.0 + delta) * (k + 1) / rel * b) | (norm < (1.0 - delta) * zero)
@@ -222,24 +247,60 @@ def _regularity(jac: np.ndarray, r: np.ndarray, tol: TolerancePolicy) -> np.ndar
     return regular
 
 
+def _frame_coordinates(x0: np.ndarray, x1: np.ndarray, g1: np.ndarray):
+    """One complete QR of the frame per parameter, X^T = [q | comp] R, and
+    the pieces of sigma_t = g1 + u . Xdot in that basis.
+
+    x0, x1: (N, m-1, dim) frame values and derivatives; g1: (N, dim)
+    directrix derivatives. Returns (r, comp, sigma_q, sigma_c): the
+    (N, m-1, m-1) triangular factors R, in whose columns q the frame rows
+    are R^T; the (N, dim, dim-m+1) orthonormal basis comp of the
+    complement of the frame span; and the pairs (g1 q, Xdot q) and
+    (g1 comp, Xdot comp) of shapes (N, 1, .) and (N, m-1, .), which
+    `_reduced_jacobians` combines at ruling positions u.
+    """
+    k = x0.shape[1]
+    basis, r = np.linalg.qr(x0.swapaxes(1, 2), mode="complete")
+    q, comp = basis[..., :k], basis[..., k:]  # (N, dim, m-1), (N, dim, dim-m+1)
+    return (r[:, :k], comp, (g1[:, None] @ q, x1 @ q),
+            (g1[:, None] @ comp, x1 @ comp))
+
+
+def _reduced_jacobians(r: np.ndarray, sigma_q, sigma_c, u: np.ndarray):
+    """Reduced Jacobians and sigma_t's complement coordinates from the
+    per-parameter pieces of `_frame_coordinates`, at ruling positions u:
+    (P, m-1) shared by the N parameters, or (N, P, m-1) of their own.
+
+    sigma_t has coordinates a = sigma_t . q and c = sigma_t . comp, so in
+    the orthonormal basis (q, n) of the tangent space, n = c / |c|, the
+    Jacobian is the m x m matrix [[a, |c|], [R^T, 0]], with the singular
+    values of the m x dim one. Returns (jac, c) of shapes (N, P, m, m) and
+    (N, P, dim-m+1).
+    """
+    k = r.shape[-1]
+    c = sigma_c[0] + u @ sigma_c[1]
+    jac = np.zeros(c.shape[:2] + (k + 1, k + 1))
+    jac[..., 0, :k] = sigma_q[0] + u @ sigma_q[1]
+    jac[..., 0, k] = np.linalg.norm(c, axis=-1)
+    jac[..., 1:, :k] = r[:, None].swapaxes(-1, -2)
+    return jac, c
+
+
 def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: TolerancePolicy):
     """Reduced Jacobians, second-form vectors and regularity, stacked over
     the N parameters `rows` of `v` times P ruling positions u (P, m-1), in
     coordinates adapted to the ruled structure.
 
     Returns (jac, vecs, regular) of shapes (N, P, m, m),
-    (N, P, m, dim-m+1) and (N, P). One complete QR of the frame per
-    parameter gives orthonormal bases q of the frame span (m-1 columns, in
-    which the frame rows are R^T) and comp of its complement. sigma_t =
-    g1 + u . Xdot has coordinates sigma_t . q and c = sigma_t . comp, so in
-    the orthonormal basis (q, n) of the tangent space, n = c / |c|, the
-    Jacobian is the m x m matrix [[sigma_t . q, |c|], [R^T, 0]], with the
-    singular values of the m x dim one. The rows of vecs are sigma_tt and
-    Xdot_j in comp coordinates less their component along n. All mixed
-    partials d2(sigma)/du_i du_j vanish, so these rows span the image of
-    the second fundamental form; they are meaningful only where `regular`
-    holds. The Gauss equation reads only inner products of the rows of jac
-    and of vecs, which the change of basis keeps.
+    (N, P, m, dim-m+1) and (N, P). The reduced Jacobians come from one
+    complete QR of the frame per parameter (`_frame_coordinates`,
+    `_reduced_jacobians`). The rows of vecs are sigma_tt and Xdot_j in
+    comp coordinates less their component along the unit normal
+    n = c / |c|. All mixed partials d2(sigma)/du_i du_j vanish, so these
+    rows span the image of the second fundamental form; they are
+    meaningful only where `regular` holds. The Gauss equation reads only
+    inner products of the rows of jac and of vecs, which the change of
+    basis keeps.
 
     Regularity (`_regularity`) applies the one rank rule (`rank_mask`) to
     singular values, or to bounds that provably give its verdict, never
@@ -247,21 +308,16 @@ def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: Toleran
     only down to about sqrt(eps) s1 = 1.5e-8 s1, coarser than the
     `rank_rel_tol` cutoff of 1e-8 that decides.
     """
-    x0, x1, g1 = v.frame(0)[rows], v.frame(1)[rows], v.directrix(1)[rows]
-    k = x0.shape[1]
-    basis, r = np.linalg.qr(x0.swapaxes(1, 2), mode="complete")
-    q, comp = basis[..., :k], basis[..., k:]  # (N, dim, m-1), (N, dim, dim-m+1)
-    c = g1[:, None] @ comp + u @ (x1 @ comp)  # (N, P, dim-m+1)
-    length = np.linalg.norm(c, axis=-1)
-    jac = np.zeros(c.shape[:2] + (k + 1, k + 1))
-    jac[..., 0, :k] = g1[:, None] @ q + u @ (x1 @ q)
-    jac[..., 0, k] = length
-    jac[..., 1:, :k] = r[:, None, :k].swapaxes(-1, -2)
-    regular = _regularity(jac, r[:, None, :k], tol)
+    r, comp, sigma_q, sigma_c = _frame_coordinates(v.frame(0)[rows], v.frame(1)[rows],
+                                                   v.directrix(1)[rows])
+    jac, c = _reduced_jacobians(r, sigma_q, sigma_c, u)
+    # surfaces take their singular values in closed form and need no R^-1
+    regular = _regularity(jac, _inverse_factors(r)[:, None] if r.shape[-1] > 1 else None, tol)
+    length = jac[..., 0, -1]
     normal = c / np.where(length > 0.0, length, 1.0)[..., None]
-    vecs = np.empty(c.shape[:2] + (k + 1, c.shape[-1]))
+    vecs = np.empty(c.shape[:2] + (jac.shape[-1], c.shape[-1]))
     vecs[:, :, 0] = v.directrix(2)[rows][:, None] @ comp + u @ (v.frame(2)[rows] @ comp)
-    vecs[:, :, 1:] = (x1 @ comp)[:, None]
+    vecs[:, :, 1:] = sigma_c[1][:, None]
     vecs -= (vecs @ normal[..., None]) * normal[..., None, :]
     return jac, vecs, regular
 
@@ -425,6 +481,80 @@ def rank_one_check(p: RuledPatch) -> RankOneResult:
                          planar=planar)
 
 
+def _pair_jacobians(p: RuledPatch, t: np.ndarray, u_pairs: np.ndarray):
+    """Reduced Jacobians at (P, 2, m-1) pairs of ruling positions, each
+    pair at its own parameter of the (P,) array t.
+
+    The fields, the frame's QR (`_frame_coordinates`) and R^-1 are
+    computed once per distinct t and shared by its pairs. Returns
+    (jac, c, r_inv) of shapes (P, 2, m, m), (P, 2, dim-m+1) and
+    (P, 1, m-1, m-1).
+    """
+    ts, row = np.unique(t, return_inverse=True)
+    v = p.fc.grid_values(ts)
+    r, _, sigma_q, sigma_c = _frame_coordinates(v.frame(0), v.frame(1), v.directrix(1))
+    jac, c = _reduced_jacobians(r[row], [x[row] for x in sigma_q],
+                                [x[row] for x in sigma_c], u_pairs)
+    return jac, c, _inverse_factors(r)[row, None]
+
+
+#: c / m for the slack c eps kappa_F that covers the SVD's rounding of a
+#: tangent space in the stability check; see `_span_verdicts`
+SPAN_SLACK_PER_DIM = 64.0
+
+
+def _span_verdicts(jac: np.ndarray, c: np.ndarray, r_inv: np.ndarray, tol: TolerancePolicy):
+    """Regularity and change of the tangent space over (P, 2) pairs of
+    points at a shared parameter, from `_pair_jacobians`' (jac, c, r_inv).
+
+    Returns (regular, differ, undecided) of shapes (P, 2), (P,) and (P,):
+    `differ` is meaningful where both points are regular and the pair
+    is not `undecided`. Both tangent spaces contain the frame span, so
+    they differ only by the angle theta between c_a and c_b, and
+    sin theta = |c_a ^ c_b| / (|c_a| |c_b|), the wedge norm from the 2 x 2
+    minors (Lagrange's identity), which does not cancel the way
+    1 - cos^2 would. The SVD comparison of `_svd_span_residuals` reads a
+    basis-dependent residual with sin theta / sqrt(m) <= worst <= sin theta
+    (the squared residuals of an orthonormal basis sum to sin^2 theta),
+    and its subspaces are exact for Jacobians within a few eps |J| of the
+    input, so they move by about eps kappa_2 <= eps kappa_F (Wedin).
+    A pair is the same when sin theta (1 + delta) + slack < zero_abs_tol
+    and differs when sin theta (1 - delta) / sqrt(m) - slack > zero_abs_tol,
+    with slack = `SPAN_SLACK_PER_DIM` m eps kappa_F (the larger kappa_F of
+    the two points), generous against the few-eps factors of LAPACK's
+    and the minors' rounding. delta = `RANK_BOUND_MARGIN` covers the
+    relative rounding of sin theta itself, a few eps. The pairs in
+    between are `undecided`.
+    """
+    m = jac.shape[-1]
+    regular = _regularity(jac, r_inv, tol)
+    _, kappa_b = _frobenius_conditions(jac, r_inv)
+    b = jac[..., 0, -1]
+    kappa = np.divide(kappa_b, b, out=np.full_like(b, np.inf), where=b > 0.0).max(axis=1)
+    i, j = np.triu_indices(c.shape[-1], 1)
+    ca, cb = c[:, 0], c[:, 1]
+    minors = ca[:, i] * cb[:, j] - ca[:, j] * cb[:, i]
+    lengths = b[:, 0] * b[:, 1]
+    sin = np.sqrt(np.sum(minors * minors, axis=-1)) / np.where(lengths > 0.0, lengths, 1.0)
+    slack = SPAN_SLACK_PER_DIM * m * np.finfo(float).eps * kappa
+    delta, zero = RANK_BOUND_MARGIN, tol.zero_abs_tol
+    same = sin * (1.0 + delta) + slack < zero
+    differ = sin * (1.0 - delta) / np.sqrt(m) - slack > zero
+    return regular, differ, regular.all(axis=1) & ~(same | differ)
+
+
+def _svd_span_residuals(p: RuledPatch, t: np.ndarray, u_pairs: np.ndarray) -> np.ndarray:
+    """Largest residual of either pair point's orthonormal tangent basis
+    off the other's tangent space, from one stacked SVD of the ambient
+    Jacobians of (P, 2, m-1) regular pairs at the (P,) parameters t."""
+    _, _, vt = np.linalg.svd(jacobians_at(p, np.repeat(t, 2), u_pairs.reshape(-1, p.m - 1)),
+                             full_matrices=False)
+    qa, qb = vt[0::2], vt[1::2]
+    cross = qa @ qb.swapaxes(1, 2)
+    return np.maximum(np.linalg.norm(qa - cross @ qb, axis=-1).max(axis=-1),
+                      np.linalg.norm(qb - cross.swapaxes(1, 2) @ qa, axis=-1).max(axis=-1))
+
+
 def tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
     """True when the tangent space is the same subspace at the two ruling
     positions of each pair, both taken at the pair's parameter. Both
@@ -433,8 +563,12 @@ def tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
     t is one parameter shared by every pair or an array of P, one per
     pair of the (P, 2, m-1) `u_pairs`. The pairs are checked in order: a
     singular point raises, naming its own pair's t, unless an earlier
-    pair already differed. All Jacobians, ranks and span comparisons
-    come from one stacked SVD.
+    pair already differed. Regularity is the second-form scan's
+    (`_regularity`), and each pair's verdict comes from the angle between
+    its two normal directions in complement coordinates
+    (`_span_verdicts`), with one frame factorization per distinct t; only
+    pairs within a rounding margin of the cutoff go through the SVD
+    comparison of the ambient Jacobians (`_svd_span_residuals`).
     """
     u = np.asarray(u_pairs, dtype=float)
     if u.size == 0:
@@ -446,16 +580,11 @@ def tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
         raise ValidationError(f"expected one t or one per pair ({u.shape[0]}), "
                               f"got shape {np.shape(t)}")
     pair_t = np.broadcast_to(np.asarray(t, dtype=float), u.shape[:1])
-    point_t = t if np.ndim(t) == 0 else np.repeat(pair_t, 2)
-    _, s, vt = np.linalg.svd(jacobians_at(p, point_t, u.reshape(-1, p.m - 1)),
-                             full_matrices=False)
-    regular = rank_mask(s, p.tol).all(axis=-1).reshape(-1, 2)
-    # regular Jacobians have m independent rows: vt is a basis of their span
-    qa, qb = vt[0::2], vt[1::2]
-    cross = qa @ qb.swapaxes(1, 2)
-    worst = np.maximum(np.linalg.norm(qa - cross @ qb, axis=-1).max(axis=-1),
-                       np.linalg.norm(qb - cross.swapaxes(1, 2) @ qa, axis=-1).max(axis=-1))
-    stop = ~regular.all(axis=1) | ~(worst < p.tol.zero_abs_tol)
+    regular, differ, undecided = _span_verdicts(*_pair_jacobians(p, pair_t, u), p.tol)
+    if undecided.any():
+        differ[undecided] = ~(_svd_span_residuals(p, pair_t[undecided], u[undecided])
+                              < p.tol.zero_abs_tol)
+    stop = ~regular.all(axis=1) | differ
     if not stop.any():
         return True
     i = int(np.argmax(stop))

@@ -21,9 +21,10 @@ from .errors import RuledKitError
 from .multilinear import TolerancePolicy
 from .oracles import max_derivative_error
 from .parametric import SampleGrid, make_builtin_patch
-from .ruledgeom import (RuledPatch, first_normal_bounds_check, flatness_check,
-                        jacobians_at, sectional_curvature,
-                        tangent_space_stability)
+from .ruledgeom import (RANK_BOUND_MARGIN, RuledPatch, _frobenius_conditions,
+                        _pair_jacobians, _reduced_singular_values,
+                        first_normal_bounds_check, flatness_check, jacobians_at,
+                        sectional_curvature, tangent_space_stability)
 from .scene import DEFAULT_GRID, check_grid_budget, check_seed
 from .striction import directrix_invariance, offsheet_check, striction_systems
 
@@ -94,15 +95,56 @@ def build_corpus(tol: TolerancePolicy, t_samples: int = 200) -> dict[str, RuledP
             for name, fc in curves.items()}
 
 
+#: a candidate ruling pair of the stability sweep is kept when both of
+#: its Jacobians have a condition number s1 / s_m of at most this, that
+#: is a smallest over largest singular value of at least its inverse
+PAIR_CONDITION_LIMIT = 1e3
+
+
+def _pair_condition_verdicts(jac: np.ndarray, r_inv: np.ndarray):
+    """(kept, undecided) masks of the `PAIR_CONDITION_LIMIT` rule on a
+    (..., m, m) stack of reduced Jacobians with their R^-1
+    (`ruledgeom._pair_jacobians`).
+
+    For m = 2 the rule reads the closed-form singular values
+    (`_reduced_singular_values`). For m >= 3 it reads the Frobenius
+    condition number, kappa_2 <= kappa_F <= m kappa_2
+    (`_frobenius_conditions`): a point is kept when
+    kappa_F < (1 - delta) limit and dropped when
+    kappa_F > (1 + delta) m limit. delta = `RANK_BOUND_MARGIN` covers the
+    rounding of the closed forms and of LAPACK's s_m / s1, a few
+    eps kappa_2 relative, below 1e-12 at the limit. The points in between
+    are `undecided`.
+    """
+    delta, limit = RANK_BOUND_MARGIN, PAIR_CONDITION_LIMIT
+    if jac.shape[-1] == 2:
+        s = _reduced_singular_values(jac)
+        kept = s[..., 1] * limit > (1.0 + delta) * s[..., 0]
+        dropped = s[..., 1] * limit < (1.0 - delta) * s[..., 0]
+    else:
+        _, kappa_b = _frobenius_conditions(jac, r_inv)
+        b = jac[..., 0, -1]
+        kept = kappa_b < (1.0 - delta) * limit * b
+        dropped = kappa_b > (1.0 + delta) * jac.shape[-1] * limit * b
+    return kept, ~(kept | dropped)
+
+
 def _regular_pairs(p: RuledPatch, t, candidates: np.ndarray) -> np.ndarray:
     """Mask of the (P, 2, m-1) candidate pairs whose two Jacobians at t
-    (one shared parameter or one per pair) both have a smallest over
-    largest singular value of at least 1e-3, from one stacked SVD."""
-    t = t if np.ndim(t) == 0 else np.repeat(t, 2)
-    s = np.linalg.svd(jacobians_at(p, t, candidates.reshape(-1, p.m - 1)), compute_uv=False)
-    lead = s[:, 0]
-    margins = np.divide(s[:, -1], lead, out=np.zeros_like(lead), where=lead > 0)
-    return ~(margins.reshape(-1, 2).min(axis=1) < 1e-3)
+    (one shared parameter or one per pair) both have a condition number
+    of at most `PAIR_CONDITION_LIMIT`. The verdicts come from the reduced
+    Jacobians (`_pair_condition_verdicts`); only points near the limit go
+    through the SVD of their ambient Jacobians."""
+    t = np.broadcast_to(np.asarray(t, dtype=float), candidates.shape[:1])
+    jac, _, r_inv = _pair_jacobians(p, t, candidates)
+    kept, undecided = _pair_condition_verdicts(jac, r_inv)
+    if undecided.any():
+        at = np.nonzero(undecided)
+        s = np.linalg.svd(jacobians_at(p, t[at[0]], candidates[at]), compute_uv=False)
+        lead = s[:, 0]
+        margins = np.divide(s[:, -1], lead, out=np.zeros_like(lead), where=lead > 0)
+        kept[at] = ~(margins < 1.0 / PAIR_CONDITION_LIMIT)
+    return kept.all(axis=1)
 
 
 def _stability_sweep(p: RuledPatch, pairs_per_t: int, seed: int) -> bool:

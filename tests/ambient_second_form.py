@@ -13,6 +13,11 @@ space.
 it took them before its closed-form bounds: `rank_mask` of the batched
 SVD of every reduced Jacobian (m >= 3) and of every matrix of
 second-form vectors with more than two columns.
+
+`svd_regular_pairs` and `svd_tangent_space_stability` keep the stability
+sweep's two verdicts as they were taken before the closed forms of the
+reduced Jacobians: from one stacked SVD of the ambient Jacobians of every
+pair point.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ruledkit.errors import RegularityError
+from ruledkit.errors import RegularityError, ValidationError
 from ruledkit.multilinear import TolerancePolicy, numerical_rank, numerical_ranks, rank_mask
 from ruledkit.parametric import GridValues
 from ruledkit.ruledgeom import (RuledPatch, _as_u, _jacobians, _reduced_singular_values,
-                                _second_form_vectors)
+                                _second_form_vectors, jacobians_at)
+from ruledkit.selftest import PAIR_CONDITION_LIMIT
 
 
 def ambient_second_form_vectors(v: GridValues, rows: slice, u: np.ndarray,
@@ -88,6 +94,65 @@ def svd_scan_verdicts(p: RuledPatch):
     jac, vecs, _ = _second_form_vectors(p.values, slice(None), p.grid.u_points(p.m - 1), p.tol)
     regular = svd_regularity(jac, p.tol)
     return regular, np.where(regular, svd_normal_ranks(vecs, p.tol), -1)
+
+
+def svd_pair_margins(jac: np.ndarray) -> np.ndarray:
+    """Smallest over largest singular value of each (m, dim) Jacobian of a
+    stack, 0 where the largest is 0, from one stacked SVD."""
+    s = np.linalg.svd(jac, compute_uv=False)
+    lead = s[..., 0]
+    return np.divide(s[..., -1], lead, out=np.zeros_like(lead), where=lead > 0)
+
+
+def svd_regular_pairs(p: RuledPatch, t, candidates: np.ndarray) -> np.ndarray:
+    """Mask of the (P, 2, m-1) candidate pairs whose two Jacobians at t
+    (one shared parameter or one per pair) both have a smallest over
+    largest singular value of at least 1 / PAIR_CONDITION_LIMIT, from one
+    stacked SVD."""
+    t = t if np.ndim(t) == 0 else np.repeat(t, 2)
+    margins = svd_pair_margins(jacobians_at(p, t, candidates.reshape(-1, p.m - 1)))
+    return ~(margins.reshape(-1, 2).min(axis=1) < 1.0 / PAIR_CONDITION_LIMIT)
+
+
+def svd_span_verdicts(jac: np.ndarray, tol: TolerancePolicy):
+    """(regular, worst) of (P, 2, m, dim) pairs of ambient Jacobians:
+    `rank_mask` of each one's singular values, (P, 2), and the largest
+    residual of either orthonormal tangent basis off the other's span,
+    (P,), all from one stacked SVD."""
+    _, s, vt = np.linalg.svd(jac.reshape((-1,) + jac.shape[2:]), full_matrices=False)
+    regular = rank_mask(s, tol).all(axis=-1).reshape(-1, 2)
+    # regular Jacobians have m independent rows: vt is a basis of their span
+    qa, qb = vt[0::2], vt[1::2]
+    cross = qa @ qb.swapaxes(1, 2)
+    worst = np.maximum(np.linalg.norm(qa - cross @ qb, axis=-1).max(axis=-1),
+                       np.linalg.norm(qb - cross.swapaxes(1, 2) @ qa, axis=-1).max(axis=-1))
+    return regular, worst
+
+
+def svd_tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
+    """`ruledgeom.tangent_space_stability` with every Jacobian, rank and
+    span comparison from one stacked SVD of the ambient Jacobians."""
+    u = np.asarray(u_pairs, dtype=float)
+    if u.size == 0:
+        return True
+    if u.shape[1:] != (2, p.m - 1):
+        raise ValidationError(f"expected pairs of {p.m - 1} ruling coordinates, "
+                              f"got shape {u.shape}")
+    if np.ndim(t) and np.shape(t) != u.shape[:1]:
+        raise ValidationError(f"expected one t or one per pair ({u.shape[0]}), "
+                              f"got shape {np.shape(t)}")
+    pair_t = np.broadcast_to(np.asarray(t, dtype=float), u.shape[:1])
+    point_t = t if np.ndim(t) == 0 else np.repeat(pair_t, 2)
+    jac = jacobians_at(p, point_t, u.reshape(-1, p.m - 1))
+    regular, worst = svd_span_verdicts(jac.reshape((-1, 2) + jac.shape[1:]), p.tol)
+    stop = ~regular.all(axis=1) | ~(worst < p.tol.zero_abs_tol)
+    if not stop.any():
+        return True
+    i = int(np.argmax(stop))
+    for name, ok in zip(("first", "second"), regular[i]):
+        if not ok:
+            raise RegularityError(f"{name} comparison point is singular at t={float(pair_t[i])}")
+    return False
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,8 @@ import pytest
 
 from ambient_second_form import svd_normal_ranks, svd_regularity, svd_scan_verdicts
 from ruledkit import TolerancePolicy, ingest
-from ruledkit.ruledgeom import _normal_ranks, _rank_margin, _regularity, second_form_scan
+from ruledkit.ruledgeom import (_inverse_factors, _normal_ranks, _rank_margin, _regularity,
+                                second_form_scan)
 from test_second_form_reference import CASES
 
 TOL = TolerancePolicy()
@@ -118,7 +119,7 @@ def reached(stack, inputs):
 def test_regularity_near_the_cutoffs_equals_the_svd(monkeypatch, m):
     rng = np.random.default_rng(m)
     jac, r = reduced_jacobians(rng, regularity_spectra(rng, m))
-    got, inputs = svd_inputs(monkeypatch, _regularity, jac, r, TOL)
+    got, inputs = svd_inputs(monkeypatch, _regularity, jac, _inverse_factors(r), TOL)
     np.testing.assert_array_equal(got, svd_regularity(jac, TOL))
     assert got.any() and not got.all()
 
@@ -141,7 +142,8 @@ def test_regularity_of_exactly_singular_jacobians(monkeypatch):
     jac = reduced_jacobians(rng, np.ones((40, 3)))[0]
     jac[:20, 0, -1] = 0.0  # b = 0: the last column vanishes, settled by the bound
     jac[20:, 2, 1] = 0.0   # R[1, 1] = 0: no R^-1, left to the SVD
-    got, inputs = svd_inputs(monkeypatch, _regularity, jac, frame_factor(jac), TOL)
+    got, inputs = svd_inputs(monkeypatch, _regularity, jac,
+                              _inverse_factors(frame_factor(jac)), TOL)
     np.testing.assert_array_equal(got, svd_regularity(jac, TOL))
     assert not got.any()
     np.testing.assert_array_equal(reached(jac, inputs), np.arange(40) >= 20)

@@ -1,0 +1,251 @@
+"""Closed-form verdicts of the stability sweep against the SVD.
+
+`selftest._regular_pairs` keeps a candidate ruling pair when both of its
+Jacobians have a condition number of at most `PAIR_CONDITION_LIMIT`, and
+`ruledgeom.tangent_space_stability` compares the tangent spaces of a
+pair; both read their verdicts from the reduced Jacobians and send only
+the points next to a cutoff to the SVD. On stacks swept across the
+cutoffs, the settled verdicts must equal the stacked SVD's
+(`ambient_second_form.svd_pair_margins`, `svd_span_verdicts`), and only
+points inside the bounds' undecided band may be left to it. On the
+selftest corpus the sweep must hand the same pairs to the stability call
+and return the same verdict as with the SVD oracles in place.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from ambient_second_form import (svd_pair_margins, svd_regular_pairs, svd_span_verdicts,
+                                 svd_tangent_space_stability)
+from conftest import small_patch
+from ruledkit import TolerancePolicy, selftest
+from ruledkit.ruledgeom import (RANK_BOUND_MARGIN, SPAN_SLACK_PER_DIM, _inverse_factors,
+                                _span_verdicts, jacobians_at, tangent_space_stability)
+from ruledkit.selftest import PAIR_CONDITION_LIMIT, _pair_condition_verdicts
+from test_rank_bounds import orthonormal_columns, reduced_jacobians
+
+TOL = TolerancePolicy()
+DELTA, LIMIT, ZERO = RANK_BOUND_MARGIN, PAIR_CONDITION_LIMIT, TOL.zero_abs_tol
+EPS = np.finfo(float).eps
+#: relative half-width of the sweeps around each cutoff, three rounding margins
+SWEEP = 3e-6
+
+
+def condition_spectra(rng, m):
+    """Spectra with s1 = 1 whose condition number sweeps across the limit,
+    down to ulp ties, and (m >= 3) whose Frobenius condition number
+    sweeps across m times the limit."""
+    kappa = np.concatenate([10.0 ** rng.uniform(2.0, 4.0, 2000),
+                            LIMIT * (1.0 + rng.uniform(-SWEEP, SWEEP, 3000)),
+                            LIMIT * (1.0 + np.repeat(np.arange(-8, 9), 60) * EPS)])
+    spectra = [np.column_stack([np.ones((kappa.size, m - 1)), 1.0 / kappa])]
+    if m >= 3:
+        # s = (1, ..., 1, 1 / kappa) has kappa_F = sqrt((m - 1 + kappa^-2)(m - 1 + kappa^2))
+        top = m * LIMIT * (1.0 + rng.uniform(-SWEEP, SWEEP, 3000))
+        kappa = top / np.sqrt(m - 1.0)
+        spectra.append(np.column_stack([np.ones((top.size, m - 1)), 1.0 / kappa]))
+    return np.concatenate(spectra)
+
+
+def frobenius_conditions(mat):
+    """Frobenius condition numbers of square or wide matrices, from their
+    singular values."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    return np.sqrt(np.sum(s * s, axis=-1) * np.sum(1.0 / (s * s), axis=-1))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_pair_conditions_near_the_limit_equal_the_svd(m):
+    rng = np.random.default_rng(20 + m)
+    jac, r = reduced_jacobians(rng, condition_spectra(rng, m))
+    kept, undecided = _pair_condition_verdicts(jac, _inverse_factors(r))
+    expected = ~(svd_pair_margins(jac) < 1.0 / LIMIT)
+    np.testing.assert_array_equal(kept[~undecided], expected[~undecided])
+    assert kept.any() and not expected.all()
+
+    # the band in the bounds' own quantities, measured independently;
+    # points within delta / 2 of its edges may fall either way
+    if m == 2:
+        kappa = 1.0 / svd_pair_margins(jac)
+        outside = np.abs(kappa / LIMIT - 1.0) > 2 * DELTA
+        inside = np.abs(kappa / LIMIT - 1.0) < DELTA / 2
+    else:
+        kappa = frobenius_conditions(jac)
+        outside = (kappa < (1 - 2 * DELTA) * LIMIT) | (kappa > (1 + 2 * DELTA) * m * LIMIT)
+        inside = (kappa > (1 - DELTA / 2) * LIMIT) & (kappa < (1 + DELTA / 2) * m * LIMIT)
+    assert not (undecided & outside).any()
+    assert undecided[inside].all() and inside.any()
+
+
+def span_pairs(rng, m, width, size):
+    """(jac, c, r_inv, ambient, sin_theta) of `size` pairs of points at one
+    parameter, in a space with a normal space of dimension width - 1.
+
+    Both points of a pair share the reduced Jacobian J = [[a, b], [R^T, 0]]
+    of a random spectrum with s1 = 1 and a condition number from 1 to
+    1e7; their complement coordinates c_a, c_b both have length b, at an
+    angle theta whose sine sweeps across the bounds' edges. `ambient`
+    holds the two m x (m - 1 + width) Jacobians [[a, c], [R^T, 0]].
+    """
+    kappa = 10.0 ** rng.uniform(0.0, 7.0, size)
+    spectra = np.column_stack([np.ones((size, m - 1)), 1.0 / kappa])
+    spectra[:, 1:-1] = rng.uniform(1.0 / kappa[:, None], 1.0, (size, m - 2))
+    jac, r = reduced_jacobians(rng, spectra)
+    slack = SPAN_SLACK_PER_DIM * m * EPS * frobenius_conditions(jac)
+    # the bounds' edges, the SVD comparison's cutoffs, and (one in five)
+    # anywhere from 1e-12 to 1e-6
+    edges = np.stack(np.broadcast_arrays(
+        (ZERO - slack) / (1 + DELTA), ZERO / (1 + DELTA), ZERO,
+        np.sqrt(m) * (ZERO + slack) / (1 - DELTA), np.sqrt(m) * ZERO), axis=1)
+    pick = edges[np.arange(size), rng.integers(0, edges.shape[1], size)]
+    spread = (pick <= 0.0) | (rng.uniform(size=size) < 0.2)
+    sin = np.where(spread, 10.0 ** rng.uniform(-12.0, -6.0, size),
+                   pick * (1.0 + rng.uniform(-SWEEP, SWEEP, size)))
+    sin[:10] = 0.0
+    b = jac[:, 0, -1]
+    plane = orthonormal_columns(rng, width, 2, size)
+    c = b[:, None, None] * np.stack([plane[..., 0],
+                                     np.sqrt(1.0 - sin * sin)[:, None] * plane[..., 0]
+                                     + sin[:, None] * plane[..., 1]], axis=1)
+    k = m - 1
+    ambient = np.zeros((size, 2, m, k + width))
+    ambient[:, :, 0, :k] = jac[:, None, 0, :k]
+    ambient[:, :, 0, k:] = c
+    ambient[:, :, 1:, :k] = jac[:, None, 1:, :k]
+    pairs = np.repeat(jac[:, None], 2, axis=1)
+    return pairs, c, _inverse_factors(r)[:, None], ambient, sin
+
+
+@pytest.mark.parametrize("m, width", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_span_verdicts_near_the_cutoff_equal_the_svd(m, width):
+    rng = np.random.default_rng(10 * m + width)
+    jac, c, r_inv, ambient, sin = span_pairs(rng, m, width, 20000)
+    regular, differ, undecided = _span_verdicts(jac, c, r_inv, TOL)
+    svd_regular, worst = svd_span_verdicts(ambient, TOL)
+    np.testing.assert_array_equal(regular, svd_regular)
+    assert regular.all()
+    settled = ~undecided
+    np.testing.assert_array_equal(differ[settled], ~(worst < ZERO)[settled])
+    assert differ[settled].any() and not differ[settled].all()
+
+    # the band in sin theta and kappa_F, measured independently; points
+    # within delta / 2 of its edges, or within the minors' absolute
+    # rounding of sin theta, a few eps, may fall either way
+    slack = SPAN_SLACK_PER_DIM * m * EPS * frobenius_conditions(jac[:, 0])
+    rounding = 16 * EPS
+    outside = ((sin * (1 + 2 * DELTA) + slack * (1 + DELTA) < ZERO - rounding)
+               | (sin * (1 - 2 * DELTA) / np.sqrt(m) - slack * (1 + DELTA) > ZERO + rounding))
+    inside = ((sin * (1 + DELTA / 2) + slack > ZERO + rounding)
+              & (sin * (1 - DELTA / 2) / np.sqrt(m) - slack < ZERO - rounding))
+    assert not (undecided & outside).any()
+    assert undecided[inside].all() and inside.any()
+
+
+@functools.cache
+def corpus(t_samples):
+    return selftest.build_corpus(TOL, t_samples)
+
+
+def sweep(monkeypatch, p, seed, oracle):
+    """The verdict of `_stability_sweep` and the (t, pairs) it hands to
+    its one stability call, with the SVD oracles in place or not."""
+    seen = []
+    check = svd_tangent_space_stability if oracle else tangent_space_stability
+
+    def recording(p, t, pairs):
+        seen.append((np.array(t), np.array(pairs)))
+        return check(p, t, pairs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(selftest, "tangent_space_stability", recording)
+        if oracle:
+            patch.setattr(selftest, "_regular_pairs", svd_regular_pairs)
+        verdict = selftest._stability_sweep(p, 10, seed)
+    assert len(seen) == 1
+    return verdict, seen[0]
+
+
+@pytest.mark.parametrize("t_samples", [30, 50, 200])
+@pytest.mark.parametrize("name", selftest.EQUIVALENCE_PATCHES)
+def test_sweep_equals_the_svd_sweep(monkeypatch, name, t_samples):
+    p = corpus(t_samples)[name]
+    for seed in range(6):
+        verdict, (pair_t, pairs) = sweep(monkeypatch, p, seed, oracle=False)
+        svd_verdict, (svd_t, svd_pairs) = sweep(monkeypatch, p, seed, oracle=True)
+        assert verdict == svd_verdict
+        np.testing.assert_array_equal(pair_t, svd_t)
+        np.testing.assert_array_equal(pairs, svd_pairs)
+
+
+def _counting_svd(monkeypatch):
+    """Make `np.linalg.svd` record the number of matrices of each call."""
+    sizes = []
+    svd = np.linalg.svd
+
+    def counting(a, *rest, **kw):
+        sizes.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *rest, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("t_samples", [50, 200])
+@pytest.mark.parametrize("name", ["cylinder_helix", "helicoid_frame", "circular_cone",
+                                  "tangent_developable_helix", "two_rotation_r5"])
+def test_sweep_makes_no_svd_call(monkeypatch, name, t_samples):
+    # m = 2, and m = 3 in R^5, where no candidate or pair is near a cutoff
+    p = corpus(t_samples)[name]
+
+    def fail(*args, **kw):
+        raise AssertionError("the sweep called np.linalg.svd")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", fail)
+        for seed in range(6):
+            selftest._stability_sweep(p, 10, seed)
+
+
+@pytest.mark.parametrize("t_samples", [50, 200])
+def test_sweep_sends_only_band_points_to_the_svd(monkeypatch, t_samples):
+    # m = 3 in R^4: kappa_2 <= kappa_F <= 3 kappa_2 leaves a band of
+    # candidate points between the limit and three times it
+    p = corpus(t_samples)["tangent_developable_product"]
+    candidates = []
+    original = selftest._regular_pairs
+
+    def recording(p, t, pairs):
+        candidates.append((np.broadcast_to(t, pairs.shape[:1]), pairs))
+        return original(p, t, pairs)
+
+    with monkeypatch.context() as patch:
+        sizes = _counting_svd(patch)
+        patch.setattr(selftest, "_regular_pairs", recording)
+        for seed in range(6):
+            selftest._stability_sweep(p, 10, seed)
+    kappa = np.concatenate([frobenius_conditions(jacobians_at(p, np.repeat(t, 2),
+                                                              pairs.reshape(-1, p.m - 1)))
+                            for t, pairs in candidates])
+    low, high = (1 - DELTA) * LIMIT, (1 + DELTA) * p.m * LIMIT
+    # no candidate sits so near an edge of the band that rounding decides
+    assert not (np.abs(np.log(kappa / low)) < 1e-9).any()
+    assert not (np.abs(np.log(kappa / high)) < 1e-9).any()
+    assert sum(sizes) == np.count_nonzero((kappa >= low) & (kappa <= high)) > 0
+
+
+def test_band_pairs_go_through_the_svd_comparison(monkeypatch):
+    # the helicoid's normal turns along each ruling, so ruling pairs a
+    # short distance apart have sin theta near zero_abs_tol
+    p = small_patch("helicoid_frame", 9)
+    cases = [(t, np.array([[[ua], [ua + gap]]])) for t in p.grid.t_samples[::3]
+             for ua in (-1.0, 0.0, 0.7) for gap in np.geomspace(1e-9, 1e-6, 60)]
+    expected = [svd_tangent_space_stability(p, t, pair) for t, pair in cases]
+    with monkeypatch.context() as patch:
+        sizes = _counting_svd(patch)
+        got = [tangent_space_stability(p, t, pair) for t, pair in cases]
+    assert got == expected
+    assert True in got and False in got
+    # the calls that reach the SVD compare their one pair there
+    assert 0 < len(sizes) < len(cases) and set(sizes) == {2}

@@ -175,7 +175,7 @@ def _one_pair_loop(p, pairs_per_t, seed):
             margins = [s[-1] / s[0] for s in (np.linalg.svd(jacobian_sigma(p, t, u),
                                                              compute_uv=False)
                                               for u in (ua, ub))]
-            if min(margins) < 1e-3:
+            if min(margins) < 1.0 / selftest.PAIR_CONDITION_LIMIT:
                 rejected += 1
                 continue
             pairs.append((ua, ub))
