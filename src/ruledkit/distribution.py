@@ -16,9 +16,10 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .errors import FrameError, NumericError, PivotError, ValidationError
-from .fields import FrameCombinationField, SplineCoefficients
+from .fields import FrameCombinationField
 from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, project_off_spans,
                           rank_mask)
 from .parametric import FramedCurve, GridValues, SampleGrid
@@ -200,7 +201,7 @@ def pivot_frame(p: RuledPatch, d: int) -> RuledPatch:
         flip = np.sign(np.einsum("ij,ij->j", coeff_nodes[i - 1], coeff_nodes[i]))
         flip[flip == 0] = 1.0
         coeff_nodes[i] *= flip
-    coeffs = SplineCoefficients(ts, coeff_nodes)
+    coeffs = CubicSpline(ts, coeff_nodes, axis=0)
     frame = [FrameCombinationField(list(fc.frame), coeffs, j, domain=fc.interval)
              for j in range(k)]
     rotated = replace(p, fc=fc.with_frame(frame), origin=None)

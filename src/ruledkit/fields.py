@@ -41,6 +41,11 @@ from .multilinear import as_vector
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
 
+#: quadrature nodes of a `ParameterMap` over its interval
+_MAP_NODES = 257
+#: speed at or below which a `ParameterMap` rejects its curve as singular
+_MIN_SPEED = 1e-12
+
 
 def _check_order(order: int):
     if not isinstance(order, (int, np.integer)) or order < 0:
@@ -445,18 +450,17 @@ class ParameterMap:
     and d2t for every field and derivative order evaluated on it.
     """
 
-    def __init__(self, curve: VectorField, interval: tuple[float, float],
-                 nodes: int = 257, min_speed: float = 1e-12):
+    def __init__(self, curve: VectorField, interval: tuple[float, float]):
         t0, t1 = float(interval[0]), float(interval[1])
         if not t1 > t0:
             raise ValidationError(f"empty interval [{t0}, {t1}]")
         self.curve = curve
         self.t_interval = (t0, t1)
-        self._t_nodes = np.linspace(t0, t1, nodes)
-        slow = np.flatnonzero(self._speed(self._t_nodes) <= min_speed)
+        self._t_nodes = np.linspace(t0, t1, _MAP_NODES)
+        slow = np.flatnonzero(self._speed(self._t_nodes) <= _MIN_SPEED)
         if slow.size:
             raise RegularityError(f"curve speed vanishes near t={self._t_nodes[slow[0]]}")
-        cum = np.zeros(nodes)
+        cum = np.zeros(_MAP_NODES)
         np.cumsum(self._quad_speed(self._t_nodes[:-1], self._t_nodes[1:]), out=cum[1:])
         self._s_nodes = cum
         self.length = float(cum[-1])
@@ -538,8 +542,8 @@ class ComposedField(VectorField):
         return self.base.eval(inv.t, 2) * inv.dt ** 2 + self.base.eval(inv.t, 1) * inv.d2t
 
 
-def arclength_reparametrize(curve: VectorField, interval: tuple[float, float],
-                            nodes: int = 257) -> ComposedField:
+def arclength_reparametrize(curve: VectorField, interval: tuple[float, float]
+                            ) -> ComposedField:
     """Reparametrize a regular curve by arclength.
 
     Returns the same image as a unit-speed field over [0, L]; the
@@ -547,7 +551,7 @@ def arclength_reparametrize(curve: VectorField, interval: tuple[float, float],
     (e.g. a frame defined in the original parameter) can be composed
     with the identical map.
     """
-    pmap = ParameterMap(curve, interval, nodes=nodes)
+    pmap = ParameterMap(curve, interval)
     return ComposedField(curve, pmap)
 
 
@@ -575,24 +579,6 @@ class AffineCombinationField(VectorField):
         return out
 
 
-class SplineCoefficients:
-    """Coefficient curve c(t) in R^K interpolated by a cubic spline, read
-    on the `ParameterArray` its `FrameCombinationField` is evaluated on."""
-
-    def __init__(self, t_nodes, values):
-        self._spline = CubicSpline(np.asarray(t_nodes, dtype=float),
-                                   np.asarray(values, dtype=float), axis=0)
-
-    def value(self, params: ParameterArray):
-        return self._spline(params.values)
-
-    def d1(self, params: ParameterArray):
-        return self._spline(params.values, nu=1)
-
-    def d2(self, params: ParameterArray):
-        return self._spline(params.values, nu=2)
-
-
 def as_parameter_array(t):
     """A 1-D parameter argument as one `ParameterArray`, so that the
     fields evaluated on it share its inversions; a scalar or a
@@ -611,55 +597,16 @@ def stack_fields(fields: Sequence[VectorField], t, order: int = 0) -> np.ndarray
     return np.stack(vals, axis=-2)
 
 
-def connection_skew(bases: Sequence[VectorField], t, order: int = 1):
-    """Connection matrix W[l, j] = <Xdot_j, X_l> of a frame at t.
-
-    (k, k) for a scalar t, an (N, k, k) stack for an array. With order=2
-    also returns its t-derivative, as the pair (W, Wdot).
-    """
-    t = as_parameter_array(t)
-    vals = stack_fields(bases, t, 0)
-    d1 = stack_fields(bases, t, 1)
-    w = vals @ np.swapaxes(d1, -1, -2)
-    if order == 1:
-        return w
-    d2 = stack_fields(bases, t, 2)
-    wdot = vals @ np.swapaxes(d2, -1, -2) + d1 @ np.swapaxes(d1, -1, -2)
-    return w, wdot
-
-
-class TransportCoefficients(SplineCoefficients):
-    """Coefficients of a frame field transported to kill tangential drift.
-
-    Values are spline-interpolated, but derivatives use the transport
-    equation c' = -W(t) c with W[l,k] = <Xdot_k, X_l>, so the combined
-    field's derivative has, by construction, no component along the
-    frame span. W is evaluated on the combined field's `ParameterArray`,
-    so it shares that field's inversions.
-    """
-
-    def __init__(self, bases: Sequence[VectorField], t_nodes, values):
-        super().__init__(t_nodes, values)
-        self._bases = list(bases)
-
-    def d1(self, params: ParameterArray):
-        return -connection_skew(self._bases, params) @ self.value(params)
-
-    def d2(self, params: ParameterArray):
-        w, wdot = connection_skew(self._bases, params, order=2)
-        c = self.value(params)
-        return -wdot @ c + w @ (w @ c)
-
-
 class FrameCombinationField(VectorField):
     """One column of a coefficient-matrix combination of base fields.
 
-    The coefficient curve yields (K, K_out) matrices; field `index`
-    evaluates to sum_k c[k, index](t) * bases[k](t), with product-rule
-    derivatives up to order 2.
+    `coeffs` is a `CubicSpline` of (K, K_out) coefficient matrices over
+    t, shared by the fields of one frame; field `index` evaluates to
+    sum_k c[k, index](t) * bases[k](t), with product-rule derivatives up
+    to order 2.
     """
 
-    def __init__(self, bases: Sequence[VectorField], coeffs, index: int,
+    def __init__(self, bases: Sequence[VectorField], coeffs: CubicSpline, index: int,
                  domain: tuple[float, float] | None = None):
         self.bases = list(bases)
         self.coeffs = coeffs
@@ -676,14 +623,17 @@ class FrameCombinationField(VectorField):
             # sum_k c[n, k] vals[n, k] for each n
             return (c[:, None, :] @ vals)[:, 0]
 
-        c0 = self.coeffs.value(params)[:, :, self.index]
+        def coeffs(nu):
+            return self.coeffs(params.values, nu=nu)[:, :, self.index]
+
+        c0 = coeffs(0)
         vals = stack_fields(self.bases, params, 0)
         if order == 0:
             return combine(c0, vals)
-        c1 = self.coeffs.d1(params)[:, :, self.index]
+        c1 = coeffs(1)
         d1 = stack_fields(self.bases, params, 1)
         if order == 1:
             return combine(c1, vals) + combine(c0, d1)
-        c2 = self.coeffs.d2(params)[:, :, self.index]
+        c2 = coeffs(2)
         d2 = stack_fields(self.bases, params, 2)
         return combine(c2, vals) + 2.0 * combine(c1, d1) + combine(c0, d2)

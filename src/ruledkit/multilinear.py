@@ -85,25 +85,13 @@ def as_vector_list(vectors: Iterable, dim: int | None = None) -> np.ndarray:
     return np.vstack(rows)
 
 
-def gram_matrix(vectors: Sequence) -> np.ndarray:
-    """Matrix of pairwise Euclidean inner products.
-
-    The result is symmetrized exactly; it is positive semidefinite up
-    to roundoff.
-    """
-    mat = as_vector_list(vectors)
-    if mat.shape[0] == 0:
-        raise ValidationError("gram_matrix requires at least one vector")
-    g = mat @ mat.T
-    return 0.5 * (g + g.T)
-
-
 def wedge_norm(vectors: Sequence, dim: int | None = None) -> float:
     """Norm of the wedge product of the vectors.
 
-    Equals sqrt(det(gram_matrix(vectors))), computed as the product of
-    singular values for numerical stability. Zero exactly when the
-    vectors are linearly dependent. The empty wedge has norm 1.
+    Equals sqrt(det(V V^T)) for the matrix V of the vectors as rows,
+    computed as the product of singular values for numerical stability.
+    Zero exactly when the vectors are linearly dependent. The empty
+    wedge has norm 1.
     """
     mat = as_vector_list(vectors, dim)
     if mat.shape[0] > mat.shape[1]:
@@ -167,55 +155,11 @@ def gram_schmidt_r(stack: np.ndarray) -> np.ndarray:
     return r * np.where(diag == 0, 1.0, np.sign(diag))[..., None]
 
 
-def orthonormal_span(vectors: Sequence, tol: TolerancePolicy = DEFAULT_TOLERANCES,
-                     dim: int | None = None) -> np.ndarray:
-    """Orthonormal basis (rows) of the span, rank-truncated by `tol`."""
-    mat = as_vector_list(vectors, dim)
-    if mat.shape[0] == 0:
-        return mat
-    _, s, vt = np.linalg.svd(mat, full_matrices=False)
-    return vt[rank_mask(s, tol)]
-
-
-def project_orthogonal(v, basis: Sequence, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> Vector:
-    """Component of `v` orthogonal to span(basis).
-
-    The basis need not be orthonormal or independent; an empty basis
-    returns `v` unchanged. Idempotent.
-    """
-    vec = as_vector(v)
-    mat = as_vector_list(basis, dim=vec.shape[0])
-    if mat.shape[0] == 0:
-        return vec.copy()
-    return project_off_spans(mat[None], vec[None, None], tol)[0, 0]
-
-
 def project_off_spans(basis: np.ndarray, v: np.ndarray,
                       tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
     """Rows of each (..., j, dim) matrix of `v` minus their projection onto
-    the row span of the matching (..., k, dim) matrix of `basis`, the
-    span rank-truncated as in `orthonormal_span`."""
+    the row span of the matching (..., k, dim) matrix of `basis`; the
+    span keeps the right singular vectors that `rank_mask` counts."""
     _, s, vt = np.linalg.svd(basis, full_matrices=False)
     q = vt * rank_mask(s, tol)[..., None]
     return v - (v @ q.swapaxes(-1, -2)) @ q
-
-
-def spans_equal(a: Sequence, b: Sequence, tol: TolerancePolicy = DEFAULT_TOLERANCES,
-                residual_tol: float | None = None) -> bool:
-    """True when the two vector collections span the same subspace.
-
-    Checked by mutual projection: every basis direction of one span
-    must leave no residual when projected off the other.
-    """
-    if residual_tol is None:
-        residual_tol = tol.zero_abs_tol
-    qa = orthonormal_span(a, tol)
-    qb = orthonormal_span(b, tol)
-    if qa.shape[0] != qb.shape[0]:
-        return False
-    if qa.shape[0] == 0:
-        return True
-    res_ab = qa - (qa @ qb.T) @ qb
-    res_ba = qb - (qb @ qa.T) @ qa
-    worst = max(np.linalg.norm(res_ab, axis=1).max(), np.linalg.norm(res_ba, axis=1).max())
-    return bool(worst < residual_tol)

@@ -1,9 +1,9 @@
 """Framed curves: a unit-speed directrix with an orthonormal ruling frame.
 
 Provides the curve/frame container and grid types, the stacked
-evaluation of a framed curve over a grid, frame orthonormalization and
-parallel transport, and the registry of builtin patch families used by
-the scene loader, the self-test corpus, and the docs.
+evaluation of a framed curve over a grid, frame orthonormalization, and
+the registry of builtin patch families used by the scene loader, the
+self-test corpus, and the docs.
 """
 
 from __future__ import annotations
@@ -16,15 +16,14 @@ from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
-from .errors import (ConfigError, DegeneracyError, FrameError, NumericError,
-                     ValidationError)
+from .errors import ConfigError, DegeneracyError, FrameError, ValidationError
 from .fields import (BUILTIN_CURVES, ComposedField, ConstantField,
                      DerivativeField, EmbeddedField, FourierField,
                      FrameCombinationField, HelixCurve, ParameterArray,
-                     PolynomialField, SplineCoefficients,
-                     TransportCoefficients, VectorField,
-                     arclength_reparametrize, connection_skew, stack_fields)
+                     PolynomialField, VectorField, arclength_reparametrize,
+                     stack_fields)
 from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, gram_schmidt_r
 
 TWO_PI = 2.0 * math.pi
@@ -201,15 +200,15 @@ class SampleGrid:
 
 
 def gram_schmidt_frame(fields: Sequence[VectorField], grid: SampleGrid,
-                       tol: TolerancePolicy = DEFAULT_TOLERANCES,
-                       interval: tuple[float, float] | None = None
+                       tol: TolerancePolicy = DEFAULT_TOLERANCES
                        ) -> list[FrameCombinationField]:
     """Orthonormalize fields pointwise, returning smooth combination fields.
 
     At each grid sample a QR factorization with positive diagonal gives
     the (order-preserving) orthonormalization; the triangular coefficient
     matrices are spline-interpolated between samples, so field k of the
-    output stays in the span of inputs 1..k everywhere.
+    output stays in the span of inputs 1..k everywhere. The output fields
+    are defined over the grid's range, so no spline is extrapolated.
     """
     k = len(fields)
     if k == 0:
@@ -222,8 +221,9 @@ def gram_schmidt_frame(fields: Sequence[VectorField], grid: SampleGrid,
                                < tol.zero_abs_tol * scale)
     if dependent.size:
         raise DegeneracyError(f"frame fields are dependent at t={ts[dependent[0]]}")
-    coeffs = SplineCoefficients(ts, np.linalg.inv(r))
-    return [FrameCombinationField(list(fields), coeffs, j, domain=interval)
+    coeffs = CubicSpline(ts, np.linalg.inv(r), axis=0)
+    return [FrameCombinationField(list(fields), coeffs, j,
+                                  domain=(float(ts[0]), float(ts[-1])))
             for j in range(k)]
 
 
@@ -238,54 +238,6 @@ def arclength_framed_curve(fc: FramedCurve) -> FramedCurve:
     pmap = directrix.parameter_map
     return FramedCurve(fc.dim, fc.m, directrix,
                        tuple(ComposedField(f, pmap) for f in fc.frame), (0.0, pmap.length))
-
-
-def _polar_orthonormalize(a: np.ndarray) -> np.ndarray:
-    u, _, vt = np.linalg.svd(a)
-    return u @ vt
-
-
-def parallel_transport_frame(fc: FramedCurve, grid: SampleGrid,
-                             max_step: float = 2e-3) -> list[FrameCombinationField]:
-    """Rotate the frame within its own span so the derivative of each
-    output field has no component along the span.
-
-    Integrates c' = -W(t) c (W the frame's connection skew matrix) with
-    a classical 4th-order stepper on a refinement of the grid, polar
-    re-orthonormalizing at each node. Output field derivatives reuse the
-    transport equation, so the tangential component vanishes identically
-    rather than to integration accuracy.
-    """
-    k = fc.m - 1
-    ts = grid.t_samples
-    nodes = [float(ts[0])]
-    for a, b in zip(ts[:-1], ts[1:]):
-        sub = max(1, int(math.ceil((b - a) / max_step)))
-        nodes.extend(np.linspace(a, b, sub + 1)[1:].tolist())
-    nodes = np.asarray(nodes)
-
-    # -W at every node and every step midpoint, from two array evaluations
-    steps = np.diff(nodes)
-    w_node = -connection_skew(fc.frame, nodes)
-    w_mid = -connection_skew(fc.frame, nodes[:-1] + 0.5 * steps)
-
-    values = np.empty((nodes.size, k, k))
-    c = np.eye(k)
-    values[0] = c
-    try:
-        for i, h in enumerate(steps):
-            k1 = w_node[i] @ c
-            k2 = w_mid[i] @ (c + 0.5 * h * k1)
-            k3 = w_mid[i] @ (c + 0.5 * h * k2)
-            k4 = w_node[i + 1] @ (c + h * k3)
-            c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            c = _polar_orthonormalize(c)
-            values[i + 1] = c
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"parallel transport integration failed: {exc}") from exc
-    coeffs = TransportCoefficients(fc.frame, nodes, values)
-    return [FrameCombinationField(list(fc.frame), coeffs, j, domain=fc.interval)
-            for j in range(k)]
 
 
 # ---------------------------------------------------------------------------

@@ -117,12 +117,6 @@ def _as_u(p: RuledPatch, u) -> np.ndarray:
     return u
 
 
-def eval_sigma(p: RuledPatch, t: float, u) -> np.ndarray:
-    """Point of the patch at parameters (t, u)."""
-    u = _as_u(p, u)
-    return p.fc.directrix_values(t, 0) + u @ p.fc.frame_values(t)
-
-
 def _jacobians(x0: np.ndarray, x1: np.ndarray, g1: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(N, P, m, dim) Jacobians at N parameters times P ruling positions.
 
@@ -436,11 +430,6 @@ def first_normal_bounds_check(p: RuledPatch, d: int) -> BoundsReport:
     outside = (scan.dims < d - 1) | (scan.dims > d + 1)
     return BoundsReport(d=d, checked=int(np.count_nonzero(scan.regular)),
                         violations=scan.entries(outside), skipped_singular=scan.skipped)
-
-
-def planar_points(p: RuledPatch) -> list[tuple[float, list[float]]]:
-    """Regular grid samples where the second fundamental form vanishes."""
-    return p.scan.planar()
 
 
 @dataclass(frozen=True, eq=False)

@@ -204,7 +204,7 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
     gram_dev = float(np.abs(x @ x.swapaxes(1, 2) - np.eye(fc.m - 1)).max())
     orthonormalized = gram_dev > tol.derivative_check_tol
     if orthonormalized:
-        frame = gram_schmidt_frame(fc.frame, grid, tol, interval=fc.interval)
+        frame = gram_schmidt_frame(fc.frame, grid, tol)
         fc = fc.with_frame(frame)
         notes.append(f"frame orthonormalized (max Gram deviation was {gram_dev:.3e})")
 

@@ -347,16 +347,18 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
                    checks: int = 32) -> OffsheetCheck:
     """Regularity of the patch just off the sheet, at `checks` random points.
 
-    Each point takes a uniform t and free coordinates, and perturbs every
-    solved coordinate by +-delta with delta = 10 grid u-spacings; the
-    patch must be regular there. This is the only seeded stage.
+    Each point takes a t uniform over the grid's range (a segment's, for
+    a segment patch, so the sheet is never extrapolated) and uniform free
+    coordinates, and perturbs every solved coordinate by +-delta with
+    delta = 10 grid u-spacings; the patch must be regular there. This is
+    the only seeded stage.
     """
     fc, grid = p.fc, p.grid
     rng = np.random.default_rng(seed)
     axis = grid.u_axis
     spacing = float(axis[1] - axis[0]) if axis.size > 1 else grid.u_extent / 5.0
     delta = 10.0 * spacing
-    lo, hi = fc.interval
+    lo, hi = grid.t_samples[0], grid.t_samples[-1]
     ts = np.empty(checks)
     u = np.empty((checks, fc.m - 1))
     signs = np.empty((checks, sheet.d))
@@ -491,8 +493,13 @@ def _offset_deviation(p: RuledPatch, sheet: StrictionSheet, c: np.ndarray,
     return dev
 
 
-def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets,
-                         samples_per_axis: int = 3) -> InvarianceResult:
+#: free sample positions per free ruling axis of the invariance check,
+#: spread over [-u_extent, u_extent]
+INVARIANCE_AXIS_SAMPLES = 3
+
+
+def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets
+                         ) -> InvarianceResult:
     """Re-solve the sheet from shifted directrices and compare images.
 
     Each offset is a constant ruling coordinate vector c. The patch swept
@@ -510,7 +517,7 @@ def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets,
     fc, grid = p.fc, p.grid
     if sheet.d < 1:
         raise ValidationError("invariance requires a solved sheet (degree >= 1)")
-    axis = np.linspace(-grid.u_extent, grid.u_extent, samples_per_axis)
+    axis = np.linspace(-grid.u_extent, grid.u_extent, INVARIANCE_AXIS_SAMPLES)
     free_pts = np.array(list(product(axis, repeat=sheet.free_count)))
     per_offset, skipped = [], []
     worst = 0.0

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from ambient_second_form import svd_span_verdicts
 from conftest import small_patch
 from ruledkit import (RuledPatch, SampleGrid, TolerancePolicy, ValidationError,
                       make_builtin_patch, pivot_frame, rho_at)
 from ruledkit.distribution import constant_degree_segments, degree_profile, equal_runs
 from ruledkit.fields import FourierField, PolynomialField, VectorField
 from ruledkit.parametric import FramedCurve
-from ruledkit.multilinear import spans_equal
 
 TWO_PI = 2.0 * math.pi
 
@@ -182,7 +182,9 @@ def test_pivot_rotation_fallback(tol):
         assert np.linalg.norm(sample.rho_vectors[-1]) > tol.zero_abs_tol
         assert sample.degree == 1
         # same pointwise span as the original frame
-        assert spans_equal(pivoted.frame_values(t), fc.frame_values(t), tol)
+        pair = np.stack([pivoted.frame_values(t), fc.frame_values(t)])
+        regular, worst = svd_span_verdicts(pair[None], tol)
+        assert regular.all() and worst[0] < tol.zero_abs_tol
 
 
 def test_borderline_samples_are_flagged():

@@ -3,14 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from ruledkit import DomainError, HelixCurve, RegularityError, ValidationError
 from ruledkit.errors import ConfigError
 from ruledkit.fields import (AffineCombinationField, CircleCurve, ComposedField,
                              ConstantField, DerivativeField, EmbeddedField, FourierField,
                              FrameCombinationField, LineCurve, ParameterMap,
-                             PolynomialField, SplineCoefficients, TransportCoefficients,
-                             VectorField, arclength_reparametrize, make_builtin_curve)
+                             PolynomialField, VectorField, arclength_reparametrize,
+                             make_builtin_curve)
 from ruledkit.oracles import central_difference, max_derivative_error
 
 TWO_PI = 2.0 * math.pi
@@ -201,10 +202,8 @@ def _array_cases():
         ("composed-companion", ComposedField(fourier, composed.parameter_map),
          np.linspace(0.0, length, 13)),
         ("affine", AffineCombinationField(helix, [DerivativeField(helix, 1)], [0.7]), ts),
-        ("frame-spline", FrameCombinationField(bases, SplineCoefficients(nodes, values), 1,
+        ("frame-spline", FrameCombinationField(bases, CubicSpline(nodes, values, axis=0), 1,
                                                domain=(0.0, TWO_PI)), ts),
-        ("frame-transport", FrameCombinationField(bases, TransportCoefficients(
-            bases, nodes, values), 0, domain=(0.0, TWO_PI)), ts),
     ]
 
 

@@ -3,8 +3,7 @@
 Random smooth frames (orthonormalized pointwise) over random unit-speed
 directrices must satisfy the same structural facts as the builtin
 corpus: the degree bound, orthogonality of the projected derivatives to
-the ruling span, the Jacobian rank floor, and agreement of the two
-degree computations.
+the ruling span, and the Jacobian rank floor.
 """
 
 import numpy as np
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 from ruledkit import RuledPatch, SampleGrid, TolerancePolicy, rho_at
 from ruledkit.fields import ComposedField, FourierField, ParameterMap
 from ruledkit.multilinear import numerical_rank
-from ruledkit.parametric import FramedCurve, gram_schmidt_frame, parallel_transport_frame
+from ruledkit.parametric import FramedCurve, gram_schmidt_frame
 from ruledkit.ruledgeom import jacobian_sigma
 
 TOL = TolerancePolicy()
@@ -33,12 +32,11 @@ def _random_fourier(rng, dim, harmonics=2):
 def _random_patch(seed: int, dim: int, m: int) -> RuledPatch:
     rng = np.random.default_rng(seed)
     base = _random_fourier(rng, dim)
-    pmap = ParameterMap(base, (0.0, 4.0), nodes=65)
+    pmap = ParameterMap(base, (0.0, 4.0))
     directrix = ComposedField(base, pmap)
     grid = SampleGrid.uniform((0.0, pmap.length), 17)
     raw = [_random_fourier(rng, dim) for _ in range(m - 1)]
-    frame = gram_schmidt_frame([ComposedField(f, pmap) for f in raw], grid, TOL,
-                               interval=(0.0, pmap.length))
+    frame = gram_schmidt_frame([ComposedField(f, pmap) for f in raw], grid, TOL)
     fc = FramedCurve(dim, m, directrix, tuple(frame), (0.0, pmap.length))
     return RuledPatch(fc, grid, TOL)
 
@@ -59,15 +57,3 @@ def test_random_patch_structural_invariants(seed, shape):
         assert np.abs(sample.rho_vectors @ x.T).max() < TOL.zero_abs_tol
         u = rng.uniform(-2.0, 2.0, m - 1)
         assert numerical_rank(jacobian_sigma(p, t, u), TOL) >= m - 1
-
-
-@settings(max_examples=4, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_random_patch_transport_matches_rho_rank(seed):
-    p = _random_patch(seed, 4, 3)
-    # rank equality holds through the transport-equation derivative rule,
-    # independent of step size; a coarse step keeps the sweep fast
-    transported = parallel_transport_frame(p.fc, p.grid, max_step=0.02)
-    for t in p.grid.t_samples[::6]:
-        derivs = np.array([f.eval(t, 1) for f in transported])
-        assert numerical_rank(derivs, TOL) == rho_at(p.fc, t, TOL).degree

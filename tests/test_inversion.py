@@ -18,8 +18,7 @@ from ruledkit.analysis import analyze
 from ruledkit.fields import (AffineCombinationField, ComposedField,
                              FourierField, ParameterArray, ParameterMap,
                              VectorField)
-from ruledkit.parametric import (FramedCurve, arclength_framed_curve,
-                                 parallel_transport_frame)
+from ruledkit.parametric import FramedCurve, arclength_framed_curve
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,7 +58,7 @@ def _counting_inversions(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_grid_values_of_explicit_scene_equal_per_field_evals(seed):
+def test_grid_values_of_explicit_scene_equal_per_field_evals(seed, monkeypatch):
     result = ingest(explicit_scene(seed))
     assert result.normalized["normalization"] == {"reparametrized": True,
                                                   "orthonormalized": True}
@@ -68,6 +67,12 @@ def test_grid_values_of_explicit_scene_equal_per_field_evals(seed):
     _assert_grid_values_equal_per_field_evals(p.fc, _off_grid(p.fc, seed))
     # the patch's values are evaluated on the grid's shared parameter array
     assert p.values.parameters is p.grid.parameters
+    # the Gram-Schmidt frame's orders 0-2 on one grid invert the map once
+    calls = _counting_inversions(monkeypatch)
+    values = p.fc.grid_values(p.grid.t_samples)
+    for order in range(3):
+        values.frame(order)
+    assert [n for _, n, depth in calls if depth == 0] == [p.grid.t_samples.size]
 
 
 def _chain_rule(field: ComposedField, ss: np.ndarray, order: int) -> np.ndarray:
@@ -116,25 +121,6 @@ def test_nested_map_values_equal_per_field_evals_and_invert_once_per_map(monkeyp
     inner = p.fc.directrix.parameter_map
     assert [(m, n) for m, n, depth in calls if depth == 0] == [(outer, ts.size),
                                                               (inner, ts.size)]
-
-
-def test_transported_frame_shares_the_inversion_of_its_grid(monkeypatch):
-    # the transport coefficients' connection skew is evaluated on the
-    # combined field's ParameterArray, so frame orders 0-2 on one grid
-    # invert the map once, as a Gram-Schmidt frame does
-    p = ingest(explicit_scene(0)).patch
-    transported = p.fc.with_frame(parallel_transport_frame(p.fc, p.grid))
-    for fc in (p.fc, transported):
-        calls = _counting_inversions(monkeypatch)
-        values = fc.grid_values(p.grid.t_samples)
-        for order in range(3):
-            values.frame(order)
-        assert [n for _, n, depth in calls if depth == 0] == [p.grid.t_samples.size]
-    # and the shared inversion changes no value
-    ts = p.grid.t_samples
-    for order in range(3):
-        assert np.array_equal(transported.grid_values(ts).frame(order),
-                              np.stack([f.eval(ts, order) for f in transported.frame], axis=1))
 
 
 class _ScalarOnlyFrame(VectorField):

@@ -4,34 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruledkit import TolerancePolicy, ValidationError
-from ruledkit.multilinear import (as_vector_list, gram_matrix, gram_schmidt_r, numerical_rank,
-                                  project_orthogonal, spans_equal, wedge_norm)
+from ruledkit.multilinear import (as_vector_list, gram_schmidt_r, numerical_rank,
+                                  project_off_spans, wedge_norm)
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 
 
-def test_gram_orthonormal_pair():
-    assert np.array_equal(gram_matrix([E1, E2]), np.eye(2))
-
-
-def test_gram_repeated_vector():
-    assert np.array_equal(gram_matrix([E1, E1]), np.ones((2, 2)))
-
-
-def test_gram_general_pair():
-    # direct dot products: |(1,1,0)|^2 = 2, <(1,1,0),(0,1,0)> = 1, |(0,1,0)|^2 = 1
-    g = gram_matrix([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
-    assert np.allclose(g, [[2.0, 1.0], [1.0, 1.0]], atol=1e-14)
-
-
-def test_gram_rejects_empty_and_mismatch():
-    with pytest.raises(ValidationError):
-        gram_matrix([])
-    with pytest.raises(ValidationError):
-        gram_matrix([[1.0, 0.0], [1.0, 0.0, 0.0]])
-    with pytest.raises(ValidationError):
-        gram_matrix([[np.nan, 0.0]])
+def project(v, basis):
+    """`project_off_spans` on a stack of one: v (dim,) off the span of the
+    rows of basis (k, dim), k = 0 included."""
+    v = np.asarray(v, dtype=float)
+    basis = np.asarray(basis, dtype=float).reshape(1, len(basis), v.size)
+    return project_off_spans(basis, v[None, None])[0, 0]
 
 
 def test_wedge_orthonormal_is_one():
@@ -71,27 +56,21 @@ def test_rank_near_dependency_cases():
 
 
 def test_project_onto_self_vanishes():
-    assert np.allclose(project_orthogonal(E1, [E1]), 0.0, atol=1e-14)
+    assert np.allclose(project(E1, [E1]), 0.0, atol=1e-14)
 
 
 def test_project_orthogonal_direction_unchanged():
-    assert np.allclose(project_orthogonal(E1, [E2]), E1, atol=1e-14)
+    assert np.allclose(project(E1, [E2]), E1, atol=1e-14)
 
 
 def test_project_axis():
-    out = project_orthogonal([1.0, 1.0, 0.0], [[1.0, 0.0, 0.0]])
+    out = project([1.0, 1.0, 0.0], [[1.0, 0.0, 0.0]])
     assert np.allclose(out, [0.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_project_empty_basis_identity():
     v = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(project_orthogonal(v, []), v)
-
-
-def test_spans_equal_basic():
-    assert spans_equal([E1, E2], [E1 + E2, E1 - E2])
-    assert not spans_equal([E1], [E2])
-    assert not spans_equal([E1], [E1, E2])
+    assert np.array_equal(project(v, []), v)
 
 
 # --- property tests -------------------------------------------------------
@@ -109,7 +88,7 @@ def vector_lists(max_dim=6):
 def test_wedge_squared_equals_gram_det(rows):
     mat = np.asarray(rows, dtype=float)
     w = wedge_norm(mat)
-    det = np.linalg.det(gram_matrix(mat))
+    det = np.linalg.det(mat @ mat.T)
     # relative to the Hadamard bound, the natural scale of the determinant
     # (plain relative comparison is ill-posed when both sides are ~0)
     hadamard = float(np.prod(np.linalg.norm(mat, axis=1) ** 2))
@@ -148,17 +127,9 @@ def test_row_scaling_can_change_numerical_rank():
 def test_projection_idempotent(rows):
     mat = np.asarray(rows, dtype=float)
     v = mat[0] + 0.25
-    once = project_orthogonal(v, mat[1:] if mat.shape[0] > 1 else [])
-    twice = project_orthogonal(once, mat[1:] if mat.shape[0] > 1 else [])
+    once = project(v, mat[1:])
+    twice = project(once, mat[1:])
     assert np.abs(twice - once).max() <= 1e-10
-
-
-@settings(max_examples=150, deadline=None)
-@given(vector_lists())
-def test_gram_symmetric_and_psd(rows):
-    g = gram_matrix(np.asarray(rows, dtype=float))
-    assert np.array_equal(g, g.T)
-    assert np.linalg.eigvalsh(g).min() >= -1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -166,10 +137,19 @@ def test_gram_symmetric_and_psd(rows):
 def test_projection_output_orthogonal_to_basis(rows):
     mat = np.asarray(rows, dtype=float)
     v = np.ones(mat.shape[1])
-    out = project_orthogonal(v, mat)
+    out = project(v, mat)
     scale = max(1.0, float(np.linalg.norm(v)))
     assert np.abs(mat @ out).max() <= 1e-8 * scale * max(
         1.0, float(np.abs(mat).max()))
+
+
+def test_as_vector_list_rejects_empty_mismatched_and_nan():
+    with pytest.raises(ValidationError):
+        as_vector_list([])
+    with pytest.raises(ValidationError):
+        as_vector_list([[1.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ValidationError):
+        as_vector_list([[np.nan, 0.0]])
 
 
 def test_as_vector_list_fast_path_checks_finiteness():

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ruledkit import (ConfigError, DegeneracyError, HelixCurve, SampleGrid,
-                      ValidationError, make_builtin_patch, rho_at)
+from ruledkit import (ConfigError, DegeneracyError, DomainError, HelixCurve, SampleGrid,
+                      ValidationError, make_builtin_patch)
 from ruledkit.fields import ConstantField, FourierField, PolynomialField
-from ruledkit.multilinear import gram_matrix, numerical_rank, project_orthogonal
+from ruledkit.multilinear import numerical_rank
 from ruledkit.parametric import (BUILTIN_PATCHES, FramedCurve, arclength_framed_curve,
-                                 builtin_families, gram_schmidt_frame,
-                                 parallel_transport_frame)
+                                 builtin_families, gram_schmidt_frame)
 
 TWO_PI = 2.0 * math.pi
 SQ2 = math.sqrt(2.0)
@@ -124,6 +123,15 @@ def test_gram_schmidt_constant_pair():
     assert np.allclose(out[1].eval(0.5, 0), [0.0, 1.0, 0.0], atol=1e-12)
 
 
+def test_gram_schmidt_frame_is_defined_over_its_grid():
+    # the coefficient spline is not extrapolated past the grid's ends
+    fields = [ConstantField([1.0, 0.0, 0.0]), ConstantField([1.0, 1.0, 0.0])]
+    out = gram_schmidt_frame(fields, SampleGrid.uniform((0.25, 1.0), 9))
+    assert out[1].domain == (0.25, 1.0)
+    with pytest.raises(DomainError, match="t=0.0 outside"):
+        out[1].eval(np.array([0.5, 0.0]), 0)
+
+
 def test_gram_schmidt_smooth_pair_r4():
     f1 = FourierField([(0.0, [1.0], [], 1.0), (0.0, [], [1.0], 1.0),
                        (0.3, [], [], 1.0), (0.0, [0.2], [], 1.0)])
@@ -134,7 +142,7 @@ def test_gram_schmidt_smooth_pair_r4():
     eye = np.eye(2)
     for t in grid.t_samples:
         vals = np.array([f.eval(t, 0) for f in out])
-        assert np.abs(gram_matrix(vals) - eye).max() < 1e-9
+        assert np.abs(vals @ vals.T - eye).max() < 1e-9
         # span preserved, and order preserved: first output stays in span of f1
         assert numerical_rank(np.vstack([vals, f1.eval(t, 0), f2.eval(t, 0)])) == 2
         assert numerical_rank(np.vstack([vals[0], f1.eval(t, 0)])) == 1
@@ -159,68 +167,3 @@ def test_gram_schmidt_reports_degenerate_parameter():
     grid = SampleGrid.uniform((0.0, 1.0), 9)
     with pytest.raises(DegeneracyError, match="t=0"):
         gram_schmidt_frame(fields, grid)
-
-
-# --- parallel transport ------------------------------------------------------
-
-def test_transport_constant_frame_unchanged():
-    fc = make_builtin_patch("cylinder_helix")
-    grid = SampleGrid.uniform(fc.interval, 17)
-    out = parallel_transport_frame(fc, grid)
-    for t in grid.t_samples:
-        assert np.abs(out[0].eval(t, 0) - fc.frame[0].eval(t, 0)).max() < 1e-9
-
-
-def test_transport_rotating_frame_becomes_constant():
-    fc = make_builtin_patch("rotating_cylinder")
-    grid = SampleGrid.uniform(fc.interval, 17)
-    out = parallel_transport_frame(fc, grid)
-    e0 = [f.eval(0.0, 0) for f in out]
-    worst_drift = 0.0
-    worst_deriv = 0.0
-    for t in grid.t_samples:
-        for f, v0 in zip(out, e0):
-            worst_drift = max(worst_drift, float(np.abs(f.eval(t, 0) - v0).max()))
-            worst_deriv = max(worst_deriv, float(np.linalg.norm(f.eval(t, 1))))
-    assert worst_drift < 1e-8
-    # rank of the transported derivatives equals the distribution degree (0)
-    assert worst_deriv < 1e-8
-
-
-def test_transport_helix_tangent_rank_matches_degree(tol):
-    helix = HelixCurve()
-    from ruledkit.fields import DerivativeField
-    fc = FramedCurve(3, 2, helix, (DerivativeField(helix, 1),), (0.0, TWO_PI))
-    grid = SampleGrid.uniform(fc.interval, 17)
-    out = parallel_transport_frame(fc, grid)
-    for t in grid.t_samples[::4]:
-        derivs = np.array([f.eval(t, 1) for f in out])
-        assert numerical_rank(derivs, tol) == 1
-        assert rho_at(fc, t, tol).degree == 1
-
-
-def test_transport_removes_tangential_derivative(tol):
-    fc = make_builtin_patch("two_rotation_r5")
-    grid = SampleGrid.uniform(fc.interval, 17)
-    out = parallel_transport_frame(fc, grid)
-    eye = np.eye(len(out))
-    for t in grid.t_samples:
-        vals = np.array([f.eval(t, 0) for f in out])
-        assert np.abs(gram_matrix(vals) - eye).max() < tol.derivative_check_tol
-        for f in out:
-            tangential = f.eval(t, 1) - project_orthogonal(f.eval(t, 1), vals, tol)
-            assert np.linalg.norm(tangential) < tol.zero_abs_tol
-        # the rank of the transported derivatives equals the rank of the
-        # projected frame derivatives
-        derivs = np.array([f.eval(t, 1) for f in out])
-        assert numerical_rank(derivs, tol) == rho_at(fc, t, tol).degree == 2
-
-
-def test_transport_preserves_span(tol):
-    fc = make_builtin_patch("two_rotation_r5")
-    grid = SampleGrid.uniform(fc.interval, 17)
-    out = parallel_transport_frame(fc, grid)
-    for t in grid.t_samples[::4]:
-        orig = fc.frame_values(t)
-        new = np.array([f.eval(t, 0) for f in out])
-        assert numerical_rank(np.vstack([orig, new]), tol) == len(out)

@@ -11,10 +11,9 @@ from ruledkit.fields import ConstantField, PolynomialField
 from ruledkit.multilinear import numerical_rank
 from ruledkit.parametric import BUILTIN_PATCHES, FramedCurve
 from ruledkit.ruledgeom import (_coordinate_plane_curvatures, _orthonormal_tangent_coeffs,
-                                _second_form_vectors, eval_sigma, first_normal_bounds_check,
-                                flatness_check, jacobian_sigma, planar_points,
-                                rank_one_check, sectional_curvature,
-                                tangent_space_stability)
+                                _second_form_vectors, first_normal_bounds_check,
+                                flatness_check, jacobian_sigma, rank_one_check,
+                                sectional_curvature, tangent_space_stability)
 
 SQ2 = math.sqrt(2.0)
 
@@ -26,22 +25,26 @@ def plane_patch():
     return RuledPatch(fc, SampleGrid.uniform(fc.interval, 21))
 
 
+def sigma_on_grid(p, u):
+    """The patch point at every grid parameter and ruling coordinates u,
+    (N, dim), from the patch's grid values."""
+    return p.values.directrix(0) + np.asarray(u, dtype=float) @ p.values.frame(0)
+
+
 def test_eval_sigma_at_zero_is_directrix(cone_patch):
-    for t in (0.0, 1.2):
-        assert np.allclose(eval_sigma(cone_patch, t, [0.0]),
-                           cone_patch.fc.directrix.eval(t, 0), atol=1e-14)
+    ts = cone_patch.grid.t_samples
+    assert np.allclose(sigma_on_grid(cone_patch, [0.0]),
+                       cone_patch.fc.directrix.eval(ts, 0), atol=1e-14)
 
 
 def test_eval_sigma_cylinder_offset(cylinder_patch):
-    t = 0.7
-    out = eval_sigma(cylinder_patch, t, [1.0])
-    expected = cylinder_patch.fc.directrix.eval(t, 0) + cylinder_patch.fc.frame[0].eval(t, 0)
-    assert np.allclose(out, expected, atol=1e-14)
+    fc, ts = cylinder_patch.fc, cylinder_patch.grid.t_samples
+    expected = fc.directrix.eval(ts, 0) + fc.frame[0].eval(ts, 0)
+    assert np.allclose(sigma_on_grid(cylinder_patch, [1.0]), expected, atol=1e-14)
 
 
 def test_eval_sigma_cone_apex(cone_patch):
-    for t in (0.0, 0.9, 2.6):
-        assert np.abs(eval_sigma(cone_patch, t, [-SQ2])).max() < 1e-14
+    assert np.abs(sigma_on_grid(cone_patch, [-SQ2])).max() < 1e-14
 
 
 def test_jacobian_cylinder_full_rank(cylinder_patch):
@@ -88,7 +91,7 @@ def test_plane_is_planar_everywhere():
     form = second_form_along_directrix(p, 1.0, [0.3])
     assert np.abs(form.II_vectors).max() < 1e-12
     assert form.first_normal_dim == 0
-    pts = planar_points(p)
+    pts = p.scan.planar()
     assert len(pts) == 21 * 5
 
 
@@ -141,8 +144,8 @@ def test_first_normal_bounds_plane_lower_bound_vacuous():
 
 
 def test_planar_points_empty_for_curved_patches(helicoid_patch, tangent_dev_patch):
-    assert planar_points(helicoid_patch) == []
-    assert planar_points(tangent_dev_patch) == []
+    assert helicoid_patch.scan.planar() == []
+    assert tangent_dev_patch.scan.planar() == []
 
 
 # --- rank-one test -------------------------------------------------------------

@@ -14,13 +14,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from ambient_second_form import svd_span_verdicts
 from conftest import small_patch
 from ruledkit import (RuledPatch, SampleGrid, ingest, make_builtin_patch, selftest,
                       striction)
 from ruledkit.analysis import analyze
 from ruledkit.classify import SegmentAnalysis
 from ruledkit.distribution import degree_profile, rho_at
-from ruledkit.multilinear import numerical_rank, spans_equal
+from ruledkit.multilinear import numerical_rank
 from ruledkit.parametric import BUILTIN_PATCHES
 from ruledkit.ruledgeom import (jacobian_sigma, rank_one_check, second_form_scan,
                                 tangent_space_stability)
@@ -149,7 +150,8 @@ def test_stacked_stability_equals_pair_by_pair(name):
         for ua, ub in pairs:
             ja, jb = jacobian_sigma(p, t, ua), jacobian_sigma(p, t, ub)
             assert numerical_rank(ja, p.tol) == numerical_rank(jb, p.tol) == p.m
-            if not spans_equal(ja, jb, p.tol):
+            _, worst = svd_span_verdicts(np.stack([ja, jb])[None], p.tol)
+            if not worst[0] < p.tol.zero_abs_tol:
                 expected = False
                 break
         assert tangent_space_stability(p, t, pairs) == expected

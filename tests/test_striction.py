@@ -18,11 +18,11 @@ from ruledkit.exports import write_mesh_obj
 from ruledkit.fields import FourierField, ParameterMap, PolynomialField, VectorField
 from ruledkit.multilinear import TolerancePolicy, numerical_rank, wedge_norm
 from ruledkit.parametric import FramedCurve, arclength_framed_curve
-from ruledkit.ruledgeom import jacobian_sigma
+from ruledkit.ruledgeom import jacobian_sigma, jacobians_at
 from ruledkit.scene import ingest
-from ruledkit.striction import (assemble_system, directrix_invariance,
-                                equivalent_condition_check, striction_jacobian_rank,
-                                write_striction_csv)
+from ruledkit.striction import (INVARIANCE_AXIS_SAMPLES, assemble_system,
+                                directrix_invariance, equivalent_condition_check,
+                                striction_jacobian_rank, write_striction_csv)
 
 SQ2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
@@ -171,14 +171,17 @@ def test_singular_locus_cone(cone_sheet):
     assert offsheet_check(p, sheet, seed=1).failures == ()
 
 
-class _VaryingRateRuling(VectorField):
-    """X(t) = (cos phi, sin phi, 0) with phi = t + 0.8 sin t: a unit ruling
-    turning at a rate that varies between 0.2 and 1.8."""
+class _TurningRuling(VectorField):
+    """X(t) = (cos phi, sin phi, 0), a unit ruling turning by the angle
+    phi(t); `angle(t)` gives phi, phi' and phi''."""
 
     dim = 3
 
+    def __init__(self, angle):
+        self.angle = angle
+
     def eval(self, t, order=0):
-        phi, d1, d2 = t + 0.8 * math.sin(t), 1.0 + 0.8 * math.cos(t), -0.8 * math.sin(t)
+        phi, d1, d2 = self.angle(t)
         c, s = math.cos(phi), math.sin(phi)
         if order == 0:
             return np.array([c, s, 0.0])
@@ -191,7 +194,7 @@ def _offsheet_failures_one_by_one(p, sheet, checks, seed):
     rng = np.random.default_rng(seed)
     axis = p.grid.u_axis
     delta = 10.0 * float(axis[1] - axis[0])
-    lo, hi = p.fc.interval
+    lo, hi = p.grid.t_samples[0], p.grid.t_samples[-1]
     failures = []
     for _ in range(checks):
         t = float(rng.uniform(lo, hi))
@@ -207,7 +210,9 @@ def test_stacked_offsheet_checks_equal_the_per_point_loop(product_sheet):
     # a 0.1 rank cutoff makes the off-sheet points irregular where the
     # ruling turns fast, so some checks fail and some pass
     fc = FramedCurve(3, 2, PolynomialField([[0.0], [0.0], [0.0, 1.0]]),
-                     (_VaryingRateRuling(),), (0.0, TWO_PI))
+                     # phi = t + 0.8 sin t: a rate varying between 0.2 and 1.8
+                     (_TurningRuling(lambda t: (t + 0.8 * math.sin(t), 1.0 + 0.8 * math.cos(t),
+                                                -0.8 * math.sin(t))),), (0.0, TWO_PI))
     wobble = RuledPatch(fc, SampleGrid.uniform(fc.interval, 41),
                         TolerancePolicy(rank_rel_tol=0.1))
     for p, sheet in ((wobble, solve_striction(wobble, 1)), product_sheet):
@@ -219,6 +224,31 @@ def test_stacked_offsheet_checks_equal_the_per_point_loop(product_sheet):
     assert 0 < len(offsheet_check(wobble, solve_striction(wobble, 1), seed=3)
                    .failures) < 32
     assert offsheet_check(wobble, solve_striction(wobble, 1), checks=0).total == 0
+
+
+def test_offsheet_points_stay_in_the_segment_range(monkeypatch):
+    # phi = max(t, 0)^3 keeps the ruling at rest up to t = 0: degree 0
+    # there and 1 from the next sample on. The degree-1 segment's sheet is
+    # solved on [0.025, 1] only, so its spot checks must draw t there and
+    # not over the curve's whole interval
+    fc = FramedCurve(3, 2, PolynomialField([[0.0], [0.0], [0.0, 1.0]]),
+                     (_TurningRuling(lambda t: (max(t, 0.0) ** 3, 3.0 * max(t, 0.0) ** 2,
+                                                6.0 * max(t, 0.0))),), (-1.0, 1.0))
+    p = RuledPatch(fc, SampleGrid.uniform(fc.interval, 81))
+    seg = [s for s in segment_analyses(p) if s.d == 1][0]
+    lo, hi = seg.patch.grid.t_samples[[0, -1]]
+    assert lo == pytest.approx(0.025) and hi == 1.0
+    drawn = []
+
+    def recording(patch, ts, u):
+        drawn.append(np.array(ts, dtype=float))
+        return jacobians_at(patch, ts, u)
+
+    monkeypatch.setattr(striction, "jacobians_at", recording)
+    check = offsheet_check(seg.pivoted, seg.sheet, seed=0)
+    ts = np.concatenate(drawn)
+    assert ts.size == check.total == 32
+    assert lo <= ts.min() and ts.max() <= hi
 
 
 def test_dense_random_box_sample_has_no_offsheet_singularities(td_sheet):
@@ -566,8 +596,8 @@ def test_invariance_one_least_squares_per_offset_and_free_position(monkeypatch, 
     assert len(calls) == len(DEFAULT_INVARIANCE_SCALES)
     calls.clear()
     p, sheet = product_sheet
-    directrix_invariance(p, sheet, [[0.5, 0.5], [1.0, 1.0]], samples_per_axis=3)
-    assert len(calls) == 2 * 3 ** sheet.free_count
+    directrix_invariance(p, sheet, [[0.5, 0.5], [1.0, 1.0]])
+    assert len(calls) == 2 * INVARIANCE_AXIS_SAMPLES ** sheet.free_count
 
 
 # --- CSV export -------------------------------------------------------------------
