@@ -20,8 +20,9 @@ from scipy.interpolate import CubicSpline
 
 from .errors import FrameError, NumericError, PivotError, ValidationError
 from .fields import FrameCombinationField
-from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, project_off_spans,
-                          rank_mask)
+from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
+                          _rank_margin, _ratio_margin, project_off_spans, rank2_singular_values,
+                          rank_mask, settled)
 from .parametric import FramedCurve, GridValues, SampleGrid
 
 if TYPE_CHECKING:
@@ -70,9 +71,8 @@ class DegreeProfile:
                              self.borderline[lo:hi])
 
 
-def _degrees(rho: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Numerical rank of each (m-1, dim) rho block and whether a singular
-    value sits within a factor 10 of the rank cutoff."""
+def _svd_degrees(rho: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """`_degrees` from the singular values of one batched SVD."""
     s = np.linalg.svd(rho, compute_uv=False)
     lead = s[:, 0]
     cutoff = (tol.rank_rel_tol * lead)[:, None]
@@ -82,9 +82,45 @@ def _degrees(rho: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndar
     return degrees, borderline
 
 
+def _degrees(rho: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical rank of each (m-1, dim) rho block and whether a singular
+    value sits within a factor 10 of the rank cutoff: inside the band
+    [0.1, 10] x rank_rel_tol x s1, or, when s1 is below zero_abs_tol,
+    above 0.1 zero_abs_tol.
+
+    Blocks of at most two rows read s1 and s2 in closed form
+    (`rank2_singular_values`; s2 = 0 for one row, which settles every s2
+    test as the SVD's absent s2 does). A verdict is settled where the value
+    clears its cutoff or band edge by the rounding margin of that edge
+    (`_ratio_margin`); only the blocks next to one go through the SVD
+    (`_svd_degrees`). s1's own band test, 0.1 rank_rel_tol <= 1 <=
+    10 rank_rel_tol, rounds either way when 10 rank_rel_tol is 1, so
+    there every block goes through the SVD.
+    """
+    if rho.shape[1] > 2:
+        return _svd_degrees(rho, tol)
+    s1, s2 = rank2_singular_values(rho)
+    rel, zero, delta = tol.rank_rel_tol, tol.zero_abs_tol, RANK_BOUND_MARGIN
+    lead, lead_ok = settled(s1, zero, delta)
+    faint, faint_ok = settled(s1, 0.1 * zero, delta)
+    second, second_ok = settled(s2, rel * s1, _rank_margin(tol))
+    low, low_ok = settled(s2, 0.1 * rel * s1, _ratio_margin(0.1 * rel))
+    high, high_ok = settled(s2, 10.0 * rel * s1, _ratio_margin(10.0 * rel))
+    lead_band = 0.1 * rel <= 1.0 <= 10.0 * rel
+    degrees = np.where(lead, 1 + second, 0)
+    borderline = np.where(lead, lead_band | (low & ~high), faint)
+    decided = lead_ok & np.where(lead, second_ok & low_ok & high_ok, faint_ok)
+    if abs(10.0 * rel - 1.0) <= delta:
+        decided[lead] = False
+    if not decided.all():
+        degrees[~decided], borderline[~decided] = _svd_degrees(rho[~decided], tol)
+    return degrees, borderline
+
+
 def profile_from_values(values: GridValues,
                         tol: TolerancePolicy = DEFAULT_TOLERANCES) -> DegreeProfile:
-    """Degree profile from stacked frame values, with one stacked SVD per step.
+    """Degree profile from stacked frame values: one stacked SVD projects
+    the frame derivatives off the ruling span, and `_degrees` ranks them.
 
     Raises, at the first offending parameter, a validation error when it
     lies outside the curve interval or the frame values there are not

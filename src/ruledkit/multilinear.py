@@ -4,7 +4,8 @@ Vectors are plain 1-D numpy arrays; ordered collections of vectors are
 stacked into (k, dim) matrices, and many collections of one shape into
 (..., k, dim) stacks. Wedge products are never materialized: every use
 in this package is a dependence test or a volume, so the Gram
-determinant (equivalently the product of singular values) is enough.
+determinant (equivalently the product of singular values) is enough, and
+for two vectors the norm of their 2 x 2 minors.
 """
 
 from __future__ import annotations
@@ -139,6 +140,92 @@ def numerical_ranks(stack: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES
     """`numerical_rank` of each matrix of a (..., k, dim) stack, as ints."""
     return np.count_nonzero(rank_mask(np.linalg.svd(stack, compute_uv=False), tol),
                             axis=-1)
+
+
+#: relative rounding margin of the closed-form rank verdicts: a closed form
+#: settles a verdict only when it clears the cutoff by this factor. LAPACK's
+#: singular values are exact for a matrix within a few eps * s1 of the
+#: input, so at a cutoff s_i = ratio * s1 their relative error is a few
+#: eps / ratio, about 1e-7 at the default rank_rel_tol of 1e-8; the closed
+#: forms' rounding is smaller. `_ratio_margin` raises the margin to
+#: 32 eps / ratio for smaller ratios.
+RANK_BOUND_MARGIN = 1e-6
+
+
+def _ratio_margin(ratio: float) -> float:
+    """The rounding margin of a verdict s_i > ratio * s1."""
+    return max(RANK_BOUND_MARGIN, 32.0 * np.finfo(float).eps / ratio)
+
+
+def _rank_margin(tol: TolerancePolicy) -> float:
+    """The rounding margin of the rank cutoff s_i > rank_rel_tol * s1."""
+    return _ratio_margin(tol.rank_rel_tol)
+
+
+def settled(value: np.ndarray, cutoff, delta: float, slack=0.0):
+    """(above, decided): whether value > cutoff, decided only where value
+    clears the cutoff by the relative margin delta plus an absolute slack,
+    so that a value within that rounding of it gives the same verdict."""
+    above = value * (1.0 - delta) - slack > cutoff
+    return above, above | (value * (1.0 + delta) + slack < cutoff)
+
+
+def _pair_wedge_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a ^ b|^2 of broadcast (..., n) vectors: the sum of the squared
+    2 x 2 minors a_i b_j - a_j b_i, i < j (Lagrange's identity)."""
+    i, j = np.triu_indices(a.shape[-1], 1)
+    minors = a[..., i] * b[..., j] - a[..., j] * b[..., i]
+    return np.sum(minors * minors, axis=-1)
+
+
+def pair_wedge_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a ^ b| of broadcast (..., n) vectors from their 2 x 2 minors. Each
+    minor is a difference of two products with absolute error of order
+    eps |a| |b|, so, unlike |a|^2 |b|^2 - (a . b)^2, the norm keeps that
+    accuracy however small it is."""
+    return np.sqrt(_pair_wedge_squares(a, b))
+
+
+def rank2_singular_values(stack: np.ndarray):
+    """(s1, s2), the two largest singular values of each matrix of a
+    (..., k, n) stack of rank at most 2: k <= 2 rows, or rows known to lie
+    in a plane.
+
+    One row is its own norm, and s2 = 0. Otherwise s1 s2 is the norm of
+    all 2 x 2 minors of the rows (Lagrange's identity), each a difference
+    of products with absolute error of order eps s1^2, so s2 = s1 s2 / s1
+    keeps an absolute accuracy of order eps s1 however small it is;
+    s1 = (sqrt(F^2 + 2 s1 s2) + sqrt(F^2 - 2 s1 s2)) / 2, F the Frobenius
+    norm, loses at most sqrt(eps) where s1 and s2 are close. Exactly zero
+    rows give exact zeros, with no division by zero.
+    """
+    f2 = np.sum(stack * stack, axis=(-2, -1))
+    if stack.shape[-2] == 1:
+        return np.sqrt(f2), np.zeros_like(f2)
+    i, j = np.triu_indices(stack.shape[-2], 1)
+    det = np.sqrt(np.sum(_pair_wedge_squares(stack[..., i, :], stack[..., j, :]), axis=-1))
+    s1 = 0.5 * (np.sqrt(f2 + 2.0 * det) + np.sqrt(np.maximum(f2 - 2.0 * det, 0.0)))
+    return s1, det / np.where(s1 > 0.0, s1, 1.0)
+
+
+def rank2_ranks(stack: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
+    """`numerical_ranks` of a (..., k, n) stack of rank at most 2 (see
+    `rank2_singular_values`).
+
+    The rank rule reads the closed-form s1 and s2 wherever they clear the
+    cutoffs by the rounding margin (`_rank_margin`); only the matrices
+    next to a cutoff go through the batched SVD.
+    """
+    s1, s2 = rank2_singular_values(stack)
+    delta = _rank_margin(tol)
+    lead, lead_ok = settled(s1, tol.zero_abs_tol, delta)
+    second, second_ok = settled(s2, tol.rank_rel_tol * s1, delta)
+    ranks = np.where(lead, 1 + second, 0)
+    # a lead below the cutoff decides rank 0 whatever s2
+    decided = lead_ok & (~lead | second_ok)
+    if not decided.all():
+        ranks[~decided] = numerical_ranks(stack[~decided], tol)
+    return ranks
 
 
 def gram_schmidt_r(stack: np.ndarray) -> np.ndarray:

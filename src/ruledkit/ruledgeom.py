@@ -34,8 +34,9 @@ import numpy as np
 from .distribution import DegreeProfile, profile_from_values
 from .errors import RegularityError, ValidationError
 from .fields import AffineCombinationField
-from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, gram_schmidt_r,
-                          numerical_ranks, rank_mask, wedge_norms)
+from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
+                          _rank_margin, gram_schmidt_r, numerical_ranks, pair_wedge_norms,
+                          rank2_ranks, rank_mask, wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid
 
 
@@ -146,20 +147,6 @@ def jacobians_at(p: RuledPatch, t, u: np.ndarray) -> np.ndarray:
     return _jacobians(v.frame(0), v.frame(1), v.directrix(1), u).reshape(-1, p.m, p.dim)
 
 
-#: relative rounding margin of the closed-form rank verdicts: a bound
-#: settles a verdict only when it clears the cutoff by this factor. LAPACK's
-#: singular values are exact for a matrix within a few eps * s1 of the
-#: input, so at the cutoff s_m = rank_rel_tol * s1 their relative error is
-#: a few eps / rank_rel_tol, about 1e-7 at the default 1e-8; the closed
-#: forms' rounding is smaller. `_rank_margin` raises the margin to
-#: 32 eps / rank_rel_tol for tighter cutoffs.
-RANK_BOUND_MARGIN = 1e-6
-
-
-def _rank_margin(tol: TolerancePolicy) -> float:
-    return max(RANK_BOUND_MARGIN, 32.0 * np.finfo(float).eps / tol.rank_rel_tol)
-
-
 def _reduced_singular_values(jac: np.ndarray) -> np.ndarray:
     """Descending singular values of a (..., m, m) stack of reduced
     Jacobians (see `_second_form_vectors`).
@@ -253,11 +240,18 @@ def _frame_coordinates(x0: np.ndarray, x1: np.ndarray, g1: np.ndarray):
     (g1 comp, Xdot comp) of shapes (N, 1, .) and (N, m-1, .), which
     `_reduced_jacobians` combines at ruling positions u.
     """
+    r, q, comp = _frame_basis(x0)
+    return r, comp, (g1[:, None] @ q, x1 @ q), (g1[:, None] @ comp, x1 @ comp)
+
+
+def _frame_basis(x0: np.ndarray):
+    """One complete QR of each frame of an (N, m-1, dim) stack,
+    X^T = [q | comp] R: the (N, m-1, m-1) triangular factors R and the
+    orthonormal bases q (N, dim, m-1) of the frame span and comp
+    (N, dim, dim-m+1) of its complement."""
     k = x0.shape[1]
     basis, r = np.linalg.qr(x0.swapaxes(1, 2), mode="complete")
-    q, comp = basis[..., :k], basis[..., k:]  # (N, dim, m-1), (N, dim, dim-m+1)
-    return (r[:, :k], comp, (g1[:, None] @ q, x1 @ q),
-            (g1[:, None] @ comp, x1 @ comp))
+    return r[:, :k], basis[..., :k], basis[..., k:]
 
 
 def _reduced_jacobians(r: np.ndarray, sigma_q, sigma_c, u: np.ndarray):
@@ -271,13 +265,32 @@ def _reduced_jacobians(r: np.ndarray, sigma_q, sigma_c, u: np.ndarray):
     values of the m x dim one. Returns (jac, c) of shapes (N, P, m, m) and
     (N, P, dim-m+1).
     """
-    k = r.shape[-1]
     c = sigma_c[0] + u @ sigma_c[1]
-    jac = np.zeros(c.shape[:2] + (k + 1, k + 1))
-    jac[..., 0, :k] = sigma_q[0] + u @ sigma_q[1]
+    return _assemble_reduced(r[:, None], sigma_q[0] + u @ sigma_q[1], c), c
+
+
+def _assemble_reduced(r: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The (..., m, m) reduced Jacobians [[a, |c|], [R^T, 0]] from the
+    frame factors R (..., m-1, m-1), broadcast, and sigma_t's coordinates
+    a (..., m-1) along the frame span and c (..., dim-m+1) off it."""
+    k = a.shape[-1]
+    jac = np.zeros(a.shape[:-1] + (k + 1, k + 1))
+    jac[..., 0, :k] = a
     jac[..., 0, k] = np.linalg.norm(c, axis=-1)
-    jac[..., 1:, :k] = r[:, None].swapaxes(-1, -2)
-    return jac, c
+    jac[..., 1:, :k] = r.swapaxes(-1, -2)
+    return jac
+
+
+def jacobian_regularity(jac: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """The rank rule's full-rank verdict on a (P, m, dim) stack of ambient
+    Jacobians [sigma_t, X_1, ..., X_{m-1}] (`jacobians_at`), from their
+    reduced Jacobians (`_regularity`): one complete QR of the frame rows
+    per point, X^T = [q | comp] R, and sigma_t's coordinates in (q, comp).
+    """
+    r, q, comp = _frame_basis(jac[:, 1:])
+    sigma = jac[:, :1]
+    return _regularity(_assemble_reduced(r, (sigma @ q)[:, 0], (sigma @ comp)[:, 0]),
+                       _inverse_factors(r) if r.shape[-1] > 1 else None, tol)
 
 
 def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: TolerancePolicy):
@@ -323,33 +336,16 @@ def _normal_ranks(vecs: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     The rows lie in the dim-m dimensional space orthogonal to n. When that
     is a line (or a point), the rank is 0 or 1 and the largest singular
     value is the Frobenius norm F, so the rank rule reduces to that norm
-    against zero_abs_tol. When it is a plane (dim - m = 2), s3 = 0 and
-    s1 s2 is the norm of all 2 x 2 minors of the rows, the cross products
-    v_i x v_j (Lagrange's identity), each a difference of products with
-    absolute error of order eps s1^2, so s2 = s1 s2 / s1 keeps its accuracy
-    down to the cutoff; s1 = (sqrt(F^2 + 2 s1 s2) + sqrt(F^2 - 2 s1 s2)) / 2
-    loses at most sqrt(eps) where s1 and s2 are close, far from it. The
-    rank rule then reads these values wherever they clear the cutoffs by
-    the rounding margin `RANK_BOUND_MARGIN`, and the batched SVD decides
-    the rest. Wider normal spaces go through the batched SVD.
+    against zero_abs_tol. When it is a plane (dim - m = 2), the rank is at
+    most 2 and `rank2_ranks` reads s1 and s2 in closed form, leaving only
+    the matrices next to a cutoff to the batched SVD. Wider normal spaces
+    go through the batched SVD.
     """
     if vecs.shape[-1] <= 2:
         return (np.linalg.norm(vecs, axis=(-2, -1)) >= tol.zero_abs_tol).astype(int)
     if vecs.shape[-1] > 3:
         return numerical_ranks(vecs, tol)
-    i, j = np.triu_indices(vecs.shape[-2], 1)
-    minors = np.cross(vecs[..., i, :], vecs[..., j, :])
-    f2 = np.sum(vecs * vecs, axis=(-2, -1))
-    det = np.sqrt(np.sum(minors * minors, axis=(-2, -1)))  # s1 s2
-    s1 = 0.5 * (np.sqrt(f2 + 2.0 * det) + np.sqrt(np.maximum(f2 - 2.0 * det, 0.0)))
-    s2 = det / np.where(s1 > 0.0, s1, 1.0)
-    delta, rel, zero = _rank_margin(tol), tol.rank_rel_tol, tol.zero_abs_tol
-    lead, second = s1 >= (1.0 + delta) * zero, s2 > (1.0 + delta) * rel * s1
-    ranks = np.where(lead, 1 + second, 0)
-    decided = (s1 < (1.0 - delta) * zero) | (lead & (second | (s2 < (1.0 - delta) * rel * s1)))
-    if not decided.all():
-        ranks[~decided] = numerical_ranks(vecs[~decided], tol)
-    return ranks
+    return rank2_ranks(vecs, tol)
 
 
 def _second_form_at(p: RuledPatch, t: float, u: np.ndarray):
@@ -520,11 +516,8 @@ def _span_verdicts(jac: np.ndarray, c: np.ndarray, r_inv: np.ndarray, tol: Toler
     _, kappa_b = _frobenius_conditions(jac, r_inv)
     b = jac[..., 0, -1]
     kappa = np.divide(kappa_b, b, out=np.full_like(b, np.inf), where=b > 0.0).max(axis=1)
-    i, j = np.triu_indices(c.shape[-1], 1)
-    ca, cb = c[:, 0], c[:, 1]
-    minors = ca[:, i] * cb[:, j] - ca[:, j] * cb[:, i]
     lengths = b[:, 0] * b[:, 1]
-    sin = np.sqrt(np.sum(minors * minors, axis=-1)) / np.where(lengths > 0.0, lengths, 1.0)
+    sin = pair_wedge_norms(c[:, 0], c[:, 1]) / np.where(lengths > 0.0, lengths, 1.0)
     slack = SPAN_SLACK_PER_DIM * m * np.finfo(float).eps * kappa
     delta, zero = RANK_BOUND_MARGIN, tol.zero_abs_tol
     same = sin * (1.0 + delta) + slack < zero

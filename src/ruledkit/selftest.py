@@ -18,10 +18,10 @@ from .classify import (CONICAL, CYLINDRICAL, NON_RANK_ONE, TANGENT,
                        SegmentAnalysis, classify_patch, converse_check,
                        segment_analyses)
 from .errors import RuledKitError
-from .multilinear import TolerancePolicy
+from .multilinear import RANK_BOUND_MARGIN, TolerancePolicy
 from .oracles import max_derivative_error
 from .parametric import SampleGrid, make_builtin_patch
-from .ruledgeom import (RANK_BOUND_MARGIN, RuledPatch, _frobenius_conditions,
+from .ruledgeom import (RuledPatch, _frobenius_conditions,
                         _pair_jacobians, _reduced_singular_values,
                         first_normal_bounds_check, flatness_check, jacobians_at,
                         sectional_curvature, tangent_space_stability)

@@ -11,10 +11,13 @@ the patch sit on this sheet, which the locus scan verifies sample-wise.
 The grid stages run on stacked arrays, once per patch: the systems of all
 samples are assembled, checked and Cholesky-solved as (N, d, d) stacks,
 and the sheet wedge test of the locus scan forms one stacked SVD, whose
-verdicts the equivalent-condition check reads beside its augmented
-wedges. Only samples whose system sits near the eigenvalue floor fall
-back to a per-sample pivoted QR solve. The stage results stay arrays
-until a report or file converts them, once, with `tolist()`.
+residuals the CSV records and whose verdicts the equivalent-condition
+check reads beside its augmented wedges. Those, the sheet Jacobian ranks
+and the off-sheet regularity are verdicts only, read from closed forms;
+the SVD settles just the ones within a rounding margin of a cutoff.
+Only samples whose system sits near the eigenvalue floor fall back to a
+per-sample pivoted QR solve. The stage results stay arrays until a
+report or file converts them, once, with `tolist()`.
 
 The directrix-invariance check re-solves the sheet of each shifted
 directrix on the patch's own grid, since the solved coordinates do not
@@ -27,7 +30,6 @@ regularity spot check just off the sheet; it alone takes a seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -40,10 +42,11 @@ from scipy.optimize import least_squares
 from .distribution import profile_from_values, rho_at
 from .errors import DegeneracyError, NumericError, ValidationError
 from .fields import as_parameter_array
-from .multilinear import (DEFAULT_TOLERANCES, TolerancePolicy, numerical_ranks,
+from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
+                          numerical_ranks, pair_wedge_norms, rank2_ranks, settled,
                           wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid
-from .ruledgeom import RuledPatch, jacobians_at
+from .ruledgeom import RuledPatch, _frame_basis, jacobian_regularity, jacobians_at
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,8 +270,10 @@ def solve_striction(p: RuledPatch, d: int) -> StrictionSheet:
 def _ranks_above_floor(sheet: StrictionSheet, partials: np.ndarray, ts,
                        tol: TolerancePolicy) -> np.ndarray:
     """Ranks of (N, P, m-d, dim) sheet Jacobians at the parameters ts;
-    raises at the first (t-major) one below the floor m-d-1."""
-    ranks = numerical_ranks(partials, tol)
+    raises at the first (t-major) one below the floor m-d-1. Jacobians of
+    at most two rows take their singular values in closed form
+    (`rank2_ranks`)."""
+    ranks = (rank2_ranks if partials.shape[-2] <= 2 else numerical_ranks)(partials, tol)
     floor = sheet.fc.m - sheet.d - 1
     low = np.argwhere(ranks < floor)
     if low.size:
@@ -288,7 +293,7 @@ def striction_jacobian_rank(sheet: StrictionSheet, t: float, u_free=(),
 
 def sheet_jacobian_ranks(p: RuledPatch, sheet: StrictionSheet) -> np.ndarray:
     """`striction_jacobian_rank` at every grid parameter and free grid
-    position, (N, P), from one stacked SVD."""
+    position, (N, P)."""
     return _ranks_above_floor(sheet, sheet.grid_partials, p.grid.t_samples, p.tol)
 
 
@@ -350,8 +355,9 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
     Each point takes a t uniform over the grid's range (a segment's, for
     a segment patch, so the sheet is never extrapolated) and uniform free
     coordinates, and perturbs every solved coordinate by +-delta with
-    delta = 10 grid u-spacings; the patch must be regular there. This is
-    the only seeded stage.
+    delta = 10 grid u-spacings; the patch must be regular there, by the
+    rank rule on the reduced Jacobians (`ruledgeom.jacobian_regularity`).
+    This is the only seeded stage.
     """
     fc, grid = p.fc, p.grid
     rng = np.random.default_rng(seed)
@@ -368,9 +374,55 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
                                               size=sheet.free_count)
         signs[i] = rng.choice([-1.0, 1.0], size=sheet.d)
     u[:, sheet.free_count:] = sheet.solved(ts, u[:, :sheet.free_count]) + delta * signs
-    irregular = np.flatnonzero(numerical_ranks(jacobians_at(p, ts, u), p.tol) != fc.m)
+    irregular = np.flatnonzero(~jacobian_regularity(jacobians_at(p, ts, u), p.tol))
     return OffsheetCheck(total=checks,
                          failures=tuple((float(ts[i]), u[i].tolist()) for i in irregular))
+
+
+#: c / k for the slack c k eps |A|_F^k that covers the rounding of a wedge
+#: norm of k vectors in `_augmented_vanish`
+WEDGE_SLACK_PER_VECTOR = 64.0
+
+
+def _augmented_vanish(x0: np.ndarray, x1: np.ndarray, beta_dot: np.ndarray,
+                      tol: TolerancePolicy) -> np.ndarray:
+    """Whether each augmented wedge |Xdot_j ^ beta_dot ^ X_1 ^ ... ^ X_{m-1}|
+    is below zero_abs_tol, (N, P, m-1): the verdict of `wedge_norms`. x0
+    and x1 are (N, m-1, dim) frame values and derivatives at N parameters,
+    beta_dot (N, P, dim) the sheet's t-partials at P free positions each.
+
+    One complete QR of the frame per t, X^T = [q | comp] R
+    (`ruledgeom._frame_basis`), turns the wedge into |det R| |a_j ^ b|
+    with the complement coordinates a_j = Xdot_j comp and b = beta_dot comp,
+    and |a_j ^ b| is the norm of their 2 x 2 minors (`pair_wedge_norms`).
+    The SVD's singular values are exact for a stack A of k = m + 1 vectors
+    within a few eps |A| of it, so their product moves by at most about
+    k eps |A|^k <= k eps |A|_F^k. For a frame orthonormal to the ingest
+    tolerance, |det R| and comp are accurate to a few eps, and the closed
+    form's rounding is of the same order. A wedge is settled when it clears
+    zero_abs_tol by the relative margin `RANK_BOUND_MARGIN` plus the slack
+    `WEDGE_SLACK_PER_VECTOR` k eps |A|_F^k; the rest go through
+    `wedge_norms`.
+    """
+    r, _, comp = _frame_basis(x0)
+    volume = np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1))
+    wedges = volume[:, None, None] * pair_wedge_norms((x1 @ comp)[:, None],
+                                                      (beta_dot @ comp)[:, :, None])
+    k = x0.shape[1] + 2
+    frob2 = (np.sum(x1 * x1, axis=2)[:, None] + np.sum(beta_dot * beta_dot, axis=2)[..., None]
+             + np.sum(x0 * x0, axis=(1, 2))[:, None, None])
+    slack = WEDGE_SLACK_PER_VECTOR * k * np.finfo(float).eps * frob2 ** (0.5 * k)
+    above, decided = settled(wedges, tol.zero_abs_tol, RANK_BOUND_MARGIN, slack)
+    vanish = ~above
+    if not decided.all():
+        # [Xdot_j, beta_dot, X_1..X_{m-1}] per undecided (t, u_free, j)
+        i, pos, j = np.nonzero(~decided)
+        stack = np.empty((i.size, k, x0.shape[2]))
+        stack[:, 0] = x1[i, j]
+        stack[:, 1] = beta_dot[i, pos]
+        stack[:, 2:] = x0[i]
+        vanish[~decided] = wedge_norms(stack) < tol.zero_abs_tol
+    return vanish
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,11 +459,8 @@ def equivalent_condition_check(p: RuledPatch, sheet: StrictionSheet,
         # dimension, hence vanishes identically
         augmented = np.ones(plain.shape + (fc.m - 1,), dtype=bool)
     else:
-        # [Xdot_j, beta_dot, X_1..X_{m-1}] per (t, u_free, j)
-        stack = np.empty(plain.shape + (fc.m - 1, fc.m + 1, fc.dim))
-        stack[:, :, :, 0] = p.values.frame(1)[:, None]
-        stack[:, :, :, 1:] = _sheet_wedges(sheet)[:, :, None]
-        augmented = wedge_norms(stack) < tol.zero_abs_tol  # (N, P, m-1)
+        augmented = _augmented_vanish(p.values.frame(0), p.values.frame(1),
+                                      sheet.grid_partials[:, :, 0], tol)  # (N, P, m-1)
     # only the carrying frame derivatives take part
     augmented = augmented | ~carriers[:, None, :]
     agree = ~((augmented != plain[..., None]) & carriers[:, None, :]).any(axis=-1)
@@ -539,7 +588,10 @@ def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets
 def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):
     """Sheet export with the fixed header
     t, u1..u{m-d-1}, s{m-d}..s{m-1}, b1..b{m+n}, wedge_residual, singular,
-    one row per locus sample, t-major."""
+    one row per locus sample (grid parameter and free grid position),
+    t-major, with `\r\n` line endings. Each number is its float repr, so
+    no field needs the quoting of a CSV writer; each column is formatted
+    in one pass and each row joined once."""
     m, d, dim = sheet.fc.m, sheet.d, sheet.fc.dim
     header = (["t"]
               + [f"u{j}" for j in range(1, m - d)]
@@ -553,8 +605,7 @@ def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):
     points = np.stack([sheet.grid_points(u) for u in u_pts], axis=1).reshape(-1, dim)
     table = np.concatenate([np.repeat(ts, n_pos)[:, None], np.tile(u_pts, (n, 1)),
                             solved, points, locus.residuals.reshape(-1, 1)], axis=1)
-    flags = np.where(locus.singular.ravel(), "true", "false").tolist()
+    columns = [list(map(float.__repr__, column)) for column in table.T.tolist()]
+    columns.append(np.where(locus.singular.ravel(), "true", "false").tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([*map(repr, row), flag] for row, flag in zip(table.tolist(), flags))
+        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\r\n")

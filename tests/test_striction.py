@@ -403,8 +403,10 @@ def test_analyze_factorizes_the_sheet_wedges_once_per_segment(tmp_path, monkeypa
     m, dim = result.patch.m, result.patch.dim
     assert len(report["striction"]) == 1
     assert report["striction"][0]["equivalent_condition"]["all_agree"]
-    # the sheet wedges [beta_dot, X_1..X_{m-1}] once, then the augmented ones
-    assert [shape[-2:] for shape in shapes] == [(m, dim), (m + 1, dim)]
+    # the sheet wedges [beta_dot, X_1..X_{m-1}] once; the augmented ones
+    # [Xdot_j, beta_dot, X_1..X_{m-1}] are settled in closed form, so no
+    # augmented stack reaches the SVD
+    assert [shape[-2:] for shape in shapes] == [(m, dim)]
 
 
 # --- directrix invariance --------------------------------------------------------
