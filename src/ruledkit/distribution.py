@@ -21,7 +21,7 @@ from scipy.interpolate import CubicSpline
 from .errors import FrameError, NumericError, PivotError, ValidationError
 from .fields import FrameCombinationField
 from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
-                          _rank_margin, _ratio_margin, project_off_spans, rank2_singular_values,
+                          _rank_margin, _ratio_margin, rank2_singular_values,
                           rank_mask, settled)
 from .parametric import FramedCurve, GridValues, SampleGrid
 
@@ -83,9 +83,9 @@ def _svd_degrees(rho: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.
 
 
 def _degrees(rho: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Numerical rank of each (m-1, dim) rho block and whether a singular
-    value sits within a factor 10 of the rank cutoff: inside the band
-    [0.1, 10] x rank_rel_tol x s1, or, when s1 is below zero_abs_tol,
+    """Numerical rank of each (m-1, c) block of rho coordinates and whether
+    a singular value sits within a factor 10 of the rank cutoff: inside the
+    band [0.1, 10] x rank_rel_tol x s1, or, when s1 is below zero_abs_tol,
     above 0.1 zero_abs_tol.
 
     Blocks of at most two rows read s1 and s2 in closed form
@@ -119,8 +119,11 @@ def _degrees(rho: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndar
 
 def profile_from_values(values: GridValues,
                         tol: TolerancePolicy = DEFAULT_TOLERANCES) -> DegreeProfile:
-    """Degree profile from stacked frame values: one stacked SVD projects
-    the frame derivatives off the ruling span, and `_degrees` ranks them.
+    """Degree profile from stacked frame values: the frame derivatives off
+    the ruling span, rho = (Xdot comp) comp^T on the grid's frame QR
+    (`GridValues.frame_basis`), and their ranks from Xdot comp (`_degrees`).
+    A frame that passes the orthonormality check below has full rank, so
+    comp spans the whole complement.
 
     Raises, at the first offending parameter, a validation error when it
     lies outside the curve interval or the frame values there are not
@@ -144,8 +147,10 @@ def profile_from_values(values: GridValues,
         raise ValidationError(f"frame values are not finite at t={ts[first]}")
     g = x @ x.swapaxes(1, 2)
     dev = np.abs(0.5 * (g + g.swapaxes(1, 2)) - np.eye(fc.m - 1)).max(axis=(1, 2))
-    rho = project_off_spans(x, xdot, tol)
-    degrees, borderline = _degrees(rho, tol)
+    comp = values.frame_basis()[2]
+    coords = xdot @ comp
+    rho = coords @ comp.swapaxes(1, 2)
+    degrees, borderline = _degrees(coords, tol)
     bound = min(fc.m - 1, fc.codim + 1)
     bad_frame = dev > tol.derivative_check_tol
     offenders = np.flatnonzero(bad_frame | (degrees > bound))

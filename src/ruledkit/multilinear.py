@@ -242,11 +242,12 @@ def gram_schmidt_r(stack: np.ndarray) -> np.ndarray:
     return r * np.where(diag == 0, 1.0, np.sign(diag))[..., None]
 
 
-def project_off_spans(basis: np.ndarray, v: np.ndarray,
-                      tol: TolerancePolicy = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Rows of each (..., j, dim) matrix of `v` minus their projection onto
-    the row span of the matching (..., k, dim) matrix of `basis`; the
-    span keeps the right singular vectors that `rank_mask` counts."""
-    _, s, vt = np.linalg.svd(basis, full_matrices=False)
-    q = vt * rank_mask(s, tol)[..., None]
-    return v - (v @ q.swapaxes(-1, -2)) @ q
+def frame_qr(x: np.ndarray):
+    """One complete QR of each frame of an (N, k, dim) stack, k <= dim,
+    X^T = [q | comp] R: the (N, k, k) triangular factors R, the orthonormal
+    bases q (N, dim, k) of the frame span and comp (N, dim, dim-k) of its
+    complement, and the volumes |X_1 ^ ... ^ X_k| = |det R| (N,)."""
+    k = x.shape[1]
+    basis, r = np.linalg.qr(x.swapaxes(1, 2), mode="complete")
+    volume = np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1))
+    return r[:, :k], basis[..., :k], basis[..., k:], volume

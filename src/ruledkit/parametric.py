@@ -24,7 +24,7 @@ from .fields import (BUILTIN_CURVES, ComposedField, ConstantField,
                      FrameCombinationField, HelixCurve, ParameterArray,
                      PolynomialField, VectorField, arclength_reparametrize,
                      stack_fields)
-from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, gram_schmidt_r
+from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, frame_qr, gram_schmidt_r
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,7 +109,10 @@ class GridValues:
     `frame(order)` is the (N, m-1, dim) array of frame derivatives and
     `directrix(order)` the (N, dim) array of directrix derivatives; each
     order is evaluated on first use, one array evaluation per field, and
-    kept. The arrays are shared: callers must not mutate them.
+    kept; so is `frame_basis()`, the frame's one complete QR per parameter
+    (`multilinear.frame_qr`), which every grid stage reads. The arrays
+    are shared, also with the values that `with_directrix` and `restrict`
+    make: callers must not mutate them.
 
     Every field and order is evaluated on one `ParameterArray`, so a
     framed curve composed with a parameter map inverts arclength once
@@ -124,6 +127,7 @@ class GridValues:
         self.ts = params.values
         self._frame: dict[int, np.ndarray] = {}
         self._directrix: dict[int, np.ndarray] = {}
+        self._basis: tuple | None = None
 
     def frame(self, order: int) -> np.ndarray:
         if order not in self._frame:
@@ -135,13 +139,26 @@ class GridValues:
             self._directrix[order] = self.fc.directrix_values(self.parameters, order)
         return self._directrix[order]
 
+    def frame_basis(self) -> tuple:
+        if self._basis is None:
+            self._basis = frame_qr(self.frame(0))
+        return self._basis
+
     def with_directrix(self, fc: FramedCurve) -> "GridValues":
         """The values of `fc`, a framed curve with this one's frame and a
         directrix of its own, on the same parameters: the frame
-        derivatives are shared both ways, so only the directrix is
-        evaluated anew."""
+        derivatives are shared both ways and the frame basis is handed
+        on, so only the directrix is evaluated anew."""
         out = GridValues(fc, self.parameters)
-        out._frame = self._frame
+        out._frame, out._basis = self._frame, self.frame_basis()
+        return out
+
+    def restrict(self, lo: int, hi: int) -> "GridValues":
+        """The values at parameters lo..hi-1, sliced from these."""
+        out = GridValues(self.fc, ParameterArray(self.ts[lo:hi]))
+        out._frame = {order: x[lo:hi] for order, x in self._frame.items()}
+        out._directrix = {order: g[lo:hi] for order, g in self._directrix.items()}
+        out._basis = tuple(a[lo:hi] for a in self.frame_basis())
         return out
 
 

@@ -7,21 +7,20 @@ rulings, and sectional curvature from the Gauss equation.
 
 Grid stages run on stacked arrays over all N x P grid points (t samples
 times ruling samples). The second-form scan works in coordinates adapted
-to the ruled structure: one orthonormal basis of the frame span and its
-complement per t, an (N, P, m, m) stack of reduced Jacobians and an
-(N, P, m, dim-m+1) stack of second-form vectors in complement
-coordinates. Its rank verdicts come from closed forms: the singular
-values for surfaces (m = 2), the Frobenius norm for a normal space of
-dimension 1, and for m >= 3 and a normal space of dimension 2 bounds
-that settle all but the points next to the rank cutoff, which alone go
-through a stacked SVD. Wider normal spaces go through one stacked SVD.
+to the ruled structure: the bases of the frame span and its complement
+from the grid's one frame QR (`GridValues.frame_basis`), an
+(N, P, m, m) stack of reduced Jacobians and an (N, P, m, dim-m+1) stack
+of second-form vectors in complement coordinates. Its rank verdicts come
+from closed forms: the singular values for surfaces (m = 2), the
+Frobenius norm for a normal space of dimension 1, and for m >= 3 and a
+normal space of dimension 2 bounds that settle all but the points next
+to the rank cutoff, which alone go through a stacked SVD. Wider normal spaces go through one stacked SVD.
 The tangent-space stability check reads the same reduced Jacobians, one
 frame factorization per distinct t, and compares two tangent spaces by
-the angle between their normal directions off the frame span. A
-patch computes its frame values, degree profile and
-second-form scan once, on first use; a patch cut from it by `restrict`
-slices them. The single-point functions run the same kernels on a stack
-of one.
+the angle between their normal directions off the frame span. A patch
+computes its frame values and basis, degree profile and second-form
+scan once, on first use; a patch cut from it by `restrict` slices them.
+The single-point functions run the same kernels on a stack of one.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from .distribution import DegreeProfile, profile_from_values
 from .errors import RegularityError, ValidationError
 from .fields import AffineCombinationField
 from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
-                          _rank_margin, gram_schmidt_r, numerical_ranks, pair_wedge_norms,
-                          rank2_ranks, rank_mask, wedge_norms)
+                          _rank_margin, frame_qr, gram_schmidt_r, numerical_ranks,
+                          pair_wedge_norms, rank2_ranks, rank_mask, settled)
 from .parametric import FramedCurve, GridValues, SampleGrid
 
 
@@ -53,7 +52,7 @@ class RuledPatch:
     grid: SampleGrid
     tol: TolerancePolicy = DEFAULT_TOLERANCES
     #: (parent patch, index of this grid's first sample in the parent's)
-    #: for a patch made by `restrict`; its profile and scan are slices
+    #: for a patch made by `restrict`; its values, profile and scan are slices
     origin: tuple["RuledPatch", int] | None = field(default=None, repr=False)
 
     @property
@@ -92,6 +91,8 @@ class RuledPatch:
 
     @cached_property
     def values(self) -> GridValues:
+        if self.origin is not None:
+            return self._slice("values")
         return self.fc.grid_values(self.grid.parameters)
 
     @cached_property
@@ -207,12 +208,12 @@ def _regularity(jac: np.ndarray, r_inv: np.ndarray | None, tol: TolerancePolicy)
     read. For m >= 3 the Frobenius condition number kappa_F
     (`_frobenius_conditions`) brackets the 2-norm one,
     kappa_2 <= kappa_F <= m kappa_2, and |J|_F / sqrt(m) <= s1 <= |J|_F.
-    A point is regular when kappa_F < (1 - delta) / rank_rel_tol and
-    |J|_F >= (1 + delta) sqrt(m) zero_abs_tol, and singular when
-    kappa_F > (1 + delta) m / rank_rel_tol (b = 0 among them) or
-    |J|_F < (1 - delta) zero_abs_tol, delta the rounding margin
-    (`RANK_BOUND_MARGIN`). Only the points in between, near the cutoff,
-    and those whose R is singular, go through the batched SVD.
+    A point is regular when kappa_F settles below 1 / rank_rel_tol and
+    |J|_F above sqrt(m) zero_abs_tol, and singular when kappa_F settles
+    above m / rank_rel_tol (b = 0 among them) or |J|_F below
+    zero_abs_tol (`multilinear.settled`, with the rounding margin
+    `_rank_margin`). Only the points in between, near the cutoff, and
+    those whose R is singular, go through the batched SVD.
     """
     k = jac.shape[-1] - 1
     if k == 1:
@@ -220,38 +221,26 @@ def _regularity(jac: np.ndarray, r_inv: np.ndarray | None, tol: TolerancePolicy)
     norm, kappa_b = _frobenius_conditions(jac, r_inv)
     b = jac[..., 0, k]
     delta, rel, zero = _rank_margin(tol), tol.rank_rel_tol, tol.zero_abs_tol
-    regular = (kappa_b < (1.0 - delta) / rel * b) & (norm >= (1.0 + delta) * np.sqrt(k + 1) * zero)
-    singular = (kappa_b > (1.0 + delta) * (k + 1) / rel * b) | (norm < (1.0 - delta) * zero)
+    ill, ill_ok = settled(kappa_b, b / rel, delta)
+    faint, faint_ok = settled(norm, zero, delta)
+    regular = ill_ok & ~ill & settled(norm, np.sqrt(k + 1) * zero, delta)[0]
+    singular = settled(kappa_b, (k + 1) / rel * b, delta)[0] | (faint_ok & ~faint)
     undecided = ~(regular | singular)
     if undecided.any():
         regular[undecided] = rank_mask(_reduced_singular_values(jac[undecided]), tol).all(axis=-1)
     return regular
 
 
-def _frame_coordinates(x0: np.ndarray, x1: np.ndarray, g1: np.ndarray):
-    """One complete QR of the frame per parameter, X^T = [q | comp] R, and
-    the pieces of sigma_t = g1 + u . Xdot in that basis.
-
-    x0, x1: (N, m-1, dim) frame values and derivatives; g1: (N, dim)
-    directrix derivatives. Returns (r, comp, sigma_q, sigma_c): the
-    (N, m-1, m-1) triangular factors R, in whose columns q the frame rows
-    are R^T; the (N, dim, dim-m+1) orthonormal basis comp of the
-    complement of the frame span; and the pairs (g1 q, Xdot q) and
-    (g1 comp, Xdot comp) of shapes (N, 1, .) and (N, m-1, .), which
-    `_reduced_jacobians` combines at ruling positions u.
+def _frame_coordinates(v: GridValues, rows: slice):
+    """(r, comp, sigma_q, sigma_c) at the parameters `rows` of v: the
+    factors R and complement basis comp of the grid's frame QR
+    X^T = [q | comp] R (`GridValues.frame_basis`), and the pairs
+    (g1 q, Xdot q) and (g1 comp, Xdot comp) of shapes (N, 1, .) and
+    (N, m-1, .) that `_reduced_jacobians` combines into sigma_t = g1 + u . Xdot.
     """
-    r, q, comp = _frame_basis(x0)
-    return r, comp, (g1[:, None] @ q, x1 @ q), (g1[:, None] @ comp, x1 @ comp)
-
-
-def _frame_basis(x0: np.ndarray):
-    """One complete QR of each frame of an (N, m-1, dim) stack,
-    X^T = [q | comp] R: the (N, m-1, m-1) triangular factors R and the
-    orthonormal bases q (N, dim, m-1) of the frame span and comp
-    (N, dim, dim-m+1) of its complement."""
-    k = x0.shape[1]
-    basis, r = np.linalg.qr(x0.swapaxes(1, 2), mode="complete")
-    return r[:, :k], basis[..., :k], basis[..., k:]
+    r, q, comp, _ = (a[rows] for a in v.frame_basis())
+    x1, g1 = v.frame(1)[rows], v.directrix(1)[rows][:, None]
+    return r, comp, (g1 @ q, x1 @ q), (g1 @ comp, x1 @ comp)
 
 
 def _reduced_jacobians(r: np.ndarray, sigma_q, sigma_c, u: np.ndarray):
@@ -287,7 +276,7 @@ def jacobian_regularity(jac: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     reduced Jacobians (`_regularity`): one complete QR of the frame rows
     per point, X^T = [q | comp] R, and sigma_t's coordinates in (q, comp).
     """
-    r, q, comp = _frame_basis(jac[:, 1:])
+    r, q, comp, _ = frame_qr(jac[:, 1:])
     sigma = jac[:, :1]
     return _regularity(_assemble_reduced(r, (sigma @ q)[:, 0], (sigma @ comp)[:, 0]),
                        _inverse_factors(r) if r.shape[-1] > 1 else None, tol)
@@ -299,12 +288,12 @@ def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: Toleran
     coordinates adapted to the ruled structure.
 
     Returns (jac, vecs, regular) of shapes (N, P, m, m),
-    (N, P, m, dim-m+1) and (N, P). The reduced Jacobians come from one
-    complete QR of the frame per parameter (`_frame_coordinates`,
-    `_reduced_jacobians`). The rows of vecs are sigma_tt and Xdot_j in
-    comp coordinates less their component along the unit normal
-    n = c / |c|. All mixed partials d2(sigma)/du_i du_j vanish, so these
-    rows span the image of the second fundamental form; they are
+    (N, P, m, dim-m+1) and (N, P). The reduced Jacobians come from the
+    grid's one complete QR of the frame per parameter
+    (`_frame_coordinates`, `_reduced_jacobians`). The rows of vecs are
+    sigma_tt and Xdot_j in comp coordinates less their component along
+    the unit normal n = c / |c|. All mixed partials d2(sigma)/du_i du_j
+    vanish, so these rows span the image of the second fundamental form; they are
     meaningful only where `regular` holds. The Gauss equation reads only
     inner products of the rows of jac and of vecs, which the change of
     basis keeps.
@@ -315,8 +304,7 @@ def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: Toleran
     only down to about sqrt(eps) s1 = 1.5e-8 s1, coarser than the
     `rank_rel_tol` cutoff of 1e-8 that decides.
     """
-    r, comp, sigma_q, sigma_c = _frame_coordinates(v.frame(0)[rows], v.frame(1)[rows],
-                                                   v.directrix(1)[rows])
+    r, comp, sigma_q, sigma_c = _frame_coordinates(v, rows)
     jac, c = _reduced_jacobians(r, sigma_q, sigma_c, u)
     # surfaces take their singular values in closed form and need no R^-1
     regular = _regularity(jac, _inverse_factors(r)[:, None] if r.shape[-1] > 1 else None, tol)
@@ -442,22 +430,18 @@ def rank_one_check(p: RuledPatch) -> RankOneResult:
     """Developability test: every frame derivative must be wedged away by
     the tangent configuration, and no sampled point may be planar.
 
-    When the wedge would involve more vectors than the ambient dimension
-    it vanishes identically and only the planar scan decides. The wedge
-    norms of all samples and frame derivatives come from one stacked SVD;
-    the planar points come from the patch's second-form scan.
+    The residual at t is max_j |Xdot_j ^ gamma' ^ X_1 ^ ... ^ X_{m-1}| =
+    |det R| max_j |(Xdot_j comp) ^ (gamma' comp)| on the grid's frame QR
+    X^T = [q | comp] R (`GridValues.frame_basis`), within
+    `striction.WEDGE_SLACK_PER_VECTOR` k eps |A|_F^k of the SVD's wedge
+    norm of those k = m + 1 vectors A; it is 0 where k exceeds the ambient
+    dimension (comp has one column). The planar points come from the
+    patch's second-form scan.
     """
-    fc, ts = p.fc, p.grid.t_samples
-    if fc.m + 1 > fc.dim:
-        residuals = np.zeros(ts.size)
-    else:
-        x0, x1, g1 = p.values.frame(0), p.values.frame(1), p.values.directrix(1)
-        n, k, dim = x0.shape
-        wedges = np.empty((n, k, k + 2, dim))  # [Xdot_j, gamma', X_1..X_{m-1}] per (t, j)
-        wedges[:, :, 0] = x1
-        wedges[:, :, 1] = g1[:, None]
-        wedges[:, :, 2:] = x0[:, None]
-        residuals = wedge_norms(wedges).max(axis=1)
+    v, ts = p.values, p.grid.t_samples
+    _, _, comp, volume = v.frame_basis()
+    residuals = volume * pair_wedge_norms(v.frame(1) @ comp,
+                                          v.directrix(1)[:, None] @ comp).max(axis=1)
     worst = float(residuals.max())
     planar = p.scan.planar()
     verdict = worst < p.tol.zero_abs_tol and not planar
@@ -477,7 +461,7 @@ def _pair_jacobians(p: RuledPatch, t: np.ndarray, u_pairs: np.ndarray):
     """
     ts, row = np.unique(t, return_inverse=True)
     v = p.fc.grid_values(ts)
-    r, _, sigma_q, sigma_c = _frame_coordinates(v.frame(0), v.frame(1), v.directrix(1))
+    r, _, sigma_q, sigma_c = _frame_coordinates(v, slice(None))
     jac, c = _reduced_jacobians(r[row], [x[row] for x in sigma_q],
                                 [x[row] for x in sigma_c], u_pairs)
     return jac, c, _inverse_factors(r)[row, None]
@@ -503,13 +487,13 @@ def _span_verdicts(jac: np.ndarray, c: np.ndarray, r_inv: np.ndarray, tol: Toler
     (the squared residuals of an orthonormal basis sum to sin^2 theta),
     and its subspaces are exact for Jacobians within a few eps |J| of the
     input, so they move by about eps kappa_2 <= eps kappa_F (Wedin).
-    A pair is the same when sin theta (1 + delta) + slack < zero_abs_tol
-    and differs when sin theta (1 - delta) / sqrt(m) - slack > zero_abs_tol,
-    with slack = `SPAN_SLACK_PER_DIM` m eps kappa_F (the larger kappa_F of
-    the two points), generous against the few-eps factors of LAPACK's
-    and the minors' rounding. delta = `RANK_BOUND_MARGIN` covers the
-    relative rounding of sin theta itself, a few eps. The pairs in
-    between are `undecided`.
+    A pair is the same when sin theta settles below zero_abs_tol and
+    differs when sin theta / sqrt(m) settles above it (`settled`), with
+    the absolute slack `SPAN_SLACK_PER_DIM` m eps kappa_F (the larger
+    kappa_F of the two points), generous against the few-eps factors of
+    LAPACK's and the minors' rounding, and the relative margin
+    `RANK_BOUND_MARGIN` for the rounding of sin theta itself, a few eps.
+    The pairs in between are `undecided`.
     """
     m = jac.shape[-1]
     regular = _regularity(jac, r_inv, tol)
@@ -519,10 +503,9 @@ def _span_verdicts(jac: np.ndarray, c: np.ndarray, r_inv: np.ndarray, tol: Toler
     lengths = b[:, 0] * b[:, 1]
     sin = pair_wedge_norms(c[:, 0], c[:, 1]) / np.where(lengths > 0.0, lengths, 1.0)
     slack = SPAN_SLACK_PER_DIM * m * np.finfo(float).eps * kappa
-    delta, zero = RANK_BOUND_MARGIN, tol.zero_abs_tol
-    same = sin * (1.0 + delta) + slack < zero
-    differ = sin * (1.0 - delta) / np.sqrt(m) - slack > zero
-    return regular, differ, regular.all(axis=1) & ~(same | differ)
+    moved, decided = settled(sin, tol.zero_abs_tol, RANK_BOUND_MARGIN, slack)
+    differ, _ = settled(sin / np.sqrt(m), tol.zero_abs_tol, RANK_BOUND_MARGIN, slack)
+    return regular, differ, regular.all(axis=1) & ~((decided & ~moved) | differ)
 
 
 def _svd_span_residuals(p: RuledPatch, t: np.ndarray, u_pairs: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from .classify import (CONICAL, CYLINDRICAL, NON_RANK_ONE, TANGENT,
                        SegmentAnalysis, classify_patch, converse_check,
                        segment_analyses)
 from .errors import RuledKitError
-from .multilinear import RANK_BOUND_MARGIN, TolerancePolicy
+from .multilinear import RANK_BOUND_MARGIN, TolerancePolicy, settled
 from .oracles import max_derivative_error
 from .parametric import SampleGrid, make_builtin_patch
 from .ruledgeom import (RuledPatch, _frobenius_conditions,
@@ -107,26 +107,25 @@ def _pair_condition_verdicts(jac: np.ndarray, r_inv: np.ndarray):
     (`ruledgeom._pair_jacobians`).
 
     For m = 2 the rule reads the closed-form singular values
-    (`_reduced_singular_values`). For m >= 3 it reads the Frobenius
-    condition number, kappa_2 <= kappa_F <= m kappa_2
-    (`_frobenius_conditions`): a point is kept when
-    kappa_F < (1 - delta) limit and dropped when
-    kappa_F > (1 + delta) m limit. delta = `RANK_BOUND_MARGIN` covers the
-    rounding of the closed forms and of LAPACK's s_m / s1, a few
-    eps kappa_2 relative, below 1e-12 at the limit. The points in between
-    are `undecided`.
+    (`_reduced_singular_values`): a point is kept when s_m limit settles
+    above s1. For m >= 3 it reads the Frobenius condition number,
+    kappa_2 <= kappa_F <= m kappa_2 (`_frobenius_conditions`): a point is
+    kept when kappa_F settles below limit and dropped when it settles
+    above m limit (`multilinear.settled`). The margin
+    delta = `RANK_BOUND_MARGIN` covers the rounding of the closed forms
+    and of LAPACK's s_m / s1, a few eps kappa_2 relative, below 1e-12 at
+    the limit. The points in between are `undecided`.
     """
     delta, limit = RANK_BOUND_MARGIN, PAIR_CONDITION_LIMIT
     if jac.shape[-1] == 2:
         s = _reduced_singular_values(jac)
-        kept = s[..., 1] * limit > (1.0 + delta) * s[..., 0]
-        dropped = s[..., 1] * limit < (1.0 - delta) * s[..., 0]
-    else:
-        _, kappa_b = _frobenius_conditions(jac, r_inv)
-        b = jac[..., 0, -1]
-        kept = kappa_b < (1.0 - delta) * limit * b
-        dropped = kappa_b > (1.0 + delta) * jac.shape[-1] * limit * b
-    return kept, ~(kept | dropped)
+        kept, decided = settled(s[..., 1] * limit, s[..., 0], delta)
+        return kept, ~decided
+    _, kappa_b = _frobenius_conditions(jac, r_inv)
+    b = jac[..., 0, -1]
+    over, over_ok = settled(kappa_b, limit * b, delta)
+    kept = over_ok & ~over
+    return kept, ~(kept | settled(kappa_b, jac.shape[-1] * limit * b, delta)[0])
 
 
 def _regular_pairs(p: RuledPatch, t, candidates: np.ndarray) -> np.ndarray:

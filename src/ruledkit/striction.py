@@ -9,12 +9,12 @@ solves the sheet for all ruling positions at once. All singular points of
 the patch sit on this sheet, which the locus scan verifies sample-wise.
 
 The grid stages run on stacked arrays, once per patch: the systems of all
-samples are assembled, checked and Cholesky-solved as (N, d, d) stacks,
-and the sheet wedge test of the locus scan forms one stacked SVD, whose
-residuals the CSV records and whose verdicts the equivalent-condition
-check reads beside its augmented wedges. Those, the sheet Jacobian ranks
-and the off-sheet regularity are verdicts only, read from closed forms;
-the SVD settles just the ones within a rounding margin of a cutoff.
+samples are assembled, checked and Cholesky-solved as (N, d, d) stacks.
+The sheet wedges of the locus scan (the CSV's residuals) and the
+augmented wedges of the equivalent-condition check are closed forms on
+the grid's one frame QR (`GridValues.frame_basis`). Those verdicts, the
+sheet Jacobian ranks and the off-sheet regularity read closed forms; the
+SVD settles just the ones within a rounding margin of a cutoff.
 Only samples whose system sits near the eigenvalue floor fall back to a
 per-sample pivoted QR solve. The stage results stay arrays until a
 report or file converts them, once, with `tolist()`.
@@ -42,11 +42,10 @@ from scipy.optimize import least_squares
 from .distribution import profile_from_values, rho_at
 from .errors import DegeneracyError, NumericError, ValidationError
 from .fields import as_parameter_array
-from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
-                          numerical_ranks, pair_wedge_norms, rank2_ranks, settled,
-                          wedge_norms)
+from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy, frame_qr,
+                          numerical_ranks, pair_wedge_norms, rank2_ranks, settled, wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid
-from .ruledgeom import RuledPatch, _frame_basis, jacobian_regularity, jacobians_at
+from .ruledgeom import RuledPatch, jacobian_regularity, jacobians_at
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,20 +329,14 @@ class OffsheetCheck:
         return self.total - len(self.failures)
 
 
-def _sheet_wedges(sheet: StrictionSheet) -> np.ndarray:
-    """(N, P, m, dim) stack of [beta_dot, X_1, ..., X_{m-1}] at every grid
-    parameter and free grid position."""
-    beta_dot = sheet.grid_partials[:, :, 0]
-    wedges = np.empty(beta_dot.shape[:2] + (sheet.fc.m, sheet.fc.dim))
-    wedges[:, :, 0] = beta_dot
-    wedges[:, :, 1:] = sheet.values.frame(0)[:, None]
-    return wedges
-
-
 def singular_locus(p: RuledPatch, sheet: StrictionSheet) -> SingularLocus:
     """Wedge test along the sheet: a sheet sample is singular when the
-    t-derivative of the sheet map is wedged to zero by the frame."""
-    residuals = wedge_norms(_sheet_wedges(sheet))
+    t-derivative of the sheet map is wedged to zero by the frame. The
+    residual |beta_dot ^ X_1 ^ ... ^ X_{m-1}| = |det R| |beta_dot comp| on
+    the grid's frame QR (`GridValues.frame_basis`) is within
+    `WEDGE_SLACK_PER_VECTOR` k eps |A|_F^k of the SVD's for those k = m vectors A."""
+    _, _, comp, volume = sheet.values.frame_basis()
+    residuals = volume[:, None] * np.linalg.norm(sheet.grid_partials[:, :, 0] @ comp, axis=-1)
     return SingularLocus(t=p.grid.t_samples, u_free=p.grid.u_points(sheet.free_count),
                          residuals=residuals, singular=residuals < p.tol.zero_abs_tol)
 
@@ -380,21 +373,23 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
 
 
 #: c / k for the slack c k eps |A|_F^k that covers the rounding of a wedge
-#: norm of k vectors in `_augmented_vanish`
+#: norm of k vectors in closed form: `_augmented_vanish`, `singular_locus`
+#: and `ruledgeom.rank_one_check`
 WEDGE_SLACK_PER_VECTOR = 64.0
 
 
 def _augmented_vanish(x0: np.ndarray, x1: np.ndarray, beta_dot: np.ndarray,
-                      tol: TolerancePolicy) -> np.ndarray:
+                      tol: TolerancePolicy, basis: tuple | None = None) -> np.ndarray:
     """Whether each augmented wedge |Xdot_j ^ beta_dot ^ X_1 ^ ... ^ X_{m-1}|
     is below zero_abs_tol, (N, P, m-1): the verdict of `wedge_norms`. x0
     and x1 are (N, m-1, dim) frame values and derivatives at N parameters,
-    beta_dot (N, P, dim) the sheet's t-partials at P free positions each.
+    beta_dot (N, P, dim) the sheet's t-partials at P free positions each;
+    `basis` is x0's `multilinear.frame_qr`, made here unless given.
 
-    One complete QR of the frame per t, X^T = [q | comp] R
-    (`ruledgeom._frame_basis`), turns the wedge into |det R| |a_j ^ b|
-    with the complement coordinates a_j = Xdot_j comp and b = beta_dot comp,
-    and |a_j ^ b| is the norm of their 2 x 2 minors (`pair_wedge_norms`).
+    The complete QR of the frame per t, X^T = [q | comp] R, turns the
+    wedge into |det R| |a_j ^ b| with the complement coordinates
+    a_j = Xdot_j comp and b = beta_dot comp, and |a_j ^ b| is the norm of
+    their 2 x 2 minors (`pair_wedge_norms`).
     The SVD's singular values are exact for a stack A of k = m + 1 vectors
     within a few eps |A| of it, so their product moves by at most about
     k eps |A|^k <= k eps |A|_F^k. For a frame orthonormal to the ingest
@@ -404,8 +399,7 @@ def _augmented_vanish(x0: np.ndarray, x1: np.ndarray, beta_dot: np.ndarray,
     `WEDGE_SLACK_PER_VECTOR` k eps |A|_F^k; the rest go through
     `wedge_norms`.
     """
-    r, _, comp = _frame_basis(x0)
-    volume = np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1))
+    _, _, comp, volume = frame_qr(x0) if basis is None else basis
     wedges = volume[:, None, None] * pair_wedge_norms((x1 @ comp)[:, None],
                                                       (beta_dot @ comp)[:, :, None])
     k = x0.shape[1] + 2
@@ -459,8 +453,9 @@ def equivalent_condition_check(p: RuledPatch, sheet: StrictionSheet,
         # dimension, hence vanishes identically
         augmented = np.ones(plain.shape + (fc.m - 1,), dtype=bool)
     else:
-        augmented = _augmented_vanish(p.values.frame(0), p.values.frame(1),
-                                      sheet.grid_partials[:, :, 0], tol)  # (N, P, m-1)
+        v = p.values
+        augmented = _augmented_vanish(v.frame(0), v.frame(1), sheet.grid_partials[:, :, 0],
+                                      tol, v.frame_basis())  # (N, P, m-1)
     # only the carrying frame derivatives take part
     augmented = augmented | ~carriers[:, None, :]
     agree = ~((augmented != plain[..., None]) & carriers[:, None, :]).any(axis=-1)

@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frame_oracles import project_off_spans
 from ruledkit import TolerancePolicy, ValidationError
-from ruledkit.multilinear import (as_vector_list, gram_schmidt_r, numerical_rank,
-                                  project_off_spans, wedge_norm)
+from ruledkit.multilinear import as_vector_list, gram_schmidt_r, numerical_rank, wedge_norm
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 
 
 def project(v, basis):
-    """`project_off_spans` on a stack of one: v (dim,) off the span of the
-    rows of basis (k, dim), k = 0 included."""
+    """`project_off_spans`, the SVD oracle of the degree profile's
+    projection, on a stack of one: v (dim,) off the span of the rows of
+    basis (k, dim), k = 0 included."""
     v = np.asarray(v, dtype=float)
     basis = np.asarray(basis, dtype=float).reshape(1, len(basis), v.size)
     return project_off_spans(basis, v[None, None])[0, 0]

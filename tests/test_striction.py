@@ -11,6 +11,7 @@ from ruledkit import (DegeneracyError, RuledPatch, SampleGrid, ValidationError,
                       offsheet_check, pivot_frame, rho_at, singular_locus,
                       solve_striction)
 from conftest import fail_invariance_resolve, small_patch
+from frame_oracles import sheet_wedges, wedge_slack
 from ruledkit import striction
 from ruledkit.analysis import DEFAULT_INVARIANCE_SCALES, analyze
 from ruledkit.classify import segment_analyses
@@ -284,15 +285,17 @@ def test_equivalent_condition_agrees_everywhere(td_sheet, cone_sheet, helicoid_p
 
 def _locus_entries(p, sheet):
     """(t, u_free, wedge residual, singular) of every sheet sample, t-major,
-    one wedge norm at a time."""
-    wedges = striction._sheet_wedges(sheet)
+    one SVD wedge norm at a time, and the rounding slack of each residual
+    (`frame_oracles.wedge_slack`)."""
+    wedges = sheet_wedges(sheet)
     u_pts = p.grid.u_points(sheet.free_count)
-    entries = []
+    entries, slack = [], []
     for i, t in enumerate(p.grid.t_samples):
         for j, u_free in enumerate(u_pts):
             res = wedge_norm(wedges[i, j])
             entries.append((float(t), u_free.tolist(), res, res < p.tol.zero_abs_tol))
-    return entries
+            slack.append(float(wedge_slack(wedges[i, j])))
+    return entries, slack
 
 
 def _equivalent_rows(p, sheet, entries):
@@ -301,7 +304,7 @@ def _equivalent_rows(p, sheet, entries):
     with a carrying frame derivative, one wedge norm at a time; the plain
     verdicts are those of the locus `entries`."""
     tol = p.tol
-    wedges = striction._sheet_wedges(sheet)
+    wedges = sheet_wedges(sheet)
     xdot = p.values.frame(1)
     n_pos = wedges.shape[1]
     rows, skipped = [], []
@@ -358,11 +361,13 @@ def two_rotation_sheet(two_rotation_patch):
 def test_array_stages_equal_their_per_sample_definitions(sheet_fixture, request, tmp_path):
     p, sheet = request.getfixturevalue(sheet_fixture)
     locus = singular_locus(p, sheet)
-    entries = _locus_entries(p, sheet)
+    entries, slack = _locus_entries(p, sheet)
     n, n_pos = locus.residuals.shape
     assert (n, n_pos) == (p.grid.t_samples.size, p.grid.u_points(sheet.free_count).shape[0])
     assert list(zip(np.repeat(locus.t, n_pos).tolist(), np.tile(locus.u_free, (n, 1)).tolist(),
-                    locus.residuals.ravel().tolist(), locus.singular.ravel().tolist())) == entries
+                    locus.singular.ravel().tolist())) == [(t, u, s) for t, u, _, s in entries]
+    # the closed-form residuals are the SVD's wedge norms to within their slack
+    assert (np.abs(locus.residuals.ravel() - [e[2] for e in entries]) <= slack).all()
     assert locus.singular_fraction == sum(e[3] for e in entries) / len(entries)
 
     # the check reads its plain verdicts from the locus; flipping them
@@ -382,7 +387,9 @@ def test_array_stages_equal_their_per_sample_definitions(sheet_fixture, request,
         assert all_agree is (loc is locus)
 
     write_striction_csv(sheet, locus, tmp_path / "stacked.csv")
-    _write_csv_per_row(sheet, entries, tmp_path / "per_row.csv")
+    written = [e[:2] + (float(locus.residuals[i // n_pos, i % n_pos]),) + e[3:]
+               for i, e in enumerate(entries)]
+    _write_csv_per_row(sheet, written, tmp_path / "per_row.csv")
     stacked = (tmp_path / "stacked.csv").read_bytes()
     assert stacked == (tmp_path / "per_row.csv").read_bytes()
     assert stacked.count(b"\n") == 1 + n * n_pos
@@ -403,10 +410,10 @@ def test_analyze_factorizes_the_sheet_wedges_once_per_segment(tmp_path, monkeypa
     m, dim = result.patch.m, result.patch.dim
     assert len(report["striction"]) == 1
     assert report["striction"][0]["equivalent_condition"]["all_agree"]
-    # the sheet wedges [beta_dot, X_1..X_{m-1}] once; the augmented ones
-    # [Xdot_j, beta_dot, X_1..X_{m-1}] are settled in closed form, so no
-    # augmented stack reaches the SVD
-    assert [shape[-2:] for shape in shapes] == [(m, dim)]
+    # the sheet wedges [beta_dot, X_1..X_{m-1}] and the augmented ones
+    # [Xdot_j, beta_dot, X_1..X_{m-1}] are read in closed form from the
+    # grid's frame QR, so no stack reaches the SVD
+    assert m + 1 <= dim and shapes == []
 
 
 # --- directrix invariance --------------------------------------------------------
@@ -440,6 +447,7 @@ def test_shifted_patch_shares_frame_values_and_profile(product_patch):
     shifted = p.shift_directrix(c)
     assert shifted.grid is p.grid and shifted.profile is p.profile
     assert shifted.values.parameters is p.grid.parameters
+    assert shifted.values.frame_basis() is p.values.frame_basis()
     for order in range(3):
         assert shifted.values.frame(order) is p.values.frame(order)
         want = p.values.directrix(order) + c @ p.values.frame(order)
