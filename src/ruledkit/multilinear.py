@@ -91,8 +91,9 @@ def wedge_norm(vectors: Sequence, dim: int | None = None) -> float:
 
     Equals sqrt(det(V V^T)) for the matrix V of the vectors as rows,
     computed as the product of singular values for numerical stability.
-    Zero exactly when the vectors are linearly dependent. The empty
-    wedge has norm 1.
+    For k linearly dependent vectors it is zero up to rounding, at most
+    about k eps |V|_F^k (`striction.WEDGE_SLACK_PER_VECTOR` bounds the
+    constant), not exactly zero. The empty wedge has norm 1.
     """
     mat = as_vector_list(vectors, dim)
     if mat.shape[0] > mat.shape[1]:

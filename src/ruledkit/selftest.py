@@ -246,21 +246,20 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
     def c2():
         sqrt2 = math.sqrt(2.0)
         sheet = whole("circular_cone").sheet
-        ts = sheet.grid.t_samples
-        u_err = float(np.abs(sheet.solved(ts)[:, 0] + sqrt2).max())
-        apex_err = float(np.linalg.norm(sheet.beta(ts), axis=1).max())
+        u_err = float(np.abs(sheet.grid_solved()[:, 0] + sqrt2).max())
+        apex_err = float(np.linalg.norm(sheet.grid_points(()), axis=1).max())
         record(2, "cone solved coordinate -sqrt(2)", u_err < 1e-8, f"max err {u_err:.2e}")
         record(2, "cone apex at origin", apex_err < 1e-6, f"max |beta| {apex_err:.2e}")
 
         sheet = whole("helicoid_frame").sheet
-        axis_err = float(np.linalg.norm(sheet.beta(sheet.grid.t_samples)[:, :2], axis=1).max())
+        axis_err = float(np.linalg.norm(sheet.grid_points(())[:, :2], axis=1).max())
         record(2, "helicoid striction line is the axis", axis_err < 1e-8,
                f"max off-axis {axis_err:.2e}")
 
         sheet = whole("tangent_developable_helix").sheet
         ts = sheet.grid.t_samples
-        u_err = float(np.abs(sheet.solved(ts)[:, 0]).max())
-        curve_err = float(np.linalg.norm(sheet.beta(ts) - sheet.fc.directrix.eval(ts, 0),
+        u_err = float(np.abs(sheet.grid_solved()[:, 0]).max())
+        curve_err = float(np.linalg.norm(sheet.grid_points(()) - sheet.fc.directrix.eval(ts, 0),
                                          axis=1).max())
         record(2, "tangent developable sheet is the directrix",
                u_err < 1e-8 and curve_err < 1e-6,

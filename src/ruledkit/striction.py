@@ -9,15 +9,17 @@ solves the sheet for all ruling positions at once. All singular points of
 the patch sit on this sheet, which the locus scan verifies sample-wise.
 
 The grid stages run on stacked arrays, once per patch: the systems of all
-samples are assembled, checked and Cholesky-solved as (N, d, d) stacks.
+samples are assembled, checked and Cholesky-solved as (N, d, d) stacks,
+and the sheet is the solved nodes plus their exact t-derivatives, by
+implicit differentiation of the system. Every grid stage reads the nodes
+and tangents; only a reader at some other t interpolates between them.
 The sheet wedges of the locus scan (the CSV's residuals) and the
 augmented wedges of the equivalent-condition check are closed forms on
 the grid's one frame QR (`GridValues.frame_basis`). Those verdicts, the
 sheet Jacobian ranks and the off-sheet regularity read closed forms; the
 SVD settles just the ones within a rounding margin of a cutoff.
-Only samples whose system sits near the eigenvalue floor fall back to a
-per-sample pivoted QR solve. The stage results stay arrays until a
-report or file converts them, once, with `tolist()`.
+The stage results stay arrays until a report or file converts them,
+once, with `tolist()`.
 
 The directrix-invariance check re-solves the sheet of each shifted
 directrix on the patch's own grid, since the solved coordinates do not
@@ -35,8 +37,7 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import qr, solve_triangular
+from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import least_squares
 
 from .distribution import profile_from_values, rho_at
@@ -70,7 +71,8 @@ def _check_degree(fc: FramedCurve, d: int):
 
 def _assemble(values: GridValues, rho: np.ndarray, d: int, tol: TolerancePolicy):
     """Striction systems at every parameter of `values`, as (N, d, d) and
-    (N, d, m-d) stacks; raises at the first degenerate one.
+    (N, d, m-d) stacks, with the smallest eigenvalue of each matrix (N,);
+    raises at the first degenerate one.
 
     Entry (h, c) of A pairs the derivative of trailing field c with the
     projected derivative of trailing field h; the affine right-hand side
@@ -90,7 +92,7 @@ def _assemble(values: GridValues, rho: np.ndarray, d: int, tol: TolerancePolicy)
         raise DegeneracyError(
             f"striction system degenerate at t={values.ts[i]}: "
             f"smallest eigenvalue {eigmin[i]:.3e}")
-    return a, b
+    return a, b, eigmin
 
 
 def striction_systems(p: RuledPatch, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +100,7 @@ def striction_systems(p: RuledPatch, d: int) -> tuple[np.ndarray, np.ndarray]:
     as (N, d, d) matrices and (N, d, m-d) affine right-hand sides, from
     its cached frame values and degree profile."""
     _check_degree(p.fc, d)
-    return _assemble(p.values, p.profile.rho, d, p.tol)
+    return _assemble(p.values, p.profile.rho, d, p.tol)[:2]
 
 
 def assemble_system(fc: FramedCurve, t: float, d: int,
@@ -106,36 +108,65 @@ def assemble_system(fc: FramedCurve, t: float, d: int,
     """Build the striction system at t from the pivoted frame."""
     _check_degree(fc, d)
     values = fc.grid_values(np.array([float(t)]))
-    a, b = _assemble(values, profile_from_values(values, tol).rho, d, tol)
+    a, b, _ = _assemble(values, profile_from_values(values, tol).rho, d, tol)
     return StrictionSystem(t=float(t), A=a[0], b_affine=b[0])
 
 
 @dataclass(eq=False)
 class StrictionSheet:
-    """Solved sheet coordinates over the grid, interpolated in t.
+    """The solve of the striction system on the grid of `values`.
 
     The solved trailing coordinates are affine in the free ruling
-    coordinates with t-dependent weights, so a single vector spline per
-    t-node captures the whole sheet exactly up to interpolation in t.
-    The grid stages (`values`, `grid_partials`) are computed on first
-    use and kept; a sheet from `solve_striction` shares the frame values
-    it was solved from.
+    coordinates with t-dependent weights, so one (d, m-d) matrix per grid
+    node holds the whole sheet there. The grid readers (`grid_solved`,
+    `grid_points`, `grid_partials`) read these nodes, their exact
+    t-derivatives (`solution_tangents`) and the grid values; the readers
+    at any t (`solved`, `beta`, `beta_partials`) read the cubic Hermite
+    interpolant of the nodes and tangents, built on the first such read.
     """
 
     d: int
-    fc: FramedCurve
     grid: SampleGrid
+    values: GridValues
     solution_nodes: np.ndarray       # (N, d, m-d)
-    max_solve_residual: float
     max_defining_residual: float
     fallback_ts: list = field(default_factory=list)
 
-    def __post_init__(self):
-        self._spline = CubicSpline(self.grid.t_samples, self.solution_nodes, axis=0)
+    @property
+    def fc(self) -> FramedCurve:
+        return self.values.fc
 
     @property
     def free_count(self) -> int:
         return self.fc.m - 1 - self.d
+
+    @cached_property
+    def solution_tangents(self) -> np.ndarray:
+        """(N, d, m-d) t-derivatives of `solution_nodes` at fixed free
+        coordinates, from the derivative of the system A N = B:
+        A Ndot = Bdot - Adot N = -(rhodot_tail E1^T + rho_tail E2^T), the
+        rows of E1 and E2 being sigma_t and sigma_tt on the sheet at each
+        affine basis vector (1, u_free). On the grid's frame QR X^T = q R
+        with complement comp, rho = Xdot P for P = comp comp^T and
+        rhodot = Xddot P - Xdot Pidot, where Pidot = P Xdot^T R^-1 q^T plus
+        its transpose is the derivative of the span's projector q q^T."""
+        v, lo = self.values, self.free_count
+        r, q, comp, _ = v.frame_basis()
+        x1, x2 = v.frame(1), v.frame(2)
+        proj = comp @ comp.swapaxes(1, 2)
+        half = proj @ x1.swapaxes(1, 2) @ np.linalg.solve(r, q.swapaxes(1, 2))
+        rho = (x1 @ proj)[:, lo:]
+        rho_dot = (x2 @ proj - x1 @ (half + half.swapaxes(1, 2)))[:, lo:]
+        nodes = self.solution_nodes.swapaxes(1, 2)  # (N, 1 + lo, d)
+        e1 = np.concatenate([v.directrix(1)[:, None], x1[:, :lo]], axis=1) + nodes @ x1[:, lo:]
+        e2 = np.concatenate([v.directrix(2)[:, None], x2[:, :lo]], axis=1) + nodes @ x2[:, lo:]
+        a = rho @ x1[:, lo:].swapaxes(1, 2)
+        return -np.linalg.solve(a, rho_dot @ e1.swapaxes(1, 2) + rho @ e2.swapaxes(1, 2))
+
+    @cached_property
+    def _interpolant(self) -> CubicHermiteSpline:
+        return CubicHermiteSpline(self.grid.t_samples, self.solution_nodes,
+                                  self.solution_tangents)
 
     def _affine(self, u_free) -> np.ndarray:
         """(1, u_free) for one free position (free,), or one row per
@@ -148,58 +179,57 @@ class StrictionSheet:
                 f"expected {self.free_count} free coordinates, got {u_free.shape}")
         return np.concatenate([np.ones(u_free.shape[:-1] + (1,)), u_free], axis=-1)
 
-    def full_u(self, t, u_free=()) -> np.ndarray:
-        """All ruling coordinates of the sheet at (t, u_free), free ones
-        first: (m-1,) for a scalar t, (N, m-1) for an array of N
-        parameters, with u_free one free position (free,) or one per
-        parameter (N, free)."""
+    def _full_u(self, coeff: np.ndarray, u_free) -> np.ndarray:
+        """All ruling coordinates of the sheet, free ones first, from the
+        solved coefficients `coeff` at one parameter (d, m-d) or N (N, d, m-d)
+        and u_free one free position (free,) or one per parameter (N, free)."""
         affine = self._affine(u_free)
-        solved = (self._spline(t) @ affine[..., None])[..., 0]
+        solved = (coeff @ affine[..., None])[..., 0]
         if affine.ndim < solved.ndim:  # one free position for every parameter
             affine = np.broadcast_to(affine, solved.shape[:-1] + affine.shape)
         return np.concatenate([affine[..., 1:], solved], axis=-1)
 
     def solved(self, t, u_free=()) -> np.ndarray:
-        """Trailing (solved) ruling coordinates of the sheet at (t, u_free),
-        shaped as in `full_u`."""
-        return self.full_u(t, u_free)[..., self.free_count:]
+        """Trailing (solved) ruling coordinates of the sheet at (t, u_free):
+        (d,) for a scalar t, (N, d) for an array (u_free as in `_full_u`)."""
+        return self._full_u(self._interpolant(t), u_free)[..., self.free_count:]
 
-    @cached_property
-    def values(self) -> GridValues:
-        """Frame and directrix derivatives on the sheet's grid."""
-        return self.fc.grid_values(self.grid.parameters)
+    def grid_solved(self, u_free=()) -> np.ndarray:
+        """`solved` at every grid parameter, from the nodes."""
+        return self._full_u(self.solution_nodes, u_free)[..., self.free_count:]
 
-    def _points(self, t, x0: np.ndarray, g0: np.ndarray, u_free) -> np.ndarray:
-        """Sheet points at t (u_free as in `full_u`) from the frame values
-        x0 and directrix values g0 at t."""
-        u = self.full_u(t, u_free)
+    def _points(self, coeff: np.ndarray, x0: np.ndarray, g0: np.ndarray, u_free) -> np.ndarray:
+        """Sheet points from the solved coefficients, frame values x0 and
+        directrix values g0 at the same parameters."""
+        u = self._full_u(coeff, u_free)
         return g0 + (u[..., None, :] @ x0)[..., 0, :]
 
     def beta(self, t, u_free=()) -> np.ndarray:
         """Point of the sheet in ambient coordinates: (dim,) for a scalar t,
-        (N, dim) for an array (u_free as in `full_u`)."""
+        (N, dim) for an array (u_free as in `_full_u`)."""
         # the frame and the directrix share one inversion of any parameter map
         at = as_parameter_array(t)
-        return self._points(t, self.fc.frame_values(at), self.fc.directrix_values(at, 0), u_free)
+        return self._points(self._interpolant(t), self.fc.frame_values(at),
+                            self.fc.directrix_values(at, 0), u_free)
 
     def grid_points(self, u_free) -> np.ndarray:
-        """`beta` at every grid parameter, (N, dim), from the grid values;
-        u_free is one free position or one per grid parameter."""
+        """`beta` at every grid parameter, (N, dim), from the nodes."""
         v = self.values
-        return self._points(self.grid.t_samples, v.frame(0), v.directrix(0), u_free)
+        return self._points(self.solution_nodes, v.frame(0), v.directrix(0), u_free)
 
-    def _partials(self, values: GridValues, u_free: np.ndarray) -> np.ndarray:
+    def _partials(self, values: GridValues, u_free: np.ndarray, coeff: np.ndarray,
+                  coeff_dot: np.ndarray) -> np.ndarray:
         """(N, P, m-d, dim) sheet Jacobians at the N parameters of `values`
-        times P free positions: the t-partial at fixed free coordinates,
-        then the free partials. u_free: (P, m-1-d) positions shared by
-        every parameter, or (N, P, m-1-d) positions of their own."""
+        times P free positions, from the solved coefficients there and their
+        t-derivatives: the t-partial at fixed free coordinates, then the free
+        partials. u_free: (P, m-1-d) positions shared by every parameter, or
+        (N, P, m-1-d) positions of their own."""
         lo = self.free_count
-        ts, x0, x1, g1 = values.ts, values.frame(0), values.frame(1), values.directrix(1)
+        x0, x1, g1 = values.frame(0), values.frame(1), values.directrix(1)
         affine = np.concatenate([np.ones(u_free.shape[:-1] + (1,)), u_free], axis=-1)
-        coeff = self._spline(ts)
-        s = affine @ coeff.swapaxes(1, 2)                       # (N, P, d)
-        sdot = affine @ self._spline(ts, nu=1).swapaxes(1, 2)   # (N, P, d)
-        out = np.empty((ts.size, u_free.shape[-2], lo + 1, x0.shape[2]))
+        s = affine @ coeff.swapaxes(1, 2)          # (N, P, d)
+        sdot = affine @ coeff_dot.swapaxes(1, 2)   # (N, P, d)
+        out = np.empty((values.ts.size, u_free.shape[-2], lo + 1, x0.shape[2]))
         out[:, :, 0] = g1[:, None, :] + u_free @ x1[:, :lo] + sdot @ x0[:, lo:] + s @ x1[:, lo:]
         out[:, :, 1:] = (x0[:, :lo] + coeff[:, :, 1:].swapaxes(1, 2) @ x0[:, lo:])[:, None]
         return out
@@ -207,63 +237,49 @@ class StrictionSheet:
     def beta_partials(self, t, u_free=()) -> np.ndarray:
         """Jacobian of the sheet map, the t-partial at fixed free coordinates
         first, then the free partials: (m-d, dim) for a scalar t,
-        (N, m-d, dim) for an array (u_free as in `full_u`)."""
+        (N, m-d, dim) for an array (u_free as in `_full_u`)."""
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         u_free = self._affine(u_free)[..., None, 1:]  # (1, free) or (N, 1, free)
-        out = self._partials(self.fc.grid_values(ts), u_free)[:, 0]
+        out = self._partials(self.fc.grid_values(ts), u_free, self._interpolant(ts),
+                             self._interpolant(ts, 1))[:, 0]
         return out if np.ndim(t) else out[0]
 
     @cached_property
     def grid_partials(self) -> np.ndarray:
         """Sheet Jacobians at every grid parameter and free grid position,
-        (N, P, m-d, dim)."""
-        return self._partials(self.values, self.grid.u_points(self.free_count))
+        (N, P, m-d, dim), from the nodes and their exact tangents."""
+        return self._partials(self.values, self.grid.u_points(self.free_count),
+                              self.solution_nodes, self.solution_tangents)
 
     def defining_residual(self, t: float, u_free=()) -> float:
         """max_h |<beta_dot, rho X_h>| over the trailing fields."""
         beta_dot = self.beta_partials(t, u_free)[0]
-        return float(_defining_residuals(rho_at(self.fc, t).rho_vectors[None],
-                                         beta_dot[None], self.d)[0])
-
-
-def _defining_residuals(rho: np.ndarray, beta_dot: np.ndarray, d: int) -> np.ndarray:
-    """max_h |<beta_dot, rho X_h>| over the d trailing fields, per sample;
-    rho is (N, m-1, dim) and beta_dot (N, dim)."""
-    trailing = rho[:, rho.shape[1] - d:]
-    return np.abs(np.einsum("nhd,nd->nh", trailing, beta_dot)).max(axis=1)
+        rho = rho_at(self.fc, t).rho_vectors[self.fc.m - 1 - self.d:]
+        return float(np.abs(rho @ beta_dot).max())
 
 
 def solve_striction(p: RuledPatch, d: int) -> StrictionSheet:
-    """Assemble and solve the striction system at every grid sample.
+    """Assemble and Cholesky-solve the striction system at every grid sample.
 
-    A symmetric positive-definite factorization is used; when the
-    smallest eigenvalue sits within a factor 10 of the cutoff the solve
-    falls back to column-pivoted QR and the sample is reported.
+    `_assemble` rejects a system whose smallest eigenvalue is below
+    `zero_abs_tol`, so every one solved is symmetric positive definite;
+    those within a factor 10 of the cutoff are reported as `fallback_ts`.
+    The defining property is checked as the solve residual at u_free = 0:
+    rho X_h is orthogonal to the frame, so
+    <beta_dot, rho X_h> = <sigma_t, rho X_h> = (A s - b)_h.
     """
-    fc, grid, tol = p.fc, p.grid, p.tol
-    ts = grid.t_samples
-    a, b = striction_systems(p, d)
-    nodes = np.empty_like(b)
-    fallback = np.linalg.eigvalsh(a).min(axis=1) < 10.0 * tol.zero_abs_tol
-    spd = ~fallback
-    if spd.any():
-        chol = np.linalg.cholesky(a[spd])
-        nodes[spd] = np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, b[spd]))
-    for i in np.flatnonzero(fallback):
-        q, r, piv = qr(a[i], pivoting=True)
-        nodes[i][piv] = solve_triangular(r, q.T @ b[i])
-    max_solve = float(np.abs(a @ nodes - b).max())
-    sheet = StrictionSheet(d=d, fc=fc, grid=grid, solution_nodes=nodes,
-                           max_solve_residual=max_solve, max_defining_residual=0.0,
-                           fallback_ts=[float(t) for t in ts[fallback]])
-    sheet.values = p.values
-    beta_dot = sheet._partials(p.values, np.zeros((1, sheet.free_count)))[:, 0, 0]
-    max_def = float(_defining_residuals(p.profile.rho, beta_dot, d).max())
-    sheet.max_defining_residual = max_def
+    _check_degree(p.fc, d)
+    tol = p.tol
+    a, b, eigmin = _assemble(p.values, p.profile.rho, d, tol)
+    chol = np.linalg.cholesky(a)
+    nodes = np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, b))
+    max_def = float(np.abs(a @ nodes[..., :1] - b[..., :1]).max())
     if not max_def <= tol.zero_abs_tol:  # NaN included
         raise NumericError(
             f"striction sheet violates its defining property: residual {max_def:.3e}")
-    return sheet
+    near = p.grid.t_samples[eigmin < 10.0 * tol.zero_abs_tol]
+    return StrictionSheet(d=d, grid=p.grid, values=p.values, solution_nodes=nodes,
+                          max_defining_residual=max_def, fallback_ts=near.tolist())
 
 
 def _ranks_above_floor(sheet: StrictionSheet, partials: np.ndarray, ts,
@@ -596,7 +612,7 @@ def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):
     ts, u_pts = locus.t, locus.u_free
     n, n_pos = locus.residuals.shape
     # one column per free grid position: the t-major order of the locus
-    solved = np.stack([sheet.solved(ts, u) for u in u_pts], axis=1).reshape(-1, d)
+    solved = np.stack([sheet.grid_solved(u) for u in u_pts], axis=1).reshape(-1, d)
     points = np.stack([sheet.grid_points(u) for u in u_pts], axis=1).reshape(-1, dim)
     table = np.concatenate([np.repeat(ts, n_pos)[:, None], np.tile(u_pts, (n, 1)),
                             solved, points, locus.residuals.reshape(-1, 1)], axis=1)

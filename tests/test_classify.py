@@ -9,6 +9,7 @@ from ruledkit.classify import (CONICAL, CYLINDRICAL, NON_RANK_ONE, TANGENT, Regi
                                RegionEvidence, converse_check)
 from ruledkit.fields import FourierField, PolynomialField, VectorField
 from ruledkit.parametric import FramedCurve
+from scene_families import CONE_EXPECTED, cone_scene
 from test_distribution import _BumpFrame
 
 TWO_PI = 2.0 * math.pi
@@ -29,18 +30,17 @@ def test_corpus_classification(name, expected):
     assert report.boundary_points == ()
 
 
-@pytest.mark.xfail(strict=True, reason="the striction sheet's t-partial is the cubic "
-                   "spline's derivative of the solved coordinates, which is off on a cone "
-                   "whose solved coordinate moves with t")
 @pytest.mark.parametrize("t_samples", [40, 100, 200, 800])
 def test_elliptic_cone_is_conical(pytestconfig, t_samples):
     # the cone over the ellipse (2 cos t, sin t, 0) with apex (0, 0, 1) and a
-    # directrix that is not unit speed; reads tangent at 40 and 100 samples,
-    # alternating tangent/undetermined regions at 200 and
-    # undetermined/conical/undetermined at 800
+    # directrix that is not unit speed, so its solved coordinate moves with
+    # t; a sheet t-partial from a spline of the solved coordinates read it
+    # tangent at 40 and 100 samples
     scene = pytestconfig.rootpath / "scenes" / "elliptic_cone_explicit.json"
     p = ingest(str(scene), overrides={"t_samples": t_samples}).patch
-    assert classify_patch(p).kinds() == [CONICAL]
+    report = classify_patch(p)
+    assert report.kinds() == [CONICAL]
+    assert np.abs(np.asarray(report.regions[0].evidence.apex) - [0.0, 0.0, 1.0]).max() < 1e-12
 
 
 def test_cone_region_reports_apex():
@@ -224,3 +224,17 @@ def test_report_serialization_roundtrip(cone_patch):
     decoded = json.loads(encoded)
     assert decoded["regions"][0]["kind"] == CONICAL
     assert decoded["is_rank_one"] is True
+
+
+@pytest.mark.parametrize("ambient_dim", [3, 4])
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("t_samples", [50, 200])
+def test_seeded_cones_are_conical(seed, ambient_dim, t_samples):
+    scene, apex = cone_scene(seed, ambient_dim)
+    p = ingest(scene, overrides={"t_samples": t_samples}).patch
+    report = classify_patch(p)
+    assert set(p.profile.degrees.tolist()) == {CONE_EXPECTED["degree"]}
+    assert report.kinds() == CONE_EXPECTED["kinds"]
+    assert report.is_rank_one is CONE_EXPECTED["rank_one"]
+    if ambient_dim == 3:
+        assert np.abs(np.asarray(report.regions[0].evidence.apex) - apex).max() < 1e-6

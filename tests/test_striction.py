@@ -142,9 +142,80 @@ def test_solve_fallback_near_degenerate_system():
     fc = FramedCurve(3, 2, directrix, (x,), (0.0, 1.0))
     p = RuledPatch(fc, SampleGrid.uniform(fc.interval, 9))
     sheet = solve_striction(p, 1)
-    assert sheet.fallback_ts  # pivoted solve was used and reported
+    assert sheet.fallback_ts  # reported, and Cholesky-solved like every sample
     for t in p.grid.t_samples:
         assert abs(float(sheet.solved(t)[0])) < 1e-8
+
+
+def _resolved_nodes(p, d, ts):
+    """Solved nodes of the pivoted patch `p` re-solved at the parameters ts."""
+    return solve_striction(RuledPatch(p.fc, SampleGrid(ts), p.tol), d).solution_nodes
+
+
+def _r4_patch(x1, x2):
+    """An R^4 patch with m = 3 over a cubic directrix that is not unit speed."""
+    directrix = PolynomialField([[0.0, 0.0, 0.3], [0.0, 1.0], [0.0, 0.5, 0.1],
+                                 [1.0, 0.0, 0.0, 0.2]])
+    fc = FramedCurve(4, 3, directrix, (x1, x2), (0.0, 1.0))
+    return RuledPatch(fc, SampleGrid.uniform(fc.interval, 21))
+
+
+def _moving_sheet_patches(pytestconfig):
+    """(patch, d) whose solved coordinates move with t: the elliptic cone,
+    an explicit non-rank-one scene, and in R^4 a sheet of degree 2 and one
+    of degree 1 that depends on its free coordinate."""
+    from perfbench.scenegen import explicit_scene
+    cone = ingest(str(pytestconfig.rootpath / "scenes" / "elliptic_cone_explicit.json"),
+                  overrides={"t_samples": 40}).patch
+    explicit = ingest(explicit_scene(0), {"t_samples": 40}).patch
+    # two planes turning at rates 1 and 2: rho = Xdot has rank 2
+    turning = _r4_patch(FourierField([(0.0, [1.0], [], 1.0), (0.0, [], [1.0], 1.0),
+                                      (0.0, [], [], 1.0), (0.0, [], [], 1.0)]),
+                        FourierField([(0.0, [], [], 1.0), (0.0, [], [], 1.0),
+                                      (0.0, [0.0, 1.0], [], 1.0), (0.0, [], [0.0, 1.0], 1.0)]))
+    # a fixed rotation of (cos t, sin t, 0, 0) and e3: both derivatives move
+    # along one direction, so the degree is 1 and both fields carry it
+    c, s = math.cos(0.3), math.sin(0.3)
+    tilted = _r4_patch(FourierField([(0.0, [c], [], 1.0), (0.0, [], [c], 1.0),
+                                     (s, [], [], 1.0), (0.0, [], [], 1.0)]),
+                       FourierField([(0.0, [-s], [], 1.0), (0.0, [], [-s], 1.0),
+                                     (c, [], [], 1.0), (0.0, [], [], 1.0)]))
+    return [(cone, 1), (explicit, 1), (turning, 2), (tilted, 1)]
+
+
+def test_solution_tangents_are_the_derivative_of_the_solved_nodes(pytestconfig):
+    h = 1e-5
+    for patch, d in _moving_sheet_patches(pytestconfig):
+        p = pivoted(patch, d)
+        sheet = solve_striction(p, d)
+        ts = p.grid.t_samples[1:-1]
+        central = (_resolved_nodes(p, d, ts + h) - _resolved_nodes(p, d, ts - h)) / (2.0 * h)
+        assert np.abs(central).max() > 0.1  # the sheet moves
+        assert np.abs(sheet.solution_tangents[1:-1] - central).max() <= 1e-8
+
+
+def test_analyze_interpolates_only_the_analyzed_sheet(tmp_path, monkeypatch):
+    # the off-sheet check and the invariance fit read the analyzed sheet off
+    # the grid; the re-solved sheets are read at their grid nodes only
+    built, resolved = [], []
+    hermite, solve = striction.CubicHermiteSpline, striction.solve_striction
+
+    def counting_spline(*args, **kwargs):
+        built.append(1)
+        return hermite(*args, **kwargs)
+
+    def recording_solve(p, d):
+        resolved.append(solve(p, d))
+        return resolved[-1]
+
+    monkeypatch.setattr(striction, "CubicHermiteSpline", counting_spline)
+    monkeypatch.setattr(striction, "solve_striction", recording_solve)
+    analyze(ingest({"builtin_patch": "circular_cone", "grid": {"t_samples": 40}}),
+            tmp_path, seed=0)
+    assert len(resolved) == len(DEFAULT_INVARIANCE_SCALES) == 3
+    assert len(built) == 1
+    for sheet in resolved:
+        assert "solution_tangents" not in vars(sheet) and "_interpolant" not in vars(sheet)
 
 
 # --- singular locus ----------------------------------------------------------
@@ -332,13 +403,14 @@ def _write_csv_per_row(sheet, entries, path):
     header = (["t"] + [f"u{j}" for j in range(1, m - d)]
               + [f"s{j}" for j in range(m - d, m)]
               + [f"b{i}" for i in range(1, dim + 1)] + ["wedge_residual", "singular"])
-    ts, u_pts = sheet.grid.t_samples, sheet.grid.u_points(sheet.free_count)
-    solved = np.stack([sheet.solved(ts, u) for u in u_pts], axis=1).reshape(-1, d)
+    u_pts = sheet.grid.u_points(sheet.free_count)
     points = np.stack([sheet.grid_points(u) for u in u_pts], axis=1).reshape(-1, dim)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for (t, u_free, res, singular), s, b in zip(entries, solved, points):
+        for row, ((t, u_free, res, singular), b) in enumerate(zip(entries, points)):
+            # the solved node of the row's grid parameter, at its free position
+            s = sheet.solution_nodes[row // len(u_pts)] @ np.array([1.0, *u_free])
             writer.writerow([repr(t)] + [repr(float(v)) for v in u_free]
                             + [repr(float(v)) for v in s] + [repr(float(v)) for v in b]
                             + [repr(res), "true" if singular else "false"])
@@ -531,8 +603,11 @@ def _curved_sheet(patch, d):
     cols = patch.m - d
     k = np.arange(1, d * cols + 1).reshape(d, cols)
     nodes = 0.3 * np.sin(k * ts[:, None, None] + 0.5 * k)
-    return striction.StrictionSheet(d=d, fc=patch.fc, grid=patch.grid, solution_nodes=nodes,
-                                    max_solve_residual=0.0, max_defining_residual=0.0)
+    sheet = striction.StrictionSheet(d=d, grid=patch.grid, values=patch.values,
+                                     solution_nodes=nodes, max_defining_residual=0.0)
+    # the exact derivative of the chosen nodes, in place of the system's
+    vars(sheet)["solution_tangents"] = 0.3 * k * np.cos(k * ts[:, None, None] + 0.5 * k)
+    return sheet
 
 
 @pytest.fixture
@@ -662,12 +737,15 @@ def test_grid_points_are_beta_at_the_grid(name):
     ts = p.grid.t_samples
     rows = np.linspace(-1.0, 1.0, ts.size * sheet.free_count).reshape(ts.size, -1)
     for u_free in [*p.grid.u_points(sheet.free_count)[:3], rows]:
-        assert np.array_equal(sheet.grid_points(u_free), sheet.beta(ts, u_free))
-    # a sheet built directly evaluates its own grid values
-    direct = striction.StrictionSheet(d=1, fc=p.fc, grid=p.grid,
+        points, beta = sheet.grid_points(u_free), sheet.beta(ts, u_free)
+        # the interpolant is the nodes' own value on each interval's left end;
+        # the last node is the end of the last interval
+        assert np.array_equal(points[:-1], beta[:-1])
+        assert np.abs(points[-1] - beta[-1]).max() <= 1e-15 * max(1.0, np.abs(beta).max())
+    # a sheet built directly reads the grid values it is given
+    direct = striction.StrictionSheet(d=1, grid=p.grid, values=p.values,
                                       solution_nodes=sheet.solution_nodes,
-                                      max_solve_residual=0.0, max_defining_residual=0.0)
-    assert direct.values is not p.values
+                                      max_defining_residual=0.0)
     assert np.array_equal(direct.grid_points(rows), sheet.grid_points(rows))
     assert np.array_equal(direct.grid_partials, sheet.grid_partials)
 
