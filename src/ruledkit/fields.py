@@ -11,7 +11,9 @@ Evaluation is array-based: `eval(t, order)` takes a scalar t, giving a
 (dim,) vector, or a 1-D array of parameters, giving an (N, dim) stack.
 Each kind computes on the array; a scalar is the N=1 case of the same
 code. The parameter map behind arclength reparametrization builds its
-quadrature table and inverts arclength values the same way, on arrays.
+quadrature table and inverts arclength values the same way, on arrays:
+Newton from a cubic Hermite guess, against the table's antiderivative
+of the interpolated speed, evaluating the curve only at its iterates.
 
 Arclength is inverted once per parameter array and map. `eval` also
 takes a `ParameterArray`, a 1-D array that keeps, per parameter map,
@@ -33,13 +35,18 @@ from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DomainError, RegularityError, ValidationError
 from .multilinear import as_vector
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
+_GL_NODES, _GL_WEIGHTS = legendre.leggauss(21)
+#: Legendre coefficients of the antiderivative, zero at -1, of the degree-20
+#: polynomial through values at the 21 Gauss nodes: (22, 21), coefficients
+#: from values
+_GL_ANTIDERIVATIVE = legendre.legint(np.linalg.inv(legendre.legvander(_GL_NODES, 20)), lbnd=-1)
 
 #: quadrature nodes of a `ParameterMap` over its interval
 _MAP_NODES = 257
@@ -434,11 +441,17 @@ class DerivativeField(VectorField):
 class ParameterMap:
     """Monotone map s -> t(s) inverting the arclength of a regular curve.
 
-    Built from cumulative Gauss-Legendre quadrature of the speed on a
-    dense node set, with all quadrature nodes evaluated in one call;
-    evaluation uses a monotone cubic (PCHIP) initial guess polished by
-    Newton iterations against the quadrature, run on the whole array of
-    arclength values at once, so the inverse is accurate to near machine
+    Built from Gauss-Legendre quadrature of the speed, 21 nodes on each
+    of 256 intervals, with all quadrature nodes evaluated in one call;
+    their cumulative sums give the arclength at the interval ends. The
+    same speeds give, per interval, the Legendre coefficients of the
+    antiderivative of the degree-20 polynomial through them, so `s(t)`
+    is the arclength at the interval's start plus that antiderivative,
+    with no curve evaluation. `t` starts from the cubic Hermite through
+    the interval ends (s_j, t_j) with the exact slopes 1/|f'(t_j)| and
+    polishes it by Newton iterations against that table, run on the
+    whole array of arclength values at once; it evaluates the curve
+    only at its iterates, for the speed, and inverts to near machine
     precision. dt/ds and d2t/ds2 come from the exact inverse-function
     formulas. `s`, `t`, `dt` and `d2t` take a scalar or a 1-D array;
     `dt` and `d2t` also take a `ParameterArray` of t values, so maps
@@ -457,33 +470,49 @@ class ParameterMap:
         self.curve = curve
         self.t_interval = (t0, t1)
         self._t_nodes = np.linspace(t0, t1, _MAP_NODES)
-        slow = np.flatnonzero(self._speed(self._t_nodes) <= _MIN_SPEED)
+        speed = self._speed(self._t_nodes)
+        slow = np.flatnonzero(speed <= _MIN_SPEED)
         if slow.size:
             raise RegularityError(f"curve speed vanishes near t={self._t_nodes[slow[0]]}")
+        lengths, self._table = self._quadrature(self._t_nodes[:-1], self._t_nodes[1:])
         cum = np.zeros(_MAP_NODES)
-        np.cumsum(self._quad_speed(self._t_nodes[:-1], self._t_nodes[1:]), out=cum[1:])
+        np.cumsum(lengths, out=cum[1:])
         self._s_nodes = cum
         self.length = float(cum[-1])
         self.s_interval = (0.0, self.length)
-        self._guess = PchipInterpolator(cum, self._t_nodes)
+        self._guess = _hermite_coefficients(cum, self._t_nodes, 1.0 / speed)
 
     def _speed(self, t: np.ndarray) -> np.ndarray:
         return np.linalg.norm(self.curve.eval(t, 1), axis=-1)
 
-    def _quad_speed(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Integral of the speed over each [a_i, b_i], one 21-point rule each."""
+    def _quadrature(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The integral of the speed over each [a_i, b_i] by one 21-point
+        rule, and the Legendre coefficients in x of the antiderivative
+        F_i(x), zero at x = -1, of the degree-20 polynomial through the
+        same 21 speeds, for t = mid_i + half_i x: (n,) and (n, 22)."""
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         ts = mid[:, None] + half[:, None] * _GL_NODES
+        speeds = self._speed(ts.ravel()).reshape(ts.shape)
         # a row-wise sum, not a matrix product, so that an entry's value
         # does not depend on how many intervals are integrated with it
-        return half * (self._speed(ts.ravel()).reshape(ts.shape) * _GL_WEIGHTS).sum(axis=1)
+        lengths = half * (speeds * _GL_WEIGHTS).sum(axis=1)
+        return lengths, half[:, None] * (speeds @ _GL_ANTIDERIVATIVE.T)
+
+    def _arclength(self, ts: np.ndarray) -> np.ndarray:
+        """s at each entry of ts, from the table, one entry at a time."""
+        idx = np.clip(np.searchsorted(self._t_nodes, ts, side="right") - 1, 0, _MAP_NODES - 2)
+        lo = self._t_nodes[idx]
+        x = (ts - lo) / (0.5 * (self._t_nodes[idx + 1] - lo)) - 1.0
+        return self._s_nodes[idx] + legendre.legval(x, self._table[idx].T, tensor=False)
 
     def s(self, t):
         """Arclength from the start of the interval to t (scalar or 1-D array)."""
         ts, scalar = _parameters(t)
-        idx = np.clip(np.searchsorted(self._t_nodes, ts, side="right") - 1,
-                      0, len(self._t_nodes) - 2)
-        out = self._s_nodes[idx] + self._quad_speed(self._t_nodes[idx], ts)
+        lo, hi = self.t_interval
+        bad = _first_outside(ts, lo, hi, 1e-9 * max(1.0, abs(lo), abs(hi)))
+        if bad is not None:
+            raise DomainError(f"t={bad} outside [{lo}, {hi}]")
+        out = self._arclength(ts)
         return float(out[0]) if scalar else out
 
     def t(self, s):
@@ -492,13 +521,17 @@ class ParameterMap:
         bad = _first_outside(ss, 0.0, self.length, 1e-9 * max(1.0, self.length))
         if bad is not None:
             raise DomainError(f"s={bad} outside [0, {self.length}]")
-        t = np.clip(self._guess(np.clip(ss, 0.0, self.length)), lo, hi)
+        y = np.clip(ss, 0.0, self.length)
+        j = np.clip(np.searchsorted(self._s_nodes, y, side="right") - 1, 0, _MAP_NODES - 2)
+        y = y - self._s_nodes[j]
+        c = self._guess[j]
+        t = np.clip(((c[:, 3] * y + c[:, 2]) * y + c[:, 1]) * y + c[:, 0], lo, hi)
         scale = max(1.0, abs(lo), abs(hi))
         # Newton on every entry until its own step is negligible
         active = np.arange(ss.size)
         for _ in range(12):
             ta = t[active]
-            step = (self.s(ta) - ss[active]) / self._speed(ta)
+            step = (self._arclength(ta) - ss[active]) / self._speed(ta)
             t[active] = np.clip(ta - step, lo, hi)
             active = active[~(np.abs(step) < 1e-14 * scale)]
             if not active.size:
@@ -514,6 +547,17 @@ class ParameterMap:
         d2 = self.curve.eval(t, 2)
         v2 = np.linalg.norm(d1, axis=-1) ** 2
         return -np.sum(d1 * d2, axis=-1) / (v2 * v2)
+
+
+def _hermite_coefficients(x: np.ndarray, y: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Power coefficients in (x - x_j) of the cubic Hermite through
+    (x_j, y_j) and (x_{j+1}, y_{j+1}) with the given end slopes, one row
+    per interval: (n - 1, 4)."""
+    h = np.diff(x)
+    delta = np.diff(y) / h
+    m0, m1 = slope[:-1], slope[1:]
+    return np.stack([y[:-1], m0, (3.0 * delta - 2.0 * m0 - m1) / h,
+                     (m0 + m1 - 2.0 * delta) / (h * h)], axis=1)
 
 
 class ComposedField(VectorField):

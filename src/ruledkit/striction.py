@@ -357,6 +357,11 @@ def singular_locus(p: RuledPatch, sheet: StrictionSheet) -> SingularLocus:
                          residuals=residuals, singular=residuals < p.tol.zero_abs_tol)
 
 
+#: the off-sheet perturbation's signs, indexed by a draw of 0 or 1 each (the
+#: draw of `rng.choice([-1.0, 1.0], size=d)`, with less Python on the way)
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
                    checks: int = 32) -> OffsheetCheck:
     """Regularity of the patch just off the sheet, at `checks` random points.
@@ -381,7 +386,7 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
         ts[i] = rng.uniform(lo, hi)
         u[i, :sheet.free_count] = rng.uniform(-grid.u_extent, grid.u_extent,
                                               size=sheet.free_count)
-        signs[i] = rng.choice([-1.0, 1.0], size=sheet.d)
+        signs[i] = _SIGNS[rng.integers(0, 2, size=sheet.d)]
     u[:, sheet.free_count:] = sheet.solved(ts, u[:, :sheet.free_count]) + delta * signs
     irregular = np.flatnonzero(~jacobian_regularity(jacobians_at(p, ts, u), p.tol))
     return OffsheetCheck(total=checks,

@@ -254,3 +254,71 @@ def test_scalar_only_subclass_evaluates_arrays():
     ts = np.linspace(0.0, 1.0, 5)
     assert np.array_equal(f.eval(ts, 1), np.array([f.eval(t, 1) for t in ts]))
     assert f.eval(0.5, 0).shape == (2,)
+
+
+# --- the arclength table ---------------------------------------------------------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
+
+
+def _speed(curve, ts):
+    return np.linalg.norm(curve.eval(ts, 1), axis=-1)
+
+
+def _quad_speed(curve, a, b):
+    """Integral of the speed over each [a_i, b_i], one 21-point rule each."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    ts = mid[:, None] + half[:, None] * _GL_NODES
+    return half * (_speed(curve, ts.ravel()).reshape(ts.shape) * _GL_WEIGHTS).sum(axis=1)
+
+
+def _map_cases():
+    """(id, curve, interval) of curves with a varying speed, and a unit-speed one."""
+    return [
+        ("fourier", FourierField([(0.0, [2.0], [0.3], 1.0), (0.5, [0.2], [1.0], 1.0),
+                                  (0.0, [0.25], [0.15], 3.0)]), (0.0, TWO_PI)),
+        # speed at least |1 + t + 0.6 t^2| > 0
+        ("polynomial", PolynomialField([[0.0, 1.0, 0.5, 0.2], [1.0, -0.3, 0.4],
+                                        [0.0, 0.0, 0.0, 0.1]]), (-1.0, 2.0)),
+        ("helix", HelixCurve(), (0.0, TWO_PI)),
+    ]
+
+
+@pytest.mark.parametrize("case", _map_cases(), ids=lambda c: c[0])
+def test_parameter_map_length_is_the_quadrature_sum(case):
+    _, curve, (t0, t1) = case
+    pmap = ParameterMap(curve, (t0, t1))
+    nodes = np.linspace(t0, t1, 257)
+    cum = np.concatenate([[0.0], np.cumsum(_quad_speed(curve, nodes[:-1], nodes[1:]))])
+    assert pmap.length == cum[-1]
+    assert pmap.s_interval == (0.0, cum[-1])
+
+
+@pytest.mark.parametrize("case", _map_cases(), ids=lambda c: c[0])
+def test_parameter_map_table_equals_the_per_point_quadrature(case):
+    # s(t) reads the antiderivative of the interpolated speed; the oracle
+    # integrates the speed itself from the interval's start node to each t
+    _, curve, (t0, t1) = case
+    pmap = ParameterMap(curve, (t0, t1))
+    nodes = np.linspace(t0, t1, 257)
+    cum = np.concatenate([[0.0], np.cumsum(_quad_speed(curve, nodes[:-1], nodes[1:]))])
+    rng = np.random.default_rng(11)
+    for ts in (nodes, 0.5 * (nodes[1:] + nodes[:-1]), np.sort(rng.uniform(t0, t1, 1000))):
+        idx = np.clip(np.searchsorted(nodes, ts, side="right") - 1, 0, 255)
+        expected = cum[idx] + _quad_speed(curve, nodes[idx], ts)
+        assert np.abs(pmap.s(ts) - expected).max() <= 4.0 * np.finfo(float).eps * pmap.length
+
+
+def test_parameter_map_arclength_rejects_parameters_outside_the_interval():
+    pmap = ParameterMap(HelixCurve(), (0.0, TWO_PI))
+    pad = 1e-9 * TWO_PI
+    # within the pad the unit-speed helix's table extends past its ends
+    for t in (TWO_PI + 0.5 * pad, -0.5 * pad):
+        assert pmap.s(t) == pytest.approx(t, abs=1e-12)
+    ts = np.array([1.0, TWO_PI + 2.0 * pad, -1.0])
+    with pytest.raises(DomainError, match=re.escape(f"t={float(ts[1])} ")):
+        pmap.s(ts)
+    with pytest.raises(DomainError, match=re.escape("t=-1.0 ")):
+        pmap.s(-1.0)
+    with pytest.raises(DomainError):
+        pmap.s(np.nan)

@@ -17,7 +17,7 @@ from ruledkit import ValidationError, ingest
 from ruledkit.analysis import analyze
 from ruledkit.fields import (AffineCombinationField, ComposedField,
                              FourierField, ParameterArray, ParameterMap,
-                             VectorField)
+                             VectorField, array_eval)
 from ruledkit.parametric import FramedCurve, arclength_framed_curve
 
 TWO_PI = 2.0 * math.pi
@@ -175,3 +175,33 @@ def test_invariance_makes_no_inversion(tmp_path, monkeypatch, pytestconfig):
     # (one map and grid per offset made 3 calls, 15 when every field and
     # order inverted on its own)
     assert not calls
+
+
+class _CountingField(VectorField):
+    """A field that records the size and order of every `eval` call."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.domain = base.domain
+        self.calls = []
+
+    @array_eval
+    def eval(self, ts, order=0):
+        self.calls.append((ts.size, order))
+        return self.base.eval(ts, order)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_inversion_evaluates_the_curve_only_at_newton_iterates(seed):
+    directrix = ingest(explicit_scene(seed)).patch.fc.directrix
+    curve = _CountingField(directrix.base)
+    pmap = ParameterMap(curve, directrix.parameter_map.t_interval)
+    curve.calls.clear()
+    n = 200
+    ts = pmap.t(np.linspace(0.0, pmap.length, n))
+    # one speed evaluation per Newton pass, at the iterates only
+    assert 1 <= len(curve.calls) <= 2
+    assert all(size <= n and order == 1 for size, order in curve.calls)
+    assert sum(size for size, _ in curve.calls) < 21 * n
+    assert np.array_equal(ts, directrix.parameter_map.t(np.linspace(0.0, pmap.length, n)))

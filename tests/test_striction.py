@@ -323,6 +323,35 @@ def test_offsheet_points_stay_in_the_segment_range(monkeypatch):
     assert lo <= ts.min() and ts.max() <= hi
 
 
+@pytest.mark.parametrize("name, d", [("circular_cone", 1), ("tangent_developable_product", 1),
+                                     ("two_rotation_r5", 2)])
+def test_offsheet_draws_are_the_seed_stream_of_the_choice_loop(name, d, monkeypatch):
+    # (d, free) = (1, 0), (1, 1) and (2, 0): per point t, then the free
+    # coordinates, then the signs, the stream of a loop drawing the signs
+    # with rng.choice
+    p = pivoted(small_patch(name), d)
+    sheet = solve_striction(p, d)
+    drawn = []
+
+    def recording(patch, ts, u):
+        drawn.append((np.array(ts, dtype=float), np.array(u, dtype=float)))
+        return jacobians_at(patch, ts, u)
+
+    monkeypatch.setattr(striction, "jacobians_at", recording)
+    lo, hi = p.grid.t_samples[[0, -1]]
+    extent, free = p.grid.u_extent, sheet.free_count
+    for seed in range(21):
+        drawn.clear()
+        offsheet_check(p, sheet, seed=seed)
+        (ts, u), = drawn
+        rng = np.random.default_rng(seed)
+        for i in range(32):
+            assert ts[i] == rng.uniform(lo, hi)
+            assert np.array_equal(u[i, :free], rng.uniform(-extent, extent, size=free))
+            offset = u[i, free:] - sheet.solved(ts[i], u[i, :free])
+            assert np.array_equal(np.sign(offset), rng.choice([-1.0, 1.0], size=sheet.d))
+
+
 def test_dense_random_box_sample_has_no_offsheet_singularities(td_sheet):
     # singular points exist only on the sheet (u = 0 for this patch)
     p, sheet = td_sheet
