@@ -493,8 +493,8 @@ class ParameterMap:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         ts = mid[:, None] + half[:, None] * _GL_NODES
         speeds = self._speed(ts.ravel()).reshape(ts.shape)
-        # a row-wise sum, not a matrix product, so that an entry's value
-        # does not depend on how many intervals are integrated with it
+        # a row-wise sum, not a matrix product, so that each length is its
+        # own interval's 21-point rule, whatever the number of intervals
         lengths = half * (speeds * _GL_WEIGHTS).sum(axis=1)
         return lengths, half[:, None] * (speeds @ _GL_ANTIDERIVATIVE.T)
 
