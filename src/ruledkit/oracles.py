@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def _default_step(order: int) -> float:
     # balances truncation O(h^4) against rounding eps/h^order
@@ -33,13 +35,26 @@ def central_difference(f, t, order: int = 1, h: float | None = None):
 
 def max_derivative_error(field, interval, order: int, n: int = 50,
                          seed: int = 0, h: float | None = None) -> float:
-    """Largest |analytic - finite difference| over random parameters."""
+    """Largest |analytic - finite difference| over random parameters.
+
+    The parameters are drawn at least 2h inside the interval. The field
+    is evaluated at order 0 once, on every offset parameter at once, and
+    `central_difference` at t = 0 reads the values by their offsets.
+    """
     if h is None:
         h = _default_step(order)
     rng = np.random.default_rng(seed)
     lo, hi = interval
     lo, hi = lo + 2.0 * h, hi - 2.0 * h
+    if hi < lo:
+        raise ValidationError(f"interval {tuple(interval)} is shorter than 4h = {4.0 * h} "
+                              f"for the finite-difference step h = {h}")
     ts = rng.uniform(lo, hi, size=n)
     analytic = field.eval(ts, order)
-    numeric = central_difference(lambda s: field.eval(s, 0), ts, order, h)
+    # the offsets from t at which central_difference reads f
+    half = 0.5 * h
+    offsets = (half, -half, h, -h) + ((0.0,) if order == 2 else ())
+    values = field.eval(np.concatenate([ts + s for s in offsets]), 0)
+    shifted = dict(zip(offsets, np.split(values, len(offsets))))
+    numeric = central_difference(shifted.__getitem__, 0.0, order, h)
     return float(np.abs(analytic - numeric).max(initial=0.0))

@@ -16,11 +16,16 @@ Frobenius norm for a normal space of dimension 1, and for m >= 3 and a
 normal space of dimension 2 bounds that settle all but the points next
 to the rank cutoff, which alone go through a stacked SVD. Wider normal spaces go through one stacked SVD.
 The tangent-space stability check reads the same reduced Jacobians, one
-frame factorization per distinct t, and compares two tangent spaces by
-the angle between their normal directions off the frame span. A patch
-computes its frame values and basis, degree profile and second-form
-scan once, on first use; a patch cut from it by `restrict` slices them.
-The single-point functions run the same kernels on a stack of one.
+frame factorization per distinct t (at grid samples, the rows of the
+grid's own values and frame basis), and compares two tangent spaces by
+the angle between their normal directions off the frame span. Sectional
+curvatures come from the Gauss equation in a tangent basis
+orthonormalized by Gram-Schmidt over the stack, with no LAPACK call;
+since II vanishes on pairs of ruling directions, sigma_tt drops out of
+it and every curvature is minus a sum of squares. A patch computes its
+frame values and basis, degree profile and second-form scan once, on
+first use; a patch cut from it by `restrict` slices them. The
+single-point functions run the same kernels on a stack of one.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .distribution import DegreeProfile, profile_from_values
 from .errors import RegularityError, ValidationError
 from .fields import AffineCombinationField
 from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
-                          _rank_margin, frame_qr, gram_schmidt_r, numerical_ranks,
+                          _rank_margin, frame_qr, numerical_ranks,
                           pair_wedge_norms, rank2_ranks, rank_mask, settled)
 from .parametric import FramedCurve, GridValues, SampleGrid
 
@@ -231,7 +236,7 @@ def _regularity(jac: np.ndarray, r_inv: np.ndarray | None, tol: TolerancePolicy)
     return regular
 
 
-def _frame_coordinates(v: GridValues, rows: slice):
+def _frame_coordinates(v: GridValues, rows: slice | np.ndarray):
     """(r, comp, sigma_q, sigma_c) at the parameters `rows` of v: the
     factors R and complement basis comp of the grid's frame QR
     X^T = [q | comp] R (`GridValues.frame_basis`), and the pairs
@@ -454,14 +459,21 @@ def _pair_jacobians(p: RuledPatch, t: np.ndarray, u_pairs: np.ndarray):
     """Reduced Jacobians at (P, 2, m-1) pairs of ruling positions, each
     pair at its own parameter of the (P,) array t.
 
-    The fields, the frame's QR (`_frame_coordinates`) and R^-1 are
-    computed once per distinct t and shared by its pairs. Returns
-    (jac, c, r_inv) of shapes (P, 2, m, m), (P, 2, dim-m+1) and
-    (P, 1, m-1, m-1).
+    The fields, the frame's QR (`_frame_coordinates`) and R^-1 are taken
+    once per distinct t and shared by its pairs. When every distinct t
+    is a grid sample, they are the rows of the patch's own values and
+    frame basis, with no new evaluation or factorization; other t are
+    evaluated. Returns (jac, c, r_inv) of shapes (P, 2, m, m),
+    (P, 2, dim-m+1) and (P, 1, m-1, m-1).
     """
     ts, row = np.unique(t, return_inverse=True)
-    v = p.fc.grid_values(ts)
-    r, _, sigma_q, sigma_c = _frame_coordinates(v, slice(None))
+    grid = p.grid.t_samples
+    at = np.minimum(np.searchsorted(grid, ts), grid.size - 1)
+    if np.array_equal(grid[at], ts):
+        v, rows = p.values, at
+    else:
+        v, rows = p.fc.grid_values(ts), slice(None)
+    r, _, sigma_q, sigma_c = _frame_coordinates(v, rows)
     jac, c = _reduced_jacobians(r[row], [x[row] for x in sigma_q],
                                 [x[row] for x in sigma_c], u_pairs)
     return jac, c, _inverse_factors(r)[row, None]
@@ -560,37 +572,54 @@ def tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
 
 
 def _orthonormal_tangent_coeffs(jac: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Gram-Schmidt on the Jacobian rows of a (..., m, dim) stack.
+    """Gram-Schmidt on the Jacobian rows of a (..., m, dim) stack, one row
+    at a time over the whole stack.
 
     Returns the lower triangular change of basis S with S @ jac
-    orthonormal, per stack entry.
+    orthonormal, per stack entry. Raises where a row's length off the
+    span of the rows before it is below zero_abs_tol.
     """
-    r = gram_schmidt_r(jac)
-    if np.any(np.diagonal(r, axis1=-2, axis2=-1) < tol.zero_abs_tol):
-        raise RegularityError("tangent basis is degenerate")
-    return np.linalg.inv(r).swapaxes(-1, -2)
+    m = jac.shape[-2]
+    basis = np.empty_like(jac)
+    s = np.zeros(jac.shape[:-2] + (m, m))
+    for i in range(m):
+        w = jac[..., i, :].copy()
+        c = s[..., i, :]
+        c[..., i] = 1.0
+        for a in range(i):
+            proj = np.einsum("...k,...k->...", basis[..., a, :], jac[..., i, :])[..., None]
+            w -= proj * basis[..., a, :]
+            c -= proj * s[..., a, :]
+        norm = np.sqrt(np.einsum("...k,...k->...", w, w))
+        if np.any(norm < tol.zero_abs_tol):
+            raise RegularityError("tangent basis is degenerate")
+        scale = (1.0 / norm)[..., None]
+        basis[..., i, :] = w * scale
+        c *= scale
+    return s
 
 
 def _coordinate_plane_curvatures(jac: np.ndarray, vecs: np.ndarray,
                                  tol: TolerancePolicy) -> np.ndarray:
     """Sectional curvature of every coordinate 2-plane (a, b), a < b, of the
     orthonormalized tangent basis, from the Gauss equation; (..., pairs)
-    in (0, 1), (0, 2), ..., (m-2, m-1) order."""
+    in (0, 1), (0, 2), ..., (m-2, m-1) order.
+
+    In the basis e_a = S_a0 d_t + sum_j S_aj d_u_j (S from
+    `_orthonormal_tangent_coeffs`), and with II(d_u_i, d_u_j) = 0 on a
+    ruled patch, II(e_a, e_b) = alpha_a alpha_b v_0 + alpha_a w_b
+    + alpha_b w_a, where alpha = S[:, 0], v_j are the rows of vecs and
+    w = S[:, 1:] @ v[1:]. The Gauss equation <II_aa, II_bb> - |II_ab|^2
+    then reduces to K_ab = -|alpha_a w_b - alpha_b w_a|^2: sigma_tt (v_0)
+    drops out, and nothing cancels. For m = 2 this is
+    K = -|v_1|^2 / |sigma_t ^ X_1|^2.
+    """
     s = _orthonormal_tangent_coeffs(jac, tol)
-    m = jac.shape[-2]
-    w = s @ vecs
-    s0 = s[..., :, :1]
-
-    def ii(a, b):
-        # II in the orthonormal basis: only row/column 0 of the coordinate
-        # form is nonzero, so II_ab = s_a0 W_b + s_b0 W_a - s_a0 s_b0 vecs_0
-        # with W = s @ vecs
-        return (s0[..., a, :] * w[..., b, :] + s0[..., b, :] * w[..., a, :]
-                - s0[..., a, :] * s0[..., b, :] * vecs[..., :1, :])
-
-    a, b = np.triu_indices(m, 1)
-    diag = ii(np.arange(m), np.arange(m))
-    return np.sum(diag[..., a, :] * diag[..., b, :], axis=-1) - np.sum(ii(a, b) ** 2, axis=-1)
+    alpha = s[..., :, 0, None]
+    w = s[..., :, 1:] @ vecs[..., 1:, :]
+    a, b = np.triu_indices(jac.shape[-2], 1)
+    cross = alpha[..., a, :] * w[..., b, :] - alpha[..., b, :] * w[..., a, :]
+    return -np.einsum("...k,...k->...", cross, cross)
 
 
 @dataclass(frozen=True, eq=False)
@@ -609,10 +638,12 @@ class FlatnessResult:
 def flatness_check(p: RuledPatch) -> FlatnessResult:
     """Sectional curvatures from the Gauss equation at regular grid samples.
 
-    The second form is assembled in an orthonormalized tangent basis; only
-    the 2-planes spanned by pairs of that basis are inspected, which is
-    enough to witness non-flatness for ruled patches (the form vanishes on
-    ruling pairs).
+    The second form is taken in a tangent basis orthonormalized by
+    Gram-Schmidt; only the 2-planes spanned by pairs of that basis are
+    inspected, which is enough to witness non-flatness for ruled patches.
+    The form vanishes on ruling pairs, so each curvature is
+    K_ab = -|alpha_a w_b - alpha_b w_a|^2 from the frame derivatives'
+    normal parts alone, with no sigma_tt (`_coordinate_plane_curvatures`).
     """
     jac, vecs, regular = _second_form_vectors(p.values, slice(None),
                                               p.grid.u_points(p.m - 1), p.tol)

@@ -13,6 +13,7 @@ from ruledkit.fields import (AffineCombinationField, CircleCurve, ComposedField,
                              PolynomialField, VectorField, arclength_reparametrize,
                              make_builtin_curve)
 from ruledkit.oracles import central_difference, max_derivative_error
+from ruledkit.parametric import BUILTIN_PATCHES, make_builtin_patch
 
 TWO_PI = 2.0 * math.pi
 
@@ -55,6 +56,44 @@ def test_helix_derivative_against_finite_differences():
 @pytest.mark.parametrize("order", [1, 2])
 def test_analytic_derivatives_match_fd(field, order):
     assert max_derivative_error(field, (0.0, TWO_PI), order, n=50, seed=3) < 1e-7
+
+
+def _per_shift_error(field, interval, order, n, seed, h):
+    """`max_derivative_error` with one field evaluation per offset of the
+    extrapolated central difference, f(t) twice at order 2."""
+    ts = np.random.default_rng(seed).uniform(interval[0] + 2.0 * h, interval[1] - 2.0 * h, n)
+
+    def f(s):
+        return field.eval(s, 0)
+
+    if order == 1:
+        def diff(hh):
+            return (f(ts + hh) - f(ts - hh)) / (2.0 * hh)
+    else:
+        def diff(hh):
+            return (f(ts + hh) - 2.0 * f(ts) + f(ts - hh)) / (hh * hh)
+    numeric = (4.0 * diff(0.5 * h) - diff(h)) / 3.0
+    return float(np.abs(field.eval(ts, order) - numeric).max(initial=0.0))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_PATCHES))
+def test_derivative_error_equals_the_per_shift_formula(name):
+    # one evaluation on all offset parameters gives the same bits
+    fc = make_builtin_patch(name)
+    for field in (fc.directrix, *fc.frame):
+        for order, h in ((1, 1e-3), (2, 4e-3)):
+            for seed in (0, 1, 3):
+                assert (max_derivative_error(field, fc.interval, order, n=50, seed=seed)
+                        == _per_shift_error(field, fc.interval, order, 50, seed, h))
+
+
+def test_derivative_error_rejects_an_interval_shorter_than_four_steps():
+    f = FourierField([(0.0, [2.0], [], 1.0), (0.0, [], [2.0], 1.0), (0.5, [], [0.3], 2.0)])
+    g = arclength_reparametrize(f, (0.0, TWO_PI))
+    with pytest.raises(ValidationError, match=re.escape("(0.0, 0.004)") + ".*h = 0.004"):
+        max_derivative_error(g, (0.0, 0.004), order=2)
+    # exactly 4h: every parameter sits at the midpoint
+    assert max_derivative_error(g, (0.0, 0.004), order=1) < 1e-7
 
 
 def test_derivative_field_shifts_order():

@@ -8,7 +8,7 @@ from conftest import small_patch
 from ruledkit import (RegularityError, RuledPatch, SampleGrid, ValidationError,
                       make_builtin_patch)
 from ruledkit.fields import ConstantField, PolynomialField
-from ruledkit.multilinear import numerical_rank
+from ruledkit.multilinear import gram_schmidt_r, numerical_rank
 from ruledkit.parametric import BUILTIN_PATCHES, FramedCurve
 from ruledkit.ruledgeom import (_coordinate_plane_curvatures, _orthonormal_tangent_coeffs,
                                 _second_form_vectors, first_normal_bounds_check,
@@ -249,7 +249,36 @@ def test_rank_one_equivalence_on_planar_free_patches():
         assert wedge == flat == expected, name
 
 
-# --- orthonormal tangent basis and second form, against the loops they replaced ----
+# --- orthonormal tangent basis and curvatures, against the kernels they replaced ----
+
+def _qr_tangent_coeffs(jac, tol):
+    """The lower triangular S with S @ jac orthonormal, from the stacked
+    QR factor of the rows (`gram_schmidt_r`) and its stacked inverse."""
+    r = gram_schmidt_r(jac)
+    if np.any(np.diagonal(r, axis1=-2, axis2=-1) < tol.zero_abs_tol):
+        raise RegularityError("tangent basis is degenerate")
+    return np.linalg.inv(r).swapaxes(-1, -2)
+
+
+def _qr_plane_curvatures(jac, vecs, tol):
+    """The Gauss equation <II_aa, II_bb> - |II_ab|^2 on every coordinate
+    plane (a, b), a < b, with II in the basis of `_qr_tangent_coeffs`
+    read from all rows of vecs, sigma_tt among them: only row/column 0 of
+    the coordinate form is nonzero, so II_ab = s_a0 W_b + s_b0 W_a
+    - s_a0 s_b0 vecs_0 with W = s @ vecs."""
+    s = _qr_tangent_coeffs(jac, tol)
+    m = jac.shape[-2]
+    w = s @ vecs
+    s0 = s[..., :, :1]
+
+    def ii(a, b):
+        return (s0[..., a, :] * w[..., b, :] + s0[..., b, :] * w[..., a, :]
+                - s0[..., a, :] * s0[..., b, :] * vecs[..., :1, :])
+
+    a, b = np.triu_indices(m, 1)
+    diag = ii(np.arange(m), np.arange(m))
+    return np.sum(diag[..., a, :] * diag[..., b, :], axis=-1) - np.sum(ii(a, b) ** 2, axis=-1)
+
 
 def _loop_tangent_coeffs(jac, tol):
     """Gram-Schmidt on the Jacobian rows, one row at a time: the lower
@@ -299,10 +328,12 @@ def test_tangent_basis_and_curvatures_equal_the_loops(name):
     jac, vecs = jac[regular], vecs[regular]
     assert jac.shape[0] > 0
     s = _orthonormal_tangent_coeffs(jac, p.tol)
-    assert np.abs(s - _loop_tangent_coeffs(jac, p.tol)).max() < 1e-12
+    k = _coordinate_plane_curvatures(jac, vecs, p.tol)
+    for coeffs, curvatures in ((_qr_tangent_coeffs, _qr_plane_curvatures),
+                               (_loop_tangent_coeffs, _loop_plane_curvatures)):
+        assert np.abs(s - coeffs(jac, p.tol)).max() < 1e-12
+        assert np.abs(k - curvatures(jac, vecs, p.tol)).max() < 1e-12
     assert np.abs(s @ jac @ (s @ jac).swapaxes(1, 2) - np.eye(p.m)).max() < 1e-12
-    assert np.abs(_coordinate_plane_curvatures(jac, vecs, p.tol)
-                  - _loop_plane_curvatures(jac, vecs, p.tol)).max() < 1e-12
 
 
 @pytest.mark.parametrize("m, dim", [(2, 3), (3, 4), (4, 6)])
@@ -312,13 +343,14 @@ def test_plane_curvatures_equal_the_loops_on_generic_input(m, dim, tol):
     rng = np.random.default_rng(m)
     jac, vecs = rng.normal(size=(2, 50, m, dim))
     got = _coordinate_plane_curvatures(jac, vecs, tol)
-    want = _loop_plane_curvatures(jac, vecs, tol)
-    assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+    for curvatures in (_qr_plane_curvatures, _loop_plane_curvatures):
+        want = curvatures(jac, vecs, tol)
+        assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_tangent_basis_raises_on_a_dependent_stack(tol):
     jac = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                     [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]])
-    for coeffs in (_orthonormal_tangent_coeffs, _loop_tangent_coeffs):
+    for coeffs in (_orthonormal_tangent_coeffs, _qr_tangent_coeffs, _loop_tangent_coeffs):
         with pytest.raises(RegularityError):
             coeffs(jac, tol)

@@ -13,6 +13,7 @@ and return the same verdict as with the SVD oracles in place.
 """
 
 import functools
+import sys
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ import pytest
 from ambient_second_form import (svd_pair_margins, svd_regular_pairs, svd_span_verdicts,
                                  svd_tangent_space_stability)
 from conftest import small_patch
-from ruledkit import TolerancePolicy, selftest
+from ruledkit import RuledPatch, SampleGrid, TolerancePolicy, selftest
+from ruledkit.fields import VectorField
 from ruledkit.ruledgeom import (RANK_BOUND_MARGIN, SPAN_SLACK_PER_DIM, _inverse_factors,
-                                _span_verdicts, jacobians_at, tangent_space_stability)
+                                _pair_jacobians, _span_verdicts, jacobians_at,
+                                tangent_space_stability)
 from ruledkit.selftest import PAIR_CONDITION_LIMIT, _pair_condition_verdicts
 from test_rank_bounds import orthonormal_columns, reduced_jacobians
 
@@ -192,11 +195,15 @@ def _counting_svd(monkeypatch):
     return sizes
 
 
+#: the corpus patches where no candidate or pair of the sweep is near a
+#: cutoff: m = 2, and m = 3 in R^5
+NO_BAND_PATCHES = ["cylinder_helix", "helicoid_frame", "circular_cone",
+                   "tangent_developable_helix", "two_rotation_r5"]
+
+
 @pytest.mark.parametrize("t_samples", [50, 200])
-@pytest.mark.parametrize("name", ["cylinder_helix", "helicoid_frame", "circular_cone",
-                                  "tangent_developable_helix", "two_rotation_r5"])
+@pytest.mark.parametrize("name", NO_BAND_PATCHES)
 def test_sweep_makes_no_svd_call(monkeypatch, name, t_samples):
-    # m = 2, and m = 3 in R^5, where no candidate or pair is near a cutoff
     p = corpus(t_samples)[name]
 
     def fail(*args, **kw):
@@ -206,6 +213,71 @@ def test_sweep_makes_no_svd_call(monkeypatch, name, t_samples):
         patch.setattr(np.linalg, "svd", fail)
         for seed in range(6):
             selftest._stability_sweep(p, 10, seed)
+
+
+def _field_classes():
+    """`VectorField` and its subclasses that define their own `eval`."""
+    todo, seen = [VectorField], []
+    while todo:
+        cls = todo.pop()
+        if cls not in seen:
+            seen.append(cls)
+            todo.extend(cls.__subclasses__())
+    return [cls for cls in seen if "eval" in vars(cls)]
+
+
+def _keyed_evaluations(patch):
+    """Record every field `eval` and `np.linalg.qr` call as (what, caller)."""
+    calls = []
+
+    def keyed(what, original):
+        def wrapper(*args, **kw):
+            calls.append((what, sys._getframe(1).f_code.co_name))
+            return original(*args, **kw)
+        return wrapper
+
+    patch.setattr(np.linalg, "qr", keyed("qr", np.linalg.qr))
+    for cls in _field_classes():
+        patch.setattr(cls, "eval", keyed(f"{cls.__name__}.eval", cls.eval))
+    return calls
+
+
+@pytest.mark.parametrize("t_samples", [50, 200])
+@pytest.mark.parametrize("name", NO_BAND_PATCHES)
+def test_sweep_reads_the_grid_values_and_frame_basis(monkeypatch, name, t_samples):
+    # every t of the sweep is a grid sample, so the pairs' reduced
+    # Jacobians are rows of the patch's values and frame QR; only the
+    # SVD fallback near a cutoff, which these patches never reach,
+    # evaluates the fields
+    p = corpus(t_samples)[name]
+    assert p.values and p.scan  # primed, as in the selftest
+    with monkeypatch.context() as patch:
+        calls = _keyed_evaluations(patch)
+        for seed in range(6):
+            selftest._stability_sweep(p, 10, seed)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", selftest.EQUIVALENCE_PATCHES)
+def test_pair_jacobians_on_the_grid_equal_fresh_evaluations(monkeypatch, name):
+    p = corpus(50)[name]
+    ts = p.grid.t_samples
+    # the same curve on a grid of midpoints, which evaluates these t afresh
+    fresh = RuledPatch(p.fc, SampleGrid(0.5 * (ts[1:] + ts[:-1])), p.tol)
+    rng = np.random.default_rng(7)
+    t, pairs = rng.choice(ts, 60), rng.uniform(-2.0, 2.0, (60, 2, p.m - 1))
+    assert p.values and p.scan
+    with monkeypatch.context() as patch:
+        calls = _keyed_evaluations(patch)
+        on_grid = _pair_jacobians(p, t, pairs)
+        assert calls == []
+        evaluated = _pair_jacobians(fresh, t, pairs)
+        assert calls
+    # the same values and frame basis, multiplied out from arrays of
+    # another memory layout: equal within a few rounding errors
+    for got, want in zip(on_grid, evaluated):
+        scale = np.abs(want[np.isfinite(want)]).max()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=8 * EPS * scale)
 
 
 @pytest.mark.parametrize("t_samples", [50, 200])
