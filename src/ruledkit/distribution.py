@@ -16,10 +16,9 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import FrameError, NumericError, PivotError, ValidationError
-from .fields import FrameCombinationField
+from .fields import CubicHermite, FrameCombinationField, not_a_knot_slopes
 from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
                           _rank_margin, _ratio_margin, rank2_singular_values,
                           rank_mask, settled)
@@ -206,8 +205,9 @@ def pivot_frame(p: RuledPatch, d: int) -> RuledPatch:
     permutation whose trailing rho block is best conditioned over the
     whole grid; if none works, rotates the frame by the eigenvector
     matrix of the rho Gram (dominant directions last, signs smoothed
-    along t). Fails with the offending samples when neither achieves the
-    condition.
+    along t), interpolated between the grid samples by the not-a-knot
+    cubic spline of its entries. Fails with the offending samples when
+    neither achieves the condition.
     """
     if d < 1:
         raise ValidationError("pivot requires degree >= 1")
@@ -242,7 +242,7 @@ def pivot_frame(p: RuledPatch, d: int) -> RuledPatch:
         flip = np.sign(np.einsum("ij,ij->j", coeff_nodes[i - 1], coeff_nodes[i]))
         flip[flip == 0] = 1.0
         coeff_nodes[i] *= flip
-    coeffs = CubicSpline(ts, coeff_nodes, axis=0)
+    coeffs = CubicHermite(ts, coeff_nodes, not_a_knot_slopes(ts, coeff_nodes))
     frame = [FrameCombinationField(list(fc.frame), coeffs, j, domain=fc.interval)
              for j in range(k)]
     rotated = replace(p, fc=fc.with_frame(frame), origin=None)

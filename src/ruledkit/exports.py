@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from .ruledgeom import RuledPatch
 from .striction import StrictionSheet
 
@@ -21,12 +23,27 @@ def _floats(items) -> list[str]:
     return out
 
 
+def _float_rows(rows, indent: str) -> str | None:
+    """The encoding at `indent` of a list of nonempty lists of plain
+    floats, in one pass: every number formatted by one `_floats` call and
+    placed by one `%` template; None for any other list of lists."""
+    flat = [x for row in rows for x in row]
+    if not all(rows) or set(map(type, flat)) != {float}:
+        return None
+    inner, cell = indent + "  ", indent + "    "
+    templates = {n: "[\n" + cell + (",\n" + cell).join(["%s"] * n) + "\n" + inner + "]"
+                 for n in set(map(len, rows))}
+    body = (",\n" + inner).join([templates[len(row)] for row in rows])
+    return "[\n" + inner + body % tuple(_floats(flat)) + "\n" + indent + "]"
+
+
 def _encode(obj, indent: str) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2)` of a value nested at
     `indent`, for the types `json` encodes by default.
 
-    A list of plain floats or plain ints, and a list of such lists, is
-    joined in one pass; containers of anything else recurse item by item.
+    A list of plain floats or plain ints is joined in one pass, and a
+    list of lists of plain floats formatted in one (`_float_rows`);
+    containers of anything else recurse item by item.
     A dict with a key that is not a str, and any type `json` cannot
     encode, go to `json.dumps` itself, re-indented (JSON strings hold no
     raw newline).
@@ -44,15 +61,14 @@ def _encode(obj, indent: str) -> str:
         if not obj:
             return "[]"
         kinds = set(map(type, obj))
+        if kinds <= {list, tuple}:
+            rows = _float_rows(obj, indent)
+            if rows is not None:
+                return rows
         if kinds == {float}:
             items = _floats(obj)
         elif kinds == {int}:
             items = list(map(int.__repr__, obj))
-        elif kinds <= {list, tuple} and all(row and set(map(type, row)) == {float}
-                                            for row in obj):
-            rows = inner + "  "
-            items = ["[\n" + rows + (",\n" + rows).join(_floats(row)) + "\n" + inner + "]"
-                     for row in obj]
         else:
             items = [_encode(item, inner) for item in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
@@ -90,11 +106,12 @@ def write_mesh_obj(path, patch: RuledPatch, sheet: StrictionSheet | None = None)
     for x, y, z in points.reshape(-1, 3).tolist():
         lines.append(f"v {x!r} {y!r} {z!r}")
     nu = us.size
-    for i in range(ts.size - 1):
-        for j in range(nu - 1):
-            a = i * nu + j + 1
-            b = a + nu
-            lines.append(f"f {a} {b} {b + 1} {a + 1}")
+    # quad (a, a + nu, a + nu + 1, a + 1) from each 1-based vertex a off the
+    # last t and the last u
+    a = (np.arange(ts.size - 1)[:, None] * nu + np.arange(1, nu)).ravel()
+    if a.size:
+        faces = np.stack([a, a + nu, a + nu + 1, a + 1], axis=1)
+        lines.append("\n".join(["f %d %d %d %d"] * a.size) % tuple(faces.ravel().tolist()))
     if sheet is not None:
         base = ts.size * nu
         lines.append("o striction")

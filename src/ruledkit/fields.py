@@ -2,10 +2,11 @@
 
 Four serializable kinds (polynomial, fourier, constant, builtin) carry
 closed-form derivatives of any order. Derived fields (composition with
-a monotone parameter map, linear combinations of frame fields with
-interpolated coefficients) implement derivatives up to order 2, which
-is all downstream geometry needs. Finite differences never appear here;
-they are reserved for test oracles.
+a monotone parameter map, the exact Gram-Schmidt orthonormalization of
+frame fields, linear combinations of frame fields with coefficients
+interpolated by a cubic Hermite) implement derivatives up to order 2,
+which is all downstream geometry needs. Finite differences never appear
+here; they are reserved for test oracles.
 
 Evaluation is array-based: `eval(t, order)` takes a scalar t, giving a
 (dim,) vector, or a 1-D array of parameters, giving an (N, dim) stack.
@@ -20,11 +21,13 @@ takes a `ParameterArray`, a 1-D array that keeps, per parameter map,
 the inverse t(s) of its values and dt/ds, d2t/ds2 there. A
 `ComposedField` reads its map's inversion from it, and the kinds built
 on other fields (embedded, derivative, composed, affine-combination,
-frame-combination) hand it on to those fields, so every field and
-derivative order evaluated on one such array, maps nested inside maps
-included, shares one `ParameterMap.t` call per map. A plain array is
-wrapped in a fresh `ParameterArray` for the one call. Leaf kinds and
-user subclasses always receive a plain float or array.
+frame-combination, Gram-Schmidt) hand it on to those fields, so every
+field and derivative order evaluated on one such array, maps nested
+inside maps included, shares one `ParameterMap.t` call per map; the
+fields of one Gram-Schmidt frame share one orthonormalization per order
+the same way. A plain array is wrapped in a fresh `ParameterArray` for
+the one call. Leaf kinds and user subclasses always receive a plain
+float or array.
 """
 
 from __future__ import annotations
@@ -37,10 +40,9 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import legendre
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DomainError, RegularityError, ValidationError
-from .multilinear import as_vector
+from .multilinear import as_vector, gram_schmidt_rows
 
 _GL_NODES, _GL_WEIGHTS = legendre.leggauss(21)
 #: Legendre coefficients of the antiderivative, zero at -1, of the degree-20
@@ -85,11 +87,13 @@ def _first_outside(ts: np.ndarray, lo: float, hi: float, pad: float) -> float | 
 
 class ParameterArray:
     """A 1-D parameter array that the fields evaluated on it share, with
-    the arclength inversions made on it.
+    the arclength inversions and frame orthonormalizations made on it.
 
     `inverse(pmap)` runs `pmap.t` on the values on first use and keeps
-    the result for as long as this object lives; the inversions are
-    keyed by the map object, never by parameter values.
+    the result for as long as this object lives; so does `cached` for
+    any other result computed from the values. Results are keyed by the
+    object that made them (a map, a frame and order), never by
+    parameter values.
     """
 
     def __init__(self, values):
@@ -97,13 +101,17 @@ class ParameterArray:
         if self.values.ndim != 1:
             raise ValidationError(
                 f"a parameter array must be 1-D, got shape {self.values.shape}")
-        self._inverses: dict = {}
+        self._cache: dict = {}
+
+    def cached(self, key, make: Callable[[], object]):
+        """`make()` on the first call with `key`, the same result after."""
+        out = self._cache.get(key)
+        if out is None:
+            out = self._cache[key] = make()
+        return out
 
     def inverse(self, pmap: "ParameterMap") -> "_Inverse":
-        inv = self._inverses.get(pmap)
-        if inv is None:
-            inv = self._inverses[pmap] = _Inverse(pmap, self.values)
-        return inv
+        return self.cached(pmap, lambda: _Inverse(pmap, self.values))
 
 
 class _Inverse:
@@ -641,16 +649,95 @@ def stack_fields(fields: Sequence[VectorField], t, order: int = 0) -> np.ndarray
     return np.stack(vals, axis=-2)
 
 
+class CubicHermite:
+    """The piecewise cubic Hermite interpolant of values y (n, ...) with
+    slopes dydx (n, ...) at increasing nodes x (n,): called at t (a
+    scalar or an array) with nu = 0, 1 or 2, it gives the value or the
+    nu-th derivative, (...) per t, extrapolating with the end cubics.
+
+    The power coefficients in t - x_i and their evaluation are those of
+    the usual piecewise-polynomial form of a cubic Hermite spline (the
+    `CubicHermiteSpline` of the tests' reference library), operation for
+    operation, so the two agree to rounding. At every node but the last,
+    the interval is the one the node starts, so value and slope are y_i
+    and dydx_i exactly; the last node is the right end of the last cubic.
+    """
+
+    def __init__(self, x, y, dydx):
+        self.x = np.asarray(x, dtype=float)
+        y, dydx = np.asarray(y, dtype=float), np.asarray(dydx, dtype=float)
+        h = np.diff(self.x).reshape((-1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / h
+        t = (dydx[:-1] + dydx[1:] - 2.0 * slope) / h
+        # coefficients of s^0 .. s^3, s = t - x_i
+        self._coeffs = (y[:-1], dydx[:-1], (slope - dydx[:-1]) / h - t, t / h)
+
+    def __call__(self, t, nu: int = 0) -> np.ndarray:
+        ts = np.asarray(t, dtype=float)
+        flat = ts.reshape(-1)
+        i = np.clip(np.searchsorted(self.x, flat, side="right") - 1, 0, self.x.size - 2)
+        c0, c1, c2, c3 = (c[i] for c in self._coeffs)
+        s = (flat - self.x[i]).reshape((-1,) + (1,) * (c0.ndim - 1))
+        # the terms in PPoly's order, each of them (c * s^k) * k!/(k-nu)!
+        if nu == 0:
+            out = 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+        elif nu == 1:
+            out = 0.0 + c1 + c2 * s * 2.0 + c3 * (s * s) * 3.0
+        elif nu == 2:
+            out = 0.0 + c2 * 2.0 + c3 * s * 6.0
+        else:
+            raise ValidationError("cubic Hermite derivatives of orders 0..2 only")
+        return out.reshape(ts.shape + out.shape[1:])
+
+
+def not_a_knot_slopes(x, y) -> np.ndarray:
+    """Slopes at the nodes x (n,) of the not-a-knot cubic spline through
+    the values y (n, ...), from the equations of the reference library's
+    default `CubicSpline`: the slope of the chord for n = 2,
+    the parabola through the points for n = 3, otherwise the tridiagonal
+    system with a continuous third derivative at x_1 and x_{n-2}, solved
+    by elimination without pivoting (the Thomas algorithm)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n = x.size
+    h = np.diff(x)
+    hr = h.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / hr
+    if n == 2:
+        return np.stack([slope[0], slope[0]])
+    if n == 3:
+        mid = (hr[1] * slope[0] + hr[0] * slope[1]) / (x[2] - x[0])
+        return np.stack([2.0 * slope[0] - mid, mid, 2.0 * slope[1] - mid])
+    # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower = np.concatenate([[0.0], h[1:], [d1]])
+    diag = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
+    upper = np.concatenate([[d0], h[:-1], [0.0]])
+    rhs = np.empty_like(y)
+    rhs[0] = ((hr[0] + 2.0 * d0) * hr[1] * slope[0] + hr[0] ** 2 * slope[1]) / d0
+    rhs[1:-1] = 3.0 * (hr[1:] * slope[:-1] + hr[:-1] * slope[1:])
+    rhs[-1] = (hr[-1] ** 2 * slope[-2] + (2.0 * d1 + hr[-1]) * hr[-2] * slope[-1]) / d1
+    ratio = np.empty(n)
+    ratio[0] = upper[0] / diag[0]
+    rhs[0] /= diag[0]
+    for i in range(1, n):
+        pivot = diag[i] - lower[i] * ratio[i - 1]
+        ratio[i] = upper[i] / pivot
+        rhs[i] = (rhs[i] - lower[i] * rhs[i - 1]) / pivot
+    for i in range(n - 2, -1, -1):
+        rhs[i] -= ratio[i] * rhs[i + 1]
+    return rhs
+
+
 class FrameCombinationField(VectorField):
     """One column of a coefficient-matrix combination of base fields.
 
-    `coeffs` is a `CubicSpline` of (K, K_out) coefficient matrices over
+    `coeffs` is a `CubicHermite` of (K, K_out) coefficient matrices over
     t, shared by the fields of one frame; field `index` evaluates to
     sum_k c[k, index](t) * bases[k](t), with product-rule derivatives up
     to order 2.
     """
 
-    def __init__(self, bases: Sequence[VectorField], coeffs: CubicSpline, index: int,
+    def __init__(self, bases: Sequence[VectorField], coeffs: CubicHermite, index: int,
                  domain: tuple[float, float] | None = None):
         self.bases = list(bases)
         self.coeffs = coeffs
@@ -681,3 +768,67 @@ class FrameCombinationField(VectorField):
         c2 = coeffs(2)
         d2 = stack_fields(self.bases, params, 2)
         return combine(c2, vals) + 2.0 * combine(c1, d1) + combine(c0, d2)
+
+
+def _lower_sum(m: np.ndarray) -> np.ndarray:
+    """U(M)^T of a stack of square matrices, U(M) = triu(M) + tril(M, -1)^T:
+    the lower triangle of M + M^T with the diagonal of M taken once."""
+    return np.tril(m.swapaxes(-1, -2)) + np.tril(m, -1)
+
+
+class GramSchmidtFrame:
+    """The Gram-Schmidt orthonormalization of K base fields, exact at
+    every t, with derivatives up to order 2; its fields are
+    `GramSchmidtField`s.
+
+    In rows, the bases V = R^T E with E orthonormal and R upper
+    triangular with positive diagonal (the QR of A = V^T), and C = R^-T.
+    The row-by-row Gram-Schmidt of the stack
+    (`multilinear.gram_schmidt_rows`) gives E, C and the lengths diag R.
+    With A = QR, A' = Q'R + QR' and Q^T Q' skew, R' R^-1 = U(M) for
+    M = Q^T A' R^-1, U(M) = triu(M) + tril(M, -1)^T, so that
+    E' = C V' - U(M)^T E; once more, with N = E Z^T for
+    Z^T = C V'' - 2 U(M)^T E', E'' = Z^T - U(N + E' E'^T)^T E.
+
+    Each order is computed once per `ParameterArray` and kept on it, for
+    all K fields; order o reads order o - 1 from there.
+    """
+
+    def __init__(self, bases: Sequence[VectorField]):
+        self.bases = list(bases)
+
+    def rows(self, params: ParameterArray, order: int) -> tuple:
+        """(E, C, lengths, V) at order 0, (E', U(M)^T) at order 1 and
+        (E'',) at order 2, on the parameters of `params`."""
+        return params.cached((self, order), lambda: self._rows(params, order))
+
+    def _rows(self, params: ParameterArray, order: int) -> tuple:
+        v = stack_fields(self.bases, params, order)
+        if order == 0:
+            return gram_schmidt_rows(v) + (v,)
+        e, c, _, _ = self.rows(params, 0)
+        if order == 1:
+            g = c @ v
+            w = _lower_sum(e @ g.swapaxes(1, 2))
+            return g - w @ e, w
+        e1, w = self.rows(params, 1)
+        z = c @ v - 2.0 * (w @ e1)
+        return (z - _lower_sum(e @ z.swapaxes(1, 2) + e1 @ e1.swapaxes(1, 2)) @ e,)
+
+
+class GramSchmidtField(VectorField):
+    """Field `index` of a `GramSchmidtFrame`: row `index` of its
+    orthonormalization, or of that row's derivative."""
+
+    def __init__(self, frame: GramSchmidtFrame, index: int,
+                 domain: tuple[float, float] | None = None):
+        self.frame = frame
+        self.index = index
+        self.dim = frame.bases[0].dim
+        self.domain = domain
+
+    @shared_eval
+    def eval(self, params, order=0):
+        if order > 2:
+            raise ValidationError("Gram-Schmidt fields support derivative orders 0..2 only")
+        return self.frame.rows(params, order)[0][:, self.index]

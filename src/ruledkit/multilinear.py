@@ -229,18 +229,35 @@ def rank2_ranks(stack: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES) ->
     return ranks
 
 
-def gram_schmidt_r(stack: np.ndarray) -> np.ndarray:
+def gram_schmidt_rows(stack: np.ndarray) -> tuple:
     """Gram-Schmidt of the rows of each (k, dim) matrix of a (..., k, dim)
-    stack, k <= dim, as the (..., k, k) upper triangular R of the QR
-    factorization of its transpose, with nonnegative diagonal.
+    stack, one row at a time over the whole stack, with no LAPACK call:
+    the orthonormal rows E, the lower triangular change of basis C with
+    E = C @ stack, and the length of each row off the span of the rows
+    before it, (..., k). A zero length gives a zero row of E and C.
 
-    Row i is sum_a R[a, i] q_a over the orthonormalized rows q_a, a <= i,
-    so R^-T @ stack is orthonormal; R[i, i] is the length of row i off
-    the span of the rows before it, 0 when they are dependent.
+    Row i is projected off each earlier orthonormal row by its own
+    coefficient against that row (classical Gram-Schmidt), accurate to a
+    few eps times the square of the stack's condition number.
     """
-    r = np.linalg.qr(stack.swapaxes(-1, -2), mode="r")
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return r * np.where(diag == 0, 1.0, np.sign(diag))[..., None]
+    k = stack.shape[-2]
+    basis = np.empty_like(stack)
+    coeffs = np.zeros(stack.shape[:-2] + (k, k))
+    lengths = np.empty(stack.shape[:-1])
+    for i in range(k):
+        w = stack[..., i, :].copy()
+        c = coeffs[..., i, :]
+        c[..., i] = 1.0
+        for a in range(i):
+            proj = np.einsum("...k,...k->...", basis[..., a, :], stack[..., i, :])[..., None]
+            w -= proj * basis[..., a, :]
+            c -= proj * coeffs[..., a, :]
+        norm = np.sqrt(np.einsum("...k,...k->...", w, w))
+        lengths[..., i] = norm
+        scale = (1.0 / np.where(norm > 0.0, norm, np.inf))[..., None]
+        basis[..., i, :] = w * scale
+        c *= scale
+    return basis, coeffs, lengths
 
 
 def frame_qr(x: np.ndarray):

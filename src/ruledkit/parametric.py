@@ -16,15 +16,14 @@ from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, DegeneracyError, FrameError, ValidationError
 from .fields import (BUILTIN_CURVES, ComposedField, ConstantField,
                      DerivativeField, EmbeddedField, FourierField,
-                     FrameCombinationField, HelixCurve, ParameterArray,
+                     GramSchmidtField, GramSchmidtFrame, HelixCurve, ParameterArray,
                      PolynomialField, VectorField, arclength_reparametrize,
                      stack_fields)
-from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, frame_qr, gram_schmidt_r
+from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, frame_qr
 
 TWO_PI = 2.0 * math.pi
 
@@ -218,30 +217,29 @@ class SampleGrid:
 
 def gram_schmidt_frame(fields: Sequence[VectorField], grid: SampleGrid,
                        tol: TolerancePolicy = DEFAULT_TOLERANCES
-                       ) -> list[FrameCombinationField]:
-    """Orthonormalize fields pointwise, returning smooth combination fields.
+                       ) -> list[GramSchmidtField]:
+    """Orthonormalize fields pointwise, returning smooth fields.
 
-    At each grid sample a QR factorization with positive diagonal gives
-    the (order-preserving) orthonormalization; the triangular coefficient
-    matrices are spline-interpolated between samples, so field k of the
-    output stays in the span of inputs 1..k everywhere. The output fields
-    are defined over the grid's range, so no spline is extrapolated.
+    The output is the (order-preserving) Gram-Schmidt orthonormalization
+    of the fields at every t, with exact derivatives
+    (`fields.GramSchmidtFrame`), so field k of the output lies in the
+    span of inputs 1..k and the frame is orthonormal everywhere, not
+    only on the grid. The fields must be independent at every grid
+    sample; the output fields are defined over the grid's range, where
+    that was checked. The orthonormalization on the grid's parameters is
+    kept on them for every later evaluation there.
     """
     k = len(fields)
     if k == 0:
         return []
     ts = grid.t_samples
-    v = stack_fields(fields, grid.parameters)
-    r = gram_schmidt_r(v)
+    frame = GramSchmidtFrame(fields)
+    _, _, lengths, v = frame.rows(grid.parameters, 0)
     scale = np.maximum(1.0, np.linalg.norm(v, axis=(1, 2)))
-    dependent = np.flatnonzero(np.diagonal(r, axis1=1, axis2=2).min(axis=1)
-                               < tol.zero_abs_tol * scale)
+    dependent = np.flatnonzero(lengths.min(axis=1) < tol.zero_abs_tol * scale)
     if dependent.size:
         raise DegeneracyError(f"frame fields are dependent at t={ts[dependent[0]]}")
-    coeffs = CubicSpline(ts, np.linalg.inv(r), axis=0)
-    return [FrameCombinationField(list(fields), coeffs, j,
-                                  domain=(float(ts[0]), float(ts[-1])))
-            for j in range(k)]
+    return [GramSchmidtField(frame, j, domain=(float(ts[0]), float(ts[-1]))) for j in range(k)]
 
 
 def arclength_framed_curve(fc: FramedCurve) -> FramedCurve:

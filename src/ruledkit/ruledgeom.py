@@ -39,7 +39,7 @@ from .distribution import DegreeProfile, profile_from_values
 from .errors import RegularityError, ValidationError
 from .fields import AffineCombinationField
 from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
-                          _rank_margin, frame_qr, numerical_ranks,
+                          _rank_margin, frame_qr, gram_schmidt_rows, numerical_ranks,
                           pair_wedge_norms, rank2_ranks, rank_mask, settled)
 from .parametric import FramedCurve, GridValues, SampleGrid
 
@@ -572,30 +572,16 @@ def tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
 
 
 def _orthonormal_tangent_coeffs(jac: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Gram-Schmidt on the Jacobian rows of a (..., m, dim) stack, one row
-    at a time over the whole stack.
+    """Gram-Schmidt on the Jacobian rows of a (..., m, dim) stack
+    (`multilinear.gram_schmidt_rows`).
 
     Returns the lower triangular change of basis S with S @ jac
     orthonormal, per stack entry. Raises where a row's length off the
     span of the rows before it is below zero_abs_tol.
     """
-    m = jac.shape[-2]
-    basis = np.empty_like(jac)
-    s = np.zeros(jac.shape[:-2] + (m, m))
-    for i in range(m):
-        w = jac[..., i, :].copy()
-        c = s[..., i, :]
-        c[..., i] = 1.0
-        for a in range(i):
-            proj = np.einsum("...k,...k->...", basis[..., a, :], jac[..., i, :])[..., None]
-            w -= proj * basis[..., a, :]
-            c -= proj * s[..., a, :]
-        norm = np.sqrt(np.einsum("...k,...k->...", w, w))
-        if np.any(norm < tol.zero_abs_tol):
-            raise RegularityError("tangent basis is degenerate")
-        scale = (1.0 / norm)[..., None]
-        basis[..., i, :] = w * scale
-        c *= scale
+    _, s, lengths = gram_schmidt_rows(jac)
+    if np.any(lengths < tol.zero_abs_tol):
+        raise RegularityError("tangent basis is degenerate")
     return s
 
 

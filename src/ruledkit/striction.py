@@ -24,7 +24,9 @@ once, with `tolist()`.
 The directrix-invariance check re-solves the sheet of each shifted
 directrix on the patch's own grid, since the solved coordinates do not
 change under reparametrization; the shifted patch shares the frame
-values and degree profile, so no arclength map is built.
+values and degree profile, so no arclength map is built. The distance
+of each re-solved node to the analyzed sheet comes from a per-point
+Gauss-Newton fit over the sheet's parameters (`least_squares`).
 
 Every stage is deterministic except `offsheet_check`, the randomized
 regularity spot check just off the sheet; it alone takes a seed.
@@ -37,12 +39,10 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import least_squares
 
 from .distribution import profile_from_values, rho_at
 from .errors import DegeneracyError, NumericError, ValidationError
-from .fields import as_parameter_array
+from .fields import CubicHermite, as_parameter_array
 from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy, frame_qr,
                           numerical_ranks, pair_wedge_norms, rank2_ranks, settled, wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid
@@ -164,9 +164,8 @@ class StrictionSheet:
         return -np.linalg.solve(a, rho_dot @ e1.swapaxes(1, 2) + rho @ e2.swapaxes(1, 2))
 
     @cached_property
-    def _interpolant(self) -> CubicHermiteSpline:
-        return CubicHermiteSpline(self.grid.t_samples, self.solution_nodes,
-                                  self.solution_tangents)
+    def _interpolant(self) -> CubicHermite:
+        return CubicHermite(self.grid.t_samples, self.solution_nodes, self.solution_tangents)
 
     def _affine(self, u_free) -> np.ndarray:
         """(1, u_free) for one free position (free,), or one row per
@@ -493,26 +492,66 @@ class InvarianceResult:
     max_deviation: float
 
 
-def _stacked_fit(sheet: StrictionSheet, points: np.ndarray):
-    """Residual and exact Jacobian of the nearest-sheet-point problem of N
-    points at once: theta holds one (t, free coordinates) row per point,
-    flattened. Point i's residual depends on row i only, so the Jacobian
-    is block diagonal, with the sheet partials of each row as its block."""
-    n, dim = points.shape
-    width = 1 + sheet.free_count
-    rows = np.arange(n)
+@dataclass(frozen=True, eq=False)
+class SheetFit:
+    """Nearest sheet points found by `least_squares`: their parameters x
+    (N, 1 + free), residuals fun (N, dim) and the number of residual
+    evaluations, each one call over the points still moving."""
 
-    def residual(theta):
-        theta = theta.reshape(n, width)
-        return (sheet.beta(theta[:, 0], theta[:, 1:]) - points).ravel()
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
 
-    def jacobian(theta):
-        theta = theta.reshape(n, width)
-        jac = np.zeros((n, dim, n, width))
-        jac[rows, :, rows] = sheet.beta_partials(theta[:, 0], theta[:, 1:]).swapaxes(1, 2)
-        return jac.reshape(n * dim, n * width)
 
-    return residual, jacobian
+#: Gauss-Newton iterations of `least_squares` before it stops anyway
+FIT_ITERATIONS = 100
+
+
+def least_squares(sheet: StrictionSheet, points: np.ndarray, x0: np.ndarray,
+                  lower: np.ndarray, upper: np.ndarray) -> SheetFit:
+    """The sheet point nearest each of N points (N, dim), as the (t, free
+    coordinates) rows inside the box [lower, upper], from the rows x0.
+
+    Gauss-Newton on each point's own row, all points at once: the step
+    solves the tiny normal equations J J^T step = -J r through a
+    pseudo-inverse (a sheet that is a single point has J = 0), is
+    projected onto the box, and is taken only where the point's
+    distance falls; elsewhere it is halved and tried again. A point
+    stops when |J r| <= 1e-14 or its step is below 1e-14 times its
+    scale max(1, |row|), so a row already at a nearest point never
+    moves, and no distance is ever larger than at x0.
+    """
+    theta = np.clip(x0, lower, upper)
+    scale = np.maximum(1.0, np.abs(theta).max(axis=1))
+    fun = sheet.beta(theta[:, 0], theta[:, 1:]) - points
+    dist = np.linalg.norm(fun, axis=1)
+    nfev = 1
+    active = np.arange(points.shape[0])
+    for _ in range(FIT_ITERATIONS):
+        jac = sheet.beta_partials(theta[active, 0], theta[active, 1:])  # (a, 1 + free, dim)
+        grad = (jac @ fun[active, :, None])[..., 0]
+        moving = np.abs(grad).max(axis=1) > 1e-14
+        active, jac, grad = active[moving], jac[moving], grad[moving]
+        step = -(np.linalg.pinv(jac @ jac.swapaxes(1, 2)) @ grad[..., None])[..., 0]
+        improved = [active[:0]]
+        while active.size:
+            trial = np.clip(theta[active] + step, lower, upper)
+            large = np.abs(trial - theta[active]).max(axis=1) > 1e-14 * scale[active]
+            active, step, trial = active[large], step[large], trial[large]
+            if not active.size:
+                break
+            trial_fun = sheet.beta(trial[:, 0], trial[:, 1:]) - points[active]
+            nfev += 1
+            trial_dist = np.linalg.norm(trial_fun, axis=1)
+            falls = trial_dist < dist[active]
+            done = active[falls]
+            theta[done], fun[done], dist[done] = trial[falls], trial_fun[falls], trial_dist[falls]
+            improved.append(done)
+            active, step = active[~falls], 0.5 * step[~falls]
+        active = np.concatenate(improved)
+        if not active.size:
+            break
+    return SheetFit(x=theta, fun=fun, nfev=nfev)
 
 
 def _distances_to_sheet(sheet: StrictionSheet, points: np.ndarray,
@@ -520,23 +559,18 @@ def _distances_to_sheet(sheet: StrictionSheet, points: np.ndarray,
     """Distance from each of N points to the sheet as a continuous object,
     (N,), from its seed parameters (N, 1 + free).
 
-    All points are refined together by one bounded least squares over
-    their (t, free coordinates). A point's distance is the smaller of its
-    distances to the seed's and to the refined sheet point; both are sheet
-    points, so each value bounds the true distance from above.
+    All points are refined together by one `least_squares` over their
+    (t, free coordinates), within the curve interval and four times the
+    grid's ruling extent. Each distance is to a sheet point, so it
+    bounds the true distance from above, and it is never larger than
+    the distance to the seed's sheet point.
     """
     lo, hi = sheet.fc.interval
     ext = 4.0 * sheet.grid.u_extent
-    n = points.shape[0]
-    lower = np.tile([lo] + [-ext] * sheet.free_count, n)
-    upper = np.tile([hi] + [ext] * sheet.free_count, n)
-    residual, jacobian = _stacked_fit(sheet, points)
-    x0 = np.clip(seeds.ravel(), lower, upper)
-    at_seed = residual(x0).reshape(points.shape)
-    fit = least_squares(residual, x0, jac=jacobian, bounds=(lower, upper),
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    return np.minimum(np.linalg.norm(at_seed, axis=1),
-                      np.linalg.norm(fit.fun.reshape(points.shape), axis=1))
+    lower = np.array([lo] + [-ext] * sheet.free_count)
+    upper = np.array([hi] + [ext] * sheet.free_count)
+    fit = least_squares(sheet, points, seeds, lower, upper)
+    return np.linalg.norm(fit.fun, axis=1)
 
 
 def _offset_deviation(p: RuledPatch, sheet: StrictionSheet, c: np.ndarray,
@@ -573,11 +607,12 @@ def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets
     coordinates do not change under reparametrization, so no arclength
     map is needed. Since sigma'(t, u) = sigma(t, u + c), the re-solved
     point at (t, u_free) is matched to the original sheet at
-    (t, u_free + c_free); from there one least-squares refinement per
-    free sample position moves all of an offset's points to their nearest
-    sheet points. The deviation is the largest distance from a re-solved
-    grid node to the original sheet. An offset whose re-solve fails
-    numerically is skipped with its reason.
+    (t, u_free + c_free); from there one `least_squares` per free sample
+    position moves all of an offset's points to their nearest sheet
+    points, each by its own Gauss-Newton iteration. The deviation is the
+    largest distance from a re-solved grid node to the original sheet.
+    An offset whose re-solve fails numerically is skipped with its
+    reason.
     """
     fc, grid = p.fc, p.grid
     if sheet.d < 1:

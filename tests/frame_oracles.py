@@ -8,7 +8,9 @@ whose wedge norms (`multilinear.wedge_norms`, a product of singular
 values) the rank-one check and the singular locus wrote before their
 closed forms, and `wedge_slack` is the rounding slack
 `WEDGE_SLACK_PER_VECTOR` k eps |A|_F^k within which the closed forms must
-equal those norms.
+equal those norms. `gram_schmidt_r` is the stacked Householder QR factor
+that the row-by-row Gram-Schmidt kernels of the flatness check and the
+orthonormalized frame replaced.
 """
 
 from __future__ import annotations
@@ -57,3 +59,17 @@ def wedge_slack(stack: np.ndarray) -> np.ndarray:
     k = stack.shape[-2]
     frob2 = np.sum(stack * stack, axis=(-2, -1))
     return WEDGE_SLACK_PER_VECTOR * k * np.finfo(float).eps * frob2 ** (0.5 * k)
+
+
+def gram_schmidt_r(stack: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt of the rows of each (k, dim) matrix of a (..., k, dim)
+    stack, k <= dim, as the (..., k, k) upper triangular R of the QR
+    factorization of its transpose, with nonnegative diagonal.
+
+    Row i is sum_a R[a, i] q_a over the orthonormalized rows q_a, a <= i,
+    so R^-T @ stack is orthonormal; R[i, i] is the length of row i off
+    the span of the rows before it, 0 when they are dependent.
+    """
+    r = np.linalg.qr(stack.swapaxes(-1, -2), mode="r")
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return r * np.where(diag == 0, 1.0, np.sign(diag))[..., None]

@@ -5,10 +5,12 @@ import pytest
 
 from ambient_second_form import svd_span_verdicts
 from conftest import small_patch
+from frame_oracles import project_off_spans
 from ruledkit import (RuledPatch, SampleGrid, TolerancePolicy, ValidationError,
                       make_builtin_patch, pivot_frame, rho_at)
 from ruledkit.distribution import constant_degree_segments, degree_profile, equal_runs
 from ruledkit.fields import FourierField, PolynomialField, VectorField
+from ruledkit.multilinear import numerical_ranks
 from ruledkit.parametric import FramedCurve
 
 TWO_PI = 2.0 * math.pi
@@ -185,6 +187,18 @@ def test_pivot_rotation_fallback(tol):
         pair = np.stack([pivoted.frame_values(t), fc.frame_values(t)])
         regular, worst = svd_span_verdicts(pair[None], tol)
         assert regular.all() and worst[0] < tol.zero_abs_tol
+    # between the nodes the rotation is interpolated, so the rotated frame is
+    # orthonormal only to the interpolation error; its span, and the degree
+    # its trailing field carries, are checked off the span of the SVD
+    ts = grid.t_samples
+    mids = 0.5 * (ts[1:] + ts[:-1])
+    x = pivoted.frame_values(mids)
+    assert np.abs(x @ x.swapaxes(1, 2) - np.eye(2)).max() < 1e-5
+    rho = project_off_spans(x, pivoted.frame_values(mids, 1))
+    assert (np.linalg.norm(rho[:, -1], axis=1) > tol.zero_abs_tol).all()
+    assert (numerical_ranks(rho, tol) == 1).all()
+    regular, worst = svd_span_verdicts(np.stack([x, fc.frame_values(mids)], axis=1), tol)
+    assert regular.all() and (worst < tol.zero_abs_tol).all()
 
 
 def test_borderline_samples_are_flagged():

@@ -3,15 +3,16 @@ import re
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from ruledkit import DomainError, HelixCurve, RegularityError, ValidationError
 from ruledkit.errors import ConfigError
 from ruledkit.fields import (AffineCombinationField, CircleCurve, ComposedField,
-                             ConstantField, DerivativeField, EmbeddedField, FourierField,
-                             FrameCombinationField, LineCurve, ParameterMap,
-                             PolynomialField, VectorField, arclength_reparametrize,
-                             make_builtin_curve)
+                             ConstantField, CubicHermite, DerivativeField, EmbeddedField,
+                             FourierField, FrameCombinationField, GramSchmidtField,
+                             GramSchmidtFrame, LineCurve, ParameterMap, PolynomialField,
+                             VectorField, arclength_reparametrize, make_builtin_curve,
+                             not_a_knot_slopes)
 from ruledkit.oracles import central_difference, max_derivative_error
 from ruledkit.parametric import BUILTIN_PATCHES, make_builtin_patch
 
@@ -216,6 +217,53 @@ def _coefficient_nodes():
     return nodes, values
 
 
+def _interpolation_data(n, seed):
+    """Strictly increasing nodes with uneven spacing, and (n, 2, 3) values
+    and slopes."""
+    rng = np.random.default_rng([n, seed])
+    x = np.cumsum(rng.uniform(0.2, 1.0, n)) - 1.5
+    return x, rng.normal(size=(n, 2, 3)), rng.normal(size=(n, 2, 3))
+
+
+def _interpolation_points(x):
+    """The nodes, the midpoints and points beyond both ends."""
+    return np.concatenate([x, 0.5 * (x[1:] + x[:-1]), [x[0] - 0.7, x[-1] + 0.4]])
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_cubic_hermite_matches_the_reference_spline(n, nu):
+    x, y, dydx = _interpolation_data(n, 0)
+    ts = _interpolation_points(x)
+    ours = CubicHermite(x, y, dydx)
+    _assert_close(ours(ts, nu), CubicHermiteSpline(x, y, dydx, axis=0)(ts, nu))
+    assert ours(ts[1], nu).shape == (2, 3)
+
+
+def test_cubic_hermite_is_exact_at_every_node_but_the_last():
+    x, y, dydx = _interpolation_data(9, 1)
+    ours = CubicHermite(x, y, dydx)
+    assert np.array_equal(ours(x[:-1]), y[:-1])
+    assert np.array_equal(ours(x[:-1], 1), dydx[:-1])
+    with pytest.raises(ValidationError):
+        ours(x, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 41])
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_not_a_knot_slopes_match_the_reference_spline(n, nu):
+    # n = 2 is the chord and n = 3 the parabola through the points
+    x, y, _ = _interpolation_data(n, 2)
+    ts = _interpolation_points(x)
+    ours = CubicHermite(x, y, not_a_knot_slopes(x, y))
+    _assert_close(ours(ts, nu), CubicSpline(x, y, axis=0)(ts, nu))
+
+
 def _array_cases():
     """(id, field, parameters inside its domain) for every field kind."""
     ts = np.linspace(0.0, TWO_PI, 13)
@@ -241,8 +289,10 @@ def _array_cases():
         ("composed-companion", ComposedField(fourier, composed.parameter_map),
          np.linspace(0.0, length, 13)),
         ("affine", AffineCombinationField(helix, [DerivativeField(helix, 1)], [0.7]), ts),
-        ("frame-spline", FrameCombinationField(bases, CubicSpline(nodes, values, axis=0), 1,
-                                               domain=(0.0, TWO_PI)), ts),
+        ("frame-spline", FrameCombinationField(
+            bases, CubicHermite(nodes, values, not_a_knot_slopes(nodes, values)), 1,
+            domain=(0.0, TWO_PI)), ts),
+        ("gram-schmidt", GramSchmidtField(GramSchmidtFrame(bases), 1), ts),
     ]
 
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frame_oracles import project_off_spans
+from frame_oracles import gram_schmidt_r, project_off_spans
 from ruledkit import TolerancePolicy, ValidationError
-from ruledkit.multilinear import as_vector_list, gram_schmidt_r, numerical_rank, wedge_norm
+from ruledkit.multilinear import as_vector_list, numerical_rank, wedge_norm
 from ruledkit.striction import WEDGE_SLACK_PER_VECTOR
 
 E1 = np.array([1.0, 0.0, 0.0])

@@ -5,8 +5,11 @@ import pytest
 
 from ruledkit import (ConfigError, DegeneracyError, DomainError, HelixCurve, SampleGrid,
                       ValidationError, make_builtin_patch)
-from ruledkit.fields import ConstantField, FourierField, PolynomialField
-from ruledkit.multilinear import numerical_rank
+from frame_oracles import gram_schmidt_r
+from ruledkit.fields import (ConstantField, FourierField, ParameterArray, PolynomialField,
+                             VectorField, array_eval, stack_fields)
+from ruledkit.multilinear import TolerancePolicy, numerical_rank
+from ruledkit.oracles import max_derivative_error
 from ruledkit.parametric import (BUILTIN_PATCHES, FramedCurve, arclength_framed_curve,
                                  builtin_families, gram_schmidt_frame)
 
@@ -167,3 +170,63 @@ def test_gram_schmidt_reports_degenerate_parameter():
     grid = SampleGrid.uniform((0.0, 1.0), 9)
     with pytest.raises(DegeneracyError, match="t=0"):
         gram_schmidt_frame(fields, grid)
+
+
+def _raw_frame_r5():
+    """Three independent Fourier fields in R^5, of uneven lengths and
+    angles, with harmonics t and 2t: a frame far from orthonormal."""
+    rng = np.random.default_rng(7)
+    fields = []
+    for i in range(3):
+        coords = [(2.0 * (j == i) + 0.3 * rng.normal(), [0.4 * rng.normal()],
+                   [0.4 * rng.normal()], float(1 + (i + j) % 2)) for j in range(5)]
+        fields.append(FourierField(coords))
+    return fields
+
+
+class _CountingField(VectorField):
+    """A field that records the order of every `eval` call."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.calls = []
+
+    @array_eval
+    def eval(self, ts, order=0):
+        self.calls.append(order)
+        return self.base.eval(ts, order)
+
+
+def test_gram_schmidt_frame_is_orthonormal_at_every_t():
+    # off the grid too, and equal to the Householder QR of the raw frame
+    raw = _raw_frame_r5()
+    out = gram_schmidt_frame(raw, SampleGrid.uniform((0.0, TWO_PI), 17))
+    ts = np.random.default_rng(3).uniform(0.0, TWO_PI, 200)
+    e = stack_fields(out, ts)
+    assert np.abs(e @ e.swapaxes(1, 2) - np.eye(3)).max() <= 1e-14
+    v = stack_fields(raw, ts)
+    want = np.linalg.solve(gram_schmidt_r(v).swapaxes(1, 2), v)
+    assert np.abs(e - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_gram_schmidt_frame_derivatives_pass_the_oracle(order):
+    tol = TolerancePolicy().derivative_check_tol
+    out = gram_schmidt_frame(_raw_frame_r5(), SampleGrid.uniform((0.0, TWO_PI), 17))
+    for field in out:
+        for seed in range(3):
+            assert max_derivative_error(field, field.domain, order, n=50, seed=seed) < tol
+
+
+def test_gram_schmidt_frame_orthonormalizes_once_per_parameter_array_and_order():
+    raw = [_CountingField(f) for f in _raw_frame_r5()]
+    out = gram_schmidt_frame(raw, SampleGrid.uniform((0.0, TWO_PI), 17))
+    for f in raw:
+        f.calls.clear()
+    params = ParameterArray(np.linspace(0.5, 6.0, 40))
+    for order in (2, 0, 1, 2):
+        for field in out:
+            field.eval(params, order)
+    assert all(sorted(f.calls) == [0, 1, 2] for f in raw)
+

@@ -5,10 +5,11 @@ import pytest
 
 from ambient_second_form import second_form_along_directrix
 from conftest import small_patch
+from frame_oracles import gram_schmidt_r
 from ruledkit import (RegularityError, RuledPatch, SampleGrid, ValidationError,
                       make_builtin_patch)
 from ruledkit.fields import ConstantField, PolynomialField
-from ruledkit.multilinear import gram_schmidt_r, numerical_rank
+from ruledkit.multilinear import numerical_rank
 from ruledkit.parametric import BUILTIN_PATCHES, FramedCurve
 from ruledkit.ruledgeom import (_coordinate_plane_curvatures, _orthonormal_tangent_coeffs,
                                 _second_form_vectors, first_normal_bounds_check,

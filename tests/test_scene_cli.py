@@ -311,8 +311,6 @@ def test_analyze_skips_invariance_offsets_whose_resolve_fails(tmp_path, monkeypa
     assert sum("directrix invariance skipped offsets" in n for n in report["notes"]) == 1
 
 
-@pytest.mark.xfail(strict=True, reason="the orthonormalized frame interpolates its "
-                   "QR coefficients in t, so it is orthonormal only at grid nodes")
 def test_orthonormalized_frame_is_orthonormal_between_grid_nodes():
     from perfbench.scenegen import explicit_scene
     patch = ingest(explicit_scene(0), {"t_samples": 40}).patch
@@ -320,6 +318,16 @@ def test_orthonormalized_frame_is_orthonormal_between_grid_nodes():
     x = patch.fc.frame_values(0.5 * (ts[1:] + ts[:-1]))
     gram = x @ x.swapaxes(1, 2)
     assert np.abs(gram - np.eye(patch.m - 1)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_orthonormalized_frame_derivatives_pass_the_oracle(order):
+    from perfbench.scenegen import explicit_scene
+    from ruledkit.oracles import max_derivative_error
+    patch = ingest(explicit_scene(0), {"t_samples": 40}).patch
+    for field in patch.fc.frame:
+        assert (max_derivative_error(field, field.domain, order)
+                < patch.tol.derivative_check_tol)
 
 
 def test_analyze_helicoid_striction_line(tmp_path):

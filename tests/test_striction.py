@@ -198,7 +198,7 @@ def test_analyze_interpolates_only_the_analyzed_sheet(tmp_path, monkeypatch):
     # the off-sheet check and the invariance fit read the analyzed sheet off
     # the grid; the re-solved sheets are read at their grid nodes only
     built, resolved = [], []
-    hermite, solve = striction.CubicHermiteSpline, striction.solve_striction
+    hermite, solve = striction.CubicHermite, striction.solve_striction
 
     def counting_spline(*args, **kwargs):
         built.append(1)
@@ -208,7 +208,7 @@ def test_analyze_interpolates_only_the_analyzed_sheet(tmp_path, monkeypatch):
         resolved.append(solve(p, d))
         return resolved[-1]
 
-    monkeypatch.setattr(striction, "CubicHermiteSpline", counting_spline)
+    monkeypatch.setattr(striction, "CubicHermite", counting_spline)
     monkeypatch.setattr(striction, "solve_striction", recording_solve)
     analyze(ingest({"builtin_patch": "circular_cone", "grid": {"t_samples": 40}}),
             tmp_path, seed=0)
@@ -660,24 +660,84 @@ def test_batched_distances_match_per_point_oracle(fit_sheets):
 
 
 def test_stacked_fit_jacobian_matches_central_differences(fit_sheets):
+    # the Jacobian each Gauss-Newton step of least_squares takes, per point:
+    # the sheet partials, against central differences of its residual
     rng = np.random.default_rng(12)
     for sheet in fit_sheets:
         points, seeds = _off_sheet_points(sheet, 7, rng)
-        residual, jacobian = striction._stacked_fit(sheet, points)
-        theta = seeds.ravel()
-        jac = jacobian(theta)
+
+        def residual(theta):
+            return sheet.beta(theta[:, 0], theta[:, 1:]) - points
+
+        jac = sheet.beta_partials(seeds[:, 0], seeds[:, 1:])
         h = 1e-6
-        numeric = np.column_stack([
-            (residual(theta + h * e) - residual(theta - h * e)) / (2.0 * h)
-            for e in np.eye(theta.size)])
-        assert jac.shape == (points.size, theta.size)
+        numeric = np.stack([
+            (residual(seeds + h * e) - residual(seeds - h * e)) / (2.0 * h)
+            for e in np.eye(seeds.shape[1])], axis=1)
+        assert jac.shape == (7, seeds.shape[1], sheet.fc.dim)
         assert np.abs(jac - numeric).max() <= 1e-7 * np.abs(jac).max()
+
+
+def _bent_sheet(p, sheet, amplitude=1e-3, omega=7.0):
+    """`sheet` with amplitude sin(omega t) added to its solved coordinate,
+    nodes and exact tangents: a sheet the re-solved sheets are not on,
+    which meets them where the sine vanishes, at both ends of [0, 2 pi]
+    among other t."""
+    ts = p.grid.t_samples[:, None, None]
+    bent = striction.StrictionSheet(
+        d=sheet.d, grid=p.grid, values=p.values,
+        solution_nodes=sheet.solution_nodes + amplitude * np.sin(omega * ts),
+        max_defining_residual=0.0)
+    vars(bent)["solution_tangents"] = (sheet.solution_tangents
+                                       + amplitude * omega * np.cos(omega * ts))
+    return bent
+
+
+def test_invariance_fit_reaches_the_t_bound_on_a_bent_sheet():
+    # the cone's re-solved sheets are its apex; the bent sheet passes through
+    # the apex where sin 7t = 0, and the nearest such t of the last nodes is
+    # the bound 2 pi, so the fit must walk the seeds onto the bound
+    p = pivoted(ingest({"builtin_patch": "circular_cone"}).patch)
+    bent = _bent_sheet(p, solve_striction(p, 1))
+    offsets = [np.full(p.m - 1, s) for s in DEFAULT_INVARIANCE_SCALES]
+    result = directrix_invariance(p, bent, offsets)
+    assert len(result.per_offset) == 3
+    assert result.max_deviation <= 1e-9
+    # the apex is 1e-3 away from the bent sheet at its own seed somewhere
+    apex = solve_striction(p, 1).grid_points(())
+    assert np.linalg.norm(bent.grid_points(()) - apex, axis=1).max() > 9e-4
+
+
+def test_least_squares_leaves_a_nearest_point_in_place(fit_sheets):
+    # a point of the sheet, seeded at its own parameters, is not moved
+    for sheet in fit_sheets:
+        lo, hi = sheet.fc.interval
+        ts = np.linspace(lo, hi, 9)
+        seeds = np.column_stack([ts, np.full((ts.size, sheet.free_count), 0.5)])
+        points = sheet.beta(seeds[:, 0], seeds[:, 1:])
+        box = np.array([lo] + [-8.0] * sheet.free_count), np.array([hi] + [8.0] * sheet.free_count)
+        fit = striction.least_squares(sheet, points, seeds, *box)
+        assert np.array_equal(fit.x, seeds)
+        assert not fit.fun.any()
+        assert fit.nfev == 1
+
+
+def test_least_squares_stops_on_a_point_sheet(cone_sheet):
+    # the cone's sheet is its apex: the Jacobian vanishes, and the
+    # pseudo-inverse step leaves every seed where it is
+    p, sheet = cone_sheet
+    ts = p.grid.t_samples[::5]
+    points = np.zeros((ts.size, 3)) + [1.0, 2.0, 3.0]
+    lo, hi = sheet.fc.interval
+    fit = striction.least_squares(sheet, points, ts[:, None], np.array([lo]), np.array([hi]))
+    assert np.abs(sheet.beta_partials(ts)[:, 0]).max() <= 1e-12
+    assert np.array_equal(fit.x[:, 0], ts) and fit.nfev == 1
 
 
 @pytest.mark.parametrize("fixture, d", [("helicoid_patch", 1), ("two_rotation_patch", 2)])
 def test_invariance_deviation_free_of_bound_step(request, fixture, d):
-    # least_squares moves a seed on the t bound inside by its rstep (1e-10
-    # relative); the distance to the seed's own sheet point is not moved
+    # the matched seeds on the t bound are nearest points already: the fit
+    # leaves them there, so no deviation comes from a step off the bound
     p = pivoted(request.getfixturevalue(fixture), d)
     offsets = [np.full(p.m - 1, s) for s in DEFAULT_INVARIANCE_SCALES]
     result = directrix_invariance(p, solve_striction(p, d), offsets)
@@ -699,10 +759,11 @@ def test_invariance_matched_seed_avoids_wrong_local_minimum():
 def test_invariance_one_least_squares_per_offset_and_free_position(monkeypatch, tmp_path,
                                                                    product_sheet):
     calls = []
+    fit = striction.least_squares
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return least_squares(*args, **kwargs)
+        return fit(*args, **kwargs)
 
     monkeypatch.setattr(striction, "least_squares", counting)
     analyze(ingest({"builtin_patch": "circular_cone", "grid": {"t_samples": 40}}),
