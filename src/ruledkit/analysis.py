@@ -4,7 +4,9 @@ Runs the degree profile, classification, developability residuals,
 first-normal-space bounds, per-segment striction solves with the
 singularity scan, and the shifted-directrix invariance check, then
 writes report.json, striction CSVs, an OBJ mesh for 3-D surfaces, and
-the normalized scene.
+the normalized scene. A constant-degree segment split into pivot runs
+(`classify.segment_analyses`) is reported run by run, and its invariance
+deviation per offset is the worst over its runs.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
     bounds_sections = []
     striction_sections = []
     csv_names = []
-    full: SegmentAnalysis | None = None  # the one segment, when it has a sheet
+    solved: list[SegmentAnalysis] = []  # the segments with a sheet
     for k, seg in enumerate(segments):
         d = seg.d
         if seg.narrow:
@@ -95,29 +97,35 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
             "jacobian_rank_range": [int(ranks.min()), int(ranks.max())],
             "csv": name,
         })
-        if len(segments) == 1:
-            full = seg
+        solved.append(seg)
 
     invariance_section = None
-    if invariance and full is not None:
+    if invariance and solved and len(solved) == len(segments) and profile.constant_degree:
         offsets = [np.full(fc.m - 1, s) for s in DEFAULT_INVARIANCE_SCALES]
-        inv = directrix_invariance(full.pivoted, full.sheet, offsets)
-        if inv.skipped:
+        per_offset, skipped = [], []
+        for c in offsets:  # the worst over the runs, or the first reason to skip
+            runs = [directrix_invariance(seg.pivoted, seg.sheet, [c]) for seg in solved]
+            reasons = [reason for inv in runs for _, reason in inv.skipped]
+            if reasons:
+                skipped.append([c.tolist(), reasons[0]])
+            else:
+                per_offset.append([c.tolist(), max(inv.per_offset[0][1] for inv in runs)])
+        if skipped:
             notes.append("directrix invariance skipped offsets "
-                         + ", ".join(str(c) for c, _ in inv.skipped)
+                         + ", ".join(str(c) for c, _ in skipped)
                          + " (reasons under directrix_invariance.skipped)")
         invariance_section = {
             "offsets": [o.tolist() for o in offsets],
-            "per_offset": [[c, dev] for c, dev in inv.per_offset],
-            "skipped": [[c, reason] for c, reason in inv.skipped],
-            "max_deviation": inv.max_deviation,
+            "per_offset": per_offset,
+            "skipped": skipped,
+            "max_deviation": max([0.0] + [dev for _, dev in per_offset]),
         }
 
     mesh_name = None
     if fc.dim == 3 and fc.m == 2:
         mesh_name = "mesh.obj"
         write_mesh_obj(os.path.join(out_dir, mesh_name), patch,
-                       full.sheet if full else None)
+                       solved[0].sheet if len(segments) == len(solved) == 1 else None)
 
     report = {
         "schema": "ruledkit.report/v1",

@@ -1,11 +1,21 @@
 """Segment a ruled patch into labeled regions.
 
-The pipeline: degree profile -> maximal constant-degree segments -> per
-segment, decide cylindrical (degree 0 or fully planar), tangent/conical
-(degree 1, developable, singular along the sheet, split by the sheet
-Jacobian rank), or non-rank-one. Samples at verdict changes are excluded
-as boundary points; runs narrower than the minimum width stay
-undetermined.
+The pipeline: degree profile -> maximal constant-degree segments -> their
+pivot runs (`distribution.pivot_runs`, one per segment unless its best
+pivot changes) -> per run, decide cylindrical (degree 0 or fully planar),
+tangent/conical (degree 1, developable, singular along the sheet, split
+by the sheet's generic rank), or non-rank-one. Samples at verdict changes
+are boundary points. Regions of one kind in adjacent runs of a segment
+merge with no boundary point between them; tangent and conical regions
+narrower than the minimum width after the merge stay undetermined.
+
+A sample's generic rank is the largest sheet Jacobian rank over its free
+grid positions, m-1 on a tangent sample and m-2 on a conical one. The
+rank is lower semicontinuous, so that is the rank on an open dense set of
+free coordinates: a thinner singular set of the sheet, such as an
+osculating developable's cuspidal edge, moves no verdict. The floor m-d-1
+of `striction.sheet_jacobian_ranks` holds at every position, not only for
+the generic rank, since the free partials are independent everywhere.
 
 Every verdict is a deterministic function of the degree profile and the
 striction sheet; nothing here draws random numbers. The randomized
@@ -20,7 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .distribution import constant_degree_segments, equal_runs, pivot_frame
+from .distribution import (MIN_SEGMENT_SAMPLES, constant_degree_segments, equal_runs,
+                           pivot_frame, pivot_runs)
 from .errors import DegeneracyError, NumericError, PivotError, ValidationError
 from .multilinear import TolerancePolicy
 from .ruledgeom import RuledPatch
@@ -119,7 +130,8 @@ class ClassificationReport:
 
 
 class SegmentAnalysis:
-    """One constant-degree segment of a patch, samples i0..i1-1 at degree d.
+    """One pivot run of a constant-degree segment of a patch, samples
+    i0..i1-1 at degree d (the whole segment when one permutation pivots it).
 
     Each artifact (pivoted patch, striction sheet, singular locus,
     equivalent-condition check, sheet Jacobian ranks) is computed on
@@ -133,7 +145,7 @@ class SegmentAnalysis:
     @property
     def narrow(self) -> bool:
         """Too few samples for a grid of its own."""
-        return self.i1 - self.i0 < 3
+        return self.i1 - self.i0 < MIN_SEGMENT_SAMPLES
 
     @cached_property
     def patch(self) -> RuledPatch:
@@ -162,9 +174,12 @@ class SegmentAnalysis:
 
 
 def segment_analyses(p: RuledPatch) -> list[SegmentAnalysis]:
-    """One holder per maximal constant-degree run of the patch's profile."""
-    return [SegmentAnalysis(p, i0, i1, d)
-            for i0, i1, d in constant_degree_segments(p.profile)]
+    """One holder per pivot run of each maximal constant-degree run of the
+    patch's profile; adjacent holders of one degree are runs of one
+    segment."""
+    return [SegmentAnalysis(p, i0 + lo, i0 + hi, d)
+            for i0, i1, d in constant_degree_segments(p.profile)
+            for lo, hi in pivot_runs(p.profile.restrict(i0, i1), d, p.tol)]
 
 
 def _rank_runs(verdicts: list[str | None], ts: np.ndarray):
@@ -176,19 +191,19 @@ def _rank_runs(verdicts: list[str | None], ts: np.ndarray):
 
 
 def _classify_segment(seg: SegmentAnalysis):
-    """Regions and boundary samples for one constant-degree segment.
+    """Kind runs (start, end_exclusive, kind, evidence), in the parent
+    patch's samples, and boundary samples for one segment holder.
 
-    The segment's evidence record gains fields as the stages run; a stage
-    that decides the whole segment returns it as one region.
+    The holder's evidence record gains fields as the stages run; a stage
+    that decides the whole holder returns it as one run.
     """
     p, d = seg.patch, seg.d
     ts = p.grid.t_samples
-    t_range = (float(ts[0]), float(ts[-1]))
     m = p.m
     ev = RegionEvidence(degree=d)
 
     def whole(kind: str, **fields):
-        return [Region(t_range, kind, replace(ev, **fields))], []
+        return [(seg.i0, seg.i1, kind, replace(ev, **fields))], []
 
     scan = p.scan
     regular = int(np.count_nonzero(scan.regular))
@@ -223,27 +238,29 @@ def _classify_segment(seg: SegmentAnalysis):
     except NumericError as exc:
         return whole(UNDETERMINED, notes=(f"sheet rank profile unavailable: {exc}",))
 
-    # a sample is tangent (conical) when the sheet rank is m-1 (m-2) at
-    # every free position
-    tangent = (ranks == m - 1).all(axis=1).tolist()
-    conical = (ranks == m - 2).all(axis=1).tolist()
-    runs, boundary = _rank_runs([TANGENT if tan else CONICAL if con else None
-                                 for tan, con in zip(tangent, conical)], ts)
-    regions = []
+    generic = ranks.max(axis=1).tolist()
+    runs, boundary = _rank_runs([TANGENT if r == m - 1 else CONICAL if r == m - 2 else None
+                                 for r in generic], ts)
+    out = []
     for i0, i1, kind in runs:
-        rng = (float(ts[i0]), float(ts[i1 - 1]))
-        run_ev = replace(ev, striction_rank_profile=(m - 1 if kind == TANGENT else m - 2,))
-        if (i1 - 1) - i0 < MIN_RUN_STEPS:
-            regions.append(Region(rng, UNDETERMINED, replace(
-                run_ev, notes=("run narrower than the minimum region width",))))
-            continue
         apex = None
         if kind == CONICAL and sheet.free_count == 0:
             pts = sheet.grid_points(())[i0:i1]
             if np.linalg.norm(pts - pts.mean(axis=0), axis=1).max() < 1e-6:
                 apex = tuple(float(v) for v in pts.mean(axis=0))
-        regions.append(Region(rng, kind, replace(run_ev, apex=apex)))
-    return regions, boundary
+        out.append((seg.i0 + i0, seg.i0 + i1, kind, replace(
+            ev, striction_rank_profile=(m - 1 if kind == TANGENT else m - 2,), apex=apex)))
+    return out, boundary
+
+
+def _worst(a: RegionEvidence, b: RegionEvidence) -> RegionEvidence:
+    """The evidence of one region over two adjacent pivot runs: the worse
+    value of each, and the notes of both."""
+    residuals = [v for v in (a.max_rank_one_residual, b.max_rank_one_residual) if v is not None]
+    fractions = [v for v in (a.singular_fraction, b.singular_fraction) if v is not None]
+    return replace(a, max_rank_one_residual=max(residuals, default=None),
+                   singular_fraction=min(fractions, default=None), planar=a.planar and b.planar,
+                   notes=tuple(dict.fromkeys(a.notes + b.notes)))
 
 
 def classify_patch(p: RuledPatch,
@@ -258,18 +275,30 @@ def classify_patch(p: RuledPatch,
     profile = p.profile
     ts = p.grid.t_samples
 
-    regions: list[Region] = []
+    runs: list[list] = []  # [start, end_exclusive, kind, evidence], merged across pivot runs
     boundary: list[float] = []
-    for seg in segments:
+    for k, seg in enumerate(segments):
         if seg.narrow:
             # too narrow even to sample; its points are boundary material
             boundary.extend(float(t) for t in ts[seg.i0:seg.i1])
             continue
-        segment_regions, segment_boundary = _classify_segment(seg)
-        regions.extend(segment_regions)
-        boundary.extend(segment_boundary)
-        if seg.i1 < ts.size:
+        seg_runs, seg_boundary = _classify_segment(seg)
+        boundary.extend(seg_boundary)
+        for i0, i1, kind, ev in seg_runs:
+            if runs and runs[-1][1:3] == [i0, kind] and runs[-1][3].degree == ev.degree:
+                runs[-1][1], runs[-1][3] = i1, _worst(runs[-1][3], ev)
+            else:
+                runs.append([i0, i1, kind, ev])
+        if seg.i1 < ts.size and segments[k + 1].d != seg.d:
             boundary.append(float(0.5 * (ts[seg.i1 - 1] + ts[seg.i1])))
+
+    regions = []
+    for i0, i1, kind, ev in runs:
+        rng = (float(ts[i0]), float(ts[i1 - 1]))
+        if kind in (TANGENT, CONICAL) and (i1 - 1) - i0 < MIN_RUN_STEPS:
+            kind, ev = UNDETERMINED, replace(
+                ev, apex=None, notes=("run narrower than the minimum region width",))
+        regions.append(Region(rng, kind, ev))
 
     report = ClassificationReport(
         regions=tuple(regions),
@@ -297,13 +326,14 @@ def converse_check(p: RuledPatch,
     must come together; returns whether the two verdicts agree.
 
     `segments` are the patch's segment holders when the caller keeps them
-    (see `segment_analyses`); the patch has one, at degree one.
+    (see `segment_analyses`): the pivot runs of its one segment, at degree
+    one. The coverage is the smallest over them.
     """
     if p.profile.constant_degree != 1:
         raise ValidationError("converse check requires degree 1 on the whole grid")
     if segments is None:
         segments = segment_analyses(p)
-    coverage = segments[0].locus.singular_fraction
+    coverage = min(seg.locus.singular_fraction for seg in segments)
     r1 = p.rank_one
     covered = coverage >= SINGULAR_COVERAGE
     return ConverseResult(agree=(covered == r1.verdict),

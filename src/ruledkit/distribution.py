@@ -4,9 +4,13 @@ For each parameter t the frame derivatives are projected off the ruling
 span; the rank of those projections is the degree at t. The projection
 and the rank run on stacked arrays, once over the whole grid; the
 single-parameter `rho_at` is the same computation on a stack of one.
-Pivoting reorders (or, if no constant reordering works, smoothly
-rotates) the frame so the trailing d fields alone carry the full degree,
-which the striction solver assumes.
+Pivoting reorders the frame so the trailing d fields alone carry the
+full degree, which the striction solver assumes. A pivot only permutes,
+so a pivoted frame is as orthonormal as the frame it reorders, at every
+t. Where the degree is d, some d rows of rho are independent at every
+sample, but which d rows are best conditioned can change along a
+segment; `pivot_runs` then splits it into runs that one permutation each
+pivots.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import FrameError, NumericError, PivotError, ValidationError
-from .fields import CubicHermite, FrameCombinationField, not_a_knot_slopes
 from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
                           _rank_margin, _ratio_margin, rank2_singular_values,
                           rank_mask, settled)
@@ -197,17 +200,59 @@ def constant_degree_segments(profile: DegreeProfile) -> list[tuple[int, int, int
     return [(i0, i1, degrees[i0]) for i0, i1 in equal_runs(degrees)]
 
 
+def _subset_scores(rho: np.ndarray, d: int) -> tuple[list, np.ndarray]:
+    """Every d-subset of the frame fields and, per sample, the smallest
+    singular value of its rho block: the subsets and an (N, subsets) array."""
+    subsets = list(combinations(range(rho.shape[1]), d))
+    scores = np.stack([np.linalg.svd(rho[:, list(subset)], compute_uv=False)[:, -1]
+                       for subset in subsets], axis=1)
+    return subsets, scores
+
+
+#: fewest samples of a segment or pivot run with a grid of its own; a
+#: shorter pivot run joins a neighbour
+MIN_SEGMENT_SAMPLES = 3
+
+
+def pivot_runs(profile: DegreeProfile, d: int,
+               tol: TolerancePolicy = DEFAULT_TOLERANCES) -> list[tuple[int, int]]:
+    """Runs (start, end_exclusive) of a degree-d profile, each of which one
+    frame permutation pivots (`pivot_frame`).
+
+    The samples split where the best-conditioned d-subset of the frame
+    (the largest smallest singular value of its rho block) changes: a
+    permutation that merely clears `zero_abs_tol` at every sample can
+    still lose the degree between two of them. A run shorter than
+    `MIN_SEGMENT_SAMPLES` joins a neighbour whose subset clears the cutoff
+    on it, the left one first. A profile whose best subset never changes
+    is one run, and so is one of degree 0 or m-1, or too short to split.
+    """
+    n, k = profile.t.size, profile.rho.shape[1]
+    if not 0 < d < k or n < MIN_SEGMENT_SAMPLES:
+        return [(0, n)]
+    _, scores = _subset_scores(profile.rho, d)
+    best = scores.argmax(axis=1).tolist()
+    runs = [[i0, i1, best[i0]] for i0, i1 in equal_runs(best)]
+    while True:
+        joins = [(i, j) for i, (i0, i1, _) in enumerate(runs) if i1 - i0 < MIN_SEGMENT_SAMPLES
+                 for j in (i - 1, i + 1)
+                 if 0 <= j < len(runs) and scores[i0:i1, runs[j][2]].min() > tol.zero_abs_tol]
+        if not joins:
+            return [(i0, i1) for i0, i1, _ in runs]
+        i, j = joins[0]
+        lo, hi = min(i, j), max(i, j)
+        runs[lo:hi + 1] = [[runs[lo][0], runs[hi][1], runs[j][2]]]
+
+
 def pivot_frame(p: RuledPatch, d: int) -> RuledPatch:
-    """The patch with its frame rearranged so the last d fields carry the
+    """The patch with its frame reordered so the last d fields carry the
     full degree; `p` itself when the frame already does.
 
-    Reads the patch's cached degree profile. Prefers the constant
-    permutation whose trailing rho block is best conditioned over the
-    whole grid; if none works, rotates the frame by the eigenvector
-    matrix of the rho Gram (dominant directions last, signs smoothed
-    along t), interpolated between the grid samples by the not-a-knot
-    cubic spline of its entries. Fails with the offending samples when
-    neither achieves the condition.
+    Reads the patch's cached degree profile and takes the permutation
+    whose trailing rho block is best conditioned over the whole grid.
+    Raises `PivotError` with the failing samples when that block falls to
+    `zero_abs_tol` somewhere. The runs of `pivot_runs` are grids that one
+    permutation each pivots.
     """
     if d < 1:
         raise ValidationError("pivot requires degree >= 1")
@@ -217,41 +262,16 @@ def pivot_frame(p: RuledPatch, d: int) -> RuledPatch:
     if bad:
         raise ValidationError(
             f"degree is not constantly {d} on the grid (first offenders: {bad[:3]})")
-    rho = profile.rho
-
     if d == k:
         return p
-
-    best_subset, best_score = None, -1.0
-    for subset in combinations(range(k), d):
-        score = float(np.linalg.svd(rho[:, list(subset)], compute_uv=False)[:, -1].min())
-        if score > best_score:
-            best_subset, best_score = subset, score
-    if best_score > tol.zero_abs_tol:
-        order = [j for j in range(k) if j not in best_subset] + list(best_subset)
-        if order == list(range(k)):
-            return p
-        return replace(p, fc=fc.with_frame([fc.frame[j] for j in order]), origin=None)
-
-    # No constant permutation works: rotate by the eigenvectors of the
-    # rho Gram matrix, ascending eigenvalue so dominant directions land last.
-    ts = profile.t
-    g = rho @ rho.swapaxes(1, 2)
-    _, coeff_nodes = np.linalg.eigh(0.5 * (g + g.swapaxes(1, 2)))
-    for i in range(1, ts.size):
-        flip = np.sign(np.einsum("ij,ij->j", coeff_nodes[i - 1], coeff_nodes[i]))
-        flip[flip == 0] = 1.0
-        coeff_nodes[i] *= flip
-    coeffs = CubicHermite(ts, coeff_nodes, not_a_knot_slopes(ts, coeff_nodes))
-    frame = [FrameCombinationField(list(fc.frame), coeffs, j, domain=fc.interval)
-             for j in range(k)]
-    rotated = replace(p, fc=fc.with_frame(frame), origin=None)
-
-    trailing = rotated.profile.rho[:, k - d:]
-    smallest = np.linalg.svd(trailing, compute_uv=False)[:, -1]
-    failing = [float(t) for t in ts[smallest <= tol.zero_abs_tol]]
-    if failing:
+    subsets, scores = _subset_scores(profile.rho, d)
+    best = int(np.argmax(scores.min(axis=0)))
+    failing = profile.t[scores[:, best] <= tol.zero_abs_tol]
+    if failing.size:
         raise PivotError(
-            "no frame permutation or rotation makes the trailing "
-            f"{d} fields carry the degree; failing t: {failing[:5]}")
-    return rotated
+            f"no frame permutation makes the trailing {d} fields carry the degree; "
+            f"failing t: {failing[:5].tolist()}")
+    order = [j for j in range(k) if j not in subsets[best]] + list(subsets[best])
+    if order == list(range(k)):
+        return p
+    return replace(p, fc=fc.with_frame([fc.frame[j] for j in order]), origin=None)

@@ -45,4 +45,4 @@ class FrameError(NumericError):
 
 
 class PivotError(NumericError):
-    """No frame reordering/rotation achieves the degree condition."""
+    """No frame permutation achieves the degree condition."""

@@ -3,10 +3,11 @@
 Four serializable kinds (polynomial, fourier, constant, builtin) carry
 closed-form derivatives of any order. Derived fields (composition with
 a monotone parameter map, the exact Gram-Schmidt orthonormalization of
-frame fields, linear combinations of frame fields with coefficients
-interpolated by a cubic Hermite) implement derivatives up to order 2,
-which is all downstream geometry needs. Finite differences never appear
-here; they are reserved for test oracles.
+frame fields) implement derivatives up to order 2, which is all
+downstream geometry needs. Finite differences never appear here; they
+are reserved for test oracles. `CubicHermite` is not a field: it
+interpolates the striction sheet's solved coordinates for the sheet's
+two off-grid readers, `beta` and `beta_partials`.
 
 Evaluation is array-based: `eval(t, order)` takes a scalar t, giving a
 (dim,) vector, or a 1-D array of parameters, giving an (N, dim) stack.
@@ -21,7 +22,7 @@ takes a `ParameterArray`, a 1-D array that keeps, per parameter map,
 the inverse t(s) of its values and dt/ds, d2t/ds2 there. A
 `ComposedField` reads its map's inversion from it, and the kinds built
 on other fields (embedded, derivative, composed, affine-combination,
-frame-combination, Gram-Schmidt) hand it on to those fields, so every
+Gram-Schmidt) hand it on to those fields, so every
 field and derivative order evaluated on one such array, maps nested
 inside maps included, shares one `ParameterMap.t` call per map; the
 fields of one Gram-Schmidt frame share one orthonormalization per order
@@ -688,86 +689,6 @@ class CubicHermite:
         else:
             raise ValidationError("cubic Hermite derivatives of orders 0..2 only")
         return out.reshape(ts.shape + out.shape[1:])
-
-
-def not_a_knot_slopes(x, y) -> np.ndarray:
-    """Slopes at the nodes x (n,) of the not-a-knot cubic spline through
-    the values y (n, ...), from the equations of the reference library's
-    default `CubicSpline`: the slope of the chord for n = 2,
-    the parabola through the points for n = 3, otherwise the tridiagonal
-    system with a continuous third derivative at x_1 and x_{n-2}, solved
-    by elimination without pivoting (the Thomas algorithm)."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    n = x.size
-    h = np.diff(x)
-    hr = h.reshape((-1,) + (1,) * (y.ndim - 1))
-    slope = np.diff(y, axis=0) / hr
-    if n == 2:
-        return np.stack([slope[0], slope[0]])
-    if n == 3:
-        mid = (hr[1] * slope[0] + hr[0] * slope[1]) / (x[2] - x[0])
-        return np.stack([2.0 * slope[0] - mid, mid, 2.0 * slope[1] - mid])
-    # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    lower = np.concatenate([[0.0], h[1:], [d1]])
-    diag = np.concatenate([[h[1]], 2.0 * (h[:-1] + h[1:]), [h[-2]]])
-    upper = np.concatenate([[d0], h[:-1], [0.0]])
-    rhs = np.empty_like(y)
-    rhs[0] = ((hr[0] + 2.0 * d0) * hr[1] * slope[0] + hr[0] ** 2 * slope[1]) / d0
-    rhs[1:-1] = 3.0 * (hr[1:] * slope[:-1] + hr[:-1] * slope[1:])
-    rhs[-1] = (hr[-1] ** 2 * slope[-2] + (2.0 * d1 + hr[-1]) * hr[-2] * slope[-1]) / d1
-    ratio = np.empty(n)
-    ratio[0] = upper[0] / diag[0]
-    rhs[0] /= diag[0]
-    for i in range(1, n):
-        pivot = diag[i] - lower[i] * ratio[i - 1]
-        ratio[i] = upper[i] / pivot
-        rhs[i] = (rhs[i] - lower[i] * rhs[i - 1]) / pivot
-    for i in range(n - 2, -1, -1):
-        rhs[i] -= ratio[i] * rhs[i + 1]
-    return rhs
-
-
-class FrameCombinationField(VectorField):
-    """One column of a coefficient-matrix combination of base fields.
-
-    `coeffs` is a `CubicHermite` of (K, K_out) coefficient matrices over
-    t, shared by the fields of one frame; field `index` evaluates to
-    sum_k c[k, index](t) * bases[k](t), with product-rule derivatives up
-    to order 2.
-    """
-
-    def __init__(self, bases: Sequence[VectorField], coeffs: CubicHermite, index: int,
-                 domain: tuple[float, float] | None = None):
-        self.bases = list(bases)
-        self.coeffs = coeffs
-        self.index = index
-        self.dim = self.bases[0].dim
-        self.domain = domain
-
-    @shared_eval
-    def eval(self, params, order=0):
-        if order > 2:
-            raise ValidationError("combination fields support derivative orders 0..2 only")
-
-        def combine(c, vals):
-            # sum_k c[n, k] vals[n, k] for each n
-            return (c[:, None, :] @ vals)[:, 0]
-
-        def coeffs(nu):
-            return self.coeffs(params.values, nu=nu)[:, :, self.index]
-
-        c0 = coeffs(0)
-        vals = stack_fields(self.bases, params, 0)
-        if order == 0:
-            return combine(c0, vals)
-        c1 = coeffs(1)
-        d1 = stack_fields(self.bases, params, 1)
-        if order == 1:
-            return combine(c1, vals) + combine(c0, d1)
-        c2 = coeffs(2)
-        d2 = stack_fields(self.bases, params, 2)
-        return combine(c2, vals) + 2.0 * combine(c1, d1) + combine(c0, d2)
 
 
 def _lower_sum(m: np.ndarray) -> np.ndarray:

@@ -143,12 +143,11 @@ def jacobian_sigma(p: RuledPatch, t: float, u) -> np.ndarray:
     return jacobians_at(p, t, _as_u(p, u)[None])[0]
 
 
-def jacobians_at(p: RuledPatch, t, u: np.ndarray) -> np.ndarray:
+def jacobians_at(p: RuledPatch, t, u: np.ndarray, values: GridValues | None = None) -> np.ndarray:
     """(P, m, dim) Jacobians at P ruling positions u (P, m-1) and t, one
     parameter shared by all of them or an array of P, one per position;
-    from one evaluation of the frame at t."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    v = p.fc.grid_values(ts)
+    from one evaluation of the frame at t, or the caller's, `values`."""
+    v = p.fc.grid_values(np.atleast_1d(np.asarray(t, dtype=float))) if values is None else values
     u = u if np.ndim(t) == 0 else u[:, None]
     return _jacobians(v.frame(0), v.frame(1), v.directrix(1), u).reshape(-1, p.m, p.dim)
 
@@ -275,13 +274,15 @@ def _assemble_reduced(r: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray
     return jac
 
 
-def jacobian_regularity(jac: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+def jacobian_regularity(jac: np.ndarray, tol: TolerancePolicy,
+                        basis: tuple | None = None) -> np.ndarray:
     """The rank rule's full-rank verdict on a (P, m, dim) stack of ambient
     Jacobians [sigma_t, X_1, ..., X_{m-1}] (`jacobians_at`), from their
     reduced Jacobians (`_regularity`): one complete QR of the frame rows
     per point, X^T = [q | comp] R, and sigma_t's coordinates in (q, comp).
+    `basis` is that QR (`multilinear.frame_qr`) when the caller has it.
     """
-    r, q, comp, _ = frame_qr(jac[:, 1:])
+    r, q, comp, _ = frame_qr(jac[:, 1:]) if basis is None else basis
     sigma = jac[:, :1]
     return _regularity(_assemble_reduced(r, (sigma @ q)[:, 0], (sigma @ comp)[:, 0]),
                        _inverse_factors(r) if r.shape[-1] > 1 else None, tol)

@@ -12,7 +12,8 @@ The grid stages run on stacked arrays, once per patch: the systems of all
 samples are assembled, checked and Cholesky-solved as (N, d, d) stacks,
 and the sheet is the solved nodes plus their exact t-derivatives, by
 implicit differentiation of the system. Every grid stage reads the nodes
-and tangents; only a reader at some other t interpolates between them.
+and tangents, `solved` solves the system at its own t, and only `beta`
+and `beta_partials`, which the invariance fit calls, interpolate.
 The sheet wedges of the locus scan (the CSV's residuals) and the
 augmented wedges of the equivalent-condition check are closed forms on
 the grid's one frame QR (`GridValues.frame_basis`). Those verdicts, the
@@ -95,6 +96,15 @@ def _assemble(values: GridValues, rho: np.ndarray, d: int, tol: TolerancePolicy)
     return a, b, eigmin
 
 
+def _solve(values: GridValues, rho: np.ndarray, d: int, tol: TolerancePolicy):
+    """The striction systems at the parameters of `values` (`_assemble`)
+    and their Cholesky solves, the solved coefficients (N, d, m-d):
+    (a, b, eigmin, coefficients)."""
+    a, b, eigmin = _assemble(values, rho, d, tol)
+    chol = np.linalg.cholesky(a)
+    return a, b, eigmin, np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, b))
+
+
 def striction_systems(p: RuledPatch, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The striction systems at every grid sample of the pivoted patch `p`,
     as (N, d, d) matrices and (N, d, m-d) affine right-hand sides, from
@@ -120,9 +130,10 @@ class StrictionSheet:
     coordinates with t-dependent weights, so one (d, m-d) matrix per grid
     node holds the whole sheet there. The grid readers (`grid_solved`,
     `grid_points`, `grid_partials`) read these nodes, their exact
-    t-derivatives (`solution_tangents`) and the grid values; the readers
-    at any t (`solved`, `beta`, `beta_partials`) read the cubic Hermite
-    interpolant of the nodes and tangents, built on the first such read.
+    t-derivatives (`solution_tangents`) and the grid values. `solved`
+    solves the system at its own t, under `tol`; `beta` and
+    `beta_partials` read the cubic Hermite interpolant of the nodes and
+    tangents, built on the first such read.
     """
 
     d: int
@@ -131,6 +142,7 @@ class StrictionSheet:
     solution_nodes: np.ndarray       # (N, d, m-d)
     max_defining_residual: float
     fallback_ts: list = field(default_factory=list)
+    tol: TolerancePolicy = DEFAULT_TOLERANCES
 
     @property
     def fc(self) -> FramedCurve:
@@ -188,10 +200,16 @@ class StrictionSheet:
             affine = np.broadcast_to(affine, solved.shape[:-1] + affine.shape)
         return np.concatenate([affine[..., 1:], solved], axis=-1)
 
-    def solved(self, t, u_free=()) -> np.ndarray:
-        """Trailing (solved) ruling coordinates of the sheet at (t, u_free):
-        (d,) for a scalar t, (N, d) for an array (u_free as in `_full_u`)."""
-        return self._full_u(self._interpolant(t), u_free)[..., self.free_count:]
+    def solved(self, t, u_free=(), values: GridValues | None = None) -> np.ndarray:
+        """Trailing (solved) ruling coordinates of the sheet at (t, u_free),
+        by the solve of the striction system on one evaluation of the curve
+        at t, or the caller's, `values`: (d,) for a scalar t, (N, d) for an
+        array (u_free as in `_full_u`)."""
+        if values is None:
+            values = self.fc.grid_values(np.atleast_1d(np.asarray(t, dtype=float)))
+        rho = profile_from_values(values, self.tol).rho
+        out = self._full_u(_solve(values, rho, self.d, self.tol)[3], u_free)
+        return out[..., self.free_count:] if np.ndim(t) else out[0, self.free_count:]
 
     def grid_solved(self, u_free=()) -> np.ndarray:
         """`solved` at every grid parameter, from the nodes."""
@@ -269,16 +287,14 @@ def solve_striction(p: RuledPatch, d: int) -> StrictionSheet:
     """
     _check_degree(p.fc, d)
     tol = p.tol
-    a, b, eigmin = _assemble(p.values, p.profile.rho, d, tol)
-    chol = np.linalg.cholesky(a)
-    nodes = np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, b))
+    a, b, eigmin, nodes = _solve(p.values, p.profile.rho, d, tol)
     max_def = float(np.abs(a @ nodes[..., :1] - b[..., :1]).max())
     if not max_def <= tol.zero_abs_tol:  # NaN included
         raise NumericError(
             f"striction sheet violates its defining property: residual {max_def:.3e}")
     near = p.grid.t_samples[eigmin < 10.0 * tol.zero_abs_tol]
     return StrictionSheet(d=d, grid=p.grid, values=p.values, solution_nodes=nodes,
-                          max_defining_residual=max_def, fallback_ts=near.tolist())
+                          max_defining_residual=max_def, fallback_ts=near.tolist(), tol=tol)
 
 
 def _ranks_above_floor(sheet: StrictionSheet, partials: np.ndarray, ts,
@@ -366,11 +382,12 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
     """Regularity of the patch just off the sheet, at `checks` random points.
 
     Each point takes a t uniform over the grid's range (a segment's, for
-    a segment patch, so the sheet is never extrapolated) and uniform free
-    coordinates, and perturbs every solved coordinate by +-delta with
-    delta = 10 grid u-spacings; the patch must be regular there, by the
-    rank rule on the reduced Jacobians (`ruledgeom.jacobian_regularity`).
-    This is the only seeded stage.
+    a segment patch) and uniform free coordinates, and perturbs every
+    solved coordinate by +-delta with delta = 10 grid u-spacings; the
+    patch must be regular there, by the rank rule on the reduced Jacobians
+    (`ruledgeom.jacobian_regularity`). One evaluation of the curve at the
+    drawn t and its frame QR serve the solve there (`solved`) and the
+    Jacobians. This is the only seeded stage.
     """
     fc, grid = p.fc, p.grid
     rng = np.random.default_rng(seed)
@@ -386,8 +403,10 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
         u[i, :sheet.free_count] = rng.uniform(-grid.u_extent, grid.u_extent,
                                               size=sheet.free_count)
         signs[i] = _SIGNS[rng.integers(0, 2, size=sheet.d)]
-    u[:, sheet.free_count:] = sheet.solved(ts, u[:, :sheet.free_count]) + delta * signs
-    irregular = np.flatnonzero(~jacobian_regularity(jacobians_at(p, ts, u), p.tol))
+    values = fc.grid_values(ts)
+    u[:, sheet.free_count:] = sheet.solved(ts, u[:, :sheet.free_count], values) + delta * signs
+    jac = jacobians_at(p, ts, u, values)
+    irregular = np.flatnonzero(~jacobian_regularity(jac, p.tol, values.frame_basis()))
     return OffsheetCheck(total=checks,
                          failures=tuple((float(ts[i]), u[i].tolist()) for i in irregular))
 

@@ -6,10 +6,10 @@ import pytest
 from conftest import small_patch
 from ruledkit import RuledPatch, SampleGrid, ValidationError, classify_patch, ingest
 from ruledkit.classify import (CONICAL, CYLINDRICAL, NON_RANK_ONE, TANGENT, Region,
-                               RegionEvidence, converse_check)
-from ruledkit.fields import FourierField, PolynomialField, VectorField
+                               RegionEvidence, converse_check, segment_analyses)
+from ruledkit.fields import FourierField, PolynomialField, VectorField, shared_eval
 from ruledkit.parametric import FramedCurve
-from scene_families import CONE_EXPECTED, cone_scene
+from scene_families import CONE_EXPECTED, FAMILIES, cone_scene, osculating_scene, shift_directrix
 from test_distribution import _BumpFrame
 
 TWO_PI = 2.0 * math.pi
@@ -238,3 +238,74 @@ def test_seeded_cones_are_conical(seed, ambient_dim, t_samples):
     assert report.is_rank_one is CONE_EXPECTED["rank_one"]
     if ambient_dim == 3:
         assert np.abs(np.asarray(report.regions[0].evidence.apex) - apex).max() < 1e-6
+
+
+@pytest.mark.parametrize("t_samples", [40, 100, 200])
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_scene_families_read_their_class(family, seed, t_samples):
+    # the osculating developables' sheets are singular on their cuspidal
+    # edge, a free grid position: each sample reads its generic rank
+    make, expected = FAMILIES[family]
+    p = ingest(make(seed), overrides={"t_samples": t_samples}).patch
+    report = classify_patch(p)
+    assert set(p.profile.degrees.tolist()) == {expected["degree"]}
+    assert report.kinds() == expected["kinds"]
+    assert report.is_rank_one is expected["rank_one"]
+    assert report.boundary_points == ()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_verdicts_ignore_the_free_grid_and_the_directrix(family, seed):
+    # a free axis of 4 or 6 samples misses the osculating developables'
+    # cuspidal edge at u = 0 and one of 5 hits it; a directrix moved along
+    # the frame sweeps the same submanifold
+    make, expected = FAMILIES[family]
+    scene = make(seed)
+    shifted = shift_directrix(scene, [0.3, -0.25, 0.2][:scene["m"] - 1])
+    assert shifted["directrix"] != scene["directrix"]
+    for doc, overrides in [(scene, {"u_samples_per_axis": 4}), (scene, {"u_samples_per_axis": 5}),
+                           (scene, {"u_samples_per_axis": 6}), (shifted, {})]:
+        report = classify_patch(ingest(doc, overrides={"t_samples": 40, **overrides}).patch)
+        assert report.kinds() == expected["kinds"]
+        assert report.boundary_points == ()
+
+
+class _RotatedPair(VectorField):
+    """Field `index` of the pair (e1, e2) rotated through the angle
+    theta = pi/2 (t - lo) / (hi - lo): (cos theta e1 - sin theta e2,
+    sin theta e1 + cos theta e2), by the Leibniz rule."""
+
+    def __init__(self, pair, index, interval):
+        self.pair, self.index, self.domain = pair, index, interval
+        self.dim = pair[0].dim
+        self.rate = 0.5 * math.pi / (interval[1] - interval[0])
+
+    @shared_eval
+    def eval(self, params, order=0):
+        theta = self.rate * (params.values - self.domain[0])
+        out = 0.0
+        for k in range(order + 1):
+            angle = (theta + 0.5 * math.pi * k)[:, None]
+            a, b = ((np.cos(angle), -np.sin(angle)) if self.index == 0
+                    else (np.sin(angle), np.cos(angle)))
+            out = out + math.comb(order, k) * self.rate ** k * (
+                a * self.pair[0].eval(params, order - k) + b * self.pair[1].eval(params, order - k))
+        return out
+
+
+@pytest.mark.parametrize("t_samples", [41, 101, 201])
+def test_rotated_osculating_developable_reads_tangent_over_its_runs(t_samples):
+    # the rotation moves the degree from the second frame field at the
+    # start to the first at the end, so no one permutation pivots the
+    # frame; its two pivot runs are both tangent and merge
+    p = ingest(osculating_scene(0, 3, 4), overrides={"t_samples": t_samples}).patch
+    rotated = RuledPatch(p.fc.with_frame([_RotatedPair(p.fc.frame, j, p.fc.interval)
+                                          for j in range(2)]), p.grid, p.tol)
+    assert len(segment_analyses(rotated)) == 2
+    for patch in (p, rotated):
+        report = classify_patch(patch)
+        assert report.kinds() == [TANGENT]
+        assert report.boundary_points == ()
+        assert report.regions[0].t_range == (0.0, p.fc.interval[1])

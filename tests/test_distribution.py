@@ -5,13 +5,14 @@ import pytest
 
 from ambient_second_form import svd_span_verdicts
 from conftest import small_patch
-from frame_oracles import project_off_spans
-from ruledkit import (RuledPatch, SampleGrid, TolerancePolicy, ValidationError,
+from ruledkit import (PivotError, RuledPatch, SampleGrid, TolerancePolicy, ValidationError,
                       make_builtin_patch, pivot_frame, rho_at)
+from ruledkit.analysis import analyze
+from ruledkit.classify import segment_analyses
 from ruledkit.distribution import constant_degree_segments, degree_profile, equal_runs
 from ruledkit.fields import FourierField, PolynomialField, VectorField
-from ruledkit.multilinear import numerical_ranks
 from ruledkit.parametric import FramedCurve
+from ruledkit.scene import IngestResult
 
 TWO_PI = 2.0 * math.pi
 
@@ -166,39 +167,50 @@ def _migrating_frame():
     return FramedCurve(4, 3, directrix, (x1, x2), (0.0, TWO_PI))
 
 
-def test_pivot_rotation_fallback(tol):
+@pytest.mark.parametrize("t_samples, lengths", [(40, [10, 20, 10]), (41, [11, 20, 10]),
+                                               (200, [50, 100, 50])], ids=["40", "41", "200"])
+def test_migrating_frame_pivots_by_runs(tol, tmp_path, t_samples, lengths):
+    # at 40 and 200 samples one permutation clears the cutoff at every
+    # node, but its trailing rho vanishes at the midpoint t = pi; the runs
+    # split where the best-conditioned field changes instead
     fc = _migrating_frame()
-    grid = SampleGrid.uniform(fc.interval, 41)
-    fc.validate_on(grid, tol)
+    grid = SampleGrid.uniform(fc.interval, t_samples)
     patch = RuledPatch(fc, grid, tol)
     assert patch.profile.constant_degree == 1
-    rotated = pivot_frame(patch, 1)
-    # the rotated patch keeps the profile the pivot checked it with
-    assert rotated.profile.constant_degree == 1
-    pivoted = rotated.fc
-    assert pivoted is not fc
-    assert pivoted.frame != fc.frame and pivoted.frame != (fc.frame[1], fc.frame[0])
-    for t in grid.t_samples:
-        sample = rho_at(pivoted, t, tol)
-        # trailing field carries the full degree after the rotation
-        assert np.linalg.norm(sample.rho_vectors[-1]) > tol.zero_abs_tol
-        assert sample.degree == 1
-        # same pointwise span as the original frame
-        pair = np.stack([pivoted.frame_values(t), fc.frame_values(t)])
-        regular, worst = svd_span_verdicts(pair[None], tol)
-        assert regular.all() and worst[0] < tol.zero_abs_tol
-    # between the nodes the rotation is interpolated, so the rotated frame is
-    # orthonormal only to the interpolation error; its span, and the degree
-    # its trailing field carries, are checked off the span of the SVD
-    ts = grid.t_samples
-    mids = 0.5 * (ts[1:] + ts[:-1])
-    x = pivoted.frame_values(mids)
-    assert np.abs(x @ x.swapaxes(1, 2) - np.eye(2)).max() < 1e-5
-    rho = project_off_spans(x, pivoted.frame_values(mids, 1))
-    assert (np.linalg.norm(rho[:, -1], axis=1) > tol.zero_abs_tol).all()
-    assert (numerical_ranks(rho, tol) == 1).all()
-    regular, worst = svd_span_verdicts(np.stack([x, fc.frame_values(mids)], axis=1), tol)
-    assert regular.all() and (worst < tol.zero_abs_tol).all()
+    segments = segment_analyses(patch)
+    assert [seg.i1 - seg.i0 for seg in segments] == lengths
+    assert [(seg.i0, seg.d) for seg in segments] == [(sum(lengths[:k]), 1) for k in range(3)]
+    assert [seg.pivoted.fc.frame for seg in segments] == [
+        fc.frame, (fc.frame[1], fc.frame[0]), fc.frame]
+    for seg in segments:
+        pivoted = seg.pivoted.fc
+        ts = seg.patch.grid.t_samples
+        ts = np.sort(np.concatenate([ts, 0.5 * (ts[1:] + ts[:-1])]))
+        x = pivoted.frame_values(ts)
+        assert np.abs(x @ x.swapaxes(1, 2) - np.eye(2)).max() <= tol.derivative_check_tol
+        for t in ts:
+            sample = rho_at(pivoted, t, tol)
+            assert sample.degree == 1
+            assert np.linalg.norm(sample.rho_vectors[-1]) > tol.zero_abs_tol
+        # the same pointwise span as the raw frame
+        regular, worst = svd_span_verdicts(np.stack([x, fc.frame_values(ts)], axis=1), tol)
+        assert regular.all() and (worst < tol.zero_abs_tol).all()
+    report = analyze(IngestResult(patch, {}, []), tmp_path)
+    classification = report["classification"]
+    assert [r["kind"] for r in classification["regions"]] == ["non_rank_one"]
+    assert classification["boundary_points"] == []
+    assert [s["t_range"][0] for s in report["striction"]] == [
+        float(grid.t_samples[seg.i0]) for seg in segments]
+    assert all(s["offsheet"]["regular"] == 32 for s in report["striction"])
+    assert report["directrix_invariance"]["max_deviation"] < 1e-12
+    assert not report["directrix_invariance"]["skipped"]
+
+
+def test_pivot_frame_raises_where_no_permutation_works(tol):
+    fc = _migrating_frame()
+    patch = RuledPatch(fc, SampleGrid.uniform(fc.interval, 41), tol)
+    with pytest.raises(PivotError, match="no frame permutation"):
+        pivot_frame(patch, 1)
 
 
 def test_borderline_samples_are_flagged():

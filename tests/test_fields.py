@@ -3,16 +3,15 @@ import re
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 
 from ruledkit import DomainError, HelixCurve, RegularityError, ValidationError
 from ruledkit.errors import ConfigError
 from ruledkit.fields import (AffineCombinationField, CircleCurve, ComposedField,
                              ConstantField, CubicHermite, DerivativeField, EmbeddedField,
-                             FourierField, FrameCombinationField, GramSchmidtField,
-                             GramSchmidtFrame, LineCurve, ParameterMap, PolynomialField,
-                             VectorField, arclength_reparametrize, make_builtin_curve,
-                             not_a_knot_slopes)
+                             FourierField, GramSchmidtField, GramSchmidtFrame, LineCurve,
+                             ParameterMap, PolynomialField, VectorField,
+                             arclength_reparametrize, make_builtin_curve)
 from ruledkit.oracles import central_difference, max_derivative_error
 from ruledkit.parametric import BUILTIN_PATCHES, make_builtin_patch
 
@@ -207,16 +206,6 @@ def _frame_pair():
                                                      (0.0, [0.3], [0.2], 2.0)])]
 
 
-def _coefficient_nodes():
-    nodes = np.linspace(0.0, TWO_PI, 9)
-    angle = 0.3 * np.sin(nodes)
-    values = np.empty((nodes.size, 2, 2))
-    values[:, 0, 0] = values[:, 1, 1] = np.cos(angle)
-    values[:, 0, 1] = -np.sin(angle)
-    values[:, 1, 0] = np.sin(angle)
-    return nodes, values
-
-
 def _interpolation_data(n, seed):
     """Strictly increasing nodes with uneven spacing, and (n, 2, 3) values
     and slopes."""
@@ -254,16 +243,6 @@ def test_cubic_hermite_is_exact_at_every_node_but_the_last():
         ours(x, 3)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 41])
-@pytest.mark.parametrize("nu", [0, 1, 2])
-def test_not_a_knot_slopes_match_the_reference_spline(n, nu):
-    # n = 2 is the chord and n = 3 the parabola through the points
-    x, y, _ = _interpolation_data(n, 2)
-    ts = _interpolation_points(x)
-    ours = CubicHermite(x, y, not_a_knot_slopes(x, y))
-    _assert_close(ours(ts, nu), CubicSpline(x, y, axis=0)(ts, nu))
-
-
 def _array_cases():
     """(id, field, parameters inside its domain) for every field kind."""
     ts = np.linspace(0.0, TWO_PI, 13)
@@ -275,7 +254,6 @@ def _array_cases():
         (0.0, TWO_PI))
     length = composed.parameter_map.length
     bases = _frame_pair()
-    nodes, values = _coefficient_nodes()
     return [
         ("constant", ConstantField([1.0, -2.0, 0.5]), ts),
         ("polynomial", PolynomialField([[1.0, -2.0, 0.5, 0.25], [0.0, 3.0], [2.0]]), ts),
@@ -289,9 +267,6 @@ def _array_cases():
         ("composed-companion", ComposedField(fourier, composed.parameter_map),
          np.linspace(0.0, length, 13)),
         ("affine", AffineCombinationField(helix, [DerivativeField(helix, 1)], [0.7]), ts),
-        ("frame-spline", FrameCombinationField(
-            bases, CubicHermite(nodes, values, not_a_knot_slopes(nodes, values)), 1,
-            domain=(0.0, TWO_PI)), ts),
         ("gram-schmidt", GramSchmidtField(GramSchmidtFrame(bases), 1), ts),
     ]
 

@@ -124,6 +124,7 @@ def test_analyze_factorizes_each_grid_frame_once(monkeypatch, tmp_path, stem, ov
     # the grid's frame stack, once, shared by the profile, the scan, the
     # rank-one wedges, the sheet wedges and the equivalent-condition check
     grid = ("frame_qr", "frame_basis", "complete", (p.grid.t_samples.size, p.dim, p.m - 1))
-    # and the reduced Jacobians of the 32 off-sheet points of each sheet
-    offsheet = ("frame_qr", "jacobian_regularity", "complete", (32, p.dim, p.m - 1))
+    # and the frames at the 32 off-sheet points of each sheet, shared by the
+    # solve there and the reduced Jacobians
+    offsheet = ("frame_qr", "frame_basis", "complete", (32, p.dim, p.m - 1))
     assert sorted(calls) == sorted([grid] + [offsheet] * sheets)

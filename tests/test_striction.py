@@ -312,9 +312,9 @@ def test_offsheet_points_stay_in_the_segment_range(monkeypatch):
     assert lo == pytest.approx(0.025) and hi == 1.0
     drawn = []
 
-    def recording(patch, ts, u):
+    def recording(patch, ts, u, values=None):
         drawn.append(np.array(ts, dtype=float))
-        return jacobians_at(patch, ts, u)
+        return jacobians_at(patch, ts, u, values)
 
     monkeypatch.setattr(striction, "jacobians_at", recording)
     check = offsheet_check(seg.pivoted, seg.sheet, seed=0)
@@ -333,9 +333,9 @@ def test_offsheet_draws_are_the_seed_stream_of_the_choice_loop(name, d, monkeypa
     sheet = solve_striction(p, d)
     drawn = []
 
-    def recording(patch, ts, u):
+    def recording(patch, ts, u, values=None):
         drawn.append((np.array(ts, dtype=float), np.array(u, dtype=float)))
-        return jacobians_at(patch, ts, u)
+        return jacobians_at(patch, ts, u, values)
 
     monkeypatch.setattr(striction, "jacobians_at", recording)
     lo, hi = p.grid.t_samples[[0, -1]]
