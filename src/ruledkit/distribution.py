@@ -252,7 +252,8 @@ def pivot_frame(p: RuledPatch, d: int) -> RuledPatch:
     whose trailing rho block is best conditioned over the whole grid.
     Raises `PivotError` with the failing samples when that block falls to
     `zero_abs_tol` somewhere. The runs of `pivot_runs` are grids that one
-    permutation each pivots.
+    permutation each pivots. The reordered patch permutes the frame arrays
+    of `p`'s values (`GridValues.with_frame`) and evaluates no field.
     """
     if d < 1:
         raise ValidationError("pivot requires degree >= 1")
@@ -274,4 +275,6 @@ def pivot_frame(p: RuledPatch, d: int) -> RuledPatch:
     order = [j for j in range(k) if j not in subsets[best]] + list(subsets[best])
     if order == list(range(k)):
         return p
-    return replace(p, fc=fc.with_frame([fc.frame[j] for j in order]), origin=None)
+    pivoted = replace(p, fc=fc.with_frame([fc.frame[j] for j in order]))
+    vars(pivoted)["values"] = p.values.with_frame(pivoted.fc, order)
+    return pivoted

@@ -110,8 +110,8 @@ class GridValues:
     order is evaluated on first use, one array evaluation per field, and
     kept; so is `frame_basis()`, the frame's one complete QR per parameter
     (`multilinear.frame_qr`), which every grid stage reads. The arrays
-    are shared, also with the values that `with_directrix` and `restrict`
-    make: callers must not mutate them.
+    are shared, also with the values that `restrict`, `with_directrix` and
+    `with_frame` derive from them: callers must not mutate them.
 
     Every field and order is evaluated on one `ParameterArray`, so a
     framed curve composed with a parameter map inverts arclength once
@@ -144,12 +144,25 @@ class GridValues:
         return self._basis
 
     def with_directrix(self, fc: FramedCurve) -> "GridValues":
-        """The values of `fc`, a framed curve with this one's frame and a
-        directrix of its own, on the same parameters: the frame
-        derivatives are shared both ways and the frame basis is handed
-        on, so only the directrix is evaluated anew."""
+        """The values of `fc`, this curve with its directrix shifted along
+        its frame (`RuledPatch.shift_directrix`): the frame arrays and basis
+        are shared, and each directrix order held here is summed from them
+        term by term, as the shifted field's `eval` sums it."""
         out = GridValues(fc, self.parameters)
         out._frame, out._basis = self._frame, self.frame_basis()
+        for order, g in self._directrix.items():
+            for w, x in zip(fc.directrix.weights, self.frame(order).swapaxes(0, 1)):
+                if w != 0.0:
+                    g = g + w * x
+            out._directrix[order] = g
+        return out
+
+    def with_frame(self, fc: FramedCurve, order: list[int]) -> "GridValues":
+        """The values of `fc`, this curve with its frame fields in `order`: the
+        frame arrays permuted, the directrix ones shared, the basis factorized afresh."""
+        out = GridValues(fc, self.parameters)
+        out._frame = {k: x[:, order] for k, x in self._frame.items()}
+        out._directrix = self._directrix
         return out
 
     def restrict(self, lo: int, hi: int) -> "GridValues":

@@ -24,8 +24,8 @@ orthonormalized by Gram-Schmidt over the stack, with no LAPACK call;
 since II vanishes on pairs of ruling directions, sigma_tt drops out of
 it and every curvature is minus a sum of squares. A patch computes its
 frame values and basis, degree profile and second-form scan once, on
-first use; a patch cut from it by `restrict` slices them. The
-single-point functions run the same kernels on a stack of one.
+first use; a patch derived from it is primed from them. The single-point
+functions run the same kernels on a stack of one (`_values_at`).
 """
 
 from __future__ import annotations
@@ -50,15 +50,13 @@ class RuledPatch:
 
     The grid stages (`values`, `profile`, `scan`, `rank_one`) are
     computed on first use and kept; they are shared, so callers must not
-    mutate them.
+    mutate them. A patch derived from another (`restrict`, `shift_directrix`,
+    `distribution.pivot_frame`) is primed from the parent's stages, evaluating no field.
     """
 
     fc: FramedCurve
     grid: SampleGrid
     tol: TolerancePolicy = DEFAULT_TOLERANCES
-    #: (parent patch, index of this grid's first sample in the parent's)
-    #: for a patch made by `restrict`; its values, profile and scan are slices
-    origin: tuple["RuledPatch", int] | None = field(default=None, repr=False)
 
     @property
     def m(self) -> int:
@@ -69,10 +67,14 @@ class RuledPatch:
         return self.fc.dim
 
     def restrict(self, lo: int, hi: int) -> "RuledPatch":
-        """The patch over grid samples lo..hi-1 (end exclusive)."""
+        """The patch over grid samples lo..hi-1 (end exclusive), sliced from this one."""
         if lo == 0 and hi == self.grid.t_samples.size:
             return self
-        return RuledPatch(self.fc, self.grid.restrict(lo, hi), self.tol, origin=(self, lo))
+        sub = RuledPatch(self.fc, self.grid.restrict(lo, hi), self.tol)
+        # the scan first, so that the sliced values hold every order it read
+        vars(sub).update((stage, getattr(self, stage).restrict(lo, hi))
+                         for stage in ("scan", "profile", "values"))
+        return sub
 
     def shift_directrix(self, c) -> "RuledPatch":
         """The patch swept from the shifted directrix t -> sigma(t, c) over
@@ -80,8 +82,8 @@ class RuledPatch:
 
         The frame is this patch's, so the new patch shares the grid's
         parameters, the frame values and the degree profile, which
-        depend on the frame only; the shifted directrix is the one new
-        field it evaluates.
+        depend on the frame only; the shifted directrix is summed from the
+        grid values (`GridValues.with_directrix`), with no evaluation.
         """
         fc = replace(self.fc, directrix=AffineCombinationField(
             self.fc.directrix, list(self.fc.frame), c))
@@ -90,26 +92,16 @@ class RuledPatch:
         vars(shifted).update(values=self.values.with_directrix(fc), profile=self.profile)
         return shifted
 
-    def _slice(self, stage: str):
-        parent, lo = self.origin
-        return getattr(parent, stage).restrict(lo, lo + self.grid.t_samples.size)
-
     @cached_property
     def values(self) -> GridValues:
-        if self.origin is not None:
-            return self._slice("values")
         return self.fc.grid_values(self.grid.parameters)
 
     @cached_property
     def profile(self) -> DegreeProfile:
-        if self.origin is not None:
-            return self._slice("profile")
         return profile_from_values(self.values, self.tol)
 
     @cached_property
     def scan(self) -> "SecondFormScan":
-        if self.origin is not None:
-            return self._slice("scan")
         return second_form_scan(self)
 
     @cached_property
@@ -143,13 +135,25 @@ def jacobian_sigma(p: RuledPatch, t: float, u) -> np.ndarray:
     return jacobians_at(p, t, _as_u(p, u)[None])[0]
 
 
+def _values_at(p: RuledPatch, t):
+    """(values, rows) of the patch at t, a scalar or a 1-D array: rows of its
+    grid values when every t is a grid sample, else one evaluation at t."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    grid = p.grid.t_samples
+    at = np.minimum(np.searchsorted(grid, ts), grid.size - 1)
+    if np.array_equal(grid[at], ts):
+        return p.values, at
+    return p.fc.grid_values(ts), slice(None)
+
+
 def jacobians_at(p: RuledPatch, t, u: np.ndarray, values: GridValues | None = None) -> np.ndarray:
     """(P, m, dim) Jacobians at P ruling positions u (P, m-1) and t, one
     parameter shared by all of them or an array of P, one per position;
-    from one evaluation of the frame at t, or the caller's, `values`."""
-    v = p.fc.grid_values(np.atleast_1d(np.asarray(t, dtype=float))) if values is None else values
+    from the patch's values at t (`_values_at`), or the caller's, `values`."""
+    v, rows = _values_at(p, t) if values is None else (values, slice(None))
     u = u if np.ndim(t) == 0 else u[:, None]
-    return _jacobians(v.frame(0), v.frame(1), v.directrix(1), u).reshape(-1, p.m, p.dim)
+    return _jacobians(v.frame(0)[rows], v.frame(1)[rows], v.directrix(1)[rows],
+                      u).reshape(-1, p.m, p.dim)
 
 
 def _reduced_singular_values(jac: np.ndarray) -> np.ndarray:
@@ -343,9 +347,9 @@ def _normal_ranks(vecs: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
 
 
 def _second_form_at(p: RuledPatch, t: float, u: np.ndarray):
-    """(jac, vecs) at one point; raises at a singular point."""
-    jac, vecs, regular = _second_form_vectors(p.fc.grid_values(np.array([float(t)])),
-                                              slice(None), u[None], p.tol)
+    """(jac, vecs) at one point, from the patch's values at t (`_values_at`);
+    raises at a singular point."""
+    jac, vecs, regular = _second_form_vectors(*_values_at(p, t), u[None], p.tol)
     if not regular[0, 0]:
         raise RegularityError(f"patch is singular at (t={t}, u={u.tolist()})")
     return jac[0, 0], vecs[0, 0]
@@ -468,13 +472,7 @@ def _pair_jacobians(p: RuledPatch, t: np.ndarray, u_pairs: np.ndarray):
     (P, 2, dim-m+1) and (P, 1, m-1, m-1).
     """
     ts, row = np.unique(t, return_inverse=True)
-    grid = p.grid.t_samples
-    at = np.minimum(np.searchsorted(grid, ts), grid.size - 1)
-    if np.array_equal(grid[at], ts):
-        v, rows = p.values, at
-    else:
-        v, rows = p.fc.grid_values(ts), slice(None)
-    r, _, sigma_q, sigma_c = _frame_coordinates(v, rows)
+    r, _, sigma_q, sigma_c = _frame_coordinates(*_values_at(p, ts))
     jac, c = _reduced_jacobians(r[row], [x[row] for x in sigma_q],
                                 [x[row] for x in sigma_c], u_pairs)
     return jac, c, _inverse_factors(r)[row, None]

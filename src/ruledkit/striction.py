@@ -372,14 +372,15 @@ def singular_locus(p: RuledPatch, sheet: StrictionSheet) -> SingularLocus:
                          residuals=residuals, singular=residuals < p.tol.zero_abs_tol)
 
 
+#: random points of each off-sheet regularity check
+OFFSHEET_CHECKS = 32
 #: the off-sheet perturbation's signs, indexed by a draw of 0 or 1 each (the
 #: draw of `rng.choice([-1.0, 1.0], size=d)`, with less Python on the way)
 _SIGNS = np.array([-1.0, 1.0])
 
 
-def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
-                   checks: int = 32) -> OffsheetCheck:
-    """Regularity of the patch just off the sheet, at `checks` random points.
+def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0) -> OffsheetCheck:
+    """Regularity of the patch just off the sheet at `OFFSHEET_CHECKS` random points.
 
     Each point takes a t uniform over the grid's range (a segment's, for
     a segment patch) and uniform free coordinates, and perturbs every
@@ -395,10 +396,10 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
     spacing = float(axis[1] - axis[0]) if axis.size > 1 else grid.u_extent / 5.0
     delta = 10.0 * spacing
     lo, hi = grid.t_samples[0], grid.t_samples[-1]
-    ts = np.empty(checks)
-    u = np.empty((checks, fc.m - 1))
-    signs = np.empty((checks, sheet.d))
-    for i in range(checks):  # the seed's stream: t, u_free, signs per check
+    ts = np.empty(OFFSHEET_CHECKS)
+    u = np.empty((OFFSHEET_CHECKS, fc.m - 1))
+    signs = np.empty((OFFSHEET_CHECKS, sheet.d))
+    for i in range(OFFSHEET_CHECKS):  # the seed's stream: t, u_free, signs per check
         ts[i] = rng.uniform(lo, hi)
         u[i, :sheet.free_count] = rng.uniform(-grid.u_extent, grid.u_extent,
                                               size=sheet.free_count)
@@ -407,7 +408,7 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0,
     u[:, sheet.free_count:] = sheet.solved(ts, u[:, :sheet.free_count], values) + delta * signs
     jac = jacobians_at(p, ts, u, values)
     irregular = np.flatnonzero(~jacobian_regularity(jac, p.tol, values.frame_basis()))
-    return OffsheetCheck(total=checks,
+    return OffsheetCheck(total=OFFSHEET_CHECKS,
                          failures=tuple((float(ts[i]), u[i].tolist()) for i in irregular))
 
 

@@ -13,6 +13,7 @@ from ruledkit.distribution import constant_degree_segments, degree_profile, equa
 from ruledkit.fields import FourierField, PolynomialField, VectorField
 from ruledkit.parametric import FramedCurve
 from ruledkit.scene import IngestResult
+from test_evaluations import recorded_evaluations
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,11 +111,19 @@ def test_spliced_field_splits_into_two_segments(tol):
 
 # --- pivoting ----------------------------------------------------------------
 
-def test_pivot_swaps_product_frame():
+def test_pivot_swaps_product_frame(monkeypatch):
     p = small_patch("tangent_developable_product", 21)
-    pivoted = pivot_frame(p, 1)
+    assert p.profile  # the pivot reads the patch's profile and its values
+    with monkeypatch.context() as patch:
+        calls = recorded_evaluations(patch)
+        pivoted = pivot_frame(p, 1)
+        frames = [pivoted.values.frame(order) for order in range(2)]
+    assert calls == []
     assert pivoted.fc.frame == (p.fc.frame[1], p.fc.frame[0])
-    assert (pivoted.grid, pivoted.tol, pivoted.origin) == (p.grid, p.tol, None)
+    assert (pivoted.grid, pivoted.tol) == (p.grid, p.tol)
+    # the parent's frame arrays with their columns swapped, bit for bit
+    for order, frame in enumerate(frames):
+        assert frame.tobytes() == p.values.frame(order)[:, ::-1].tobytes()
 
 
 def test_pivot_keeps_satisfying_frame():

@@ -1,0 +1,117 @@
+"""Each field evaluated once per parameter array and order (ROADMAP item 13).
+
+A patch derived from another (a segment by `restrict`, a pivot by
+`pivot_frame`, a shifted directrix by `shift_directrix`) is primed from
+its parent's grid values, so after ingest `analyze` evaluates each field
+at most once per order and parameter array: on the grid, on a segment's
+sub-grid, and at the off-sheet points of each sheet. The one exemption
+is the invariance fit (`striction.least_squares`), which reads the
+sheet off the grid.
+"""
+
+import glob
+import os
+
+import numpy as np
+import pytest
+
+from conftest import small_patch
+from perfbench.scenegen import explicit_scene
+from ruledkit import pivot_frame, striction
+from ruledkit.analysis import analyze
+from ruledkit.fields import ParameterArray, VectorField
+from ruledkit.scene import ingest
+from scene_families import osculating_scene
+
+SCENE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
+SCENES = ([(os.path.basename(path)[:-len(".json")], path)
+           for path in sorted(glob.glob(os.path.join(SCENE_DIR, "*.json")))]
+          + [("explicit_scene0", explicit_scene(0)),
+             ("osculating_scene0", osculating_scene(0, 3, 4))])
+CYLINDERS = {"cylinder_helix_r4", "slow_circle_reparametrized"}
+
+
+def field_classes():
+    """`VectorField` and its subclasses that define their own `eval`."""
+    todo, seen = [VectorField], []
+    while todo:
+        cls = todo.pop()
+        if cls not in seen:
+            seen.append(cls)
+            todo.extend(cls.__subclasses__())
+    return [cls for cls in seen if "eval" in vars(cls)]
+
+
+class Evaluation:
+    """One field `eval` call. It holds the field object itself, not its
+    id(): a shifted directrix is garbage-collected once its check is
+    done, and a later field may reuse its id."""
+
+    def __init__(self, field, order, t, top, in_fit):
+        self.field, self.order, self.top, self.in_fit = field, order, top, in_fit
+        values = np.asarray(t.values if isinstance(t, ParameterArray) else t, dtype=float)
+        self.key = (values.shape, values.tobytes())
+
+    def repeats(self, other) -> bool:
+        return (self.field is other.field and self.order == other.order
+                and self.key == other.key)
+
+
+def recorded_evaluations(patch) -> list[Evaluation]:
+    """Record every field `eval` call from here on, in call order; `top`
+    marks a call that no other `eval` made, and `in_fit` one made inside
+    `striction.least_squares`."""
+    calls, depth, fit = [], [0], [0]
+
+    def recording(original):
+        def wrapper(self, t, order=0):
+            calls.append(Evaluation(self, order, t, depth[0] == 0, fit[0] > 0))
+            depth[0] += 1
+            try:
+                return original(self, t, order)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def fitting(*args, **kwargs):
+        fit[0] += 1
+        try:
+            return least_squares(*args, **kwargs)
+        finally:
+            fit[0] -= 1
+
+    least_squares = striction.least_squares
+    patch.setattr(striction, "least_squares", fitting)
+    for cls in field_classes():
+        patch.setattr(cls, "eval", recording(vars(cls)["eval"]))
+    return calls
+
+
+@pytest.mark.parametrize("name,scene", SCENES, ids=[name for name, _ in SCENES])
+def test_analyze_evaluates_each_field_once_per_parameters_and_order(
+        monkeypatch, tmp_path, name, scene):
+    result = ingest(scene)
+    with monkeypatch.context() as patch:
+        calls = recorded_evaluations(patch)
+        report = analyze(result, tmp_path, invariance=True)
+    # every scene but the two cylinders runs the invariance check
+    assert (report["directrix_invariance"] is None) == (name in CYLINDERS)
+    # the shifted directrices are summed from the grid values
+    assert [c for c in calls if type(c.field).__name__ == "AffineCombinationField"] == []
+    top = [c for c in calls if c.top and not c.in_fit]
+    repeats = [(type(b.field).__name__, b.order, b.key[0])
+               for i, b in enumerate(top) if any(a.repeats(b) for a in top[:i])]
+    assert repeats == []
+
+
+def test_restrict_and_pivot_evaluate_no_field(monkeypatch):
+    p = small_patch("tangent_developable_product", 41)
+    assert p.profile and p.scan  # the whole grid's stages run first, as in `analyze`
+    with monkeypatch.context() as patch:
+        calls = recorded_evaluations(patch)
+        sub = p.restrict(5, 30)
+        assert sub.values and sub.profile and sub.scan
+        for q in (p, sub):
+            pivoted = pivot_frame(q, 1)
+            assert pivoted is not q and pivoted.profile
+    assert calls == []

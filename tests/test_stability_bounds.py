@@ -22,11 +22,11 @@ from ambient_second_form import (svd_pair_margins, svd_regular_pairs, svd_span_v
                                  svd_tangent_space_stability)
 from conftest import small_patch
 from ruledkit import RuledPatch, SampleGrid, TolerancePolicy, selftest
-from ruledkit.fields import VectorField
 from ruledkit.ruledgeom import (RANK_BOUND_MARGIN, SPAN_SLACK_PER_DIM, _inverse_factors,
                                 _pair_jacobians, _span_verdicts, jacobians_at,
                                 tangent_space_stability)
 from ruledkit.selftest import PAIR_CONDITION_LIMIT, _pair_condition_verdicts
+from test_evaluations import field_classes
 from test_rank_bounds import orthonormal_columns, reduced_jacobians
 
 TOL = TolerancePolicy()
@@ -215,17 +215,6 @@ def test_sweep_makes_no_svd_call(monkeypatch, name, t_samples):
             selftest._stability_sweep(p, 10, seed)
 
 
-def _field_classes():
-    """`VectorField` and its subclasses that define their own `eval`."""
-    todo, seen = [VectorField], []
-    while todo:
-        cls = todo.pop()
-        if cls not in seen:
-            seen.append(cls)
-            todo.extend(cls.__subclasses__())
-    return [cls for cls in seen if "eval" in vars(cls)]
-
-
 def _keyed_evaluations(patch):
     """Record every field `eval` and `np.linalg.qr` call as (what, caller)."""
     calls = []
@@ -237,18 +226,18 @@ def _keyed_evaluations(patch):
         return wrapper
 
     patch.setattr(np.linalg, "qr", keyed("qr", np.linalg.qr))
-    for cls in _field_classes():
+    for cls in field_classes():
         patch.setattr(cls, "eval", keyed(f"{cls.__name__}.eval", cls.eval))
     return calls
 
 
 @pytest.mark.parametrize("t_samples", [50, 200])
-@pytest.mark.parametrize("name", NO_BAND_PATCHES)
+@pytest.mark.parametrize("name", selftest.EQUIVALENCE_PATCHES)
 def test_sweep_reads_the_grid_values_and_frame_basis(monkeypatch, name, t_samples):
     # every t of the sweep is a grid sample, so the pairs' reduced
-    # Jacobians are rows of the patch's values and frame QR; only the
-    # SVD fallback near a cutoff, which these patches never reach,
-    # evaluates the fields
+    # Jacobians are rows of the patch's values and frame QR, and so are
+    # the ambient Jacobians of the SVD fallback near a cutoff, which
+    # only tangent_developable_product reaches
     p = corpus(t_samples)[name]
     assert p.values and p.scan  # primed, as in the selftest
     with monkeypatch.context() as patch:
