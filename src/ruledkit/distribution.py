@@ -15,7 +15,7 @@ pivots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import TYPE_CHECKING, Sequence
 
@@ -49,6 +49,11 @@ class DegreeProfile:
     rho: np.ndarray         # (N, m-1, dim), rho[i, j] orthogonal to the ruling span at t[i]
     degrees: np.ndarray     # (N,) int
     borderline: np.ndarray  # (N,) bool: a singular value sits near the rank cutoff
+    #: the profile this one is restricted from and the sample it starts at
+    #: there: (None, 0) for a profile of its own, which keeps the subset scores
+    root: "DegreeProfile | None" = field(default=None, repr=False)
+    offset: int = 0
+    _scores: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def constant_degree(self) -> int | None:
@@ -68,9 +73,29 @@ class DegreeProfile:
         return [float(t) for t in self.t[self.borderline]]
 
     def restrict(self, lo: int, hi: int) -> "DegreeProfile":
-        """The profile over samples lo..hi-1."""
+        """The profile over samples lo..hi-1, which reads its root's subset scores."""
         return DegreeProfile(self.t[lo:hi], self.rho[lo:hi], self.degrees[lo:hi],
-                             self.borderline[lo:hi])
+                             self.borderline[lo:hi], self.root or self, self.offset + lo)
+
+    def subset_scores(self, d: int) -> tuple[list, np.ndarray]:
+        """Every d-subset of the frame fields and, per sample of degree d, the
+        smallest singular value of its rho block: the subsets and an
+        (N, subsets) array, NaN at the other samples. The root profile scores
+        each degree once, on all its samples of that degree, and a profile
+        restricted from it reads its rows, so that `pivot_runs` and the
+        `pivot_frame` of each run score no subset twice."""
+        if self.root is not None:
+            subsets, scores = self.root.subset_scores(d)
+            return subsets, scores[self.offset:self.offset + self.t.size]
+        if d not in self._scores:
+            subsets = list(combinations(range(self.rho.shape[1]), d))
+            at = np.flatnonzero(self.degrees == d)
+            rho = self.rho[at]
+            scores = np.full((self.t.size, len(subsets)), np.nan)
+            for j, subset in enumerate(subsets):
+                scores[at, j] = np.linalg.svd(rho[:, list(subset)], compute_uv=False)[:, -1]
+            self._scores[d] = subsets, scores
+        return self._scores[d]
 
 
 def _svd_degrees(rho: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
@@ -200,15 +225,6 @@ def constant_degree_segments(profile: DegreeProfile) -> list[tuple[int, int, int
     return [(i0, i1, degrees[i0]) for i0, i1 in equal_runs(degrees)]
 
 
-def _subset_scores(rho: np.ndarray, d: int) -> tuple[list, np.ndarray]:
-    """Every d-subset of the frame fields and, per sample, the smallest
-    singular value of its rho block: the subsets and an (N, subsets) array."""
-    subsets = list(combinations(range(rho.shape[1]), d))
-    scores = np.stack([np.linalg.svd(rho[:, list(subset)], compute_uv=False)[:, -1]
-                       for subset in subsets], axis=1)
-    return subsets, scores
-
-
 #: fewest samples of a segment or pivot run with a grid of its own; a
 #: shorter pivot run joins a neighbour
 MIN_SEGMENT_SAMPLES = 3
@@ -230,7 +246,7 @@ def pivot_runs(profile: DegreeProfile, d: int,
     n, k = profile.t.size, profile.rho.shape[1]
     if not 0 < d < k or n < MIN_SEGMENT_SAMPLES:
         return [(0, n)]
-    _, scores = _subset_scores(profile.rho, d)
+    _, scores = profile.subset_scores(d)
     best = scores.argmax(axis=1).tolist()
     runs = [[i0, i1, best[i0]] for i0, i1 in equal_runs(best)]
     while True:
@@ -265,7 +281,7 @@ def pivot_frame(p: RuledPatch, d: int) -> RuledPatch:
             f"degree is not constantly {d} on the grid (first offenders: {bad[:3]})")
     if d == k:
         return p
-    subsets, scores = _subset_scores(profile.rho, d)
+    subsets, scores = profile.subset_scores(d)
     best = int(np.argmax(scores.min(axis=0)))
     failing = profile.t[scores[:, best] <= tol.zero_abs_tol]
     if failing.size:

@@ -718,13 +718,16 @@ class GramSchmidtFrame:
     def __init__(self, bases: Sequence[VectorField]):
         self.bases = list(bases)
 
-    def rows(self, params: ParameterArray, order: int) -> tuple:
+    def rows(self, params: ParameterArray, order: int, bases: np.ndarray | None = None) -> tuple:
         """(E, C, lengths, V) at order 0, (E', U(M)^T) at order 1 and
-        (E'',) at order 2, on the parameters of `params`."""
-        return params.cached((self, order), lambda: self._rows(params, order))
+        (E'',) at order 2, on the parameters of `params`; from `bases`, the
+        base fields' order-th derivatives stacked there, when the caller
+        holds them."""
+        return params.cached((self, order), lambda: self._rows(params, order, bases))
 
-    def _rows(self, params: ParameterArray, order: int) -> tuple:
-        v = stack_fields(self.bases, params, order)
+    def _rows(self, params: ParameterArray, order: int, v: np.ndarray | None) -> tuple:
+        if v is None:
+            v = stack_fields(self.bases, params, order)
         if order == 0:
             return gram_schmidt_rows(v) + (v,)
         e, c, _, _ = self.rows(params, 0)

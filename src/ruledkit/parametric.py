@@ -79,12 +79,17 @@ class FramedCurve:
     def with_frame(self, frame: Sequence[VectorField]) -> "FramedCurve":
         return FramedCurve(self.dim, self.m, self.directrix, tuple(frame), self.interval)
 
-    def validate_on(self, grid: "SampleGrid", tol: TolerancePolicy = DEFAULT_TOLERANCES):
+    def validate_on(self, grid: "SampleGrid", tol: TolerancePolicy = DEFAULT_TOLERANCES,
+                    values: "GridValues | None" = None):
         """Check unit speed and frame orthonormality at every grid sample;
-        raises at the first failing sample, the speed checked first."""
-        ts, params = grid.t_samples, grid.parameters
-        speed_dev = np.abs(np.linalg.norm(self.directrix.eval(params, 1), axis=1) - 1.0)
-        x = self.frame_values(params)
+        raises at the first failing sample, the speed checked first. Reads
+        `values`, this curve's values on the grid's parameters, when the
+        caller holds them."""
+        ts = grid.t_samples
+        if values is None:
+            values = self.grid_values(grid.parameters)
+        speed_dev = np.abs(np.linalg.norm(values.directrix(1), axis=1) - 1.0)
+        x = values.frame(0)
         finite = np.isfinite(x).all(axis=(1, 2))
         gram_dev = np.abs(x @ x.swapaxes(1, 2) - np.eye(self.m - 1)).max(axis=(1, 2))
         bad_speed = speed_dev > tol.derivative_check_tol
@@ -157,11 +162,14 @@ class GridValues:
             out._directrix[order] = g
         return out
 
-    def with_frame(self, fc: FramedCurve, order: list[int]) -> "GridValues":
-        """The values of `fc`, this curve with its frame fields in `order`: the
-        frame arrays permuted, the directrix ones shared, the basis factorized afresh."""
+    def with_frame(self, fc: FramedCurve, order: list[int] | None = None) -> "GridValues":
+        """The values of `fc`, this curve with its frame fields in `order`, or
+        with a frame of its own when `order` is None: the directrix arrays
+        shared, the frame arrays permuted (evaluated afresh for a frame of
+        its own), the basis factorized afresh."""
         out = GridValues(fc, self.parameters)
-        out._frame = {k: x[:, order] for k, x in self._frame.items()}
+        if order is not None:
+            out._frame = {k: x[:, order] for k, x in self._frame.items()}
         out._directrix = self._directrix
         return out
 
@@ -229,8 +237,8 @@ class SampleGrid:
 
 
 def gram_schmidt_frame(fields: Sequence[VectorField], grid: SampleGrid,
-                       tol: TolerancePolicy = DEFAULT_TOLERANCES
-                       ) -> list[GramSchmidtField]:
+                       tol: TolerancePolicy = DEFAULT_TOLERANCES,
+                       values: np.ndarray | None = None) -> list[GramSchmidtField]:
     """Orthonormalize fields pointwise, returning smooth fields.
 
     The output is the (order-preserving) Gram-Schmidt orthonormalization
@@ -240,14 +248,15 @@ def gram_schmidt_frame(fields: Sequence[VectorField], grid: SampleGrid,
     only on the grid. The fields must be independent at every grid
     sample; the output fields are defined over the grid's range, where
     that was checked. The orthonormalization on the grid's parameters is
-    kept on them for every later evaluation there.
+    kept on them for every later evaluation there; `values`, the fields
+    stacked on those parameters (N, k, dim), when the caller holds them.
     """
     k = len(fields)
     if k == 0:
         return []
     ts = grid.t_samples
     frame = GramSchmidtFrame(fields)
-    _, _, lengths, v = frame.rows(grid.parameters, 0)
+    _, _, lengths, v = frame.rows(grid.parameters, 0, values)
     scale = np.maximum(1.0, np.linalg.norm(v, axis=(1, 2)))
     dependent = np.flatnonzero(lengths.min(axis=1) < tol.zero_abs_tol * scale)
     if dependent.size:

@@ -2,10 +2,15 @@
 
 A scene names either a builtin patch family or an explicit
 directrix/frame in one of the serializable field kinds. Ingestion
-validates against the shipped JSON schema, fills defaults, enforces unit
-speed (reparametrizing when needed) and frame orthonormality
-(orthonormalizing when needed), and emits a canonical normalized scene
-that re-ingests to the byte-identical document.
+validates against the shipped JSON schema `schemas/scene.schema.json`
+with the in-house checker of `schemacheck` (no jsonschema at run time),
+reads each integral float the schema admits as an integer as its int,
+fills defaults, enforces unit speed (reparametrizing when needed) and
+frame orthonormality (orthonormalizing when needed), and emits a
+canonical normalized scene that re-ingests to the byte-identical
+document. The speed and orthonormality checks read the grid values that
+the ingested patch is primed with, so the analysis evaluates them no
+second time.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import numbers
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .errors import ValidationError
@@ -26,6 +30,7 @@ from .parametric import (BUILTIN_PATCHES, FramedCurve, SampleGrid,
                          arclength_framed_curve, gram_schmidt_frame,
                          make_builtin_patch)
 from .ruledgeom import RuledPatch
+from .schemacheck import SchemaChecker
 
 SCENE_SCHEMA_ID = "ruledkit.scene/v1"
 
@@ -58,8 +63,21 @@ def _load_schema(name: str) -> dict:
 
 
 _SCENE_SCHEMA = _load_schema("scene.schema.json")
-#: built once: `jsonschema.validate` would re-check the schema itself on every call
-_SCENE_VALIDATOR = jsonschema.validators.validator_for(_SCENE_SCHEMA)(_SCENE_SCHEMA)
+#: the shipped scene schema, compiled once
+_SCENE_CHECKER = SchemaChecker(_SCENE_SCHEMA)
+
+
+def _int_integers(value, schema: dict):
+    """A schema-valid value with each entry the schema types `integer` an
+    int (draft 2020-12 admits an integral float such as 40.0), down the
+    schema's `properties`; other entries are shared, not copied."""
+    if schema.get("type") == "integer":
+        return int(value)
+    properties = schema.get("properties")
+    if properties is None or not isinstance(value, dict):
+        return value
+    return {k: _int_integers(v, properties[k]) if k in properties else v
+            for k, v in value.items()}
 
 
 def parse_field(spec: dict) -> VectorField:
@@ -101,10 +119,10 @@ def load_scene(path) -> dict:
 
 
 def validate_scene(doc: dict):
-    exc = jsonschema.exceptions.best_match(_SCENE_VALIDATOR.iter_errors(doc))
-    if exc is not None:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ValidationError(f"scene validation error at {where}: {exc.message}") from exc
+    error = _SCENE_CHECKER.best_error(doc)
+    if error is not None:
+        where = "/".join(str(p) for p in error.path) or "<root>"
+        raise ValidationError(f"scene validation error at {where}: {error.message}")
     if "builtin_patch" in doc and doc["builtin_patch"] not in BUILTIN_PATCHES:
         raise ValidationError(f"unknown builtin patch {doc['builtin_patch']!r}; "
                               f"known: {sorted(BUILTIN_PATCHES)}")
@@ -161,10 +179,10 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
     so re-ingesting it reproduces the patch and the document itself.
     """
     if isinstance(source, dict):
-        doc = source
-        validate_scene(doc)
+        validate_scene(source)
     else:
-        doc = load_scene(source)
+        source = load_scene(source)
+    doc = _int_integers(source, _SCENE_SCHEMA)
     overrides = overrides or {}
 
     grid_cfg = dict(DEFAULT_GRID)
@@ -189,26 +207,29 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
         return SampleGrid.uniform(interval, grid_cfg["t_samples"],
                                   grid_cfg["u_extent"], grid_cfg["u_samples_per_axis"])
 
+    # the checks read the grid values that the patch is primed with
     grid = make_grid(fc.interval)
+    values = fc.grid_values(grid.parameters)
 
-    speed_dev = float(np.abs(np.linalg.norm(fc.directrix.eval(grid.parameters, 1), axis=1)
-                             - 1.0).max())
+    speed_dev = float(np.abs(np.linalg.norm(values.directrix(1), axis=1) - 1.0).max())
     reparametrized = speed_dev > tol.derivative_check_tol
     if reparametrized:
         fc = arclength_framed_curve(fc)
         grid = make_grid(fc.interval)
+        values = fc.grid_values(grid.parameters)
         notes.append(f"directrix reparametrized to unit speed "
                      f"(speed deviation was {speed_dev:.3e}; new length {fc.interval[1]!r})")
 
-    x = fc.frame_values(grid.parameters)
+    x = values.frame(0)
     gram_dev = float(np.abs(x @ x.swapaxes(1, 2) - np.eye(fc.m - 1)).max())
     orthonormalized = gram_dev > tol.derivative_check_tol
     if orthonormalized:
-        frame = gram_schmidt_frame(fc.frame, grid, tol)
-        fc = fc.with_frame(frame)
+        fc = fc.with_frame(gram_schmidt_frame(fc.frame, grid, tol, x))
+        values = values.with_frame(fc)
         notes.append(f"frame orthonormalized (max Gram deviation was {gram_dev:.3e})")
 
-    fc.validate_on(grid, tol)
+    fc.validate_on(grid, tol, values)
     normalized = _normalized_doc(doc, grid_cfg, tol_cfg, reparametrized, orthonormalized)
-    return IngestResult(patch=RuledPatch(fc, grid, tol), normalized=normalized,
-                        notes=notes)
+    patch = RuledPatch(fc, grid, tol)
+    vars(patch)["values"] = values
+    return IngestResult(patch=patch, normalized=normalized, notes=notes)

@@ -9,7 +9,8 @@ from ruledkit import (PivotError, RuledPatch, SampleGrid, TolerancePolicy, Valid
                       make_builtin_patch, pivot_frame, rho_at)
 from ruledkit.analysis import analyze
 from ruledkit.classify import segment_analyses
-from ruledkit.distribution import constant_degree_segments, degree_profile, equal_runs
+from ruledkit.distribution import (DegreeProfile, constant_degree_segments, degree_profile,
+                                   equal_runs)
 from ruledkit.fields import FourierField, PolynomialField, VectorField
 from ruledkit.parametric import FramedCurve
 from ruledkit.scene import IngestResult
@@ -213,6 +214,29 @@ def test_migrating_frame_pivots_by_runs(tol, tmp_path, t_samples, lengths):
     assert all(s["offsheet"]["regular"] == 32 for s in report["striction"])
     assert report["directrix_invariance"]["max_deviation"] < 1e-12
     assert not report["directrix_invariance"]["skipped"]
+
+
+def test_pivot_subsets_are_scored_once(tol, monkeypatch):
+    fc = _migrating_frame()
+    patch = RuledPatch(fc, SampleGrid.uniform(fc.interval, 200), tol)
+    assert patch.profile.constant_degree == 1
+    shapes, svd = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", recording)
+        segments = segment_analyses(patch)
+        pivoted = [seg.pivoted for seg in segments]
+    # one batched SVD per 1-subset of the two fields, over the whole
+    # segment; the three runs' pivots read their rows
+    assert len(pivoted) == 3 and shapes == [(200, 1, 4)] * 2
+    for seg in segments:
+        profile = seg.patch.profile
+        own = DegreeProfile(profile.t, profile.rho, profile.degrees, profile.borderline)
+        assert own.subset_scores(1)[1].tobytes() == profile.subset_scores(1)[1].tobytes()
 
 
 def test_pivot_frame_raises_where_no_permutation_works(tol):

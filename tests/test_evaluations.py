@@ -1,12 +1,13 @@
 """Each field evaluated once per parameter array and order (ROADMAP item 13).
 
-A patch derived from another (a segment by `restrict`, a pivot by
-`pivot_frame`, a shifted directrix by `shift_directrix`) is primed from
-its parent's grid values, so after ingest `analyze` evaluates each field
-at most once per order and parameter array: on the grid, on a segment's
-sub-grid, and at the off-sheet points of each sheet. The one exemption
-is the invariance fit (`striction.least_squares`), which reads the
-sheet off the grid.
+Ingest's speed, Gram and `validate_on` checks read the grid values that
+the ingested patch is primed with, and a patch derived from another (a
+segment by `restrict`, a pivot by `pivot_frame`, a shifted directrix by
+`shift_directrix`) is primed from its parent's grid values. So ingest
+and `analyze` together evaluate each field at most once per order and
+parameter array: on the grid, on a segment's sub-grid, and at the
+off-sheet points of each sheet. The one exemption is the invariance fit
+(`striction.least_squares`), which reads the sheet off the grid.
 """
 
 import glob
@@ -90,9 +91,9 @@ def recorded_evaluations(patch) -> list[Evaluation]:
 @pytest.mark.parametrize("name,scene", SCENES, ids=[name for name, _ in SCENES])
 def test_analyze_evaluates_each_field_once_per_parameters_and_order(
         monkeypatch, tmp_path, name, scene):
-    result = ingest(scene)
     with monkeypatch.context() as patch:
         calls = recorded_evaluations(patch)
+        result = ingest(scene)
         report = analyze(result, tmp_path, invariance=True)
     # every scene but the two cylinders runs the invariance check
     assert (report["directrix_invariance"] is None) == (name in CYLINDERS)

@@ -1,7 +1,8 @@
-"""No scipy on the program's path: a fresh interpreter that imports
-ruledkit, analyzes every shipped scene and runs the selftest loads no
-`scipy` module. scipy stays a test dependency, as the oracle of the
-interpolants and the nearest-point fit."""
+"""No scipy or jsonschema on the program's path: a fresh interpreter that
+imports ruledkit, analyzes every shipped scene and runs the selftest
+loads no `scipy` and no `jsonschema` module. Both stay test
+dependencies: scipy as the oracle of the interpolants and the
+nearest-point fit, jsonschema as the oracle of the scene checker."""
 
 import os
 import pathlib
@@ -20,9 +21,10 @@ from ruledkit.selftest import run_selftest
 
 
 def loaded(stage):
-    names = sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
-    if names:
-        sys.exit(f"scipy modules loaded after {stage}: {names[:5]}")
+    for package in ("scipy", "jsonschema"):
+        names = sorted(n for n in sys.modules if n == package or n.startswith(package + "."))
+        if names:
+            sys.exit(f"{package} modules loaded after {stage}: {names[:5]}")
 
 
 loaded("import ruledkit")

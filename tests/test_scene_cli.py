@@ -157,6 +157,45 @@ def test_scene_validation_error_is_the_best_match(doc):
     assert str(got.value) == f"scene validation error at {where}: {want.value.message}"
 
 
+def _integer_paths(schema, path=()):
+    """The schema paths of every subschema that types its value `integer`."""
+    if isinstance(schema, dict):
+        if schema.get("type") == "integer":
+            yield path
+        for key, sub in schema.items():
+            yield from _integer_paths(sub, path + (key,))
+    elif isinstance(schema, list):
+        for i, sub in enumerate(schema):
+            yield from _integer_paths(sub, path + (i,))
+
+
+def test_schema_integers_sit_on_properties_only():
+    # ingest turns integral floats into ints down the schema's `properties`
+    # (`scene._int_integers`), which reaches only integers on such a path
+    paths = list(_integer_paths(_load_schema("scene.schema.json")))
+    assert paths and all(p[::2] == ("properties",) * len(p[::2]) for p in paths)
+
+
+@pytest.mark.parametrize("twin,key,value", [
+    (dict(CONE_SCENE, grid={"t_samples": 40}), "grid", {"t_samples": 40.0}),
+    (dict(CONE_SCENE, grid={"t_samples": 32, "u_samples_per_axis": 5}), "grid",
+     {"t_samples": 32, "u_samples_per_axis": 5.0}),
+    (EXPLICIT_HELICOID, "m", 2.0),
+    (EXPLICIT_HELICOID, "ambient_dim", 3.0),
+], ids=["t_samples", "u_samples_per_axis", "m", "ambient_dim"])
+def test_integral_float_integers_analyze_as_their_integer_twin(tmp_path, twin, key, value):
+    # draft 2020-12 admits 40.0 where the schema says integer
+    outputs = []
+    for name, doc in (("int", twin), ("float", dict(twin, **{key: value}))):
+        validate_scene(doc)
+        out = tmp_path / name
+        result = CliRunner().invoke(main, ["analyze", write_scene(tmp_path, doc, f"{name}.json"),
+                                           "-o", str(out), "--no-invariance"])
+        assert result.exit_code == 0, result.output
+        outputs.append([(out / f).read_bytes() for f in ("report.json", "normalized_scene.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_ingest_rejects_dimension_mismatch(tmp_path):
     doc = dict(EXPLICIT_HELICOID, ambient_dim=4)
     with pytest.raises(ValidationError, match="dimension"):
