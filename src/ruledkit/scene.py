@@ -103,8 +103,8 @@ class IngestResult:
     notes: list
 
 
-def load_scene(path) -> dict:
-    """Read and schema-validate a scene file."""
+def _read_scene(path) -> dict:
+    """The JSON document of a scene file, not yet validated."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -114,7 +114,6 @@ def load_scene(path) -> dict:
         raise ValidationError(
             f"scene parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    validate_scene(doc)
     return doc
 
 
@@ -171,32 +170,41 @@ def _normalized_doc(doc: dict, grid_cfg: dict, tol_cfg: dict,
     return out
 
 
+def _with_overrides(doc, overrides: dict, sections: dict):
+    """The scene document with each non-None override merged into the
+    section that has its key; a document or section that is not an object
+    is left as it is, to fail validation."""
+    if not isinstance(doc, dict):
+        return doc
+    doc = dict(doc)
+    for section, keys in sections.items():
+        given = {k: v for k, v in overrides.items() if k in keys and v is not None}
+        entries = doc.get(section, {})
+        if given and isinstance(entries, dict):
+            doc[section] = {**entries, **given}
+    return doc
+
+
 def ingest(source, overrides: dict | None = None) -> IngestResult:
     """Build a validated patch from a scene file path or an in-memory dict.
 
-    `overrides` may replace grid/tolerance entries (CLI flags). The
-    returned normalized document reflects the effective configuration,
-    so re-ingesting it reproduces the patch and the document itself.
+    `overrides` may replace grid/tolerance entries (CLI flags); they are
+    merged into the document before it is validated, so they follow the
+    schema's rules. The returned normalized document reflects the
+    effective configuration, so re-ingesting it reproduces the patch and
+    the document itself.
     """
-    if isinstance(source, dict):
-        validate_scene(source)
-    else:
-        source = load_scene(source)
-    doc = _int_integers(source, _SCENE_SCHEMA)
-    overrides = overrides or {}
-
-    grid_cfg = dict(DEFAULT_GRID)
-    grid_cfg.update(doc.get("grid", {}))
-    grid_cfg.update({k: v for k, v in overrides.items()
-                     if k in DEFAULT_GRID and v is not None})
-
+    doc = source if isinstance(source, dict) else _read_scene(source)
     tol_defaults = TolerancePolicy()
     tol_cfg = {"rank_rel_tol": tol_defaults.rank_rel_tol,
                "zero_abs_tol": tol_defaults.zero_abs_tol,
                "derivative_check_tol": tol_defaults.derivative_check_tol}
+    doc = _with_overrides(doc, overrides or {}, {"grid": DEFAULT_GRID, "tolerances": tol_cfg})
+    validate_scene(doc)
+    doc = _int_integers(doc, _SCENE_SCHEMA)
+
+    grid_cfg = {**DEFAULT_GRID, **doc.get("grid", {})}
     tol_cfg.update(doc.get("tolerances", {}))
-    tol_cfg.update({k: v for k, v in overrides.items()
-                    if k in tol_cfg and v is not None})
     tol = TolerancePolicy(**tol_cfg)
 
     fc = _build_framed_curve(doc)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import DEFAULT_INVARIANCE_SCALES
 from .classify import (CONICAL, CYLINDRICAL, NON_RANK_ONE, TANGENT,
                        SegmentAnalysis, classify_patch, converse_check,
                        segment_analyses)
@@ -67,7 +68,6 @@ SYSTEM_PATCHES = [
 ]
 
 FLATNESS_TOL = 1e-6
-INVARIANCE_OFFSET_SCALES = (0.5, 1.0, -0.7)
 
 
 @dataclass(frozen=True)
@@ -128,13 +128,12 @@ def _pair_condition_verdicts(jac: np.ndarray, r_inv: np.ndarray):
     return kept, ~(kept | settled(kappa_b, jac.shape[-1] * limit * b, delta)[0])
 
 
-def _regular_pairs(p: RuledPatch, t, candidates: np.ndarray) -> np.ndarray:
-    """Mask of the (P, 2, m-1) candidate pairs whose two Jacobians at t
-    (one shared parameter or one per pair) both have a condition number
-    of at most `PAIR_CONDITION_LIMIT`. The verdicts come from the reduced
-    Jacobians (`_pair_condition_verdicts`); only points near the limit go
-    through the SVD of their ambient Jacobians."""
-    t = np.broadcast_to(np.asarray(t, dtype=float), candidates.shape[:1])
+def _regular_pairs(p: RuledPatch, t: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Mask of the (P, 2, m-1) candidate pairs whose two Jacobians at
+    their t, (P,), both have a condition number of at most
+    `PAIR_CONDITION_LIMIT`. The verdicts come from the reduced Jacobians
+    (`_pair_condition_verdicts`); only points near the limit go through
+    the SVD of their ambient Jacobians."""
     jac, _, r_inv = _pair_jacobians(p, t, candidates)
     kept, undecided = _pair_condition_verdicts(jac, r_inv)
     if undecided.any():
@@ -149,48 +148,32 @@ def _regular_pairs(p: RuledPatch, t, candidates: np.ndarray) -> np.ndarray:
 def _stability_sweep(p: RuledPatch, pairs_per_t: int, seed: int) -> bool:
     """Tangent-space stability over random regular ruling pairs at each grid t.
 
-    Draw contract: the pairs are those of a one-pair-at-a-time loop over
-    t with one generator seeded by `seed`, which draws a candidate pair
-    until `pairs_per_t` were regular or `50 * pairs_per_t` were drawn at
-    that t. Each round draws the first `pairs_per_t` candidates of every
-    remaining t at once and tests them in one stack. At the first t with
-    a rejected candidate the generator is rewound to the round's start
-    and advanced past the draws up to that t's first candidates; that t
-    is finished with per-t redraws, then the next round starts at the
-    following t. All accepted pairs, each with its own t, go to one
-    `tangent_space_stability` call, which checks them in t order.
+    In each of at most 50 rounds, the generator seeded by `seed` draws
+    `pairs_per_t` candidate pairs for every t still short of `pairs_per_t`
+    regular pairs, as one (t, pairs_per_t, 2, m-1) block tested in one
+    stack. A t keeps its first `pairs_per_t` regular candidates in draw
+    order, so it gives up after `50 * pairs_per_t` candidates. All kept
+    pairs, each with its own t, go in t order to one
+    `tangent_space_stability` call.
     """
     rng = np.random.default_rng(seed)
     ext, k, ts = p.grid.u_extent, p.m - 1, p.grid.t_samples
-    max_attempts = 50 * pairs_per_t
-    pair_t, pairs = [], []
-    i = 0
-    while i < ts.size:
-        state = rng.bit_generator.state
-        rest = ts[i:]
-        candidates = rng.uniform(-ext, ext, (rest.size, pairs_per_t, 2, k))
-        ok = _regular_pairs(p, np.repeat(rest, pairs_per_t),
-                            candidates.reshape(-1, 2, k)).reshape(rest.size, pairs_per_t)
-        full = ok.all(axis=1)
-        n_full = rest.size if full.all() else int(np.argmin(full))
-        pair_t.append(np.repeat(rest[:n_full], pairs_per_t))
-        pairs.append(candidates[:n_full].reshape(-1, 2, k))
-        i += n_full
-        if i == ts.size:
+    need = np.full(ts.size, pairs_per_t)
+    kept_t, kept = [], []
+    for _ in range(50):
+        short = np.flatnonzero(need)
+        if not short.size:
             break
-        # rewind, then skip the draws up to this t's first candidates
-        rng.bit_generator.state = state
-        rng.uniform(-ext, ext, (n_full + 1, pairs_per_t, 2, k))
-        t, found, attempts = ts[i], list(candidates[n_full][ok[n_full]]), pairs_per_t
-        while len(found) < pairs_per_t and attempts < max_attempts:
-            batch = min(pairs_per_t - len(found), max_attempts - attempts)
-            attempts += batch
-            more = rng.uniform(-ext, ext, (batch, 2, k))
-            found.extend(more[_regular_pairs(p, t, more)])
-        pair_t.append(np.full(len(found), t))
-        pairs.append(np.reshape(found, (-1, 2, k)))
-        i += 1
-    return tangent_space_stability(p, np.concatenate(pair_t), np.concatenate(pairs))
+        candidates = rng.uniform(-ext, ext, (short.size, pairs_per_t, 2, k))
+        ok = _regular_pairs(p, np.repeat(ts[short], pairs_per_t),
+                            candidates.reshape(-1, 2, k)).reshape(short.size, pairs_per_t)
+        ok &= np.cumsum(ok, axis=1) <= need[short, None]
+        need[short] -= ok.sum(axis=1)
+        kept_t.append(short[np.nonzero(ok)[0]])
+        kept.append(candidates[ok])
+    pair_t = np.concatenate(kept_t)
+    order = np.argsort(pair_t, kind="stable")
+    return tangent_space_stability(p, ts[pair_t[order]], np.concatenate(kept)[order])
 
 
 def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
@@ -323,7 +306,7 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
     def c7():
         for name in ["circular_cone", "tangent_developable_helix"]:
             seg = whole(name)
-            offsets = [np.full(seg.patch.m - 1, s) for s in INVARIANCE_OFFSET_SCALES]
+            offsets = [np.full(seg.patch.m - 1, s) for s in DEFAULT_INVARIANCE_SCALES]
             inv = directrix_invariance(seg.pivoted, seg.sheet, offsets)
             ok = inv.max_deviation < 1e-6 and not inv.skipped
             record(7, f"directrix invariance {name}", ok,

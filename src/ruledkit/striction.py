@@ -374,18 +374,17 @@ def singular_locus(p: RuledPatch, sheet: StrictionSheet) -> SingularLocus:
 
 #: random points of each off-sheet regularity check
 OFFSHEET_CHECKS = 32
-#: the off-sheet perturbation's signs, indexed by a draw of 0 or 1 each (the
-#: draw of `rng.choice([-1.0, 1.0], size=d)`, with less Python on the way)
-_SIGNS = np.array([-1.0, 1.0])
 
 
 def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0) -> OffsheetCheck:
     """Regularity of the patch just off the sheet at `OFFSHEET_CHECKS` random points.
 
-    Each point takes a t uniform over the grid's range (a segment's, for
-    a segment patch) and uniform free coordinates, and perturbs every
-    solved coordinate by +-delta with delta = 10 grid u-spacings; the
-    patch must be regular there, by the rank rule on the reduced Jacobians
+    The generator seeded by `seed` draws three blocks: the points' t,
+    uniform over the grid's range (a segment's, for a segment patch), their
+    uniform free coordinates, (OFFSHEET_CHECKS, free), and the sign of
+    each solved coordinate's perturbation by +-delta, delta = 10 grid
+    u-spacings, (OFFSHEET_CHECKS, d). The patch must be regular at every
+    point, by the rank rule on the reduced Jacobians
     (`ruledgeom.jacobian_regularity`). One evaluation of the curve at the
     drawn t and its frame QR serve the solve there (`solved`) and the
     Jacobians. This is the only seeded stage.
@@ -395,17 +394,11 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0) -> Offsh
     axis = grid.u_axis
     spacing = float(axis[1] - axis[0]) if axis.size > 1 else grid.u_extent / 5.0
     delta = 10.0 * spacing
-    lo, hi = grid.t_samples[0], grid.t_samples[-1]
-    ts = np.empty(OFFSHEET_CHECKS)
-    u = np.empty((OFFSHEET_CHECKS, fc.m - 1))
-    signs = np.empty((OFFSHEET_CHECKS, sheet.d))
-    for i in range(OFFSHEET_CHECKS):  # the seed's stream: t, u_free, signs per check
-        ts[i] = rng.uniform(lo, hi)
-        u[i, :sheet.free_count] = rng.uniform(-grid.u_extent, grid.u_extent,
-                                              size=sheet.free_count)
-        signs[i] = _SIGNS[rng.integers(0, 2, size=sheet.d)]
+    ts = rng.uniform(grid.t_samples[0], grid.t_samples[-1], OFFSHEET_CHECKS)
+    u_free = rng.uniform(-grid.u_extent, grid.u_extent, (OFFSHEET_CHECKS, sheet.free_count))
+    signs = rng.choice([-1.0, 1.0], size=(OFFSHEET_CHECKS, sheet.d))
     values = fc.grid_values(ts)
-    u[:, sheet.free_count:] = sheet.solved(ts, u[:, :sheet.free_count], values) + delta * signs
+    u = np.concatenate([u_free, sheet.solved(ts, u_free, values) + delta * signs], axis=1)
     jac = jacobians_at(p, ts, u, values)
     irregular = np.flatnonzero(~jacobian_regularity(jac, p.tol, values.frame_basis()))
     return OffsheetCheck(total=OFFSHEET_CHECKS,

@@ -104,13 +104,12 @@ def svd_pair_margins(jac: np.ndarray) -> np.ndarray:
     return np.divide(s[..., -1], lead, out=np.zeros_like(lead), where=lead > 0)
 
 
-def svd_regular_pairs(p: RuledPatch, t, candidates: np.ndarray) -> np.ndarray:
-    """Mask of the (P, 2, m-1) candidate pairs whose two Jacobians at t
-    (one shared parameter or one per pair) both have a smallest over
-    largest singular value of at least 1 / PAIR_CONDITION_LIMIT, from one
-    stacked SVD."""
-    t = t if np.ndim(t) == 0 else np.repeat(t, 2)
-    margins = svd_pair_margins(jacobians_at(p, t, candidates.reshape(-1, p.m - 1)))
+def svd_regular_pairs(p: RuledPatch, t: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Mask of the (P, 2, m-1) candidate pairs whose two Jacobians at
+    their t, (P,), both have a smallest over largest singular value of at
+    least 1 / PAIR_CONDITION_LIMIT, from one stacked SVD."""
+    margins = svd_pair_margins(jacobians_at(p, np.repeat(t, 2),
+                                            candidates.reshape(-1, p.m - 1)))
     return ~(margins.reshape(-1, 2).min(axis=1) < 1.0 / PAIR_CONDITION_LIMIT)
 
 

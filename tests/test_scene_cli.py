@@ -17,6 +17,7 @@ from ruledkit.scene import IngestResult, _load_schema, validate_scene
 from ruledkit.selftest import run_selftest, all_passed
 from ruledkit.multilinear import TolerancePolicy
 from conftest import fail_invariance_resolve
+from scene_families import osculating_scene
 
 REPORT_SCHEMA = _load_schema("report.schema.json")
 
@@ -221,6 +222,21 @@ def test_cli_overrides_apply(tmp_path):
     assert result.normalized["grid"]["t_samples"] == 48
 
 
+def test_overrides_follow_the_schema_as_the_scene_does(tmp_path):
+    # an override is merged into the scene before validation: an integral
+    # float analyzes as its integer twin, and a bool is no integer
+    outputs = []
+    for name, t_samples in (("int", 40), ("float", 40.0)):
+        result = ingest({"builtin_patch": "circular_cone"}, {"t_samples": t_samples})
+        analyze(result, tmp_path / name, invariance=False)
+        outputs.append([(tmp_path / name / f).read_bytes()
+                        for f in ("report.json", "normalized_scene.json")])
+    assert outputs[0] == outputs[1]
+    with pytest.raises(ValidationError,
+                       match="at grid/t_samples: True is not of type 'integer'"):
+        ingest({"builtin_patch": "circular_cone"}, {"t_samples": True})
+
+
 class _GridBuilt(Exception):
     pass
 
@@ -400,10 +416,14 @@ def test_report_deterministic(tmp_path):
 
 def test_seed_reaches_only_the_offsheet_spot_check(pytestconfig, tmp_path):
     # every verdict and every other output of the shipped scenes is the
-    # same at two seeds; only the seed itself and the off-sheet counts may move
-    for path in sorted((pytestconfig.rootpath / "scenes").glob("*.json")):
-        outs = [tmp_path / f"{path.stem}-{seed}" for seed in (0, 7)]
-        reports = [analyze(ingest(str(path)), out, seed=seed)
+    # same at two seeds; only the seed itself and the off-sheet counts may
+    # move. No shipped scene has a free sheet coordinate; the osculating
+    # developable (m = 3 in R^4) has one
+    sources = [(path.stem, str(path))
+               for path in sorted((pytestconfig.rootpath / "scenes").glob("*.json"))]
+    for stem, source in sources + [("osculating_m3_r4", osculating_scene(0, 3, 4))]:
+        outs = [tmp_path / f"{stem}-{seed}" for seed in (0, 7)]
+        reports = [analyze(ingest(source), out, seed=seed)
                    for out, seed in zip(outs, (0, 7))]
         for report, seed in zip(reports, (0, 7)):
             assert report.pop("seed") == seed

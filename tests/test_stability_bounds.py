@@ -278,7 +278,7 @@ def test_sweep_sends_only_band_points_to_the_svd(monkeypatch, t_samples):
     original = selftest._regular_pairs
 
     def recording(p, t, pairs):
-        candidates.append((np.broadcast_to(t, pairs.shape[:1]), pairs))
+        candidates.append((t, pairs))
         return original(p, t, pairs)
 
     with monkeypatch.context() as patch:

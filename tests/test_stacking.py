@@ -18,7 +18,7 @@ from ambient_second_form import svd_span_verdicts
 from conftest import small_patch
 from ruledkit import (RuledPatch, SampleGrid, ingest, make_builtin_patch, selftest,
                       striction)
-from ruledkit.analysis import analyze
+from ruledkit.analysis import DEFAULT_INVARIANCE_SCALES, analyze
 from ruledkit.classify import SegmentAnalysis
 from ruledkit.distribution import degree_profile, rho_at
 from ruledkit.multilinear import numerical_rank
@@ -164,25 +164,29 @@ def test_stacked_stability_equals_pair_by_pair(name):
 
 
 def _one_pair_loop(p, pairs_per_t, seed):
-    """The pairs a one-pair-at-a-time loop accepts at each grid t, and how
-    many candidates it rejects."""
+    """The pairs a plain loop keeps at each grid t, and how many candidates
+    it rejects. In each of at most 50 rounds it draws, for every t still
+    short of `pairs_per_t` pairs, `pairs_per_t` candidates one pair at a
+    time, and keeps the regular ones while that t is short."""
     ext = p.grid.u_extent
     rng = np.random.default_rng(seed)
-    expected, rejected = [], 0
-    for t in p.grid.t_samples:
-        pairs, attempts = [], 0
-        while len(pairs) < pairs_per_t and attempts < 50 * pairs_per_t:
-            attempts += 1
-            ua, ub = (rng.uniform(-ext, ext, p.m - 1) for _ in range(2))
-            margins = [s[-1] / s[0] for s in (np.linalg.svd(jacobian_sigma(p, t, u),
-                                                             compute_uv=False)
-                                              for u in (ua, ub))]
-            if min(margins) < 1.0 / selftest.PAIR_CONDITION_LIMIT:
-                rejected += 1
-                continue
-            pairs.append((ua, ub))
-        expected.append(np.array(pairs).reshape(-1, 2, p.m - 1))
-    return expected, rejected
+    kept, rejected = [[] for _ in p.grid.t_samples], 0
+    for _ in range(50):
+        short = [i for i, pairs in enumerate(kept) if len(pairs) < pairs_per_t]
+        if not short:
+            break
+        for i in short:
+            t = p.grid.t_samples[i]
+            for _ in range(pairs_per_t):
+                ua, ub = rng.uniform(-ext, ext, (2, p.m - 1))
+                margins = [s[-1] / s[0] for s in (np.linalg.svd(jacobian_sigma(p, t, u),
+                                                                 compute_uv=False)
+                                                  for u in (ua, ub))]
+                if min(margins) < 1.0 / selftest.PAIR_CONDITION_LIMIT:
+                    rejected += 1
+                elif len(kept[i]) < pairs_per_t:
+                    kept[i].append((ua, ub))
+    return [np.array(pairs).reshape(-1, 2, p.m - 1) for pairs in kept], rejected
 
 
 def _sweep_pairs(monkeypatch, p, pairs_per_t, seed):
@@ -205,8 +209,9 @@ def _thin_box_patch(extent):
 
 def test_stability_sweep_draws_the_pairs_of_a_one_pair_loop(monkeypatch):
     # about half the candidate pairs are rejected as too close to the
-    # edge; a sweep that draws more candidates than the one-pair loop
-    # then ends up accepting other pairs at the next t
+    # edge, so the t need more than one round; a sweep that drew for a t
+    # already full, or kept a t's pairs out of draw order, would end up
+    # with other pairs
     p, pairs_per_t, seed = _thin_box_patch(0.01), 4, 11
     expected, rejected = _one_pair_loop(p, pairs_per_t, seed)
     assert rejected > 0
@@ -249,7 +254,7 @@ def test_selftest_solves_each_sheet_once(monkeypatch):
     assert all(r.passed for r in results)
     # four degree-one corpus sheets, plus 2 patches x 3 offsets re-solved
     # by the directrix invariance check
-    assert counts["solve_striction"] == 4 + 2 * len(selftest.INVARIANCE_OFFSET_SCALES)
+    assert counts["solve_striction"] == 4 + 2 * len(DEFAULT_INVARIANCE_SCALES)
     # one pivot per patch of criterion 3, shared with the sheets; the
     # profiles are the patches' own
     assert counts["pivot_frame"] == 5

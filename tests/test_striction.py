@@ -266,15 +266,14 @@ def _offsheet_failures_one_by_one(p, sheet, checks, seed):
     rng = np.random.default_rng(seed)
     axis = p.grid.u_axis
     delta = 10.0 * float(axis[1] - axis[0])
-    lo, hi = p.grid.t_samples[0], p.grid.t_samples[-1]
+    ts = rng.uniform(p.grid.t_samples[0], p.grid.t_samples[-1], checks)
+    u_free = rng.uniform(-p.grid.u_extent, p.grid.u_extent, (checks, sheet.free_count))
+    signs = rng.choice([-1.0, 1.0], size=(checks, sheet.d))
     failures = []
-    for _ in range(checks):
-        t = float(rng.uniform(lo, hi))
-        u_free = rng.uniform(-p.grid.u_extent, p.grid.u_extent, size=sheet.free_count)
-        signs = rng.choice([-1.0, 1.0], size=sheet.d)
-        u = np.concatenate([u_free, sheet.solved(t, u_free) + delta * signs])
+    for t, free, sign in zip(ts, u_free, signs):
+        u = np.concatenate([free, sheet.solved(t, free) + delta * sign])
         if numerical_rank(jacobian_sigma(p, t, u), p.tol) != p.m:
-            failures.append((t, u.tolist()))
+            failures.append((float(t), u.tolist()))
     return tuple(failures)
 
 
@@ -324,10 +323,10 @@ def test_offsheet_points_stay_in_the_segment_range(monkeypatch):
 
 @pytest.mark.parametrize("name, d", [("circular_cone", 1), ("tangent_developable_product", 1),
                                      ("two_rotation_r5", 2)])
-def test_offsheet_draws_are_the_seed_stream_of_the_choice_loop(name, d, monkeypatch):
-    # (d, free) = (1, 0), (1, 1) and (2, 0): per point t, then the free
-    # coordinates, then the signs, the stream of a loop drawing the signs
-    # with rng.choice
+def test_offsheet_points_are_the_seeds_three_blocks(name, d, monkeypatch):
+    # (d, free) = (1, 0), (1, 1) and (2, 0): the seed's generator draws
+    # the 32 t, then the (32, free) free coordinates, then the (32, d)
+    # signs of the perturbations off the sheet
     p = pivoted(small_patch(name), d)
     sheet = solve_striction(p, d)
     drawn = []
@@ -344,11 +343,10 @@ def test_offsheet_draws_are_the_seed_stream_of_the_choice_loop(name, d, monkeypa
         offsheet_check(p, sheet, seed=seed)
         (ts, u), = drawn
         rng = np.random.default_rng(seed)
-        for i in range(32):
-            assert ts[i] == rng.uniform(lo, hi)
-            assert np.array_equal(u[i, :free], rng.uniform(-extent, extent, size=free))
-            offset = u[i, free:] - sheet.solved(ts[i], u[i, :free])
-            assert np.array_equal(np.sign(offset), rng.choice([-1.0, 1.0], size=sheet.d))
+        assert np.array_equal(ts, rng.uniform(lo, hi, 32))
+        assert np.array_equal(u[:, :free], rng.uniform(-extent, extent, (32, free)))
+        offset = u[:, free:] - sheet.solved(ts, u[:, :free])
+        assert np.array_equal(np.sign(offset), rng.choice([-1.0, 1.0], size=(32, d)))
 
 
 def test_dense_random_box_sample_has_no_offsheet_singularities(td_sheet):
