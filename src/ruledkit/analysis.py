@@ -21,7 +21,8 @@ from .errors import NumericError
 from .exports import write_json, write_mesh_obj
 from .multilinear import TolerancePolicy
 from .ruledgeom import first_normal_bounds_check
-from .scene import IngestResult, check_seed
+from .scene import IngestResult
+from .splitmix import check_seed
 from .striction import directrix_invariance, offsheet_check, write_striction_csv
 
 DEFAULT_INVARIANCE_SCALES = (0.5, 1.0, -0.7)
@@ -40,7 +41,7 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
     seed drives only the off-sheet spot check of each striction sheet
     (`striction.offsheet_check`); every verdict is independent of it.
     """
-    check_seed(seed)
+    seed = check_seed(seed)
     patch = result.patch
     fc, grid, tol = patch.fc, patch.grid, patch.tol
     os.makedirs(out_dir, exist_ok=True)

@@ -26,9 +26,10 @@ Gram-Schmidt) hand it on to those fields, so every
 field and derivative order evaluated on one such array, maps nested
 inside maps included, shares one `ParameterMap.t` call per map; the
 fields of one Gram-Schmidt frame share one orthonormalization per order
-the same way. A plain array is wrapped in a fresh `ParameterArray` for
-the one call. Leaf kinds and user subclasses always receive a plain
-float or array.
+the same way, and a composed field and its map share one evaluation of
+the base's first and second derivatives at the inverted t. A plain
+array is wrapped in a fresh `ParameterArray` for the one call. Leaf
+kinds and user subclasses always receive a plain float or array.
 """
 
 from __future__ import annotations
@@ -113,6 +114,16 @@ class ParameterArray:
 
     def inverse(self, pmap: "ParameterMap") -> "_Inverse":
         return self.cached(pmap, lambda: _Inverse(pmap, self.values))
+
+
+def _shared_derivative(field: "VectorField", t, order: int) -> np.ndarray:
+    """`field.eval(t, order)`; on a `ParameterArray`, made once per field
+    and order and kept on the array, so the chain rule of a composed field
+    and its map's dt/ds, d2t/ds2 read one evaluation of the curve at the
+    inverted t. A kept result is shared: its readers only compute from it."""
+    if isinstance(t, ParameterArray):
+        return t.cached((field, order), lambda: field.eval(t, order))
+    return field.eval(t, order)
 
 
 class _Inverse:
@@ -464,7 +475,8 @@ class ParameterMap:
     precision. dt/ds and d2t/ds2 come from the exact inverse-function
     formulas. `s`, `t`, `dt` and `d2t` take a scalar or a 1-D array;
     `dt` and `d2t` also take a `ParameterArray` of t values, so maps
-    nested in the curve share its inversions.
+    nested in the curve share its inversions, and read the curve's
+    derivatives kept on it (`_shared_derivative`).
 
     `t` is where arclength is inverted. The fields composed with a map
     do not call it themselves: each `ParameterArray` they are evaluated
@@ -491,8 +503,8 @@ class ParameterMap:
         self.s_interval = (0.0, self.length)
         self._guess = _hermite_coefficients(cum, self._t_nodes, 1.0 / speed)
 
-    def _speed(self, t: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.curve.eval(t, 1), axis=-1)
+    def _speed(self, t) -> np.ndarray:
+        return np.linalg.norm(_shared_derivative(self.curve, t, 1), axis=-1)
 
     def _quadrature(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The integral of the speed over each [a_i, b_i] by one 21-point
@@ -552,8 +564,8 @@ class ParameterMap:
 
     def d2t(self, t):
         # d2t/ds2 = -v'(t)/v(t)^3 with v' = <f', f''>/v
-        d1 = self.curve.eval(t, 1)
-        d2 = self.curve.eval(t, 2)
+        d1 = _shared_derivative(self.curve, t, 1)
+        d2 = _shared_derivative(self.curve, t, 2)
         v2 = np.linalg.norm(d1, axis=-1) ** 2
         return -np.sum(d1 * d2, axis=-1) / (v2 * v2)
 
@@ -574,7 +586,10 @@ class ComposedField(VectorField):
 
     Supports derivative orders 0..2. It reads t(s), dt/ds and d2t/ds2
     from the `ParameterArray` it is evaluated on, which inverts each map
-    once, and evaluates its base on the inverted `ParameterArray`.
+    once, and evaluates its base on the inverted `ParameterArray`; the
+    base's first and second derivatives there are kept on that array
+    (`_shared_derivative`), so orders 1 and 2 and the map's dt/ds, d2t/ds2
+    of a curve composed with its own map evaluate each one once.
     """
 
     def __init__(self, base: VectorField, pmap: ParameterMap):
@@ -590,9 +605,10 @@ class ComposedField(VectorField):
         inv = params.inverse(self.parameter_map)
         if order == 0:
             return self.base.eval(inv.t, 0)
+        d1 = _shared_derivative(self.base, inv.t, 1)
         if order == 1:
-            return self.base.eval(inv.t, 1) * inv.dt
-        return self.base.eval(inv.t, 2) * inv.dt ** 2 + self.base.eval(inv.t, 1) * inv.d2t
+            return d1 * inv.dt
+        return _shared_derivative(self.base, inv.t, 2) * inv.dt ** 2 + d1 * inv.d2t
 
 
 def arclength_reparametrize(curve: VectorField, interval: tuple[float, float]

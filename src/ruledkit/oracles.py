@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+from .splitmix import SplitMix64
 
 
 def _default_step(order: int) -> float:
@@ -37,19 +38,20 @@ def max_derivative_error(field, interval, order: int, n: int = 50,
                          seed: int = 0, h: float | None = None) -> float:
     """Largest |analytic - finite difference| over random parameters.
 
-    The parameters are drawn at least 2h inside the interval. The field
-    is evaluated at order 0 once, on every offset parameter at once, and
-    `central_difference` at t = 0 reads the values by their offsets.
+    The parameters are the SplitMix64 stream of `seed`, drawn uniformly
+    at least 2h inside the interval. The field is evaluated at order 0
+    once, on every offset parameter at once, and `central_difference` at
+    t = 0 reads the values by their offsets.
     """
     if h is None:
         h = _default_step(order)
-    rng = np.random.default_rng(seed)
+    stream = SplitMix64(seed)
     lo, hi = interval
     lo, hi = lo + 2.0 * h, hi - 2.0 * h
     if hi < lo:
         raise ValidationError(f"interval {tuple(interval)} is shorter than 4h = {4.0 * h} "
                               f"for the finite-difference step h = {h}")
-    ts = rng.uniform(lo, hi, size=n)
+    ts = stream.uniform(lo, hi, n)
     analytic = field.eval(ts, order)
     # the offsets from t at which central_difference reads f
     half = 0.5 * h

@@ -16,7 +16,6 @@ second time.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -49,12 +48,6 @@ def check_grid_budget(t_samples: int, u_samples_per_axis: int, m: int):
             f"grid of {t_samples} t samples x {u_samples_per_axis}^{m - 1} ruling "
             f"samples has {points} points, more than the {MAX_GRID_POINTS} the "
             "analysis allows")
-
-
-def check_seed(seed):
-    """Raise a validation error unless seed is a non-negative integer."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _load_schema(name: str) -> dict:

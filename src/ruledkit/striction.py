@@ -48,6 +48,7 @@ from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy
                           numerical_ranks, pair_wedge_norms, rank2_ranks, settled, wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid
 from .ruledgeom import RuledPatch, jacobian_regularity, jacobians_at
+from .splitmix import SplitMix64
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,24 +380,24 @@ OFFSHEET_CHECKS = 32
 def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0) -> OffsheetCheck:
     """Regularity of the patch just off the sheet at `OFFSHEET_CHECKS` random points.
 
-    The generator seeded by `seed` draws three blocks: the points' t,
-    uniform over the grid's range (a segment's, for a segment patch), their
-    uniform free coordinates, (OFFSHEET_CHECKS, free), and the sign of
-    each solved coordinate's perturbation by +-delta, delta = 10 grid
-    u-spacings, (OFFSHEET_CHECKS, d). The patch must be regular at every
-    point, by the rank rule on the reduced Jacobians
-    (`ruledgeom.jacobian_regularity`). One evaluation of the curve at the
-    drawn t and its frame QR serve the solve there (`solved`) and the
-    Jacobians. This is the only seeded stage.
+    The SplitMix64 stream of `seed` (`splitmix.SplitMix64`) draws three
+    blocks: the points' t, uniform over the grid's range (a segment's, for
+    a segment patch), their uniform free coordinates, (OFFSHEET_CHECKS,
+    free), and the sign of each solved coordinate's perturbation by
+    +-delta, delta = 10 grid u-spacings, (OFFSHEET_CHECKS, d). The patch
+    must be regular at every point, by the rank rule on the reduced
+    Jacobians (`ruledgeom.jacobian_regularity`). One evaluation of the
+    curve at the drawn t and its frame QR serve the solve there (`solved`)
+    and the Jacobians. This is the only seeded stage.
     """
     fc, grid = p.fc, p.grid
-    rng = np.random.default_rng(seed)
+    stream = SplitMix64(seed)
     axis = grid.u_axis
     spacing = float(axis[1] - axis[0]) if axis.size > 1 else grid.u_extent / 5.0
     delta = 10.0 * spacing
-    ts = rng.uniform(grid.t_samples[0], grid.t_samples[-1], OFFSHEET_CHECKS)
-    u_free = rng.uniform(-grid.u_extent, grid.u_extent, (OFFSHEET_CHECKS, sheet.free_count))
-    signs = rng.choice([-1.0, 1.0], size=(OFFSHEET_CHECKS, sheet.d))
+    ts = stream.uniform(grid.t_samples[0], grid.t_samples[-1], OFFSHEET_CHECKS)
+    u_free = stream.uniform(-grid.u_extent, grid.u_extent, (OFFSHEET_CHECKS, sheet.free_count))
+    signs = stream.signs((OFFSHEET_CHECKS, sheet.d))
     values = fc.grid_values(ts)
     u = np.concatenate([u_free, sheet.solved(ts, u_free, values) + delta * signs], axis=1)
     jac = jacobians_at(p, ts, u, values)

@@ -14,6 +14,7 @@ from ruledkit.fields import (AffineCombinationField, CircleCurve, ComposedField,
                              arclength_reparametrize, make_builtin_curve)
 from ruledkit.oracles import central_difference, max_derivative_error
 from ruledkit.parametric import BUILTIN_PATCHES, make_builtin_patch
+from ruledkit.splitmix import SplitMix64
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,7 +62,7 @@ def test_analytic_derivatives_match_fd(field, order):
 def _per_shift_error(field, interval, order, n, seed, h):
     """`max_derivative_error` with one field evaluation per offset of the
     extrapolated central difference, f(t) twice at order 2."""
-    ts = np.random.default_rng(seed).uniform(interval[0] + 2.0 * h, interval[1] - 2.0 * h, n)
+    ts = SplitMix64(seed).uniform(interval[0] + 2.0 * h, interval[1] - 2.0 * h, n)
 
     def f(s):
         return field.eval(s, 0)

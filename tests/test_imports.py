@@ -1,8 +1,12 @@
-"""No scipy or jsonschema on the program's path: a fresh interpreter that
-imports ruledkit, analyzes every shipped scene and runs the selftest
-loads no `scipy` and no `jsonschema` module. Both stay test
-dependencies: scipy as the oracle of the interpolants and the
-nearest-point fit, jsonschema as the oracle of the scene checker."""
+"""Nothing but the program's own dependencies on its path: a fresh
+interpreter that imports ruledkit, analyzes every shipped scene (through
+the library and through the CLI) and runs the selftest loads no `scipy`,
+no `jsonschema`, no `numpy.random` and no `secrets` or `hashlib` module.
+scipy and jsonschema stay test dependencies: scipy as the oracle of the
+interpolants and the nearest-point fit, jsonschema as the oracle of the
+scene checker. The seeded spot checks draw from `ruledkit.splitmix`, so
+numpy's generator, and the OpenSSL it loads through `secrets` and
+`hashlib`, stay off the path."""
 
 import os
 import pathlib
@@ -15,24 +19,28 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import glob, os, sys
-import ruledkit
-from ruledkit import analyze, ingest
-from ruledkit.selftest import run_selftest
 
 
 def loaded(stage):
-    for package in ("scipy", "jsonschema"):
+    for package in ("scipy", "jsonschema", "numpy.random", "secrets", "hashlib"):
         names = sorted(n for n in sys.modules if n == package or n.startswith(package + "."))
         if names:
             sys.exit(f"{package} modules loaded after {stage}: {names[:5]}")
 
 
+import ruledkit
 loaded("import ruledkit")
+from ruledkit import analyze, ingest
+from ruledkit.cli import main
+from ruledkit.selftest import run_selftest
 scenes = sorted(glob.glob("scenes/*.json"))
 assert len(scenes) == 8, scenes
 for path in scenes:
-    analyze(ingest(path), os.path.join(sys.argv[1], os.path.basename(path)[:-5]))
+    out = os.path.join(sys.argv[1], os.path.basename(path)[:-5])
+    analyze(ingest(path), out)
     loaded(f"analyze of {path}")
+    main(["analyze", path, "-o", out + "-cli"], standalone_mode=False)
+    loaded(f"CLI analyze of {path}")
 run_selftest(t_samples=20)
 loaded("run_selftest")
 """

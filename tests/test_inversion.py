@@ -75,6 +75,26 @@ def test_grid_values_of_explicit_scene_equal_per_field_evals(seed, monkeypatch):
     assert [n for _, n, depth in calls if depth == 0] == [p.grid.t_samples.size]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_no_fourier_field_is_evaluated_twice_at_one_parameter_array_and_order(
+        seed, tmp_path, monkeypatch):
+    # ingest + analyze, invariance off: a composed field's orders 1 and 2
+    # and its map's dt/ds, d2t/ds2 read one evaluation of the base's
+    # derivatives at the inverted t, on the grid and at the spot checks
+    calls = []
+    original = FourierField.eval
+
+    def recording(self, t, order=0):
+        ts = t.values if isinstance(t, ParameterArray) else np.asarray(t, dtype=float)
+        calls.append((id(self), order, ts.tobytes()))
+        return original(self, t, order)
+
+    monkeypatch.setattr(FourierField, "eval", recording)
+    analyze(ingest(explicit_scene(seed)), tmp_path, invariance=False)
+    assert len(calls) > 10
+    assert len(set(calls)) == len(calls)
+
+
 def _chain_rule(field: ComposedField, ss: np.ndarray, order: int) -> np.ndarray:
     """A composed field's derivative from plain `ParameterMap` calls, the
     formula each field evaluated when it inverted on its own."""

@@ -290,7 +290,7 @@ def test_selftest_rejects_a_corpus_over_the_work_budget(grid_sentinel):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "points" in lines[0]
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
 def test_negative_or_non_integer_seed_is_refused_before_any_stage(tmp_path, grid_sentinel,
                                                                    seed):
     with pytest.raises(ValidationError, match="seed"):
@@ -405,6 +405,19 @@ def test_analyze_cylinder_no_striction(tmp_path):
     assert not (out / "striction.csv").exists()
     assert not (out / "mesh.obj").exists()  # ambient dimension 4
     assert report["outputs"] == {"mesh": None, "striction_csv": []}
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3)])
+def test_numpy_integer_seed_is_its_int(tmp_path, seed):
+    # the report writes a plain int: the same bytes as seed 3, and valid
+    # against the report schema
+    analyze(ingest(CONE_SCENE), tmp_path / "int", seed=3)
+    report = analyze(ingest(CONE_SCENE), tmp_path / "numpy", seed=seed)
+    assert type(report["seed"]) is int
+    raw = (tmp_path / "numpy" / "report.json").read_bytes()
+    assert raw == (tmp_path / "int" / "report.json").read_bytes()
+    jsonschema.validate(json.loads(raw), _load_schema("report.schema.json"))
+    assert run_selftest(seed=seed, t_samples=20) == run_selftest(seed=3, t_samples=20)
 
 
 def test_report_deterministic(tmp_path):

@@ -25,6 +25,7 @@ from ruledkit.multilinear import numerical_rank
 from ruledkit.parametric import BUILTIN_PATCHES
 from ruledkit.ruledgeom import (jacobian_sigma, rank_one_check, second_form_scan,
                                 tangent_space_stability)
+from ruledkit.splitmix import SplitMix64
 
 #: stacked and per-sample arithmetic may sum in another order; float64
 #: results of unit-scale inputs agree far inside this
@@ -169,7 +170,7 @@ def _one_pair_loop(p, pairs_per_t, seed):
     short of `pairs_per_t` pairs, `pairs_per_t` candidates one pair at a
     time, and keeps the regular ones while that t is short."""
     ext = p.grid.u_extent
-    rng = np.random.default_rng(seed)
+    stream = SplitMix64(seed)
     kept, rejected = [[] for _ in p.grid.t_samples], 0
     for _ in range(50):
         short = [i for i, pairs in enumerate(kept) if len(pairs) < pairs_per_t]
@@ -178,7 +179,7 @@ def _one_pair_loop(p, pairs_per_t, seed):
         for i in short:
             t = p.grid.t_samples[i]
             for _ in range(pairs_per_t):
-                ua, ub = rng.uniform(-ext, ext, (2, p.m - 1))
+                ua, ub = stream.uniform(-ext, ext, (2, p.m - 1))
                 margins = [s[-1] / s[0] for s in (np.linalg.svd(jacobian_sigma(p, t, u),
                                                                  compute_uv=False)
                                                   for u in (ua, ub))]

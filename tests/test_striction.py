@@ -21,6 +21,7 @@ from ruledkit.multilinear import TolerancePolicy, numerical_rank, wedge_norm
 from ruledkit.parametric import FramedCurve, arclength_framed_curve
 from ruledkit.ruledgeom import jacobian_sigma, jacobians_at
 from ruledkit.scene import ingest
+from ruledkit.splitmix import SplitMix64
 from ruledkit.striction import (INVARIANCE_AXIS_SAMPLES, assemble_system,
                                 directrix_invariance, equivalent_condition_check,
                                 striction_jacobian_rank, write_striction_csv)
@@ -263,12 +264,12 @@ class _TurningRuling(VectorField):
 
 
 def _offsheet_failures_one_by_one(p, sheet, checks, seed):
-    rng = np.random.default_rng(seed)
+    stream = SplitMix64(seed)
     axis = p.grid.u_axis
     delta = 10.0 * float(axis[1] - axis[0])
-    ts = rng.uniform(p.grid.t_samples[0], p.grid.t_samples[-1], checks)
-    u_free = rng.uniform(-p.grid.u_extent, p.grid.u_extent, (checks, sheet.free_count))
-    signs = rng.choice([-1.0, 1.0], size=(checks, sheet.d))
+    ts = stream.uniform(p.grid.t_samples[0], p.grid.t_samples[-1], checks)
+    u_free = stream.uniform(-p.grid.u_extent, p.grid.u_extent, (checks, sheet.free_count))
+    signs = stream.signs((checks, sheet.d))
     failures = []
     for t, free, sign in zip(ts, u_free, signs):
         u = np.concatenate([free, sheet.solved(t, free) + delta * sign])
@@ -324,7 +325,7 @@ def test_offsheet_points_stay_in_the_segment_range(monkeypatch):
 @pytest.mark.parametrize("name, d", [("circular_cone", 1), ("tangent_developable_product", 1),
                                      ("two_rotation_r5", 2)])
 def test_offsheet_points_are_the_seeds_three_blocks(name, d, monkeypatch):
-    # (d, free) = (1, 0), (1, 1) and (2, 0): the seed's generator draws
+    # (d, free) = (1, 0), (1, 1) and (2, 0): the seed's SplitMix64 stream draws
     # the 32 t, then the (32, free) free coordinates, then the (32, d)
     # signs of the perturbations off the sheet
     p = pivoted(small_patch(name), d)
@@ -342,11 +343,11 @@ def test_offsheet_points_are_the_seeds_three_blocks(name, d, monkeypatch):
         drawn.clear()
         offsheet_check(p, sheet, seed=seed)
         (ts, u), = drawn
-        rng = np.random.default_rng(seed)
-        assert np.array_equal(ts, rng.uniform(lo, hi, 32))
-        assert np.array_equal(u[:, :free], rng.uniform(-extent, extent, (32, free)))
+        stream = SplitMix64(seed)
+        assert np.array_equal(ts, stream.uniform(lo, hi, 32))
+        assert np.array_equal(u[:, :free], stream.uniform(-extent, extent, (32, free)))
         offset = u[:, free:] - sheet.solved(ts, u[:, :free])
-        assert np.array_equal(np.sign(offset), rng.choice([-1.0, 1.0], size=(32, d)))
+        assert np.array_equal(np.sign(offset), stream.signs((32, d)))
 
 
 def test_dense_random_box_sample_has_no_offsheet_singularities(td_sheet):
