@@ -413,11 +413,24 @@ BUILTIN_CURVES: dict[str, tuple[Callable[..., VectorField], str]] = {
 }
 
 
+def holds_bool(value) -> bool:
+    """Whether a builtin family's parameter value is a bool or holds one in
+    a list, tuple or dict at any depth: every family reads numbers, and
+    Python would take True for 1."""
+    if isinstance(value, dict):
+        return any(map(holds_bool, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(map(holds_bool, value))
+    return isinstance(value, (bool, np.bool_))
+
+
 def make_builtin_curve(name: str, params: dict | None = None) -> VectorField:
     if name not in BUILTIN_CURVES:
         raise ConfigError(f"unknown builtin curve family {name!r}; "
                           f"known: {sorted(BUILTIN_CURVES)}")
     factory, _ = BUILTIN_CURVES[name]
+    if holds_bool(params):
+        raise ConfigError(f"bad parameters for builtin curve {name!r}: a bool is not a number")
     try:
         return factory(**(params or {}))
     except TypeError as exc:

@@ -22,7 +22,7 @@ from .fields import (BUILTIN_CURVES, ComposedField, ConstantField,
                      DerivativeField, EmbeddedField, FourierField,
                      GramSchmidtField, GramSchmidtFrame, HelixCurve, ParameterArray,
                      PolynomialField, VectorField, arclength_reparametrize,
-                     stack_fields)
+                     holds_bool, stack_fields)
 from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, frame_qr
 
 TWO_PI = 2.0 * math.pi
@@ -421,6 +421,8 @@ def make_builtin_patch(name: str, params: dict | None = None) -> FramedCurve:
     if name not in BUILTIN_PATCHES:
         raise ConfigError(f"unknown builtin patch family {name!r}; "
                           f"known: {sorted(BUILTIN_PATCHES)}")
+    if holds_bool(params):
+        raise ConfigError(f"bad parameters for builtin patch {name!r}: a bool is not a number")
     try:
         return BUILTIN_PATCHES[name].factory(**(params or {}))
     except TypeError as exc:

@@ -18,7 +18,11 @@ to the rank cutoff, which alone go through a stacked SVD. Wider normal spaces go
 The tangent-space stability check reads the same reduced Jacobians, one
 frame factorization per distinct t (at grid samples, the rows of the
 grid's own values and frame basis), and compares two tangent spaces by
-the angle between their normal directions off the frame span. Sectional
+the angle between their normal directions off the frame span. Every
+regularity verdict takes this one route, `_frame_coordinates`,
+`_reduced_jacobians`, `_regularity`: the scan's, the stability check's,
+the off-sheet check's (`jacobian_regularity`, on the values at its
+points) and the selftest sweep's pair filter. Sectional
 curvatures come from the Gauss equation in a tangent basis
 orthonormalized by Gram-Schmidt over the stack, with no LAPACK call;
 since II vanishes on pairs of ruling directions, sigma_tt drops out of
@@ -39,7 +43,7 @@ from .distribution import DegreeProfile, profile_from_values
 from .errors import RegularityError, ValidationError
 from .fields import AffineCombinationField
 from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
-                          _rank_margin, frame_qr, gram_schmidt_rows, numerical_ranks,
+                          _rank_margin, gram_schmidt_rows, numerical_ranks,
                           pair_wedge_norms, rank2_ranks, rank_mask, settled)
 from .parametric import FramedCurve, GridValues, SampleGrid
 
@@ -146,11 +150,11 @@ def _values_at(p: RuledPatch, t):
     return p.fc.grid_values(ts), slice(None)
 
 
-def jacobians_at(p: RuledPatch, t, u: np.ndarray, values: GridValues | None = None) -> np.ndarray:
+def jacobians_at(p: RuledPatch, t, u: np.ndarray) -> np.ndarray:
     """(P, m, dim) Jacobians at P ruling positions u (P, m-1) and t, one
-    parameter shared by all of them or an array of P, one per position;
-    from the patch's values at t (`_values_at`), or the caller's, `values`."""
-    v, rows = _values_at(p, t) if values is None else (values, slice(None))
+    parameter shared by all of them or an array of P, one per position,
+    from the patch's values at t (`_values_at`)."""
+    v, rows = _values_at(p, t)
     u = u if np.ndim(t) == 0 else u[:, None]
     return _jacobians(v.frame(0)[rows], v.frame(1)[rows], v.directrix(1)[rows],
                       u).reshape(-1, p.m, p.dim)
@@ -262,34 +266,23 @@ def _reduced_jacobians(r: np.ndarray, sigma_q, sigma_c, u: np.ndarray):
     values of the m x dim one. Returns (jac, c) of shapes (N, P, m, m) and
     (N, P, dim-m+1).
     """
+    a = sigma_q[0] + u @ sigma_q[1]
     c = sigma_c[0] + u @ sigma_c[1]
-    return _assemble_reduced(r[:, None], sigma_q[0] + u @ sigma_q[1], c), c
-
-
-def _assemble_reduced(r: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The (..., m, m) reduced Jacobians [[a, |c|], [R^T, 0]] from the
-    frame factors R (..., m-1, m-1), broadcast, and sigma_t's coordinates
-    a (..., m-1) along the frame span and c (..., dim-m+1) off it."""
     k = a.shape[-1]
     jac = np.zeros(a.shape[:-1] + (k + 1, k + 1))
     jac[..., 0, :k] = a
     jac[..., 0, k] = np.linalg.norm(c, axis=-1)
-    jac[..., 1:, :k] = r.swapaxes(-1, -2)
-    return jac
+    jac[..., 1:, :k] = r[:, None].swapaxes(-1, -2)
+    return jac, c
 
 
-def jacobian_regularity(jac: np.ndarray, tol: TolerancePolicy,
-                        basis: tuple | None = None) -> np.ndarray:
-    """The rank rule's full-rank verdict on a (P, m, dim) stack of ambient
-    Jacobians [sigma_t, X_1, ..., X_{m-1}] (`jacobians_at`), from their
-    reduced Jacobians (`_regularity`): one complete QR of the frame rows
-    per point, X^T = [q | comp] R, and sigma_t's coordinates in (q, comp).
-    `basis` is that QR (`multilinear.frame_qr`) when the caller has it.
-    """
-    r, q, comp, _ = frame_qr(jac[:, 1:]) if basis is None else basis
-    sigma = jac[:, :1]
-    return _regularity(_assemble_reduced(r, (sigma @ q)[:, 0], (sigma @ comp)[:, 0]),
-                       _inverse_factors(r) if r.shape[-1] > 1 else None, tol)
+def jacobian_regularity(v: GridValues, u: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """The rank rule's full-rank verdict at the N parameters of `v`, each at
+    its own ruling position of u (N, m-1), (N,): `_regularity` of the
+    reduced Jacobians on the values' frame QR (`_frame_coordinates`)."""
+    r, _, sigma_q, sigma_c = _frame_coordinates(v, slice(None))
+    jac, _ = _reduced_jacobians(r, sigma_q, sigma_c, u[:, None])
+    return _regularity(jac, _inverse_factors(r)[:, None], tol)[:, 0]
 
 
 def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: TolerancePolicy):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,13 +19,11 @@ from .classify import (CONICAL, CYLINDRICAL, NON_RANK_ONE, TANGENT,
                        SegmentAnalysis, classify_patch, converse_check,
                        segment_analyses)
 from .errors import RuledKitError
-from .multilinear import RANK_BOUND_MARGIN, TolerancePolicy, settled
+from .multilinear import TolerancePolicy
 from .oracles import max_derivative_error
 from .parametric import SampleGrid, make_builtin_patch
-from .ruledgeom import (RuledPatch, _frobenius_conditions,
-                        _pair_jacobians, _reduced_singular_values,
-                        first_normal_bounds_check, flatness_check, jacobians_at,
-                        sectional_curvature, tangent_space_stability)
+from .ruledgeom import (RuledPatch, _pair_jacobians, _regularity, first_normal_bounds_check,
+                        flatness_check, sectional_curvature, tangent_space_stability)
 from .scene import DEFAULT_GRID, check_grid_budget
 from .splitmix import SplitMix64, check_seed
 from .striction import directrix_invariance, offsheet_check, striction_systems
@@ -97,53 +95,25 @@ def build_corpus(tol: TolerancePolicy, t_samples: int = 200) -> dict[str, RuledP
 
 
 #: a candidate ruling pair of the stability sweep is kept when both of
-#: its Jacobians have a condition number s1 / s_m of at most this, that
-#: is a smallest over largest singular value of at least its inverse
+#: its Jacobians have a condition number s1 / s_m below this, that is a
+#: smallest over largest singular value above its inverse
 PAIR_CONDITION_LIMIT = 1e3
-
-
-def _pair_condition_verdicts(jac: np.ndarray, r_inv: np.ndarray):
-    """(kept, undecided) masks of the `PAIR_CONDITION_LIMIT` rule on a
-    (..., m, m) stack of reduced Jacobians with their R^-1
-    (`ruledgeom._pair_jacobians`).
-
-    For m = 2 the rule reads the closed-form singular values
-    (`_reduced_singular_values`): a point is kept when s_m limit settles
-    above s1. For m >= 3 it reads the Frobenius condition number,
-    kappa_2 <= kappa_F <= m kappa_2 (`_frobenius_conditions`): a point is
-    kept when kappa_F settles below limit and dropped when it settles
-    above m limit (`multilinear.settled`). The margin
-    delta = `RANK_BOUND_MARGIN` covers the rounding of the closed forms
-    and of LAPACK's s_m / s1, a few eps kappa_2 relative, below 1e-12 at
-    the limit. The points in between are `undecided`.
-    """
-    delta, limit = RANK_BOUND_MARGIN, PAIR_CONDITION_LIMIT
-    if jac.shape[-1] == 2:
-        s = _reduced_singular_values(jac)
-        kept, decided = settled(s[..., 1] * limit, s[..., 0], delta)
-        return kept, ~decided
-    _, kappa_b = _frobenius_conditions(jac, r_inv)
-    b = jac[..., 0, -1]
-    over, over_ok = settled(kappa_b, limit * b, delta)
-    kept = over_ok & ~over
-    return kept, ~(kept | settled(kappa_b, jac.shape[-1] * limit * b, delta)[0])
 
 
 def _regular_pairs(p: RuledPatch, t: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Mask of the (P, 2, m-1) candidate pairs whose two Jacobians at
-    their t, (P,), both have a condition number of at most
-    `PAIR_CONDITION_LIMIT`. The verdicts come from the reduced Jacobians
-    (`_pair_condition_verdicts`); only points near the limit go through
-    the SVD of their ambient Jacobians."""
+    their t, (P,), both have a condition number below
+    `PAIR_CONDITION_LIMIT`: the package's rank rule at
+    rank_rel_tol = 1 / `PAIR_CONDITION_LIMIT` (`ruledgeom._regularity`),
+    or at the patch's own rank_rel_tol where that is coarser, with the
+    patch's zero_abs_tol, on the pairs' reduced Jacobians
+    (`_pair_jacobians`). So every kept point is regular for the stability
+    check too, and only m >= 3 points next to the cutoff reach the SVD, of
+    their m x m reduced Jacobians.
+    """
     jac, _, r_inv = _pair_jacobians(p, t, candidates)
-    kept, undecided = _pair_condition_verdicts(jac, r_inv)
-    if undecided.any():
-        at = np.nonzero(undecided)
-        s = np.linalg.svd(jacobians_at(p, t[at[0]], candidates[at]), compute_uv=False)
-        lead = s[:, 0]
-        margins = np.divide(s[:, -1], lead, out=np.zeros_like(lead), where=lead > 0)
-        kept[at] = ~(margins < 1.0 / PAIR_CONDITION_LIMIT)
-    return kept.all(axis=1)
+    rel = max(p.tol.rank_rel_tol, 1.0 / PAIR_CONDITION_LIMIT)
+    return _regularity(jac, r_inv, replace(p.tol, rank_rel_tol=rel)).all(axis=1)
 
 
 def _stability_sweep(p: RuledPatch, pairs_per_t: int, seed: int) -> bool:

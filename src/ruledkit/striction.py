@@ -16,9 +16,11 @@ and tangents, `solved` solves the system at its own t, and only `beta`
 and `beta_partials`, which the invariance fit calls, interpolate.
 The sheet wedges of the locus scan (the CSV's residuals) and the
 augmented wedges of the equivalent-condition check are closed forms on
-the grid's one frame QR (`GridValues.frame_basis`). Those verdicts, the
-sheet Jacobian ranks and the off-sheet regularity read closed forms; the
-SVD settles just the ones within a rounding margin of a cutoff.
+the grid's one frame QR (`GridValues.frame_basis`). Those verdicts and
+the sheet Jacobian ranks read closed forms, and the off-sheet regularity
+reads the scan's reduced Jacobians and rank rule
+(`ruledgeom.jacobian_regularity`); the SVD settles just the ones within a
+rounding margin of a cutoff.
 The stage results stay arrays until a report or file converts them,
 once, with `tolist()`.
 
@@ -44,10 +46,10 @@ import numpy as np
 from .distribution import profile_from_values, rho_at
 from .errors import DegeneracyError, NumericError, ValidationError
 from .fields import CubicHermite, as_parameter_array
-from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy, frame_qr,
+from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
                           numerical_ranks, pair_wedge_norms, rank2_ranks, settled, wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid
-from .ruledgeom import RuledPatch, jacobian_regularity, jacobians_at
+from .ruledgeom import RuledPatch, jacobian_regularity
 from .splitmix import SplitMix64
 
 
@@ -386,9 +388,10 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0) -> Offsh
     free), and the sign of each solved coordinate's perturbation by
     +-delta, delta = 10 grid u-spacings, (OFFSHEET_CHECKS, d). The patch
     must be regular at every point, by the rank rule on the reduced
-    Jacobians (`ruledgeom.jacobian_regularity`). One evaluation of the
-    curve at the drawn t and its frame QR serve the solve there (`solved`)
-    and the Jacobians. This is the only seeded stage.
+    Jacobians (`ruledgeom.jacobian_regularity`), the same route as the
+    second-form scan's. One evaluation of the curve at the drawn t and its
+    frame QR serve the solve there (`solved`) and the reduced Jacobians.
+    This is the only seeded stage.
     """
     fc, grid = p.fc, p.grid
     stream = SplitMix64(seed)
@@ -400,8 +403,7 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0) -> Offsh
     signs = stream.signs((OFFSHEET_CHECKS, sheet.d))
     values = fc.grid_values(ts)
     u = np.concatenate([u_free, sheet.solved(ts, u_free, values) + delta * signs], axis=1)
-    jac = jacobians_at(p, ts, u, values)
-    irregular = np.flatnonzero(~jacobian_regularity(jac, p.tol, values.frame_basis()))
+    irregular = np.flatnonzero(~jacobian_regularity(values, u, p.tol))
     return OffsheetCheck(total=OFFSHEET_CHECKS,
                          failures=tuple((float(ts[i]), u[i].tolist()) for i in irregular))
 
@@ -413,12 +415,12 @@ WEDGE_SLACK_PER_VECTOR = 64.0
 
 
 def _augmented_vanish(x0: np.ndarray, x1: np.ndarray, beta_dot: np.ndarray,
-                      tol: TolerancePolicy, basis: tuple | None = None) -> np.ndarray:
+                      tol: TolerancePolicy, basis: tuple) -> np.ndarray:
     """Whether each augmented wedge |Xdot_j ^ beta_dot ^ X_1 ^ ... ^ X_{m-1}|
     is below zero_abs_tol, (N, P, m-1): the verdict of `wedge_norms`. x0
     and x1 are (N, m-1, dim) frame values and derivatives at N parameters,
     beta_dot (N, P, dim) the sheet's t-partials at P free positions each;
-    `basis` is x0's `multilinear.frame_qr`, made here unless given.
+    `basis` is x0's `multilinear.frame_qr` (`GridValues.frame_basis`).
 
     The complete QR of the frame per t, X^T = [q | comp] R, turns the
     wedge into |det R| |a_j ^ b| with the complement coordinates
@@ -433,7 +435,7 @@ def _augmented_vanish(x0: np.ndarray, x1: np.ndarray, beta_dot: np.ndarray,
     `WEDGE_SLACK_PER_VECTOR` k eps |A|_F^k; the rest go through
     `wedge_norms`.
     """
-    _, _, comp, volume = frame_qr(x0) if basis is None else basis
+    _, _, comp, volume = basis
     wedges = volume[:, None, None] * pair_wedge_norms((x1 @ comp)[:, None],
                                                       (beta_dot @ comp)[:, :, None])
     k = x0.shape[1] + 2

@@ -3,8 +3,9 @@
 A public module-level function or class of `ruledkit` must be reached
 from somewhere: an identifier in some `ruledkit` module, a name or a
 string in the benchmark's `perfbench/*.py` (the tracer binds functions
-by name), or `ruledkit.__all__`. Click commands are reached through
-their group and are exempt. And no module but `__init__` may import a
+by name), or `ruledkit.__all__`. A private one must be reached from
+some `ruledkit` module: a test or the benchmark alone does not keep it.
+Click commands are reached through their group and are exempt. And no module but `__init__` may import a
 name it never uses.
 """
 
@@ -48,8 +49,9 @@ def _is_click_command(node) -> bool:
 
 
 def unreferenced_definitions() -> list[str]:
-    """Public module-level functions and classes named nowhere outside
-    their own definition."""
+    """Module-level functions and classes named nowhere outside their own
+    definition: public ones in no `ruledkit` module, benchmark file or
+    `ruledkit.__all__`, private ones in no `ruledkit` module."""
     trees = _trees(SRC)
     used = Counter()
     for tree in trees.values():
@@ -61,8 +63,8 @@ def unreferenced_definitions() -> list[str]:
     for module, tree in trees.items():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_") and not _is_click_command(node)
-                    and node.name not in outside
+                    and not _is_click_command(node)
+                    and (node.name.startswith("_") or node.name not in outside)
                     and used[node.name] == _identifiers(node)[node.name]):
                 out.append(f"{module}.{node.name}")
     return out

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruledkit import DegeneracyError, ValidationError, ingest
+from ruledkit import ConfigError, DegeneracyError, ValidationError, ingest
 from ruledkit.analysis import analyze
 from ruledkit.cli import main
 from ruledkit.exports import canonical_json_bytes
@@ -313,6 +313,37 @@ def test_cli_negative_seed_exits_2(tmp_path, args):
     assert "Traceback" not in result.output
     assert result.stderr.splitlines() == [
         "error: seed must be a non-negative integer, got -1"]
+
+
+LINE_RULED_SCENE = {
+    "ambient_dim": 3,
+    "m": 2,
+    "directrix": {"kind": "builtin", "name": "line",
+                  "params": {"point": [0.0, 0.0, 0.0], "direction": [1.0, 0.0, 0.0]}},
+    "frame": [{"kind": "constant", "value": [0.0, 0.0, 1.0]}],
+    "interval": [0.0, 1.0],
+    "grid": {"t_samples": 9},
+}
+
+
+@pytest.mark.parametrize("doc,family", [
+    (dict(CONE_SCENE, patch_params={"r": True}), "patch 'circular_cone'"),
+    (dict(CONE_SCENE, patch_params={"interval": [0.0, True]}), "patch 'circular_cone'"),
+    (dict(LINE_RULED_SCENE, directrix=dict(LINE_RULED_SCENE["directrix"], params={
+        "point": [0.0, 0.0, False], "direction": [1.0, 0.0, 0.0]})), "curve 'line'"),
+], ids=["patch", "patch-list", "curve-list"])
+def test_bool_builtin_parameter_exits_2(tmp_path, doc, family):
+    # a bool is no number: Python would take True for 1 and echo it back
+    # in the normalized scene
+    scene = write_scene(tmp_path, doc)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["analyze", scene, "-o", str(out), "--no-invariance"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"error: bad parameters for builtin {family}: a bool is not a number"]
+    assert not out.exists()
+    with pytest.raises(ConfigError):
+        ingest(doc)
 
 
 def test_scene_interval_override_for_builtin(tmp_path):

@@ -1,7 +1,8 @@
 """Closed-form verdicts of the stability sweep against the SVD.
 
 `selftest._regular_pairs` keeps a candidate ruling pair when both of its
-Jacobians have a condition number of at most `PAIR_CONDITION_LIMIT`, and
+Jacobians have a condition number below `PAIR_CONDITION_LIMIT`, the rank
+rule of `ruledgeom._regularity` at rank_rel_tol = 1 / limit, and
 `ruledgeom.tangent_space_stability` compares the tangent spaces of a
 pair; both read their verdicts from the reduced Jacobians and send only
 the points next to a cutoff to the SVD. On stacks swept across the
@@ -14,6 +15,7 @@ and return the same verdict as with the SVD oracles in place.
 
 import functools
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,15 +24,18 @@ from ambient_second_form import (svd_pair_margins, svd_regular_pairs, svd_span_v
                                  svd_tangent_space_stability)
 from conftest import small_patch
 from ruledkit import RuledPatch, SampleGrid, TolerancePolicy, selftest
+from ruledkit.multilinear import rank_mask
 from ruledkit.ruledgeom import (RANK_BOUND_MARGIN, SPAN_SLACK_PER_DIM, _inverse_factors,
-                                _pair_jacobians, _span_verdicts, jacobians_at,
+                                _pair_jacobians, _regularity, _span_verdicts, jacobians_at,
                                 tangent_space_stability)
-from ruledkit.selftest import PAIR_CONDITION_LIMIT, _pair_condition_verdicts
+from ruledkit.selftest import PAIR_CONDITION_LIMIT
 from test_evaluations import field_classes
-from test_rank_bounds import orthonormal_columns, reduced_jacobians
+from test_rank_bounds import orthonormal_columns, reached, reduced_jacobians, svd_inputs
 
 TOL = TolerancePolicy()
 DELTA, LIMIT, ZERO = RANK_BOUND_MARGIN, PAIR_CONDITION_LIMIT, TOL.zero_abs_tol
+#: the sweep's candidate filter: the rank rule at rank_rel_tol = 1 / PAIR_CONDITION_LIMIT
+PAIR_TOL = replace(TOL, rank_rel_tol=1.0 / LIMIT)
 EPS = np.finfo(float).eps
 #: relative half-width of the sweeps around each cutoff, three rounding margins
 SWEEP = 3e-6
@@ -60,24 +65,28 @@ def frobenius_conditions(mat):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_pair_conditions_near_the_limit_equal_the_svd(m):
+def test_pair_conditions_near_the_limit_equal_the_svd(monkeypatch, m):
     rng = np.random.default_rng(20 + m)
     jac, r = reduced_jacobians(rng, condition_spectra(rng, m))
-    kept, undecided = _pair_condition_verdicts(jac, _inverse_factors(r))
-    expected = ~(svd_pair_margins(jac) < 1.0 / LIMIT)
-    np.testing.assert_array_equal(kept[~undecided], expected[~undecided])
+    kept, inputs = svd_inputs(monkeypatch, _regularity, jac, _inverse_factors(r), PAIR_TOL)
+    undecided = reached(jac, inputs)
+    expected = rank_mask(np.linalg.svd(jac, compute_uv=False), PAIR_TOL).all(axis=-1)
     assert kept.any() and not expected.all()
 
     # the band in the bounds' own quantities, measured independently;
     # points within delta / 2 of its edges may fall either way
     if m == 2:
+        # the closed-form singular values settle every point with no SVD;
+        # they part from LAPACK's only at ties with the limit
         kappa = 1.0 / svd_pair_margins(jac)
-        outside = np.abs(kappa / LIMIT - 1.0) > 2 * DELTA
-        inside = np.abs(kappa / LIMIT - 1.0) < DELTA / 2
-    else:
-        kappa = frobenius_conditions(jac)
-        outside = (kappa < (1 - 2 * DELTA) * LIMIT) | (kappa > (1 + 2 * DELTA) * m * LIMIT)
-        inside = (kappa > (1 - DELTA / 2) * LIMIT) & (kappa < (1 + DELTA / 2) * m * LIMIT)
+        tie = np.abs(kappa / LIMIT - 1.0) < 8 * EPS
+        np.testing.assert_array_equal(kept[~tie], expected[~tie])
+        assert not undecided.any() and tie.any()
+        return
+    np.testing.assert_array_equal(kept, expected)
+    kappa = frobenius_conditions(jac)
+    outside = (kappa < (1 - 2 * DELTA) * LIMIT) | (kappa > (1 + 2 * DELTA) * m * LIMIT)
+    inside = (kappa > (1 - DELTA / 2) * LIMIT) & (kappa < (1 + DELTA / 2) * m * LIMIT)
     assert not (undecided & outside).any()
     assert undecided[inside].all() and inside.any()
 
@@ -182,6 +191,19 @@ def test_sweep_equals_the_svd_sweep(monkeypatch, name, t_samples):
         np.testing.assert_array_equal(pairs, svd_pairs)
 
 
+@pytest.mark.parametrize("tol", [TolerancePolicy(zero_abs_tol=2.0),
+                                 TolerancePolicy(rank_rel_tol=0.01)], ids=["zero", "rank"])
+@pytest.mark.parametrize("name", selftest.EQUIVALENCE_PATCHES)
+def test_sweep_keeps_no_pair_the_stability_check_calls_singular(name, tol):
+    # a zero_abs_tol above the Jacobians' scale, or a rank_rel_tol coarser
+    # than the pair limit's, makes points singular by the rank rule; the
+    # filter applies that rule too, so every pair it keeps is regular for
+    # the stability check, which returns a verdict instead of raising
+    # RegularityError
+    p = selftest.build_corpus(tol, 40)[name]
+    assert selftest._stability_sweep(p, 10, 0) in (True, False)
+
+
 def _counting_svd(monkeypatch):
     """Make `np.linalg.svd` record the number of matrices of each call."""
     sizes = []
@@ -235,9 +257,9 @@ def _keyed_evaluations(patch):
 @pytest.mark.parametrize("name", selftest.EQUIVALENCE_PATCHES)
 def test_sweep_reads_the_grid_values_and_frame_basis(monkeypatch, name, t_samples):
     # every t of the sweep is a grid sample, so the pairs' reduced
-    # Jacobians are rows of the patch's values and frame QR, and so are
-    # the ambient Jacobians of the SVD fallback near a cutoff, which
-    # only tangent_developable_product reaches
+    # Jacobians are rows of the patch's values and frame QR; the SVD
+    # near a cutoff, which only tangent_developable_product reaches,
+    # reads those reduced Jacobians
     p = corpus(t_samples)[name]
     assert p.values and p.scan  # primed, as in the selftest
     with monkeypatch.context() as patch:

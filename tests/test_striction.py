@@ -19,7 +19,7 @@ from ruledkit.exports import write_mesh_obj
 from ruledkit.fields import FourierField, ParameterMap, PolynomialField, VectorField
 from ruledkit.multilinear import TolerancePolicy, numerical_rank, wedge_norm
 from ruledkit.parametric import FramedCurve, arclength_framed_curve
-from ruledkit.ruledgeom import jacobian_sigma, jacobians_at
+from ruledkit.ruledgeom import jacobian_regularity, jacobian_sigma
 from ruledkit.scene import ingest
 from ruledkit.splitmix import SplitMix64
 from ruledkit.striction import (INVARIANCE_AXIS_SAMPLES, assemble_system,
@@ -311,11 +311,11 @@ def test_offsheet_points_stay_in_the_segment_range(monkeypatch):
     assert lo == pytest.approx(0.025) and hi == 1.0
     drawn = []
 
-    def recording(patch, ts, u, values=None):
-        drawn.append(np.array(ts, dtype=float))
-        return jacobians_at(patch, ts, u, values)
+    def recording(values, u, tol):
+        drawn.append(np.array(values.ts, dtype=float))
+        return jacobian_regularity(values, u, tol)
 
-    monkeypatch.setattr(striction, "jacobians_at", recording)
+    monkeypatch.setattr(striction, "jacobian_regularity", recording)
     check = offsheet_check(seg.pivoted, seg.sheet, seed=0)
     ts = np.concatenate(drawn)
     assert ts.size == check.total == 32
@@ -332,11 +332,11 @@ def test_offsheet_points_are_the_seeds_three_blocks(name, d, monkeypatch):
     sheet = solve_striction(p, d)
     drawn = []
 
-    def recording(patch, ts, u, values=None):
-        drawn.append((np.array(ts, dtype=float), np.array(u, dtype=float)))
-        return jacobians_at(patch, ts, u, values)
+    def recording(values, u, tol):
+        drawn.append((np.array(values.ts, dtype=float), np.array(u, dtype=float)))
+        return jacobian_regularity(values, u, tol)
 
-    monkeypatch.setattr(striction, "jacobians_at", recording)
+    monkeypatch.setattr(striction, "jacobian_regularity", recording)
     lo, hi = p.grid.t_samples[[0, -1]]
     extent, free = p.grid.u_extent, sheet.free_count
     for seed in range(21):

@@ -3,8 +3,9 @@
 The degree profile (`distribution._degrees`), the sheet Jacobian ranks
 (`multilinear.rank2_ranks`), the augmented wedges of the
 equivalent-condition check (`striction._augmented_vanish`) and the
-off-sheet regularity test (`ruledgeom.jacobian_regularity`) read closed
-forms and send only the matrices next to a cutoff to the batched SVD. On
+off-sheet regularity test (`ruledgeom.jacobian_regularity`, the scan's
+reduced Jacobians and rank rule on grid values) read closed forms and
+send only the matrices next to a cutoff to the batched SVD. On
 stacks swept across each cutoff and band edge, the verdicts must equal
 those of the SVD exactly, only matrices inside the band may reach it, and
 exactly zero blocks must be settled without it. `analyze` of a shipped
@@ -21,7 +22,7 @@ import pytest
 from test_rank_bounds import orthonormal_columns, reached, svd_inputs
 from ruledkit import TolerancePolicy, analyze, ingest
 from ruledkit.distribution import _degrees, _svd_degrees
-from ruledkit.multilinear import (RANK_BOUND_MARGIN, _rank_margin, _ratio_margin,
+from ruledkit.multilinear import (RANK_BOUND_MARGIN, _rank_margin, _ratio_margin, frame_qr,
                                   numerical_ranks, rank2_ranks, wedge_norms)
 from ruledkit.ruledgeom import jacobian_regularity
 from ruledkit.striction import WEDGE_SLACK_PER_VECTOR, _augmented_vanish
@@ -220,7 +221,8 @@ def augmented_oracle(x0, x1, beta_dot):
 def test_augmented_wedges_near_the_cutoff_equal_the_svd(monkeypatch, m, dim):
     rng = np.random.default_rng(10 * m + dim)
     x0, x1, beta_dot = augmented_stacks(rng, m, dim, TOL)
-    got, inputs = svd_inputs(monkeypatch, _augmented_vanish, x0, x1, beta_dot, TOL)
+    got, inputs = svd_inputs(monkeypatch, _augmented_vanish, x0, x1, beta_dot, TOL,
+                             frame_qr(x0))
     stack = augmented_oracle(x0, x1, beta_dot)
     wedge = wedge_norms(stack)
     np.testing.assert_array_equal(got, wedge < TOL.zero_abs_tol)
@@ -242,24 +244,47 @@ def test_augmented_wedges_near_the_cutoff_equal_the_svd(monkeypatch, m, dim):
 
 # --- off-sheet regularity ---------------------------------------------------------
 
+class HeldValues:
+    """The readers of `GridValues` that the off-sheet check uses, over
+    held frame values x0, frame derivatives x1 and directrix derivatives
+    g1 at N parameters."""
+
+    def __init__(self, x0, x1, g1):
+        self._frame, self._g1 = {0: x0, 1: x1}, g1
+
+    def frame(self, order):
+        return self._frame[order]
+
+    def directrix(self, order):
+        assert order == 1
+        return self._g1
+
+    def frame_basis(self):
+        return frame_qr(self._frame[0])
+
+
 @pytest.mark.parametrize("m,dim", [(2, 3), (3, 4), (3, 5), (4, 5)])
 def test_jacobian_regularity_equals_the_svd_rank_rule(m, dim):
-    # ambient Jacobians [sigma_t, X_1..X_{m-1}] with an orthonormal frame;
-    # sigma_t's part off the frame span sweeps the smallest singular value
-    # over many decades, and the scale across zero_abs_tol
+    # ambient Jacobians [sigma_t, X_1..X_{m-1}] with an orthonormal frame,
+    # sigma_t = g1 + u . Xdot at each point's own u, Xdot in the frame
+    # span; sigma_t's part off the frame span sweeps the smallest
+    # singular value over many decades, and the scale across zero_abs_tol
     rng = np.random.default_rng(m * dim)
     size = 4000
     basis = orthonormal_columns(rng, dim, dim, size).swapaxes(1, 2)
     off = 10.0 ** rng.uniform(-12.0, 1.0, size)
     scale = np.where(np.arange(size) % 2 == 0, 1.0, 10.0 ** rng.uniform(-10.0, -6.0, size))
+    g1 = ((rng.normal(size=(size, 1, m - 1)) @ basis[:, :m - 1])[:, 0]
+          + off[:, None] * basis[:, m - 1])
+    g1 *= (10.0 ** rng.uniform(-1.0, 1.0, size) * scale)[:, None]
+    x0 = basis[:, :m - 1] * scale[:, None, None]
+    x1 = rng.normal(size=(size, m - 1, m - 1)) @ x0
+    u = rng.uniform(-2.0, 2.0, (size, m - 1))
     jac = np.empty((size, m, dim))
-    jac[:, 0] = ((rng.normal(size=(size, 1, m - 1)) @ basis[:, :m - 1])[:, 0]
-                 + off[:, None] * basis[:, m - 1])
-    jac[:, 0] *= 10.0 ** rng.uniform(-1.0, 1.0, size)[:, None]
-    jac[:, 1:] = basis[:, :m - 1]
-    jac *= scale[:, None, None]
+    jac[:, 0] = g1 + (u[:, None] @ x1)[:, 0]
+    jac[:, 1:] = x0
     want = numerical_ranks(jac, TOL) == m
-    np.testing.assert_array_equal(jacobian_regularity(jac, TOL), want)
+    np.testing.assert_array_equal(jacobian_regularity(HeldValues(x0, x1, g1), u, TOL), want)
     assert want.any() and not want.all()
 
 
