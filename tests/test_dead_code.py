@@ -5,8 +5,8 @@ from somewhere: an identifier in some `ruledkit` module, a name or a
 string in the benchmark's `perfbench/*.py` (the tracer binds functions
 by name), or `ruledkit.__all__`. A private one must be reached from
 some `ruledkit` module: a test or the benchmark alone does not keep it.
-Click commands are reached through their group and are exempt. And no module but `__init__` may import a
-name it never uses.
+Click commands are reached through their group and are exempt. And no
+module but `__init__` may import a name it never uses.
 """
 
 import ast
