@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
@@ -413,15 +414,20 @@ BUILTIN_CURVES: dict[str, tuple[Callable[..., VectorField], str]] = {
 }
 
 
-def holds_bool(value) -> bool:
-    """Whether a builtin family's parameter value is a bool or holds one in
-    a list, tuple or dict at any depth: every family reads numbers, and
-    Python would take True for 1."""
+def number_fault(value) -> str | None:
+    """Why a builtin family's parameter value, or the first number it holds
+    in a list, tuple or dict at any depth, is no usable number, or None:
+    every family reads finite numbers, Python would take True for 1, and
+    JSON's NaN and Infinity literals load as non-finite floats."""
     if isinstance(value, dict):
-        return any(map(holds_bool, value.values()))
+        value = list(value.values())
     if isinstance(value, (list, tuple)):
-        return any(map(holds_bool, value))
-    return isinstance(value, (bool, np.bool_))
+        return next(filter(None, map(number_fault, value)), None)
+    if isinstance(value, (bool, np.bool_)):
+        return "a bool is not a number"
+    if isinstance(value, numbers.Real) and not math.isfinite(value):
+        return f"{value} is not a finite number"
+    return None
 
 
 def make_builtin_curve(name: str, params: dict | None = None) -> VectorField:
@@ -429,8 +435,9 @@ def make_builtin_curve(name: str, params: dict | None = None) -> VectorField:
         raise ConfigError(f"unknown builtin curve family {name!r}; "
                           f"known: {sorted(BUILTIN_CURVES)}")
     factory, _ = BUILTIN_CURVES[name]
-    if holds_bool(params):
-        raise ConfigError(f"bad parameters for builtin curve {name!r}: a bool is not a number")
+    fault = number_fault(params)
+    if fault:
+        raise ConfigError(f"bad parameters for builtin curve {name!r}: {fault}")
     try:
         return factory(**(params or {}))
     except TypeError as exc:

@@ -39,7 +39,7 @@ class TolerancePolicy:
         for name in ("rank_rel_tol", "zero_abs_tol", "derivative_check_tol"):
             value = getattr(self, name)
             if not (value > 0.0 and np.isfinite(value)):
-                raise ValidationError(f"{name} must be strictly positive, got {value}")
+                raise ValidationError(f"{name} must be finite and strictly positive, got {value}")
         if self.rank_rel_tol >= 1.0:
             raise ValidationError("rank_rel_tol must be < 1")
 

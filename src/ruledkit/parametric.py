@@ -22,7 +22,7 @@ from .fields import (BUILTIN_CURVES, ComposedField, ConstantField,
                      DerivativeField, EmbeddedField, FourierField,
                      GramSchmidtField, GramSchmidtFrame, HelixCurve, ParameterArray,
                      PolynomialField, VectorField, arclength_reparametrize,
-                     holds_bool, stack_fields)
+                     number_fault, stack_fields)
 from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, frame_qr
 
 TWO_PI = 2.0 * math.pi
@@ -92,8 +92,9 @@ class FramedCurve:
         x = values.frame(0)
         finite = np.isfinite(x).all(axis=(1, 2))
         gram_dev = np.abs(x @ x.swapaxes(1, 2) - np.eye(self.m - 1)).max(axis=(1, 2))
-        bad_speed = speed_dev > tol.derivative_check_tol
-        failing = np.flatnonzero(bad_speed | ~finite | (gram_dev > tol.derivative_check_tol))
+        # NaN deviations fail too
+        bad_speed = ~(speed_dev <= tol.derivative_check_tol)
+        failing = np.flatnonzero(bad_speed | ~finite | ~(gram_dev <= tol.derivative_check_tol))
         if not failing.size:
             return
         i = int(failing[0])
@@ -197,10 +198,9 @@ class SampleGrid:
             raise ValidationError("grid needs at least 3 parameter samples")
         if not np.all(np.diff(ts) > 0):
             raise ValidationError("t_samples must be strictly increasing")
-        if not (self.u_extent > 0):
-            raise ValidationError("u_extent must be positive")
-        if not np.isfinite(self.u_extent):
-            raise ValidationError("u_extent must be finite")
+        if not (self.u_extent > 0 and np.isfinite(self.u_extent)):
+            raise ValidationError(f"u_extent must be finite and strictly positive, "
+                                  f"got {self.u_extent}")
         if self.u_samples_per_axis < 1:
             raise ValidationError("u_samples_per_axis must be >= 1")
 
@@ -421,8 +421,9 @@ def make_builtin_patch(name: str, params: dict | None = None) -> FramedCurve:
     if name not in BUILTIN_PATCHES:
         raise ConfigError(f"unknown builtin patch family {name!r}; "
                           f"known: {sorted(BUILTIN_PATCHES)}")
-    if holds_bool(params):
-        raise ConfigError(f"bad parameters for builtin patch {name!r}: a bool is not a number")
+    fault = number_fault(params)
+    if fault:
+        raise ConfigError(f"bad parameters for builtin patch {name!r}: {fault}")
     try:
         return BUILTIN_PATCHES[name].factory(**(params or {}))
     except TypeError as exc:

@@ -21,15 +21,18 @@ grid's own values and frame basis), and compares two tangent spaces by
 the angle between their normal directions off the frame span. Every
 regularity verdict takes this one route, `_frame_coordinates`,
 `_reduced_jacobians`, `_regularity`: the scan's, the stability check's,
-the off-sheet check's (`jacobian_regularity`, on the values at its
-points) and the selftest sweep's pair filter. Sectional
-curvatures come from the Gauss equation in a tangent basis
-orthonormalized by Gram-Schmidt over the stack, with no LAPACK call;
-since II vanishes on pairs of ruling directions, sigma_tt drops out of
-it and every curvature is minus a sum of squares. A patch computes its
-frame values and basis, degree profile and second-form scan once, on
-first use; a patch derived from it is primed from them. The single-point
-functions run the same kernels on a stack of one (`_values_at`).
+the off-sheet check's and `sectional_curvature`'s
+(`jacobian_regularity`, on the values at their points) and the selftest
+sweep's pair filter; the flatness check reads the scan's. Sectional
+curvatures come from the Gauss equation in closed form, in the tangent
+basis of the frame QR and the unit normal n off the frame span: II
+vanishes on pairs of ruling directions, so sigma_tt drops out, the
+planes of two ruling directions are flat and every other curvature is
+minus a squared wedge norm, with no second pass over the grid. A patch
+computes its frame values and basis, degree profile and second-form scan
+once, on first use; a patch derived from it is primed from them. The
+single-point functions run the same kernels on a stack of one
+(`_values_at`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .distribution import DegreeProfile, profile_from_values
 from .errors import RegularityError, ValidationError
 from .fields import AffineCombinationField
 from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
-                          _rank_margin, gram_schmidt_rows, numerical_ranks,
+                          _pair_wedge_squares, _rank_margin, numerical_ranks,
                           pair_wedge_norms, rank2_ranks, rank_mask, settled)
 from .parametric import FramedCurve, GridValues, SampleGrid
 
@@ -276,11 +279,12 @@ def _reduced_jacobians(r: np.ndarray, sigma_q, sigma_c, u: np.ndarray):
     return jac, c
 
 
-def jacobian_regularity(v: GridValues, u: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """The rank rule's full-rank verdict at the N parameters of `v`, each at
-    its own ruling position of u (N, m-1), (N,): `_regularity` of the
-    reduced Jacobians on the values' frame QR (`_frame_coordinates`)."""
-    r, _, sigma_q, sigma_c = _frame_coordinates(v, slice(None))
+def jacobian_regularity(v: GridValues, u: np.ndarray, tol: TolerancePolicy,
+                        rows: slice | np.ndarray = slice(None)) -> np.ndarray:
+    """The rank rule's full-rank verdict at the N parameters `rows` of `v`,
+    each at its own ruling position of u (N, m-1), (N,): `_regularity` of
+    the reduced Jacobians on the values' frame QR (`_frame_coordinates`)."""
+    r, _, sigma_q, sigma_c = _frame_coordinates(v, rows)
     jac, _ = _reduced_jacobians(r, sigma_q, sigma_c, u[:, None])
     return _regularity(jac, _inverse_factors(r)[:, None], tol)[:, 0]
 
@@ -337,15 +341,6 @@ def _normal_ranks(vecs: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     if vecs.shape[-1] > 3:
         return numerical_ranks(vecs, tol)
     return rank2_ranks(vecs, tol)
-
-
-def _second_form_at(p: RuledPatch, t: float, u: np.ndarray):
-    """(jac, vecs) at one point, from the patch's values at t (`_values_at`);
-    raises at a singular point."""
-    jac, vecs, regular = _second_form_vectors(*_values_at(p, t), u[None], p.tol)
-    if not regular[0, 0]:
-        raise RegularityError(f"patch is singular at (t={t}, u={u.tolist()})")
-    return jac[0, 0], vecs[0, 0]
 
 
 #: grid points per block of the second-form scan; keeps the stacked
@@ -563,49 +558,12 @@ def tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
     return False
 
 
-def _orthonormal_tangent_coeffs(jac: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Gram-Schmidt on the Jacobian rows of a (..., m, dim) stack
-    (`multilinear.gram_schmidt_rows`).
-
-    Returns the lower triangular change of basis S with S @ jac
-    orthonormal, per stack entry. Raises where a row's length off the
-    span of the rows before it is below zero_abs_tol.
-    """
-    _, s, lengths = gram_schmidt_rows(jac)
-    if np.any(lengths < tol.zero_abs_tol):
-        raise RegularityError("tangent basis is degenerate")
-    return s
-
-
-def _coordinate_plane_curvatures(jac: np.ndarray, vecs: np.ndarray,
-                                 tol: TolerancePolicy) -> np.ndarray:
-    """Sectional curvature of every coordinate 2-plane (a, b), a < b, of the
-    orthonormalized tangent basis, from the Gauss equation; (..., pairs)
-    in (0, 1), (0, 2), ..., (m-2, m-1) order.
-
-    In the basis e_a = S_a0 d_t + sum_j S_aj d_u_j (S from
-    `_orthonormal_tangent_coeffs`), and with II(d_u_i, d_u_j) = 0 on a
-    ruled patch, II(e_a, e_b) = alpha_a alpha_b v_0 + alpha_a w_b
-    + alpha_b w_a, where alpha = S[:, 0], v_j are the rows of vecs and
-    w = S[:, 1:] @ v[1:]. The Gauss equation <II_aa, II_bb> - |II_ab|^2
-    then reduces to K_ab = -|alpha_a w_b - alpha_b w_a|^2: sigma_tt (v_0)
-    drops out, and nothing cancels. For m = 2 this is
-    K = -|v_1|^2 / |sigma_t ^ X_1|^2.
-    """
-    s = _orthonormal_tangent_coeffs(jac, tol)
-    alpha = s[..., :, 0, None]
-    w = s[..., :, 1:] @ vecs[..., 1:, :]
-    a, b = np.triu_indices(jac.shape[-2], 1)
-    cross = alpha[..., a, :] * w[..., b, :] - alpha[..., b, :] * w[..., a, :]
-    return -np.einsum("...k,...k->...", cross, cross)
-
-
 @dataclass(frozen=True, eq=False)
 class FlatnessResult:
-    """Largest |sectional curvature| seen over coordinate tangent planes."""
+    """Largest |sectional curvature| over the coordinate planes of the
+    tangent basis (q, n) at the regular grid points."""
 
     max_abs: float
-    worst: tuple | None
     checked: int
     skipped_singular: int
 
@@ -613,39 +571,59 @@ class FlatnessResult:
         return self.max_abs < curvature_tol
 
 
-def flatness_check(p: RuledPatch) -> FlatnessResult:
-    """Sectional curvatures from the Gauss equation at regular grid samples.
+def _normal_plane_curvatures(y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """K(n, q_i) = -|Y_i ^ c|^2 / |c|^4 (see `flatness_check`) of a
+    (..., m-1, dim-m+1) stack of rows Y = R^-T (Xdot comp) and a
+    (..., dim-m+1) stack of sigma_t's complement coordinates c, (..., m-1),
+    from the 2 x 2 minors (`_pair_wedge_squares`), which do not cancel."""
+    c2 = np.sum(c * c, axis=-1)
+    return -_pair_wedge_squares(y, c[..., None, :]) / (c2 * c2)[..., None]
 
-    The second form is taken in a tangent basis orthonormalized by
-    Gram-Schmidt; only the 2-planes spanned by pairs of that basis are
-    inspected, which is enough to witness non-flatness for ruled patches.
-    The form vanishes on ruling pairs, so each curvature is
-    K_ab = -|alpha_a w_b - alpha_b w_a|^2 from the frame derivatives'
-    normal parts alone, with no sigma_tt (`_coordinate_plane_curvatures`).
+
+def flatness_check(p: RuledPatch) -> FlatnessResult:
+    """Sectional curvatures from the Gauss equation, in closed form, at the
+    regular points of the patch's second-form scan.
+
+    The tangent space has the orthonormal basis (q_1, ..., q_{m-1}, n) of
+    the grid's frame QR X^T = [q | comp] R (`_frame_coordinates`), where
+    n = c / |c| and c = sigma_t comp. II vanishes on pairs of ruling
+    directions, so K(q_i, q_l) = 0 and K(n, q_i) = -|II(n, q_i)|^2. As
+    q = R^-T X and n = (d_t - a . q) / |c|, II(n, q_i) is the part off n
+    of Y_i / |c|, with Y = R^-T (Xdot comp) taken once per parameter, so
+    K(n, q_i) = -|Y_i ^ c|^2 / |c|^4 (`_normal_plane_curvatures`), and
+    sigma_tt drops out. Where every K(n, q_i) vanishes, II is nonzero on
+    (n, n) alone and every sectional curvature is 0, so these planes
+    witness non-flatness completely.
     """
-    jac, vecs, regular = _second_form_vectors(p.values, slice(None),
-                                              p.grid.u_points(p.m - 1), p.tol)
-    where = np.nonzero(regular)
-    curv = _coordinate_plane_curvatures(jac[where], vecs[where], p.tol)
-    checked = int(curv.shape[0])
-    max_abs, worst = 0.0, None
-    if curv.size and np.abs(curv).max() > 0.0:
-        flat = int(np.argmax(np.abs(curv)))
-        r, pair = divmod(flat, curv.shape[1])
-        pairs = [(a, b) for a in range(p.m) for b in range(a + 1, p.m)]
-        k_ab = float(curv[r, pair])
-        i, j = where[0][r], where[1][r]
-        max_abs = abs(k_ab)
-        worst = (float(p.grid.t_samples[i]), p.grid.u_points(p.m - 1)[j].tolist(),
-                 pairs[pair], k_ab)
-    return FlatnessResult(max_abs=max_abs, worst=worst, checked=checked,
-                          skipped_singular=regular.size - checked)
+    scan = p.scan
+    i, j = np.nonzero(scan.regular)
+    r, _, _, (c0, xdot) = _frame_coordinates(p.values, slice(None))
+    y = _inverse_factors(r).swapaxes(-1, -2) @ xdot
+    c = c0[i, 0] + (scan.u[j, None] @ xdot[i])[:, 0]
+    curv = _normal_plane_curvatures(y[i], c)
+    return FlatnessResult(max_abs=float(-curv.min()) if curv.size else 0.0,
+                          checked=int(i.size), skipped_singular=scan.skipped)
 
 
 def sectional_curvature(p: RuledPatch, t: float, u) -> float:
-    """Curvature of the (t, first ruling) coordinate plane at a regular point.
+    """Curvature of the tangent plane spanned by sigma_t and X_1 at a regular
+    point, from the Gauss equation: II(X_1, X_1) = 0, so
+    K = -|II(d_t, d_u1)|^2 / |sigma_t ^ X_1|^2. For m = 2 it is the full
+    intrinsic curvature.
 
-    Only meaningful for m=2, where it is the full intrinsic curvature.
+    In the frame QR's coordinates (`_frame_coordinates`, `_reduced_jacobians`)
+    sigma_t is (a, c) and X_1 = R_11 q_1, so |sigma_t ^ X_1|^2 is
+    R_11^2 (|a_2..a_{m-1}|^2 + |c|^2), and II(d_t, d_u1), the part of
+    Xdot_1 comp off n = c / |c|, has |II|^2 = |Xdot_1 comp ^ c|^2 / |c|^2.
+    Regularity is `jacobian_regularity`'s; a singular point raises.
     """
-    jac, vecs = _second_form_at(p, t, _as_u(p, u))
-    return float(_coordinate_plane_curvatures(jac, vecs, p.tol)[0])
+    u = _as_u(p, u)[None]
+    v, rows = _values_at(p, t)
+    if not jacobian_regularity(v, u, p.tol, rows)[0]:
+        raise RegularityError(f"patch is singular at (t={t}, u={u[0].tolist()})")
+    r, _, sigma_q, sigma_c = _frame_coordinates(v, rows)
+    jac, c = _reduced_jacobians(r, sigma_q, sigma_c, u)
+    # row 0 of the reduced Jacobian past a_1: a_2..a_{m-1}, then |c|
+    rest, length = jac[0, 0, 0, 1:], jac[0, 0, 0, -1]
+    wedge = _pair_wedge_squares(sigma_c[1][0, 0], c[0, 0])
+    return float(-wedge / (length * length * r[0, 0, 0] ** 2 * (rest @ rest)))

@@ -212,6 +212,7 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
     grid = make_grid(fc.interval)
     values = fc.grid_values(grid.parameters)
 
+    # a NaN deviation normalizes nothing: `validate_on` refuses it below
     speed_dev = float(np.abs(np.linalg.norm(values.directrix(1), axis=1) - 1.0).max())
     reparametrized = speed_dev > tol.derivative_check_tol
     if reparametrized:

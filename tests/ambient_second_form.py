@@ -18,6 +18,13 @@ second-form vectors with more than two columns.
 sweep's two verdicts as they were taken before the closed forms of the
 reduced Jacobians: from one stacked SVD of the ambient Jacobians of every
 pair point.
+
+`gram_schmidt_tangent_coeffs` and `gram_schmidt_plane_curvatures` keep
+the curvature kernel that the flatness check ran before its closed form:
+the Gauss equation on every coordinate plane of the tangent basis that
+Gram-Schmidt orthonormalizes from the Jacobian rows, sigma_t first. Its
+plane (0, 1) is the plane of sigma_t and X_1 that
+`ruledgeom.sectional_curvature` reads, and for m = 2 the tangent plane.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ruledkit.errors import RegularityError, ValidationError
-from ruledkit.multilinear import TolerancePolicy, numerical_rank, numerical_ranks, rank_mask
+from ruledkit.multilinear import (TolerancePolicy, gram_schmidt_rows, numerical_rank,
+                                  numerical_ranks, rank_mask)
 from ruledkit.parametric import GridValues
 from ruledkit.ruledgeom import (RuledPatch, _as_u, _jacobians, _reduced_singular_values,
                                 _second_form_vectors, jacobians_at)
@@ -152,6 +160,37 @@ def svd_tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
         if not ok:
             raise RegularityError(f"{name} comparison point is singular at t={float(pair_t[i])}")
     return False
+
+
+def gram_schmidt_tangent_coeffs(jac: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Gram-Schmidt on the Jacobian rows of a (..., m, dim) stack
+    (`multilinear.gram_schmidt_rows`): the lower triangular change of basis
+    S with S @ jac orthonormal, per stack entry. Raises where a row's
+    length off the span of the rows before it is below zero_abs_tol."""
+    _, s, lengths = gram_schmidt_rows(jac)
+    if np.any(lengths < tol.zero_abs_tol):
+        raise RegularityError("tangent basis is degenerate")
+    return s
+
+
+def gram_schmidt_plane_curvatures(jac: np.ndarray, vecs: np.ndarray,
+                                  tol: TolerancePolicy) -> np.ndarray:
+    """Sectional curvature of every coordinate 2-plane (a, b), a < b, of the
+    basis of `gram_schmidt_tangent_coeffs`, from the Gauss equation;
+    (..., pairs) in (0, 1), (0, 2), ..., (m-2, m-1) order.
+
+    In the basis e_a = S_a0 d_t + sum_j S_aj d_u_j, and with
+    II(d_u_i, d_u_j) = 0 on a ruled patch, II(e_a, e_b) = alpha_a alpha_b v_0
+    + alpha_a w_b + alpha_b w_a, where alpha = S[:, 0], v_j are the rows of
+    vecs and w = S[:, 1:] @ v[1:]. The Gauss equation then reduces to
+    K_ab = -|alpha_a w_b - alpha_b w_a|^2: sigma_tt (v_0) drops out.
+    """
+    s = gram_schmidt_tangent_coeffs(jac, tol)
+    alpha = s[..., :, 0, None]
+    w = s[..., :, 1:] @ vecs[..., 1:, :]
+    a, b = np.triu_indices(jac.shape[-2], 1)
+    cross = alpha[..., a, :] * w[..., b, :] - alpha[..., b, :] * w[..., a, :]
+    return -np.einsum("...k,...k->...", cross, cross)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,8 +9,9 @@ values) the rank-one check and the singular locus wrote before their
 closed forms, and `wedge_slack` is the rounding slack
 `WEDGE_SLACK_PER_VECTOR` k eps |A|_F^k within which the closed forms must
 equal those norms. `gram_schmidt_r` is the stacked Householder QR factor
-that the row-by-row Gram-Schmidt kernels of the flatness check and the
-orthonormalized frame replaced.
+that the row-by-row Gram-Schmidt kernels of the orthonormalized frame
+and of the Gram-Schmidt curvature reference
+(`ambient_second_form.gram_schmidt_tangent_coeffs`) replaced.
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ def test_uniform_grid_rejects_bad_sample_counts(t_samples):
 
 @pytest.mark.parametrize("u_extent", [math.inf, -math.inf, math.nan, 0.0])
 def test_grid_rejects_bad_u_extent(u_extent):
-    with pytest.raises(ValidationError, match="u_extent"):
+    with pytest.raises(ValidationError, match="u_extent must be finite and strictly positive"):
         SampleGrid.uniform((0.0, 1.0), 5, u_extent)
 
 

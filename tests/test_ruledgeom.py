@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from ambient_second_form import second_form_along_directrix
+from ambient_second_form import (gram_schmidt_plane_curvatures, gram_schmidt_tangent_coeffs,
+                                  second_form_along_directrix)
 from conftest import small_patch
 from frame_oracles import gram_schmidt_r
-from ruledkit import (RegularityError, RuledPatch, SampleGrid, ValidationError,
-                      make_builtin_patch)
-from ruledkit.fields import ConstantField, PolynomialField
+from ruledkit import (RegularityError, RuledPatch, SampleGrid, TolerancePolicy,
+                      ValidationError, make_builtin_patch)
+from ruledkit import ruledgeom
+from ruledkit.fields import ConstantField, FourierField, PolynomialField
 from ruledkit.multilinear import numerical_rank
 from ruledkit.parametric import BUILTIN_PATCHES, FramedCurve
-from ruledkit.ruledgeom import (_coordinate_plane_curvatures, _orthonormal_tangent_coeffs,
-                                _second_form_vectors, first_normal_bounds_check,
-                                flatness_check, jacobian_sigma, rank_one_check,
-                                sectional_curvature, tangent_space_stability)
+from ruledkit.ruledgeom import (_frame_coordinates, _inverse_factors, _normal_plane_curvatures,
+                                _reduced_jacobians, _second_form_vectors,
+                                first_normal_bounds_check, flatness_check, jacobian_sigma,
+                                rank_one_check, sectional_curvature, tangent_space_stability)
 
 SQ2 = math.sqrt(2.0)
 
@@ -239,6 +241,11 @@ def test_helicoid_curvature_values(helicoid_patch):
     assert flatness_check(helicoid_patch).max_abs == pytest.approx(1.0, abs=1e-9)
 
 
+def test_sectional_curvature_raises_at_a_singular_point(tangent_dev_patch):
+    with pytest.raises(RegularityError, match="singular"):
+        sectional_curvature(tangent_dev_patch, 1.0, [0.0])
+
+
 def test_rank_one_equivalence_on_planar_free_patches():
     # wedge test, tangent stability, and flatness agree patch by patch
     for name, expected in [("cylinder_helix", True), ("helicoid_frame", False),
@@ -250,7 +257,48 @@ def test_rank_one_equivalence_on_planar_free_patches():
         assert wedge == flat == expected, name
 
 
-# --- orthonormal tangent basis and curvatures, against the kernels they replaced ----
+@pytest.mark.parametrize("name, zero_tols", [("circular_cone", (0.5, 1.0, 2.0)),
+                                             ("helicoid_frame", (1.0, 2.0)),
+                                             ("two_rotation_r5", (1.0, 2.0))])
+def test_flatness_reads_the_scans_regularity_at_any_zero_tol(name, zero_tols):
+    # a Gram-Schmidt row length of about 1 once fell below an absolute
+    # zero_abs_tol of 1 or more and raised at points the scan calls regular
+    fc = make_builtin_patch(name)
+    for zero_tol in zero_tols:
+        p = RuledPatch(fc, SampleGrid.uniform(fc.interval, 40), TolerancePolicy(zero_abs_tol=zero_tol))
+        result = flatness_check(p)
+        assert result.checked == np.count_nonzero(p.scan.regular)
+        assert result.skipped_singular == p.scan.skipped
+        if (name, zero_tol) == ("circular_cone", 1.0):
+            assert (result.checked, result.skipped_singular) == (156, 44)
+
+
+def test_flatness_takes_no_second_pass_over_the_grid(monkeypatch):
+    p = small_patch("two_rotation_r5", 20)
+    p.scan
+    calls = []
+    for name in ("_second_form_vectors", "_regularity"):
+        kernel = getattr(ruledgeom, name)
+        monkeypatch.setattr(ruledgeom, name,
+                            lambda *args, kernel=kernel, name=name: calls.append(name) or kernel(*args))
+    assert not flatness_check(p).is_flat()
+    assert calls == []
+
+
+# --- closed-form curvatures, against the Gram-Schmidt kernel they replaced --------
+
+def closed_form_curvatures(p):
+    """K(n, q_i), (K, m-1), at the K regular grid points of `p`, t-major:
+    `_normal_plane_curvatures` on the rows Y = R^-T (Xdot comp) and sigma_t's
+    complement coordinates c, the values whose largest magnitude
+    `flatness_check` reports."""
+    i, j = np.nonzero(p.scan.regular)
+    r, _, _, (c0, xdot) = _frame_coordinates(p.values, slice(None))
+    y = _inverse_factors(r).swapaxes(-1, -2) @ xdot
+    k = _normal_plane_curvatures(y[i], c0[i, 0] + (p.scan.u[j, None] @ xdot[i])[:, 0])
+    assert flatness_check(p).max_abs == (-k.min() if k.size else 0.0)
+    return k
+
 
 def _qr_tangent_coeffs(jac, tol):
     """The lower triangular S with S @ jac orthonormal, from the stacked
@@ -303,12 +351,11 @@ def _loop_tangent_coeffs(jac, tol):
     return coeff
 
 
-def _loop_plane_curvatures(jac, vecs, tol):
-    """II in the orthonormal basis entry by entry, then the Gauss equation
-    on every coordinate plane (a, b), a < b."""
-    s = _loop_tangent_coeffs(jac, tol)
-    m = jac.shape[-2]
-    ii = np.zeros(jac.shape[:-2] + (m, m, vecs.shape[-1]))
+def _loop_gauss_curvatures(s, vecs):
+    """II in the orthonormal basis e_a = sum_x S_ax d_x entry by entry, then
+    the Gauss equation on every coordinate plane (a, b), a < b."""
+    m = s.shape[-1]
+    ii = np.zeros(s.shape[:-2] + (m, m, vecs.shape[-1]))
     for a in range(m):
         for b in range(a, m):
             v = (s[..., a, 0] * s[..., b, 0])[..., None] * vecs[..., 0, :]
@@ -321,6 +368,31 @@ def _loop_plane_curvatures(jac, vecs, tol):
                      for a in range(m) for b in range(a + 1, m)], axis=-1)
 
 
+def _loop_plane_curvatures(jac, vecs, tol):
+    """The Gauss equation on every coordinate plane of the basis that
+    Gram-Schmidt orthonormalizes from the Jacobian rows, entry by entry."""
+    return _loop_gauss_curvatures(_loop_tangent_coeffs(jac, tol), vecs)
+
+
+def assert_closed_form_matches(jac, vecs, k, tol):
+    """The closed-form K(n, q_i) `k` (..., m-1) of reduced Jacobians `jac`
+    (..., m, m) and second-form vectors `vecs`: on the basis (q, n), whose
+    coordinate change is jac^-1, the loop's Gauss equation gives k on the
+    planes (q_i, n) and 0 on the planes (q_i, q_l); the sum over the planes
+    equals the Gram-Schmidt kernel's, which does not depend on the basis;
+    and for m = 2, the one plane, its value."""
+    m = jac.shape[-1]
+    loop = _loop_gauss_curvatures(np.linalg.inv(jac), vecs)
+    a, b = np.triu_indices(m, 1)
+    scale = max(1.0, np.abs(loop).max())
+    assert np.abs(loop[..., b == m - 1] - k).max() <= 1e-12 * scale
+    assert np.abs(loop[..., b < m - 1]).max(initial=0.0) <= 1e-12 * scale
+    reference = gram_schmidt_plane_curvatures(jac, vecs, tol)
+    assert np.abs(k.sum(axis=-1) - reference.sum(axis=-1)).max() <= 1e-12 * scale
+    if m == 2:
+        assert np.abs(k - reference).max() <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_PATCHES))
 def test_tangent_basis_and_curvatures_equal_the_loops(name):
     p = small_patch(name, 20)
@@ -328,30 +400,77 @@ def test_tangent_basis_and_curvatures_equal_the_loops(name):
                                               p.grid.u_points(p.m - 1), p.tol)
     jac, vecs = jac[regular], vecs[regular]
     assert jac.shape[0] > 0
-    s = _orthonormal_tangent_coeffs(jac, p.tol)
-    k = _coordinate_plane_curvatures(jac, vecs, p.tol)
+    s = gram_schmidt_tangent_coeffs(jac, p.tol)
+    k = gram_schmidt_plane_curvatures(jac, vecs, p.tol)
     for coeffs, curvatures in ((_qr_tangent_coeffs, _qr_plane_curvatures),
                                (_loop_tangent_coeffs, _loop_plane_curvatures)):
         assert np.abs(s - coeffs(jac, p.tol)).max() < 1e-12
         assert np.abs(k - curvatures(jac, vecs, p.tol)).max() < 1e-12
     assert np.abs(s @ jac @ (s @ jac).swapaxes(1, 2) - np.eye(p.m)).max() < 1e-12
+    assert_closed_form_matches(jac, vecs, closed_form_curvatures(p), p.tol)
 
 
-@pytest.mark.parametrize("m, dim", [(2, 3), (3, 4), (4, 6)])
+def random_reduced_stacks(rng, size, m, dim):
+    """(jac, vecs, y, c) at `size` random points: reduced Jacobians
+    [[a, |c|], [R^T, 0]] with well-conditioned triangular R, the second-form
+    vectors (sigma_tt and Xdot_j in complement coordinates, less their part
+    along c), and the closed form's inputs Y = R^-T (Xdot comp) and c."""
+    k = m - 1
+    r = np.triu(rng.normal(size=(size, k, k))) + 3.0 * np.eye(k)
+    sigma_q = (rng.normal(size=(size, 1, k)), rng.normal(size=(size, k, k)))
+    sigma_c = (rng.normal(size=(size, 1, dim - k)), rng.normal(size=(size, k, dim - k)))
+    u = rng.uniform(-2.0, 2.0, (size, 1, k))
+    jac, c = _reduced_jacobians(r, sigma_q, sigma_c, u)
+    jac, c = jac[:, 0], c[:, 0]
+    n = c / np.linalg.norm(c, axis=-1, keepdims=True)
+    vecs = np.concatenate([rng.normal(size=(size, 1, dim - k)), sigma_c[1]], axis=1)
+    vecs -= (vecs @ n[..., None]) * n[:, None]
+    return jac, vecs, np.linalg.inv(r).swapaxes(-1, -2) @ sigma_c[1], c
+
+
+@pytest.mark.parametrize("m, dim", [(2, 3), (3, 4), (3, 5), (4, 6)])
 def test_plane_curvatures_equal_the_loops_on_generic_input(m, dim, tol):
     # the builtins' second forms are sparse and their curvatures mostly 0;
     # generic input exercises every entry of II
-    rng = np.random.default_rng(m)
+    rng = np.random.default_rng(m + dim)
     jac, vecs = rng.normal(size=(2, 50, m, dim))
-    got = _coordinate_plane_curvatures(jac, vecs, tol)
+    got = gram_schmidt_plane_curvatures(jac, vecs, tol)
     for curvatures in (_qr_plane_curvatures, _loop_plane_curvatures):
         want = curvatures(jac, vecs, tol)
         assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+    jac, vecs, y, c = random_reduced_stacks(rng, 50, m, dim)
+    assert_closed_form_matches(jac, vecs, _normal_plane_curvatures(y, c), tol)
 
 
 def test_tangent_basis_raises_on_a_dependent_stack(tol):
     jac = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                     [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]])
-    for coeffs in (_orthonormal_tangent_coeffs, _qr_tangent_coeffs, _loop_tangent_coeffs):
+    for coeffs in (gram_schmidt_tangent_coeffs, _qr_tangent_coeffs, _loop_tangent_coeffs):
         with pytest.raises(RegularityError):
             coeffs(jac, tol)
+
+
+def tilted_rotation_patch():
+    """m = 3 in R^4: X_1 turns in the (x, z) plane, X_2 = e_y is constant,
+    and the directrix (0, t / 2, 0, t) moves along X_2 as well, so that
+    sigma_t has a component a_2 along the second ruling direction."""
+    frame = (FourierField([(0.0, [1.0], [], 1.0), (0.0, [], [], 1.0),
+                           (0.0, [], [1.0], 1.0), (0.0, [], [], 1.0)]),
+             ConstantField([0.0, 1.0, 0.0, 0.0]))
+    fc = FramedCurve(4, 3, PolynomialField([[0.0], [0.0, 0.5], [0.0], [0.0, 1.0]]), frame,
+                     (0.0, 2.0))
+    return RuledPatch(fc, SampleGrid.uniform(fc.interval, 40))
+
+
+@pytest.mark.parametrize("name", ["helicoid_frame", "circular_cone", "two_rotation_r5",
+                                  "tangent_developable_product", "tilted_rotation"])
+def test_sectional_curvature_equals_the_gram_schmidt_plane(name):
+    # plane (0, 1) of the sigma_t-first Gram-Schmidt basis is span(sigma_t, X_1)
+    p = tilted_rotation_patch() if name == "tilted_rotation" else small_patch(name, 40)
+    for t in (float(p.grid.t_samples[3]), 0.37, 1.1):
+        for u in ([0.3] * (p.m - 1), [-1.2] + [0.5] * (p.m - 2), [1.7] * (p.m - 1)):
+            jac, vecs, regular = _second_form_vectors(p.fc.grid_values(np.array([t])),
+                                                      slice(None), np.array([u]), p.tol)
+            assert regular[0, 0]
+            want = gram_schmidt_plane_curvatures(jac[0, 0], vecs[0, 0], p.tol)[0]
+            assert abs(sectional_curvature(p, t, u) - want) <= 1e-15 * max(1.0, abs(want))

@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import tempfile
+import warnings
 
 import jsonschema
 import numpy as np
@@ -346,6 +348,48 @@ def test_bool_builtin_parameter_exits_2(tmp_path, doc, family):
         ingest(doc)
 
 
+@pytest.mark.parametrize("doc,message", [
+    (dict(LINE_RULED_SCENE, directrix={"kind": "builtin", "name": "helix",
+                                       "params": {"b": math.nan}}),
+     "bad parameters for builtin curve 'helix': nan is not a finite number"),
+    (dict(CYLINDER_SCENE, builtin_patch="cylinder_helix", patch_params={"a": math.nan}),
+     "bad parameters for builtin patch 'cylinder_helix': nan is not a finite number"),
+    (dict(CONE_SCENE, patch_params={"interval": [0.0, math.inf]}),
+     "bad parameters for builtin patch 'circular_cone': inf is not a finite number"),
+    (dict(LINE_RULED_SCENE, directrix=dict(LINE_RULED_SCENE["directrix"], params={
+        "point": [0.0, -math.inf, 0.0], "direction": [1.0, 0.0, 0.0]})),
+     "bad parameters for builtin curve 'line': -inf is not a finite number"),
+], ids=["curve", "patch", "patch-list", "curve-list"])
+def test_non_finite_builtin_parameter_exits_2(tmp_path, doc, message):
+    # JSON's NaN and Infinity literals load as floats; a NaN once reached the
+    # families and analyzed to a report full of NaN, or failed in an SVD
+    scene = write_scene(tmp_path, doc)
+    assert "NaN" in open(scene).read() or "Infinity" in open(scene).read()
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["analyze", scene, "-o", str(out), "--no-invariance"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+    with pytest.raises(ConfigError):
+        ingest(doc)
+
+
+def test_nan_speed_fails_at_its_own_sample(tmp_path):
+    # the derivative coefficients 2e308 and 3e308 overflow, so the speed is
+    # NaN at t = 0 (inf times 0) and inf after it: the first bad sample is t = 0
+    doc = dict(LINE_RULED_SCENE, directrix={
+        "kind": "polynomial", "coefficients": [[0.0, 0.0, 1e308, 1e308], [0.0], [0.0]]})
+    scene = write_scene(tmp_path, doc)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        result = CliRunner().invoke(main, ["analyze", scene, "-o", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: directrix is not unit-speed at t=0.0: |speed-1|=nan"]
+    assert not out.exists()
+
+
 def test_scene_interval_override_for_builtin(tmp_path):
     doc = dict(CONE_SCENE, interval=[0.0, 3.0])
     result = ingest(write_scene(tmp_path, doc))
@@ -538,6 +582,22 @@ def test_cli_grid_overrides_follow_the_grid_rules(tmp_path, args):
     assert "Traceback" not in result.output
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["analyze", "{scene}", "-o", "{out}", "--zero-tol", "inf"],
+     "zero_abs_tol must be finite and strictly positive, got inf"),
+    (["selftest", "--zero-tol", "inf"],
+     "zero_abs_tol must be finite and strictly positive, got inf"),
+    (["analyze", "{scene}", "-o", "{out}", "--u-extent", "nan"],
+     "u_extent must be finite and strictly positive, got nan"),
+], ids=["analyze-zero-tol", "selftest-zero-tol", "analyze-u-extent"])
+def test_cli_non_finite_overrides_name_the_rule(tmp_path, args, message):
+    scene = write_scene(tmp_path, CONE_SCENE)
+    args = [a.format(scene=scene, out=tmp_path / "out") for a in args]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"error: {message}"]
 
 
 # --- scene fuzzing -----------------------------------------------------------

@@ -6,7 +6,9 @@ coordinates of the normal space, with closed forms for m = 2 and for a
 normal space of dimension 1. On every patch below, its regularity and
 first normal space dimensions must equal the ambient kernel's, its
 singular values must match the ambient Jacobian's, and the Gauss-equation
-curvatures must match.
+curvatures of the Gram-Schmidt kernel must match. The flatness check's
+closed-form curvatures must sum over their planes to the same value,
+and for m = 2 equal it.
 """
 
 import math
@@ -15,16 +17,16 @@ import pathlib
 import numpy as np
 import pytest
 
-from ambient_second_form import ambient_scan
+from ambient_second_form import ambient_scan, gram_schmidt_plane_curvatures
 from conftest import small_patch
 from perfbench.scenegen import explicit_scene
 from ruledkit import RuledPatch, SampleGrid, TolerancePolicy, ingest
 from ruledkit.fields import FourierField
 from ruledkit.parametric import FramedCurve
-from ruledkit.ruledgeom import (_coordinate_plane_curvatures, _reduced_singular_values,
-                                _second_form_vectors, flatness_check, second_form_scan)
+from ruledkit.ruledgeom import (_reduced_singular_values, _second_form_vectors, flatness_check,
+                                second_form_scan)
 from ruledkit.selftest import CORPUS_DEGREES, build_corpus
-from test_ruledgeom import plane_patch
+from test_ruledgeom import closed_form_curvatures, plane_patch
 
 SCENES = sorted((pathlib.Path(__file__).parent.parent / "scenes").glob("*.json"))
 
@@ -75,13 +77,20 @@ def assert_matches_ambient(p, raw_curvature_tol=None):
 
     if not regular.any():
         return
-    k_a = _coordinate_plane_curvatures(jac_a[regular], vecs_a[regular], p.tol)
-    k = _coordinate_plane_curvatures(jac[regular], vecs[regular], p.tol)
+    k_a = gram_schmidt_plane_curvatures(jac_a[regular], vecs_a[regular], p.tol)
+    k = gram_schmidt_plane_curvatures(jac[regular], vecs[regular], p.tol)
     kappa2 = (s_a[regular][:, 0] / s_a[regular][:, -1]) ** 2
     assert np.all(np.abs(k - k_a) <= 1e-14 * kappa2[:, None] * np.maximum(1.0, np.abs(k_a)))
     if raw_curvature_tol is not None:
         assert np.abs(k - k_a).max() <= raw_curvature_tol
-    assert abs(flatness_check(p).max_abs - np.abs(k_a).max()) <= 1e-14 * max(1.0, kappa2.max())
+    # the sum over the coordinate planes of an orthonormal basis does not
+    # depend on the basis
+    closed = closed_form_curvatures(p)
+    sums = k_a.sum(axis=-1)
+    assert np.all(np.abs(closed.sum(axis=-1) - sums)
+                  <= 1e-14 * k_a.shape[-1] * kappa2 * np.maximum(1.0, np.abs(sums)))
+    if p.m == 2:
+        assert abs(flatness_check(p).max_abs - np.abs(k_a).max()) <= 1e-14 * max(1.0, kappa2.max())
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
