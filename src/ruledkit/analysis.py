@@ -56,6 +56,7 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
     striction_sections = []
     csv_names = []
     solved: list[SegmentAnalysis] = []  # the segments with a sheet
+    sheet_texts = None  # the point texts of the last CSV of a sheet with no free coordinate
     for k, seg in enumerate(segments):
         d = seg.d
         if seg.narrow:
@@ -83,7 +84,7 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
             notes.append(f"striction unavailable on segment {k}: {exc}")
             continue
         name = "striction.csv" if len(segments) == 1 else f"striction_seg{k}.csv"
-        write_striction_csv(sheet, locus, os.path.join(out_dir, name))
+        sheet_texts = write_striction_csv(sheet, locus, os.path.join(out_dir, name))
         csv_names.append(name)
         striction_sections.append({
             "t_range": t_range,
@@ -125,8 +126,10 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
     mesh_name = None
     if fc.dim == 3 and fc.m == 2:
         mesh_name = "mesh.obj"
-        write_mesh_obj(os.path.join(out_dir, mesh_name), patch,
-                       solved[0].sheet if len(segments) == len(solved) == 1 else None)
+        if len(segments) == len(solved) == 1:
+            write_mesh_obj(os.path.join(out_dir, mesh_name), patch, solved[0].sheet, sheet_texts)
+        else:
+            write_mesh_obj(os.path.join(out_dir, mesh_name), patch)
 
     report = {
         "schema": "ruledkit.report/v1",

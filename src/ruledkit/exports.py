@@ -1,14 +1,17 @@
-"""File outputs: canonical JSON and OBJ meshes for 3-D surface patches."""
+"""File outputs: canonical JSON, OBJ meshes for 3-D surface patches, and
+the float texts of the grid writers (`float_texts`)."""
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ruledgeom import RuledPatch
-from .striction import StrictionSheet
+if TYPE_CHECKING:
+    from .ruledgeom import RuledPatch
+    from .striction import StrictionSheet
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -21,6 +24,28 @@ def _floats(items) -> list[str]:
     if "n" in "".join(out):  # only nan, inf and -inf spell a letter n
         out = [_NONFINITE.get(text, text) for text in out]
     return out
+
+
+def float_texts(values) -> list[str]:
+    """`_floats` of a float array's values in C order, formatting each
+    distinct bit pattern once.
+
+    The uint64 view is sorted (a stable argsort), the first of each run of
+    equal bits is formatted and its text scattered back over the run.
+    float.__repr__ depends only on the bits, so this is exact: -0.0 keeps
+    its sign and every NaN payload reads NaN.
+    """
+    flat = np.ravel(np.asarray(values, dtype=float))
+    bits = flat.view(np.uint64)
+    order = np.argsort(bits, kind="stable")
+    ordered = bits[order]
+    heads = np.empty(flat.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+    texts = np.array(_floats(flat[order[heads]].tolist()), dtype=object)
+    out = np.empty(flat.size, dtype=object)
+    out[order] = texts[np.cumsum(heads) - 1]
+    return out.tolist()
 
 
 def _float_rows(rows, indent: str) -> str | None:
@@ -92,9 +117,22 @@ def write_json(path, obj):
         fh.write(canonical_json_bytes(obj))
 
 
-def write_mesh_obj(path, patch: RuledPatch, sheet: StrictionSheet | None = None):
+def _vertex_lines(texts: list[str]) -> str:
+    """OBJ vertex lines of the C-order texts of (k, 3) points."""
+    return "\n".join(["v %s %s %s"] * (len(texts) // 3)) % tuple(texts)
+
+
+def write_mesh_obj(path, patch: RuledPatch, sheet: StrictionSheet | None = None,
+                   sheet_texts: list[str] | None = None):
     """Quad mesh of a surface patch in R^3, with the striction curve as a
-    polyline object when a sheet is supplied. Requires dim=3 and m=2."""
+    polyline object when a sheet is supplied. Requires dim=3 and m=2.
+
+    The vertex coordinates are formatted by one `float_texts` call, so
+    each distinct value once, and placed by one template. The polyline
+    reads `sheet_texts`, the C-order texts of `sheet.grid_points(())`
+    that `striction.write_striction_csv` returns, when given, and formats
+    those points itself otherwise.
+    """
     if patch.dim != 3 or patch.m != 2:
         raise ValueError("OBJ export is defined for ambient dimension 3 with m=2")
     ts = patch.grid.t_samples
@@ -102,9 +140,7 @@ def write_mesh_obj(path, patch: RuledPatch, sheet: StrictionSheet | None = None)
     # sigma(t, u) = directrix(t) + u X(t) at every grid point, t-major
     v = patch.values
     points = v.directrix(0)[:, None, :] + us[:, None] * v.frame(0)
-    lines = ["o patch"]
-    for x, y, z in points.reshape(-1, 3).tolist():
-        lines.append(f"v {x!r} {y!r} {z!r}")
+    lines = ["o patch", _vertex_lines(float_texts(points))]
     nu = us.size
     # quad (a, a + nu, a + nu + 1, a + 1) from each 1-based vertex a off the
     # last t and the last u
@@ -113,10 +149,11 @@ def write_mesh_obj(path, patch: RuledPatch, sheet: StrictionSheet | None = None)
         faces = np.stack([a, a + nu, a + nu + 1, a + 1], axis=1)
         lines.append("\n".join(["f %d %d %d %d"] * a.size) % tuple(faces.ravel().tolist()))
     if sheet is not None:
+        if sheet_texts is None:
+            sheet_texts = float_texts(sheet.grid_points(()))
         base = ts.size * nu
         lines.append("o striction")
-        for x, y, z in sheet.grid_points(()).tolist():
-            lines.append(f"v {x!r} {y!r} {z!r}")
+        lines.append(_vertex_lines(sheet_texts))
         idx = " ".join(str(base + i + 1) for i in range(ts.size))
         lines.append(f"l {idx}")
     with open(path, "w") as fh:

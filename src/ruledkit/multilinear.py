@@ -11,6 +11,7 @@ for two vectors the norm of their 2 x 2 minors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -171,10 +172,20 @@ def settled(value: np.ndarray, cutoff, delta: float, slack=0.0):
     return above, above | (value * (1.0 + delta) + slack < cutoff)
 
 
+@cache
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n, 1)`, the index pairs i < j, as read-only arrays
+    built once per n."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _pair_wedge_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a ^ b|^2 of broadcast (..., n) vectors: the sum of the squared
     2 x 2 minors a_i b_j - a_j b_i, i < j (Lagrange's identity)."""
-    i, j = np.triu_indices(a.shape[-1], 1)
+    i, j = _upper_pairs(a.shape[-1])
     minors = a[..., i] * b[..., j] - a[..., j] * b[..., i]
     return np.sum(minors * minors, axis=-1)
 
@@ -203,7 +214,7 @@ def rank2_singular_values(stack: np.ndarray):
     f2 = np.sum(stack * stack, axis=(-2, -1))
     if stack.shape[-2] == 1:
         return np.sqrt(f2), np.zeros_like(f2)
-    i, j = np.triu_indices(stack.shape[-2], 1)
+    i, j = _upper_pairs(stack.shape[-2])
     det = np.sqrt(np.sum(_pair_wedge_squares(stack[..., i, :], stack[..., j, :]), axis=-1))
     s1 = 0.5 * (np.sqrt(f2 + 2.0 * det) + np.sqrt(np.maximum(f2 - 2.0 * det, 0.0)))
     return s1, det / np.where(s1 > 0.0, s1, 1.0)

@@ -486,11 +486,13 @@ def _span_verdicts(jac: np.ndarray, c: np.ndarray, r_inv: np.ndarray, tol: Toler
     (the squared residuals of an orthonormal basis sum to sin^2 theta),
     and its subspaces are exact for Jacobians within a few eps |J| of the
     input, so they move by about eps kappa_2 <= eps kappa_F (Wedin).
-    A pair is the same when sin theta settles below zero_abs_tol and
-    differs when sin theta / sqrt(m) settles above it (`settled`), with
-    the absolute slack `SPAN_SLACK_PER_DIM` m eps kappa_F (the larger
-    kappa_F of the two points), generous against the few-eps factors of
-    LAPACK's and the minors' rounding, and the relative margin
+    Whether the two spaces are the same is a rank decision on numbers at
+    most 1, so the cutoff is the relative rank_rel_tol, not the absolute
+    zero_abs_tol: a pair is the same when sin theta settles below
+    rank_rel_tol and differs when sin theta / sqrt(m) settles above it
+    (`settled`), with the absolute slack `SPAN_SLACK_PER_DIM` m eps kappa_F
+    (the larger kappa_F of the two points), generous against the few-eps
+    factors of LAPACK's and the minors' rounding, and the relative margin
     `RANK_BOUND_MARGIN` for the rounding of sin theta itself, a few eps.
     The pairs in between are `undecided`.
     """
@@ -502,8 +504,8 @@ def _span_verdicts(jac: np.ndarray, c: np.ndarray, r_inv: np.ndarray, tol: Toler
     lengths = b[:, 0] * b[:, 1]
     sin = pair_wedge_norms(c[:, 0], c[:, 1]) / np.where(lengths > 0.0, lengths, 1.0)
     slack = SPAN_SLACK_PER_DIM * m * np.finfo(float).eps * kappa
-    moved, decided = settled(sin, tol.zero_abs_tol, RANK_BOUND_MARGIN, slack)
-    differ, _ = settled(sin / np.sqrt(m), tol.zero_abs_tol, RANK_BOUND_MARGIN, slack)
+    moved, decided = settled(sin, tol.rank_rel_tol, RANK_BOUND_MARGIN, slack)
+    differ, _ = settled(sin / np.sqrt(m), tol.rank_rel_tol, RANK_BOUND_MARGIN, slack)
     return regular, differ, regular.all(axis=1) & ~((decided & ~moved) | differ)
 
 
@@ -532,7 +534,9 @@ def tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
     its two normal directions in complement coordinates
     (`_span_verdicts`), with one frame factorization per distinct t; only
     pairs within a rounding margin of the cutoff go through the SVD
-    comparison of the ambient Jacobians (`_svd_span_residuals`).
+    comparison of the ambient Jacobians (`_svd_span_residuals`). Both
+    compare a number at most 1, sin theta or the SVD residual, with the
+    relative rank_rel_tol: the spaces are the same when it is below.
     """
     u = np.asarray(u_pairs, dtype=float)
     if u.size == 0:
@@ -547,7 +551,7 @@ def tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
     regular, differ, undecided = _span_verdicts(*_pair_jacobians(p, pair_t, u), p.tol)
     if undecided.any():
         differ[undecided] = ~(_svd_span_residuals(p, pair_t[undecided], u[undecided])
-                              < p.tol.zero_abs_tol)
+                              < p.tol.rank_rel_tol)
     stop = ~regular.all(axis=1) | differ
     if not stop.any():
         return True

@@ -45,6 +45,7 @@ import numpy as np
 
 from .distribution import profile_from_values, rho_at
 from .errors import DegeneracyError, NumericError, ValidationError
+from .exports import float_texts
 from .fields import CubicHermite, as_parameter_array
 from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
                           numerical_ranks, pair_wedge_norms, rank2_ranks, settled, wedge_norms)
@@ -652,13 +653,18 @@ def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets
                             max_deviation=worst)
 
 
-def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):
+def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path) -> list[str] | None:
     """Sheet export with the fixed header
     t, u1..u{m-d-1}, s{m-d}..s{m-1}, b1..b{m+n}, wedge_residual, singular,
     one row per locus sample (grid parameter and free grid position),
     t-major, with `\r\n` line endings. Each number is its float repr, so
-    no field needs the quoting of a CSV writer; each column is formatted
-    in one pass and each row joined once."""
+    no field needs the quoting of a CSV writer. The sheet points and the
+    other numbers are formatted by one `exports.float_texts` call each, so
+    each distinct value of a block once, and each row is joined once.
+
+    Returns the C-order texts of the sheet points, (N, dim), when the
+    sheet has no free coordinate (every m = 2 sheet), for the striction
+    polyline of `exports.write_mesh_obj`; None otherwise."""
     m, d, dim = sheet.fc.m, sheet.d, sheet.fc.dim
     header = (["t"]
               + [f"u{j}" for j in range(1, m - d)]
@@ -669,10 +675,12 @@ def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):
     n, n_pos = locus.residuals.shape
     # one column per free grid position: the t-major order of the locus
     solved = np.stack([sheet.grid_solved(u) for u in u_pts], axis=1).reshape(-1, d)
-    points = np.stack([sheet.grid_points(u) for u in u_pts], axis=1).reshape(-1, dim)
-    table = np.concatenate([np.repeat(ts, n_pos)[:, None], np.tile(u_pts, (n, 1)),
-                            solved, points, locus.residuals.reshape(-1, 1)], axis=1)
-    columns = [list(map(float.__repr__, column)) for column in table.T.tolist()]
-    columns.append(np.where(locus.singular.ravel(), "true", "false").tolist())
+    points = float_texts(np.stack([sheet.grid_points(u) for u in u_pts], axis=1))
+    # t, u, s and wedge_residual: m + 1 numbers per row
+    numbers = float_texts(np.concatenate([np.repeat(ts, n_pos)[:, None], np.tile(u_pts, (n, 1)),
+                                          solved, locus.residuals.reshape(-1, 1)], axis=1))
+    columns = ([numbers[j::m + 1] for j in range(m)] + [points[i::dim] for i in range(dim)]
+               + [numbers[m::m + 1], np.where(locus.singular.ravel(), "true", "false").tolist()])
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\r\n")
+    return points if n_pos == 1 else None

@@ -152,7 +152,7 @@ def svd_tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
     point_t = t if np.ndim(t) == 0 else np.repeat(pair_t, 2)
     jac = jacobians_at(p, point_t, u.reshape(-1, p.m - 1))
     regular, worst = svd_span_verdicts(jac.reshape((-1, 2) + jac.shape[1:]), p.tol)
-    stop = ~regular.all(axis=1) | ~(worst < p.tol.zero_abs_tol)
+    stop = ~regular.all(axis=1) | ~(worst < p.tol.rank_rel_tol)
     if not stop.any():
         return True
     i = int(np.argmax(stop))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from frame_oracles import gram_schmidt_r, project_off_spans
 from ruledkit import TolerancePolicy, ValidationError
-from ruledkit.multilinear import as_vector_list, numerical_rank, wedge_norm
+from ruledkit.multilinear import _upper_pairs, as_vector_list, numerical_rank, wedge_norm
 from ruledkit.striction import WEDGE_SLACK_PER_VECTOR
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -189,3 +189,15 @@ def test_gram_schmidt_r_factors_the_rows(k, dim):
     assert np.abs(q @ q.swapaxes(1, 2) - np.eye(k)).max() < 1e-12
     if k > 1:
         assert diag[0, -1] < 1e-12
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_upper_pairs_are_the_cached_triu_indices(n):
+    i, j = _upper_pairs(n)
+    expected = np.triu_indices(n, 1)
+    np.testing.assert_array_equal(i, expected[0])
+    np.testing.assert_array_equal(j, expected[1])
+    assert i.dtype == expected[0].dtype
+    assert _upper_pairs(n)[0] is i
+    with pytest.raises(ValueError):
+        i[...] = 0

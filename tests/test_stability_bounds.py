@@ -33,7 +33,7 @@ from test_evaluations import field_classes
 from test_rank_bounds import orthonormal_columns, reached, reduced_jacobians, svd_inputs
 
 TOL = TolerancePolicy()
-DELTA, LIMIT, ZERO = RANK_BOUND_MARGIN, PAIR_CONDITION_LIMIT, TOL.zero_abs_tol
+DELTA, LIMIT, SPAN = RANK_BOUND_MARGIN, PAIR_CONDITION_LIMIT, TOL.rank_rel_tol
 #: the sweep's candidate filter: the rank rule at rank_rel_tol = 1 / PAIR_CONDITION_LIMIT
 PAIR_TOL = replace(TOL, rank_rel_tol=1.0 / LIMIT)
 EPS = np.finfo(float).eps
@@ -109,8 +109,8 @@ def span_pairs(rng, m, width, size):
     # the bounds' edges, the SVD comparison's cutoffs, and (one in five)
     # anywhere from 1e-12 to 1e-6
     edges = np.stack(np.broadcast_arrays(
-        (ZERO - slack) / (1 + DELTA), ZERO / (1 + DELTA), ZERO,
-        np.sqrt(m) * (ZERO + slack) / (1 - DELTA), np.sqrt(m) * ZERO), axis=1)
+        (SPAN - slack) / (1 + DELTA), SPAN / (1 + DELTA), SPAN,
+        np.sqrt(m) * (SPAN + slack) / (1 - DELTA), np.sqrt(m) * SPAN), axis=1)
     pick = edges[np.arange(size), rng.integers(0, edges.shape[1], size)]
     spread = (pick <= 0.0) | (rng.uniform(size=size) < 0.2)
     sin = np.where(spread, 10.0 ** rng.uniform(-12.0, -6.0, size),
@@ -139,7 +139,7 @@ def test_span_verdicts_near_the_cutoff_equal_the_svd(m, width):
     np.testing.assert_array_equal(regular, svd_regular)
     assert regular.all()
     settled = ~undecided
-    np.testing.assert_array_equal(differ[settled], ~(worst < ZERO)[settled])
+    np.testing.assert_array_equal(differ[settled], ~(worst < SPAN)[settled])
     assert differ[settled].any() and not differ[settled].all()
 
     # the band in sin theta and kappa_F, measured independently; points
@@ -147,10 +147,10 @@ def test_span_verdicts_near_the_cutoff_equal_the_svd(m, width):
     # rounding of sin theta, a few eps, may fall either way
     slack = SPAN_SLACK_PER_DIM * m * EPS * frobenius_conditions(jac[:, 0])
     rounding = 16 * EPS
-    outside = ((sin * (1 + 2 * DELTA) + slack * (1 + DELTA) < ZERO - rounding)
-               | (sin * (1 - 2 * DELTA) / np.sqrt(m) - slack * (1 + DELTA) > ZERO + rounding))
-    inside = ((sin * (1 + DELTA / 2) + slack > ZERO + rounding)
-              & (sin * (1 - DELTA / 2) / np.sqrt(m) - slack < ZERO - rounding))
+    outside = ((sin * (1 + 2 * DELTA) + slack * (1 + DELTA) < SPAN - rounding)
+               | (sin * (1 - 2 * DELTA) / np.sqrt(m) - slack * (1 + DELTA) > SPAN + rounding))
+    inside = ((sin * (1 + DELTA / 2) + slack > SPAN + rounding)
+              & (sin * (1 - DELTA / 2) / np.sqrt(m) - slack < SPAN - rounding))
     assert not (undecided & outside).any()
     assert undecided[inside].all() and inside.any()
 
@@ -203,6 +203,38 @@ def test_sweep_keeps_no_pair_the_stability_check_calls_singular(name, tol):
     p = selftest.build_corpus(tol, 40)[name]
     assert selftest._stability_sweep(p, 10, 0) in (True, False)
 
+
+
+def test_span_cutoff_is_relative():
+    # sin theta and the SVD residual are at most 1, so the stability check
+    # compares them with rank_rel_tol; with the absolute zero_abs_tol at 1
+    # or more every pair once read the same, and criterion 5 printed
+    # stable=True beside wedge=False flat=False
+    results = selftest.run_selftest(TolerancePolicy(zero_abs_tol=2.0), t_samples=40)
+    details = {r.name.split(": ")[-1]: r for r in results
+               if r.criterion == 5 and r.name.startswith("characterizations agree")}
+    for name in ("helicoid_frame", "two_rotation_r5"):
+        assert details[name].passed
+        assert details[name].detail == "wedge=False flat=False stable=False"
+    assert sum(r.passed for r in results) == 23
+
+
+@pytest.mark.parametrize("name", ["helicoid_frame", "two_rotation_r5"])
+def test_span_verdicts_read_rank_rel_tol_only(name):
+    # the same pairs get the same verdicts at zero_abs_tol 1e-8 and 2;
+    # a rank_rel_tol near 1 is above every sin theta / sqrt(m): no pair differs
+    p = small_patch(name, 9)
+    rng = np.random.default_rng(3)
+    pair_t = np.repeat(p.grid.t_samples, 6)
+    pairs = rng.uniform(-2.0, 2.0, (pair_t.size, 2, p.m - 1))
+    jacobians = _pair_jacobians(p, pair_t, pairs)
+    _, differ, undecided = _span_verdicts(*jacobians, TOL)
+    _, coarse_differ, coarse_undecided = _span_verdicts(*jacobians, replace(TOL, zero_abs_tol=2.0))
+    np.testing.assert_array_equal(differ, coarse_differ)
+    np.testing.assert_array_equal(undecided, coarse_undecided)
+    assert differ.any() and not undecided.any()
+    _, coarse_differ, _ = _span_verdicts(*jacobians, replace(TOL, rank_rel_tol=0.999))
+    assert not coarse_differ.any()
 
 def _counting_svd(monkeypatch):
     """Make `np.linalg.svd` record the number of matrices of each call."""
@@ -320,7 +352,7 @@ def test_sweep_sends_only_band_points_to_the_svd(monkeypatch, t_samples):
 
 def test_band_pairs_go_through_the_svd_comparison(monkeypatch):
     # the helicoid's normal turns along each ruling, so ruling pairs a
-    # short distance apart have sin theta near zero_abs_tol
+    # short distance apart have sin theta near rank_rel_tol
     p = small_patch("helicoid_frame", 9)
     cases = [(t, np.array([[[ua], [ua + gap]]])) for t in p.grid.t_samples[::3]
              for ua in (-1.0, 0.0, 0.7) for gap in np.geomspace(1e-9, 1e-6, 60)]

@@ -152,7 +152,7 @@ def test_stacked_stability_equals_pair_by_pair(name):
             ja, jb = jacobian_sigma(p, t, ua), jacobian_sigma(p, t, ub)
             assert numerical_rank(ja, p.tol) == numerical_rank(jb, p.tol) == p.m
             _, worst = svd_span_verdicts(np.stack([ja, jb])[None], p.tol)
-            if not worst[0] < p.tol.zero_abs_tol:
+            if not worst[0] < p.tol.rank_rel_tol:
                 expected = False
                 break
         assert tangent_space_stability(p, t, pairs) == expected

@@ -1,0 +1,208 @@
+"""The grid writers against their per-value oracles.
+
+`exports.float_texts` formats each distinct bit pattern of an array once
+and must give exactly `exports._floats` of its values in C order. The
+OBJ and CSV writers route their floats through it, and the striction
+polyline of the OBJ reuses the texts of the CSV's sheet points. Their
+files must equal, byte for byte, those of the per-vertex f-string mesh
+writer and the per-value `float.__repr__` CSV writer kept here as oracles.
+"""
+
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from perfbench.scenegen import explicit_scene
+from ruledkit import analysis, exports, ingest
+from ruledkit.classify import segment_analyses
+from ruledkit.exports import _floats, float_texts
+from scene_families import FAMILIES
+
+SCENE_DIR = pathlib.Path(__file__).parent.parent / "scenes"
+SCENES = sorted(p.stem for p in SCENE_DIR.glob("*.json"))
+
+
+def oracle_mesh_obj(path, patch, sheet=None):
+    """The OBJ mesh formatted one vertex at a time by an f-string."""
+    ts = patch.grid.t_samples
+    us = patch.grid.u_axis
+    v = patch.values
+    points = v.directrix(0)[:, None, :] + us[:, None] * v.frame(0)
+    lines = ["o patch"]
+    for x, y, z in points.reshape(-1, 3).tolist():
+        lines.append(f"v {x!r} {y!r} {z!r}")
+    nu = us.size
+    a = (np.arange(ts.size - 1)[:, None] * nu + np.arange(1, nu)).ravel()
+    if a.size:
+        faces = np.stack([a, a + nu, a + nu + 1, a + 1], axis=1)
+        lines.append("\n".join(["f %d %d %d %d"] * a.size) % tuple(faces.ravel().tolist()))
+    if sheet is not None:
+        base = ts.size * nu
+        lines.append("o striction")
+        for x, y, z in sheet.grid_points(()).tolist():
+            lines.append(f"v {x!r} {y!r} {z!r}")
+        idx = " ".join(str(base + i + 1) for i in range(ts.size))
+        lines.append(f"l {idx}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def oracle_striction_csv(sheet, locus, path):
+    """The striction CSV with every number of every column formatted."""
+    m, d, dim = sheet.fc.m, sheet.d, sheet.fc.dim
+    header = (["t"]
+              + [f"u{j}" for j in range(1, m - d)]
+              + [f"s{j}" for j in range(m - d, m)]
+              + [f"b{i}" for i in range(1, dim + 1)]
+              + ["wedge_residual", "singular"])
+    ts, u_pts = locus.t, locus.u_free
+    n, n_pos = locus.residuals.shape
+    solved = np.stack([sheet.grid_solved(u) for u in u_pts], axis=1).reshape(-1, d)
+    points = np.stack([sheet.grid_points(u) for u in u_pts], axis=1).reshape(-1, dim)
+    table = np.concatenate([np.repeat(ts, n_pos)[:, None], np.tile(u_pts, (n, 1)),
+                            solved, points, locus.residuals.reshape(-1, 1)], axis=1)
+    columns = [list(map(float.__repr__, column)) for column in table.T.tolist()]
+    columns.append(np.where(locus.singular.ravel(), "true", "false").tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\r\n")
+
+
+# --- the kernel ---------------------------------------------------------------
+
+def _bits(x: float) -> int:
+    return int(np.array(x).view(np.uint64))
+
+
+SPECIAL_BITS = [_bits(x) for x in (0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                                   2.2250738585072009e-308, 1.0, 0.1, 1e300)]
+#: NaNs of either sign and any nonzero payload
+nan_bits = st.tuples(st.sampled_from([0x7FF0000000000000, 0xFFF0000000000000]),
+                     st.integers(1, 2 ** 52 - 1)).map(lambda pair: pair[0] | pair[1])
+bit_patterns = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS), nan_bits)
+#: arrays drawn from a small pool of bit patterns, so that values repeat
+pooled = st.lists(bit_patterns, min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=60))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pooled, st.booleans())
+@example([0, 1 << 63, 0, 1 << 63], True)  # 0.0 and -0.0 compare equal as floats
+@example([0x7FF8000000000000, 0xFFF8000000000001, 0x7FF8000000000000], False)
+def test_float_texts_equal_floats_of_the_values(bits, transposed):
+    a = np.array(bits, dtype=np.uint64).view(np.float64)
+    if transposed and a.size % 2 == 0:
+        a = a.reshape(2, -1).T  # not C-contiguous
+    assert float_texts(a) == _floats(a.ravel().tolist())
+
+
+@pytest.mark.parametrize("a", [
+    np.empty(0), np.empty((0, 3)), np.array([-0.0, 0.0, -0.0, 0.0]),
+    np.array([np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]),
+    np.arange(12.0).reshape(3, 4).T, np.arange(24.0).reshape(2, 3, 4)[:, ::2, 1:],
+    np.full((4, 3), 0.1),
+], ids=lambda a: f"{a.shape}")
+def test_float_texts_edge_cases(a):
+    assert float_texts(a) == _floats(a.ravel().tolist())
+
+
+# --- the writers --------------------------------------------------------------
+
+def _analyze_against_oracles(monkeypatch, tmp_path, result, invariance=False):
+    """Run `analyze` with each grid writer checked, call by call, against
+    its oracle on the same inputs; returns the names of the files checked,
+    which must be every grid file the report lists."""
+    checked = []
+    write_csv, write_mesh = analysis.write_striction_csv, analysis.write_mesh_obj
+    oracle_path = tmp_path / "oracle"
+
+    def csv(sheet, locus, path):
+        texts = write_csv(sheet, locus, path)
+        oracle_striction_csv(sheet, locus, oracle_path)
+        assert pathlib.Path(path).read_bytes() == oracle_path.read_bytes()
+        checked.append(pathlib.Path(path).name)
+        return texts
+
+    def mesh(path, patch, sheet=None, sheet_texts=None):
+        write_mesh(path, patch, sheet, sheet_texts)
+        oracle_mesh_obj(oracle_path, patch, sheet)
+        assert pathlib.Path(path).read_bytes() == oracle_path.read_bytes()
+        checked.append(pathlib.Path(path).name)
+        # the polyline reuses the CSV's texts whenever it has a sheet
+        assert (sheet is None) == (sheet_texts is None)
+
+    monkeypatch.setattr(analysis, "write_striction_csv", csv)
+    monkeypatch.setattr(analysis, "write_mesh_obj", mesh)
+    outputs = analysis.analyze(result, tmp_path / "out", invariance=invariance)["outputs"]
+    assert checked == outputs["striction_csv"] + [outputs["mesh"]] * (outputs["mesh"] is not None)
+    return checked
+
+
+@pytest.mark.parametrize("t_samples", [40, 200, 800])
+@pytest.mark.parametrize("scene", SCENES)
+def test_shipped_scene_writers_equal_the_oracles(monkeypatch, tmp_path, scene, t_samples):
+    result = ingest(str(SCENE_DIR / f"{scene}.json"), {"t_samples": t_samples})
+    checked = _analyze_against_oracles(monkeypatch, tmp_path, result)
+    assert ("mesh.obj" in checked) == (result.patch.dim == 3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_explicit_scene_writers_equal_the_oracles(monkeypatch, tmp_path, seed):
+    checked = _analyze_against_oracles(monkeypatch, tmp_path, ingest(explicit_scene(seed)))
+    assert checked == ["striction.csv", "mesh.obj"]
+
+
+@pytest.mark.parametrize("family", ["cone_r3", "cylinder_r3", "tangent_cubic_r3",
+                                    "osculating_m3_r4"])
+def test_family_scene_writers_equal_the_oracles(monkeypatch, tmp_path, family):
+    make, _ = FAMILIES[family]
+    assert _analyze_against_oracles(monkeypatch, tmp_path, ingest(make(0)))
+
+
+def test_writers_format_each_distinct_value_once(monkeypatch, tmp_path):
+    # the cone's sheet is its apex and its mesh repeats a coordinate along
+    # each ruling: of the mesh's 12000 and the CSV's 4800 floats, 7448 and
+    # 1436 are distinct, and the polyline formats none of its own
+    calls = []
+    floats = exports._floats
+
+    def counting(items):
+        items = list(items)
+        calls.append(items)
+        return floats(items)
+
+    monkeypatch.setattr(exports, "_floats", counting)
+    sizes, kernel_calls = {}, []
+    write_csv, write_mesh = analysis.write_striction_csv, analysis.write_mesh_obj
+
+    def measured(name, writer):
+        def run(*args):
+            start = len(calls)
+            out = writer(*args)
+            kernel_calls.extend(calls[start:])
+            sizes[name] = sum(map(len, calls[start:]))
+            return out
+        return run
+
+    monkeypatch.setattr(analysis, "write_striction_csv", measured("csv", write_csv))
+    monkeypatch.setattr(analysis, "write_mesh_obj", measured("mesh", write_mesh))
+    result = ingest(str(SCENE_DIR / "circular_cone.json"), {"t_samples": 800})
+    analysis.analyze(result, tmp_path, invariance=False)
+    assert sizes == {"mesh": 7448, "csv": 1436}
+    # no bit pattern reaches `_floats` twice within one call
+    assert len(kernel_calls) == 3
+    for items in kernel_calls:
+        bits = np.array(items, dtype=float).view(np.uint64)
+        assert np.unique(bits).size == bits.size
+
+
+@pytest.mark.parametrize("name", ["circular_cone", "tangent_developable_helix"])
+def test_mesh_writer_formats_the_polyline_without_the_csv_texts(tmp_path, name):
+    # a library caller that passes only the sheet gets the same file
+    result = ingest(str(SCENE_DIR / f"{name}.json"), {"t_samples": 40})
+    sheet = segment_analyses(result.patch)[0].sheet
+    exports.write_mesh_obj(tmp_path / "mesh.obj", result.patch, sheet)
+    oracle_mesh_obj(tmp_path / "oracle.obj", result.patch, sheet)
+    assert (tmp_path / "mesh.obj").read_bytes() == (tmp_path / "oracle.obj").read_bytes()
