@@ -3,10 +3,12 @@
 Runs the degree profile, classification, developability residuals,
 first-normal-space bounds, per-segment striction solves with the
 singularity scan, and the shifted-directrix invariance check, then
-writes report.json, striction CSVs, an OBJ mesh for 3-D surfaces, and
-the normalized scene. A constant-degree segment split into pivot runs
-(`classify.segment_analyses`) is reported run by run, and its invariance
-deviation per offset is the worst over its runs.
+writes report.json, striction CSVs and the normalized scene. The OBJ
+mesh, a view for 3-D viewers that no verdict reads, is written only on
+request (`mesh=True`) and only for surfaces in R^3. A constant-degree
+segment split into pivot runs (`classify.segment_analyses`) is reported
+run by run, and its invariance deviation per offset is the worst over
+its runs.
 """
 
 from __future__ import annotations
@@ -34,12 +36,17 @@ def _tol_dict(tol: TolerancePolicy) -> dict:
 
 
 def analyze(result: IngestResult, out_dir, seed: int = 0,
-            invariance: bool = True) -> dict:
-    """Run the full pipeline and write all outputs into `out_dir`.
+            invariance: bool = True, mesh: bool = False) -> dict:
+    """Run the full pipeline and write its outputs into `out_dir`.
 
-    Returns the report dictionary (the same content as report.json). The
-    seed drives only the off-sheet spot check of each striction sheet
-    (`striction.offsheet_check`); every verdict is independent of it.
+    Writes report.json, the striction CSVs and normalized_scene.json, and
+    with `mesh=True` also mesh.obj; on a scene that is not a surface in
+    R^3 a requested mesh is skipped with a note. `outputs` in the report
+    lists the files this run wrote; nothing already in `out_dir` is
+    deleted. Returns the report dictionary (the same content as
+    report.json). The seed drives only the off-sheet spot check of each
+    striction sheet (`striction.offsheet_check`); every verdict is
+    independent of it.
     """
     seed = check_seed(seed)
     patch = result.patch
@@ -124,7 +131,10 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
         }
 
     mesh_name = None
-    if fc.dim == 3 and fc.m == 2:
+    if mesh and (fc.dim, fc.m) != (3, 2):
+        notes.append("mesh.obj not written: the OBJ mesh is defined for surfaces "
+                     "in R^3 (ambient_dim 3, m 2)")
+    elif mesh:
         mesh_name = "mesh.obj"
         if len(segments) == len(solved) == 1:
             write_mesh_obj(os.path.join(out_dir, mesh_name), patch, solved[0].sheet, sheet_texts)

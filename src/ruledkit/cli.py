@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: `analyze <scene> -o <dir>` runs the full pipeline on a scene
-file, `selftest` runs the builtin verification corpus, `list-builtins`
-prints the available curve and patch families.
+Subcommands: `analyze <scene> -o <dir> [--mesh]` runs the full pipeline
+on a scene file, `selftest` runs the builtin verification corpus,
+`list-builtins` prints the available curve and patch families.
 
 Exit codes: 0 success, 2 validation error, 3 numeric/degeneracy error
 (and, for `analyze`, any failure the pipeline did not anticipate), 4
@@ -36,7 +36,7 @@ def _fail(exc: RuledKitError):
 @main.command()
 @click.argument("scene", type=click.Path())
 @click.option("-o", "--out-dir", required=True, type=click.Path(),
-              help="Directory for report.json, CSV/OBJ exports, normalized scene.")
+              help="Directory for report.json, striction CSVs, normalized scene.")
 @click.option("--t-samples", type=int, default=None, help="Override grid t sample count.")
 @click.option("--u-extent", type=float, default=None, help="Override ruling truncation radius.")
 @click.option("--rank-tol", type=float, default=None, help="Override rank_rel_tol.")
@@ -46,7 +46,9 @@ def _fail(exc: RuledKitError):
                    "checks per striction sheet; every verdict is independent of it.")
 @click.option("--no-invariance", is_flag=True, default=False,
               help="Skip the shifted-directrix invariance check.")
-def analyze(scene, out_dir, t_samples, u_extent, rank_tol, zero_tol, seed, no_invariance):
+@click.option("--mesh", is_flag=True, default=False,
+              help="Also write mesh.obj, the OBJ mesh of a surface in R^3 for 3-D viewers.")
+def analyze(scene, out_dir, t_samples, u_extent, rank_tol, zero_tol, seed, no_invariance, mesh):
     """Ingest SCENE, run the analysis pipeline, write outputs to OUT-DIR."""
     overrides = {"t_samples": t_samples, "u_extent": u_extent,
                  "rank_rel_tol": rank_tol, "zero_abs_tol": zero_tol}
@@ -54,7 +56,8 @@ def analyze(scene, out_dir, t_samples, u_extent, rank_tol, zero_tol, seed, no_in
     try:
         result = ingest(scene, overrides)
         stage = "analyze"
-        report = run_analysis(result, out_dir, seed=seed, invariance=not no_invariance)
+        report = run_analysis(result, out_dir, seed=seed, invariance=not no_invariance,
+                              mesh=mesh)
     except RuledKitError as exc:
         _fail(exc)
     except Exception as exc:  # e.g. a LinAlgError: one line and exit 3, no traceback

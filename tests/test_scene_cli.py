@@ -20,6 +20,7 @@ from ruledkit.selftest import run_selftest, all_passed
 from ruledkit.multilinear import TolerancePolicy
 from conftest import fail_invariance_resolve
 from scene_families import osculating_scene
+from test_writers import NO_OBJ_FORM_NOTE
 
 REPORT_SCHEMA = _load_schema("report.schema.json")
 
@@ -402,7 +403,7 @@ def test_scene_interval_override_for_builtin(tmp_path):
 def test_analyze_cone_outputs(tmp_path):
     out = tmp_path / "out"
     result = ingest(CONE_SCENE)
-    report = analyze(result, out, seed=0)
+    report = analyze(result, out, seed=0, mesh=True)
     assert (out / "report.json").exists()
     assert (out / "striction.csv").exists()
     assert (out / "mesh.obj").exists()
@@ -475,7 +476,7 @@ def test_analyze_helicoid_striction_line(tmp_path):
 
 def test_analyze_cylinder_no_striction(tmp_path):
     out = tmp_path / "out"
-    report = analyze(ingest(CYLINDER_SCENE), out, seed=0, invariance=False)
+    report = analyze(ingest(CYLINDER_SCENE), out, seed=0, invariance=False, mesh=True)
     assert report["classification"]["regions"][0]["kind"] == "cylindrical"
     assert not (out / "striction.csv").exists()
     assert not (out / "mesh.obj").exists()  # ambient dimension 4
@@ -536,6 +537,47 @@ def test_cli_analyze_end_to_end(tmp_path):
     assert result.exit_code == 0, result.output
     assert "conical" in result.output
     assert (out / "report.json").exists()
+
+
+def test_cli_analyze_writes_the_mesh_on_request_only(tmp_path):
+    scene = write_scene(tmp_path, CONE_SCENE)
+    out = tmp_path / "out"
+    runner = CliRunner()
+    result = runner.invoke(main, ["analyze", scene, "-o", str(out), "--mesh"])
+    assert result.exit_code == 0, result.output
+    requested = (out / "report.json").read_bytes()
+    assert json.loads(requested)["outputs"] == {"mesh": "mesh.obj",
+                                                "striction_csv": ["striction.csv"]}
+    obj = (out / "mesh.obj").read_bytes()
+    assert obj.startswith(b"o patch\n") and b"\no striction\n" in obj
+    # a default run writes no mesh and lists none; it deletes nothing, so
+    # the mesh of the earlier run stays
+    result = runner.invoke(main, ["analyze", scene, "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads((out / "report.json").read_text())
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["outputs"] == {"mesh": None, "striction_csv": ["striction.csv"]}
+    assert (out / "mesh.obj").read_bytes() == obj
+    assert json.loads(requested) == dict(report, outputs=dict(report["outputs"],
+                                                              mesh="mesh.obj"))
+    default = tmp_path / "default"
+    assert runner.invoke(main, ["analyze", scene, "-o", str(default)]).exit_code == 0
+    assert not (default / "mesh.obj").exists()
+
+
+@pytest.mark.parametrize("name", ["cylinder_helix_r4", "two_rotation_r5"])
+def test_cli_mesh_on_a_scene_with_no_obj_form_is_a_note(pytestconfig, tmp_path, name):
+    scene = str(pytestconfig.rootpath / "scenes" / f"{name}.json")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["analyze", scene, "-o", str(out), "--mesh"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines().count(f"note: {NO_OBJ_FORM_NOTE}") == 1
+    report = json.loads((out / "report.json").read_text())
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["notes"].count(NO_OBJ_FORM_NOTE) == 1
+    assert report["outputs"]["mesh"] is None
+    assert sorted(f.name for f in out.iterdir()) == sorted(
+        ["report.json", "normalized_scene.json", *report["outputs"]["striction_csv"]])
 
 
 def test_cli_analyze_missing_scene_exits_2(tmp_path):

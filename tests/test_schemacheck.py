@@ -2,7 +2,8 @@
 its oracle: the same verdict on every document, and on an invalid one the
 same violations in the same order and the same best match (path,
 keyword and message), on the shipped scenes, the hypothesis scenes of
-`test_scene_cli` and seeded mutations of each."""
+`test_scene_cli` and seeded mutations of each, and on a report's
+`outputs` under the report schema."""
 
 import copy
 import glob
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfbench.scenegen import explicit_scene
+from ruledkit import analyze, ingest
 from ruledkit.errors import ConfigError
 from ruledkit.scene import _load_schema
 from ruledkit.schemacheck import SchemaChecker
@@ -33,11 +35,11 @@ for _path in sorted(glob.glob(os.path.join(SCENE_DIR, "*.json"))):
 SCENES = SHIPPED + [explicit_scene(i) for i in range(4)]
 
 
-def assert_agrees(doc):
-    want = [(list(e.absolute_path), e.validator, e.message) for e in ORACLE.iter_errors(doc)]
-    got = [(list(v.path), v.keyword, v.message) for v in CHECKER.violations(doc)]
+def assert_agrees(doc, checker=CHECKER, oracle=ORACLE):
+    want = [(list(e.absolute_path), e.validator, e.message) for e in oracle.iter_errors(doc)]
+    got = [(list(v.path), v.keyword, v.message) for v in checker.violations(doc)]
     assert got == want
-    best, mine = jsonschema.exceptions.best_match(ORACLE.iter_errors(doc)), CHECKER.best_error(doc)
+    best, mine = jsonschema.exceptions.best_match(oracle.iter_errors(doc)), checker.best_error(doc)
     assert (best is None) == (mine is None)
     if best is not None:
         assert (list(mine.path), mine.keyword, mine.message) == \
@@ -181,6 +183,34 @@ def test_checker_agrees_on_the_branch_rules_the_scene_schema_leaves_unused(doc):
     if want is not None:
         assert (list(got.path), got.keyword, got.message) == \
             (list(want.absolute_path), want.validator, want.message)
+
+
+REPORT_SCHEMA = _load_schema("report.schema.json")
+
+
+@pytest.fixture(scope="module")
+def cone_report(tmp_path_factory):
+    scene = {"builtin_patch": "circular_cone", "grid": {"t_samples": 24}}
+    return json.loads(json.dumps(analyze(ingest(scene), tmp_path_factory.mktemp("cone"),
+                                         invariance=False)))
+
+
+@pytest.mark.parametrize("outputs, message", [
+    ({"mesh": None, "striction_csv": ["striction.csv"]}, None),
+    ({"mesh": "mesh.obj", "striction_csv": []}, None),
+    ({"striction_csv": ["striction.csv"]}, "'mesh' is a required property"),
+    ({"mesh": 3, "striction_csv": []}, "3 is not of type 'string', 'null'"),
+    ({"mesh": None}, "'striction_csv' is a required property"),
+    ({"mesh": None, "striction_csv": [1]}, "1 is not of type 'string'"),
+    ({"mesh": None, "striction_csv": [], "obj": "mesh.obj"},
+     "Additional properties are not allowed ('obj' was unexpected)"),
+])
+def test_checker_agrees_on_report_outputs(cone_report, outputs, message):
+    doc = dict(cone_report, outputs=outputs)
+    checker = SchemaChecker(REPORT_SCHEMA)
+    assert_agrees(doc, checker, jsonschema.Draft202012Validator(REPORT_SCHEMA))
+    best = checker.best_error(doc)
+    assert (best.message if best else None) == message
 
 
 @pytest.mark.parametrize("schema", [

@@ -6,8 +6,11 @@ OBJ and CSV writers route their floats through it, and the striction
 polyline of the OBJ reuses the texts of the CSV's sheet points. Their
 files must equal, byte for byte, those of the per-vertex f-string mesh
 writer and the per-value `float.__repr__` CSV writer kept here as oracles.
+The mesh is written on request only (`analyze(..., mesh=True)`), so the
+writer checks ask for it; a default run differs only by its absence.
 """
 
+import json
 import pathlib
 
 import numpy as np
@@ -16,10 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfbench.scenegen import explicit_scene
-from ruledkit import analysis, exports, ingest
+from ruledkit import RuledPatch, SampleGrid, analysis, exports, ingest
 from ruledkit.classify import segment_analyses
 from ruledkit.exports import _floats, float_texts
+from ruledkit.fields import PolynomialField
+from ruledkit.parametric import FramedCurve
+from ruledkit.scene import IngestResult
 from scene_families import FAMILIES
+from test_distribution import _BumpFrame
 
 SCENE_DIR = pathlib.Path(__file__).parent.parent / "scenes"
 SCENES = sorted(p.stem for p in SCENE_DIR.glob("*.json"))
@@ -111,9 +118,9 @@ def test_float_texts_edge_cases(a):
 # --- the writers --------------------------------------------------------------
 
 def _analyze_against_oracles(monkeypatch, tmp_path, result, invariance=False):
-    """Run `analyze` with each grid writer checked, call by call, against
-    its oracle on the same inputs; returns the names of the files checked,
-    which must be every grid file the report lists."""
+    """Run `analyze` with the mesh requested and each grid writer checked,
+    call by call, against its oracle on the same inputs; returns the names
+    of the files checked, which must be every grid file the report lists."""
     checked = []
     write_csv, write_mesh = analysis.write_striction_csv, analysis.write_mesh_obj
     oracle_path = tmp_path / "oracle"
@@ -135,7 +142,8 @@ def _analyze_against_oracles(monkeypatch, tmp_path, result, invariance=False):
 
     monkeypatch.setattr(analysis, "write_striction_csv", csv)
     monkeypatch.setattr(analysis, "write_mesh_obj", mesh)
-    outputs = analysis.analyze(result, tmp_path / "out", invariance=invariance)["outputs"]
+    outputs = analysis.analyze(result, tmp_path / "out", invariance=invariance,
+                               mesh=True)["outputs"]
     assert checked == outputs["striction_csv"] + [outputs["mesh"]] * (outputs["mesh"] is not None)
     return checked
 
@@ -189,7 +197,7 @@ def test_writers_format_each_distinct_value_once(monkeypatch, tmp_path):
     monkeypatch.setattr(analysis, "write_striction_csv", measured("csv", write_csv))
     monkeypatch.setattr(analysis, "write_mesh_obj", measured("mesh", write_mesh))
     result = ingest(str(SCENE_DIR / "circular_cone.json"), {"t_samples": 800})
-    analysis.analyze(result, tmp_path, invariance=False)
+    analysis.analyze(result, tmp_path, invariance=False, mesh=True)
     assert sizes == {"mesh": 7448, "csv": 1436}
     # no bit pattern reaches `_floats` twice within one call
     assert len(kernel_calls) == 3
@@ -206,3 +214,48 @@ def test_mesh_writer_formats_the_polyline_without_the_csv_texts(tmp_path, name):
     exports.write_mesh_obj(tmp_path / "mesh.obj", result.patch, sheet)
     oracle_mesh_obj(tmp_path / "oracle.obj", result.patch, sheet)
     assert (tmp_path / "mesh.obj").read_bytes() == (tmp_path / "oracle.obj").read_bytes()
+
+
+def test_multi_segment_surface_mesh_has_no_polyline(monkeypatch, tmp_path):
+    # a frame that rotates only for t > 0: a cylindrical and a degree-1
+    # segment, so the mesh is the patch alone
+    fc = FramedCurve(3, 2, PolynomialField([[0.0], [0.0], [0.0, 1.0]]), (_BumpFrame(),),
+                     (-1.0, 1.0))
+    result = IngestResult(RuledPatch(fc, SampleGrid.uniform(fc.interval, 81)), {}, [])
+    checked = _analyze_against_oracles(monkeypatch, tmp_path, result)
+    assert len(segment_analyses(result.patch)) == 2
+    assert "mesh.obj" in checked
+    lines = (tmp_path / "out" / "mesh.obj").read_text().splitlines()
+    assert "o striction" not in lines
+    assert not any(line.startswith("l ") for line in lines)
+
+
+# --- the default output set ---------------------------------------------------
+
+NO_OBJ_FORM_NOTE = ("mesh.obj not written: the OBJ mesh is defined for surfaces in R^3 "
+                    "(ambient_dim 3, m 2)")
+
+
+@pytest.mark.parametrize("scene", SCENES)
+def test_default_run_differs_from_the_mesh_run_only_by_the_mesh(tmp_path, scene):
+    # on a scene that is not a surface in R^3 the requested mesh is one note
+    path = str(SCENE_DIR / f"{scene}.json")
+    default = analysis.analyze(ingest(path), tmp_path / "default")
+    requested = analysis.analyze(ingest(path), tmp_path / "mesh", mesh=True)
+    surface = scene not in ("cylinder_helix_r4", "two_rotation_r5")
+    assert requested["outputs"]["mesh"] == ("mesh.obj" if surface else None)
+    assert requested["notes"].count(NO_OBJ_FORM_NOTE) == (not surface)
+    assert default["outputs"]["mesh"] is None
+    names = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert names == sorted(["report.json", "normalized_scene.json",
+                            *default["outputs"]["striction_csv"]])
+    assert sorted(p.name for p in (tmp_path / "mesh").iterdir()) == \
+        sorted(names + ["mesh.obj"] * surface)
+    expected = dict(requested, outputs=dict(requested["outputs"], mesh=None),
+                    notes=[n for n in requested["notes"] if n != NO_OBJ_FORM_NOTE])
+    assert json.loads((tmp_path / "default" / "report.json").read_text()) == \
+        json.loads(json.dumps(expected))
+    for name in names:
+        if name != "report.json":
+            assert (tmp_path / "default" / name).read_bytes() == \
+                (tmp_path / "mesh" / name).read_bytes()
