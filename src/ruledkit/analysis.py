@@ -14,6 +14,7 @@ its runs.
 from __future__ import annotations
 
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,18 +22,12 @@ from . import __version__
 from .classify import SegmentAnalysis, classify_patch, segment_analyses
 from .errors import NumericError
 from .exports import write_json, write_mesh_obj
-from .multilinear import TolerancePolicy
 from .ruledgeom import first_normal_bounds_check
 from .scene import IngestResult
 from .splitmix import check_seed
 from .striction import directrix_invariance, offsheet_check, write_striction_csv
 
 DEFAULT_INVARIANCE_SCALES = (0.5, 1.0, -0.7)
-
-
-def _tol_dict(tol: TolerancePolicy) -> dict:
-    return {"rank_rel_tol": tol.rank_rel_tol, "zero_abs_tol": tol.zero_abs_tol,
-            "derivative_check_tol": tol.derivative_check_tol}
 
 
 def analyze(result: IngestResult, out_dir, seed: int = 0,
@@ -63,7 +58,6 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
     striction_sections = []
     csv_names = []
     solved: list[SegmentAnalysis] = []  # the segments with a sheet
-    sheet_texts = None  # the point texts of the last CSV of a sheet with no free coordinate
     for k, seg in enumerate(segments):
         d = seg.d
         if seg.narrow:
@@ -91,7 +85,7 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
             notes.append(f"striction unavailable on segment {k}: {exc}")
             continue
         name = "striction.csv" if len(segments) == 1 else f"striction_seg{k}.csv"
-        sheet_texts = write_striction_csv(sheet, locus, os.path.join(out_dir, name))
+        write_striction_csv(sheet, locus, os.path.join(out_dir, name))
         csv_names.append(name)
         striction_sections.append({
             "t_range": t_range,
@@ -137,7 +131,7 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
     elif mesh:
         mesh_name = "mesh.obj"
         if len(segments) == len(solved) == 1:
-            write_mesh_obj(os.path.join(out_dir, mesh_name), patch, solved[0].sheet, sheet_texts)
+            write_mesh_obj(os.path.join(out_dir, mesh_name), patch, solved[0].sheet)
         else:
             write_mesh_obj(os.path.join(out_dir, mesh_name), patch)
 
@@ -152,7 +146,7 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
         "grid": {"t_samples": int(grid.t_samples.size), "u_extent": grid.u_extent,
                  "u_samples_per_axis": grid.u_samples_per_axis,
                  "interval": [float(fc.interval[0]), float(fc.interval[1])]},
-        "tolerances": _tol_dict(tol),
+        "tolerances": asdict(tol),
         "seed": seed,
         "degree_profile": {
             "t": grid.t_samples.tolist(),

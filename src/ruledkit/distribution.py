@@ -147,8 +147,9 @@ def _degrees(rho: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndar
 def profile_from_values(values: GridValues,
                         tol: TolerancePolicy = DEFAULT_TOLERANCES) -> DegreeProfile:
     """Degree profile from stacked frame values: the frame derivatives off
-    the ruling span, rho = (Xdot comp) comp^T on the grid's frame QR
-    (`GridValues.frame_basis`), and their ranks from Xdot comp (`_degrees`).
+    the ruling span, rho = (Xdot comp) comp^T from their coordinates
+    Xdot comp in the grid's frame QR (`GridValues.coordinates`), and their
+    ranks from those coordinates (`_degrees`).
     A frame that passes the orthonormality check below has full rank, so
     comp spans the whole complement.
 
@@ -174,9 +175,8 @@ def profile_from_values(values: GridValues,
         raise ValidationError(f"frame values are not finite at t={ts[first]}")
     g = x @ x.swapaxes(1, 2)
     dev = np.abs(0.5 * (g + g.swapaxes(1, 2)) - np.eye(fc.m - 1)).max(axis=(1, 2))
-    comp = values.frame_basis()[2]
-    coords = xdot @ comp
-    rho = coords @ comp.swapaxes(1, 2)
+    coords = values.coordinates(1)[3]
+    rho = coords @ values.frame_basis()[2].swapaxes(1, 2)
     degrees, borderline = _degrees(coords, tol)
     bound = min(fc.m - 1, fc.codim + 1)
     bad_frame = dev > tol.derivative_check_tol

@@ -122,16 +122,13 @@ def _vertex_lines(texts: list[str]) -> str:
     return "\n".join(["v %s %s %s"] * (len(texts) // 3)) % tuple(texts)
 
 
-def write_mesh_obj(path, patch: RuledPatch, sheet: StrictionSheet | None = None,
-                   sheet_texts: list[str] | None = None):
+def write_mesh_obj(path, patch: RuledPatch, sheet: StrictionSheet | None = None):
     """Quad mesh of a surface patch in R^3, with the striction curve as a
     polyline object when a sheet is supplied. Requires dim=3 and m=2.
 
-    The vertex coordinates are formatted by one `float_texts` call, so
-    each distinct value once, and placed by one template. The polyline
-    reads `sheet_texts`, the C-order texts of `sheet.grid_points(())`
-    that `striction.write_striction_csv` returns, when given, and formats
-    those points itself otherwise.
+    The vertex coordinates of the patch and those of the polyline are
+    formatted by one `float_texts` call each, so each distinct value of a
+    block once, and placed by one template.
     """
     if patch.dim != 3 or patch.m != 2:
         raise ValueError("OBJ export is defined for ambient dimension 3 with m=2")
@@ -149,12 +146,8 @@ def write_mesh_obj(path, patch: RuledPatch, sheet: StrictionSheet | None = None,
         faces = np.stack([a, a + nu, a + nu + 1, a + 1], axis=1)
         lines.append("\n".join(["f %d %d %d %d"] * a.size) % tuple(faces.ravel().tolist()))
     if sheet is not None:
-        if sheet_texts is None:
-            sheet_texts = float_texts(sheet.grid_points(()))
         base = ts.size * nu
-        lines.append("o striction")
-        lines.append(_vertex_lines(sheet_texts))
-        idx = " ".join(str(base + i + 1) for i in range(ts.size))
-        lines.append(f"l {idx}")
+        lines += ["o striction", _vertex_lines(float_texts(sheet.grid_points(()))),
+                  "l " + " ".join(str(base + i + 1) for i in range(ts.size))]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,8 +1,9 @@
 """Framed curves: a unit-speed directrix with an orthonormal ruling frame.
 
 Provides the curve/frame container and grid types, the stacked
-evaluation of a framed curve over a grid, frame orthonormalization, and
-the registry of builtin patch families used by the scene loader, the
+evaluation of a framed curve over a grid with its one frame QR and the
+derivatives' coordinates in it, frame orthonormalization, and the
+registry of builtin patch families used by the scene loader, the
 self-test corpus, and the docs.
 """
 
@@ -114,10 +115,11 @@ class GridValues:
     `frame(order)` is the (N, m-1, dim) array of frame derivatives and
     `directrix(order)` the (N, dim) array of directrix derivatives; each
     order is evaluated on first use, one array evaluation per field, and
-    kept; so is `frame_basis()`, the frame's one complete QR per parameter
-    (`multilinear.frame_qr`), which every grid stage reads. The arrays
-    are shared, also with the values that `restrict`, `with_directrix` and
-    `with_frame` derive from them: callers must not mutate them.
+    kept; so are `frame_basis()`, the frame's one complete QR per parameter
+    (`multilinear.frame_qr`), and `coordinates(order)`, the derivatives in
+    it, which every grid stage reads. The arrays are shared, also with the
+    values that `restrict`, `with_directrix` and `with_frame` derive from
+    them: callers must not mutate them.
 
     Every field and order is evaluated on one `ParameterArray`, so a
     framed curve composed with a parameter map inverts arclength once
@@ -133,6 +135,7 @@ class GridValues:
         self._frame: dict[int, np.ndarray] = {}
         self._directrix: dict[int, np.ndarray] = {}
         self._basis: tuple | None = None
+        self._coordinates: dict[int, tuple] = {}
 
     def frame(self, order: int) -> np.ndarray:
         if order not in self._frame:
@@ -148,6 +151,16 @@ class GridValues:
         if self._basis is None:
             self._basis = frame_qr(self.frame(0))
         return self._basis
+
+    def coordinates(self, order: int) -> tuple:
+        """(g q, X q, g comp, X comp): the directrix derivative g of `order`,
+        (N, 1, .), and the frame derivatives X, (N, m-1, .), in the bases q
+        and comp of the frame QR (`frame_basis`)."""
+        if order not in self._coordinates:
+            _, q, comp, _ = self.frame_basis()
+            g, x = self.directrix(order)[:, None], self.frame(order)
+            self._coordinates[order] = (g @ q, x @ q, g @ comp, x @ comp)
+        return self._coordinates[order]
 
     def with_directrix(self, fc: FramedCurve) -> "GridValues":
         """The values of `fc`, this curve with its directrix shifted along
@@ -180,6 +193,7 @@ class GridValues:
         out._frame = {order: x[lo:hi] for order, x in self._frame.items()}
         out._directrix = {order: g[lo:hi] for order, g in self._directrix.items()}
         out._basis = tuple(a[lo:hi] for a in self.frame_basis())
+        out._coordinates = {k: tuple(a[lo:hi] for a in c) for k, c in self._coordinates.items()}
         return out
 
 

@@ -7,19 +7,20 @@ rulings, and sectional curvature from the Gauss equation.
 
 Grid stages run on stacked arrays over all N x P grid points (t samples
 times ruling samples). The second-form scan works in coordinates adapted
-to the ruled structure: the bases of the frame span and its complement
-from the grid's one frame QR (`GridValues.frame_basis`), an
-(N, P, m, m) stack of reduced Jacobians and an (N, P, m, dim-m+1) stack
-of second-form vectors in complement coordinates. Its rank verdicts come
-from closed forms: the singular values for surfaces (m = 2), the
-Frobenius norm for a normal space of dimension 1, and for m >= 3 and a
-normal space of dimension 2 bounds that settle all but the points next
-to the rank cutoff, which alone go through a stacked SVD. Wider normal spaces go through one stacked SVD.
+to the ruled structure: the derivatives in the bases of the frame span
+and its complement from the grid's one frame QR (`GridValues.coordinates`),
+an (N, P, m, m) stack of reduced Jacobians and an (N, P, m, dim-m+1)
+stack of second-form vectors in complement coordinates. Its rank
+verdicts come from closed forms: the singular values for surfaces
+(m = 2), the Frobenius norm for a normal space of dimension 1, and for
+m >= 3 and a normal space of dimension 2 bounds that settle all but the
+points next to the rank cutoff, which alone go through a stacked SVD.
+Wider normal spaces go through one stacked SVD.
 The tangent-space stability check reads the same reduced Jacobians, one
 frame factorization per distinct t (at grid samples, the rows of the
 grid's own values and frame basis), and compares two tangent spaces by
 the angle between their normal directions off the frame span. Every
-regularity verdict takes this one route, `_frame_coordinates`,
+regularity verdict takes this one route, `GridValues.coordinates`,
 `_reduced_jacobians`, `_regularity`: the scan's, the stability check's,
 the off-sheet check's and `sectional_curvature`'s
 (`jacobian_regularity`, on the values at their points) and the selftest
@@ -29,10 +30,10 @@ basis of the frame QR and the unit normal n off the frame span: II
 vanishes on pairs of ruling directions, so sigma_tt drops out, the
 planes of two ruling directions are flat and every other curvature is
 minus a squared wedge norm, with no second pass over the grid. A patch
-computes its frame values and basis, degree profile and second-form scan
-once, on first use; a patch derived from it is primed from them. The
-single-point functions run the same kernels on a stack of one
-(`_values_at`).
+computes its frame values, basis and coordinates, degree profile and
+second-form scan once, on first use; a patch derived from it is primed
+from them. The single-point functions run the same kernels on a stack of
+one (`_values_at`).
 """
 
 from __future__ import annotations
@@ -246,22 +247,12 @@ def _regularity(jac: np.ndarray, r_inv: np.ndarray | None, tol: TolerancePolicy)
     return regular
 
 
-def _frame_coordinates(v: GridValues, rows: slice | np.ndarray):
-    """(r, comp, sigma_q, sigma_c) at the parameters `rows` of v: the
-    factors R and complement basis comp of the grid's frame QR
-    X^T = [q | comp] R (`GridValues.frame_basis`), and the pairs
-    (g1 q, Xdot q) and (g1 comp, Xdot comp) of shapes (N, 1, .) and
-    (N, m-1, .) that `_reduced_jacobians` combines into sigma_t = g1 + u . Xdot.
-    """
-    r, q, comp, _ = (a[rows] for a in v.frame_basis())
-    x1, g1 = v.frame(1)[rows], v.directrix(1)[rows][:, None]
-    return r, comp, (g1 @ q, x1 @ q), (g1 @ comp, x1 @ comp)
-
-
-def _reduced_jacobians(r: np.ndarray, sigma_q, sigma_c, u: np.ndarray):
+def _reduced_jacobians(r: np.ndarray, coords, u: np.ndarray):
     """Reduced Jacobians and sigma_t's complement coordinates from the
-    per-parameter pieces of `_frame_coordinates`, at ruling positions u:
-    (P, m-1) shared by the N parameters, or (N, P, m-1) of their own.
+    frame QR's factors R and the order-1 coordinates
+    (g1 q, Xdot q, g1 comp, Xdot comp) of N parameters
+    (`GridValues.coordinates`), at ruling positions u: (P, m-1) shared by
+    the N parameters, or (N, P, m-1) of their own.
 
     sigma_t has coordinates a = sigma_t . q and c = sigma_t . comp, so in
     the orthonormal basis (q, n) of the tangent space, n = c / |c|, the
@@ -269,8 +260,8 @@ def _reduced_jacobians(r: np.ndarray, sigma_q, sigma_c, u: np.ndarray):
     values of the m x dim one. Returns (jac, c) of shapes (N, P, m, m) and
     (N, P, dim-m+1).
     """
-    a = sigma_q[0] + u @ sigma_q[1]
-    c = sigma_c[0] + u @ sigma_c[1]
+    a = coords[0] + u @ coords[1]
+    c = coords[2] + u @ coords[3]
     k = a.shape[-1]
     jac = np.zeros(a.shape[:-1] + (k + 1, k + 1))
     jac[..., 0, :k] = a
@@ -283,9 +274,9 @@ def jacobian_regularity(v: GridValues, u: np.ndarray, tol: TolerancePolicy,
                         rows: slice | np.ndarray = slice(None)) -> np.ndarray:
     """The rank rule's full-rank verdict at the N parameters `rows` of `v`,
     each at its own ruling position of u (N, m-1), (N,): `_regularity` of
-    the reduced Jacobians on the values' frame QR (`_frame_coordinates`)."""
-    r, _, sigma_q, sigma_c = _frame_coordinates(v, rows)
-    jac, _ = _reduced_jacobians(r, sigma_q, sigma_c, u[:, None])
+    the reduced Jacobians on the values' frame QR and coordinates."""
+    r = v.frame_basis()[0][rows]
+    jac, _ = _reduced_jacobians(r, [a[rows] for a in v.coordinates(1)], u[:, None])
     return _regularity(jac, _inverse_factors(r)[:, None], tol)[:, 0]
 
 
@@ -296,9 +287,9 @@ def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: Toleran
 
     Returns (jac, vecs, regular) of shapes (N, P, m, m),
     (N, P, m, dim-m+1) and (N, P). The reduced Jacobians come from the
-    grid's one complete QR of the frame per parameter
-    (`_frame_coordinates`, `_reduced_jacobians`). The rows of vecs are
-    sigma_tt and Xdot_j in comp coordinates less their component along
+    derivatives' coordinates in the grid's one complete QR of the frame per
+    parameter (`GridValues.coordinates`, `_reduced_jacobians`). The rows of
+    vecs are sigma_tt and Xdot_j in comp coordinates less their component along
     the unit normal n = c / |c|. All mixed partials d2(sigma)/du_i du_j
     vanish, so these rows span the image of the second fundamental form; they are
     meaningful only where `regular` holds. The Gauss equation reads only
@@ -311,15 +302,17 @@ def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: Toleran
     only down to about sqrt(eps) s1 = 1.5e-8 s1, coarser than the
     `rank_rel_tol` cutoff of 1e-8 that decides.
     """
-    r, comp, sigma_q, sigma_c = _frame_coordinates(v, rows)
-    jac, c = _reduced_jacobians(r, sigma_q, sigma_c, u)
+    r = v.frame_basis()[0][rows]
+    coords = [a[rows] for a in v.coordinates(1)]
+    jac, c = _reduced_jacobians(r, coords, u)
     # surfaces take their singular values in closed form and need no R^-1
     regular = _regularity(jac, _inverse_factors(r)[:, None] if r.shape[-1] > 1 else None, tol)
     length = jac[..., 0, -1]
     normal = c / np.where(length > 0.0, length, 1.0)[..., None]
     vecs = np.empty(c.shape[:2] + (jac.shape[-1], c.shape[-1]))
-    vecs[:, :, 0] = v.directrix(2)[rows][:, None] @ comp + u @ (v.frame(2)[rows] @ comp)
-    vecs[:, :, 1:] = sigma_c[1][:, None]
+    _, _, g2_c, x2_c = v.coordinates(2)
+    vecs[:, :, 0] = g2_c[rows] + u @ x2_c[rows]
+    vecs[:, :, 1:] = coords[3][:, None]
     vecs -= (vecs @ normal[..., None]) * normal[..., None, :]
     return jac, vecs, regular
 
@@ -430,16 +423,15 @@ def rank_one_check(p: RuledPatch) -> RankOneResult:
 
     The residual at t is max_j |Xdot_j ^ gamma' ^ X_1 ^ ... ^ X_{m-1}| =
     |det R| max_j |(Xdot_j comp) ^ (gamma' comp)| on the grid's frame QR
-    X^T = [q | comp] R (`GridValues.frame_basis`), within
+    X^T = [q | comp] R (`GridValues.coordinates`), within
     `striction.WEDGE_SLACK_PER_VECTOR` k eps |A|_F^k of the SVD's wedge
     norm of those k = m + 1 vectors A; it is 0 where k exceeds the ambient
     dimension (comp has one column). The planar points come from the
     patch's second-form scan.
     """
     v, ts = p.values, p.grid.t_samples
-    _, _, comp, volume = v.frame_basis()
-    residuals = volume * pair_wedge_norms(v.frame(1) @ comp,
-                                          v.directrix(1)[:, None] @ comp).max(axis=1)
+    _, _, g1_c, x1_c = v.coordinates(1)
+    residuals = v.frame_basis()[3] * pair_wedge_norms(x1_c, g1_c).max(axis=1)
     worst = float(residuals.max())
     planar = p.scan.planar()
     verdict = worst < p.tol.zero_abs_tol and not planar
@@ -452,7 +444,7 @@ def _pair_jacobians(p: RuledPatch, t: np.ndarray, u_pairs: np.ndarray):
     """Reduced Jacobians at (P, 2, m-1) pairs of ruling positions, each
     pair at its own parameter of the (P,) array t.
 
-    The fields, the frame's QR (`_frame_coordinates`) and R^-1 are taken
+    The fields, the frame's QR, the coordinates in it and R^-1 are taken
     once per distinct t and shared by its pairs. When every distinct t
     is a grid sample, they are the rows of the patch's own values and
     frame basis, with no new evaluation or factorization; other t are
@@ -460,9 +452,9 @@ def _pair_jacobians(p: RuledPatch, t: np.ndarray, u_pairs: np.ndarray):
     (P, 2, dim-m+1) and (P, 1, m-1, m-1).
     """
     ts, row = np.unique(t, return_inverse=True)
-    r, _, sigma_q, sigma_c = _frame_coordinates(*_values_at(p, ts))
-    jac, c = _reduced_jacobians(r[row], [x[row] for x in sigma_q],
-                                [x[row] for x in sigma_c], u_pairs)
+    v, rows = _values_at(p, ts)
+    r = v.frame_basis()[0][rows]
+    jac, c = _reduced_jacobians(r[row], [a[rows][row] for a in v.coordinates(1)], u_pairs)
     return jac, c, _inverse_factors(r)[row, None]
 
 
@@ -589,7 +581,7 @@ def flatness_check(p: RuledPatch) -> FlatnessResult:
     regular points of the patch's second-form scan.
 
     The tangent space has the orthonormal basis (q_1, ..., q_{m-1}, n) of
-    the grid's frame QR X^T = [q | comp] R (`_frame_coordinates`), where
+    the grid's frame QR X^T = [q | comp] R (`GridValues.coordinates`), where
     n = c / |c| and c = sigma_t comp. II vanishes on pairs of ruling
     directions, so K(q_i, q_l) = 0 and K(n, q_i) = -|II(n, q_i)|^2. As
     q = R^-T X and n = (d_t - a . q) / |c|, II(n, q_i) is the part off n
@@ -601,8 +593,8 @@ def flatness_check(p: RuledPatch) -> FlatnessResult:
     """
     scan = p.scan
     i, j = np.nonzero(scan.regular)
-    r, _, _, (c0, xdot) = _frame_coordinates(p.values, slice(None))
-    y = _inverse_factors(r).swapaxes(-1, -2) @ xdot
+    _, _, c0, xdot = p.values.coordinates(1)
+    y = _inverse_factors(p.values.frame_basis()[0]).swapaxes(-1, -2) @ xdot
     c = c0[i, 0] + (scan.u[j, None] @ xdot[i])[:, 0]
     curv = _normal_plane_curvatures(y[i], c)
     return FlatnessResult(max_abs=float(-curv.min()) if curv.size else 0.0,
@@ -615,7 +607,7 @@ def sectional_curvature(p: RuledPatch, t: float, u) -> float:
     K = -|II(d_t, d_u1)|^2 / |sigma_t ^ X_1|^2. For m = 2 it is the full
     intrinsic curvature.
 
-    In the frame QR's coordinates (`_frame_coordinates`, `_reduced_jacobians`)
+    In the frame QR's coordinates (`GridValues.coordinates`, `_reduced_jacobians`)
     sigma_t is (a, c) and X_1 = R_11 q_1, so |sigma_t ^ X_1|^2 is
     R_11^2 (|a_2..a_{m-1}|^2 + |c|^2), and II(d_t, d_u1), the part of
     Xdot_1 comp off n = c / |c|, has |II|^2 = |Xdot_1 comp ^ c|^2 / |c|^2.
@@ -625,9 +617,10 @@ def sectional_curvature(p: RuledPatch, t: float, u) -> float:
     v, rows = _values_at(p, t)
     if not jacobian_regularity(v, u, p.tol, rows)[0]:
         raise RegularityError(f"patch is singular at (t={t}, u={u[0].tolist()})")
-    r, _, sigma_q, sigma_c = _frame_coordinates(v, rows)
-    jac, c = _reduced_jacobians(r, sigma_q, sigma_c, u)
+    r = v.frame_basis()[0][rows]
+    coords = [a[rows] for a in v.coordinates(1)]
+    jac, c = _reduced_jacobians(r, coords, u)
     # row 0 of the reduced Jacobian past a_1: a_2..a_{m-1}, then |c|
     rest, length = jac[0, 0, 0, 1:], jac[0, 0, 0, -1]
-    wedge = _pair_wedge_squares(sigma_c[1][0, 0], c[0, 0])
+    wedge = _pair_wedge_squares(coords[3][0, 0], c[0, 0])
     return float(-wedge / (length * length * r[0, 0, 0] ** 2 * (rest @ rest)))

@@ -16,7 +16,7 @@ second time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -188,10 +188,7 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
     the document itself.
     """
     doc = source if isinstance(source, dict) else _read_scene(source)
-    tol_defaults = TolerancePolicy()
-    tol_cfg = {"rank_rel_tol": tol_defaults.rank_rel_tol,
-               "zero_abs_tol": tol_defaults.zero_abs_tol,
-               "derivative_check_tol": tol_defaults.derivative_check_tol}
+    tol_cfg = asdict(TolerancePolicy())
     doc = _with_overrides(doc, overrides or {}, {"grid": DEFAULT_GRID, "tolerances": tol_cfg})
     validate_scene(doc)
     doc = _int_integers(doc, _SCENE_SCHEMA)

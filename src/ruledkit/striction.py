@@ -11,12 +11,14 @@ the patch sit on this sheet, which the locus scan verifies sample-wise.
 The grid stages run on stacked arrays, once per patch: the systems of all
 samples are assembled, checked and Cholesky-solved as (N, d, d) stacks,
 and the sheet is the solved nodes plus their exact t-derivatives, by
-implicit differentiation of the system. Every grid stage reads the nodes
-and tangents, `solved` solves the system at its own t, and only `beta`
-and `beta_partials`, which the invariance fit calls, interpolate.
-The sheet wedges of the locus scan (the CSV's residuals) and the
-augmented wedges of the equivalent-condition check are closed forms on
-the grid's one frame QR (`GridValues.frame_basis`). Those verdicts and
+implicit differentiation of the system. Every grid stage reads the nodes,
+the sheet Jacobian ranks also the tangents; `solved` solves the system
+at its own t, and only `beta` and `beta_partials`, which the invariance
+fit calls, interpolate. The tangents, the sheet wedges of the locus scan
+(the CSV's residuals) and the augmented wedges of the equivalent-condition
+check are closed forms in the derivatives' coordinates in the grid's one
+frame QR (`GridValues.coordinates`), the wedges on sigma_t at the sheet
+point. Those verdicts and
 the sheet Jacobian ranks read closed forms, and the off-sheet regularity
 reads the scan's reduced Jacobians and rank rule
 (`ruledgeom.jacobian_regularity`); the SVD settles just the ones within a
@@ -50,7 +52,7 @@ from .fields import CubicHermite, as_parameter_array
 from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
                           numerical_ranks, pair_wedge_norms, rank2_ranks, settled, wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid
-from .ruledgeom import RuledPatch, jacobian_regularity
+from .ruledgeom import RuledPatch, _inverse_factors, jacobian_regularity
 from .splitmix import SplitMix64
 
 
@@ -162,22 +164,24 @@ class StrictionSheet:
         coordinates, from the derivative of the system A N = B:
         A Ndot = Bdot - Adot N = -(rhodot_tail E1^T + rho_tail E2^T), the
         rows of E1 and E2 being sigma_t and sigma_tt on the sheet at each
-        affine basis vector (1, u_free). On the grid's frame QR X^T = q R
-        with complement comp, rho = Xdot P for P = comp comp^T and
-        rhodot = Xddot P - Xdot Pidot, where Pidot = P Xdot^T R^-1 q^T plus
-        its transpose is the derivative of the span's projector q q^T."""
+        affine basis vector (1, u_free). In the coordinates of the frame QR
+        X^T = [q | comp] R (`GridValues.coordinates`), C_o = X^(o) comp,
+        Q1 = Xdot q and E1q, E1c, E2c, rho = C1 comp^T and
+        d(comp comp^T)/dt = -(comp C1^T R^-1 q^T + its transpose), so with
+        Y = R^-T C1 and t marking the trailing rows, A = C1_t C1_t^T and
+        A Ndot = -[(C2_t - Q1_t Y) E1c^T + C1_t (E2c^T - Y^T E1q^T)]."""
         v, lo = self.values, self.free_count
-        r, q, comp, _ = v.frame_basis()
-        x1, x2 = v.frame(1), v.frame(2)
-        proj = comp @ comp.swapaxes(1, 2)
-        half = proj @ x1.swapaxes(1, 2) @ np.linalg.solve(r, q.swapaxes(1, 2))
-        rho = (x1 @ proj)[:, lo:]
-        rho_dot = (x2 @ proj - x1 @ (half + half.swapaxes(1, 2)))[:, lo:]
+        g1_q, x1_q, g1_c, x1_c = v.coordinates(1)
+        _, _, g2_c, x2_c = v.coordinates(2)
         nodes = self.solution_nodes.swapaxes(1, 2)  # (N, 1 + lo, d)
-        e1 = np.concatenate([v.directrix(1)[:, None], x1[:, :lo]], axis=1) + nodes @ x1[:, lo:]
-        e2 = np.concatenate([v.directrix(2)[:, None], x2[:, :lo]], axis=1) + nodes @ x2[:, lo:]
-        a = rho @ x1[:, lo:].swapaxes(1, 2)
-        return -np.linalg.solve(a, rho_dot @ e1.swapaxes(1, 2) + rho @ e2.swapaxes(1, 2))
+        # [g; X_lead] + N^T X_tail, (N, 1 + lo, .)
+        e1_q, e1_c, e2_c = (np.concatenate([g, x[:, :lo]], axis=1) + nodes @ x[:, lo:]
+                            for g, x in ((g1_q, x1_q), (g1_c, x1_c), (g2_c, x2_c)))
+        y = _inverse_factors(v.frame_basis()[0]).swapaxes(1, 2) @ x1_c
+        c1 = x1_c[:, lo:]
+        rhs = ((x2_c[:, lo:] - x1_q[:, lo:] @ y) @ e1_c.swapaxes(1, 2)
+               + c1 @ (e2_c.swapaxes(1, 2) - y.swapaxes(1, 2) @ e1_q.swapaxes(1, 2)))
+        return -np.linalg.solve(c1 @ c1.swapaxes(1, 2), rhs)
 
     @cached_property
     def _interpolant(self) -> CubicHermite:
@@ -364,14 +368,26 @@ class OffsheetCheck:
         return self.total - len(self.failures)
 
 
+def _sheet_u(sheet: StrictionSheet) -> np.ndarray:
+    """All ruling coordinates of the sheet at every grid parameter and free
+    grid position, (N, P, m-1), free ones first."""
+    u_free = sheet.grid.u_points(sheet.free_count)
+    affine = np.concatenate([np.ones((u_free.shape[0], 1)), u_free], axis=1)
+    s = affine @ sheet.solution_nodes.swapaxes(1, 2)  # (N, P, d)
+    return np.concatenate([np.broadcast_to(u_free, s.shape[:2] + u_free.shape[1:]), s], axis=-1)
+
+
 def singular_locus(p: RuledPatch, sheet: StrictionSheet) -> SingularLocus:
     """Wedge test along the sheet: a sheet sample is singular when the
-    t-derivative of the sheet map is wedged to zero by the frame. The
-    residual |beta_dot ^ X_1 ^ ... ^ X_{m-1}| = |det R| |beta_dot comp| on
-    the grid's frame QR (`GridValues.frame_basis`) is within
+    t-derivative of the sheet map is wedged to zero by the frame. As
+    beta_dot - sigma_t = sdot . X_tail lies in the frame span, the residual
+    |beta_dot ^ X_1 ^ ... ^ X_{m-1}| is |det R| |c| with the scan's
+    c = g1 comp + u . (Xdot comp) at the sheet point, within
     `WEDGE_SLACK_PER_VECTOR` k eps |A|_F^k of the SVD's for those k = m vectors A."""
-    _, _, comp, volume = sheet.values.frame_basis()
-    residuals = volume[:, None] * np.linalg.norm(sheet.grid_partials[:, :, 0] @ comp, axis=-1)
+    v = sheet.values
+    _, _, g1_c, x1_c = v.coordinates(1)
+    c = g1_c + _sheet_u(sheet) @ x1_c
+    residuals = v.frame_basis()[3][:, None] * np.linalg.norm(c, axis=-1)
     return SingularLocus(t=p.grid.t_samples, u_free=p.grid.u_points(sheet.free_count),
                          residuals=residuals, singular=residuals < p.tol.zero_abs_tol)
 
@@ -415,18 +431,16 @@ def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0) -> Offsh
 WEDGE_SLACK_PER_VECTOR = 64.0
 
 
-def _augmented_vanish(x0: np.ndarray, x1: np.ndarray, beta_dot: np.ndarray,
-                      tol: TolerancePolicy, basis: tuple) -> np.ndarray:
-    """Whether each augmented wedge |Xdot_j ^ beta_dot ^ X_1 ^ ... ^ X_{m-1}|
-    is below zero_abs_tol, (N, P, m-1): the verdict of `wedge_norms`. x0
-    and x1 are (N, m-1, dim) frame values and derivatives at N parameters,
-    beta_dot (N, P, dim) the sheet's t-partials at P free positions each;
-    `basis` is x0's `multilinear.frame_qr` (`GridValues.frame_basis`).
+def _augmented_vanish(v: GridValues, u: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Whether each augmented wedge |Xdot_j ^ sigma_t ^ X_1 ^ ... ^ X_{m-1}|
+    is below zero_abs_tol, (N, P, m-1), with sigma_t at the N parameters of
+    `v` times P ruling positions u (N, P, m-1): the verdict of `wedge_norms`.
+    At the sheet (`_sheet_u`) these are the wedges with beta_dot.
 
     The complete QR of the frame per t, X^T = [q | comp] R, turns the
-    wedge into |det R| |a_j ^ b| with the complement coordinates
-    a_j = Xdot_j comp and b = beta_dot comp, and |a_j ^ b| is the norm of
-    their 2 x 2 minors (`pair_wedge_norms`).
+    wedge into |det R| |a_j ^ c| with the complement coordinates
+    a_j = Xdot_j comp and c = sigma_t comp (`GridValues.coordinates`), and
+    |a_j ^ c| is the norm of their 2 x 2 minors (`pair_wedge_norms`).
     The SVD's singular values are exact for a stack A of k = m + 1 vectors
     within a few eps |A| of it, so their product moves by at most about
     k eps |A|^k <= k eps |A|_F^k. For a frame orthonormal to the ingest
@@ -436,22 +450,22 @@ def _augmented_vanish(x0: np.ndarray, x1: np.ndarray, beta_dot: np.ndarray,
     `WEDGE_SLACK_PER_VECTOR` k eps |A|_F^k; the rest go through
     `wedge_norms`.
     """
-    _, _, comp, volume = basis
-    wedges = volume[:, None, None] * pair_wedge_norms((x1 @ comp)[:, None],
-                                                      (beta_dot @ comp)[:, :, None])
+    x0, x1 = v.frame(0), v.frame(1)
+    _, _, g1_c, x1_c = v.coordinates(1)
+    sigma_t = v.directrix(1)[:, None] + u @ x1
+    c = g1_c + u @ x1_c
+    wedges = v.frame_basis()[3][:, None, None] * pair_wedge_norms(x1_c[:, None], c[:, :, None])
     k = x0.shape[1] + 2
-    frob2 = (np.sum(x1 * x1, axis=2)[:, None] + np.sum(beta_dot * beta_dot, axis=2)[..., None]
+    frob2 = (np.sum(x1 * x1, axis=2)[:, None] + np.sum(sigma_t * sigma_t, axis=2)[..., None]
              + np.sum(x0 * x0, axis=(1, 2))[:, None, None])
     slack = WEDGE_SLACK_PER_VECTOR * k * np.finfo(float).eps * frob2 ** (0.5 * k)
     above, decided = settled(wedges, tol.zero_abs_tol, RANK_BOUND_MARGIN, slack)
     vanish = ~above
     if not decided.all():
-        # [Xdot_j, beta_dot, X_1..X_{m-1}] per undecided (t, u_free, j)
+        # [Xdot_j, sigma_t, X_1..X_{m-1}] per undecided (t, u_free, j)
         i, pos, j = np.nonzero(~decided)
         stack = np.empty((i.size, k, x0.shape[2]))
-        stack[:, 0] = x1[i, j]
-        stack[:, 1] = beta_dot[i, pos]
-        stack[:, 2:] = x0[i]
+        stack[:, 0], stack[:, 1], stack[:, 2:] = x1[i, j], sigma_t[i, pos], x0[i]
         vanish[~decided] = wedge_norms(stack) < tol.zero_abs_tol
     return vanish
 
@@ -490,9 +504,7 @@ def equivalent_condition_check(p: RuledPatch, sheet: StrictionSheet,
         # dimension, hence vanishes identically
         augmented = np.ones(plain.shape + (fc.m - 1,), dtype=bool)
     else:
-        v = p.values
-        augmented = _augmented_vanish(v.frame(0), v.frame(1), sheet.grid_partials[:, :, 0],
-                                      tol, v.frame_basis())  # (N, P, m-1)
+        augmented = _augmented_vanish(sheet.values, _sheet_u(sheet), tol)  # (N, P, m-1)
     # only the carrying frame derivatives take part
     augmented = augmented | ~carriers[:, None, :]
     agree = ~((augmented != plain[..., None]) & carriers[:, None, :]).any(axis=-1)
@@ -653,18 +665,14 @@ def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets
                             max_deviation=worst)
 
 
-def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path) -> list[str] | None:
+def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):
     """Sheet export with the fixed header
     t, u1..u{m-d-1}, s{m-d}..s{m-1}, b1..b{m+n}, wedge_residual, singular,
     one row per locus sample (grid parameter and free grid position),
     t-major, with `\r\n` line endings. Each number is its float repr, so
     no field needs the quoting of a CSV writer. The sheet points and the
     other numbers are formatted by one `exports.float_texts` call each, so
-    each distinct value of a block once, and each row is joined once.
-
-    Returns the C-order texts of the sheet points, (N, dim), when the
-    sheet has no free coordinate (every m = 2 sheet), for the striction
-    polyline of `exports.write_mesh_obj`; None otherwise."""
+    each distinct value of a block once, and each row is joined once."""
     m, d, dim = sheet.fc.m, sheet.d, sheet.fc.dim
     header = (["t"]
               + [f"u{j}" for j in range(1, m - d)]
@@ -683,4 +691,3 @@ def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path) -> li
                + [numbers[m::m + 1], np.where(locus.singular.ravel(), "true", "false").tolist()])
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\r\n")
-    return points if n_pos == 1 else None

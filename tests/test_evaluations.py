@@ -8,6 +8,10 @@ and `analyze` together evaluate each field at most once per order and
 parameter array: on the grid, on a segment's sub-grid, and at the
 off-sheet points of each sheet. The one exemption is the invariance fit
 (`striction.least_squares`), which reads the sheet off the grid.
+
+The derivatives' coordinates in the frame QR (`GridValues.coordinates`)
+are taken likewise at most once per values object and order, and a
+segment's values slice them from the whole grid's.
 """
 
 import glob
@@ -18,10 +22,12 @@ import pytest
 
 from conftest import small_patch
 from perfbench.scenegen import explicit_scene
-from ruledkit import pivot_frame, striction
+from ruledkit import RuledPatch, SampleGrid, pivot_frame, striction
 from ruledkit.analysis import analyze
-from ruledkit.fields import ParameterArray, VectorField
-from ruledkit.scene import ingest
+from ruledkit.fields import ParameterArray, PolynomialField, VectorField
+from ruledkit.parametric import FramedCurve, GridValues
+from ruledkit.scene import IngestResult, ingest
+from ruledkit.selftest import run_selftest
 from scene_families import osculating_scene
 
 SCENE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenes")
@@ -116,3 +122,70 @@ def test_restrict_and_pivot_evaluate_no_field(monkeypatch):
             pivoted = pivot_frame(q, 1)
             assert pivoted is not q and pivoted.profile
     assert calls == []
+
+
+def recorded_coordinates(patch):
+    """Record, from here on, each `GridValues.coordinates` call that
+    computes its result, as (values, order), and each values object that
+    `GridValues.restrict` derives."""
+    misses, restricted = [], []
+    coordinates, restrict = GridValues.coordinates, GridValues.restrict
+
+    def counting(self, order):
+        if order not in self._coordinates:
+            misses.append((self, order))
+        return coordinates(self, order)
+
+    def recording(self, lo, hi):
+        restricted.append(restrict(self, lo, hi))
+        return restricted[-1]
+
+    patch.setattr(GridValues, "coordinates", counting)
+    patch.setattr(GridValues, "restrict", recording)
+    return misses, restricted
+
+
+def assert_coordinates_taken_once(misses, restricted):
+    # the recorded objects are alive, so their ids are distinct
+    keys = [(id(values), order) for values, order in misses]
+    assert len(set(keys)) == len(keys)
+    assert not {id(values) for values in restricted} & {key for key, _ in keys}
+
+
+@pytest.mark.parametrize("name,scene", SCENES, ids=[name for name, _ in SCENES])
+def test_analyze_takes_each_coordinates_once(monkeypatch, tmp_path, name, scene):
+    with monkeypatch.context() as patch:
+        misses, restricted = recorded_coordinates(patch)
+        analyze(ingest(scene), tmp_path, invariance=True)
+    assert misses
+    assert_coordinates_taken_once(misses, restricted)
+
+
+def test_selftest_takes_each_coordinates_once(monkeypatch):
+    with monkeypatch.context() as patch:
+        misses, restricted = recorded_coordinates(patch)
+        run_selftest(t_samples=20)
+    assert misses
+    assert_coordinates_taken_once(misses, restricted)
+
+
+def test_segments_slice_the_coordinates(monkeypatch, tmp_path):
+    # a frame that rotates only for t > 0: a cylindrical and a degree-1
+    # segment, each of whose values slices the whole grid's coordinates
+    from test_distribution import _BumpFrame
+    fc = FramedCurve(3, 2, PolynomialField([[0.0], [0.0], [0.0, 1.0]]), (_BumpFrame(),),
+                     (-1.0, 1.0))
+    p = RuledPatch(fc, SampleGrid.uniform(fc.interval, 81))
+    with monkeypatch.context() as patch:
+        misses, restricted = recorded_coordinates(patch)
+        report = analyze(IngestResult(p, {}, []), tmp_path, invariance=True)
+        assert len(report["first_normal_bounds"]) == 2 and len(restricted) == 2
+        for values in restricted:
+            for order in (1, 2):
+                for got, whole in zip(values.coordinates(order), p.values.coordinates(order)):
+                    assert np.shares_memory(got, whole)
+    assert_coordinates_taken_once(misses, restricted)
+    # the whole grid's two orders; the degree-1 segment's system degenerates
+    # next to the splice, so it has no sheet and no off-sheet check
+    assert sorted(order for _, order in misses) == [1, 2]
+    assert report["striction"] == []

@@ -8,6 +8,13 @@ wedge norms within their rounding slack. No residual lies within that
 slack of zero_abs_tol, so every rank-one and singular verdict is the
 SVD's. During `analyze`, each grid's frame stack goes through one
 complete QR.
+
+The striction sheet's tangents, sheet wedges and augmented wedges read
+the derivatives' coordinates in that QR (`GridValues.coordinates`) and
+sigma_t at the sheet point. On the shipped and seeded scenes they equal
+the ambient forms they replaced: the tangents from the dim x dim
+projector within 1e-12 of their scale, the wedges from beta_dot within
+twice their rounding slack, and with the same verdicts.
 """
 
 import pathlib
@@ -17,13 +24,17 @@ import numpy as np
 import pytest
 
 from conftest import small_patch
-from frame_oracles import project_off_spans, rank_one_wedges, sheet_wedges, wedge_slack
+from frame_oracles import (beta_dot_augmented_vanish, beta_dot_locus_residuals,
+                           project_off_spans, projector_tangents, rank_one_wedges, sheet_wedges,
+                           wedge_slack)
 from perfbench.scenegen import explicit_scene
 from ruledkit import RuledPatch, SampleGrid, analyze, ingest, make_builtin_patch
 from ruledkit.classify import segment_analyses
 from ruledkit.fields import AffineCombinationField
 from ruledkit.multilinear import wedge_norms
 from ruledkit.ruledgeom import rank_one_check
+from ruledkit.striction import _augmented_vanish, _sheet_u
+from scene_families import FAMILIES
 
 SCENE_DIR = pathlib.Path(__file__).parent.parent / "scenes"
 SOURCES = ([(path.stem, str(path), overrides) for path in sorted(SCENE_DIR.glob("*.json"))
@@ -128,3 +139,29 @@ def test_analyze_factorizes_each_grid_frame_once(monkeypatch, tmp_path, stem, ov
     # solve there and the reduced Jacobians
     offsheet = ("frame_qr", "frame_basis", "complete", (32, p.dim, p.m - 1))
     assert sorted(calls) == sorted([grid] + [offsheet] * sheets)
+
+
+ORACLE_SOURCES = ([(path.stem, str(path)) for path in sorted(SCENE_DIR.glob("*.json"))]
+                  + [(f"explicit_scene_{seed}", explicit_scene(seed)) for seed in range(4)]
+                  + [(f"{name}_0", make(0)) for name, (make, _) in sorted(FAMILIES.items())])
+
+
+@pytest.mark.parametrize("t_samples", [40, 200])
+@pytest.mark.parametrize("name,source", ORACLE_SOURCES, ids=[name for name, _ in ORACLE_SOURCES])
+def test_sheet_stages_equal_their_ambient_forms(name, source, t_samples):
+    p = ingest(source, overrides={"t_samples": t_samples}).patch
+    zero = p.tol.zero_abs_tol
+    for seg in segment_analyses(p):
+        if seg.d == 0 or seg.narrow:
+            continue
+        sheet = seg.sheet
+        want = projector_tangents(sheet)
+        scale = max(1.0, float(np.abs(want).max()))
+        assert np.abs(sheet.solution_tangents - want).max() <= 1e-12 * scale
+        want = beta_dot_locus_residuals(sheet)
+        slack = wedge_slack(sheet_wedges(sheet))
+        assert (np.abs(seg.locus.residuals - want) <= 2 * slack).all()
+        np.testing.assert_array_equal(seg.locus.singular, want < zero)
+        if p.m + 1 <= p.dim:
+            np.testing.assert_array_equal(_augmented_vanish(sheet.values, _sheet_u(sheet), p.tol),
+                                          beta_dot_augmented_vanish(sheet, p.tol))

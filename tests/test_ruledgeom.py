@@ -13,7 +13,7 @@ from ruledkit import ruledgeom
 from ruledkit.fields import ConstantField, FourierField, PolynomialField
 from ruledkit.multilinear import numerical_rank
 from ruledkit.parametric import BUILTIN_PATCHES, FramedCurve
-from ruledkit.ruledgeom import (_frame_coordinates, _inverse_factors, _normal_plane_curvatures,
+from ruledkit.ruledgeom import (_inverse_factors, _normal_plane_curvatures,
                                 _reduced_jacobians, _second_form_vectors,
                                 first_normal_bounds_check, flatness_check, jacobian_sigma,
                                 rank_one_check, sectional_curvature, tangent_space_stability)
@@ -293,8 +293,8 @@ def closed_form_curvatures(p):
     complement coordinates c, the values whose largest magnitude
     `flatness_check` reports."""
     i, j = np.nonzero(p.scan.regular)
-    r, _, _, (c0, xdot) = _frame_coordinates(p.values, slice(None))
-    y = _inverse_factors(r).swapaxes(-1, -2) @ xdot
+    _, _, c0, xdot = p.values.coordinates(1)
+    y = _inverse_factors(p.values.frame_basis()[0]).swapaxes(-1, -2) @ xdot
     k = _normal_plane_curvatures(y[i], c0[i, 0] + (p.scan.u[j, None] @ xdot[i])[:, 0])
     assert flatness_check(p).max_abs == (-k.min() if k.size else 0.0)
     return k
@@ -420,7 +420,7 @@ def random_reduced_stacks(rng, size, m, dim):
     sigma_q = (rng.normal(size=(size, 1, k)), rng.normal(size=(size, k, k)))
     sigma_c = (rng.normal(size=(size, 1, dim - k)), rng.normal(size=(size, k, dim - k)))
     u = rng.uniform(-2.0, 2.0, (size, 1, k))
-    jac, c = _reduced_jacobians(r, sigma_q, sigma_c, u)
+    jac, c = _reduced_jacobians(r, (*sigma_q, *sigma_c), u)
     jac, c = jac[:, 0], c[:, 0]
     n = c / np.linalg.norm(c, axis=-1, keepdims=True)
     vecs = np.concatenate([rng.normal(size=(size, 1, dim - k)), sigma_c[1]], axis=1)

@@ -22,8 +22,10 @@ import pytest
 from test_rank_bounds import orthonormal_columns, reached, svd_inputs
 from ruledkit import TolerancePolicy, analyze, ingest
 from ruledkit.distribution import _degrees, _svd_degrees
-from ruledkit.multilinear import (RANK_BOUND_MARGIN, _rank_margin, _ratio_margin, frame_qr,
+from ruledkit.fields import ParameterArray
+from ruledkit.multilinear import (RANK_BOUND_MARGIN, _rank_margin, _ratio_margin,
                                   numerical_ranks, rank2_ranks, wedge_norms)
+from ruledkit.parametric import GridValues
 from ruledkit.ruledgeom import jacobian_regularity
 from ruledkit.striction import WEDGE_SLACK_PER_VECTOR, _augmented_vanish
 
@@ -176,6 +178,18 @@ def test_zero_sheet_partials_are_settled_without_the_svd(monkeypatch):
 
 # --- augmented wedges ---------------------------------------------------------------
 
+class HeldValues(GridValues):
+    """`GridValues` over held frame values x0, frame derivatives x1 and
+    directrix derivatives g1 at N parameters, of no curve: the orders that
+    the off-sheet check and the augmented wedges read, with the frame QR
+    and coordinates of `GridValues` itself."""
+
+    def __init__(self, x0, x1, g1):
+        super().__init__(None, ParameterArray(np.arange(float(len(x0)))))
+        self._frame.update({0: x0, 1: x1})
+        self._directrix[1] = g1
+
+
 def augmented_stacks(rng, m, dim, tol, size=600):
     """Frames x0 (S, m-1, dim), derivatives x1 (S, m-1, dim) and sheet
     partials beta_dot (S, 1, dim) whose augmented wedges
@@ -221,8 +235,9 @@ def augmented_oracle(x0, x1, beta_dot):
 def test_augmented_wedges_near_the_cutoff_equal_the_svd(monkeypatch, m, dim):
     rng = np.random.default_rng(10 * m + dim)
     x0, x1, beta_dot = augmented_stacks(rng, m, dim, TOL)
-    got, inputs = svd_inputs(monkeypatch, _augmented_vanish, x0, x1, beta_dot, TOL,
-                             frame_qr(x0))
+    # beta_dot as sigma_t at u = 0, the directrix derivative
+    got, inputs = svd_inputs(monkeypatch, _augmented_vanish, HeldValues(x0, x1, beta_dot[:, 0]),
+                             np.zeros((x0.shape[0], 1, m - 1)), TOL)
     stack = augmented_oracle(x0, x1, beta_dot)
     wedge = wedge_norms(stack)
     np.testing.assert_array_equal(got, wedge < TOL.zero_abs_tol)
@@ -243,25 +258,6 @@ def test_augmented_wedges_near_the_cutoff_equal_the_svd(monkeypatch, m, dim):
 
 
 # --- off-sheet regularity ---------------------------------------------------------
-
-class HeldValues:
-    """The readers of `GridValues` that the off-sheet check uses, over
-    held frame values x0, frame derivatives x1 and directrix derivatives
-    g1 at N parameters."""
-
-    def __init__(self, x0, x1, g1):
-        self._frame, self._g1 = {0: x0, 1: x1}, g1
-
-    def frame(self, order):
-        return self._frame[order]
-
-    def directrix(self, order):
-        assert order == 1
-        return self._g1
-
-    def frame_basis(self):
-        return frame_qr(self._frame[0])
-
 
 @pytest.mark.parametrize("m,dim", [(2, 3), (3, 4), (3, 5), (4, 5)])
 def test_jacobian_regularity_equals_the_svd_rank_rule(m, dim):

@@ -126,19 +126,16 @@ def _analyze_against_oracles(monkeypatch, tmp_path, result, invariance=False):
     oracle_path = tmp_path / "oracle"
 
     def csv(sheet, locus, path):
-        texts = write_csv(sheet, locus, path)
+        write_csv(sheet, locus, path)
         oracle_striction_csv(sheet, locus, oracle_path)
         assert pathlib.Path(path).read_bytes() == oracle_path.read_bytes()
         checked.append(pathlib.Path(path).name)
-        return texts
 
-    def mesh(path, patch, sheet=None, sheet_texts=None):
-        write_mesh(path, patch, sheet, sheet_texts)
+    def mesh(path, patch, sheet=None):
+        write_mesh(path, patch, sheet)
         oracle_mesh_obj(oracle_path, patch, sheet)
         assert pathlib.Path(path).read_bytes() == oracle_path.read_bytes()
         checked.append(pathlib.Path(path).name)
-        # the polyline reuses the CSV's texts whenever it has a sheet
-        assert (sheet is None) == (sheet_texts is None)
 
     monkeypatch.setattr(analysis, "write_striction_csv", csv)
     monkeypatch.setattr(analysis, "write_mesh_obj", mesh)
@@ -171,8 +168,8 @@ def test_family_scene_writers_equal_the_oracles(monkeypatch, tmp_path, family):
 
 def test_writers_format_each_distinct_value_once(monkeypatch, tmp_path):
     # the cone's sheet is its apex and its mesh repeats a coordinate along
-    # each ruling: of the mesh's 12000 and the CSV's 4800 floats, 7448 and
-    # 1436 are distinct, and the polyline formats none of its own
+    # each ruling: of the mesh's 12000 vertex and 2400 polyline floats
+    # 7448 and 26 are distinct, and of the CSV's 4800 floats 924
     calls = []
     floats = exports._floats
 
@@ -198,9 +195,9 @@ def test_writers_format_each_distinct_value_once(monkeypatch, tmp_path):
     monkeypatch.setattr(analysis, "write_mesh_obj", measured("mesh", write_mesh))
     result = ingest(str(SCENE_DIR / "circular_cone.json"), {"t_samples": 800})
     analysis.analyze(result, tmp_path, invariance=False, mesh=True)
-    assert sizes == {"mesh": 7448, "csv": 1436}
+    assert sizes == {"mesh": 7448 + 26, "csv": 924}
     # no bit pattern reaches `_floats` twice within one call
-    assert len(kernel_calls) == 3
+    assert len(kernel_calls) == 4
     for items in kernel_calls:
         bits = np.array(items, dtype=float).view(np.uint64)
         assert np.unique(bits).size == bits.size
@@ -208,7 +205,7 @@ def test_writers_format_each_distinct_value_once(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("name", ["circular_cone", "tangent_developable_helix"])
 def test_mesh_writer_formats_the_polyline_without_the_csv_texts(tmp_path, name):
-    # a library caller that passes only the sheet gets the same file
+    # the polyline of a surface's sheet, formatted by the mesh writer itself
     result = ingest(str(SCENE_DIR / f"{name}.json"), {"t_samples": 40})
     sheet = segment_analyses(result.patch)[0].sheet
     exports.write_mesh_obj(tmp_path / "mesh.obj", result.patch, sheet)
