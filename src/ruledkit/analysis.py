@@ -7,16 +7,14 @@ writes report.json, striction CSVs and the normalized scene. The OBJ
 mesh, a view for 3-D viewers that no verdict reads, is written only on
 request (`mesh=True`) and only for surfaces in R^3. A constant-degree
 segment split into pivot runs (`classify.segment_analyses`) is reported
-run by run, and its invariance deviation per offset is the worst over
-its runs.
+run by run, and one `directrix_invariance` call over its runs gives each
+offset's worst deviation, which the report's section copies.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import asdict
-
-import numpy as np
 
 from . import __version__
 from .classify import SegmentAnalysis, classify_patch, segment_analyses
@@ -26,8 +24,6 @@ from .ruledgeom import first_normal_bounds_check
 from .scene import IngestResult
 from .splitmix import check_seed
 from .striction import directrix_invariance, offsheet_check, write_striction_csv
-
-DEFAULT_INVARIANCE_SCALES = (0.5, 1.0, -0.7)
 
 
 def analyze(result: IngestResult, out_dir, seed: int = 0,
@@ -104,24 +100,16 @@ def analyze(result: IngestResult, out_dir, seed: int = 0,
 
     invariance_section = None
     if invariance and solved and len(solved) == len(segments) and profile.constant_degree:
-        offsets = [np.full(fc.m - 1, s) for s in DEFAULT_INVARIANCE_SCALES]
-        per_offset, skipped = [], []
-        for c in offsets:  # the worst over the runs, or the first reason to skip
-            runs = [directrix_invariance(seg.pivoted, seg.sheet, [c]) for seg in solved]
-            reasons = [reason for inv in runs for _, reason in inv.skipped]
-            if reasons:
-                skipped.append([c.tolist(), reasons[0]])
-            else:
-                per_offset.append([c.tolist(), max(inv.per_offset[0][1] for inv in runs)])
-        if skipped:
+        inv = directrix_invariance([(seg.pivoted, seg.sheet) for seg in solved])
+        if inv.skipped:
             notes.append("directrix invariance skipped offsets "
-                         + ", ".join(str(c) for c, _ in skipped)
+                         + ", ".join(str(c) for c, _ in inv.skipped)
                          + " (reasons under directrix_invariance.skipped)")
         invariance_section = {
-            "offsets": [o.tolist() for o in offsets],
-            "per_offset": per_offset,
-            "skipped": skipped,
-            "max_deviation": max([0.0] + [dev for _, dev in per_offset]),
+            "offsets": list(inv.offsets),
+            "per_offset": [list(o) for o in inv.per_offset],
+            "skipped": [list(o) for o in inv.skipped],
+            "max_deviation": inv.max_deviation,
         }
 
     mesh_name = None

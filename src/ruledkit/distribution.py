@@ -148,7 +148,7 @@ def profile_from_values(values: GridValues,
                         tol: TolerancePolicy = DEFAULT_TOLERANCES) -> DegreeProfile:
     """Degree profile from stacked frame values: the frame derivatives off
     the ruling span, rho = (Xdot comp) comp^T from their coordinates
-    Xdot comp in the grid's frame QR (`GridValues.coordinates`), and their
+    Xdot comp in the grid's frame QR (`GridValues.frame_coordinates`), and their
     ranks from those coordinates (`_degrees`).
     A frame that passes the orthonormality check below has full rank, so
     comp spans the whole complement.
@@ -175,7 +175,7 @@ def profile_from_values(values: GridValues,
         raise ValidationError(f"frame values are not finite at t={ts[first]}")
     g = x @ x.swapaxes(1, 2)
     dev = np.abs(0.5 * (g + g.swapaxes(1, 2)) - np.eye(fc.m - 1)).max(axis=(1, 2))
-    coords = values.coordinates(1)[3]
+    coords = values.frame_coordinates(1)[1]
     rho = coords @ values.frame_basis()[2].swapaxes(1, 2)
     degrees, borderline = _degrees(coords, tol)
     bound = min(fc.m - 1, fc.codim + 1)

@@ -1,10 +1,12 @@
 """Vector fields along a scalar parameter, with exact differentiation.
 
 Four serializable kinds (polynomial, fourier, constant, builtin) carry
-closed-form derivatives of any order. Derived fields (composition with
-a monotone parameter map, the exact Gram-Schmidt orthonormalization of
-frame fields) implement derivatives up to order 2, which is all
-downstream geometry needs. Finite differences never appear here; they
+closed-form derivatives of any order; `make_builtin` builds the builtin
+curves (helix, circle, and line as a polynomial) and, from `parametric`'s
+registry of the same shape, the builtin patches. Derived fields
+(composition with a monotone parameter map, the exact Gram-Schmidt
+orthonormalization of frame fields) implement derivatives up to order 2,
+which is all downstream geometry needs. Finite differences never appear here; they
 are reserved for test oracles. `CubicHermite` is not a field: it
 interpolates the striction sheet's solved coordinates for the sheet's
 two off-grid readers, `beta` and `beta_partials`.
@@ -385,32 +387,21 @@ class CircleCurve(VectorField):
         return out
 
 
-class LineCurve(VectorField):
-    """Unit-speed straight line through `point` along `direction`."""
-
-    def __init__(self, point=(0.0, 0.0, 0.0), direction=(0.0, 0.0, 1.0)):
-        self.point = as_vector(point)
-        d = as_vector(direction, self.point.shape[0])
-        norm = np.linalg.norm(d)
-        if norm == 0.0:
-            raise ConfigError("line direction must be nonzero")
-        self.direction = d / norm
-        self.dim = self.point.shape[0]
-
-    @array_eval
-    def eval(self, ts, order=0):
-        if order == 0:
-            return self.point + ts[:, None] * self.direction
-        if order == 1:
-            return _rows(self.direction, ts.size)
-        return np.zeros((ts.size, self.dim))
+def unit_line(point=(0.0, 0.0, 0.0), direction=(0.0, 0.0, 1.0)) -> PolynomialField:
+    """Unit-speed line through `point` along `direction`, the polynomial p + t d / |d|."""
+    point = as_vector(point)
+    d = as_vector(direction, point.shape[0])
+    norm = np.linalg.norm(d)
+    if norm == 0.0:
+        raise ConfigError("line direction must be nonzero")
+    return PolynomialField(np.stack([point, d / norm], axis=1))
 
 
-#: named closed-form curve families usable in scene files
+#: named closed-form curve families usable in scene files, name -> (factory, description)
 BUILTIN_CURVES: dict[str, tuple[Callable[..., VectorField], str]] = {
     "helix": (HelixCurve, "unit-speed circular helix; params a (radius), b (pitch slope)"),
     "circle": (CircleCurve, "unit-speed circle of radius r in the z=0 plane"),
-    "line": (LineCurve, "unit-speed line; params point, direction"),
+    "line": (unit_line, "unit-speed line; params point, direction"),
 }
 
 
@@ -430,18 +421,22 @@ def number_fault(value) -> str | None:
     return None
 
 
-def make_builtin_curve(name: str, params: dict | None = None) -> VectorField:
-    if name not in BUILTIN_CURVES:
-        raise ConfigError(f"unknown builtin curve family {name!r}; "
-                          f"known: {sorted(BUILTIN_CURVES)}")
-    factory, _ = BUILTIN_CURVES[name]
+def make_builtin(kind: str, registry: dict, name: str, params: dict | None = None):
+    """The family `name` of `registry`, `BUILTIN_CURVES` or `parametric.BUILTIN_PATCHES`,
+    built from `params`; `kind`, "curve" or "patch", names it in the errors."""
+    if name not in registry:
+        raise ConfigError(f"unknown builtin {kind} family {name!r}; known: {sorted(registry)}")
     fault = number_fault(params)
     if fault:
-        raise ConfigError(f"bad parameters for builtin curve {name!r}: {fault}")
+        raise ConfigError(f"bad parameters for builtin {kind} {name!r}: {fault}")
     try:
-        return factory(**(params or {}))
+        return registry[name][0](**(params or {}))
     except TypeError as exc:
-        raise ConfigError(f"bad parameters for builtin curve {name!r}: {exc}") from exc
+        raise ConfigError(f"bad parameters for builtin {kind} {name!r}: {exc}") from exc
+
+
+def make_builtin_curve(name: str, params: dict | None = None) -> VectorField:
+    return make_builtin("curve", BUILTIN_CURVES, name, params)
 
 
 class EmbeddedField(VectorField):

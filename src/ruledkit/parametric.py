@@ -3,8 +3,8 @@
 Provides the curve/frame container and grid types, the stacked
 evaluation of a framed curve over a grid with its one frame QR and the
 derivatives' coordinates in it, frame orthonormalization, and the
-registry of builtin patch families used by the scene loader, the
-self-test corpus, and the docs.
+registry of builtin patch families (built by `fields.make_builtin`) used
+by the scene loader, the self-test corpus, and the docs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .fields import (BUILTIN_CURVES, ComposedField, ConstantField,
                      DerivativeField, EmbeddedField, FourierField,
                      GramSchmidtField, GramSchmidtFrame, HelixCurve, ParameterArray,
                      PolynomialField, VectorField, arclength_reparametrize,
-                     number_fault, stack_fields)
+                     make_builtin, stack_fields)
 from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, frame_qr
 
 TWO_PI = 2.0 * math.pi
@@ -117,7 +117,8 @@ class GridValues:
     order is evaluated on first use, one array evaluation per field, and
     kept; so are `frame_basis()`, the frame's one complete QR per parameter
     (`multilinear.frame_qr`), and `coordinates(order)`, the derivatives in
-    it, which every grid stage reads. The arrays are shared, also with the
+    it, which every grid stage reads; the degree profile reads the frame's
+    alone (`frame_coordinates`). The arrays are shared, also with the
     values that `restrict`, `with_directrix` and `with_frame` derive from
     them: callers must not mutate them.
 
@@ -135,7 +136,8 @@ class GridValues:
         self._frame: dict[int, np.ndarray] = {}
         self._directrix: dict[int, np.ndarray] = {}
         self._basis: tuple | None = None
-        self._coordinates: dict[int, tuple] = {}
+        self._frame_coordinates: dict[int, tuple] = {}
+        self._directrix_coordinates: dict[int, tuple] = {}
 
     def frame(self, order: int) -> np.ndarray:
         if order not in self._frame:
@@ -152,23 +154,32 @@ class GridValues:
             self._basis = frame_qr(self.frame(0))
         return self._basis
 
+    def frame_coordinates(self, order: int) -> tuple:
+        """(X q, X comp): the frame derivatives X of `order`, (N, m-1, .),
+        in the bases q and comp of the frame QR (`frame_basis`)."""
+        if order not in self._frame_coordinates:
+            (_, q, comp, _), x = self.frame_basis(), self.frame(order)
+            self._frame_coordinates[order] = (x @ q, x @ comp)
+        return self._frame_coordinates[order]
+
     def coordinates(self, order: int) -> tuple:
         """(g q, X q, g comp, X comp): the directrix derivative g of `order`,
-        (N, 1, .), and the frame derivatives X, (N, m-1, .), in the bases q
-        and comp of the frame QR (`frame_basis`)."""
-        if order not in self._coordinates:
-            _, q, comp, _ = self.frame_basis()
-            g, x = self.directrix(order)[:, None], self.frame(order)
-            self._coordinates[order] = (g @ q, x @ q, g @ comp, x @ comp)
-        return self._coordinates[order]
+        (N, 1, .), and the frame derivatives X (`frame_coordinates`) in the
+        bases q and comp of the frame QR."""
+        if order not in self._directrix_coordinates:
+            (_, q, comp, _), g = self.frame_basis(), self.directrix(order)[:, None]
+            self._directrix_coordinates[order] = (g @ q, g @ comp)
+        (g_q, g_c), (x_q, x_c) = self._directrix_coordinates[order], self.frame_coordinates(order)
+        return g_q, x_q, g_c, x_c
 
     def with_directrix(self, fc: FramedCurve) -> "GridValues":
         """The values of `fc`, this curve with its directrix shifted along
-        its frame (`RuledPatch.shift_directrix`): the frame arrays and basis
-        are shared, and each directrix order held here is summed from them
-        term by term, as the shifted field's `eval` sums it."""
+        its frame (`RuledPatch.shift_directrix`): the frame arrays, basis and
+        frame coordinates are shared, and each directrix order held here is
+        summed from them term by term, as the shifted field's `eval` sums it."""
         out = GridValues(fc, self.parameters)
         out._frame, out._basis = self._frame, self.frame_basis()
+        out._frame_coordinates = self._frame_coordinates
         for order, g in self._directrix.items():
             for w, x in zip(fc.directrix.weights, self.frame(order).swapaxes(0, 1)):
                 if w != 0.0:
@@ -193,7 +204,9 @@ class GridValues:
         out._frame = {order: x[lo:hi] for order, x in self._frame.items()}
         out._directrix = {order: g[lo:hi] for order, g in self._directrix.items()}
         out._basis = tuple(a[lo:hi] for a in self.frame_basis())
-        out._coordinates = {k: tuple(a[lo:hi] for a in c) for k, c in self._coordinates.items()}
+        for name in ("_frame_coordinates", "_directrix_coordinates"):
+            setattr(out, name, {k: tuple(a[lo:hi] for a in c)
+                                for k, c in getattr(self, name).items()})
         return out
 
 
@@ -393,59 +406,36 @@ def two_rotation_family(interval: tuple[float, float] = (0.0, TWO_PI)) -> Framed
     return FramedCurve(5, 3, directrix, (x1, x2), interval)
 
 
-@dataclass(frozen=True)
-class PatchFamily:
-    name: str
-    description: str
-    factory: Callable[..., FramedCurve]
-
-
-_PATCH_FAMILIES = [
-    PatchFamily("cylinder_helix",
-                "cylinder over a helix in R^4 (one constant ruling direction)",
-                lambda a=1.0 / math.sqrt(2.0), b=1.0 / math.sqrt(2.0):
-                cylinder_over(HelixCurve(a, b))),
-    PatchFamily("rotating_cylinder",
-                "degree-0 patch in R^3 whose frame rotates inside a constant plane",
-                rotating_cylinder),
-    PatchFamily("helicoid_frame",
-                "right helicoid in R^3 (axis directrix, rotating ruling)",
-                helicoid_frame),
-    PatchFamily("circular_cone",
-                "cone with apex at the origin; params r, h",
-                circular_cone),
-    PatchFamily("tangent_developable_helix",
-                "tangent developable of the unit-speed helix; params a, b",
-                lambda a=1.0 / math.sqrt(2.0), b=1.0 / math.sqrt(2.0), interval=(0.0, TWO_PI):
-                tangent_developable(HelixCurve(a, b), interval)),
-    PatchFamily("tangent_developable_product",
-                "helix tangent developable times a constant direction (R^4, m=3)",
-                lambda a=1.0 / math.sqrt(2.0), b=1.0 / math.sqrt(2.0):
-                product_with_constant_directions(
-                    tangent_developable(HelixCurve(a, b)), 1)),
-    PatchFamily("two_rotation_r5",
-                "degree-2 ruled patch in R^5 with two rotating rulings",
-                two_rotation_family),
-]
-
-BUILTIN_PATCHES: dict[str, PatchFamily] = {p.name: p for p in _PATCH_FAMILIES}
+#: the builtin patch families, name -> (factory, description) as `fields.BUILTIN_CURVES`
+BUILTIN_PATCHES: dict[str, tuple[Callable[..., FramedCurve], str]] = {
+    "cylinder_helix": (
+        lambda a=1.0 / math.sqrt(2.0), b=1.0 / math.sqrt(2.0): cylinder_over(HelixCurve(a, b)),
+        "cylinder over a helix in R^4 (one constant ruling direction)"),
+    "rotating_cylinder": (
+        rotating_cylinder,
+        "degree-0 patch in R^3 whose frame rotates inside a constant plane"),
+    "helicoid_frame": (
+        helicoid_frame, "right helicoid in R^3 (axis directrix, rotating ruling)"),
+    "circular_cone": (circular_cone, "cone with apex at the origin; params r, h"),
+    "tangent_developable_helix": (
+        lambda a=1.0 / math.sqrt(2.0), b=1.0 / math.sqrt(2.0), interval=(0.0, TWO_PI):
+        tangent_developable(HelixCurve(a, b), interval),
+        "tangent developable of the unit-speed helix; params a, b"),
+    "tangent_developable_product": (
+        lambda a=1.0 / math.sqrt(2.0), b=1.0 / math.sqrt(2.0):
+        product_with_constant_directions(tangent_developable(HelixCurve(a, b)), 1),
+        "helix tangent developable times a constant direction (R^4, m=3)"),
+    "two_rotation_r5": (
+        two_rotation_family, "degree-2 ruled patch in R^5 with two rotating rulings"),
+}
 
 
 def make_builtin_patch(name: str, params: dict | None = None) -> FramedCurve:
-    if name not in BUILTIN_PATCHES:
-        raise ConfigError(f"unknown builtin patch family {name!r}; "
-                          f"known: {sorted(BUILTIN_PATCHES)}")
-    fault = number_fault(params)
-    if fault:
-        raise ConfigError(f"bad parameters for builtin patch {name!r}: {fault}")
-    try:
-        return BUILTIN_PATCHES[name].factory(**(params or {}))
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for builtin patch {name!r}: {exc}") from exc
+    return make_builtin("patch", BUILTIN_PATCHES, name, params)
 
 
 def builtin_families() -> dict[str, str]:
     """Registry of builtin curve and patch families with short summaries."""
-    out = {f"curve:{name}": desc for name, (_, desc) in BUILTIN_CURVES.items()}
-    out.update({f"patch:{p.name}": p.description for p in _PATCH_FAMILIES})
-    return out
+    return {f"{kind}:{name}": desc
+            for kind, registry in (("curve", BUILTIN_CURVES), ("patch", BUILTIN_PATCHES))
+            for name, (_, desc) in registry.items()}

@@ -22,9 +22,9 @@ grid's own values and frame basis), and compares two tangent spaces by
 the angle between their normal directions off the frame span. Every
 regularity verdict takes this one route, `GridValues.coordinates`,
 `_reduced_jacobians`, `_regularity`: the scan's, the stability check's,
-the off-sheet check's and `sectional_curvature`'s
-(`jacobian_regularity`, on the values at their points) and the selftest
-sweep's pair filter; the flatness check reads the scan's. Sectional
+the off-sheet check's (`jacobian_regularity`, on the values at its
+points), `sectional_curvature`'s on its own reduced Jacobian and the
+selftest sweep's pair filter; the flatness check reads the scan's. Sectional
 curvatures come from the Gauss equation in closed form, in the tangent
 basis of the frame QR and the unit normal n off the frame span: II
 vanishes on pairs of ruling directions, so sigma_tt drops out, the
@@ -270,13 +270,12 @@ def _reduced_jacobians(r: np.ndarray, coords, u: np.ndarray):
     return jac, c
 
 
-def jacobian_regularity(v: GridValues, u: np.ndarray, tol: TolerancePolicy,
-                        rows: slice | np.ndarray = slice(None)) -> np.ndarray:
-    """The rank rule's full-rank verdict at the N parameters `rows` of `v`,
-    each at its own ruling position of u (N, m-1), (N,): `_regularity` of
-    the reduced Jacobians on the values' frame QR and coordinates."""
-    r = v.frame_basis()[0][rows]
-    jac, _ = _reduced_jacobians(r, [a[rows] for a in v.coordinates(1)], u[:, None])
+def jacobian_regularity(v: GridValues, u: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """The rank rule's full-rank verdict at the N parameters of `v`, each at
+    its own ruling position of u (N, m-1), (N,): `_regularity` of the
+    reduced Jacobians on the values' frame QR and coordinates."""
+    r = v.frame_basis()[0]
+    jac, _ = _reduced_jacobians(r, v.coordinates(1), u[:, None])
     return _regularity(jac, _inverse_factors(r)[:, None], tol)[:, 0]
 
 
@@ -611,15 +610,16 @@ def sectional_curvature(p: RuledPatch, t: float, u) -> float:
     sigma_t is (a, c) and X_1 = R_11 q_1, so |sigma_t ^ X_1|^2 is
     R_11^2 (|a_2..a_{m-1}|^2 + |c|^2), and II(d_t, d_u1), the part of
     Xdot_1 comp off n = c / |c|, has |II|^2 = |Xdot_1 comp ^ c|^2 / |c|^2.
-    Regularity is `jacobian_regularity`'s; a singular point raises.
+    Regularity is the rank rule's (`_regularity`) on the same reduced
+    Jacobian; a singular point raises.
     """
     u = _as_u(p, u)[None]
     v, rows = _values_at(p, t)
-    if not jacobian_regularity(v, u, p.tol, rows)[0]:
-        raise RegularityError(f"patch is singular at (t={t}, u={u[0].tolist()})")
     r = v.frame_basis()[0][rows]
     coords = [a[rows] for a in v.coordinates(1)]
     jac, c = _reduced_jacobians(r, coords, u)
+    if not _regularity(jac, _inverse_factors(r)[:, None], p.tol)[0, 0]:
+        raise RegularityError(f"patch is singular at (t={t}, u={u[0].tolist()})")
     # row 0 of the reduced Jacobian past a_1: a_2..a_{m-1}, then |c|
     rest, length = jac[0, 0, 0, 1:], jac[0, 0, 0, -1]
     wedge = _pair_wedge_squares(coords[3][0, 0], c[0, 0])

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import DEFAULT_INVARIANCE_SCALES
 from .classify import (CONICAL, CYLINDRICAL, NON_RANK_ONE, TANGENT,
                        SegmentAnalysis, classify_patch, converse_check,
                        segment_analyses)
@@ -277,8 +276,7 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
     def c7():
         for name in ["circular_cone", "tangent_developable_helix"]:
             seg = whole(name)
-            offsets = [np.full(seg.patch.m - 1, s) for s in DEFAULT_INVARIANCE_SCALES]
-            inv = directrix_invariance(seg.pivoted, seg.sheet, offsets)
+            inv = directrix_invariance([(seg.pivoted, seg.sheet)])
             ok = inv.max_deviation < 1e-6 and not inv.skipped
             record(7, f"directrix invariance {name}", ok,
                    f"max deviation {inv.max_deviation:.2e}")

@@ -11,7 +11,9 @@ the patch sit on this sheet, which the locus scan verifies sample-wise.
 The grid stages run on stacked arrays, once per patch: the systems of all
 samples are assembled, checked and Cholesky-solved as (N, d, d) stacks,
 and the sheet is the solved nodes plus their exact t-derivatives, by
-implicit differentiation of the system. Every grid stage reads the nodes,
+implicit differentiation of the system. Every grid stage reads the nodes
+(the locus scan, the equivalent-condition check and the CSV through one
+cached array of the ruling coordinates at the grid, `StrictionSheet.grid_u`),
 the sheet Jacobian ranks also the tangents; `solved` solves the system
 at its own t, and only `beta` and `beta_partials`, which the invariance
 fit calls, interpolate. The tangents, the sheet wedges of the locus scan
@@ -26,12 +28,13 @@ rounding margin of a cutoff.
 The stage results stay arrays until a report or file converts them,
 once, with `tolist()`.
 
-The directrix-invariance check re-solves the sheet of each shifted
-directrix on the patch's own grid, since the solved coordinates do not
-change under reparametrization; the shifted patch shares the frame
-values and degree profile, so no arclength map is built. The distance
-of each re-solved node to the analyzed sheet comes from a per-point
-Gauss-Newton fit over the sheet's parameters (`least_squares`).
+The directrix-invariance check, one call per segment over its pivot runs,
+re-solves the sheet of each shifted directrix on the patch's own grid,
+since the solved coordinates do not change under reparametrization; the
+shifted patch shares the frame values and degree profile, so no arclength
+map is built. The distance of each re-solved node to the analyzed sheet
+comes from a per-point Gauss-Newton fit over the sheet's parameters
+(`least_squares`).
 
 Every stage is deterministic except `offsheet_check`, the randomized
 regularity spot check just off the sheet; it alone takes a seed.
@@ -223,6 +226,14 @@ class StrictionSheet:
         """`solved` at every grid parameter, from the nodes."""
         return self._full_u(self.solution_nodes, u_free)[..., self.free_count:]
 
+    @cached_property
+    def grid_u(self) -> np.ndarray:
+        """All ruling coordinates of the sheet at every grid parameter and free
+        grid position, (N, P, m-1), free ones first: the locus' and CSV's points."""
+        u_free = self.grid.u_points(self.free_count)
+        s = self._affine(u_free) @ self.solution_nodes.swapaxes(1, 2)  # (N, P, d)
+        return np.concatenate([np.broadcast_to(u_free, s.shape[:2] + u_free.shape[1:]), s], -1)
+
     def _points(self, coeff: np.ndarray, x0: np.ndarray, g0: np.ndarray, u_free) -> np.ndarray:
         """Sheet points from the solved coefficients, frame values x0 and
         directrix values g0 at the same parameters."""
@@ -368,15 +379,6 @@ class OffsheetCheck:
         return self.total - len(self.failures)
 
 
-def _sheet_u(sheet: StrictionSheet) -> np.ndarray:
-    """All ruling coordinates of the sheet at every grid parameter and free
-    grid position, (N, P, m-1), free ones first."""
-    u_free = sheet.grid.u_points(sheet.free_count)
-    affine = np.concatenate([np.ones((u_free.shape[0], 1)), u_free], axis=1)
-    s = affine @ sheet.solution_nodes.swapaxes(1, 2)  # (N, P, d)
-    return np.concatenate([np.broadcast_to(u_free, s.shape[:2] + u_free.shape[1:]), s], axis=-1)
-
-
 def singular_locus(p: RuledPatch, sheet: StrictionSheet) -> SingularLocus:
     """Wedge test along the sheet: a sheet sample is singular when the
     t-derivative of the sheet map is wedged to zero by the frame. As
@@ -386,7 +388,7 @@ def singular_locus(p: RuledPatch, sheet: StrictionSheet) -> SingularLocus:
     `WEDGE_SLACK_PER_VECTOR` k eps |A|_F^k of the SVD's for those k = m vectors A."""
     v = sheet.values
     _, _, g1_c, x1_c = v.coordinates(1)
-    c = g1_c + _sheet_u(sheet) @ x1_c
+    c = g1_c + sheet.grid_u @ x1_c
     residuals = v.frame_basis()[3][:, None] * np.linalg.norm(c, axis=-1)
     return SingularLocus(t=p.grid.t_samples, u_free=p.grid.u_points(sheet.free_count),
                          residuals=residuals, singular=residuals < p.tol.zero_abs_tol)
@@ -435,7 +437,7 @@ def _augmented_vanish(v: GridValues, u: np.ndarray, tol: TolerancePolicy) -> np.
     """Whether each augmented wedge |Xdot_j ^ sigma_t ^ X_1 ^ ... ^ X_{m-1}|
     is below zero_abs_tol, (N, P, m-1), with sigma_t at the N parameters of
     `v` times P ruling positions u (N, P, m-1): the verdict of `wedge_norms`.
-    At the sheet (`_sheet_u`) these are the wedges with beta_dot.
+    At the sheet (`StrictionSheet.grid_u`) these are the wedges with beta_dot.
 
     The complete QR of the frame per t, X^T = [q | comp] R, turns the
     wedge into |det R| |a_j ^ c| with the complement coordinates
@@ -504,7 +506,7 @@ def equivalent_condition_check(p: RuledPatch, sheet: StrictionSheet,
         # dimension, hence vanishes identically
         augmented = np.ones(plain.shape + (fc.m - 1,), dtype=bool)
     else:
-        augmented = _augmented_vanish(sheet.values, _sheet_u(sheet), tol)  # (N, P, m-1)
+        augmented = _augmented_vanish(sheet.values, sheet.grid_u, tol)  # (N, P, m-1)
     # only the carrying frame derivatives take part
     augmented = augmented | ~carriers[:, None, :]
     agree = ~((augmented != plain[..., None]) & carriers[:, None, :]).any(axis=-1)
@@ -516,6 +518,7 @@ def equivalent_condition_check(p: RuledPatch, sheet: StrictionSheet,
 
 @dataclass(frozen=True, eq=False)
 class InvarianceResult:
+    offsets: tuple     # offset list of each scale
     per_offset: tuple  # (offset list, max deviation) for each tested offset
     skipped: tuple     # (offset list, reason)
     max_deviation: float
@@ -602,18 +605,26 @@ def _distances_to_sheet(sheet: StrictionSheet, points: np.ndarray,
     return np.linalg.norm(fit.fun, axis=1)
 
 
-def _offset_deviation(p: RuledPatch, sheet: StrictionSheet, c: np.ndarray,
-                      free_pts: np.ndarray) -> float:
+#: free sample positions per free ruling axis of the invariance check,
+#: spread over [-u_extent, u_extent]
+INVARIANCE_AXIS_SAMPLES = 3
+
+#: the invariance check's offsets: per scale, the ruling coordinates all that scale
+INVARIANCE_SCALES = (0.5, 1.0, -0.7)
+
+
+def _offset_deviation(p: RuledPatch, sheet: StrictionSheet, c: np.ndarray) -> float:
     """Largest distance to `sheet` from the sheet re-solved off the
     directrix shifted by c on the same grid, over about 64 of the grid
-    nodes times `free_pts`."""
+    nodes times `INVARIANCE_AXIS_SAMPLES` free positions per free axis."""
     new_sheet = solve_striction(p.shift_directrix(c), sheet.d)
+    axis = np.linspace(-p.grid.u_extent, p.grid.u_extent, INVARIANCE_AXIS_SAMPLES)
     step = max(1, p.grid.t_samples.size // 64)
     ts = p.grid.t_samples[::step]
     seeds = np.empty((ts.size, 1 + sheet.free_count))
     seeds[:, 0] = ts
     dev = 0.0
-    for u_free in free_pts:
+    for u_free in np.array(list(product(axis, repeat=sheet.free_count))):
         # sigma'(t, u) = sigma(t, u + c): the matched original parameters
         seeds[:, 1:] = u_free + c[:sheet.free_count]
         dists = _distances_to_sheet(sheet, new_sheet.grid_points(u_free)[::step], seeds)
@@ -621,48 +632,38 @@ def _offset_deviation(p: RuledPatch, sheet: StrictionSheet, c: np.ndarray,
     return dev
 
 
-#: free sample positions per free ruling axis of the invariance check,
-#: spread over [-u_extent, u_extent]
-INVARIANCE_AXIS_SAMPLES = 3
-
-
-def directrix_invariance(p: RuledPatch, sheet: StrictionSheet, offsets
-                         ) -> InvarianceResult:
+def directrix_invariance(runs, scales=INVARIANCE_SCALES) -> InvarianceResult:
     """Re-solve the sheet from shifted directrices and compare images.
 
-    Each offset is a constant ruling coordinate vector c. The patch swept
-    from the shifted directrix t -> sigma(t, c) along the same frame is
-    re-solved on the same grid (`RuledPatch.shift_directrix`): the solved
-    coordinates do not change under reparametrization, so no arclength
-    map is needed. Since sigma'(t, u) = sigma(t, u + c), the re-solved
-    point at (t, u_free) is matched to the original sheet at
+    `runs` are the (pivoted patch, sheet) pairs of one constant-degree
+    segment, one per pivot run (`classify.segment_analyses`). Each scale
+    gives one offset c, the ruling coordinate vector all that scale. The
+    patch swept from the shifted directrix t -> sigma(t, c) along the same
+    frame is re-solved on the same grid (`RuledPatch.shift_directrix`):
+    the solved coordinates do not change under reparametrization, so no
+    arclength map is needed. Since sigma'(t, u) = sigma(t, u + c), the
+    re-solved point at (t, u_free) is matched to the original sheet at
     (t, u_free + c_free); from there one `least_squares` per free sample
     position moves all of an offset's points to their nearest sheet
-    points, each by its own Gauss-Newton iteration. The deviation is the
-    largest distance from a re-solved grid node to the original sheet.
-    An offset whose re-solve fails numerically is skipped with its
-    reason.
+    points, each by its own Gauss-Newton iteration. An offset's deviation
+    is the largest distance from a re-solved grid node to the original
+    sheet over all runs; an offset whose re-solve fails numerically on
+    some run is skipped with the first failing run's reason.
     """
-    fc, grid = p.fc, p.grid
-    if sheet.d < 1:
+    if any(sheet.d < 1 for _, sheet in runs):
         raise ValidationError("invariance requires a solved sheet (degree >= 1)")
-    axis = np.linspace(-grid.u_extent, grid.u_extent, INVARIANCE_AXIS_SAMPLES)
-    free_pts = np.array(list(product(axis, repeat=sheet.free_count)))
+    offsets = [np.full(runs[0][0].m - 1, float(s)) for s in scales]
     per_offset, skipped = [], []
-    worst = 0.0
     for c in offsets:
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        if c.shape != (fc.m - 1,):
-            raise ValidationError(f"offset must have {fc.m - 1} coordinates")
         try:
-            dev = _offset_deviation(p, sheet, c, free_pts)
+            dev = max(_offset_deviation(p, sheet, c) for p, sheet in runs)
         except NumericError as exc:
             skipped.append((c.tolist(), f"{type(exc).__name__}: {exc}"))
             continue
         per_offset.append((c.tolist(), dev))
-        worst = max(worst, dev)
-    return InvarianceResult(per_offset=tuple(per_offset), skipped=tuple(skipped),
-                            max_deviation=worst)
+    return InvarianceResult(offsets=tuple(c.tolist() for c in offsets),
+                            per_offset=tuple(per_offset), skipped=tuple(skipped),
+                            max_deviation=max([0.0] + [dev for _, dev in per_offset]))
 
 
 def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):
@@ -679,14 +680,13 @@ def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):
               + [f"s{j}" for j in range(m - d, m)]
               + [f"b{i}" for i in range(1, dim + 1)]
               + ["wedge_residual", "singular"])
-    ts, u_pts = locus.t, locus.u_free
-    n, n_pos = locus.residuals.shape
-    # one column per free grid position: the t-major order of the locus
-    solved = np.stack([sheet.grid_solved(u) for u in u_pts], axis=1).reshape(-1, d)
-    points = float_texts(np.stack([sheet.grid_points(u) for u in u_pts], axis=1))
+    # the ruling coordinates u and s of the sheet, (N, P, m-1), t-major as the locus
+    u, v = sheet.grid_u, sheet.values
+    points = float_texts(v.directrix(0)[:, None] + u @ v.frame(0))
     # t, u, s and wedge_residual: m + 1 numbers per row
-    numbers = float_texts(np.concatenate([np.repeat(ts, n_pos)[:, None], np.tile(u_pts, (n, 1)),
-                                          solved, locus.residuals.reshape(-1, 1)], axis=1))
+    numbers = float_texts(np.concatenate([np.repeat(locus.t, u.shape[1])[:, None],
+                                          u.reshape(-1, m - 1), locus.residuals.reshape(-1, 1)],
+                                         axis=1))
     columns = ([numbers[j::m + 1] for j in range(m)] + [points[i::dim] for i in range(dim)]
                + [numbers[m::m + 1], np.where(locus.singular.ravel(), "true", "false").tolist()])
     with open(path, "w", newline="") as fh:

@@ -5,8 +5,8 @@ import pytest
 
 from ambient_second_form import svd_span_verdicts
 from conftest import small_patch
-from ruledkit import (PivotError, RuledPatch, SampleGrid, TolerancePolicy, ValidationError,
-                      make_builtin_patch, pivot_frame, rho_at)
+from ruledkit import (NumericError, PivotError, RuledPatch, SampleGrid, TolerancePolicy,
+                      ValidationError, make_builtin_patch, pivot_frame, rho_at, striction)
 from ruledkit.analysis import analyze
 from ruledkit.classify import segment_analyses
 from ruledkit.distribution import (DegreeProfile, constant_degree_segments, degree_profile,
@@ -14,6 +14,7 @@ from ruledkit.distribution import (DegreeProfile, constant_degree_segments, degr
 from ruledkit.fields import FourierField, PolynomialField, VectorField
 from ruledkit.parametric import FramedCurve
 from ruledkit.scene import IngestResult
+from ruledkit.striction import directrix_invariance
 from test_evaluations import recorded_evaluations
 
 TWO_PI = 2.0 * math.pi
@@ -214,6 +215,37 @@ def test_migrating_frame_pivots_by_runs(tol, tmp_path, t_samples, lengths):
     assert all(s["offsheet"]["regular"] == 32 for s in report["striction"])
     assert report["directrix_invariance"]["max_deviation"] < 1e-12
     assert not report["directrix_invariance"]["skipped"]
+
+
+def test_invariance_over_pivot_runs(tol, monkeypatch):
+    # one call over the three runs: each offset's deviation is the worst of
+    # the single-run calls
+    fc = _migrating_frame()
+    runs = [(seg.pivoted, seg.sheet)
+            for seg in segment_analyses(RuledPatch(fc, SampleGrid.uniform(fc.interval, 40), tol))]
+    assert len(runs) == 3
+    whole, single = directrix_invariance(runs), [directrix_invariance([run]) for run in runs]
+    assert whole.offsets == ([0.5, 0.5], [1.0, 1.0], [-0.7, -0.7])
+    assert not whole.skipped and not any(inv.skipped for inv in single)
+    assert whole.per_offset == tuple(
+        (c, max(inv.per_offset[k][1] for inv in single)) for k, c in enumerate(whole.offsets))
+    assert whole.max_deviation == max(inv.max_deviation for inv in single)
+
+    # the offset [1, 1] fails its re-solve on the second and third runs: it
+    # is skipped with the second run's reason, and the others are reported
+    solve = striction.solve_striction
+
+    def failing(p, d):
+        for k in (1, 2):
+            if p.grid is runs[k][0].grid and list(p.fc.directrix.weights) == [1.0, 1.0]:
+                raise NumericError(f"re-solve of run {k} failed")
+        return solve(p, d)
+
+    monkeypatch.setattr(striction, "solve_striction", failing)
+    partial = directrix_invariance(runs)
+    assert partial.skipped == (([1.0, 1.0], "NumericError: re-solve of run 1 failed"),)
+    assert partial.per_offset == (whole.per_offset[0], whole.per_offset[2])
+    assert partial.max_deviation == max(whole.per_offset[0][1], whole.per_offset[2][1])
 
 
 def test_pivot_subsets_are_scored_once(tol, monkeypatch):

@@ -10,8 +10,10 @@ off-sheet points of each sheet. The one exemption is the invariance fit
 (`striction.least_squares`), which reads the sheet off the grid.
 
 The derivatives' coordinates in the frame QR (`GridValues.coordinates`)
-are taken likewise at most once per values object and order, and a
-segment's values slice them from the whole grid's.
+are taken likewise at most once per values object and order, the
+frame's apart from the directrix's, so the degree profile evaluates no
+directrix derivative; a segment's values slice them from the whole
+grid's, and a shifted directrix's share the frame's.
 """
 
 import glob
@@ -22,9 +24,10 @@ import pytest
 
 from conftest import small_patch
 from perfbench.scenegen import explicit_scene
-from ruledkit import RuledPatch, SampleGrid, pivot_frame, striction
+from ruledkit import RuledPatch, SampleGrid, make_builtin_patch, pivot_frame, rho_at, striction
 from ruledkit.analysis import analyze
-from ruledkit.fields import ParameterArray, PolynomialField, VectorField
+from ruledkit.distribution import degree_profile
+from ruledkit.fields import FourierField, ParameterArray, PolynomialField, VectorField
 from ruledkit.parametric import FramedCurve, GridValues
 from ruledkit.scene import IngestResult, ingest
 from ruledkit.selftest import run_selftest
@@ -125,21 +128,29 @@ def test_restrict_and_pivot_evaluate_no_field(monkeypatch):
 
 
 def recorded_coordinates(patch):
-    """Record, from here on, each `GridValues.coordinates` call that
-    computes its result, as (values, order), and each values object that
+    """Record, from here on, each `GridValues.frame_coordinates` and
+    `GridValues.coordinates` call that computes its frame or directrix
+    products, as (values, (part, order)), and each values object that
     `GridValues.restrict` derives."""
     misses, restricted = [], []
-    coordinates, restrict = GridValues.coordinates, GridValues.restrict
+    frame_coordinates, coordinates = GridValues.frame_coordinates, GridValues.coordinates
+    restrict = GridValues.restrict
+
+    def counting_frame(self, order):
+        if order not in self._frame_coordinates:
+            misses.append((self, ("frame", order)))
+        return frame_coordinates(self, order)
 
     def counting(self, order):
-        if order not in self._coordinates:
-            misses.append((self, order))
+        if order not in self._directrix_coordinates:
+            misses.append((self, ("directrix", order)))
         return coordinates(self, order)
 
     def recording(self, lo, hi):
         restricted.append(restrict(self, lo, hi))
         return restricted[-1]
 
+    patch.setattr(GridValues, "frame_coordinates", counting_frame)
     patch.setattr(GridValues, "coordinates", counting)
     patch.setattr(GridValues, "restrict", recording)
     return misses, restricted
@@ -187,5 +198,27 @@ def test_segments_slice_the_coordinates(monkeypatch, tmp_path):
     assert_coordinates_taken_once(misses, restricted)
     # the whole grid's two orders; the degree-1 segment's system degenerates
     # next to the splice, so it has no sheet and no off-sheet check
-    assert sorted(order for _, order in misses) == [1, 2]
+    assert sorted(key for _, key in misses) == [("directrix", 1), ("directrix", 2),
+                                                 ("frame", 1), ("frame", 2)]
     assert report["striction"] == []
+
+
+def test_profile_evaluates_no_directrix(monkeypatch):
+    # the degree profile reads the frame's coordinates only: the cone's
+    # frame at orders 0 and 1, and no directrix derivative
+    fc = make_builtin_patch("circular_cone")
+    grid = SampleGrid.uniform(fc.interval, 50)
+    for stage in (lambda: degree_profile(fc, grid), lambda: rho_at(fc, 1.0)):
+        with monkeypatch.context() as patch:
+            calls = recorded_evaluations(patch)
+            stage()
+        assert [(c.field, c.order) for c in calls if isinstance(c.field, FourierField)] == [
+            (fc.frame[0], 0), (fc.frame[0], 1)]
+
+
+def test_shifted_values_share_the_frame_coordinates():
+    p = small_patch("tangent_developable_product", 41)
+    shifted = p.shift_directrix(np.array([0.5, -0.7]))
+    for order in (1, 2):
+        got, parent = shifted.values.coordinates(order), p.values.coordinates(order)
+        assert got[1] is parent[1] and got[3] is parent[3]

@@ -7,9 +7,9 @@ from scipy.interpolate import CubicHermiteSpline
 
 from ruledkit import DomainError, HelixCurve, RegularityError, ValidationError
 from ruledkit.errors import ConfigError
-from ruledkit.fields import (AffineCombinationField, CircleCurve, ComposedField,
-                             ConstantField, CubicHermite, DerivativeField, EmbeddedField,
-                             FourierField, GramSchmidtField, GramSchmidtFrame, LineCurve,
+from ruledkit.fields import (BUILTIN_CURVES, AffineCombinationField, CircleCurve,
+                             ComposedField, ConstantField, CubicHermite, DerivativeField,
+                             EmbeddedField, FourierField, GramSchmidtField, GramSchmidtFrame,
                              ParameterMap, PolynomialField, VectorField,
                              arclength_reparametrize, make_builtin_curve)
 from ruledkit.oracles import central_difference, max_derivative_error
@@ -51,7 +51,7 @@ def test_helix_derivative_against_finite_differences():
     FourierField([(0.5, [1.0, 0.25], [0.5], 1.0), (0.0, [], [1.0], 2.0)]),
     HelixCurve(0.3, 1.1),
     CircleCurve(2.0),
-    LineCurve([1.0, 0.0, 0.0], [1.0, 1.0, 0.0]),
+    make_builtin_curve("line", {"point": [1.0, 0.0, 0.0], "direction": [1.0, 1.0, 0.0]}),
     DerivativeField(HelixCurve(), 1),
 ], ids=["poly", "fourier", "helix", "circle", "line", "helix-tangent"])
 @pytest.mark.parametrize("order", [1, 2])
@@ -125,6 +125,50 @@ def test_builtin_curve_registry():
         make_builtin_curve("klein_bottle")
     with pytest.raises(ConfigError):
         make_builtin_curve("helix", {"radius": 1.0})
+
+
+@pytest.mark.parametrize("kind,registry,build", [
+    ("curve", BUILTIN_CURVES, make_builtin_curve),
+    ("patch", BUILTIN_PATCHES, make_builtin_patch),
+], ids=["curve", "patch"])
+def test_builtin_factory_messages(kind, registry, build):
+    # both kinds go through the one factory, with the kind in each message
+    known = sorted(registry)
+    with pytest.raises(ConfigError) as exc:
+        build("klein_bottle")
+    assert str(exc.value) == f"unknown builtin {kind} family 'klein_bottle'; known: {known}"
+    name = known[0]
+    with pytest.raises(ConfigError) as exc:
+        build(name, {"nope": 1.0})
+    assert str(exc.value).startswith(f"bad parameters for builtin {kind} {name!r}: ")
+    with pytest.raises(ConfigError) as exc:
+        build(name, {"nope": True})
+    assert str(exc.value) == f"bad parameters for builtin {kind} {name!r}: a bool is not a number"
+
+
+def test_builtin_line_rejects_a_zero_direction():
+    with pytest.raises(ConfigError, match="^line direction must be nonzero$"):
+        make_builtin_curve("line", {"point": [1.0, 2.0], "direction": [0.0, -0.0]})
+
+
+def test_builtin_line_is_p_plus_t_times_unit_direction_bitwise():
+    # the "line" builtin is a degree-1 polynomial field; Horner's d t + p is
+    # p + t d bit for bit, signed zeros included
+    rng = SplitMix64(7)
+    ts = np.concatenate([rng.uniform(-20.0, 20.0, 40), [-0.0, 0.0, -20.0, 20.0]])
+    for _ in range(50):
+        p = rng.uniform(-5.0, 5.0, 3) * (rng.uniform(0.0, 1.0, 3) > 0.3)
+        d = rng.uniform(-3.0, 3.0, 3) * (rng.uniform(0.0, 1.0, 3) > 0.3)
+        if not d.any():
+            continue
+        line = make_builtin_curve("line", {"point": p.tolist(), "direction": d.tolist()})
+        unit = d / np.linalg.norm(d)
+        want = {0: p + ts[:, None] * unit, 1: np.tile(unit, (ts.size, 1)),
+                2: np.zeros((ts.size, 3)), 3: np.zeros((ts.size, 3))}
+        for order, expected in want.items():
+            got = line.eval(ts, order)
+            assert got.tobytes() == expected.tobytes()
+            assert line.eval(float(ts[0]), order).tobytes() == expected[0].tobytes()
 
 
 # --- arclength reparametrization -------------------------------------------
@@ -261,7 +305,8 @@ def _array_cases():
         ("fourier", fourier, ts),
         ("helix", helix, ts),
         ("circle", CircleCurve(2.0), ts),
-        ("line", LineCurve([1.0, 0.0, 0.0], [1.0, 1.0, 0.0]), ts),
+        ("line", make_builtin_curve("line", {"point": [1.0, 0.0, 0.0],
+                                             "direction": [1.0, 1.0, 0.0]}), ts),
         ("embedded", EmbeddedField(helix, 5, offset=1), ts),
         ("derivative", DerivativeField(helix, 1), ts),
         ("composed", composed, np.linspace(0.0, length, 13)),

@@ -33,7 +33,7 @@ from ruledkit.classify import segment_analyses
 from ruledkit.fields import AffineCombinationField
 from ruledkit.multilinear import wedge_norms
 from ruledkit.ruledgeom import rank_one_check
-from ruledkit.striction import _augmented_vanish, _sheet_u
+from ruledkit.striction import _augmented_vanish
 from scene_families import FAMILIES
 
 SCENE_DIR = pathlib.Path(__file__).parent.parent / "scenes"
@@ -163,5 +163,5 @@ def test_sheet_stages_equal_their_ambient_forms(name, source, t_samples):
         assert (np.abs(seg.locus.residuals - want) <= 2 * slack).all()
         np.testing.assert_array_equal(seg.locus.singular, want < zero)
         if p.m + 1 <= p.dim:
-            np.testing.assert_array_equal(_augmented_vanish(sheet.values, _sheet_u(sheet), p.tol),
+            np.testing.assert_array_equal(_augmented_vanish(sheet.values, sheet.grid_u, p.tol),
                                           beta_dot_augmented_vanish(sheet, p.tol))

@@ -743,8 +743,25 @@ def test_report_generator_is_the_package_version(tmp_path):
 def test_cli_list_builtins():
     result = CliRunner().invoke(main, ["list-builtins"])
     assert result.exit_code == 0
-    assert "patch:circular_cone" in result.output
-    assert "curve:helix" in result.output
+    assert result.output.splitlines() == [
+        "curve:circle                           unit-speed circle of radius r in the z=0 plane",
+        "curve:helix                            unit-speed circular helix; "
+        "params a (radius), b (pitch slope)",
+        "curve:line                             unit-speed line; params point, direction",
+        "patch:circular_cone                    cone with apex at the origin; params r, h",
+        "patch:cylinder_helix                   cylinder over a helix in R^4 "
+        "(one constant ruling direction)",
+        "patch:helicoid_frame                   right helicoid in R^3 "
+        "(axis directrix, rotating ruling)",
+        "patch:rotating_cylinder                degree-0 patch in R^3 whose frame rotates "
+        "inside a constant plane",
+        "patch:tangent_developable_helix        tangent developable of the unit-speed helix; "
+        "params a, b",
+        "patch:tangent_developable_product      helix tangent developable times a constant "
+        "direction (R^4, m=3)",
+        "patch:two_rotation_r5                  degree-2 ruled patch in R^5 with two rotating "
+        "rulings",
+    ]
 
 
 def test_cli_selftest_bad_tolerance_exits_4():

@@ -18,7 +18,7 @@ from ambient_second_form import svd_span_verdicts
 from conftest import small_patch
 from ruledkit import (RuledPatch, SampleGrid, ingest, make_builtin_patch, selftest,
                       striction)
-from ruledkit.analysis import DEFAULT_INVARIANCE_SCALES, analyze
+from ruledkit.analysis import analyze
 from ruledkit.classify import SegmentAnalysis
 from ruledkit.distribution import degree_profile, rho_at
 from ruledkit.multilinear import numerical_rank
@@ -26,6 +26,7 @@ from ruledkit.parametric import BUILTIN_PATCHES
 from ruledkit.ruledgeom import (jacobian_sigma, rank_one_check, second_form_scan,
                                 tangent_space_stability)
 from ruledkit.splitmix import SplitMix64
+from ruledkit.striction import INVARIANCE_SCALES
 
 #: stacked and per-sample arithmetic may sum in another order; float64
 #: results of unit-scale inputs agree far inside this
@@ -255,7 +256,7 @@ def test_selftest_solves_each_sheet_once(monkeypatch):
     assert all(r.passed for r in results)
     # four degree-one corpus sheets, plus 2 patches x 3 offsets re-solved
     # by the directrix invariance check
-    assert counts["solve_striction"] == 4 + 2 * len(DEFAULT_INVARIANCE_SCALES)
+    assert counts["solve_striction"] == 4 + 2 * len(INVARIANCE_SCALES)
     # one pivot per patch of criterion 3, shared with the sheets; the
     # profiles are the patches' own
     assert counts["pivot_frame"] == 5

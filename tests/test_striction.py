@@ -13,7 +13,7 @@ from ruledkit import (DegeneracyError, RuledPatch, SampleGrid, ValidationError,
 from conftest import fail_invariance_resolve, small_patch
 from frame_oracles import sheet_wedges, wedge_slack
 from ruledkit import striction
-from ruledkit.analysis import DEFAULT_INVARIANCE_SCALES, analyze
+from ruledkit.analysis import analyze
 from ruledkit.classify import segment_analyses
 from ruledkit.exports import write_mesh_obj
 from ruledkit.fields import FourierField, ParameterMap, PolynomialField, VectorField
@@ -22,7 +22,7 @@ from ruledkit.parametric import FramedCurve, arclength_framed_curve
 from ruledkit.ruledgeom import jacobian_regularity, jacobian_sigma
 from ruledkit.scene import ingest
 from ruledkit.splitmix import SplitMix64
-from ruledkit.striction import (INVARIANCE_AXIS_SAMPLES, assemble_system,
+from ruledkit.striction import (INVARIANCE_AXIS_SAMPLES, INVARIANCE_SCALES, assemble_system,
                                 directrix_invariance, equivalent_condition_check,
                                 striction_jacobian_rank, write_striction_csv)
 
@@ -213,7 +213,7 @@ def test_analyze_interpolates_only_the_analyzed_sheet(tmp_path, monkeypatch):
     monkeypatch.setattr(striction, "solve_striction", recording_solve)
     analyze(ingest({"builtin_patch": "circular_cone", "grid": {"t_samples": 40}}),
             tmp_path, seed=0)
-    assert len(resolved) == len(DEFAULT_INVARIANCE_SCALES) == 3
+    assert len(resolved) == len(INVARIANCE_SCALES) == 3
     assert len(built) == 1
     for sheet in resolved:
         assert "solution_tangents" not in vars(sheet) and "_interpolant" not in vars(sheet)
@@ -519,14 +519,15 @@ def test_analyze_factorizes_the_sheet_wedges_once_per_segment(tmp_path, monkeypa
 
 def test_invariance_tangent_developable(td_sheet):
     p, sheet = td_sheet
-    result = directrix_invariance(p, sheet, [[1.0]])
+    result = directrix_invariance([(p, sheet)], [1.0])
     assert not result.skipped
     assert result.max_deviation < 1e-6
 
 
 def test_invariance_cone_three_offsets(cone_sheet):
     p, sheet = cone_sheet
-    result = directrix_invariance(p, sheet, [[0.5], [1.0], [-0.7]])
+    result = directrix_invariance([(p, sheet)])
+    assert result.offsets == ([0.5], [1.0], [-0.7])
     assert not result.skipped
     assert result.max_deviation < 1e-6
 
@@ -535,7 +536,7 @@ def test_invariance_apex_offset_is_not_skipped(cone_sheet):
     # the apex offset collapses the shifted directrix to a point, which has
     # no arclength parametrization; the same-grid re-solve needs none
     p, sheet = cone_sheet
-    result = directrix_invariance(p, sheet, [[-SQ2]])
+    result = directrix_invariance([(p, sheet)], [-SQ2])
     assert not result.skipped and len(result.per_offset) == 1
     assert result.max_deviation <= 1e-14
 
@@ -556,7 +557,7 @@ def test_shifted_patch_shares_frame_values_and_profile(product_patch):
 def test_invariance_skips_offset_whose_resolve_fails(monkeypatch, cone_sheet):
     p, sheet = cone_sheet
     fail_invariance_resolve(monkeypatch, 2)
-    result = directrix_invariance(p, sheet, [[0.5], [1.0], [-0.7]])
+    result = directrix_invariance([(p, sheet)])
     assert [c for c, _ in result.per_offset] == [[0.5], [-0.7]]
     assert result.skipped == (([1.0], "NumericError: injected re-solve failure"),)
     assert result.max_deviation <= 1e-14
@@ -578,7 +579,7 @@ def test_solved_coordinates_invariant_under_reparametrization(name):
     # coordinates of the unshifted patch solved exactly at (t(s), u + c_free)
     p, d = _invariance_patch(name)
     free = p.m - 1 - d
-    for scale in DEFAULT_INVARIANCE_SCALES:
+    for scale in INVARIANCE_SCALES:
         c = np.full(p.m - 1, scale)
         fc = arclength_framed_curve(p.shift_directrix(c).fc)
         grid = SampleGrid.uniform(fc.interval, 200, p.grid.u_extent, p.grid.u_samples_per_axis)
@@ -697,8 +698,7 @@ def test_invariance_fit_reaches_the_t_bound_on_a_bent_sheet():
     # the bound 2 pi, so the fit must walk the seeds onto the bound
     p = pivoted(ingest({"builtin_patch": "circular_cone"}).patch)
     bent = _bent_sheet(p, solve_striction(p, 1))
-    offsets = [np.full(p.m - 1, s) for s in DEFAULT_INVARIANCE_SCALES]
-    result = directrix_invariance(p, bent, offsets)
+    result = directrix_invariance([(p, bent)])
     assert len(result.per_offset) == 3
     assert result.max_deviation <= 1e-9
     # the apex is 1e-3 away from the bent sheet at its own seed somewhere
@@ -737,8 +737,7 @@ def test_invariance_deviation_free_of_bound_step(request, fixture, d):
     # the matched seeds on the t bound are nearest points already: the fit
     # leaves them there, so no deviation comes from a step off the bound
     p = pivoted(request.getfixturevalue(fixture), d)
-    offsets = [np.full(p.m - 1, s) for s in DEFAULT_INVARIANCE_SCALES]
-    result = directrix_invariance(p, solve_striction(p, d), offsets)
+    result = directrix_invariance([(p, solve_striction(p, d))])
     assert len(result.per_offset) == 3
     assert result.max_deviation < 1e-14
 
@@ -749,7 +748,7 @@ def test_invariance_matched_seed_avoids_wrong_local_minimum():
     from perfbench.scenegen import explicit_scene
     p = ingest(explicit_scene(1), {"t_samples": 200}).patch
     sheet_patch = pivoted(p)
-    result = directrix_invariance(sheet_patch, solve_striction(sheet_patch, 1), [[0.5]])
+    result = directrix_invariance([(sheet_patch, solve_striction(sheet_patch, 1))], [0.5])
     assert not result.skipped
     assert result.max_deviation < 1e-6
 
@@ -766,10 +765,10 @@ def test_invariance_one_least_squares_per_offset_and_free_position(monkeypatch, 
     monkeypatch.setattr(striction, "least_squares", counting)
     analyze(ingest({"builtin_patch": "circular_cone", "grid": {"t_samples": 40}}),
             tmp_path, seed=0)
-    assert len(calls) == len(DEFAULT_INVARIANCE_SCALES)
+    assert len(calls) == len(INVARIANCE_SCALES)
     calls.clear()
     p, sheet = product_sheet
-    directrix_invariance(p, sheet, [[0.5, 0.5], [1.0, 1.0]])
+    directrix_invariance([(p, sheet)], [0.5, 1.0])
     assert len(calls) == 2 * INVARIANCE_AXIS_SAMPLES ** sheet.free_count
 
 
