@@ -240,17 +240,20 @@ def rank2_ranks(stack: np.ndarray, tol: TolerancePolicy = DEFAULT_TOLERANCES) ->
     return ranks
 
 
-def gram_schmidt_rows(stack: np.ndarray) -> tuple:
+def gram_schmidt_rows(stack: np.ndarray, floor=0.0) -> tuple:
     """Gram-Schmidt of the rows of each (k, dim) matrix of a (..., k, dim)
     stack, one row at a time over the whole stack, with no LAPACK call:
     the orthonormal rows E, the lower triangular change of basis C with
     E = C @ stack, and the length of each row off the span of the rows
-    before it, (..., k). A zero length gives a zero row of E and C.
+    before it, (..., k). A length at most `floor` (a number or a (...,)
+    array, 0 by default) counts as dependent: it gives a zero row of E and
+    C, and the rows after it are not projected off it.
 
     Row i is projected off each earlier orthonormal row by its own
     coefficient against that row (classical Gram-Schmidt), accurate to a
     few eps times the square of the stack's condition number.
     """
+    floor = np.asarray(floor)[..., None]
     k = stack.shape[-2]
     basis = np.empty_like(stack)
     coeffs = np.zeros(stack.shape[:-2] + (k, k))
@@ -265,7 +268,7 @@ def gram_schmidt_rows(stack: np.ndarray) -> tuple:
             c -= proj * coeffs[..., a, :]
         norm = np.sqrt(np.einsum("...k,...k->...", w, w))
         lengths[..., i] = norm
-        scale = (1.0 / np.where(norm > 0.0, norm, np.inf))[..., None]
+        scale = (1.0 / np.where(norm[..., None] > floor, norm[..., None], np.inf))
         basis[..., i, :] = w * scale
         c *= scale
     return basis, coeffs, lengths

@@ -8,14 +8,18 @@ rulings, and sectional curvature from the Gauss equation.
 Grid stages run on stacked arrays over all N x P grid points (t samples
 times ruling samples). The second-form scan works in coordinates adapted
 to the ruled structure: the derivatives in the bases of the frame span
-and its complement from the grid's one frame QR (`GridValues.coordinates`),
-an (N, P, m, m) stack of reduced Jacobians and an (N, P, m, dim-m+1)
-stack of second-form vectors in complement coordinates. Its rank
-verdicts come from closed forms: the singular values for surfaces
-(m = 2), the Frobenius norm for a normal space of dimension 1, and for
-m >= 3 and a normal space of dimension 2 bounds that settle all but the
-points next to the rank cutoff, which alone go through a stacked SVD.
-Wider normal spaces go through one stacked SVD.
+and its complement from the grid's one frame QR (`GridValues.coordinates`).
+Its regularity verdicts read the reduced Jacobians by their pieces
+(`ReducedJacobians`): closed-form singular values for surfaces (m = 2),
+and for m >= 3 Frobenius bounds that settle all but the points next to
+the rank cutoff, whose m x m matrices alone are assembled for a stacked
+SVD. Its first normal dimensions are decided ruling by ruling
+(`_normal_dims`): one Gram-Schmidt factorization of
+B = [g1 comp; Xdot comp] per t gives dims = rank B - 1 + [e(u) clears the
+cutoff], e(u) the part of sigma_tt comp off B's row space, affine in u,
+wherever bounds on the second-form vectors' singular values settle the
+rank rule; only the points next to a cutoff go through the per-point
+kernel (`_second_form_ranks`).
 The tangent-space stability check reads the same reduced Jacobians, one
 frame factorization per distinct t (at grid samples, the rows of the
 grid's own values and frame basis), and compares two tangent spaces by
@@ -47,8 +51,9 @@ from .distribution import DegreeProfile, profile_from_values
 from .errors import RegularityError, ValidationError
 from .fields import AffineCombinationField
 from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
-                          _pair_wedge_squares, _rank_margin, numerical_ranks,
-                          pair_wedge_norms, rank2_ranks, rank_mask, settled)
+                          _pair_wedge_squares, _rank_margin, gram_schmidt_rows,
+                          numerical_ranks, pair_wedge_norms, rank2_ranks, rank_mask,
+                          settled)
 from .parametric import FramedCurve, GridValues, SampleGrid
 
 
@@ -164,23 +169,47 @@ def jacobians_at(p: RuledPatch, t, u: np.ndarray) -> np.ndarray:
                       u).reshape(-1, p.m, p.dim)
 
 
-def _reduced_singular_values(jac: np.ndarray) -> np.ndarray:
-    """Descending singular values of a (..., m, m) stack of reduced
-    Jacobians (see `_second_form_vectors`).
+@dataclass(frozen=True, eq=False)
+class ReducedJacobians:
+    """The reduced Jacobians J = [[a, b], [R^T, 0]], b >= 0, of a stack of
+    points (see `_reduced_jacobians`), held as their pieces: a = sigma_t . q,
+    (..., m-1), b = |c|, (...), the frame's triangular factors R and their
+    inverses R^-1 (`_inverse_factors`), (..., m-1, m-1) broadcast over the
+    points of one parameter, and a R^-T, (..., m-1). The m x m matrices
+    are assembled only for the points an SVD reads (`matrices`)."""
 
-    For m = 2 the matrix is [[a, b], [r, 0]] with b >= 0. Its singular
-    values follow from the determinant and the Frobenius norm F:
+    a: np.ndarray
+    b: np.ndarray
+    r: np.ndarray
+    r_inv: np.ndarray
+    a_r: np.ndarray
+
+    def matrices(self, mask: np.ndarray) -> np.ndarray:
+        """The (K, m, m) matrices J at the K points of the boolean `mask`."""
+        a = self.a[mask]
+        k = a.shape[-1]
+        jac = np.zeros(a.shape[:-1] + (k + 1, k + 1))
+        jac[..., 0, :k] = a
+        jac[..., 0, k] = self.b[mask]
+        r = np.broadcast_to(self.r, self.a.shape[:-1] + (k, k))[mask]
+        jac[..., 1:, :k] = r.swapaxes(-1, -2)
+        return jac
+
+
+def _reduced_singular_values(jac: ReducedJacobians) -> np.ndarray:
+    """Descending singular values of the reduced Jacobians of a surface
+    (m = 2), [[a, b], [r, 0]] with b >= 0.
+
+    They follow from the determinant and the Frobenius norm F:
     s1 s2 = |det| = b |r|, and s1 +- s2 = sqrt(F^2 +- 2 |det|), where
     F^2 +- 2 |det| = a^2 + (b +- |r|)^2 is a sum of squares. So
     s1 = (hypot(a, b + |r|) + hypot(a, b - |r|)) / 2 has no cancellation,
     even where s1 and s2 are close, and s2 = |det| / s1, a product and a
     quotient, keeps its relative accuracy however small it is. Larger m
-    goes through the batched SVD, which `_regularity` calls only on the
-    points its bounds leave undecided.
+    goes through the batched SVD of `ReducedJacobians.matrices`, which
+    `_regularity` calls only on the points its bounds leave undecided.
     """
-    if jac.shape[-1] != 2:
-        return np.linalg.svd(jac, compute_uv=False)
-    a, b, r = jac[..., 0, 0], jac[..., 0, 1], np.abs(jac[..., 1, 0])
+    a, b, r = jac.a[..., 0], jac.b, np.abs(jac.r[..., 0, 0])
     s1 = 0.5 * (np.hypot(a, b + r) + np.hypot(a, b - r))
     return np.stack([s1, b * r / np.where(s1 > 0.0, s1, 1.0)], axis=-1)
 
@@ -194,48 +223,45 @@ def _inverse_factors(r: np.ndarray) -> np.ndarray:
     return np.where(invertible, 1.0 / safe if k == 1 else np.linalg.inv(safe), np.nan)
 
 
-def _frobenius_conditions(jac: np.ndarray, r_inv: np.ndarray):
-    """(|J|_F, kappa_F b) of a (..., m, m) stack of reduced Jacobians
-    J = [[a, b], [R^T, 0]], b >= 0, with R^-1 (`_inverse_factors`) in
-    `r_inv`, broadcastable to (..., m-1, m-1).
+def _frobenius_conditions(jac: ReducedJacobians):
+    """(|J|_F, kappa_F b) of a stack of reduced Jacobians
+    J = [[a, b], [R^T, 0]], b >= 0.
 
     J^-1 = [[0, R^-T], [1 / b, -a R^-T / b]], so the Frobenius condition
     number kappa_F = |J|_F |J^-1|_F needs no SVD, and it brackets the
     2-norm one: kappa_2 <= kappa_F <= m kappa_2. It is returned times b,
     kappa_F b = |J|_F sqrt(b^2 |R^-1|_F^2 + 1 + |a R^-T|^2), which needs
     no 1 / b: 0 < kappa_F b at b = 0 marks a singular J, and NaN a
-    singular R.
+    singular R. The norms of R and R^-1 are taken once per parameter.
     """
-    k = jac.shape[-1] - 1
-    a, b = jac[..., 0, :k], jac[..., 0, k]
-    a_r = (a[..., None, :] @ r_inv.swapaxes(-1, -2))[..., 0, :]
-    norm = np.sqrt(np.sum(jac * jac, axis=(-2, -1)))
-    return norm, norm * np.sqrt(b * b * np.sum(r_inv * r_inv, axis=(-2, -1))
-                                + 1.0 + np.sum(a_r * a_r, axis=-1))
+    b = jac.b
+    norm = np.sqrt(np.sum(jac.a * jac.a, axis=-1) + b * b
+                   + np.sum(jac.r * jac.r, axis=(-2, -1)))
+    return norm, norm * np.sqrt(b * b * np.sum(jac.r_inv * jac.r_inv, axis=(-2, -1))
+                                + 1.0 + np.sum(jac.a_r * jac.a_r, axis=-1))
 
 
-def _regularity(jac: np.ndarray, r_inv: np.ndarray | None, tol: TolerancePolicy) -> np.ndarray:
+def _regularity(jac: ReducedJacobians, tol: TolerancePolicy) -> np.ndarray:
     """The rank rule's full-rank verdict (`rank_mask` of all m singular
-    values) on a (..., m, m) stack of reduced Jacobians
-    J = [[a, b], [R^T, 0]], b >= 0, with the inverses R^-1 of the frame's
-    triangular factors in `r_inv`, broadcastable to (..., m-1, m-1).
+    values) on a stack of reduced Jacobians J = [[a, b], [R^T, 0]], b >= 0.
 
-    For m = 2 the singular values have a closed form, and `r_inv` is not
-    read. For m >= 3 the Frobenius condition number kappa_F
-    (`_frobenius_conditions`) brackets the 2-norm one,
+    For m = 2 the singular values have a closed form
+    (`_reduced_singular_values`). For m >= 3 the Frobenius condition number
+    kappa_F (`_frobenius_conditions`) brackets the 2-norm one,
     kappa_2 <= kappa_F <= m kappa_2, and |J|_F / sqrt(m) <= s1 <= |J|_F.
     A point is regular when kappa_F settles below 1 / rank_rel_tol and
     |J|_F above sqrt(m) zero_abs_tol, and singular when kappa_F settles
     above m / rank_rel_tol (b = 0 among them) or |J|_F below
     zero_abs_tol (`multilinear.settled`, with the rounding margin
     `_rank_margin`). Only the points in between, near the cutoff, and
-    those whose R is singular, go through the batched SVD.
+    those whose R is singular, go through the batched SVD, of the m x m
+    matrices assembled for them alone.
     """
-    k = jac.shape[-1] - 1
+    k = jac.a.shape[-1]
     if k == 1:
         return rank_mask(_reduced_singular_values(jac), tol).all(axis=-1)
-    norm, kappa_b = _frobenius_conditions(jac, r_inv)
-    b = jac[..., 0, k]
+    norm, kappa_b = _frobenius_conditions(jac)
+    b = jac.b
     delta, rel, zero = _rank_margin(tol), tol.rank_rel_tol, tol.zero_abs_tol
     ill, ill_ok = settled(kappa_b, b / rel, delta)
     faint, faint_ok = settled(norm, zero, delta)
@@ -243,102 +269,195 @@ def _regularity(jac: np.ndarray, r_inv: np.ndarray | None, tol: TolerancePolicy)
     singular = settled(kappa_b, (k + 1) / rel * b, delta)[0] | (faint_ok & ~faint)
     undecided = ~(regular | singular)
     if undecided.any():
-        regular[undecided] = rank_mask(_reduced_singular_values(jac[undecided]), tol).all(axis=-1)
+        s = np.linalg.svd(jac.matrices(undecided), compute_uv=False)
+        regular[undecided] = rank_mask(s, tol).all(axis=-1)
     return regular
 
 
-def _reduced_jacobians(r: np.ndarray, coords, u: np.ndarray):
+def _reduced_jacobians(r: np.ndarray, coords, u: np.ndarray, row=slice(None)):
     """Reduced Jacobians and sigma_t's complement coordinates from the
     frame QR's factors R and the order-1 coordinates
     (g1 q, Xdot q, g1 comp, Xdot comp) of N parameters
     (`GridValues.coordinates`), at ruling positions u: (P, m-1) shared by
-    the N parameters, or (N, P, m-1) of their own.
+    the points' parameters, or (Q, P, m-1) of their own. `row` picks the
+    parameter of each of the Q leading entries, all N by default.
 
     sigma_t has coordinates a = sigma_t . q and c = sigma_t . comp, so in
     the orthonormal basis (q, n) of the tangent space, n = c / |c|, the
     Jacobian is the m x m matrix [[a, |c|], [R^T, 0]], with the singular
-    values of the m x dim one. Returns (jac, c) of shapes (N, P, m, m) and
-    (N, P, dim-m+1).
+    values of the m x dim one. R^-1 and the products with it are taken
+    once per parameter: a R^-T = g1 q R^-T + u . (Xdot q R^-T). Returns
+    (`ReducedJacobians`, c), c of shape (Q, P, dim-m+1).
     """
-    a = coords[0] + u @ coords[1]
-    c = coords[2] + u @ coords[3]
-    k = a.shape[-1]
-    jac = np.zeros(a.shape[:-1] + (k + 1, k + 1))
-    jac[..., 0, :k] = a
-    jac[..., 0, k] = np.linalg.norm(c, axis=-1)
-    jac[..., 1:, :k] = r[:, None].swapaxes(-1, -2)
-    return jac, c
+    g_q, x_q, g_c, x_c = coords
+    r_inv = _inverse_factors(r)
+    a = g_q[row] + u @ x_q[row]
+    c = g_c[row] + u @ x_c[row]
+    if r.shape[-1] == 1:
+        a_r = a * r_inv[row, None, 0]
+    else:
+        r_t = r_inv.swapaxes(-1, -2)
+        a_r = (g_q @ r_t)[row] + u @ (x_q @ r_t)[row]
+    return ReducedJacobians(a, np.linalg.norm(c, axis=-1), r[row, None], r_inv[row, None],
+                            a_r), c
 
 
 def jacobian_regularity(v: GridValues, u: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     """The rank rule's full-rank verdict at the N parameters of `v`, each at
     its own ruling position of u (N, m-1), (N,): `_regularity` of the
     reduced Jacobians on the values' frame QR and coordinates."""
-    r = v.frame_basis()[0]
-    jac, _ = _reduced_jacobians(r, v.coordinates(1), u[:, None])
-    return _regularity(jac, _inverse_factors(r)[:, None], tol)[:, 0]
+    jac, _ = _reduced_jacobians(v.frame_basis()[0], v.coordinates(1), u[:, None])
+    return _regularity(jac, tol)[:, 0]
 
 
-def _second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: TolerancePolicy):
-    """Reduced Jacobians, second-form vectors and regularity, stacked over
-    the N parameters `rows` of `v` times P ruling positions u (P, m-1), in
-    coordinates adapted to the ruled structure.
+#: c / (dim + 1) for the slack c (dim + 1) eps times a point's scale that
+#: covers the rounding of the second-form vectors, of their singular values
+#: and of the scan's own bounds; see `_normal_dims`
+SCAN_SLACK_PER_DIM = 64.0
 
-    Returns (jac, vecs, regular) of shapes (N, P, m, m),
-    (N, P, m, dim-m+1) and (N, P). The reduced Jacobians come from the
-    derivatives' coordinates in the grid's one complete QR of the frame per
-    parameter (`GridValues.coordinates`, `_reduced_jacobians`). The rows of
-    vecs are sigma_tt and Xdot_j in comp coordinates less their component along
-    the unit normal n = c / |c|. All mixed partials d2(sigma)/du_i du_j
-    vanish, so these rows span the image of the second fundamental form; they are
-    meaningful only where `regular` holds. The Gauss equation reads only
-    inner products of the rows of jac and of vecs, which the change of
-    basis keeps.
 
-    Regularity (`_regularity`) applies the one rank rule (`rank_mask`) to
-    singular values, or to bounds that provably give its verdict, never
-    to eigenvalues of a Gram matrix J J^T: those resolve singular values
-    only down to about sqrt(eps) s1 = 1.5e-8 s1, coarser than the
-    `rank_rel_tol` cutoff of 1e-8 that decides.
+def _normal_dims(first, second, u: np.ndarray, length: np.ndarray, tol: TolerancePolicy):
+    """First normal space dimensions at N parameters times P ruling
+    positions u (P, m-1), ruling by ruling, with no per-point matrix:
+    (dims, undecided), both (N, P), from the order-1 and order-2
+    coordinates (g q, X q, g comp, X comp) of the N parameters
+    (`GridValues.coordinates`). `length` is |c| = |sigma_t comp|.
+
+    The rank rule reads the singular values of the m x (dim-m+1) matrix
+    V = [s P_n; Xdot comp P_n] at each point, s = sigma_tt comp =
+    g2 comp + u . (Xddot comp) and P_n the projection off n = c / |c|
+    (`_second_form_ranks`). Along one ruling only s and n move, and
+    c = b_0 + u . b is a row combination of B = [g1 comp; Xdot comp] =
+    [b_0; b]: [c; Xdot comp] = L B with the unimodular L = [[1, u], [0, I]].
+    B is factored once per t (`multilinear.gram_schmidt_rows`), a row of
+    length at most rank_rel_tol |B|_F off the rows before it counting as
+    dependent: r orthonormal rows Q, their orthogonality defect w (the
+    Gram matrix's off-diagonal entries), the dependent rows' lengths, which
+    bound their distances from span Q (rho_0 for b_0, rho for the rows of
+    b, root sums of squares), and the change of basis C, so that
+    s_r(B) >= (1 - w) / |C|_F - |(rho_0, rho)| less rounding. The
+    part of s off span Q is e(u) = e_0 + u . E_1. With B projected to
+    span Q, V becomes V^ = [[alpha, |e|], [Y, 0]] in a basis of
+    (span Q off n) + e, where Y = rows 1.. of (L B) P_n, and:
+
+    - s_i(Y) >= s_{i+1}(L B) >= s_r(B) / |L^-1| for i < r (interlacing
+      twice), |L^-1| = (|u| + sqrt(|u|^2 + 4)) / 2; call it lambda;
+    - s_1 ... s_{r-1} of V^ are at least lambda, s_r(V^) lies in
+      [|e| lambda / (lambda + |s| + |e|), |e|] (a left inverse of V^, and
+      Weyl), and V^ has rank <= r; V^ = [e; 0] for r = 1;
+    - |V^|_F <= U = sqrt(|s|^2 + |Xdot comp|_F^2), |s| bounded by
+      |g2 comp| + |u| |Xddot comp|;
+    - V moves from V^ by at most pi = U min(1, sin) + rho, where
+      sin = (rho_0 + |u| rho) / |c| bounds the turn of n, plus a slack of
+      `SCAN_SLACK_PER_DIM` (dim + 1) eps (|s| + |B| (1 + |u|) (1 + U / |c|))
+      for the rounding of the kernel's vectors (its n turns by a few
+      eps |B| (1 + |u|) / |c|) and singular values; |e| moves by 2 w |s|
+      more.
+
+    So dims = r - 1 + [e clears the cutoff]: zero_abs_tol against |e| when
+    r = 1, rank_rel_tol s_1 otherwise; for dim - m + 1 <= 2 the rule reads
+    the Frobenius norm against zero_abs_tol alone. Each comparison is
+    `settled` with the rounding margin `_rank_margin`, and the points
+    where one is not are `undecided`. e is not formed where every ruling's
+    B has full rank dim - m + 1, which leaves no part of s off its span.
     """
-    r = v.frame_basis()[0][rows]
-    coords = [a[rows] for a in v.coordinates(1)]
-    jac, c = _reduced_jacobians(r, coords, u)
-    # surfaces take their singular values in closed form and need no R^-1
-    regular = _regularity(jac, _inverse_factors(r)[:, None] if r.shape[-1] > 1 else None, tol)
-    length = jac[..., 0, -1]
-    normal = c / np.where(length > 0.0, length, 1.0)[..., None]
-    vecs = np.empty(c.shape[:2] + (jac.shape[-1], c.shape[-1]))
-    _, _, g2_c, x2_c = v.coordinates(2)
-    vecs[:, :, 0] = g2_c[rows] + u @ x2_c[rows]
-    vecs[:, :, 1:] = coords[3][:, None]
-    vecs -= (vecs @ normal[..., None]) * normal[..., None, :]
-    return jac, vecs, regular
+    _, _, g1, x1 = first
+    _, _, g2, x2 = second
+    rows = np.concatenate([g1, x1], axis=1)
+    m, width = rows.shape[-2:]
+    eps = np.finfo(float).eps
+    size = np.sqrt(np.einsum("nij,nij->n", rows, rows))
+    floor = tol.rank_rel_tol * size
+    basis, coeffs, lengths = gram_schmidt_rows(rows, floor)
+    kept = lengths > floor[:, None]
+    rank = np.count_nonzero(kept, axis=1)[:, None]
+    # a dependent row's length bounds its distance from the span, and the
+    # defect w bounds |Q Q^T - I|_F by the Gram matrix's off-diagonal entries
+    off_span = np.where(kept, 0.0, lengths)
+    residual = np.sqrt(np.einsum("ni,ni->n", off_span, off_span))[:, None]
+    defect = sum(np.abs(np.einsum("nk,nk->n", basis[:, i], basis[:, j]))
+                 for i in range(m) for j in range(i))
+    defect = 2.0 * defect[:, None] + 4.0 * m * eps
+    inverse = np.sqrt(np.einsum("nij,nij->n", coeffs, coeffs))[:, None]
+    volume = np.maximum(1.0 - defect - 4.0 * m * eps * inverse * size[:, None], 0.0)
+    spread = np.maximum(np.divide(volume, inverse, out=np.zeros_like(inverse),
+                                  where=inverse > 0.0) - residual, 0.0)
+    radius = np.linalg.norm(u, axis=-1)
+    s = (np.sqrt(np.einsum("nij,nij->n", g2, g2))[:, None]
+         + np.sqrt(np.einsum("nij,nij->n", x2, x2))[:, None] * radius)
+    top = np.sqrt(s * s + np.einsum("nij,nij->n", x1, x1)[:, None])
+    spare = SCAN_SLACK_PER_DIM * (m + width) * eps
+    reach = spare * size[:, None] * (1.0 + radius)
+    rest = np.sqrt(np.einsum("ni,ni->n", off_span[:, 1:], off_span[:, 1:]))[:, None]
+    # the kernel's own c, and so its n, moves by a few eps |B| (1 + |u|) too
+    turn = np.divide(off_span[:, :1] + rest * radius + reach, length,
+                     out=np.ones_like(length), where=length > 0.0)
+    pert = top * np.minimum(turn, 1.0) + rest + spare * s + reach
+    miss = 2.0 * defect * s + spare * s + reach
+    e_lo, e_hi = 0.0, miss
+    if (rank < width).any():
+        # e(u) = e_0 + u . E_1, sigma_tt comp off the span; 0 where B has full rank
+        sigma = np.concatenate([g2, x2], axis=1)
+        for a in range(m):
+            sigma = sigma - (np.einsum("njw,nw->nj", sigma, basis[:, a])[..., None]
+                             * basis[:, None, a])
+        e = sigma[:, :1] + u @ sigma[:, 1:]
+        e = np.sqrt(np.einsum("npw,npw->np", e, e))
+        e_lo, e_hi = np.maximum(e - miss, 0.0), e + miss
+    lam = spread / (0.5 * (radius + np.sqrt(radius * radius + 4.0)))
+
+    delta = _rank_margin(tol)
+    lower = np.maximum(e_lo, np.where(rank >= 2, lam, 0.0)) - pert
+    upper = np.where(rank == 1, e_hi, top) + pert
+    lead = settled(lower, tol.zero_abs_tol, delta)[0]
+    faint = upper * (1.0 + delta) < tol.zero_abs_tol
+    if width <= 2:
+        return lead.astype(int), ~(lead | faint)
+
+    rel = tol.rank_rel_tol
+    low_e = e_lo * lam / (lam + s + e_hi + np.finfo(float).tiny)
+    counts = (rank == 1) | settled(low_e - pert, rel * upper, delta)[0]
+    drops = (rank >= 2) & ((e_hi + pert) * (1.0 + delta) < rel * lower)
+    spans = (rank < 3) | settled(lam - pert, rel * upper, delta)[0]
+    beyond = (rank >= min(m, width - 1)) | (pert * (1.0 + delta) < rel * lower)
+    dims = np.where(lead, rank - 1 + counts, 0)
+    return dims, ~(faint | (lead & spans & (counts | drops) & beyond))
 
 
-def _normal_ranks(vecs: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """First normal space dimension from (..., m, dim-m+1) second-form
-    vectors of `_second_form_vectors`: the numerical rank of each matrix.
+def _second_form_ranks(v: GridValues, i: np.ndarray, u: np.ndarray, tol: TolerancePolicy):
+    """The rank rule on the second-form vectors at K points, each at the
+    parameter of index i (K,) of `v` and its ruling position u (K, m-1):
+    the reference for the points `_normal_dims` leaves undecided, in one
+    batched call.
 
-    The rows lie in the dim-m dimensional space orthogonal to n. When that
-    is a line (or a point), the rank is 0 or 1 and the largest singular
-    value is the Frobenius norm F, so the rank rule reduces to that norm
-    against zero_abs_tol. When it is a plane (dim - m = 2), the rank is at
-    most 2 and `rank2_ranks` reads s1 and s2 in closed form, leaving only
-    the matrices next to a cutoff to the batched SVD. Wider normal spaces
-    go through the batched SVD.
+    The rows of V are sigma_tt and Xdot_j in comp coordinates less their
+    component along the unit normal n = c / |c|; all mixed partials
+    d2(sigma)/du_i du_j vanish, so these rows span the image of the second
+    fundamental form. The rows lie in the dim-m dimensional space
+    orthogonal to n. When that is a line (or a point), the rank rule
+    reduces to the Frobenius norm against zero_abs_tol; when it is a plane,
+    `rank2_ranks` reads s1 and s2 in closed form and leaves only the
+    matrices next to a cutoff to the batched SVD; wider normal spaces go
+    through the batched SVD (`numerical_ranks`).
     """
+    _, _, g1, x1 = v.coordinates(1)
+    _, _, g2, x2 = v.coordinates(2)
+    c = g1[i, 0] + (u[:, None] @ x1[i])[:, 0]
+    length = np.linalg.norm(c, axis=-1)
+    normal = c / np.where(length > 0.0, length, 1.0)[:, None]
+    vecs = np.concatenate([g2[i] + u[:, None] @ x2[i], x1[i]], axis=1)
+    vecs -= (vecs @ normal[:, :, None]) * normal[:, None, :]
     if vecs.shape[-1] <= 2:
         return (np.linalg.norm(vecs, axis=(-2, -1)) >= tol.zero_abs_tol).astype(int)
-    if vecs.shape[-1] > 3:
-        return numerical_ranks(vecs, tol)
-    return rank2_ranks(vecs, tol)
+    return (rank2_ranks if vecs.shape[-1] == 3 else numerical_ranks)(vecs, tol)
 
 
-#: grid points per block of the second-form scan; keeps the stacked
-#: kernel's temporary arrays near 100 kB on any grid, small enough that
-#: repeated scans do not grow the process heap
-SCAN_BLOCK_POINTS = 1024
+#: grid points per block of the second-form scan; keeps its temporary
+#: (N, P) arrays near 32 kB on any grid, below the size that the C
+#: allocator maps afresh from the system, so that a scan of a large grid
+#: does not grow the process's peak memory (3 MB more without the blocks
+#: on the benchmark's R^5 scene at 800 samples)
+SCAN_BLOCK_POINTS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,17 +490,33 @@ class SecondFormScan:
 def second_form_scan(p: RuledPatch) -> SecondFormScan:
     """first_normal_dim at every regular grid point, plus where it is singular.
 
-    Pipeline stages read the patch's cached `p.scan` instead.
+    Regularity is the rank rule on the reduced Jacobians (`_regularity`).
+    The dimensions are decided ruling by ruling (`_normal_dims`): one
+    factorization of B = [g1 comp; Xdot comp] per t gives its rank r and
+    the part e(u) of sigma_tt comp off its row space, affine in u, and
+    dims = r - 1 + [e(u) clears the cutoff] wherever bounds on the
+    second-form vectors' singular values settle the rank rule. Only the
+    regular points they leave undecided, within a rounding margin of a
+    cutoff, go through the reference kernel (`_second_form_ranks`), in one
+    batched call. Pipeline stages read the patch's cached `p.scan` instead.
     """
-    ts, u = p.grid.t_samples, p.grid.u_points(p.m - 1)
+    ts, u, v = p.grid.t_samples, p.grid.u_points(p.m - 1), p.values
+    r, first, second = v.frame_basis()[0], v.coordinates(1), v.coordinates(2)
     regular = np.empty((ts.size, u.shape[0]), dtype=bool)
     dims = np.empty((ts.size, u.shape[0]), dtype=int)
+    undecided = np.empty((ts.size, u.shape[0]), dtype=bool)
     step = max(1, SCAN_BLOCK_POINTS // u.shape[0])
     for lo in range(0, ts.size, step):
         rows = slice(lo, lo + step)
-        _, vecs, regular[rows] = _second_form_vectors(p.values, rows, u, p.tol)
-        dims[rows] = np.where(regular[rows], _normal_ranks(vecs, p.tol), -1)
-    return SecondFormScan(t=ts, u=u, regular=regular, dims=dims)
+        block = [a[rows] for a in first]
+        jac, _ = _reduced_jacobians(r[rows], block, u)
+        regular[rows] = _regularity(jac, p.tol)
+        dims[rows], undecided[rows] = _normal_dims(block, [a[rows] for a in second], u, jac.b,
+                                                   p.tol)
+    i, j = np.nonzero(undecided & regular)
+    if i.size:
+        dims[i, j] = _second_form_ranks(v, i, u[j], p.tol)
+    return SecondFormScan(t=ts, u=u, regular=regular, dims=np.where(regular, dims, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,14 +582,13 @@ def _pair_jacobians(p: RuledPatch, t: np.ndarray, u_pairs: np.ndarray):
     once per distinct t and shared by its pairs. When every distinct t
     is a grid sample, they are the rows of the patch's own values and
     frame basis, with no new evaluation or factorization; other t are
-    evaluated. Returns (jac, c, r_inv) of shapes (P, 2, m, m),
-    (P, 2, dim-m+1) and (P, 1, m-1, m-1).
+    evaluated. Returns (`ReducedJacobians`, c), of (P, 2) points and
+    c of shape (P, 2, dim-m+1).
     """
     ts, row = np.unique(t, return_inverse=True)
     v, rows = _values_at(p, ts)
-    r = v.frame_basis()[0][rows]
-    jac, c = _reduced_jacobians(r[row], [a[rows][row] for a in v.coordinates(1)], u_pairs)
-    return jac, c, _inverse_factors(r)[row, None]
+    return _reduced_jacobians(v.frame_basis()[0][rows], [a[rows] for a in v.coordinates(1)],
+                              u_pairs, row)
 
 
 #: c / m for the slack c eps kappa_F that covers the SVD's rounding of a
@@ -462,9 +596,9 @@ def _pair_jacobians(p: RuledPatch, t: np.ndarray, u_pairs: np.ndarray):
 SPAN_SLACK_PER_DIM = 64.0
 
 
-def _span_verdicts(jac: np.ndarray, c: np.ndarray, r_inv: np.ndarray, tol: TolerancePolicy):
+def _span_verdicts(jac: ReducedJacobians, c: np.ndarray, tol: TolerancePolicy):
     """Regularity and change of the tangent space over (P, 2) pairs of
-    points at a shared parameter, from `_pair_jacobians`' (jac, c, r_inv).
+    points at a shared parameter, from `_pair_jacobians`' (jac, c).
 
     Returns (regular, differ, undecided) of shapes (P, 2), (P,) and (P,):
     `differ` is meaningful where both points are regular and the pair
@@ -487,10 +621,10 @@ def _span_verdicts(jac: np.ndarray, c: np.ndarray, r_inv: np.ndarray, tol: Toler
     `RANK_BOUND_MARGIN` for the rounding of sin theta itself, a few eps.
     The pairs in between are `undecided`.
     """
-    m = jac.shape[-1]
-    regular = _regularity(jac, r_inv, tol)
-    _, kappa_b = _frobenius_conditions(jac, r_inv)
-    b = jac[..., 0, -1]
+    m = jac.a.shape[-1] + 1
+    regular = _regularity(jac, tol)
+    _, kappa_b = _frobenius_conditions(jac)
+    b = jac.b
     kappa = np.divide(kappa_b, b, out=np.full_like(b, np.inf), where=b > 0.0).max(axis=1)
     lengths = b[:, 0] * b[:, 1]
     sin = pair_wedge_norms(c[:, 0], c[:, 1]) / np.where(lengths > 0.0, lengths, 1.0)
@@ -618,9 +752,10 @@ def sectional_curvature(p: RuledPatch, t: float, u) -> float:
     r = v.frame_basis()[0][rows]
     coords = [a[rows] for a in v.coordinates(1)]
     jac, c = _reduced_jacobians(r, coords, u)
-    if not _regularity(jac, _inverse_factors(r)[:, None], p.tol)[0, 0]:
+    if not _regularity(jac, p.tol)[0, 0]:
         raise RegularityError(f"patch is singular at (t={t}, u={u[0].tolist()})")
-    # row 0 of the reduced Jacobian past a_1: a_2..a_{m-1}, then |c|
-    rest, length = jac[0, 0, 0, 1:], jac[0, 0, 0, -1]
+    # sigma_t's row of the reduced Jacobian past a_1: a_2..a_{m-1}, then |c|
+    length = jac.b[0, 0]
+    rest = np.append(jac.a[0, 0, 1:], length)
     wedge = _pair_wedge_squares(coords[3][0, 0], c[0, 0])
     return float(-wedge / (length * length * r[0, 0, 0] ** 2 * (rest @ rest)))

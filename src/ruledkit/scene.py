@@ -10,7 +10,12 @@ frame orthonormality (orthonormalizing when needed), and emits a
 canonical normalized scene that re-ingests to the byte-identical
 document. The speed and orthonormality checks read the grid values that
 the ingested patch is primed with, so the analysis evaluates them no
-second time.
+second time. Two checks bound the arithmetic before any stage runs: the
+sines and cosines of the curve must resolve their derivatives' phase over
+its interval (`check_phase_resolution`), and the swept derivatives over
+the grid's ruling box must leave their squared norms finite
+(`check_sweep_scale`, on the primed values' first and second
+derivatives, which every stage reads).
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from importlib import resources
 import numpy as np
 
 from .errors import ValidationError
-from .fields import (ConstantField, FourierField, PolynomialField,
-                     VectorField, make_builtin_curve)
+from .fields import (CircleCurve, ConstantField, FourierField, HelixCurve,
+                     PolynomialField, VectorField, make_builtin_curve)
 from .multilinear import TolerancePolicy
 from .parametric import (BUILTIN_PATCHES, FramedCurve, SampleGrid,
                          arclength_framed_curve, gram_schmidt_frame,
@@ -48,6 +53,68 @@ def check_grid_budget(t_samples: int, u_samples_per_axis: int, m: int):
             f"grid of {t_samples} t samples x {u_samples_per_axis}^{m - 1} ruling "
             f"samples has {points} points, more than the {MAX_GRID_POINTS} the "
             "analysis allows")
+
+
+def _angular_frequency(field: VectorField) -> float:
+    """The largest angular frequency of the sines and cosines that `field`
+    evaluates, itself or through the fields it is built from; 0 for none."""
+    if isinstance(field, FourierField):
+        return max((max(len(cos_c), len(sin_c)) * abs(omega)
+                    for _, cos_c, sin_c, omega in field.coordinates), default=0.0)
+    if isinstance(field, HelixCurve):
+        return 1.0 / field.c
+    if isinstance(field, CircleCurve):
+        return 1.0 / field.r
+    parts = [getattr(field, "base", None), *getattr(field, "extras", ())]
+    return max((_angular_frequency(f) for f in parts if f is not None), default=0.0)
+
+
+def check_phase_resolution(fc: FramedCurve, tol: TolerancePolicy):
+    """Refuse a curve whose sines and cosines cannot resolve the phase of
+    their derivatives over its interval.
+
+    A derivative of order k is the sine of the argument w t + phase plus
+    k pi / 2, and that argument is rounded to |w t| 2^-53; beyond
+    |w t| = derivative_check_tol 2^53 (9.0e8 at the default 1e-7) the
+    rounding exceeds the tolerance the derivatives are checked to, and
+    soon after the k pi / 2 is lost and every derivative reads the value.
+    """
+    limit = tol.derivative_check_tol * 2.0 ** 53
+    reach = max(abs(fc.interval[0]), abs(fc.interval[1]))
+    top = max(_angular_frequency(f) for f in (fc.directrix, *fc.frame))
+    if top > 0.0 and reach > limit / top:
+        raise ValidationError(
+            f"sine argument |omega t| reaches {top:.6g} x {reach:.6g} on the interval, more "
+            f"than derivative_check_tol x 2^53 = {limit:.6g}: its rounding would lose the "
+            "derivatives' phase")
+
+
+#: headroom below the largest float for the sums of squared norms of
+#: sigma_t and sigma_tt, and the products of two such norms, that the
+#: analysis takes
+NORM_HEADROOM = 1024.0
+
+
+def check_sweep_scale(values, u_extent: float):
+    """Refuse a u_extent for which the squared norms of sigma_t = g' + u . Xdot
+    or sigma_tt = g'' + u . Xddot can overflow over the grid's ruling box
+    |u_j| <= u_extent: |g^(k)| + u_extent sum_j |X_j^(k)|, k = 1, 2, bounded
+    from the largest entries, must stay at most
+    sqrt(largest float / NORM_HEADROOM), about 4.2e152, at every grid t.
+    Reads the values' first and second derivatives, which every stage of
+    the analysis reads next."""
+    limit = np.sqrt(np.finfo(float).max / NORM_HEADROOM)
+    for order in (1, 2):
+        g, x = values.directrix(order), values.frame(order)
+        root = np.sqrt(g.shape[-1])
+        fixed = root * np.abs(g).max(axis=1)
+        swept = root * np.abs(x).max(axis=2).sum(axis=1)
+        room = np.divide(limit - fixed, swept, out=np.full_like(swept, np.inf), where=swept > 0.0)
+        if not (fixed.max() <= limit and u_extent <= room.min()):
+            raise ValidationError(
+                f"u_extent {u_extent:.6g} sweeps the order-{order} derivatives past "
+                f"{limit:.6g}, where their squared norms overflow; at most "
+                f"{max(float(room.min()), 0.0):.6g} is allowed")
 
 
 def _load_schema(name: str) -> dict:
@@ -199,6 +266,7 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
 
     fc = _build_framed_curve(doc)
     check_grid_budget(grid_cfg["t_samples"], grid_cfg["u_samples_per_axis"], fc.m)
+    check_phase_resolution(fc, tol)
     notes: list[str] = []
 
     def make_grid(interval):
@@ -228,6 +296,7 @@ def ingest(source, overrides: dict | None = None) -> IngestResult:
         notes.append(f"frame orthonormalized (max Gram deviation was {gram_dev:.3e})")
 
     fc.validate_on(grid, tol, values)
+    check_sweep_scale(values, grid_cfg["u_extent"])
     normalized = _normalized_doc(doc, grid_cfg, tol_cfg, reparametrized, orthonormalized)
     patch = RuledPatch(fc, grid, tol)
     vars(patch)["values"] = values

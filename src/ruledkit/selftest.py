@@ -110,9 +110,9 @@ def _regular_pairs(p: RuledPatch, t: np.ndarray, candidates: np.ndarray) -> np.n
     check too, and only m >= 3 points next to the cutoff reach the SVD, of
     their m x m reduced Jacobians.
     """
-    jac, _, r_inv = _pair_jacobians(p, t, candidates)
+    jac, _ = _pair_jacobians(p, t, candidates)
     rel = max(p.tol.rank_rel_tol, 1.0 / PAIR_CONDITION_LIMIT)
-    return _regularity(jac, r_inv, replace(p.tol, rank_rel_tol=rel)).all(axis=1)
+    return _regularity(jac, replace(p.tol, rank_rel_tol=rel)).all(axis=1)
 
 
 def _stability_sweep(p: RuledPatch, pairs_per_t: int, seed: int) -> bool:

@@ -1,18 +1,26 @@
-"""The second-form kernel in ambient coordinates, kept as a reference.
+"""The second-form kernels the scan replaced, kept as references.
 
-`ruledgeom._second_form_vectors` works in coordinates adapted to the
-ruled structure: an m x m reduced Jacobian and the second-form vectors
-in coordinates of the normal space. The functions here build the same
-objects in R^dim, the way the kernel did before: the m x dim Jacobian
-with its batched SVD, and the second-form vectors projected off the
-tangent space. Tests compare the two, and the pointwise II vectors of
+`second_form_vectors` and `normal_ranks` are the per-point kernel the
+second-form scan ran before it decided its dimensions ruling by ruling
+(`ruledgeom._normal_dims`): an m x m reduced Jacobian and an m x
+(dim-m+1) matrix of second-form vectors in coordinates of the normal
+space at every grid point, and the rank rule on each matrix, in closed
+form for a normal space of dimension 2 (`rank2_ranks`). `reference_scan`
+gives its (regular, dims) over a patch's grid.
+
+`ambient_second_form_vectors` builds the same objects in R^dim, the way
+the kernel did before that: the m x dim Jacobian with its batched SVD,
+and the second-form vectors projected off the tangent space. Tests
+compare the two, and the pointwise II vectors of
 `second_form_along_directrix` are checked against the ambient tangent
 space.
 
 `svd_regularity` and `svd_normal_ranks` keep the scan's rank verdicts as
 it took them before its closed-form bounds: `rank_mask` of the batched
 SVD of every reduced Jacobian (m >= 3) and of every matrix of
-second-form vectors with more than two columns.
+second-form vectors with more than two columns. `reduced_pieces` turns a
+stack of reduced Jacobian matrices into the pieces the program's
+kernels read (`ruledgeom.ReducedJacobians`).
 
 `svd_regular_pairs` and `svd_tangent_space_stability` keep the stability
 sweep's two verdicts as they were taken before the closed forms of the
@@ -35,11 +43,91 @@ import numpy as np
 
 from ruledkit.errors import RegularityError, ValidationError
 from ruledkit.multilinear import (TolerancePolicy, gram_schmidt_rows, numerical_rank,
-                                  numerical_ranks, rank_mask)
+                                  numerical_ranks, rank2_ranks, rank_mask)
 from ruledkit.parametric import GridValues
-from ruledkit.ruledgeom import (RuledPatch, _as_u, _jacobians, _reduced_singular_values,
-                                _second_form_vectors, jacobians_at)
+from ruledkit.ruledgeom import (ReducedJacobians, RuledPatch, _as_u, _inverse_factors, _jacobians,
+                                _reduced_jacobians, _reduced_singular_values, _regularity,
+                                jacobians_at)
 from ruledkit.selftest import PAIR_CONDITION_LIMIT
+
+
+def reduced_pieces(jac: np.ndarray, r_inv: np.ndarray | None = None) -> ReducedJacobians:
+    """The pieces (a, b, R, R^-1, a R^-T) of a (..., m, m) stack of reduced
+    Jacobian matrices [[a, b], [R^T, 0]], with R^-1 from
+    `_inverse_factors` unless given."""
+    k = jac.shape[-1] - 1
+    r = jac[..., 1:, :k].swapaxes(-1, -2)
+    r_inv = _inverse_factors(r) if r_inv is None else r_inv
+    a = jac[..., 0, :k]
+    return ReducedJacobians(a, jac[..., 0, k], r, r_inv,
+                            (a[..., None, :] @ r_inv.swapaxes(-1, -2))[..., 0, :])
+
+
+def reduced_singular_values(jac: np.ndarray) -> np.ndarray:
+    """Descending singular values of a (..., m, m) stack of reduced
+    Jacobians: the program's closed form for m = 2, the batched SVD for
+    larger m."""
+    if jac.shape[-1] == 2:
+        return _reduced_singular_values(reduced_pieces(jac))
+    return np.linalg.svd(jac, compute_uv=False)
+
+
+def second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: TolerancePolicy):
+    """Reduced Jacobians, second-form vectors and regularity, stacked over
+    the N parameters `rows` of `v` times P ruling positions u (P, m-1), in
+    coordinates adapted to the ruled structure.
+
+    Returns (jac, vecs, regular) of shapes (N, P, m, m),
+    (N, P, m, dim-m+1) and (N, P). The reduced Jacobians come from the
+    derivatives' coordinates in the grid's one complete QR of the frame per
+    parameter (`GridValues.coordinates`, `_reduced_jacobians`). The rows of
+    vecs are sigma_tt and Xdot_j in comp coordinates less their component along
+    the unit normal n = c / |c|. All mixed partials d2(sigma)/du_i du_j
+    vanish, so these rows span the image of the second fundamental form; they are
+    meaningful only where `regular` holds. The Gauss equation reads only
+    inner products of the rows of jac and of vecs, which the change of
+    basis keeps.
+    """
+    r = v.frame_basis()[0][rows]
+    coords = [a[rows] for a in v.coordinates(1)]
+    pieces, c = _reduced_jacobians(r, coords, u)
+    regular = _regularity(pieces, tol)
+    jac = pieces.matrices(np.ones(regular.shape, dtype=bool)).reshape(
+        regular.shape + (r.shape[-1] + 1,) * 2)
+    length = pieces.b
+    normal = c / np.where(length > 0.0, length, 1.0)[..., None]
+    vecs = np.empty(c.shape[:2] + (jac.shape[-1], c.shape[-1]))
+    _, _, g2_c, x2_c = v.coordinates(2)
+    vecs[:, :, 0] = g2_c[rows] + u @ x2_c[rows]
+    vecs[:, :, 1:] = coords[3][:, None]
+    vecs -= (vecs @ normal[..., None]) * normal[..., None, :]
+    return jac, vecs, regular
+
+
+def normal_ranks(vecs: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """First normal space dimension from (..., m, dim-m+1) second-form
+    vectors of `second_form_vectors`: the numerical rank of each matrix.
+
+    The rows lie in the dim-m dimensional space orthogonal to n. When that
+    is a line (or a point), the rank is 0 or 1 and the largest singular
+    value is the Frobenius norm F, so the rank rule reduces to that norm
+    against zero_abs_tol. When it is a plane (dim - m = 2), the rank is at
+    most 2 and `rank2_ranks` reads s1 and s2 in closed form, leaving only
+    the matrices next to a cutoff to the batched SVD. Wider normal spaces
+    go through the batched SVD.
+    """
+    if vecs.shape[-1] <= 2:
+        return (np.linalg.norm(vecs, axis=(-2, -1)) >= tol.zero_abs_tol).astype(int)
+    if vecs.shape[-1] > 3:
+        return numerical_ranks(vecs, tol)
+    return rank2_ranks(vecs, tol)
+
+
+def reference_scan(p: RuledPatch):
+    """(regular, dims) over the whole grid of `p` from the per-point kernel,
+    dims -1 where the patch is singular."""
+    _, vecs, regular = second_form_vectors(p.values, slice(None), p.grid.u_points(p.m - 1), p.tol)
+    return regular, np.where(regular, normal_ranks(vecs, p.tol), -1)
 
 
 def ambient_second_form_vectors(v: GridValues, rows: slice, u: np.ndarray,
@@ -83,7 +171,7 @@ def svd_regularity(jac: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     """Regularity of a (..., m, m) stack of reduced Jacobians: `rank_mask`
     of their singular values, in closed form for m = 2 and from the
     batched SVD for larger m."""
-    return rank_mask(_reduced_singular_values(jac), tol).all(axis=-1)
+    return rank_mask(reduced_singular_values(jac), tol).all(axis=-1)
 
 
 def svd_normal_ranks(vecs: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
@@ -99,7 +187,7 @@ def svd_scan_verdicts(p: RuledPatch):
     """(regular, dims) over the whole grid of `p` from the SVD verdicts
     on the reduced kernel's Jacobians and second-form vectors, dims -1
     where the patch is singular."""
-    jac, vecs, _ = _second_form_vectors(p.values, slice(None), p.grid.u_points(p.m - 1), p.tol)
+    jac, vecs, _ = second_form_vectors(p.values, slice(None), p.grid.u_points(p.m - 1), p.tol)
     regular = svd_regularity(jac, p.tol)
     return regular, np.where(regular, svd_normal_ranks(vecs, p.tol), -1)
 

@@ -1,23 +1,41 @@
 """Closed-form rank verdicts of the second-form scan against the SVD.
 
-`ruledgeom._regularity` (m >= 3) and `ruledgeom._normal_ranks` (a normal
-space of dimension 2) read their verdicts from bounds and send only the
+`ruledgeom._regularity` (m >= 3) and the per-point kernel's
+`normal_ranks` (a normal space of dimension 2, kept in
+`ambient_second_form`) read their verdicts from bounds and send only the
 points next to a cutoff to the batched SVD. On stacks swept across
 `rank_rel_tol` and `zero_abs_tol`, the verdicts must equal `rank_mask` of
 the SVD (`ambient_second_form.svd_regularity`, `svd_normal_ranks`)
 exactly, and only points inside the bounds' undecided band may reach the
 SVD.
+
+The scan decides its dimensions ruling by ruling (`ruledgeom._normal_dims`)
+and sends the points it leaves undecided to the per-point kernel
+(`ruledgeom._second_form_ranks`). On every shipped scene, selftest patch
+and scene family it must equal that kernel over the whole grid
+(`ambient_second_form.reference_scan`) and the SVD, and, but for a few
+points next to the apex of the moment cones, reach neither; on stacks
+swept across its own cutoffs (the rank of B = [g1 comp; Xdot comp] and
+|e(u)| against both cutoffs) it must equal the kernel exactly and reach
+it only inside the band.
 """
 
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ambient_second_form import svd_normal_ranks, svd_regularity, svd_scan_verdicts
-from ruledkit import TolerancePolicy, ingest
-from ruledkit.ruledgeom import (_inverse_factors, _normal_ranks, _rank_margin, _regularity,
-                                second_form_scan)
+from ambient_second_form import (normal_ranks, reduced_pieces, reference_scan,
+                                 second_form_vectors, svd_normal_ranks, svd_regularity,
+                                 svd_scan_verdicts)
+from ruledkit import TolerancePolicy, ingest, ruledgeom
+from ruledkit.fields import ParameterArray
+from ruledkit.multilinear import frame_qr
+from ruledkit.parametric import GridValues
+from ruledkit.ruledgeom import _inverse_factors, _rank_margin, _regularity, second_form_scan
+from ruledkit.selftest import CORPUS_DEGREES, build_corpus
+from scene_families import FAMILIES
 from test_second_form_reference import CASES
 
 TOL = TolerancePolicy()
@@ -106,20 +124,22 @@ def svd_inputs(monkeypatch, verdict, *args):
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "svd", recording)
         got = verdict(*args)
-    return got, (np.concatenate(seen) if seen else np.empty((0,) + args[0].shape[1:]))
+    return got, (np.concatenate(seen) if seen else np.empty((0, 0, 0)))
 
 
 def reached(stack, inputs):
-    """Mask of the matrices of `stack` among `inputs`."""
-    keys = {a.tobytes() for a in inputs}
-    return np.array([a.tobytes() in keys for a in stack])
+    """Mask of the matrices of `stack` among `inputs`, -0.0 and 0.0 alike
+    (a kernel may assemble its matrices afresh)."""
+    keys = {(a + 0.0).tobytes() for a in inputs}
+    return np.array([(a + 0.0).tobytes() in keys for a in stack])
 
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_regularity_near_the_cutoffs_equals_the_svd(monkeypatch, m):
     rng = np.random.default_rng(m)
     jac, r = reduced_jacobians(rng, regularity_spectra(rng, m))
-    got, inputs = svd_inputs(monkeypatch, _regularity, jac, _inverse_factors(r), TOL)
+    got, inputs = svd_inputs(monkeypatch, _regularity, reduced_pieces(jac, _inverse_factors(r)),
+                             TOL)
     np.testing.assert_array_equal(got, svd_regularity(jac, TOL))
     assert got.any() and not got.all()
 
@@ -142,8 +162,7 @@ def test_regularity_of_exactly_singular_jacobians(monkeypatch):
     jac = reduced_jacobians(rng, np.ones((40, 3)))[0]
     jac[:20, 0, -1] = 0.0  # b = 0: the last column vanishes, settled by the bound
     jac[20:, 2, 1] = 0.0   # R[1, 1] = 0: no R^-1, left to the SVD
-    got, inputs = svd_inputs(monkeypatch, _regularity, jac,
-                              _inverse_factors(frame_factor(jac)), TOL)
+    got, inputs = svd_inputs(monkeypatch, _regularity, reduced_pieces(jac), TOL)
     np.testing.assert_array_equal(got, svd_regularity(jac, TOL))
     assert not got.any()
     np.testing.assert_array_equal(reached(jac, inputs), np.arange(40) >= 20)
@@ -153,7 +172,7 @@ def test_regularity_of_exactly_singular_jacobians(monkeypatch):
 def test_normal_ranks_near_the_cutoffs_equal_the_svd(monkeypatch, m):
     rng = np.random.default_rng(10 + m)
     vecs = normal_coordinates(rng, m)
-    got, inputs = svd_inputs(monkeypatch, _normal_ranks, vecs, TOL)
+    got, inputs = svd_inputs(monkeypatch, normal_ranks, vecs, TOL)
     np.testing.assert_array_equal(got, svd_normal_ranks(vecs, TOL))
     assert set(got.tolist()) == {0, 1, 2}
 
@@ -180,9 +199,11 @@ def test_scan_verdicts_equal_the_svd(case):
 
 
 def _primed(stem, t_samples=800):
-    """The scene's patch with the grid values the scan reads already
-    evaluated, so that only the scan runs under the patched calls."""
-    p = ingest(str(SCENE_DIR / f"{stem}.json"), overrides={"t_samples": t_samples}).patch
+    """The scene's patch (at its own grid when `t_samples` is None) with the
+    grid values the scan reads already evaluated, so that only the scan
+    runs under the patched calls."""
+    p = ingest(str(SCENE_DIR / f"{stem}.json"),
+               overrides={} if t_samples is None else {"t_samples": t_samples}).patch
     for order in (0, 1, 2):
         p.values.frame(order)
     for order in (1, 2):
@@ -196,15 +217,51 @@ def _raising(name):
     return fail
 
 
-@pytest.mark.parametrize("stem", ["two_rotation_r5", "cylinder_helix_r4"])
-def test_scan_settles_every_verdict_without_the_svd(monkeypatch, stem):
-    p = _primed(stem)
+#: the patches whose scan must settle without the SVD: the shipped scenes at
+#: their own grids and at 800 samples, the selftest corpus at 50 and 200,
+#: and the scene families at seeds 0-2
+SETTLED = {
+    **{f"{path.stem}-{n}": (lambda path=path, n=n: _primed(path.stem, n))
+       for path in sorted(SCENE_DIR.glob("*.json")) for n in (None, 800)},
+    **{f"selftest-{name}-{n}": (lambda name=name, n=n: build_corpus(TOL, n)[name])
+       for name in sorted(CORPUS_DEGREES) for n in (50, 200)},
+    **{f"{name}-{seed}": (lambda make=make, seed=seed: ingest(make(seed)).patch)
+       for name, (make, _) in sorted(FAMILIES.items()) for seed in range(3)},
+}
+
+
+def _near_apex(p, t_index, u):
+    """|c| / (|B|_F (1 + |u|)) at grid points: how far sigma_t's part off
+    the frame span is from cancelling to 0, as near a cone's apex."""
+    _, _, g1, x1 = p.values.coordinates(1)
+    c = g1[t_index, 0] + (u[:, None] @ x1[t_index])[:, 0]
+    size = np.linalg.norm(np.concatenate([g1, x1], axis=1)[t_index], axis=(1, 2))
+    return np.linalg.norm(c, axis=-1) / (size * (1.0 + np.linalg.norm(u, axis=-1)))
+
+
+@pytest.mark.parametrize("case", sorted(SETTLED))
+def test_scan_settles_every_verdict_without_the_svd(monkeypatch, case):
+    p = SETTLED[case]()
+    reached_kernel, svd_calls = [], []
+    kernel, svd = ruledgeom._second_form_ranks, np.linalg.svd
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "svd", _raising("np.linalg.svd"))
+        patch.setattr(ruledgeom, "_second_form_ranks",
+                      lambda v, i, u, tol: reached_kernel.append((i, u)) or kernel(v, i, u, tol))
+        patch.setattr(np.linalg, "svd", lambda *a, **kw: svd_calls.append(a) or svd(*a, **kw))
         scan = second_form_scan(p)
-    regular, dims = svd_scan_verdicts(p)
-    np.testing.assert_array_equal(scan.regular, regular)
-    np.testing.assert_array_equal(scan.dims, dims)
+    for regular, dims in (reference_scan(p), svd_scan_verdicts(p)):
+        np.testing.assert_array_equal(scan.regular, regular)
+        np.testing.assert_array_equal(scan.dims, dims)
+    if not case.startswith("moment_cone"):
+        assert reached_kernel == [] and svd_calls == []
+        return
+    # the moment cones' rulings run through the apex, where the reference's
+    # own rounding of c sets the verdict: a handful of points per grid, the
+    # SVD only where the normal space is wider than a plane
+    (i, u), = reached_kernel
+    assert 0 < i.size <= 10
+    assert np.all(_near_apex(p, i, u) < 1e-2)
+    assert bool(svd_calls) == (p.dim - p.m + 1 > 3)
 
 
 def test_cone_scan_keeps_its_closed_forms(monkeypatch):
@@ -219,3 +276,108 @@ def test_cone_scan_keeps_its_closed_forms(monkeypatch):
     regular, dims = svd_scan_verdicts(p)
     np.testing.assert_array_equal(scan.regular, regular)
     np.testing.assert_array_equal(scan.dims, dims)
+
+
+class HeldCurve(GridValues):
+    """`GridValues` over held frame values and derivatives (orders 0-2) and
+    directrix derivatives (orders 1-2) at N parameters, of no curve, with
+    the frame QR and coordinates of `GridValues` itself."""
+
+    def __init__(self, frame, directrix):
+        super().__init__(None, ParameterArray(np.arange(float(len(frame[0])))))
+        self._frame.update(frame)
+        self._directrix.update(directrix)
+
+
+def ruling_stacks(rng, m, dim, size):
+    """A stand-in patch of `size` rulings, each at a 5 (m = 2) or 3 x 3
+    (m = 3) grid of ruling positions in [-1, 1]^(m-1), whose second-form
+    scan crosses the per-ruling cutoffs.
+
+    In complement coordinates B = [g1 comp; Xdot comp] has a designed rank
+    r and singular values from 0.5 to 2, the r-th scaled by 0 or by
+    10^-13 .. 10^-4 (across the rank floor rank_rel_tol |B|_F); sigma_tt
+    comp = g2 comp + u . (Xddot comp) lies in B's row space but for a part
+    eps f off it, f a unit vector, with eps at zero_abs_tol (1 +- 3e-6), in
+    10^-11 .. 10^-5 (across rank_rel_tol s_1), or 0, constant or affine in u.
+    The parts along the frame are random.
+    """
+    k, w = m - 1, dim - m + 1
+    x0 = orthonormal_columns(rng, dim, k, size).swapaxes(1, 2)
+    _, q, comp, _ = frame_qr(x0)
+    top = min(m, w)
+    rank = rng.integers(1, top + 1, size)
+    spectra = rng.uniform(0.5, 2.0, (size, top))
+    last = np.where(rng.uniform(size=size) < 0.1, 0.0, 10.0 ** rng.uniform(-13.0, -4.0, size))
+    spectra[np.arange(size), rank - 1] *= np.where(rank > 1, last, 1.0)
+    spectra[np.arange(top) >= rank[:, None]] = 0.0
+    left, right = orthonormal_columns(rng, m, m, size), orthonormal_columns(rng, w, w, size)
+    b = (left[:, :, :top] * spectra[:, None]) @ right[:, :, :top].swapaxes(1, 2)
+    eps = np.choose(rng.integers(0, 3, size), [ZERO * (1.0 + rng.uniform(-SWEEP, SWEEP, size)),
+                                               10.0 ** rng.uniform(-11.0, -5.0, size),
+                                               np.zeros(size)])
+    f = right[np.arange(size), :, np.minimum(rank, w - 1)] * (rank < w)[:, None]
+    in_span = np.arange(w) < rank[:, None]
+    s = ((rng.normal(size=(size, m, w)) @ right) * in_span[:, None]) @ right.swapaxes(1, 2)
+    s[:, 0] += eps[:, None] * f
+    tilt = rng.uniform(-1.0, 1.0, (size, k)) * (rng.uniform(size=size) < 0.5)[:, None]
+    s[:, 1:] += (tilt * eps[:, None])[..., None] * f[:, None]
+
+    def ambient(in_comp):
+        return rng.normal(size=in_comp.shape[:2] + (k,)) @ q.swapaxes(1, 2) + in_comp @ comp.swapaxes(1, 2)
+
+    values = HeldCurve({0: x0, 1: ambient(b[:, 1:]), 2: ambient(s[:, 1:])},
+                       {1: ambient(b[:, :1])[:, 0], 2: ambient(s[:, :1])[:, 0]})
+    axis = np.linspace(-1.0, 1.0, 5 if k == 1 else 3)
+    u = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
+    grid = SimpleNamespace(t_samples=values.ts, u_points=lambda _: u)
+    return SimpleNamespace(values=values, grid=grid, tol=TOL, m=m)
+
+
+@pytest.mark.parametrize("m, dim", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5)])
+def test_ruling_dims_near_their_cutoffs_equal_the_kernel(monkeypatch, m, dim):
+    rng = np.random.default_rng(10 * m + dim)
+    p = ruling_stacks(rng, m, dim, 1500)
+    u = p.grid.u_points(m - 1)
+    seen = []
+    kernel = ruledgeom._second_form_ranks
+    with monkeypatch.context() as patch:
+        patch.setattr(ruledgeom, "_second_form_ranks",
+                      lambda v, i, u, tol: seen.append((i, u)) or kernel(v, i, u, tol))
+        scan = second_form_scan(p)
+    _, vecs, regular = second_form_vectors(p.values, slice(None), u, TOL)
+    np.testing.assert_array_equal(scan.regular, regular)
+    np.testing.assert_array_equal(scan.dims, np.where(regular, normal_ranks(vecs, TOL), -1))
+    hit = np.zeros(regular.shape, dtype=bool)
+    for i, points in seen:
+        hit[i, (points[:, None] == u).all(axis=-1).argmax(axis=1)] = True
+    assert not (hit & ~regular).any()
+
+    # the band, measured independently: the kernel's singular values (the
+    # Frobenius norm for a normal line) within a factor 1e4 of a cutoff, a
+    # ruling whose B has a singular value ratio in 1e-14 .. 1e-3 (the rank
+    # floor's reach), or sigma_t comp within 1e-4 of cancelling (the
+    # kernel's own n rounds there); points within delta / 2 of a cutoff
+    # must reach the kernel
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if dim - m + 1 <= 2:
+            near = np.abs(np.log(np.linalg.norm(vecs, axis=(-2, -1)) / ZERO))
+        else:
+            s = np.linalg.svd(vecs, compute_uv=False)
+            lead = np.abs(np.log(s[..., 0] / ZERO))
+            ratio = np.abs(np.log(s[..., 1:] / (REL * s[..., :1]))).min(axis=-1)
+            near = np.where(s[..., 0] > ZERO, np.minimum(lead, ratio), lead)
+    _, _, g1, x1 = p.values.coordinates(1)
+    rows = np.concatenate([g1, x1], axis=1)
+    spectra = np.linalg.svd(rows, compute_uv=False)
+    ratios = spectra / spectra[:, :1]
+    ill = ((ratios > 1e-14) & (ratios < 1e-3)).any(axis=1)[:, None]
+    cancel = (np.linalg.norm(g1 + u @ x1, axis=-1)
+              / (np.linalg.norm(rows, axis=(1, 2))[:, None] * (1.0 + np.linalg.norm(u, axis=-1))))
+    outside = regular & (near > np.log(1e4)) & ~ill & ~(cancel < 1e-4)
+    inside = regular & (near < np.log1p(DELTA / 2))
+    assert not (hit & outside).any()
+    assert hit[inside].all()
+    assert outside.any()
+    if dim > m:
+        assert inside.any()

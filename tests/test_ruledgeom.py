@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ambient_second_form import (gram_schmidt_plane_curvatures, gram_schmidt_tangent_coeffs,
-                                  second_form_along_directrix)
+                                  second_form_along_directrix, second_form_vectors)
 from conftest import small_patch
 from frame_oracles import gram_schmidt_r
 from ruledkit import (RegularityError, RuledPatch, SampleGrid, TolerancePolicy,
@@ -14,7 +14,7 @@ from ruledkit.fields import ConstantField, FourierField, PolynomialField
 from ruledkit.multilinear import numerical_rank
 from ruledkit.parametric import BUILTIN_PATCHES, FramedCurve
 from ruledkit.ruledgeom import (_inverse_factors, _normal_plane_curvatures,
-                                _reduced_jacobians, _second_form_vectors,
+                                _reduced_jacobians,
                                 first_normal_bounds_check, flatness_check, jacobian_sigma,
                                 rank_one_check, sectional_curvature, tangent_space_stability)
 
@@ -277,7 +277,7 @@ def test_flatness_takes_no_second_pass_over_the_grid(monkeypatch):
     p = small_patch("two_rotation_r5", 20)
     p.scan
     calls = []
-    for name in ("_second_form_vectors", "_regularity"):
+    for name in ("_reduced_jacobians", "_regularity", "_normal_dims", "_second_form_ranks"):
         kernel = getattr(ruledgeom, name)
         monkeypatch.setattr(ruledgeom, name,
                             lambda *args, kernel=kernel, name=name: calls.append(name) or kernel(*args))
@@ -396,7 +396,7 @@ def assert_closed_form_matches(jac, vecs, k, tol):
 @pytest.mark.parametrize("name", sorted(BUILTIN_PATCHES))
 def test_tangent_basis_and_curvatures_equal_the_loops(name):
     p = small_patch(name, 20)
-    jac, vecs, regular = _second_form_vectors(p.values, slice(None),
+    jac, vecs, regular = second_form_vectors(p.values, slice(None),
                                               p.grid.u_points(p.m - 1), p.tol)
     jac, vecs = jac[regular], vecs[regular]
     assert jac.shape[0] > 0
@@ -420,8 +420,8 @@ def random_reduced_stacks(rng, size, m, dim):
     sigma_q = (rng.normal(size=(size, 1, k)), rng.normal(size=(size, k, k)))
     sigma_c = (rng.normal(size=(size, 1, dim - k)), rng.normal(size=(size, k, dim - k)))
     u = rng.uniform(-2.0, 2.0, (size, 1, k))
-    jac, c = _reduced_jacobians(r, (*sigma_q, *sigma_c), u)
-    jac, c = jac[:, 0], c[:, 0]
+    pieces, c = _reduced_jacobians(r, (*sigma_q, *sigma_c), u)
+    jac, c = pieces.matrices(np.ones((size, 1), dtype=bool)), c[:, 0]
     n = c / np.linalg.norm(c, axis=-1, keepdims=True)
     vecs = np.concatenate([rng.normal(size=(size, 1, dim - k)), sigma_c[1]], axis=1)
     vecs -= (vecs @ n[..., None]) * n[:, None]
@@ -469,7 +469,7 @@ def test_sectional_curvature_equals_the_gram_schmidt_plane(name):
     p = tilted_rotation_patch() if name == "tilted_rotation" else small_patch(name, 40)
     for t in (float(p.grid.t_samples[3]), 0.37, 1.1):
         for u in ([0.3] * (p.m - 1), [-1.2] + [0.5] * (p.m - 2), [1.7] * (p.m - 1)):
-            jac, vecs, regular = _second_form_vectors(p.fc.grid_values(np.array([t])),
+            jac, vecs, regular = second_form_vectors(p.fc.grid_values(np.array([t])),
                                                       slice(None), np.array([u]), p.tol)
             assert regular[0, 0]
             want = gram_schmidt_plane_curvatures(jac[0, 0], vecs[0, 0], p.tol)[0]

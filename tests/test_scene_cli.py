@@ -803,3 +803,77 @@ def test_degree_detection_breaks_with_bad_rank_tolerance():
     grid = SampleGrid.uniform(fc.interval, 16)
     assert degree_profile(fc, grid, TolerancePolicy()).constant_degree == 2
     assert degree_profile(fc, grid, TolerancePolicy(rank_rel_tol=0.5)).constant_degree == 1
+
+
+# --- arithmetic bounds: the phase of the sines, the sweep of the rulings ------------
+
+#: largest |omega t| at which a sine still resolves its derivatives' phase
+PHASE_LIMIT = TolerancePolicy().derivative_check_tol * 2.0 ** 53
+
+
+def _refused_by_cli(tmp_path, doc, match):
+    """The CLI's `analyze` of `doc` under -W error::RuntimeWarning: exit 2,
+    one `error:` line naming `match`, no traceback and no output files."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = CliRunner().invoke(main, ["analyze", write_scene(tmp_path, doc), "-o", str(out)])
+    assert result.exit_code == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and match in lines[0]
+    assert "Traceback" not in result.output and not out.exists()
+
+
+def test_ingest_refuses_an_interval_past_the_phase_limit(tmp_path):
+    # the cone's frame is a Fourier field of frequency 1: |omega t| = t
+    with pytest.raises(ValidationError, match="phase"):
+        ingest({"builtin_patch": "circular_cone", "interval": [0.0, 1.001 * PHASE_LIMIT]})
+    with pytest.raises(ValidationError, match="phase"):
+        ingest({"builtin_patch": "circular_cone", "interval": [-1.001 * PHASE_LIMIT, 0.0]})
+    result = ingest({"builtin_patch": "circular_cone", "interval": [0.0, 0.999 * PHASE_LIMIT]})
+    assert result.patch.fc.interval[1] == 0.999 * PHASE_LIMIT
+    _refused_by_cli(tmp_path, {"builtin_patch": "circular_cone", "interval": [0, 1e300]}, "phase")
+
+
+def test_ingest_refuses_a_u_extent_whose_sweep_overflows(tmp_path):
+    from ruledkit.scene import check_sweep_scale
+    cone = {"builtin_patch": "circular_cone"}
+    values = ingest(cone).patch.values
+    # the cone's derivatives have largest entries of 1 or less, so the
+    # order-1 sweep |g'| + u |Xdot| (root 3 each) stays below
+    # sqrt(max float / 1024) up to about 3.4e152
+    with pytest.raises(ValidationError, match="u_extent"):
+        check_sweep_scale(values, 4.2e152)
+    check_sweep_scale(values, 1e152)
+    with pytest.raises(ValidationError, match="u_extent"):
+        ingest(cone, overrides={"u_extent": 1e155})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ingest(cone, overrides={"u_extent": 1e152})
+    _refused_by_cli(tmp_path, {**cone, "grid": {"u_extent": 1e155}}, "u_extent")
+
+
+def test_shipped_scenes_sit_far_below_the_arithmetic_bounds(pytestconfig):
+    import pathlib
+    from perfbench.scenegen import explicit_scene
+    from ruledkit.parametric import FramedCurve
+    from ruledkit.scene import _build_framed_curve, check_phase_resolution, check_sweep_scale
+    from ruledkit.selftest import build_corpus
+    from scene_families import FAMILIES
+    scene_dir = pathlib.Path(pytestconfig.rootpath) / "scenes"
+    docs = [json.loads(path.read_text()) for path in sorted(scene_dir.glob("*.json"))]
+    docs += [make(seed) for make, _ in FAMILIES.values() for seed in range(3)]
+    docs += [explicit_scene(seed) for seed in range(8)]
+    docs += [{"builtin_patch": name} for name in ("circular_cone", "two_rotation_r5")]
+    tol = TolerancePolicy()
+    for doc in docs:
+        fc = _build_framed_curve(doc)
+        wide = FramedCurve(fc.dim, fc.m, fc.directrix, fc.frame,
+                           (1e4 * fc.interval[0], 1e4 * fc.interval[1]))
+        check_phase_resolution(wide, tol)
+        p = ingest(doc).patch
+        check_sweep_scale(p.values, 1e100 * p.grid.u_extent)
+    for p in build_corpus(tol, 200).values():
+        check_phase_resolution(FramedCurve(p.fc.dim, p.fc.m, p.fc.directrix, p.fc.frame,
+                                           (1e4 * p.fc.interval[0], 1e4 * p.fc.interval[1])), tol)
+        check_sweep_scale(p.values, 1e100 * p.grid.u_extent)

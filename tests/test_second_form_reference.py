@@ -1,9 +1,10 @@
 """The second-form scan in the patch's own coordinates against the
 ambient kernel it replaced (`ambient_second_form`).
 
-The scan works with an m x m reduced Jacobian and second-form vectors in
-coordinates of the normal space, with closed forms for m = 2 and for a
-normal space of dimension 1. On every patch below, its regularity and
+The per-point kernel (`ambient_second_form.second_form_vectors`) works
+with an m x m reduced Jacobian and second-form vectors in coordinates of
+the normal space, with closed forms for m = 2 and for a normal space of
+dimension 1; the scan decides the same ranks ruling by ruling. On every patch below, its regularity and
 first normal space dimensions must equal the ambient kernel's, its
 singular values must match the ambient Jacobian's, and the Gauss-equation
 curvatures of the Gram-Schmidt kernel must match. The flatness check's
@@ -17,14 +18,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from ambient_second_form import ambient_scan, gram_schmidt_plane_curvatures
+from ambient_second_form import (ambient_scan, gram_schmidt_plane_curvatures,
+                                 reduced_singular_values, second_form_vectors)
 from conftest import small_patch
 from perfbench.scenegen import explicit_scene
 from ruledkit import RuledPatch, SampleGrid, TolerancePolicy, ingest
 from ruledkit.fields import FourierField
 from ruledkit.parametric import FramedCurve
-from ruledkit.ruledgeom import (_reduced_singular_values, _second_form_vectors, flatness_check,
-                                second_form_scan)
+from ruledkit.ruledgeom import flatness_check, second_form_scan
 from ruledkit.selftest import CORPUS_DEGREES, build_corpus
 from test_ruledgeom import closed_form_curvatures, plane_patch
 
@@ -68,12 +69,12 @@ def assert_matches_ambient(p, raw_curvature_tol=None):
     np.testing.assert_array_equal(scan.regular, regular_a)
     np.testing.assert_array_equal(scan.dims, dims_a)
 
-    jac, vecs, regular = _second_form_vectors(p.values, slice(None),
-                                              p.grid.u_points(p.m - 1), p.tol)
+    jac, vecs, regular = second_form_vectors(p.values, slice(None),
+                                             p.grid.u_points(p.m - 1), p.tol)
     assert jac.shape[-2:] == (p.m, p.m) and vecs.shape[-2:] == (p.m, p.dim - p.m + 1)
     np.testing.assert_array_equal(regular, regular_a)
     s_a = np.linalg.svd(jac_a, compute_uv=False)
-    assert np.all(np.abs(_reduced_singular_values(jac) - s_a) <= 1e-14 * s_a[..., :1])
+    assert np.all(np.abs(reduced_singular_values(jac) - s_a) <= 1e-14 * s_a[..., :1])
 
     if not regular.any():
         return

@@ -20,8 +20,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ambient_second_form import (svd_pair_margins, svd_regular_pairs, svd_span_verdicts,
-                                 svd_tangent_space_stability)
+from ambient_second_form import (reduced_pieces, svd_pair_margins, svd_regular_pairs,
+                                 svd_span_verdicts, svd_tangent_space_stability)
 from conftest import small_patch
 from ruledkit import RuledPatch, SampleGrid, TolerancePolicy, selftest
 from ruledkit.multilinear import rank_mask
@@ -68,7 +68,8 @@ def frobenius_conditions(mat):
 def test_pair_conditions_near_the_limit_equal_the_svd(monkeypatch, m):
     rng = np.random.default_rng(20 + m)
     jac, r = reduced_jacobians(rng, condition_spectra(rng, m))
-    kept, inputs = svd_inputs(monkeypatch, _regularity, jac, _inverse_factors(r), PAIR_TOL)
+    kept, inputs = svd_inputs(monkeypatch, _regularity, reduced_pieces(jac, _inverse_factors(r)),
+                              PAIR_TOL)
     undecided = reached(jac, inputs)
     expected = rank_mask(np.linalg.svd(jac, compute_uv=False), PAIR_TOL).all(axis=-1)
     assert kept.any() and not expected.all()
@@ -92,8 +93,9 @@ def test_pair_conditions_near_the_limit_equal_the_svd(monkeypatch, m):
 
 
 def span_pairs(rng, m, width, size):
-    """(jac, c, r_inv, ambient, sin_theta) of `size` pairs of points at one
-    parameter, in a space with a normal space of dimension width - 1.
+    """(jac, c, ambient, sin_theta) of `size` pairs of points at one
+    parameter, in a space with a normal space of dimension width - 1, the
+    pairs' reduced Jacobians as `ReducedJacobians`.
 
     Both points of a pair share the reduced Jacobian J = [[a, b], [R^T, 0]]
     of a random spectrum with s1 = 1 and a condition number from 1 to
@@ -127,14 +129,14 @@ def span_pairs(rng, m, width, size):
     ambient[:, :, 0, k:] = c
     ambient[:, :, 1:, :k] = jac[:, None, 1:, :k]
     pairs = np.repeat(jac[:, None], 2, axis=1)
-    return pairs, c, _inverse_factors(r)[:, None], ambient, sin
+    return reduced_pieces(pairs, _inverse_factors(r)[:, None]), c, ambient, sin
 
 
 @pytest.mark.parametrize("m, width", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_span_verdicts_near_the_cutoff_equal_the_svd(m, width):
     rng = np.random.default_rng(10 * m + width)
-    jac, c, r_inv, ambient, sin = span_pairs(rng, m, width, 20000)
-    regular, differ, undecided = _span_verdicts(jac, c, r_inv, TOL)
+    jac, c, ambient, sin = span_pairs(rng, m, width, 20000)
+    regular, differ, undecided = _span_verdicts(jac, c, TOL)
     svd_regular, worst = svd_span_verdicts(ambient, TOL)
     np.testing.assert_array_equal(regular, svd_regular)
     assert regular.all()
@@ -145,7 +147,7 @@ def test_span_verdicts_near_the_cutoff_equal_the_svd(m, width):
     # the band in sin theta and kappa_F, measured independently; points
     # within delta / 2 of its edges, or within the minors' absolute
     # rounding of sin theta, a few eps, may fall either way
-    slack = SPAN_SLACK_PER_DIM * m * EPS * frobenius_conditions(jac[:, 0])
+    slack = SPAN_SLACK_PER_DIM * m * EPS * frobenius_conditions(ambient[:, 0])
     rounding = 16 * EPS
     outside = ((sin * (1 + 2 * DELTA) + slack * (1 + DELTA) < SPAN - rounding)
                | (sin * (1 - 2 * DELTA) / np.sqrt(m) - slack * (1 + DELTA) > SPAN + rounding))
@@ -318,7 +320,10 @@ def test_pair_jacobians_on_the_grid_equal_fresh_evaluations(monkeypatch, name):
         assert calls
     # the same values and frame basis, multiplied out from arrays of
     # another memory layout: equal within a few rounding errors
-    for got, want in zip(on_grid, evaluated):
+    (jac, c), (fresh_jac, fresh_c) = on_grid, evaluated
+    for got, want in zip((jac.a, jac.b, jac.r, jac.r_inv, jac.a_r, c),
+                         (fresh_jac.a, fresh_jac.b, fresh_jac.r, fresh_jac.r_inv, fresh_jac.a_r,
+                          fresh_c)):
         scale = np.abs(want[np.isfinite(want)]).max()
         np.testing.assert_allclose(got, want, rtol=0.0, atol=8 * EPS * scale)
 
