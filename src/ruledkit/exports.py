@@ -1,5 +1,8 @@
 """File outputs: canonical JSON, OBJ meshes for 3-D surface patches, and
-the float texts of the grid writers (`float_texts`)."""
+`float_texts`, the float formatting of every output file. Each file (the
+JSON documents, the OBJ mesh and the striction CSVs) sends all of its
+floats to `float_texts` in one call, so it formats each distinct float
+once, and places the texts with one `%` template."""
 
 from __future__ import annotations
 
@@ -30,14 +33,15 @@ def float_texts(values) -> list[str]:
     """`_floats` of a float array's values in C order, formatting each
     distinct bit pattern once.
 
-    The uint64 view is sorted (a stable argsort), the first of each run of
-    equal bits is formatted and its text scattered back over the run.
-    float.__repr__ depends only on the bits, so this is exact: -0.0 keeps
-    its sign and every NaN payload reads NaN.
+    The uint64 view is sorted, the first of each run of equal bits is
+    formatted and its text scattered back over the run. float.__repr__
+    depends only on the bits, so this is exact: -0.0 keeps its sign and
+    every NaN payload reads NaN. Equal bits give equal texts, so the order
+    within a run does not matter and the sort need not be stable.
     """
     flat = np.ravel(np.asarray(values, dtype=float))
     bits = flat.view(np.uint64)
-    order = np.argsort(bits, kind="stable")
+    order = np.argsort(bits)
     ordered = bits[order]
     heads = np.empty(flat.size, dtype=bool)
     heads[:1] = True
@@ -48,68 +52,80 @@ def float_texts(values) -> list[str]:
     return out.tolist()
 
 
-def _float_rows(rows, indent: str) -> str | None:
-    """The encoding at `indent` of a list of nonempty lists of plain
-    floats, in one pass: every number formatted by one `_floats` call and
-    placed by one `%` template; None for any other list of lists."""
+def _float_rows(rows, indent: str, floats: list) -> str | None:
+    """The template at `indent` of a list of nonempty lists of plain
+    floats, in one pass: a `%s` for each number, whose floats are
+    appended to `floats`; None for any other list of lists."""
     flat = [x for row in rows for x in row]
     if not all(rows) or set(map(type, flat)) != {float}:
         return None
+    floats += flat
     inner, cell = indent + "  ", indent + "    "
     templates = {n: "[\n" + cell + (",\n" + cell).join(["%s"] * n) + "\n" + inner + "]"
                  for n in set(map(len, rows))}
-    body = (",\n" + inner).join([templates[len(row)] for row in rows])
-    return "[\n" + inner + body % tuple(_floats(flat)) + "\n" + indent + "]"
+    return ("[\n" + inner + (",\n" + inner).join([templates[len(row)] for row in rows])
+            + "\n" + indent + "]")
 
 
-def _encode(obj, indent: str) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)` of a value nested at
-    `indent`, for the types `json` encodes by default.
+def _encode(obj, indent: str, floats: list) -> str:
+    """The `%` template of `json.dumps(obj, sort_keys=True, indent=2)` for
+    a value nested at `indent`, for the types `json` encodes by default.
 
-    A list of plain floats or plain ints is joined in one pass, and a
-    list of lists of plain floats formatted in one (`_float_rows`);
-    containers of anything else recurse item by item.
-    A dict with a key that is not a str, and any type `json` cannot
-    encode, go to `json.dumps` itself, re-indented (JSON strings hold no
-    raw newline).
+    Each float (subclasses included) is a `%s`, and is appended to
+    `floats` in document order; every literal `%` (of strings, keys and
+    the `json.dumps` fallback) is doubled. A list of plain floats or plain
+    ints is joined in one pass, and a list of lists of plain floats laid
+    out in one (`_float_rows`); containers of anything else recurse item
+    by item. A dict with a key that is not a str, and any type `json`
+    cannot encode, go to `json.dumps` itself, re-indented (JSON strings
+    hold no raw newline).
     """
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
+        return encode_basestring_ascii(obj).replace("%", "%%")
     if obj is None or obj is True or obj is False:
         return _CONSTANTS[obj]
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        return _floats([obj])[0]
+        floats.append(obj)
+        return "%s"
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         kinds = set(map(type, obj))
         if kinds <= {list, tuple}:
-            rows = _float_rows(obj, indent)
+            rows = _float_rows(obj, indent, floats)
             if rows is not None:
                 return rows
         if kinds == {float}:
-            items = _floats(obj)
+            floats += obj
+            items = ["%s"] * len(obj)
         elif kinds == {int}:
             items = list(map(int.__repr__, obj))
         else:
-            items = [_encode(item, inner) for item in obj]
+            items = [_encode(item, inner, floats) for item in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
         if not obj:
             return "{}"
-        items = [encode_basestring_ascii(key) + ": " + _encode(value, inner)
-                 for key, value in sorted(obj.items())]
+        items = [encode_basestring_ascii(key).replace("%", "%%") + ": "
+                 + _encode(value, inner, floats) for key, value in sorted(obj.items())]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    text = json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    return text.replace("%", "%%")
 
 
 def canonical_json_bytes(obj) -> bytes:
     """Deterministic JSON encoding (sorted keys, repr floats): exactly the
-    bytes of `json.dumps(obj, sort_keys=True, indent=2) + "\\n"`."""
-    return (_encode(obj, "") + "\n").encode()
+    bytes of `json.dumps(obj, sort_keys=True, indent=2) + "\\n"`.
+
+    The document's template (`_encode`) is filled by one `%` with the
+    texts of all its floats, formatted by one `float_texts` call, so each
+    distinct float of the document once."""
+    floats: list = []
+    template = _encode(obj, "", floats)
+    return (template % tuple(float_texts(floats)) + "\n").encode()
 
 
 def write_json(path, obj):
@@ -126,19 +142,24 @@ def write_mesh_obj(path, patch: RuledPatch, sheet: StrictionSheet | None = None)
     """Quad mesh of a surface patch in R^3, with the striction curve as a
     polyline object when a sheet is supplied. Requires dim=3 and m=2.
 
-    The vertex coordinates of the patch and those of the polyline are
-    formatted by one `float_texts` call each, so each distinct value of a
-    block once, and placed by one template.
+    The vertex coordinates of the patch and of the polyline are formatted
+    by one `float_texts` call, so each distinct value of the file once,
+    and each block is placed by one template.
     """
     if patch.dim != 3 or patch.m != 2:
         raise ValueError("OBJ export is defined for ambient dimension 3 with m=2")
     ts = patch.grid.t_samples
     us = patch.grid.u_axis
-    # sigma(t, u) = directrix(t) + u X(t) at every grid point, t-major
-    v = patch.values
-    points = v.directrix(0)[:, None, :] + us[:, None] * v.frame(0)
-    lines = ["o patch", _vertex_lines(float_texts(points))]
     nu = us.size
+    # sigma(t, u) = directrix(t) + u X(t) at every grid point, t-major,
+    # then the polyline's points
+    v = patch.values
+    points = (v.directrix(0)[:, None, :] + us[:, None] * v.frame(0)).reshape(-1, 3)
+    if sheet is not None:
+        points = np.concatenate([points, sheet.grid_points(())])
+    texts = float_texts(points)
+    base = ts.size * nu
+    lines = ["o patch", _vertex_lines(texts[:3 * base])]
     # quad (a, a + nu, a + nu + 1, a + 1) from each 1-based vertex a off the
     # last t and the last u
     a = (np.arange(ts.size - 1)[:, None] * nu + np.arange(1, nu)).ravel()
@@ -146,8 +167,7 @@ def write_mesh_obj(path, patch: RuledPatch, sheet: StrictionSheet | None = None)
         faces = np.stack([a, a + nu, a + nu + 1, a + 1], axis=1)
         lines.append("\n".join(["f %d %d %d %d"] * a.size) % tuple(faces.ravel().tolist()))
     if sheet is not None:
-        base = ts.size * nu
-        lines += ["o striction", _vertex_lines(float_texts(sheet.grid_points(()))),
+        lines += ["o striction", _vertex_lines(texts[3 * base:]),
                   "l " + " ".join(str(base + i + 1) for i in range(ts.size))]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -671,9 +671,9 @@ def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):
     t, u1..u{m-d-1}, s{m-d}..s{m-1}, b1..b{m+n}, wedge_residual, singular,
     one row per locus sample (grid parameter and free grid position),
     t-major, with `\r\n` line endings. Each number is its float repr, so
-    no field needs the quoting of a CSV writer. The sheet points and the
-    other numbers are formatted by one `exports.float_texts` call each, so
-    each distinct value of a block once, and each row is joined once."""
+    no field needs the quoting of a CSV writer. All the file's numbers are
+    formatted by one `exports.float_texts` call, so each distinct value of
+    the file once, and placed by one template, a row's by its verdict."""
     m, d, dim = sheet.fc.m, sheet.d, sheet.fc.dim
     header = (["t"]
               + [f"u{j}" for j in range(1, m - d)]
@@ -682,12 +682,12 @@ def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):
               + ["wedge_residual", "singular"])
     # the ruling coordinates u and s of the sheet, (N, P, m-1), t-major as the locus
     u, v = sheet.grid_u, sheet.values
-    points = float_texts(v.directrix(0)[:, None] + u @ v.frame(0))
-    # t, u, s and wedge_residual: m + 1 numbers per row
-    numbers = float_texts(np.concatenate([np.repeat(locus.t, u.shape[1])[:, None],
-                                          u.reshape(-1, m - 1), locus.residuals.reshape(-1, 1)],
-                                         axis=1))
-    columns = ([numbers[j::m + 1] for j in range(m)] + [points[i::dim] for i in range(dim)]
-               + [numbers[m::m + 1], np.where(locus.singular.ravel(), "true", "false").tolist()])
+    # t, u and s, b and wedge_residual: m + dim + 1 numbers per row
+    table = np.concatenate([np.broadcast_to(locus.t[:, None, None], u.shape[:2] + (1,)), u,
+                            v.directrix(0)[:, None] + u @ v.frame(0),
+                            locus.residuals[..., None]], axis=-1)
+    cells = ",".join(["%s"] * (m + dim + 1))
+    rows = np.array([cells + ",false", cells + ",true"],
+                    dtype=object)[locus.singular.ravel().astype(np.intp)].tolist()
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\r\n")
+        fh.write(("\r\n".join([",".join(header), *rows]) + "\r\n") % tuple(float_texts(table)))

@@ -31,7 +31,9 @@ class ShortFloat(float):
 
 
 floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-texts = st.text(st.characters(), max_size=8)
+#: strings that often hold `%`, `s`, `d` and `(`, the characters of the
+#: encoder's `%` template
+texts = st.text(st.one_of(st.sampled_from("%sd("), st.characters()), max_size=8)
 scalars = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
                     floats, floats.map(np.float64), floats.map(ShortFloat), texts)
 rows = st.one_of(st.lists(floats, max_size=6), st.lists(st.integers(-2 ** 70, 2 ** 70),
@@ -61,6 +63,8 @@ def test_encoder_equals_the_stdlib_encoder(obj):
     {"z": 1, "a": [1.5, (2.5, 3.5)], "m": ((1.0, 2.0), (3.0, 4.0))},
     {1: "int key", 2: [1.0]}, {1.5: 0, -0.5: [[1.0, 2.0]]}, {"a": {False: 1, True: 2}},
     {None: [0.5]},
+    # literal `%` in strings, keys and the json.dumps fallback
+    {"%": "%s"}, {"a%%b": ["%d", 1.5, "%(x)s"]}, {1: "%s"}, [ShortFloat("nan"), "%"],
 ], ids=repr)
 def test_encoder_edge_cases(obj):
     assert canonical_json_bytes(obj) == oracle(obj)

@@ -1,9 +1,8 @@
 """The grid writers against their per-value oracles.
 
 `exports.float_texts` formats each distinct bit pattern of an array once
-and must give exactly `exports._floats` of its values in C order. The
-OBJ and CSV writers route their floats through it, and the striction
-polyline of the OBJ reuses the texts of the CSV's sheet points. Their
+and must give exactly `exports._floats` of its values in C order. Every
+output file sends all of its floats to it in one call. The OBJ and CSV
 files must equal, byte for byte, those of the per-vertex f-string mesh
 writer and the per-value `float.__repr__` CSV writer kept here as oracles.
 The mesh is written on request only (`analyze(..., mesh=True)`), so the
@@ -19,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perfbench.scenegen import explicit_scene
-from ruledkit import RuledPatch, SampleGrid, analysis, exports, ingest
+from ruledkit import RuledPatch, SampleGrid, analysis, exports, ingest, striction
 from ruledkit.classify import segment_analyses
 from ruledkit.exports import _floats, float_texts
 from ruledkit.fields import PolynomialField
@@ -115,6 +114,22 @@ def test_float_texts_edge_cases(a):
     assert float_texts(a) == _floats(a.ravel().tolist())
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("size", [7, 300, 7000])
+def test_float_texts_of_shuffled_repeated_blocks(seed, size):
+    # the sort need not be stable: runs of equal bits come out of it in any
+    # order, and each run's text is still its value's
+    patterns = np.array([_bits(x) for x in (0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                                            2.2250738585072009e-308, 1.5)]
+                        + [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                           0xFFF00000DEADBEEF, 0x7FFFFFFFFFFFFFFF], dtype=np.uint64)
+    rng = np.random.default_rng(seed)
+    a = np.repeat(patterns, rng.integers(1, size, patterns.size)).view(np.float64)
+    rng.shuffle(a)
+    assert float_texts(a) == _floats(a.tolist())
+    assert float_texts(a.reshape(-1, 1)[::-1]) == _floats(a[::-1].tolist())
+
+
 # --- the writers --------------------------------------------------------------
 
 def _analyze_against_oracles(monkeypatch, tmp_path, result, invariance=False):
@@ -166,10 +181,26 @@ def test_family_scene_writers_equal_the_oracles(monkeypatch, tmp_path, family):
     assert _analyze_against_oracles(monkeypatch, tmp_path, ingest(make(0)))
 
 
-def test_writers_format_each_distinct_value_once(monkeypatch, tmp_path):
+#: floats that reach `_floats` per file at 800 samples with the mesh
+#: requested, each file in one call; the R^5 scene is not a surface in R^3
+#: and writes no mesh
+DISTINCT_FLOATS = {
     # the cone's sheet is its apex and its mesh repeats a coordinate along
-    # each ruling: of the mesh's 12000 vertex and 2400 polyline floats
-    # 7448 and 26 are distinct, and of the CSV's 4800 floats 924
+    # each ruling: of the mesh's 12000 vertex and 2400 polyline floats 7473
+    # are distinct, of the CSV's 4800 floats 914 and of the report's 2426 842
+    "circular_cone": {"striction.csv": 914, "mesh.obj": 7473, "report.json": 842,
+                      "normalized_scene.json": 4},
+    "two_rotation_r5": {"striction.csv": 5596, "report.json": 814,
+                        "normalized_scene.json": 3},
+}
+
+
+@pytest.mark.parametrize("scene", sorted(DISTINCT_FLOATS))
+def test_writers_format_each_distinct_value_once(monkeypatch, tmp_path, scene):
+    # `analyze` reaches each traced writer name through its module
+    # attribute, once per file, and every float it formats reaches
+    # `_floats` within one of those calls: one call per file, with no bit
+    # pattern twice
     calls = []
     floats = exports._floats
 
@@ -179,26 +210,29 @@ def test_writers_format_each_distinct_value_once(monkeypatch, tmp_path):
         return floats(items)
 
     monkeypatch.setattr(exports, "_floats", counting)
-    sizes, kernel_calls = {}, []
-    write_csv, write_mesh = analysis.write_striction_csv, analysis.write_mesh_obj
+    per_file = {}
 
-    def measured(name, writer):
+    def measured(writer, path_arg):
         def run(*args):
             start = len(calls)
-            out = writer(*args)
-            kernel_calls.extend(calls[start:])
-            sizes[name] = sum(map(len, calls[start:]))
-            return out
+            writer(*args)
+            name = pathlib.Path(args[path_arg]).name
+            assert name not in per_file
+            per_file[name] = calls[start:]
         return run
 
-    monkeypatch.setattr(analysis, "write_striction_csv", measured("csv", write_csv))
-    monkeypatch.setattr(analysis, "write_mesh_obj", measured("mesh", write_mesh))
-    result = ingest(str(SCENE_DIR / "circular_cone.json"), {"t_samples": 800})
+    monkeypatch.setattr(analysis, "write_json", measured(exports.write_json, 0))
+    monkeypatch.setattr(analysis, "write_mesh_obj", measured(exports.write_mesh_obj, 0))
+    monkeypatch.setattr(analysis, "write_striction_csv",
+                        measured(striction.write_striction_csv, 2))
+    result = ingest(str(SCENE_DIR / f"{scene}.json"), {"t_samples": 800})
     analysis.analyze(result, tmp_path, invariance=False, mesh=True)
-    assert sizes == {"mesh": 7448 + 26, "csv": 924}
-    # no bit pattern reaches `_floats` twice within one call
-    assert len(kernel_calls) == 4
-    for items in kernel_calls:
+    assert sorted(per_file) == sorted(p.name for p in tmp_path.iterdir())
+    assert {name: [len(items) for items in file_calls]
+            for name, file_calls in per_file.items()} == \
+        {name: [n] for name, n in DISTINCT_FLOATS[scene].items()}
+    assert len(calls) == len(per_file)
+    for items in calls:
         bits = np.array(items, dtype=float).view(np.uint64)
         assert np.unique(bits).size == bits.size
 
