@@ -32,9 +32,10 @@ The directrix-invariance check, one call per segment over its pivot runs,
 re-solves the sheet of each shifted directrix on the patch's own grid,
 since the solved coordinates do not change under reparametrization; the
 shifted patch shares the frame values and degree profile, so no arclength
-map is built. The distance of each re-solved node to the analyzed sheet
-comes from a per-point Gauss-Newton fit over the sheet's parameters
-(`least_squares`).
+map is built, and the system matrices, which do not read the directrix,
+are factorized once per run for all offsets. The distance of each
+re-solved node to the analyzed sheet comes from a per-point Gauss-Newton
+fit over the sheet's parameters (`least_squares`), one call per run.
 
 Every stage is deterministic except `offsheet_check`, the randomized
 regularity spot check just off the sheet; it alone takes a seed.
@@ -79,22 +80,31 @@ def _check_degree(fc: FramedCurve, d: int):
         raise ValidationError(f"degree d={d} out of range 1..{k}")
 
 
+def _matrices(values: GridValues, rho: np.ndarray, d: int) -> np.ndarray:
+    """The matrices A of the striction systems at every parameter of
+    `values`, (N, d, d): entry (h, c) pairs the derivative of trailing
+    field c with the projected derivative of trailing field h. They read
+    the frame and the degree profile only, not the directrix."""
+    lo = values.fc.m - 1 - d
+    return rho[:, lo:] @ values.frame(1)[:, lo:].swapaxes(1, 2)
+
+
+def _right_hand_sides(values: GridValues, rho: np.ndarray, d: int) -> np.ndarray:
+    """The affine right-hand sides of the striction systems at every
+    parameter of `values`, (N, d, m-d): the directrix and leading-field
+    terms with a sign flip."""
+    lo = values.fc.m - 1 - d
+    xdot = values.frame(1)
+    rhs = np.concatenate([values.directrix(1)[:, None, :], xdot[:, :lo]], axis=1)
+    return -(rho[:, lo:] @ rhs.swapaxes(1, 2))
+
+
 def _assemble(values: GridValues, rho: np.ndarray, d: int, tol: TolerancePolicy):
     """Striction systems at every parameter of `values`, as (N, d, d) and
-    (N, d, m-d) stacks, with the smallest eigenvalue of each matrix (N,);
-    raises at the first degenerate one.
-
-    Entry (h, c) of A pairs the derivative of trailing field c with the
-    projected derivative of trailing field h; the affine right-hand side
-    collects the directrix and leading-field terms with a sign flip.
-    """
-    k = values.fc.m - 1
-    lo = k - d
-    xdot = values.frame(1)
-    rho_tail = rho[:, lo:]
-    a = rho_tail @ xdot[:, lo:].swapaxes(1, 2)
-    rhs = np.concatenate([values.directrix(1)[:, None, :], xdot[:, :lo]], axis=1)
-    b = -(rho_tail @ rhs.swapaxes(1, 2))
+    (N, d, m-d) stacks (`_matrices`, `_right_hand_sides`), with the
+    smallest eigenvalue of each matrix (N,); raises at the first
+    degenerate one."""
+    a, b = _matrices(values, rho, d), _right_hand_sides(values, rho, d)
     eigmin = np.linalg.eigvalsh(0.5 * (a + a.swapaxes(1, 2))).min(axis=1)
     degenerate = np.flatnonzero(eigmin < tol.zero_abs_tol)
     if degenerate.size:
@@ -105,13 +115,28 @@ def _assemble(values: GridValues, rho: np.ndarray, d: int, tol: TolerancePolicy)
     return a, b, eigmin
 
 
+def _cholesky_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solves A N = b of a stack from the Cholesky factors of A."""
+    return np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, b))
+
+
 def _solve(values: GridValues, rho: np.ndarray, d: int, tol: TolerancePolicy):
     """The striction systems at the parameters of `values` (`_assemble`)
     and their Cholesky solves, the solved coefficients (N, d, m-d):
     (a, b, eigmin, coefficients)."""
     a, b, eigmin = _assemble(values, rho, d, tol)
-    chol = np.linalg.cholesky(a)
-    return a, b, eigmin, np.linalg.solve(chol.swapaxes(1, 2), np.linalg.solve(chol, b))
+    return a, b, eigmin, _cholesky_solve(np.linalg.cholesky(a), b)
+
+
+def _defining_residual(a: np.ndarray, b: np.ndarray, nodes: np.ndarray,
+                       tol: TolerancePolicy) -> float:
+    """The largest solve residual at u_free = 0, |A s - b|; raises where it
+    exceeds `zero_abs_tol` or is NaN."""
+    max_def = float(np.abs(a @ nodes[..., :1] - b[..., :1]).max())
+    if not max_def <= tol.zero_abs_tol:  # NaN included
+        raise NumericError(
+            f"striction sheet violates its defining property: residual {max_def:.3e}")
+    return max_def
 
 
 def striction_systems(p: RuledPatch, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -307,10 +332,7 @@ def solve_striction(p: RuledPatch, d: int) -> StrictionSheet:
     _check_degree(p.fc, d)
     tol = p.tol
     a, b, eigmin, nodes = _solve(p.values, p.profile.rho, d, tol)
-    max_def = float(np.abs(a @ nodes[..., :1] - b[..., :1]).max())
-    if not max_def <= tol.zero_abs_tol:  # NaN included
-        raise NumericError(
-            f"striction sheet violates its defining property: residual {max_def:.3e}")
+    max_def = _defining_residual(a, b, nodes, tol)
     near = p.grid.t_samples[eigmin < 10.0 * tol.zero_abs_tol]
     return StrictionSheet(d=d, grid=p.grid, values=p.values, solution_nodes=nodes,
                           max_defining_residual=max_def, fallback_ts=near.tolist(), tol=tol)
@@ -551,7 +573,10 @@ def least_squares(sheet: StrictionSheet, points: np.ndarray, x0: np.ndarray,
     distance falls; elsewhere it is halved and tried again. A point
     stops when |J r| <= 1e-14 or its step is below 1e-14 times its
     scale max(1, |row|), so a row already at a nearest point never
-    moves, and no distance is ever larger than at x0.
+    moves, and no distance is ever larger than at x0. The points do not
+    interact: each one's iterates are those of a call on it alone, so the
+    invariance check fits all the points of a pivot run, every offset and
+    free sample position, in one call.
     """
     theta = np.clip(x0, lower, upper)
     scale = np.maximum(1.0, np.abs(theta).max(axis=1))
@@ -613,23 +638,68 @@ INVARIANCE_AXIS_SAMPLES = 3
 INVARIANCE_SCALES = (0.5, 1.0, -0.7)
 
 
-def _offset_deviation(p: RuledPatch, sheet: StrictionSheet, c: np.ndarray) -> float:
+def _shifted_sheet(p: RuledPatch, d: int, a: np.ndarray, chol: np.ndarray,
+                   c: np.ndarray) -> StrictionSheet:
+    """The sheet of `p` re-solved off the directrix shifted by c on the
+    same grid: the shifted patch shares the frame values and degree
+    profile, hence the matrices a (`_matrices`) and their Cholesky factors
+    chol, so only the right-hand sides are assembled anew. Raises
+    `NumericError` where the solve violates the defining property."""
+    values = p.shift_directrix(c).values
+    b = _right_hand_sides(values, p.profile.rho, d)
+    nodes = _cholesky_solve(chol, b)
+    return StrictionSheet(d=d, grid=p.grid, values=values, solution_nodes=nodes,
+                          max_defining_residual=_defining_residual(a, b, nodes, p.tol),
+                          tol=p.tol)
+
+
+def _reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_deviations(p: RuledPatch, sheet: StrictionSheet, offsets: list,
+                    skipped: dict) -> dict:
     """Largest distance to `sheet` from the sheet re-solved off the
-    directrix shifted by c on the same grid, over about 64 of the grid
-    nodes times `INVARIANCE_AXIS_SAMPLES` free positions per free axis."""
-    new_sheet = solve_striction(p.shift_directrix(c), sheet.d)
+    directrix shifted by each offset not yet in `skipped` (index -> reason),
+    over about 64 of the grid nodes times `INVARIANCE_AXIS_SAMPLES` free
+    positions per free axis: index -> deviation. The systems are
+    factorized once for all offsets, each offset is solved on its own
+    right-hand side, and one `least_squares` call fits the points of every
+    offset; an offset whose solve fails or whose deviation is not finite
+    (a NaN distance propagates to it) enters `skipped` instead."""
+    d, free = sheet.d, sheet.free_count
+    a = _matrices(p.values, p.profile.rho, d)
+    chol = np.linalg.cholesky(a)
     axis = np.linspace(-p.grid.u_extent, p.grid.u_extent, INVARIANCE_AXIS_SAMPLES)
     step = max(1, p.grid.t_samples.size // 64)
     ts = p.grid.t_samples[::step]
-    seeds = np.empty((ts.size, 1 + sheet.free_count))
-    seeds[:, 0] = ts
-    dev = 0.0
-    for u_free in np.array(list(product(axis, repeat=sheet.free_count))):
-        # sigma'(t, u) = sigma(t, u + c): the matched original parameters
-        seeds[:, 1:] = u_free + c[:sheet.free_count]
-        dists = _distances_to_sheet(sheet, new_sheet.grid_points(u_free)[::step], seeds)
-        dev = max(dev, float(dists.max()))
-    return dev
+    live, points, seeds = [], [], []
+    for k, c in enumerate(offsets):
+        if k in skipped:
+            continue
+        try:
+            new_sheet = _shifted_sheet(p, d, a, chol, c)
+        except NumericError as exc:
+            skipped[k] = _reason(exc)
+            continue
+        live.append(k)
+        for u_free in np.array(list(product(axis, repeat=free))):
+            seed = np.empty((ts.size, 1 + free))
+            seed[:, 0] = ts
+            # sigma'(t, u) = sigma(t, u + c): the matched original parameters
+            seed[:, 1:] = u_free + c[:free]
+            points.append(new_sheet.grid_points(u_free)[::step])
+            seeds.append(seed)
+    if not live:
+        return {}
+    dists = _distances_to_sheet(sheet, np.concatenate(points), np.concatenate(seeds))
+    devs = {}
+    for k, dev in zip(live, dists.reshape(len(live), -1).max(axis=1).tolist()):
+        if np.isfinite(dev):
+            devs[k] = dev
+        else:
+            skipped[k] = _reason(NumericError(f"invariance deviation is not finite: {dev}"))
+    return devs
 
 
 def directrix_invariance(runs, scales=INVARIANCE_SCALES) -> InvarianceResult:
@@ -641,29 +711,31 @@ def directrix_invariance(runs, scales=INVARIANCE_SCALES) -> InvarianceResult:
     patch swept from the shifted directrix t -> sigma(t, c) along the same
     frame is re-solved on the same grid (`RuledPatch.shift_directrix`):
     the solved coordinates do not change under reparametrization, so no
-    arclength map is needed. Since sigma'(t, u) = sigma(t, u + c), the
-    re-solved point at (t, u_free) is matched to the original sheet at
-    (t, u_free + c_free); from there one `least_squares` per free sample
-    position moves all of an offset's points to their nearest sheet
-    points, each by its own Gauss-Newton iteration. An offset's deviation
-    is the largest distance from a re-solved grid node to the original
-    sheet over all runs; an offset whose re-solve fails numerically on
-    some run is skipped with the first failing run's reason.
+    arclength map is needed, and the shifted patches of a run share its
+    frame values and degree profile, so the run's systems are factorized
+    once and each offset solves only its own right-hand side. Since
+    sigma'(t, u) = sigma(t, u + c), the re-solved point at (t, u_free) is
+    matched to the original sheet at (t, u_free + c_free); from there one
+    `least_squares` per run moves the points of all its offsets and free
+    sample positions to their nearest sheet points, each by its own
+    Gauss-Newton iteration. An offset's deviation is the largest distance
+    from a re-solved grid node to the original sheet over all runs; an
+    offset whose re-solve fails numerically on some run, or whose
+    deviation there is not finite, is skipped with the first failing
+    run's reason, and later runs do not re-solve it.
     """
     if any(sheet.d < 1 for _, sheet in runs):
         raise ValidationError("invariance requires a solved sheet (degree >= 1)")
     offsets = [np.full(runs[0][0].m - 1, float(s)) for s in scales]
-    per_offset, skipped = [], []
-    for c in offsets:
-        try:
-            dev = max(_offset_deviation(p, sheet, c) for p, sheet in runs)
-        except NumericError as exc:
-            skipped.append((c.tolist(), f"{type(exc).__name__}: {exc}"))
-            continue
-        per_offset.append((c.tolist(), dev))
-    return InvarianceResult(offsets=tuple(c.tolist() for c in offsets),
-                            per_offset=tuple(per_offset), skipped=tuple(skipped),
-                            max_deviation=max([0.0] + [dev for _, dev in per_offset]))
+    devs, skipped = {}, {}
+    for p, sheet in runs:
+        for k, dev in _run_deviations(p, sheet, offsets, skipped).items():
+            devs[k] = max(devs.get(k, dev), dev)
+    per_offset = [(c.tolist(), devs[k]) for k, c in enumerate(offsets) if k not in skipped]
+    return InvarianceResult(
+        offsets=tuple(c.tolist() for c in offsets), per_offset=tuple(per_offset),
+        skipped=tuple((offsets[k].tolist(), skipped[k]) for k in sorted(skipped)),
+        max_deviation=max([0.0] + [dev for _, dev in per_offset]))
 
 
 def write_striction_csv(sheet: StrictionSheet, locus: SingularLocus, path):

@@ -19,18 +19,19 @@ def small_patch(name: str, t_samples: int = 41, **grid_kw) -> RuledPatch:
 
 
 def fail_invariance_resolve(monkeypatch, fail_at: int):
-    """Make the `fail_at`-th re-solve (counted from 1) of the invariance
-    stage raise a numeric error; the other solves run unchanged."""
-    solve = striction.solve_striction
+    """Make the `fail_at`-th per-offset re-solve (counted from 1) of the
+    invariance stage raise a numeric error; the other re-solves run
+    unchanged."""
+    resolve = striction._shifted_sheet
     calls = []
 
-    def failing(p, d):
+    def failing(p, d, a, chol, c):
         calls.append(1)
         if len(calls) == fail_at:
             raise NumericError("injected re-solve failure")
-        return solve(p, d)
+        return resolve(p, d, a, chol, c)
 
-    monkeypatch.setattr(striction, "solve_striction", failing)
+    monkeypatch.setattr(striction, "_shifted_sheet", failing)
 
 
 @pytest.fixture

@@ -232,18 +232,22 @@ def test_invariance_over_pivot_runs(tol, monkeypatch):
     assert whole.max_deviation == max(inv.max_deviation for inv in single)
 
     # the offset [1, 1] fails its re-solve on the second and third runs: it
-    # is skipped with the second run's reason, and the others are reported
-    solve = striction.solve_striction
+    # is skipped with the second run's reason, the third run does not
+    # re-solve it, and the others are reported
+    resolve, resolved = striction._shifted_sheet, []
 
-    def failing(p, d):
-        for k in (1, 2):
-            if p.grid is runs[k][0].grid and list(p.fc.directrix.weights) == [1.0, 1.0]:
-                raise NumericError(f"re-solve of run {k} failed")
-        return solve(p, d)
+    def failing(p, d, a, chol, c):
+        k = [run[0] for run in runs].index(p)
+        resolved.append((k, c.tolist()))
+        if k in (1, 2) and c.tolist() == [1.0, 1.0]:
+            raise NumericError(f"re-solve of run {k} failed")
+        return resolve(p, d, a, chol, c)
 
-    monkeypatch.setattr(striction, "solve_striction", failing)
+    monkeypatch.setattr(striction, "_shifted_sheet", failing)
     partial = directrix_invariance(runs)
     assert partial.skipped == (([1.0, 1.0], "NumericError: re-solve of run 1 failed"),)
+    assert [k for k, c in resolved if c == [1.0, 1.0]] == [0, 1]
+    assert len(resolved) == 3 + 3 + 2
     assert partial.per_offset == (whole.per_offset[0], whole.per_offset[2])
     assert partial.max_deviation == max(whole.per_offset[0][1], whole.per_offset[2][1])
 

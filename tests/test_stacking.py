@@ -250,13 +250,31 @@ def test_system_stacks_equal_per_parameter_systems():
 
 def test_selftest_solves_each_sheet_once(monkeypatch):
     counts = _count_calls(monkeypatch, [("striction", "solve_striction"),
+                                        ("striction", "_shifted_sheet"),
                                         ("distribution", "pivot_frame"),
                                         ("distribution", "degree_profile")])
+    cholesky, invariance, factorized = np.linalg.cholesky, selftest.directrix_invariance, []
+
+    def counting_cholesky(a):
+        counts["cholesky"] += 1
+        return cholesky(a)
+
+    def counting_invariance(runs, *args, **kwargs):
+        before = counts["cholesky"]
+        result = invariance(runs, *args, **kwargs)
+        factorized.append((len(runs), counts["cholesky"] - before))
+        return result
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    monkeypatch.setattr(selftest, "directrix_invariance", counting_invariance)
     results = selftest.run_selftest(t_samples=30)
     assert all(r.passed for r in results)
-    # four degree-one corpus sheets, plus 2 patches x 3 offsets re-solved
-    # by the directrix invariance check
-    assert counts["solve_striction"] == 4 + 2 * len(INVARIANCE_SCALES)
+    # four degree-one corpus sheets; the directrix invariance check of 2
+    # one-run patches factorizes each run's systems once and re-solves its
+    # 3 offsets on the factors
+    assert counts["solve_striction"] == 4
+    assert factorized == [(1, 1), (1, 1)]
+    assert counts["_shifted_sheet"] == 2 * len(INVARIANCE_SCALES)
     # one pivot per patch of criterion 3, shared with the sheets; the
     # profiles are the patches' own
     assert counts["pivot_frame"] == 5

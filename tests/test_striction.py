@@ -199,18 +199,18 @@ def test_analyze_interpolates_only_the_analyzed_sheet(tmp_path, monkeypatch):
     # the off-sheet check and the invariance fit read the analyzed sheet off
     # the grid; the re-solved sheets are read at their grid nodes only
     built, resolved = [], []
-    hermite, solve = striction.CubicHermite, striction.solve_striction
+    hermite, resolve = striction.CubicHermite, striction._shifted_sheet
 
     def counting_spline(*args, **kwargs):
         built.append(1)
         return hermite(*args, **kwargs)
 
-    def recording_solve(p, d):
-        resolved.append(solve(p, d))
+    def recording_resolve(*args):
+        resolved.append(resolve(*args))
         return resolved[-1]
 
     monkeypatch.setattr(striction, "CubicHermite", counting_spline)
-    monkeypatch.setattr(striction, "solve_striction", recording_solve)
+    monkeypatch.setattr(striction, "_shifted_sheet", recording_resolve)
     analyze(ingest({"builtin_patch": "circular_cone", "grid": {"t_samples": 40}}),
             tmp_path, seed=0)
     assert len(resolved) == len(INVARIANCE_SCALES) == 3
@@ -753,23 +753,24 @@ def test_invariance_matched_seed_avoids_wrong_local_minimum():
     assert result.max_deviation < 1e-6
 
 
-def test_invariance_one_least_squares_per_offset_and_free_position(monkeypatch, tmp_path,
-                                                                   product_sheet):
+def test_invariance_one_least_squares_per_run(monkeypatch, tmp_path, product_sheet):
+    # one fit per pivot run, over the points of every offset and free sample
+    # position
     calls = []
     fit = striction.least_squares
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return fit(*args, **kwargs)
+    def counting(sheet, points, *args, **kwargs):
+        calls.append(points.shape[0])
+        return fit(sheet, points, *args, **kwargs)
 
     monkeypatch.setattr(striction, "least_squares", counting)
     analyze(ingest({"builtin_patch": "circular_cone", "grid": {"t_samples": 40}}),
             tmp_path, seed=0)
-    assert len(calls) == len(INVARIANCE_SCALES)
+    assert calls == [len(INVARIANCE_SCALES) * 40]
     calls.clear()
     p, sheet = product_sheet
     directrix_invariance([(p, sheet)], [0.5, 1.0])
-    assert len(calls) == 2 * INVARIANCE_AXIS_SAMPLES ** sheet.free_count
+    assert calls == [2 * INVARIANCE_AXIS_SAMPLES ** sheet.free_count * p.grid.t_samples.size]
 
 
 # --- CSV export -------------------------------------------------------------------
