@@ -14,10 +14,15 @@ two off-grid readers, `beta` and `beta_partials`.
 Evaluation is array-based: `eval(t, order)` takes a scalar t, giving a
 (dim,) vector, or a 1-D array of parameters, giving an (N, dim) stack.
 Each kind computes on the array; a scalar is the N=1 case of the same
-code. The parameter map behind arclength reparametrization builds its
+code. A Fourier field evaluates one sine row per distinct harmonic and
+phase, shared by the coordinates that use it, on blocks of parameters
+whose temporaries stay within a fixed budget (`FOURIER_BLOCK_ENTRIES`).
+The parameter map behind arclength reparametrization builds its
 quadrature table and inverts arclength values the same way, on arrays:
-Newton from a cubic Hermite guess, against the table's antiderivative
-of the interpolated speed, evaluating the curve only at its iterates.
+one evaluation of the speed at its interval ends and Gauss nodes
+together, then Newton from a cubic Hermite guess, against the table's
+antiderivative of the interpolated speed, evaluating the curve only at
+its iterates.
 
 Arclength is inverted once per parameter array and map. `eval` also
 takes a `ParameterArray`, a 1-D array that keeps, per parameter map,
@@ -283,11 +288,27 @@ class PolynomialField(VectorField):
         return out
 
 
+#: terms x parameters per block of a Fourier evaluation; keeps its one
+#: temporary, the terms and their sine rows, within 1 MB whatever the
+#: number of parameters, and evaluates every field of the benchmark's
+#: scenes, the 5633 points of an arclength map included, in one block
+FOURIER_BLOCK_ENTRIES = 1 << 16
+
+
 class FourierField(VectorField):
     """Per-coordinate trigonometric polynomials.
 
     Each coordinate is constant + sum_k (a_k cos(k w t) + b_k sin(k w t))
     with its own fundamental frequency w.
+
+    `eval` computes one sine row per distinct (frequency, phase) pair
+    (each cosine is a sine a quarter turn ahead), with the parameters
+    along the row, so coordinates that share a frequency share its
+    sines. Each term reads its row, scaled by its amplitude and the
+    order-th power of its frequency, and each coordinate sums its terms
+    with `np.add.reduceat`. The parameters go in blocks of at most
+    `FOURIER_BLOCK_ENTRIES` // terms, so the temporaries stay bounded
+    for any harmonics and any array.
     """
 
     def __init__(self, coordinates: Sequence[tuple]):
@@ -303,40 +324,65 @@ class FourierField(VectorField):
         if not self.coordinates:
             raise ValidationError("fourier field needs at least one coordinate")
         self.dim = len(self.coordinates)
-        # flattened (amplitude, frequency, phase) terms, grouped by
-        # coordinate; each group starts with a zero term, so no group is
-        # empty and its sum starts from zero
-        amp, freq, phase, starts = [], [], [], []
+        # flattened (amplitude, frequency) terms, grouped by coordinate;
+        # each group starts with a zero term, so no group is empty and its
+        # sum starts from zero. Each term reads the sine row of its
+        # (frequency, phase) pair, one row per distinct pair. A frequency of
+        # -0.0 shares the row of 0.0: t * -0.0 + phase equals t * 0.0 + phase
+        # bit for bit, as every phase is +0.0 or pi/2
+        amp, freq, term_rows, starts = [], [], [], []
+        rows: dict[tuple[float, float], int] = {}
+
+        def term(a: float, f: float, phase: float):
+            amp.append(a)
+            freq.append(f)
+            term_rows.append(rows.setdefault((f, phase), len(rows)))
+
         for const, cos_c, sin_c, omega in self.coordinates:
             starts.append(len(amp))
-            amp.append(0.0)
-            freq.append(0.0)
-            phase.append(0.0)
+            term(0.0, 0.0, 0.0)
             for k, a in enumerate(cos_c, start=1):
-                amp.append(a)
-                freq.append(k * omega)
-                phase.append(math.pi / 2.0)
+                term(a, k * omega, math.pi / 2.0)
             for k, b in enumerate(sin_c, start=1):
-                amp.append(b)
-                freq.append(k * omega)
-                phase.append(0.0)
+                term(b, k * omega, 0.0)
         self._starts = np.asarray(starts)
-        self._freq = np.asarray(freq)
-        self._phase = np.asarray(phase)
-        self._const = np.asarray([c[0] for c in self.coordinates])
-        #: amplitude times frequency^order of each term, memoized per order
-        self._scaled = {0: np.asarray(amp)}
+        self._freq = np.asarray(freq)[:, None]
+        self._term_rows = np.asarray(term_rows)
+        self._row_freq = np.asarray([f for f, _ in rows])[:, None]
+        self._row_phase = np.asarray([phase for _, phase in rows])[:, None]
+        self._const = np.asarray([c[0] for c in self.coordinates])[:, None]
+        #: amplitude times frequency^order of each term, as a column,
+        #: memoized per order
+        self._scaled = {0: np.asarray(amp)[:, None]}
 
     @array_eval
     def eval(self, ts, order=0):
         if order not in self._scaled:
             self._scaled[order] = self._scaled[0] * self._freq ** order
-        # sin(x + pi/2) = cos(x); each derivative advances the phase
-        arg = ts[:, None] * self._freq + self._phase
-        if order:
-            arg += order * math.pi / 2.0
-        sums = np.add.reduceat(self._scaled[order] * np.sin(arg), self._starts, axis=1)
-        return (self._const if order == 0 else 0.0) + sums
+        terms, rows = self._freq.shape[0], self._row_freq.shape[0]
+        out = np.empty((ts.size, self.dim))
+        step = max(1, FOURIER_BLOCK_ENTRIES // terms)
+        # one buffer, allocated once per call, holds the terms and, after
+        # them, the sine rows they read: the C allocator keeps up to twice
+        # the largest block it has mapped and released, so it keeps this
+        # memory between calls instead of returning it and faulting it in
+        # again
+        cells = np.empty((terms + rows) * min(step, ts.size))
+        for lo in range(0, ts.size, step):
+            block = ts[lo:lo + step]
+            buf = cells[:(terms + rows) * block.size].reshape(terms + rows, block.size)
+            # sin(x + pi/2) = cos(x); each derivative advances the phase
+            arg = np.multiply(self._row_freq, block, out=buf[terms:])
+            arg += self._row_phase
+            if order:
+                arg += order * math.pi / 2.0
+            np.sin(arg, out=arg)
+            # "clip" writes into `out` directly; the default mode buffers it
+            values = np.take(arg, self._term_rows, axis=0, out=buf[:terms], mode="clip")
+            values *= self._scaled[order]
+            sums = np.add.reduceat(values, self._starts, axis=0, out=out[lo:lo + step].T)
+            np.add(self._const if order == 0 else 0.0, sums, out=sums)
+        return out
 
 
 class HelixCurve(VectorField):
@@ -477,8 +523,12 @@ class ParameterMap:
     """Monotone map s -> t(s) inverting the arclength of a regular curve.
 
     Built from Gauss-Legendre quadrature of the speed, 21 nodes on each
-    of 256 intervals, with all quadrature nodes evaluated in one call;
-    their cumulative sums give the arclength at the interval ends. The
+    of 256 intervals. One evaluation of the curve's derivative gives the
+    speed at the 257 interval ends and the 5376 Gauss nodes together (a
+    Fourier curve evaluates it in bounded blocks, so the memory does not
+    grow with harmonics x nodes). The ends' speeds reject a singular
+    curve and give the slopes of the inverse's first guess; the
+    quadrature's cumulative sums give the arclength at the ends. The
     same speeds give, per interval, the Legendre coefficients of the
     antiderivative of the degree-20 polynomial through them, so `s(t)`
     is the arclength at the interval's start plus that antiderivative,
@@ -506,11 +556,23 @@ class ParameterMap:
         self.curve = curve
         self.t_interval = (t0, t1)
         self._t_nodes = np.linspace(t0, t1, _MAP_NODES)
-        speed = self._speed(self._t_nodes)
+        mid = 0.5 * (self._t_nodes[:-1] + self._t_nodes[1:])
+        half = 0.5 * (self._t_nodes[1:] - self._t_nodes[:-1])
+        gauss = mid[:, None] + half[:, None] * _GL_NODES
+        # the interval ends and the Gauss nodes in one evaluation
+        speeds = self._speed(np.concatenate([self._t_nodes, gauss.ravel()]))
+        speed = speeds[:_MAP_NODES]
         slow = np.flatnonzero(speed <= _MIN_SPEED)
         if slow.size:
             raise RegularityError(f"curve speed vanishes near t={self._t_nodes[slow[0]]}")
-        lengths, self._table = self._quadrature(self._t_nodes[:-1], self._t_nodes[1:])
+        # per interval, the integral of the speed by the 21-point rule, and
+        # the Legendre coefficients in x of the antiderivative F(x), zero at
+        # x = -1, of the degree-20 polynomial through the same 21 speeds,
+        # for t = mid + half x; a row-wise sum, not a matrix product, so
+        # that each length is its own interval's rule
+        gauss_speeds = speeds[_MAP_NODES:].reshape(gauss.shape)
+        lengths = half * (gauss_speeds * _GL_WEIGHTS).sum(axis=1)
+        self._table = half[:, None] * (gauss_speeds @ _GL_ANTIDERIVATIVE.T)
         cum = np.zeros(_MAP_NODES)
         np.cumsum(lengths, out=cum[1:])
         self._s_nodes = cum
@@ -520,19 +582,6 @@ class ParameterMap:
 
     def _speed(self, t) -> np.ndarray:
         return np.linalg.norm(_shared_derivative(self.curve, t, 1), axis=-1)
-
-    def _quadrature(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The integral of the speed over each [a_i, b_i] by one 21-point
-        rule, and the Legendre coefficients in x of the antiderivative
-        F_i(x), zero at x = -1, of the degree-20 polynomial through the
-        same 21 speeds, for t = mid_i + half_i x: (n,) and (n, 22)."""
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ts = mid[:, None] + half[:, None] * _GL_NODES
-        speeds = self._speed(ts.ravel()).reshape(ts.shape)
-        # a row-wise sum, not a matrix product, so that each length is its
-        # own interval's 21-point rule, whatever the number of intervals
-        lengths = half * (speeds * _GL_WEIGHTS).sum(axis=1)
-        return lengths, half[:, None] * (speeds @ _GL_ANTIDERIVATIVE.T)
 
     def _arclength(self, ts: np.ndarray) -> np.ndarray:
         """s at each entry of ts, from the table, one entry at a time."""
