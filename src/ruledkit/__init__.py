@@ -21,7 +21,7 @@ from .multilinear import TolerancePolicy
 from .parametric import SampleGrid, make_builtin_patch
 from .ruledgeom import RuledPatch
 from .scene import ingest
-from .striction import offsheet_check, singular_locus, solve_striction
+from .striction import offsheet_certificate, singular_locus, solve_striction
 from .analysis import analyze
 
 #: the names README lists under "Public names"; every other name is
@@ -30,6 +30,6 @@ __all__ = [
     "ConfigError", "DegeneracyError", "DomainError", "FrameError", "HelixCurve",
     "NumericError", "PivotError", "RegularityError", "RuledKitError", "RuledPatch",
     "SampleGrid", "TolerancePolicy", "ValidationError", "VectorField", "analyze",
-    "classify_patch", "ingest", "make_builtin_patch", "offsheet_check",
+    "classify_patch", "ingest", "make_builtin_patch", "offsheet_certificate",
     "pivot_frame", "rho_at", "singular_locus", "solve_striction",
 ]

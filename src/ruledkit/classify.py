@@ -18,9 +18,9 @@ of `striction.sheet_jacobian_ranks` holds at every position, not only for
 the generic rank, since the free partials are independent everywhere.
 
 Every verdict is a deterministic function of the degree profile and the
-striction sheet; nothing here draws random numbers. The randomized
-off-sheet regularity check (`striction.offsheet_check`) is a separate
-call that only `analysis` and the selftest make.
+striction sheet; nothing here draws random numbers. The off-sheet
+certificate (`striction.offsheet_certificate`), which no verdict reads,
+is a holder's artifact that only `analysis` and the selftest read.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from .distribution import (MIN_SEGMENT_SAMPLES, constant_degree_segments, equal_
 from .errors import DegeneracyError, NumericError, PivotError, ValidationError
 from .multilinear import TolerancePolicy
 from .ruledgeom import RuledPatch
-from .striction import (EquivalentConditionResult, SingularLocus, StrictionSheet,
-                        equivalent_condition_check, sheet_jacobian_ranks,
-                        singular_locus, solve_striction)
+from .striction import (EquivalentConditionResult, OffsheetCertificate, SingularLocus,
+                        StrictionSheet, equivalent_condition_check, offsheet_certificate,
+                        sheet_jacobian_ranks, singular_locus, solve_striction)
 
 CYLINDRICAL = "cylindrical"
 CONICAL = "conical"
@@ -134,9 +134,10 @@ class SegmentAnalysis:
     i0..i1-1 at degree d (the whole segment when one permutation pivots it).
 
     Each artifact (pivoted patch, striction sheet, singular locus,
-    equivalent-condition check, sheet Jacobian ranks) is computed on
-    first use and kept, so the classifier and the report read the same
-    objects. A stage that raises is not kept and raises again when read.
+    off-sheet certificate, equivalent-condition check, sheet Jacobian
+    ranks) is computed on first use and kept, so the classifier and the
+    report read the same objects. A stage that raises is not kept and
+    raises again when read.
     """
 
     def __init__(self, parent: RuledPatch, i0: int, i1: int, d: int):
@@ -166,6 +167,10 @@ class SegmentAnalysis:
     @cached_property
     def equivalent_condition(self) -> EquivalentConditionResult:
         return equivalent_condition_check(self.pivoted, self.sheet, self.locus)
+
+    @cached_property
+    def offsheet(self) -> OffsheetCertificate:
+        return offsheet_certificate(self.pivoted, self.sheet)
 
     @cached_property
     def jacobian_ranks(self) -> np.ndarray:

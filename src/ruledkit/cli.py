@@ -41,14 +41,11 @@ def _fail(exc: RuledKitError):
 @click.option("--u-extent", type=float, default=None, help="Override ruling truncation radius.")
 @click.option("--rank-tol", type=float, default=None, help="Override rank_rel_tol.")
 @click.option("--zero-tol", type=float, default=None, help="Override zero_abs_tol.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Non-negative seed of the 32 random off-sheet regularity spot "
-                   "checks per striction sheet; every verdict is independent of it.")
 @click.option("--no-invariance", is_flag=True, default=False,
               help="Skip the shifted-directrix invariance check.")
 @click.option("--mesh", is_flag=True, default=False,
               help="Also write mesh.obj, the OBJ mesh of a surface in R^3 for 3-D viewers.")
-def analyze(scene, out_dir, t_samples, u_extent, rank_tol, zero_tol, seed, no_invariance, mesh):
+def analyze(scene, out_dir, t_samples, u_extent, rank_tol, zero_tol, no_invariance, mesh):
     """Ingest SCENE, run the analysis pipeline, write outputs to OUT-DIR."""
     overrides = {"t_samples": t_samples, "u_extent": u_extent,
                  "rank_rel_tol": rank_tol, "zero_abs_tol": zero_tol}
@@ -56,8 +53,7 @@ def analyze(scene, out_dir, t_samples, u_extent, rank_tol, zero_tol, seed, no_in
     try:
         result = ingest(scene, overrides)
         stage = "analyze"
-        report = run_analysis(result, out_dir, seed=seed, invariance=not no_invariance,
-                              mesh=mesh)
+        report = run_analysis(result, out_dir, invariance=not no_invariance, mesh=mesh)
     except RuledKitError as exc:
         _fail(exc)
     except Exception as exc:  # e.g. a LinAlgError: one line and exit 3, no traceback
@@ -77,8 +73,8 @@ def analyze(scene, out_dir, t_samples, u_extent, rank_tol, zero_tol, seed, no_in
 @click.option("--rank-tol", type=float, default=None, help="Override rank_rel_tol.")
 @click.option("--zero-tol", type=float, default=None, help="Override zero_abs_tol.")
 @click.option("--seed", type=int, default=0, show_default=True,
-              help="Non-negative seed of the off-sheet spot checks, the stability "
-                   "sweep's ruling pairs and the derivative oracle's sample points.")
+              help="Non-negative seed of the stability sweep's ruling pairs and the "
+                   "derivative oracle's sample points.")
 def selftest(t_samples, rank_tol, zero_tol, seed):
     """Run the builtin acceptance corpus and print one line per check."""
     defaults = TolerancePolicy()

@@ -26,9 +26,10 @@ grid's own values and frame basis), and compares two tangent spaces by
 the angle between their normal directions off the frame span. Every
 regularity verdict takes this one route, `GridValues.coordinates`,
 `_reduced_jacobians`, `_regularity`: the scan's, the stability check's,
-the off-sheet check's (`jacobian_regularity`, on the values at its
-points), `sectional_curvature`'s on its own reduced Jacobian and the
-selftest sweep's pair filter; the flatness check reads the scan's. Sectional
+`sectional_curvature`'s on its own reduced Jacobian and the selftest
+sweep's pair filter; the flatness check reads the scan's, and the
+off-sheet certificate (`striction.offsheet_certificate`) bounds the
+pieces of `_regularity`'s settle rules over a band off the sheet. Sectional
 curvatures come from the Gauss equation in closed form, in the tangent
 basis of the frame QR and the unit normal n off the frame span: II
 vanishes on pairs of ruling directions, so sigma_tt drops out, the
@@ -302,14 +303,6 @@ def _reduced_jacobians(r: np.ndarray, coords, u: np.ndarray, row=slice(None)):
                             a_r), c
 
 
-def jacobian_regularity(v: GridValues, u: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """The rank rule's full-rank verdict at the N parameters of `v`, each at
-    its own ruling position of u (N, m-1), (N,): `_regularity` of the
-    reduced Jacobians on the values' frame QR and coordinates."""
-    jac, _ = _reduced_jacobians(v.frame_basis()[0], v.coordinates(1), u[:, None])
-    return _regularity(jac, tol)[:, 0]
-
-
 #: c / (dim + 1) for the slack c (dim + 1) eps times a point's scale that
 #: covers the rounding of the second-form vectors, of their singular values
 #: and of the scan's own bounds; see `_normal_dims`
@@ -570,7 +563,7 @@ def rank_one_check(p: RuledPatch) -> RankOneResult:
     planar = p.scan.planar()
     verdict = worst < p.tol.zero_abs_tol and not planar
     return RankOneResult(verdict=verdict, max_residual=worst,
-                         residual_table=list(zip(ts.tolist(), residuals.tolist())),
+                         residual_table=np.stack([ts, residuals], axis=1).tolist(),
                          planar=planar)
 
 

@@ -25,7 +25,7 @@ from .ruledgeom import (RuledPatch, _pair_jacobians, _regularity, first_normal_b
                         flatness_check, sectional_curvature, tangent_space_stability)
 from .scene import DEFAULT_GRID, check_grid_budget
 from .splitmix import SplitMix64, check_seed
-from .striction import directrix_invariance, offsheet_check, striction_systems
+from .striction import directrix_invariance, striction_systems
 
 CORPUS_DEGREES = {
     "cylinder_helix": 0,
@@ -150,8 +150,10 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
                  t_samples: int = 200) -> list[CheckResult]:
     """Run every acceptance criterion; one result per named check.
 
-    The seed drives the off-sheet spot checks of criterion 4, the ruling
-    pairs of the stability sweep and the derivative oracle's sample points.
+    The seed drives the ruling pairs of the stability sweep and the
+    derivative oracle's sample points; criterion 4's off-sheet regularity
+    is the deterministic certificate of each sheet
+    (`striction.offsheet_certificate`).
     """
     seed = check_seed(seed)
     tol = tol or TolerancePolicy()
@@ -239,11 +241,11 @@ def run_selftest(tol: TolerancePolicy | None = None, seed: int = 0,
         for name in ["circular_cone", "tangent_developable_helix",
                      "tangent_developable_product"]:
             seg = whole(name)
-            locus, offsheet = seg.locus, offsheet_check(seg.pivoted, seg.sheet, seed)
-            ok = locus.singular_fraction >= 0.99 and not offsheet.failures
+            locus, offsheet = seg.locus, seg.offsheet
+            ok = locus.singular_fraction >= 0.99 and offsheet.certified
             record(4, f"singularities confined to the sheet: {name}", ok,
                    f"coverage {locus.singular_fraction:.3f}, "
-                   f"off-sheet regular {offsheet.regular}/{offsheet.total}")
+                   f"off-sheet certified {offsheet.certified}, margin {offsheet.margin:.2e}")
         locus = whole("helicoid_frame").locus
         record(4, "helicoid sheet has no singular samples",
                locus.singular_fraction == 0.0,

@@ -1,4 +1,4 @@
-"""The seeded stream of the package's randomized spot checks: SplitMix64.
+"""The seeded stream of the selftest's random draws: SplitMix64.
 
 SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
 generators", OOPSLA 2014) is counter-based: draw k of a seed is a fixed
@@ -10,7 +10,8 @@ overflow of a uint64 scalar).
 The package draws its seeded points here and not from numpy's random
 module, whose import loads `secrets`, `hashlib` and OpenSSL's
 `_hashlib` (about 6 MB of resident memory) for points that reach no
-output but the spot checks' counts.
+written file: the stability sweep's ruling pairs and the derivative
+oracle's sample points.
 """
 
 from __future__ import annotations

@@ -21,10 +21,12 @@ fit calls, interpolate. The tangents, the sheet wedges of the locus scan
 check are closed forms in the derivatives' coordinates in the grid's one
 frame QR (`GridValues.coordinates`), the wedges on sigma_t at the sheet
 point. Those verdicts and
-the sheet Jacobian ranks read closed forms, and the off-sheet regularity
-reads the scan's reduced Jacobians and rank rule
-(`ruledgeom.jacobian_regularity`); the SVD settles just the ones within a
-rounding margin of a cutoff.
+the sheet Jacobian ranks read closed forms; the SVD settles just the ones
+within a rounding margin of a cutoff. The off-sheet regularity is a
+certificate at every grid parameter (`offsheet_certificate`): bounds on
+the pieces of the reduced Jacobians over the u-box, from the same grid
+values, give the band of distances from the sheet at which the scan's
+rank rule settles every point regular.
 The stage results stay arrays until a report or file converts them,
 once, with `tolist()`.
 
@@ -37,8 +39,9 @@ are factorized once per run for all offsets. The distance of each
 re-solved node to the analyzed sheet comes from a per-point Gauss-Newton
 fit over the sheet's parameters (`least_squares`), one call per run.
 
-Every stage is deterministic except `offsheet_check`, the randomized
-regularity spot check just off the sheet; it alone takes a seed.
+Every stage is deterministic and takes no seed. Of the stages that
+`analysis.analyze` runs, only the invariance fit evaluates a field off
+the grid.
 """
 
 from __future__ import annotations
@@ -53,11 +56,11 @@ from .distribution import profile_from_values, rho_at
 from .errors import DegeneracyError, NumericError, ValidationError
 from .exports import float_texts
 from .fields import CubicHermite, as_parameter_array
-from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy,
-                          numerical_ranks, pair_wedge_norms, rank2_ranks, settled, wedge_norms)
+from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy, _rank_margin,
+                          numerical_ranks, pair_wedge_norms, rank2_ranks, rank2_singular_values,
+                          settled, wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid
-from .ruledgeom import RuledPatch, _inverse_factors, jacobian_regularity
-from .splitmix import SplitMix64
+from .ruledgeom import RuledPatch, _inverse_factors
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +190,12 @@ class StrictionSheet:
         return self.fc.m - 1 - self.d
 
     @cached_property
+    def inverse_factors(self) -> np.ndarray:
+        """R^-1 of the frame QR at every grid parameter (`GridValues.frame_basis`),
+        (N, m-1, m-1): `solution_tangents` and `offsheet_certificate` read it."""
+        return _inverse_factors(self.values.frame_basis()[0])
+
+    @cached_property
     def solution_tangents(self) -> np.ndarray:
         """(N, d, m-d) t-derivatives of `solution_nodes` at fixed free
         coordinates, from the derivative of the system A N = B:
@@ -205,7 +214,7 @@ class StrictionSheet:
         # [g; X_lead] + N^T X_tail, (N, 1 + lo, .)
         e1_q, e1_c, e2_c = (np.concatenate([g, x[:, :lo]], axis=1) + nodes @ x[:, lo:]
                             for g, x in ((g1_q, x1_q), (g1_c, x1_c), (g2_c, x2_c)))
-        y = _inverse_factors(v.frame_basis()[0]).swapaxes(1, 2) @ x1_c
+        y = self.inverse_factors.swapaxes(1, 2) @ x1_c
         c1 = x1_c[:, lo:]
         rhs = ((x2_c[:, lo:] - x1_q[:, lo:] @ y) @ e1_c.swapaxes(1, 2)
                + c1 @ (e2_c.swapaxes(1, 2) - y.swapaxes(1, 2) @ e1_q.swapaxes(1, 2)))
@@ -389,18 +398,6 @@ class SingularLocus:
         return int(np.count_nonzero(self.singular)) / self.singular.size
 
 
-@dataclass(frozen=True, eq=False)
-class OffsheetCheck:
-    """The randomized regularity spot check just off the sheet."""
-
-    total: int
-    failures: tuple  # (t, full ruling coordinates) of each irregular point
-
-    @property
-    def regular(self) -> int:
-        return self.total - len(self.failures)
-
-
 def singular_locus(p: RuledPatch, sheet: StrictionSheet) -> SingularLocus:
     """Wedge test along the sheet: a sheet sample is singular when the
     t-derivative of the sheet map is wedged to zero by the frame. As
@@ -416,37 +413,134 @@ def singular_locus(p: RuledPatch, sheet: StrictionSheet) -> SingularLocus:
                          residuals=residuals, singular=residuals < p.tol.zero_abs_tol)
 
 
-#: random points of each off-sheet regularity check
-OFFSHEET_CHECKS = 32
+#: how far the off-sheet certificate must reach: each solved coordinate
+#: this many grid u-spacings off the sheet's
+OFFSHEET_SPACINGS = 10.0
+
+#: c / (m + w) for the slack c (m + w) eps |[g1 comp; Xdot comp]|_F (1 + |u|)
+#: that covers the rounding of the complement coordinates
+#: c = g1 comp + u . (Xdot comp), w = dim - m + 1 of them, at a point off
+#: the sheet; see `offsheet_certificate`
+OFFSHEET_SLACK_PER_DIM = 64.0
 
 
-def offsheet_check(p: RuledPatch, sheet: StrictionSheet, seed: int = 0) -> OffsheetCheck:
-    """Regularity of the patch just off the sheet at `OFFSHEET_CHECKS` random points.
+@dataclass(frozen=True, eq=False)
+class OffsheetCertificate:
+    """The distances from the sheet, in its solved coordinates, at which
+    the patch is certified regular, at every grid parameter of the sheet:
+    the band inner < |Delta| < outer, (N,) each, inner inf and outer 0
+    where there is none, and `distance`, the |Delta| the band must hold."""
 
-    The SplitMix64 stream of `seed` (`splitmix.SplitMix64`) draws three
-    blocks: the points' t, uniform over the grid's range (a segment's, for
-    a segment patch), their uniform free coordinates, (OFFSHEET_CHECKS,
-    free), and the sign of each solved coordinate's perturbation by
-    +-delta, delta = 10 grid u-spacings, (OFFSHEET_CHECKS, d). The patch
-    must be regular at every point, by the rank rule on the reduced
-    Jacobians (`ruledgeom.jacobian_regularity`), the same route as the
-    second-form scan's. One evaluation of the curve at the drawn t and its
-    frame QR serve the solve there (`solved`) and the reduced Jacobians.
-    This is the only seeded stage.
+    inner: np.ndarray
+    outer: np.ndarray
+    distance: float
+
+    @property
+    def margin(self) -> float:
+        """The least factor by which `distance` clears an end of the band,
+        min over the grid of min(distance / inner, outer / distance): above
+        1 when every band holds it, 0 when some parameter has no band."""
+        return float(np.minimum(self.distance / self.inner, self.outer / self.distance).min())
+
+    @property
+    def certified(self) -> bool:
+        return self.margin > 1.0
+
+
+def _row_squares(a: np.ndarray) -> np.ndarray:
+    """The squared norms of the rows of an (N, k, .) stack, (N, k)."""
+    return np.einsum("nij,nij->ni", a, a)
+
+
+def _over_box(squares: np.ndarray, extent: float) -> np.ndarray:
+    """A bound on |row_0 + u_free . rows_1..| over the free coordinates'
+    box [-extent, extent]^free, |row_0| + extent sum_j |row_j|, (N,), from
+    the squared norms (N, 1 + free) of the affine rows."""
+    norms = np.sqrt(squares)
+    if norms.shape[1] == 1:
+        return norms[:, 0]
+    return norms[:, 0] + extent * norms[:, 1:].sum(axis=1)
+
+
+def offsheet_certificate(p: RuledPatch, sheet: StrictionSheet) -> OffsheetCertificate:
+    """The band of distances off the sheet at which the rank rule settles
+    every point of the u-box regular, at each grid parameter, from the
+    sheet's nodes and the grid's frame QR and order-1 coordinates
+    (`GridValues.coordinates`), with no field evaluation.
+
+    Take a point u and the sheet point u* with its free coordinates, and
+    Delta = u_solved - u*_solved, rho = |Delta|. In the frame QR's
+    coordinates sigma_t(u) = sigma_t(u*) + Delta . Xdot_tail has
+    c = c* + Delta . T, T = Xdot_tail comp, and sigma_t(u*) is affine in
+    the free coordinates, so bounded over the box (`_over_box`):
+    |sigma_t| <= s0 + s1 rho, s1 = |Xdot_tail|_F. Below, the projection of
+    c onto T's row space gives b = |c| >= s_d(T) rho - e, where e bounds
+    |P_T c*| by the sheet's defining residual T c*^T (`_defining_residual`,
+    A s - b in these coordinates), |P_T c*| <= |T c*^T| / s_d(T), with no
+    assumption that it vanishes, and a slack of `OFFSHEET_SLACK_PER_DIM`
+    (m + w) eps covers the rounding of the c that the rank rule reads.
+
+    For m >= 3, `ruledgeom._regularity` settles a point regular when
+    kappa_F b (1 + delta) < b / rank_rel_tol, with kappa_F b =
+    |J|_F sqrt(b^2 |R^-1|_F^2 + 1 + |a R^-T|^2) (`_frobenius_conditions`),
+    and |J|_F (1 - delta) > sqrt(m) zero_abs_tol, delta the rounding
+    margin `_rank_margin`. For m = 2 its closed form
+    (`_reduced_singular_values`) has s1 s2 = b |r| and s1 <= |J|_F, so
+    s2 / s1 >= b |r| / |J|_F^2 = 1 / kappa_F and s1 >= |J|_F / sqrt(2): the
+    same conditions settle its rank rule. As |a|^2 + b^2 = |sigma_t|^2 and
+    |a R^-T| <= |a| |R^-1|_F, the two root factors are at most
+    n0 + n1 rho = |(s0, |R|_F)| + s1 rho and
+    m0 + m1 rho = |(1, |R^-1|_F s0)| + |R^-1|_F s1 rho, so a point is
+    regular wherever the quadratic
+    rank_rel_tol (1 + delta) (n0 + n1 rho) (m0 + m1 rho) < s_d(T) rho - e
+    holds: between its roots, inner and outer. The band has an outer end,
+    as kappa grows again once b outgrows |R|.
+
+    `distance` is sqrt(d) `OFFSHEET_SPACINGS` grid u-spacings, where the
+    randomized spot check of earlier versions put its points: each solved
+    coordinate that far off the sheet's, with free coordinates in the box.
+    The spot check drew its t off the grid; the certificate holds at the
+    grid's t.
     """
-    fc, grid = p.fc, p.grid
-    stream = SplitMix64(seed)
-    axis = grid.u_axis
-    spacing = float(axis[1] - axis[0]) if axis.size > 1 else grid.u_extent / 5.0
-    delta = 10.0 * spacing
-    ts = stream.uniform(grid.t_samples[0], grid.t_samples[-1], OFFSHEET_CHECKS)
-    u_free = stream.uniform(-grid.u_extent, grid.u_extent, (OFFSHEET_CHECKS, sheet.free_count))
-    signs = stream.signs((OFFSHEET_CHECKS, sheet.d))
-    values = fc.grid_values(ts)
-    u = np.concatenate([u_free, sheet.solved(ts, u_free, values) + delta * signs], axis=1)
-    irregular = np.flatnonzero(~jacobian_regularity(values, u, p.tol))
-    return OffsheetCheck(total=OFFSHEET_CHECKS,
-                         failures=tuple((float(ts[i]), u[i].tolist()) for i in irregular))
+    v, lo, tol, grid = sheet.values, sheet.free_count, p.tol, p.grid
+    extent, axis_samples = grid.u_extent, grid.u_samples_per_axis
+    spacing = 2.0 * extent / (axis_samples - 1) if axis_samples > 1 else extent / 5.0
+    r = v.frame_basis()[0]
+    g_q, x_q, g_c, x_c = v.coordinates(1)
+    nodes = sheet.solution_nodes.swapaxes(1, 2)  # (N, 1 + free, d)
+    tail = x_c[:, lo:]
+    # sigma_t's coordinates at the sheet point of each affine basis vector (1, u_free)
+    a_star = np.concatenate([g_q, x_q[:, :lo]], axis=1) + nodes @ x_q[:, lo:]
+    c_star = np.concatenate([g_c, x_c[:, :lo]], axis=1) + nodes @ tail
+    delta = _rank_margin(tol)
+    # s_d(T) in closed form for d <= 2, less its rounding where s1 ~ s2
+    d = tail.shape[1]
+    sigma = (rank2_singular_values(tail)[d - 1] if d <= 2
+             else np.linalg.svd(tail, compute_uv=False)[:, -1]) * (1.0 - delta)
+    s0 = _over_box(_row_squares(a_star) + _row_squares(c_star), extent)
+    s1 = np.sqrt(_row_squares(x_q[:, lo:]).sum(axis=1) + _row_squares(tail).sum(axis=1))
+    # a solved sheet's T has s_d(T)^2 >= zero_abs_tol (`_assemble`), so sigma > 0
+    resid = _over_box(_row_squares(c_star @ tail.swapaxes(1, 2)), extent) / sigma
+    # the rank rule's c moves by spare (1 + |u|), |u| <= |u*| + rho
+    spare = (OFFSHEET_SLACK_PER_DIM * (p.m + tail.shape[2]) * np.finfo(float).eps
+             * np.sqrt(_row_squares(g_c)[:, 0] + _row_squares(x_c).sum(axis=1)))
+    resid += spare * (1.0 + extent * np.sqrt(lo) + _over_box(_row_squares(nodes), extent))
+    r_norm = np.sqrt(np.einsum("nij,nij->n", r, r))
+    r_inv = sheet.inverse_factors
+    r_inv_norm = np.sqrt(np.einsum("nij,nij->n", r_inv, r_inv))
+    n0, n1 = np.hypot(s0, r_norm), s1
+    m0, m1 = np.hypot(1.0, r_inv_norm * s0), r_inv_norm * s1
+    rel = tol.rank_rel_tol * (1.0 + delta)
+    q2, q1, q0 = rel * n1 * m1, rel * (n0 * m1 + n1 * m0) - (sigma - spare), rel * n0 * m0 + resid
+    disc = q1 * q1 - 4.0 * q2 * q0
+    # |J|_F >= |R|_F must clear sqrt(m) zero_abs_tol too
+    lead = settled(r_norm, np.sqrt(p.m) * tol.zero_abs_tol, delta)[0]
+    band = (q1 < 0.0) & (disc > 0.0) & lead
+    far = np.sqrt(np.where(band, disc, 0.0)) - q1
+    return OffsheetCertificate(
+        inner=np.divide(2.0 * q0, far, out=np.full_like(far, np.inf), where=band),
+        outer=np.divide(far, 2.0 * q2, out=np.zeros_like(far), where=band),
+        distance=float(np.sqrt(d)) * OFFSHEET_SPACINGS * spacing)
 
 
 #: c / k for the slack c k eps |A|_F^k that covers the rounding of a wedge

@@ -5,9 +5,11 @@ the ingested patch is primed with, and a patch derived from another (a
 segment by `restrict`, a pivot by `pivot_frame`, a shifted directrix by
 `shift_directrix`) is primed from its parent's grid values. So ingest
 and `analyze` together evaluate each field at most once per order and
-parameter array: on the grid, on a segment's sub-grid, and at the
-off-sheet points of each sheet. The one exemption is the invariance fit
-(`striction.least_squares`), which reads the sheet off the grid.
+parameter array: on the grid and on a segment's sub-grid. The one
+exemption is the invariance fit (`striction.least_squares`), which reads
+the sheet off the grid; with invariance off, `analyze` evaluates fields
+on the grid and its segments' sub-grids alone, since the off-sheet
+regularity is certified from the grid values.
 
 The derivatives' coordinates in the frame QR (`GridValues.coordinates`)
 are taken likewise at most once per values object and order, the
@@ -59,8 +61,8 @@ class Evaluation:
 
     def __init__(self, field, order, t, top, in_fit):
         self.field, self.order, self.top, self.in_fit = field, order, top, in_fit
-        values = np.asarray(t.values if isinstance(t, ParameterArray) else t, dtype=float)
-        self.key = (values.shape, values.tobytes())
+        self.values = np.asarray(t.values if isinstance(t, ParameterArray) else t, dtype=float)
+        self.key = (self.values.shape, self.values.tobytes())
 
     def repeats(self, other) -> bool:
         return (self.field is other.field and self.order == other.order
@@ -112,6 +114,22 @@ def test_analyze_evaluates_each_field_once_per_parameters_and_order(
     repeats = [(type(b.field).__name__, b.order, b.key[0])
                for i, b in enumerate(top) if any(a.repeats(b) for a in top[:i])]
     assert repeats == []
+
+
+@pytest.mark.parametrize("name,scene", SCENES, ids=[name for name, _ in SCENES])
+def test_analyze_without_invariance_evaluates_only_on_the_grid(
+        monkeypatch, tmp_path, name, scene):
+    # every field evaluation that no other evaluation makes reads the grid's
+    # parameters or a contiguous run of them, a segment's sub-grid (ingest
+    # has primed the grid values, so some scenes evaluate nothing here)
+    result = ingest(scene)
+    grid = result.patch.grid.t_samples
+    with monkeypatch.context() as patch:
+        calls = recorded_evaluations(patch)
+        analyze(result, tmp_path, invariance=False)
+    for ts in [np.atleast_1d(c.values) for c in calls if c.top]:
+        lo = int(np.searchsorted(grid, ts[0]))
+        assert np.array_equal(ts, grid[lo:lo + ts.size])
 
 
 def test_restrict_and_pivot_evaluate_no_field(monkeypatch):

@@ -4,7 +4,7 @@ the library and through the CLI) and runs the selftest loads no `scipy`,
 no `jsonschema`, no `numpy.random` and no `secrets` or `hashlib` module.
 scipy and jsonschema stay test dependencies: scipy as the oracle of the
 interpolants and the nearest-point fit, jsonschema as the oracle of the
-scene checker. The seeded spot checks draw from `ruledkit.splitmix`, so
+scene checker. The selftest's seeded draws come from `ruledkit.splitmix`, so
 numpy's generator, and the OpenSSL it loads through `secrets` and
 `hashlib`, stay off the path."""
 

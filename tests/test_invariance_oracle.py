@@ -183,7 +183,7 @@ def test_non_finite_deviation_skips_in_later_runs_too(monkeypatch, tol):
 def test_analyze_notes_a_non_finite_deviation(monkeypatch, tmp_path):
     _inject(monkeypatch, np.nan)
     report = analyze(ingest({"builtin_patch": "circular_cone", "grid": {"t_samples": 40}}),
-                     tmp_path, seed=0)
+                     tmp_path)
     inv = json.loads((tmp_path / "report.json").read_text())["directrix_invariance"]
     assert inv == report["directrix_invariance"]
     assert [c for c, _ in inv["per_offset"]] == [[0.5], [1.0]]

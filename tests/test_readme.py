@@ -54,7 +54,7 @@ def test_readme_python_examples_print_their_commented_values():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
     assert len(blocks) == 2
     checked = [pair for block in blocks for pair in run_block(block)]
-    assert [literal for _, literal in checked] == [["tangent"], 1.0, 32, ([0.5], [1.0], [-0.7]),
+    assert [literal for _, literal in checked] == [["tangent"], 1.0, True, ([0.5], [1.0], [-0.7]),
                                                    (5, 3)]
     for value, literal in checked:
         assert value == literal

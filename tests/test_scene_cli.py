@@ -15,7 +15,7 @@ from ruledkit import ConfigError, DegeneracyError, ValidationError, ingest
 from ruledkit.analysis import analyze
 from ruledkit.cli import main
 from ruledkit.exports import canonical_json_bytes
-from ruledkit.scene import IngestResult, _load_schema, validate_scene
+from ruledkit.scene import _load_schema, validate_scene
 from ruledkit.selftest import run_selftest, all_passed
 from ruledkit.multilinear import TolerancePolicy
 from conftest import fail_invariance_resolve
@@ -294,14 +294,10 @@ def test_selftest_rejects_a_corpus_over_the_work_budget(grid_sentinel):
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True, False])
-def test_negative_or_non_integer_seed_is_refused_before_any_stage(tmp_path, grid_sentinel,
-                                                                   seed):
+def test_negative_or_non_integer_seed_is_refused_before_any_stage(grid_sentinel, seed):
+    # only the selftest takes a seed; analyze ignores its keyword
     with pytest.raises(ValidationError, match="seed"):
         run_selftest(seed=seed)
-    result = IngestResult(patch=None, normalized={}, notes=[])
-    with pytest.raises(ValidationError, match="seed"):
-        analyze(result, tmp_path / "out", seed=seed)
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -309,13 +305,19 @@ def test_negative_or_non_integer_seed_is_refused_before_any_stage(tmp_path, grid
     ["selftest", "--seed", "-1"],
 ])
 def test_cli_negative_seed_exits_2(tmp_path, args):
+    # analyze has no --seed option any more: click refuses it as a usage error
     scene = write_scene(tmp_path, CONE_SCENE)
     args = [a.format(scene=scene, out=tmp_path / "out") for a in args]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2
     assert "Traceback" not in result.output
-    assert result.stderr.splitlines() == [
-        "error: seed must be a non-negative integer, got -1"]
+    if args[0] == "analyze":
+        last = result.stderr.splitlines()[-1]
+        assert last.startswith("Error: No such option") and "--seed" in last
+        assert not (tmp_path / "out").exists()
+    else:
+        assert result.stderr.splitlines() == [
+            "error: seed must be a non-negative integer, got -1"]
 
 
 LINE_RULED_SCENE = {
@@ -403,7 +405,7 @@ def test_scene_interval_override_for_builtin(tmp_path):
 def test_analyze_cone_outputs(tmp_path):
     out = tmp_path / "out"
     result = ingest(CONE_SCENE)
-    report = analyze(result, out, seed=0, mesh=True)
+    report = analyze(result, out, mesh=True)
     assert (out / "report.json").exists()
     assert (out / "striction.csv").exists()
     assert (out / "mesh.obj").exists()
@@ -431,7 +433,7 @@ def test_analyze_skips_invariance_offsets_whose_resolve_fails(tmp_path, monkeypa
     # note instead of aborting the analysis
     from perfbench.scenegen import explicit_scene
     fail_invariance_resolve(monkeypatch, 2)
-    report = analyze(ingest(explicit_scene(0), {"t_samples": 40}), tmp_path, seed=0)
+    report = analyze(ingest(explicit_scene(0), {"t_samples": 40}), tmp_path)
     loaded = json.loads((tmp_path / "report.json").read_text())
     jsonschema.validate(loaded, _load_schema("report.schema.json"))
     inv = report["directrix_invariance"]
@@ -463,7 +465,7 @@ def test_orthonormalized_frame_derivatives_pass_the_oracle(order):
 
 def test_analyze_helicoid_striction_line(tmp_path):
     out = tmp_path / "out"
-    report = analyze(ingest(HELICOID_SCENE), out, seed=0, invariance=False)
+    report = analyze(ingest(HELICOID_SCENE), out, invariance=False)
     assert report["classification"]["regions"][0]["kind"] == "non_rank_one"
     assert (out / "striction.csv").exists()
     # the striction line exists (the axis) but carries no singular points
@@ -476,7 +478,7 @@ def test_analyze_helicoid_striction_line(tmp_path):
 
 def test_analyze_cylinder_no_striction(tmp_path):
     out = tmp_path / "out"
-    report = analyze(ingest(CYLINDER_SCENE), out, seed=0, invariance=False, mesh=True)
+    report = analyze(ingest(CYLINDER_SCENE), out, invariance=False, mesh=True)
     assert report["classification"]["regions"][0]["kind"] == "cylindrical"
     assert not (out / "striction.csv").exists()
     assert not (out / "mesh.obj").exists()  # ambient dimension 4
@@ -484,46 +486,38 @@ def test_analyze_cylinder_no_striction(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3)])
-def test_numpy_integer_seed_is_its_int(tmp_path, seed):
-    # the report writes a plain int: the same bytes as seed 3, and valid
-    # against the report schema
-    analyze(ingest(CONE_SCENE), tmp_path / "int", seed=3)
-    report = analyze(ingest(CONE_SCENE), tmp_path / "numpy", seed=seed)
-    assert type(report["seed"]) is int
-    raw = (tmp_path / "numpy" / "report.json").read_bytes()
-    assert raw == (tmp_path / "int" / "report.json").read_bytes()
-    jsonschema.validate(json.loads(raw), _load_schema("report.schema.json"))
+def test_numpy_integer_seed_is_its_int(seed):
     assert run_selftest(seed=seed, t_samples=20) == run_selftest(seed=3, t_samples=20)
 
 
 def test_report_deterministic(tmp_path):
-    a = analyze(ingest(CONE_SCENE), tmp_path / "a", seed=7)
-    b = analyze(ingest(CONE_SCENE), tmp_path / "b", seed=7)
+    a = analyze(ingest(CONE_SCENE), tmp_path / "a")
+    b = analyze(ingest(CONE_SCENE), tmp_path / "b")
     assert (tmp_path / "a" / "report.json").read_bytes() == \
         (tmp_path / "b" / "report.json").read_bytes()
 
 
-def test_seed_reaches_only_the_offsheet_spot_check(pytestconfig, tmp_path):
-    # every verdict and every other output of the shipped scenes is the
-    # same at two seeds; only the seed itself and the off-sheet counts may
-    # move. No shipped scene has a free sheet coordinate; the osculating
-    # developable (m = 3 in R^4) has one
+def test_analyze_writes_the_same_bytes_at_any_seed(pytestconfig, tmp_path):
+    # analyze ignores its seed keyword: every output of the shipped scenes
+    # and of the osculating developable (m = 3 in R^4, with a free sheet
+    # coordinate) is the same at two seeds, and the report has no seed
     sources = [(path.stem, str(path))
                for path in sorted((pytestconfig.rootpath / "scenes").glob("*.json"))]
     for stem, source in sources + [("osculating_m3_r4", osculating_scene(0, 3, 4))]:
         outs = [tmp_path / f"{stem}-{seed}" for seed in (0, 7)]
         reports = [analyze(ingest(source), out, seed=seed)
                    for out, seed in zip(outs, (0, 7))]
-        for report, seed in zip(reports, (0, 7)):
-            assert report.pop("seed") == seed
-            for section in report["striction"]:
-                assert section.pop("offsheet")["total"] == 32
+        assert "seed" not in reports[0]
         assert reports[0] == reports[1]
         names = sorted(f.name for f in outs[0].iterdir())
         assert names == sorted(f.name for f in outs[1].iterdir())
         for name in names:
-            if name != "report.json":
-                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    scene = write_scene(tmp_path, CONE_SCENE)
+    result = CliRunner().invoke(main, ["analyze", scene, "-o", str(tmp_path / "cli"),
+                                       "--seed", "1"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
 
 
 # --- CLI ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The seeded stream of the spot checks: SplitMix64 of the seed, drawn in
+"""The seeded stream of the selftest's draws: SplitMix64 of the seed, drawn in
 blocks that continue one stream, with every seed width accepted."""
 
 import warnings

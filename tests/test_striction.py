@@ -8,10 +8,12 @@ import pytest
 from scipy.optimize import least_squares
 
 from ruledkit import (DegeneracyError, RuledPatch, SampleGrid, ValidationError,
-                      offsheet_check, pivot_frame, rho_at, singular_locus,
+                      offsheet_certificate, pivot_frame, rho_at, singular_locus,
                       solve_striction)
+import offsheet_oracle
 from conftest import fail_invariance_resolve, small_patch
 from frame_oracles import sheet_wedges, wedge_slack
+from offsheet_oracle import jacobian_regularity, offsheet_check
 from ruledkit import striction
 from ruledkit.analysis import analyze
 from ruledkit.classify import segment_analyses
@@ -19,7 +21,7 @@ from ruledkit.exports import write_mesh_obj
 from ruledkit.fields import FourierField, ParameterMap, PolynomialField, VectorField
 from ruledkit.multilinear import TolerancePolicy, numerical_rank, wedge_norm
 from ruledkit.parametric import FramedCurve, arclength_framed_curve
-from ruledkit.ruledgeom import jacobian_regularity, jacobian_sigma
+from ruledkit.ruledgeom import jacobian_sigma
 from ruledkit.scene import ingest
 from ruledkit.splitmix import SplitMix64
 from ruledkit.striction import (INVARIANCE_AXIS_SAMPLES, INVARIANCE_SCALES, assemble_system,
@@ -196,8 +198,8 @@ def test_solution_tangents_are_the_derivative_of_the_solved_nodes(pytestconfig):
 
 
 def test_analyze_interpolates_only_the_analyzed_sheet(tmp_path, monkeypatch):
-    # the off-sheet check and the invariance fit read the analyzed sheet off
-    # the grid; the re-solved sheets are read at their grid nodes only
+    # the invariance fit reads the analyzed sheet off the grid; the
+    # re-solved sheets are read at their grid nodes only
     built, resolved = [], []
     hermite, resolve = striction.CubicHermite, striction._shifted_sheet
 
@@ -212,7 +214,7 @@ def test_analyze_interpolates_only_the_analyzed_sheet(tmp_path, monkeypatch):
     monkeypatch.setattr(striction, "CubicHermite", counting_spline)
     monkeypatch.setattr(striction, "_shifted_sheet", recording_resolve)
     analyze(ingest({"builtin_patch": "circular_cone", "grid": {"t_samples": 40}}),
-            tmp_path, seed=0)
+            tmp_path)
     assert len(resolved) == len(INVARIANCE_SCALES) == 3
     assert len(built) == 1
     for sheet in resolved:
@@ -227,6 +229,7 @@ def test_singular_locus_tangent_developable(td_sheet):
     assert locus.singular_fraction == 1.0
     assert np.all(locus.residuals < 1e-10)
     assert offsheet_check(p, sheet, seed=1).failures == ()
+    assert offsheet_certificate(p, sheet).certified
 
 
 def test_singular_locus_helicoid(helicoid_patch):
@@ -242,6 +245,7 @@ def test_singular_locus_cone(cone_sheet):
     locus = singular_locus(p, sheet)
     assert locus.singular_fraction == 1.0
     assert offsheet_check(p, sheet, seed=1).failures == ()
+    assert offsheet_certificate(p, sheet).certified
 
 
 class _TurningRuling(VectorField):
@@ -315,7 +319,7 @@ def test_offsheet_points_stay_in_the_segment_range(monkeypatch):
         drawn.append(np.array(values.ts, dtype=float))
         return jacobian_regularity(values, u, tol)
 
-    monkeypatch.setattr(striction, "jacobian_regularity", recording)
+    monkeypatch.setattr(offsheet_oracle, "jacobian_regularity", recording)
     check = offsheet_check(seg.pivoted, seg.sheet, seed=0)
     ts = np.concatenate(drawn)
     assert ts.size == check.total == 32
@@ -336,7 +340,7 @@ def test_offsheet_points_are_the_seeds_three_blocks(name, d, monkeypatch):
         drawn.append((np.array(values.ts, dtype=float), np.array(u, dtype=float)))
         return jacobian_regularity(values, u, tol)
 
-    monkeypatch.setattr(striction, "jacobian_regularity", recording)
+    monkeypatch.setattr(offsheet_oracle, "jacobian_regularity", recording)
     lo, hi = p.grid.t_samples[[0, -1]]
     extent, free = p.grid.u_extent, sheet.free_count
     for seed in range(21):
@@ -765,7 +769,7 @@ def test_invariance_one_least_squares_per_run(monkeypatch, tmp_path, product_she
 
     monkeypatch.setattr(striction, "least_squares", counting)
     analyze(ingest({"builtin_patch": "circular_cone", "grid": {"t_samples": 40}}),
-            tmp_path, seed=0)
+            tmp_path)
     assert calls == [len(INVARIANCE_SCALES) * 40]
     calls.clear()
     p, sheet = product_sheet

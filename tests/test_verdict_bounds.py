@@ -3,8 +3,8 @@
 The degree profile (`distribution._degrees`), the sheet Jacobian ranks
 (`multilinear.rank2_ranks`), the augmented wedges of the
 equivalent-condition check (`striction._augmented_vanish`) and the
-off-sheet regularity test (`ruledgeom.jacobian_regularity`, the scan's
-reduced Jacobians and rank rule on grid values) read closed forms and
+regularity test of the off-sheet oracle (`offsheet_oracle.jacobian_regularity`,
+the scan's reduced Jacobians and rank rule) read closed forms and
 send only the matrices next to a cutoff to the batched SVD. On
 stacks swept across each cutoff and band edge, the verdicts must equal
 those of the SVD exactly, only matrices inside the band may reach it, and
@@ -19,6 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
+from offsheet_oracle import jacobian_regularity
 from test_rank_bounds import orthonormal_columns, reached, svd_inputs
 from ruledkit import TolerancePolicy, analyze, ingest
 from ruledkit.distribution import _degrees, _svd_degrees
@@ -26,7 +27,6 @@ from ruledkit.fields import ParameterArray
 from ruledkit.multilinear import (RANK_BOUND_MARGIN, _rank_margin, _ratio_margin,
                                   numerical_ranks, rank2_ranks, wedge_norms)
 from ruledkit.parametric import GridValues
-from ruledkit.ruledgeom import jacobian_regularity
 from ruledkit.striction import WEDGE_SLACK_PER_VECTOR, _augmented_vanish
 
 TOL = TolerancePolicy()
