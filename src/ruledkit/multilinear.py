@@ -283,3 +283,12 @@ def frame_qr(x: np.ndarray):
     basis, r = np.linalg.qr(x.swapaxes(1, 2), mode="complete")
     volume = np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1))
     return r[:, :k], basis[..., :k], basis[..., k:], volume
+
+
+def _inverse_factors(r: np.ndarray) -> np.ndarray:
+    """R^-1 of each triangular frame factor of a (..., k, k) stack (`frame_qr`),
+    NaN where R has a zero on its diagonal (the frame is singular there)."""
+    k = r.shape[-1]
+    invertible = np.all(np.diagonal(r, axis1=-2, axis2=-1) != 0.0, axis=-1)[..., None, None]
+    safe = np.where(invertible, r, np.eye(k))
+    return np.where(invertible, 1.0 / safe if k == 1 else np.linalg.inv(safe), np.nan)

@@ -24,7 +24,7 @@ from .fields import (BUILTIN_CURVES, ComposedField, ConstantField,
                      GramSchmidtField, GramSchmidtFrame, HelixCurve, ParameterArray,
                      PolynomialField, VectorField, arclength_reparametrize,
                      make_builtin, stack_fields)
-from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, frame_qr
+from .multilinear import DEFAULT_TOLERANCES, TolerancePolicy, _inverse_factors, frame_qr
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,11 +116,13 @@ class GridValues:
     `directrix(order)` the (N, dim) array of directrix derivatives; each
     order is evaluated on first use, one array evaluation per field, and
     kept; so are `frame_basis()`, the frame's one complete QR per parameter
-    (`multilinear.frame_qr`), and `coordinates(order)`, the derivatives in
-    it, which every grid stage reads; the degree profile reads the frame's
+    (`multilinear.frame_qr`), `inverse_factors()`, the inverses R^-1 of its
+    triangular factors, and `coordinates(order)`, the derivatives in it,
+    which every grid stage reads; the degree profile reads the frame's
     alone (`frame_coordinates`). The arrays are shared, also with the
-    values that `restrict`, `with_directrix` and `with_frame` derive from
-    them: callers must not mutate them.
+    values that `restrict` (which slices them) and `with_directrix` derive
+    from them; `with_frame` factorizes its frame afresh. Callers must not
+    mutate them.
 
     Every field and order is evaluated on one `ParameterArray`, so a
     framed curve composed with a parameter map inverts arclength once
@@ -136,6 +138,7 @@ class GridValues:
         self._frame: dict[int, np.ndarray] = {}
         self._directrix: dict[int, np.ndarray] = {}
         self._basis: tuple | None = None
+        self._inverse: np.ndarray | None = None
         self._frame_coordinates: dict[int, tuple] = {}
         self._directrix_coordinates: dict[int, tuple] = {}
 
@@ -153,6 +156,13 @@ class GridValues:
         if self._basis is None:
             self._basis = frame_qr(self.frame(0))
         return self._basis
+
+    def inverse_factors(self) -> np.ndarray:
+        """R^-1 of each triangular factor of the frame QR (`frame_basis`),
+        (N, m-1, m-1), NaN where R is singular (`multilinear._inverse_factors`)."""
+        if self._inverse is None:
+            self._inverse = _inverse_factors(self.frame_basis()[0])
+        return self._inverse
 
     def frame_coordinates(self, order: int) -> tuple:
         """(X q, X comp): the frame derivatives X of `order`, (N, m-1, .),
@@ -174,11 +184,13 @@ class GridValues:
 
     def with_directrix(self, fc: FramedCurve) -> "GridValues":
         """The values of `fc`, this curve with its directrix shifted along
-        its frame (`RuledPatch.shift_directrix`): the frame arrays, basis and
-        frame coordinates are shared, and each directrix order held here is
-        summed from them term by term, as the shifted field's `eval` sums it."""
+        its frame (`RuledPatch.shift_directrix`): the frame arrays, basis, its
+        inverse factors and frame coordinates are shared, and each directrix
+        order held here is summed from them term by term, as the shifted
+        field's `eval` sums it."""
         out = GridValues(fc, self.parameters)
         out._frame, out._basis = self._frame, self.frame_basis()
+        out._inverse = self.inverse_factors()
         out._frame_coordinates = self._frame_coordinates
         for order, g in self._directrix.items():
             for w, x in zip(fc.directrix.weights, self.frame(order).swapaxes(0, 1)):
@@ -191,7 +203,7 @@ class GridValues:
         """The values of `fc`, this curve with its frame fields in `order`, or
         with a frame of its own when `order` is None: the directrix arrays
         shared, the frame arrays permuted (evaluated afresh for a frame of
-        its own), the basis factorized afresh."""
+        its own), the basis factorized and its factors inverted afresh."""
         out = GridValues(fc, self.parameters)
         if order is not None:
             out._frame = {k: x[:, order] for k, x in self._frame.items()}
@@ -204,6 +216,7 @@ class GridValues:
         out._frame = {order: x[lo:hi] for order, x in self._frame.items()}
         out._directrix = {order: g[lo:hi] for order, g in self._directrix.items()}
         out._basis = tuple(a[lo:hi] for a in self.frame_basis())
+        out._inverse = self.inverse_factors()[lo:hi]
         for name in ("_frame_coordinates", "_directrix_coordinates"):
             setattr(out, name, {k: tuple(a[lo:hi] for a in c)
                                 for k, c in getattr(self, name).items()})

@@ -21,9 +21,10 @@ wherever bounds on the second-form vectors' singular values settle the
 rank rule; only the points next to a cutoff go through the per-point
 kernel (`_second_form_ranks`).
 The tangent-space stability check reads the same reduced Jacobians, one
-frame factorization per distinct t (at grid samples, the rows of the
-grid's own values and frame basis), and compares two tangent spaces by
-the angle between their normal directions off the frame span. Every
+frame factorization and inversion per distinct t (at grid samples, the
+rows of the grid's own values, frame basis and inverse factors), or the
+caller's when it holds them, and compares two tangent spaces by the
+angle between their normal directions off the frame span. Every
 regularity verdict takes this one route, `GridValues.coordinates`,
 `_reduced_jacobians`, `_regularity`: the scan's, the stability check's,
 `sectional_curvature`'s on its own reduced Jacobian and the selftest
@@ -175,7 +176,7 @@ class ReducedJacobians:
     """The reduced Jacobians J = [[a, b], [R^T, 0]], b >= 0, of a stack of
     points (see `_reduced_jacobians`), held as their pieces: a = sigma_t . q,
     (..., m-1), b = |c|, (...), the frame's triangular factors R and their
-    inverses R^-1 (`_inverse_factors`), (..., m-1, m-1) broadcast over the
+    inverses R^-1 (`GridValues.inverse_factors`), (..., m-1, m-1) broadcast over the
     points of one parameter, and a R^-T, (..., m-1). The m x m matrices
     are assembled only for the points an SVD reads (`matrices`)."""
 
@@ -213,15 +214,6 @@ def _reduced_singular_values(jac: ReducedJacobians) -> np.ndarray:
     a, b, r = jac.a[..., 0], jac.b, np.abs(jac.r[..., 0, 0])
     s1 = 0.5 * (np.hypot(a, b + r) + np.hypot(a, b - r))
     return np.stack([s1, b * r / np.where(s1 > 0.0, s1, 1.0)], axis=-1)
-
-
-def _inverse_factors(r: np.ndarray) -> np.ndarray:
-    """R^-1 of each triangular frame factor of a (..., m-1, m-1) stack, NaN
-    where R has a zero on its diagonal (the frame is singular there)."""
-    k = r.shape[-1]
-    invertible = np.all(np.diagonal(r, axis1=-2, axis2=-1) != 0.0, axis=-1)[..., None, None]
-    safe = np.where(invertible, r, np.eye(k))
-    return np.where(invertible, 1.0 / safe if k == 1 else np.linalg.inv(safe), np.nan)
 
 
 def _frobenius_conditions(jac: ReducedJacobians):
@@ -275,23 +267,23 @@ def _regularity(jac: ReducedJacobians, tol: TolerancePolicy) -> np.ndarray:
     return regular
 
 
-def _reduced_jacobians(r: np.ndarray, coords, u: np.ndarray, row=slice(None)):
+def _reduced_jacobians(r: np.ndarray, r_inv: np.ndarray, coords, u: np.ndarray,
+                       row=slice(None)):
     """Reduced Jacobians and sigma_t's complement coordinates from the
-    frame QR's factors R and the order-1 coordinates
-    (g1 q, Xdot q, g1 comp, Xdot comp) of N parameters
-    (`GridValues.coordinates`), at ruling positions u: (P, m-1) shared by
-    the points' parameters, or (Q, P, m-1) of their own. `row` picks the
-    parameter of each of the Q leading entries, all N by default.
+    frame QR's factors R, their inverses R^-1 (`GridValues.inverse_factors`)
+    and the order-1 coordinates (g1 q, Xdot q, g1 comp, Xdot comp) of N
+    parameters (`GridValues.coordinates`), at ruling positions u: (P, m-1)
+    shared by the points' parameters, or (Q, P, m-1) of their own. `row`
+    picks the parameter of each of the Q leading entries, all N by default.
 
     sigma_t has coordinates a = sigma_t . q and c = sigma_t . comp, so in
     the orthonormal basis (q, n) of the tangent space, n = c / |c|, the
     Jacobian is the m x m matrix [[a, |c|], [R^T, 0]], with the singular
-    values of the m x dim one. R^-1 and the products with it are taken
-    once per parameter: a R^-T = g1 q R^-T + u . (Xdot q R^-T). Returns
+    values of the m x dim one. The products with R^-1 are taken once per
+    parameter: a R^-T = g1 q R^-T + u . (Xdot q R^-T). Returns
     (`ReducedJacobians`, c), c of shape (Q, P, dim-m+1).
     """
     g_q, x_q, g_c, x_c = coords
-    r_inv = _inverse_factors(r)
     a = g_q[row] + u @ x_q[row]
     c = g_c[row] + u @ x_c[row]
     if r.shape[-1] == 1:
@@ -494,7 +486,8 @@ def second_form_scan(p: RuledPatch) -> SecondFormScan:
     batched call. Pipeline stages read the patch's cached `p.scan` instead.
     """
     ts, u, v = p.grid.t_samples, p.grid.u_points(p.m - 1), p.values
-    r, first, second = v.frame_basis()[0], v.coordinates(1), v.coordinates(2)
+    r, r_inv = v.frame_basis()[0], v.inverse_factors()
+    first, second = v.coordinates(1), v.coordinates(2)
     regular = np.empty((ts.size, u.shape[0]), dtype=bool)
     dims = np.empty((ts.size, u.shape[0]), dtype=int)
     undecided = np.empty((ts.size, u.shape[0]), dtype=bool)
@@ -502,7 +495,7 @@ def second_form_scan(p: RuledPatch) -> SecondFormScan:
     for lo in range(0, ts.size, step):
         rows = slice(lo, lo + step)
         block = [a[rows] for a in first]
-        jac, _ = _reduced_jacobians(r[rows], block, u)
+        jac, _ = _reduced_jacobians(r[rows], r_inv[rows], block, u)
         regular[rows] = _regularity(jac, p.tol)
         dims[rows], undecided[rows] = _normal_dims(block, [a[rows] for a in second], u, jac.b,
                                                    p.tol)
@@ -573,15 +566,15 @@ def _pair_jacobians(p: RuledPatch, t: np.ndarray, u_pairs: np.ndarray):
 
     The fields, the frame's QR, the coordinates in it and R^-1 are taken
     once per distinct t and shared by its pairs. When every distinct t
-    is a grid sample, they are the rows of the patch's own values and
-    frame basis, with no new evaluation or factorization; other t are
-    evaluated. Returns (`ReducedJacobians`, c), of (P, 2) points and
-    c of shape (P, 2, dim-m+1).
+    is a grid sample, they are the rows of the patch's own values, frame
+    basis and inverse factors, with no new evaluation, factorization or
+    inversion; other t are evaluated. Returns (`ReducedJacobians`, c), of
+    (P, 2) points and c of shape (P, 2, dim-m+1).
     """
     ts, row = np.unique(t, return_inverse=True)
     v, rows = _values_at(p, ts)
-    return _reduced_jacobians(v.frame_basis()[0][rows], [a[rows] for a in v.coordinates(1)],
-                              u_pairs, row)
+    return _reduced_jacobians(v.frame_basis()[0][rows], v.inverse_factors()[rows],
+                              [a[rows] for a in v.coordinates(1)], u_pairs, row)
 
 
 #: c / m for the slack c eps kappa_F that covers the SVD's rounding of a
@@ -639,7 +632,7 @@ def _svd_span_residuals(p: RuledPatch, t: np.ndarray, u_pairs: np.ndarray) -> np
                       np.linalg.norm(qb - cross.swapaxes(1, 2) @ qa, axis=-1).max(axis=-1))
 
 
-def tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
+def tangent_space_stability(p: RuledPatch, t, u_pairs, jacobians=None) -> bool:
     """True when the tangent space is the same subspace at the two ruling
     positions of each pair, both taken at the pair's parameter. Both
     points must be regular.
@@ -655,6 +648,10 @@ def tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
     comparison of the ambient Jacobians (`_svd_span_residuals`). Both
     compare a number at most 1, sin theta or the SVD residual, with the
     relative rank_rel_tol: the spaces are the same when it is below.
+
+    `jacobians` is the pairs' (`ReducedJacobians`, c) of `_pair_jacobians`
+    when the caller holds them, as the selftest's sweep does from its
+    candidate filter; the check builds them itself when it is None.
     """
     u = np.asarray(u_pairs, dtype=float)
     if u.size == 0:
@@ -666,7 +663,9 @@ def tangent_space_stability(p: RuledPatch, t, u_pairs) -> bool:
         raise ValidationError(f"expected one t or one per pair ({u.shape[0]}), "
                               f"got shape {np.shape(t)}")
     pair_t = np.broadcast_to(np.asarray(t, dtype=float), u.shape[:1])
-    regular, differ, undecided = _span_verdicts(*_pair_jacobians(p, pair_t, u), p.tol)
+    if jacobians is None:
+        jacobians = _pair_jacobians(p, pair_t, u)
+    regular, differ, undecided = _span_verdicts(*jacobians, p.tol)
     if undecided.any():
         differ[undecided] = ~(_svd_span_residuals(p, pair_t[undecided], u[undecided])
                               < p.tol.rank_rel_tol)
@@ -720,7 +719,7 @@ def flatness_check(p: RuledPatch) -> FlatnessResult:
     scan = p.scan
     i, j = np.nonzero(scan.regular)
     _, _, c0, xdot = p.values.coordinates(1)
-    y = _inverse_factors(p.values.frame_basis()[0]).swapaxes(-1, -2) @ xdot
+    y = p.values.inverse_factors().swapaxes(-1, -2) @ xdot
     c = c0[i, 0] + (scan.u[j, None] @ xdot[i])[:, 0]
     curv = _normal_plane_curvatures(y[i], c)
     return FlatnessResult(max_abs=float(-curv.min()) if curv.size else 0.0,
@@ -744,7 +743,7 @@ def sectional_curvature(p: RuledPatch, t: float, u) -> float:
     v, rows = _values_at(p, t)
     r = v.frame_basis()[0][rows]
     coords = [a[rows] for a in v.coordinates(1)]
-    jac, c = _reduced_jacobians(r, coords, u)
+    jac, c = _reduced_jacobians(r, v.inverse_factors()[rows], coords, u)
     if not _regularity(jac, p.tol)[0, 0]:
         raise RegularityError(f"patch is singular at (t={t}, u={u[0].tolist()})")
     # sigma_t's row of the reduced Jacobian past a_1: a_2..a_{m-1}, then |c|

@@ -77,16 +77,25 @@ class SplitMix64:
 
     def uniform(self, low: float, high: float, size) -> np.ndarray:
         """Uniform floats in [low, high), low < high, of shape `size`, one
-        draw each: the top 53 bits of a word as a fraction of 2**53, scaled
-        to the range. A value that rounds up to `high` (a range narrow
-        against its ends) is taken as the float just below it."""
+        draw each: the unit fractions of `fractions`, scaled to the range
+        (`scaled`)."""
+        return scaled(self.fractions(size), low, high)
+
+    def fractions(self, size) -> np.ndarray:
+        """Floats in [0, 1) of shape `size`, one draw each: the top 53 bits
+        of a word as a fraction of 2**53."""
         shape = tuple(np.atleast_1d(size))
-        fraction = (self.words(int(np.prod(shape))) >> np.uint64(11)) * 2.0 ** -53
-        out = np.minimum(low + (high - low) * fraction, np.nextafter(high, low))
-        return out.reshape(shape)
+        return ((self.words(int(np.prod(shape))) >> np.uint64(11)) * 2.0 ** -53).reshape(shape)
 
     def signs(self, size) -> np.ndarray:
         """+-1.0 of shape `size`, one draw each: -1 where its top bit is set."""
         shape = tuple(np.atleast_1d(size))
         top = self.words(int(np.prod(shape))) >> np.uint64(63)
         return (1.0 - 2.0 * top).reshape(shape)
+
+
+def scaled(fraction: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Unit fractions (`SplitMix64.fractions`) scaled to [low, high), low <
+    high. A value that rounds up to `high` (a range narrow against its
+    ends) is taken as the float just below it."""
+    return np.minimum(low + (high - low) * fraction, np.nextafter(high, low))

@@ -60,7 +60,7 @@ from .multilinear import (DEFAULT_TOLERANCES, RANK_BOUND_MARGIN, TolerancePolicy
                           numerical_ranks, pair_wedge_norms, rank2_ranks, rank2_singular_values,
                           settled, wedge_norms)
 from .parametric import FramedCurve, GridValues, SampleGrid
-from .ruledgeom import RuledPatch, _inverse_factors
+from .ruledgeom import RuledPatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,12 +190,6 @@ class StrictionSheet:
         return self.fc.m - 1 - self.d
 
     @cached_property
-    def inverse_factors(self) -> np.ndarray:
-        """R^-1 of the frame QR at every grid parameter (`GridValues.frame_basis`),
-        (N, m-1, m-1): `solution_tangents` and `offsheet_certificate` read it."""
-        return _inverse_factors(self.values.frame_basis()[0])
-
-    @cached_property
     def solution_tangents(self) -> np.ndarray:
         """(N, d, m-d) t-derivatives of `solution_nodes` at fixed free
         coordinates, from the derivative of the system A N = B:
@@ -214,7 +208,7 @@ class StrictionSheet:
         # [g; X_lead] + N^T X_tail, (N, 1 + lo, .)
         e1_q, e1_c, e2_c = (np.concatenate([g, x[:, :lo]], axis=1) + nodes @ x[:, lo:]
                             for g, x in ((g1_q, x1_q), (g1_c, x1_c), (g2_c, x2_c)))
-        y = self.inverse_factors.swapaxes(1, 2) @ x1_c
+        y = v.inverse_factors().swapaxes(1, 2) @ x1_c
         c1 = x1_c[:, lo:]
         rhs = ((x2_c[:, lo:] - x1_q[:, lo:] @ y) @ e1_c.swapaxes(1, 2)
                + c1 @ (e2_c.swapaxes(1, 2) - y.swapaxes(1, 2) @ e1_q.swapaxes(1, 2)))
@@ -526,7 +520,7 @@ def offsheet_certificate(p: RuledPatch, sheet: StrictionSheet) -> OffsheetCertif
              * np.sqrt(_row_squares(g_c)[:, 0] + _row_squares(x_c).sum(axis=1)))
     resid += spare * (1.0 + extent * np.sqrt(lo) + _over_box(_row_squares(nodes), extent))
     r_norm = np.sqrt(np.einsum("nij,nij->n", r, r))
-    r_inv = sheet.inverse_factors
+    r_inv = v.inverse_factors()
     r_inv_norm = np.sqrt(np.einsum("nij,nij->n", r_inv, r_inv))
     n0, n1 = np.hypot(s0, r_norm), s1
     m0, m1 = np.hypot(1.0, r_inv_norm * s0), r_inv_norm * s1

@@ -42,10 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ruledkit.errors import RegularityError, ValidationError
-from ruledkit.multilinear import (TolerancePolicy, gram_schmidt_rows, numerical_rank,
-                                  numerical_ranks, rank2_ranks, rank_mask)
+from ruledkit.multilinear import (TolerancePolicy, _inverse_factors, gram_schmidt_rows,
+                                  numerical_rank, numerical_ranks, rank2_ranks, rank_mask)
 from ruledkit.parametric import GridValues
-from ruledkit.ruledgeom import (ReducedJacobians, RuledPatch, _as_u, _inverse_factors, _jacobians,
+from ruledkit.ruledgeom import (ReducedJacobians, RuledPatch, _as_u, _jacobians,
                                 _reduced_jacobians, _reduced_singular_values, _regularity,
                                 jacobians_at)
 from ruledkit.selftest import PAIR_CONDITION_LIMIT
@@ -90,7 +90,7 @@ def second_form_vectors(v: GridValues, rows: slice, u: np.ndarray, tol: Toleranc
     """
     r = v.frame_basis()[0][rows]
     coords = [a[rows] for a in v.coordinates(1)]
-    pieces, c = _reduced_jacobians(r, coords, u)
+    pieces, c = _reduced_jacobians(r, v.inverse_factors()[rows], coords, u)
     regular = _regularity(pieces, tol)
     jac = pieces.matrices(np.ones(regular.shape, dtype=bool)).reshape(
         regular.shape + (r.shape[-1] + 1,) * 2)

@@ -38,7 +38,8 @@ def jacobian_regularity(v, u: np.ndarray, tol) -> np.ndarray:
     """The rank rule's full-rank verdict at the N parameters of `v`, each at
     its own ruling position of u (N, m-1), (N,): `_regularity` of the
     reduced Jacobians on the values' frame QR and coordinates."""
-    jac, _ = _reduced_jacobians(v.frame_basis()[0], v.coordinates(1), u[:, None])
+    jac, _ = _reduced_jacobians(v.frame_basis()[0], v.inverse_factors(), v.coordinates(1),
+                                u[:, None])
     return _regularity(jac, tol)[:, 0]
 
 

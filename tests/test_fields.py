@@ -11,7 +11,7 @@ from ruledkit.fields import (BUILTIN_CURVES, AffineCombinationField, CircleCurve
                              ComposedField, ConstantField, CubicHermite, DerivativeField,
                              EmbeddedField, FourierField, GramSchmidtField, GramSchmidtFrame,
                              ParameterMap, PolynomialField, VectorField,
-                             arclength_reparametrize, make_builtin_curve)
+                             arclength_reparametrize, array_eval, make_builtin_curve)
 from ruledkit.oracles import central_difference, max_derivative_error
 from ruledkit.parametric import BUILTIN_PATCHES, make_builtin_patch
 from ruledkit.splitmix import SplitMix64
@@ -56,7 +56,7 @@ def test_helix_derivative_against_finite_differences():
 ], ids=["poly", "fourier", "helix", "circle", "line", "helix-tangent"])
 @pytest.mark.parametrize("order", [1, 2])
 def test_analytic_derivatives_match_fd(field, order):
-    assert max_derivative_error(field, (0.0, TWO_PI), order, n=50, seed=3) < 1e-7
+    assert max_derivative_error([field], (0.0, TWO_PI), [order], n=50, seed=3) < 1e-7
 
 
 def _per_shift_error(field, interval, order, n, seed, h):
@@ -79,22 +79,60 @@ def _per_shift_error(field, interval, order, n, seed, h):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_PATCHES))
 def test_derivative_error_equals_the_per_shift_formula(name):
-    # one evaluation on all offset parameters gives the same bits
+    # one draw, scaled to each order's range, and one evaluation on the
+    # offset parameters of every order give the same bits, field by field
+    # and order by order, and over all of them at once
     fc = make_builtin_patch(name)
-    for field in (fc.directrix, *fc.frame):
-        for order, h in ((1, 1e-3), (2, 4e-3)):
-            for seed in (0, 1, 3):
-                assert (max_derivative_error(field, fc.interval, order, n=50, seed=seed)
-                        == _per_shift_error(field, fc.interval, order, 50, seed, h))
+    fields = [fc.directrix, *fc.frame]
+    for seed in (0, 1, 3):
+        errors = []
+        for field in fields:
+            for order, h in ((1, 1e-3), (2, 4e-3)):
+                errors.append(_per_shift_error(field, fc.interval, order, 50, seed, h))
+                assert (max_derivative_error([field], fc.interval, [order], n=50, seed=seed)
+                        == errors[-1])
+        assert max_derivative_error(fields, fc.interval, (1, 2), n=50, seed=seed) == max(errors)
+
+
+class _CountingEvals(VectorField):
+    """A field that records the (size, order) of every `eval` call."""
+
+    def __init__(self, base):
+        self.base, self.dim, self.calls = base, base.dim, []
+
+    @array_eval
+    def eval(self, ts, order=0):
+        self.calls.append((np.size(ts), order))
+        return self.base.eval(ts, order)
+
+
+def test_derivative_error_draws_once_and_evaluates_each_field_once_per_order(monkeypatch):
+    fields = [_CountingEvals(f) for f in (HelixCurve(0.3, 1.1), CircleCurve(2.0))]
+    words = []
+    original = SplitMix64.words
+
+    def counting(stream, n):
+        words.append(n)
+        return original(stream, n)
+
+    monkeypatch.setattr(SplitMix64, "words", counting)
+    max_derivative_error(fields, (0.0, TWO_PI), (1, 2), n=50, seed=1)
+    assert words == [50]
+    # order 0 on the 4 offsets of order 1 and the 5 of order 2, then order 1 and order 2
+    for f in fields:
+        assert f.calls == [(9 * 50, 0), (50, 1), (50, 2)]
 
 
 def test_derivative_error_rejects_an_interval_shorter_than_four_steps():
     f = FourierField([(0.0, [2.0], [], 1.0), (0.0, [], [2.0], 1.0), (0.5, [], [0.3], 2.0)])
     g = arclength_reparametrize(f, (0.0, TWO_PI))
     with pytest.raises(ValidationError, match=re.escape("(0.0, 0.004)") + ".*h = 0.004"):
-        max_derivative_error(g, (0.0, 0.004), order=2)
+        max_derivative_error([g], (0.0, 0.004), orders=[2])
+    # one order too long for the interval refuses them all
+    with pytest.raises(ValidationError, match="h = 0.004"):
+        max_derivative_error([g], (0.0, 0.004), orders=[1, 2])
     # exactly 4h: every parameter sits at the midpoint
-    assert max_derivative_error(g, (0.0, 0.004), order=1) < 1e-7
+    assert max_derivative_error([g], (0.0, 0.004), orders=[1]) < 1e-7
 
 
 def test_derivative_field_shifts_order():
@@ -199,8 +237,8 @@ def test_reparametrize_unit_speed_curve_is_identity():
 def test_reparametrized_field_fd_consistency(order):
     f = FourierField([(0.0, [2.0], [], 1.0), (0.0, [], [2.0], 1.0), (0.5, [], [0.3], 2.0)])
     g = arclength_reparametrize(f, (0.0, TWO_PI))
-    err = max_derivative_error(g, (0.01, g.parameter_map.length - 0.01),
-                               order, n=25, seed=5)
+    err = max_derivative_error([g], (0.01, g.parameter_map.length - 0.01),
+                               [order], n=25, seed=5)
     assert err < 1e-7
 
 

@@ -28,7 +28,8 @@ from frame_oracles import (beta_dot_augmented_vanish, beta_dot_locus_residuals,
                            project_off_spans, projector_tangents, rank_one_wedges, sheet_wedges,
                            wedge_slack)
 from perfbench.scenegen import explicit_scene
-from ruledkit import RuledPatch, SampleGrid, analyze, ingest, make_builtin_patch
+from ruledkit import (RuledPatch, SampleGrid, analyze, ingest, make_builtin_patch, parametric,
+                      selftest)
 from ruledkit.classify import segment_analyses
 from ruledkit.fields import AffineCombinationField
 from ruledkit.multilinear import wedge_norms
@@ -107,9 +108,52 @@ def test_segment_patch_slices_its_parents_values_and_basis():
     sub = p.restrict(5, 20)
     for got, whole in [(sub.values.frame(1), p.values.frame(1)),
                        (sub.values.directrix(1), p.values.directrix(1)),
-                       *zip(sub.values.frame_basis(), p.values.frame_basis())]:
+                       *zip(sub.values.frame_basis(), p.values.frame_basis()),
+                       (sub.values.inverse_factors(), p.values.inverse_factors())]:
         assert np.shares_memory(got, whole) and np.array_equal(got, whole[5:20])
     np.testing.assert_array_equal(sub.values.ts, p.grid.t_samples[5:20])
+
+
+def _count_inversions(patch):
+    """Record the ids of the R of every `frame_qr` and of every R inverted;
+    the lists keep the arrays alive, so that no id is reused."""
+    factorized, inverted, held = [], [], []
+    qr, inverse = parametric.frame_qr, parametric._inverse_factors
+
+    def factorizing(x):
+        out = qr(x)
+        held.append(out[0])
+        factorized.append(id(out[0]))
+        return out
+
+    def inverting(r):
+        held.append(r)
+        inverted.append(id(r))
+        return inverse(r)
+
+    patch.setattr(parametric, "frame_qr", factorizing)
+    patch.setattr(parametric, "_inverse_factors", inverting)
+    return factorized, inverted
+
+
+@pytest.mark.parametrize("stem", [path.stem for path in sorted(SCENE_DIR.glob("*.json"))])
+def test_analyze_inverts_each_factorized_frame_once(monkeypatch, tmp_path, stem):
+    # the grid values keep R^-1 of their frame QR beside it: the scan, the
+    # flatness and stability checks and the sheet read its rows, the
+    # segments slice it and the shifted directrices share it
+    with monkeypatch.context() as patch:
+        factorized, inverted = _count_inversions(patch)
+        analyze(ingest(str(SCENE_DIR / f"{stem}.json")), tmp_path)
+    assert inverted == factorized and len(factorized) == 1
+
+
+def test_selftest_inverts_each_factorized_frame_once(monkeypatch):
+    with monkeypatch.context() as patch:
+        factorized, inverted = _count_inversions(patch)
+        assert all(r.passed for r in selftest.run_selftest(seed=1, t_samples=50))
+    # the 7 corpus patches and the pivoted patches with a frame of their own
+    assert len(inverted) == len(set(inverted)) <= len(factorized)
+    assert set(inverted) <= set(factorized) and len(inverted) >= 7
 
 
 ANALYSES = ([(path.stem, {}) for path in sorted(SCENE_DIR.glob("*.json"))]

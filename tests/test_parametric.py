@@ -216,7 +216,7 @@ def test_gram_schmidt_frame_derivatives_pass_the_oracle(order):
     out = gram_schmidt_frame(_raw_frame_r5(), SampleGrid.uniform((0.0, TWO_PI), 17))
     for field in out:
         for seed in range(3):
-            assert max_derivative_error(field, field.domain, order, n=50, seed=seed) < tol
+            assert max_derivative_error([field], field.domain, [order], n=50, seed=seed) < tol
 
 
 def test_gram_schmidt_frame_orthonormalizes_once_per_parameter_array_and_order():

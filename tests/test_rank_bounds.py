@@ -31,9 +31,9 @@ from ambient_second_form import (normal_ranks, reduced_pieces, reference_scan,
                                  svd_scan_verdicts)
 from ruledkit import TolerancePolicy, ingest, ruledgeom
 from ruledkit.fields import ParameterArray
-from ruledkit.multilinear import frame_qr
+from ruledkit.multilinear import _inverse_factors, frame_qr
 from ruledkit.parametric import GridValues
-from ruledkit.ruledgeom import _inverse_factors, _rank_margin, _regularity, second_form_scan
+from ruledkit.ruledgeom import _rank_margin, _regularity, second_form_scan
 from ruledkit.selftest import CORPUS_DEGREES, build_corpus
 from scene_families import FAMILIES
 from test_second_form_reference import CASES

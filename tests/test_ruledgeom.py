@@ -11,10 +11,9 @@ from ruledkit import (RegularityError, RuledPatch, SampleGrid, TolerancePolicy,
                       ValidationError, make_builtin_patch)
 from ruledkit import ruledgeom
 from ruledkit.fields import ConstantField, FourierField, PolynomialField
-from ruledkit.multilinear import numerical_rank
+from ruledkit.multilinear import _inverse_factors, numerical_rank
 from ruledkit.parametric import BUILTIN_PATCHES, FramedCurve
-from ruledkit.ruledgeom import (_inverse_factors, _normal_plane_curvatures,
-                                _reduced_jacobians,
+from ruledkit.ruledgeom import (_normal_plane_curvatures, _pair_jacobians, _reduced_jacobians,
                                 first_normal_bounds_check, flatness_check, jacobian_sigma,
                                 rank_one_check, sectional_curvature, tangent_space_stability)
 
@@ -223,6 +222,41 @@ def test_stability_checks_pairs_in_order_each_at_its_own_t():
         tangent_space_stability(p, [0.5, 0.0, 0.5], [same, differ])
 
 
+def _stability_outcome(p, t, pairs, **kw):
+    """The verdict of `tangent_space_stability`, or its error's type and message."""
+    try:
+        return tangent_space_stability(p, t, pairs, **kw)
+    except (RegularityError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def test_stability_with_the_callers_jacobians_equals_its_own(cylinder_patch, tangent_dev_patch,
+                                                             helicoid_patch):
+    # the cases above, each with the pairs' reduced Jacobians built by the
+    # caller: the same verdict, or the same error naming the same pair
+    p = slowed_helicoid_patch()
+    differ, singular, same = ([0.0], [1.0]), ([1.0], [0.0]), ([0.3], [0.3])
+    off_axis = ([1.0], [2.0])
+    cases = [(cylinder_patch, 1.0, [([-2.0], [0.5]), ([0.0], [1.7])]),
+             (tangent_dev_patch, 0.8, [([1.0], [2.0])]),
+             (helicoid_patch, 0.8, [([0.0], [1.0])]),
+             (tangent_dev_patch, 0.8, [([0.0], [1.0])]),
+             (p, [0.5, 0.0], [differ, singular]),
+             (p, [0.5, 0.0, 0.5], [same, singular, differ]),
+             (p, 0.0, [differ]),
+             (p, [0.5, 0.0], [same, off_axis]),
+             (p, [0.0, 0.5], [same, off_axis])]
+    outcomes = set()
+    for patch, t, pairs in cases:
+        u = np.asarray(pairs, dtype=float)
+        pair_t = np.broadcast_to(np.asarray(t, dtype=float), u.shape[:1])
+        jacobians = _pair_jacobians(patch, pair_t, u)
+        expected = _stability_outcome(patch, t, pairs)
+        assert _stability_outcome(patch, t, pairs, jacobians=jacobians) == expected
+        outcomes.add(expected if isinstance(expected, bool) else expected[0])
+    assert outcomes == {True, False, RegularityError}
+
+
 # --- curvature -------------------------------------------------------------------
 
 def test_cylinder_flat(cylinder_patch):
@@ -420,7 +454,7 @@ def random_reduced_stacks(rng, size, m, dim):
     sigma_q = (rng.normal(size=(size, 1, k)), rng.normal(size=(size, k, k)))
     sigma_c = (rng.normal(size=(size, 1, dim - k)), rng.normal(size=(size, k, dim - k)))
     u = rng.uniform(-2.0, 2.0, (size, 1, k))
-    pieces, c = _reduced_jacobians(r, (*sigma_q, *sigma_c), u)
+    pieces, c = _reduced_jacobians(r, _inverse_factors(r), (*sigma_q, *sigma_c), u)
     jac, c = pieces.matrices(np.ones((size, 1), dtype=bool)), c[:, 0]
     n = c / np.linalg.norm(c, axis=-1, keepdims=True)
     vecs = np.concatenate([rng.normal(size=(size, 1, dim - k)), sigma_c[1]], axis=1)

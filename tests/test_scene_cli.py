@@ -459,7 +459,7 @@ def test_orthonormalized_frame_derivatives_pass_the_oracle(order):
     from ruledkit.oracles import max_derivative_error
     patch = ingest(explicit_scene(0), {"t_samples": 40}).patch
     for field in patch.fc.frame:
-        assert (max_derivative_error(field, field.domain, order)
+        assert (max_derivative_error([field], field.domain, [order])
                 < patch.tol.derivative_check_tol)
 
 

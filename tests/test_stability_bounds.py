@@ -24,9 +24,9 @@ from ambient_second_form import (reduced_pieces, svd_pair_margins, svd_regular_p
                                  svd_span_verdicts, svd_tangent_space_stability)
 from conftest import small_patch
 from ruledkit import RuledPatch, SampleGrid, TolerancePolicy, selftest
-from ruledkit.multilinear import rank_mask
-from ruledkit.ruledgeom import (RANK_BOUND_MARGIN, SPAN_SLACK_PER_DIM, _inverse_factors,
-                                _pair_jacobians, _regularity, _span_verdicts, jacobians_at,
+from ruledkit.multilinear import _inverse_factors, rank_mask
+from ruledkit.ruledgeom import (RANK_BOUND_MARGIN, SPAN_SLACK_PER_DIM, _pair_jacobians,
+                                _regularity, _span_verdicts, jacobians_at,
                                 tangent_space_stability)
 from ruledkit.selftest import PAIR_CONDITION_LIMIT
 from test_evaluations import field_classes
@@ -162,23 +162,32 @@ def corpus(t_samples):
     return selftest.build_corpus(TOL, t_samples)
 
 
-def sweep(monkeypatch, p, seed, oracle):
-    """The verdict of `_stability_sweep` and the (t, pairs) it hands to
-    its one stability call, with the SVD oracles in place or not."""
-    seen = []
-    check = svd_tangent_space_stability if oracle else tangent_space_stability
+def svd_filter(p, t, candidates):
+    """`selftest._regular_pairs` with the SVD oracle's mask; the candidates'
+    reduced Jacobians, which the oracle's stability check does not read,
+    are the program's."""
+    return svd_regular_pairs(p, t, candidates), _pair_jacobians(p, t, candidates)
 
-    def recording(p, t, pairs):
-        seen.append((np.array(t), np.array(pairs)))
-        return check(p, t, pairs)
+
+def sweep(monkeypatch, p, seed, oracle):
+    """The verdict of `_stability_sweep`, the number of t it left short
+    and the (t, pairs, jacobians) it hands to its one stability call, with
+    the SVD oracles in place or not."""
+    seen = []
+
+    def recording(p, t, pairs, jacobians):
+        seen.append((np.array(t), np.array(pairs), jacobians))
+        if oracle:
+            return svd_tangent_space_stability(p, t, pairs)
+        return tangent_space_stability(p, t, pairs, jacobians=jacobians)
 
     with monkeypatch.context() as patch:
         patch.setattr(selftest, "tangent_space_stability", recording)
         if oracle:
-            patch.setattr(selftest, "_regular_pairs", svd_regular_pairs)
-        verdict = selftest._stability_sweep(p, 10, seed)
+            patch.setattr(selftest, "_regular_pairs", svd_filter)
+        verdict, short = selftest._stability_sweep(p, 10, seed)
     assert len(seen) == 1
-    return verdict, seen[0]
+    return verdict, short, seen[0]
 
 
 @pytest.mark.parametrize("t_samples", [30, 50, 200])
@@ -186,11 +195,42 @@ def sweep(monkeypatch, p, seed, oracle):
 def test_sweep_equals_the_svd_sweep(monkeypatch, name, t_samples):
     p = corpus(t_samples)[name]
     for seed in range(6):
-        verdict, (pair_t, pairs) = sweep(monkeypatch, p, seed, oracle=False)
-        svd_verdict, (svd_t, svd_pairs) = sweep(monkeypatch, p, seed, oracle=True)
+        verdict, short, (pair_t, pairs, _) = sweep(monkeypatch, p, seed, oracle=False)
+        svd_verdict, svd_short, (svd_t, svd_pairs, _) = sweep(monkeypatch, p, seed, oracle=True)
         assert verdict == svd_verdict
+        assert short == svd_short == 0
         np.testing.assert_array_equal(pair_t, svd_t)
         np.testing.assert_array_equal(pairs, svd_pairs)
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("t_samples", [30, 50, 200])
+def test_sweep_hands_on_the_filters_jacobians_of_the_kept_pairs(monkeypatch, t_samples):
+    # the pieces the filter built for each kept candidate, carried across
+    # rounds and reordered by t, are bit for bit those that the stability
+    # check would build for the kept pairs itself
+    rounds = []
+    original = selftest._regular_pairs
+
+    def counting(p, t, candidates):
+        rounds[-1] += 1
+        return original(p, t, candidates)
+
+    monkeypatch.setattr(selftest, "_regular_pairs", counting)
+    for name in selftest.EQUIVALENCE_PATCHES:
+        p = corpus(t_samples)[name]
+        for seed in range(6):
+            rounds.append(0)
+            _, _, (pair_t, pairs, (jac, c)) = sweep(monkeypatch, p, seed, oracle=False)
+            want, want_c = _pair_jacobians(p, pair_t, pairs)
+            for got, expected in zip((jac.a, jac.b, jac.r, jac.r_inv, jac.a_r, c),
+                                     (want.a, want.b, want.r, want.r_inv, want.a_r, want_c)):
+                assert same_bits(got, expected)
+    # some patches need a second round of candidates
+    assert max(rounds) >= 2
 
 
 @pytest.mark.parametrize("tol", [TolerancePolicy(zero_abs_tol=2.0),
@@ -203,7 +243,9 @@ def test_sweep_keeps_no_pair_the_stability_check_calls_singular(name, tol):
     # the stability check, which returns a verdict instead of raising
     # RegularityError
     p = selftest.build_corpus(tol, 40)[name]
-    assert selftest._stability_sweep(p, 10, 0) in (True, False)
+    verdict, short = selftest._stability_sweep(p, 10, 0)
+    assert verdict in (True, False)
+    assert 0 <= short <= p.grid.t_samples.size
 
 
 
@@ -211,14 +253,22 @@ def test_span_cutoff_is_relative():
     # sin theta and the SVD residual are at most 1, so the stability check
     # compares them with rank_rel_tol; with the absolute zero_abs_tol at 1
     # or more every pair once read the same, and criterion 5 printed
-    # stable=True beside wedge=False flat=False
+    # stable=True beside wedge=False flat=False; most points are singular at
+    # this tolerance, so the t left short of regular pairs fail the criterion
     results = selftest.run_selftest(TolerancePolicy(zero_abs_tol=2.0), t_samples=40)
     details = {r.name.split(": ")[-1]: r for r in results
                if r.criterion == 5 and r.name.startswith("characterizations agree")}
-    for name in ("helicoid_frame", "two_rotation_r5"):
-        assert details[name].passed
-        assert details[name].detail == "wedge=False flat=False stable=False"
-    assert sum(r.passed for r in results) == 23
+    assert details["two_rotation_r5"].passed
+    assert details["two_rotation_r5"].detail == "wedge=False flat=False stable=False"
+    assert not details["helicoid_frame"].passed
+    assert details["helicoid_frame"].detail == ("wedge=False flat=False stable=False, "
+                                                "24 of 40 t short of 10 regular pairs")
+    # the sweeps that kept no pair at any t read stable=True and fail
+    for name in ("cylinder_helix", "tangent_developable_helix", "tangent_developable_product"):
+        assert not details[name].passed
+        assert details[name].detail == ("wedge=True flat=True stable=True, "
+                                        "40 of 40 t short of 10 regular pairs")
+    assert sum(r.passed for r in results) == 19
 
 
 @pytest.mark.parametrize("name", ["helicoid_frame", "two_rotation_r5"])

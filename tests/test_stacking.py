@@ -193,13 +193,18 @@ def _one_pair_loop(p, pairs_per_t, seed):
 
 def _sweep_pairs(monkeypatch, p, pairs_per_t, seed):
     """The (t per pair, pairs) that `_stability_sweep` hands to its one
-    stability call."""
+    stability call, and the number of t it reports short of pairs."""
     seen = []
-    monkeypatch.setattr(selftest, "tangent_space_stability",
-                        lambda p, t, pairs: seen.append((np.asarray(t), np.asarray(pairs))) or True)
-    assert selftest._stability_sweep(p, pairs_per_t, seed)
+
+    def recording(p, t, pairs, jacobians):
+        seen.append((np.asarray(t), np.asarray(pairs)))
+        return True
+
+    monkeypatch.setattr(selftest, "tangent_space_stability", recording)
+    verdict, short = selftest._stability_sweep(p, pairs_per_t, seed)
+    assert verdict
     assert len(seen) == 1
-    return seen[0]
+    return (*seen[0], short)
 
 
 def _thin_box_patch(extent):
@@ -217,9 +222,10 @@ def test_stability_sweep_draws_the_pairs_of_a_one_pair_loop(monkeypatch):
     p, pairs_per_t, seed = _thin_box_patch(0.01), 4, 11
     expected, rejected = _one_pair_loop(p, pairs_per_t, seed)
     assert rejected > 0
-    pair_t, pairs = _sweep_pairs(monkeypatch, p, pairs_per_t, seed)
+    pair_t, pairs, short = _sweep_pairs(monkeypatch, p, pairs_per_t, seed)
     assert np.array_equal(pair_t, np.repeat(p.grid.t_samples, pairs_per_t))
     assert np.array_equal(pairs, np.concatenate(expected))
+    assert short == 0
 
 
 @pytest.mark.parametrize("extent", [0.003, 0.001])
@@ -230,9 +236,12 @@ def test_stability_sweep_follows_the_one_pair_loop_when_t_run_out_of_attempts(
     p, pairs_per_t, seed = _thin_box_patch(extent), 4, 11
     expected, _ = _one_pair_loop(p, pairs_per_t, seed)
     assert all(len(e) < pairs_per_t for e in expected)
-    pair_t, pairs = _sweep_pairs(monkeypatch, p, pairs_per_t, seed)
+    pair_t, pairs, short = _sweep_pairs(monkeypatch, p, pairs_per_t, seed)
     assert np.array_equal(pair_t, np.repeat(p.grid.t_samples, [len(e) for e in expected]))
     assert np.array_equal(pairs, np.concatenate(expected))
+    # the stability check of what was kept says True, even of no pairs;
+    # the sweep counts every t short, so criterion 5 does not pass on it
+    assert short == p.grid.t_samples.size
 
 
 def test_system_stacks_equal_per_parameter_systems():
@@ -284,13 +293,22 @@ def test_selftest_solves_each_sheet_once(monkeypatch):
 def test_selftest_checks_systems_and_stability_in_stacks(monkeypatch):
     counts = _count_calls(monkeypatch, [("striction", "assemble_system"),
                                         ("distribution", "rho_at"),
-                                        ("ruledgeom", "tangent_space_stability")])
+                                        ("ruledgeom", "tangent_space_stability"),
+                                        ("ruledgeom", "_pair_jacobians"),
+                                        ("selftest", "_regular_pairs"),
+                                        ("oracles", "max_derivative_error")])
     results = selftest.run_selftest(t_samples=30)
     assert all(r.passed for r in results)
     # the systems and rho blocks are read from the pivoted patches' caches
     assert counts["assemble_system"] == counts["rho_at"] == 0
-    # one stability call per patch, over the pairs of every t
+    # one stability call per patch, over the pairs of every t, with the
+    # Jacobians of the sweep's candidate filter: one build per round of
+    # candidates, and none in the stability call
     assert counts["tangent_space_stability"] == len(selftest.EQUIVALENCE_PATCHES)
+    rounds = counts["_regular_pairs"]
+    assert counts["_pair_jacobians"] == rounds >= len(selftest.EQUIVALENCE_PATCHES)
+    # one derivative check per patch, of all its fields at both orders
+    assert counts["max_derivative_error"] == len(selftest.CORPUS_DEGREES)
 
 
 def test_analyze_builds_the_sheet_partials_once(tmp_path, monkeypatch):
